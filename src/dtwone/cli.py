@@ -2,7 +2,8 @@
 emit versioned line-oriented reports with stable bytes.
 
 Exit codes: 0 for YES/valid/success, 1 for NO/invalid/failed criteria, 2 for
-input errors (malformed files, mismatched hashes, instances over a cap).
+input errors (malformed files, mismatched hashes, instances over a cap), 3 for
+internal errors (a library call failed in a way its input does not explain).
 """
 
 from __future__ import annotations
@@ -104,11 +105,19 @@ def _load_digraph(path: str):
 
 
 def _guarded(fn, *args, **kwargs):
-    """Run a library call, mapping its input rejections to exit code 2."""
+    """Run a library call, mapping its input rejections to exit code 2 and
+    any other failure to exit code 3, so a broken invariant never reads as NO.
+
+    The exit is raised inside the handler, which keeps the original exception
+    as its `__context__`.
+    """
     try:
         return fn(*args, **kwargs)
     except (ValueError, CapExceeded, InstanceTooLarge) as exc:
         _die(str(exc))
+    except Exception as exc:
+        click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(3)
 
 
 def _note(cfg: RunConfig, lines: list, text: str):

@@ -190,25 +190,68 @@ _SMALL_CYCLE_PATTERNS = {
 
 
 def _induced_edge_set(d: Digraph, tup) -> frozenset:
-    pos = {v: i for i, v in enumerate(tup)}
     return frozenset(
-        (pos[a], pos[b]) for (a, b) in d.edges if a in pos and b in pos
+        (i, j)
+        for i, u in enumerate(tup)
+        for j, v in enumerate(tup)
+        if (u, v) in d.edges
     )
 
 
 def _find_induced(d: Digraph, size: int, template, canonical=None):
-    """Lexicographically first ordered vertex tuple inducing exactly `template`."""
-    for tup in itertools.permutations(range(d.n), size):
-        if canonical is not None and not canonical(tup):
-            continue
-        if _induced_edge_set(d, tup) == template:
-            return tup
-    return None
+    """Lexicographically first ordered vertex tuple inducing exactly `template`.
+
+    Positions are filled in order by a backtracking search.  A position that a
+    template edge joins to an earlier one draws its candidates from the
+    out- or in-neighbours of that earlier vertex (intersected over every such
+    edge); any match must take one of these values there, so the candidate
+    set is complete.  Only a position joined to no earlier one tries every
+    vertex.  Each candidate is checked against the earlier positions at once,
+    and candidates go in ascending order, so the first full tuple found is the
+    lexicographically first match.
+    """
+    tup = []
+
+    def candidates(i):
+        pools = [d.out_neighbours(u) for j, u in enumerate(tup) if (j, i) in template]
+        pools += [d.in_neighbours(u) for j, u in enumerate(tup) if (i, j) in template]
+        if not pools:
+            return range(d.n)
+        return sorted(set(pools[0]).intersection(*pools[1:]))
+
+    def fits(i, v):
+        return v not in tup and all(
+            ((u, v) in d.edges) == ((j, i) in template)
+            and ((v, u) in d.edges) == ((i, j) in template)
+            for j, u in enumerate(tup)
+        )
+
+    def extend(i):
+        if i == size:
+            return canonical is None or canonical(tuple(tup))
+        for v in candidates(i):
+            if fits(i, v):
+                tup.append(v)
+                if extend(i + 1):
+                    return True
+                tup.pop()
+        return False
+
+    return tuple(tup) if extend(0) else None
 
 
 def _edge_in_small_cycle(d: Digraph, edge) -> bool:
+    """Whether `edge` lies in an induced copy of a `_SMALL_CYCLE_PATTERNS` entry.
+
+    The extra vertices come from the in- and out-neighbours of the edge's
+    ends only.  That set is complete: every pattern is weakly connected, and
+    in each one every vertex is adjacent to an end of any edge it contains.
+    """
     a, b = edge
-    others = [v for v in range(d.n) if v not in (a, b)]
+    near = set()
+    for v in (a, b):
+        near.update(d.out_neighbours(v), d.in_neighbours(v))
+    others = sorted(near - {a, b})
     for size in (2, 3, 4):
         for extra in itertools.combinations(others, size - 2):
             base = sorted((a, b) + extra)

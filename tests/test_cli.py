@@ -81,6 +81,16 @@ class TestRecognize:
         res = runner.invoke(main, ["recognize", digon_file, "--cap", "0"])
         assert res.exit_code == 2
 
+    def test_internal_error_exit_three(self, runner, digon_file, monkeypatch):
+        def broken(*args, **kwargs):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr("dtwone.cli.recognize_dtw1", broken)
+        res = runner.invoke(main, ["recognize", digon_file])
+        assert res.exit_code == 3
+        assert "internal error: AssertionError: broken invariant" in res.output
+        assert isinstance(res.exception.__context__, AssertionError)
+
     def test_unknown_flag(self, runner, digon_file):
         res = runner.invoke(main, ["recognize", digon_file, "--verbose"])
         assert res.exit_code == 2

@@ -22,6 +22,7 @@ from dtwone.digraph import (
     separations_cross,
 )
 from dtwone.decomp import validate_dtd
+from dtwone import dtw1
 from dtwone.dtw1 import (
     Dtw1Certificate,
     MinorWitness,
@@ -183,6 +184,108 @@ class TestExtractMinorWitness:
                 report = verify_witness(d, w)
                 assert report.valid, report.violations
         assert not any("falling back" in r.message for r in caplog.records)
+
+
+def reference_induced_edge_set(d, tup):
+    pos = {v: i for i, v in enumerate(tup)}
+    return frozenset((pos[a], pos[b]) for (a, b) in d.edges if a in pos and b in pos)
+
+
+def reference_find_induced(d, size, template, canonical=None):
+    """The permutation scan over every vertex tuple that the search replaced."""
+    for tup in itertools.permutations(range(d.n), size):
+        if canonical is not None and not canonical(tup):
+            continue
+        if reference_induced_edge_set(d, tup) == template:
+            return tup
+    return None
+
+
+def reference_edge_in_small_cycle(d, edge):
+    """Tries extra vertices from the whole digraph, not just the edge's neighbours."""
+    a, b = edge
+    others = [v for v in range(d.n) if v not in (a, b)]
+    for size in (2, 3, 4):
+        for extra in itertools.combinations(others, size - 2):
+            for tup in itertools.permutations(sorted((a, b) + extra)):
+                if reference_induced_edge_set(d, tup) in dtw1._SMALL_CYCLE_PATTERNS[size]:
+                    return True
+    return False
+
+
+ORDERED_PAIR = lambda t: t[0] < t[1]
+ORDERED_PAIRS = lambda t: t[0] < t[1] and t[2] < t[3]
+
+# Every template with no filter, plus the filters the case analysis uses.
+TEMPLATE_QUERIES = [
+    (2, dtw1._DIGON, None),
+    (3, dtw1._K3, None),
+    (3, dtw1._K3_PLUS, None),
+    (3, dtw1._K3_OUT, None),
+    (3, dtw1._K3_OUT, ORDERED_PAIR),
+    (3, dtw1._K3_IN, None),
+    (3, dtw1._K3_IN, ORDERED_PAIR),
+    (3, dtw1._K3_PLUS_PLUS, None),
+    (4, dtw1._K22_UP, None),
+    (4, dtw1._K22_UP, ORDERED_PAIRS),
+]
+
+
+def random_two_regular(rng, n):
+    """A digraph where every vertex has in-degree 2 and out-degree 2."""
+    while True:
+        first = list(range(n))
+        second = list(range(n))
+        rng.shuffle(first)
+        rng.shuffle(second)
+        if all(v not in (first[v], second[v]) and first[v] != second[v] for v in range(n)):
+            return Digraph(n, frozenset((v, w) for v in range(n) for w in (first[v], second[v])))
+
+
+def pattern_search_corpus():
+    for n in (2, 3, 4):
+        yield from labeled_strongly_connected(n)
+    rng = random.Random(1910)
+    for i in range(40):
+        n = 5 + i % 4
+        p = (0.2, 0.35, 0.5)[i % 3]
+        yield Digraph(
+            n, frozenset((a, b) for a in range(n) for b in range(n) if a != b and rng.random() < p)
+        )
+        yield random_two_regular(rng, n)
+    for length in (5, 6, 7, 8):
+        yield bicycle(length)
+
+
+class TestPatternSearch:
+    """The neighbour-driven search agrees with the permutation scan it replaced."""
+
+    def test_find_induced_returns_the_reference_tuple(self):
+        hits = [0] * len(TEMPLATE_QUERIES)
+        two_regular = 0
+        for d in pattern_search_corpus():
+            two_regular += d.n >= 5 and all(
+                len(d.out_neighbours(v)) == 2 == len(d.in_neighbours(v)) for v in range(d.n)
+            )
+            for q, (size, template, canonical) in enumerate(TEMPLATE_QUERIES):
+                expected = reference_find_induced(d, size, template, canonical)
+                got = dtw1._find_induced(d, size, template, canonical)
+                assert got == expected, (sorted(d.edges), sorted(template))
+                hits[q] += expected is not None
+        assert all(hits) and two_regular >= 40, (hits, two_regular)
+
+    def test_edge_in_small_cycle_matches_the_reference(self):
+        for d in pattern_search_corpus():
+            for e in d.sorted_edges():
+                assert dtw1._edge_in_small_cycle(d, e) == reference_edge_in_small_cycle(d, e), (
+                    sorted(d.edges), e
+                )
+
+    def test_bicycle_64_extracts_its_full_length_witness(self):
+        d = bicycle(64)
+        w = extract_minor_witness(d)
+        assert (w.kind, w.length) == ("bicycle", 64)
+        assert verify_witness(d, w).valid
 
 
 def brute_tight_separations(d):
