@@ -197,7 +197,7 @@ def cmd_verify_cert(digraph_file, certificate_file, cap, seed, output_format):
         _, cert = parse_certificate(text, name_to_id)
     except ParseError as exc:
         _die(str(exc))
-    report = verify_certificate(d, cert)
+    report = _guarded(verify_certificate, d, cert)
     lines = header_lines("verify-cert", cfg.seed, cap=cfg.cycle_cap, digraph=d)
     lines.append(f"verdict={cert.verdict}")
     lines.append(f"result={'valid' if report.valid else 'invalid'}")
@@ -240,8 +240,8 @@ def cmd_hypergraph(hypergraph_file, cap, seed, output_format):
         h = parse_hypergraph(_read_file(hypergraph_file))
     except ParseError as exc:
         _die(str(exc))
-    acyclic = is_alpha_acyclic(h)
-    witness = hypertree_witness(h)
+    acyclic = _guarded(is_alpha_acyclic, h)
+    witness = _guarded(hypertree_witness, h)
     lines = header_lines("hypergraph", cfg.seed, cap=cfg.cycle_cap)
     lines.append(f"vertices={len(h.vertices)}")
     lines.append(f"edges={len(h.edges)}")
@@ -275,7 +275,7 @@ def cmd_validate_dtd(digraph_file, decomposition_file, cap, seed, output_format)
         dec = parse_dtd(records, name_to_id)
     except ParseError as exc:
         _die(str(exc))
-    report = decomp.validate_dtd(d, dec)
+    report = _guarded(decomp.validate_dtd, d, dec)
     lines = header_lines("validate-dtd", cfg.seed, cap=cfg.cycle_cap, digraph=d)
     _report_lines(lines, "kind", "dtd", report)
     _emit(lines)
@@ -329,7 +329,7 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, seed,
         report = _guarded(decomp.validate_dbd, d, dec, bound=d.n,
                           cap=cfg.cycle_cap)
     else:
-        report = decomp.validate_dtd(d, dec)
+        report = _guarded(decomp.validate_dtd, d, dec)
     if not report.valid:
         _die("input decomposition invalid: " + "; ".join(report.violations))
     if target == "dbd":
@@ -364,7 +364,7 @@ def cmd_game(digraph_file, cops, cap, seed, output_format):
     lines.append(f"cops={cops}")
     lines.append(f"cops_win={'true' if result.cops_win else 'false'}")
     if result.cops_win:
-        moves = play_transcript(d, result.strategy)
+        moves = _guarded(play_transcript, d, result.strategy)
         _note(cfg, lines, f"capture after {len(moves) - 1} cop move(s) "
                           f"against the least-component robber")
         lines.extend(format_transcript(moves, names))

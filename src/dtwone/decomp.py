@@ -174,6 +174,24 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
     return Report(True, dec.width(), ())
 
 
+def _side_nodes(edges, e, endpoint):
+    """The nodes of the component of tree − e containing the given endpoint;
+    `edges` are the tree's edges with sorted ends."""
+    assert endpoint in e
+    removed = tuple(sorted(e))
+    seen = {endpoint}
+    stack = [endpoint]
+    while stack:
+        u = stack.pop()
+        for f in edges:
+            if f != removed and u in f:
+                w = f[0] if f[1] == u else f[1]
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+    return seen
+
+
 @dataclass(frozen=True)
 class DirectedBranchDecomposition:
     """An unrooted subcubic tree whose leaves name the digraph's vertices,
@@ -204,21 +222,10 @@ class DirectedBranchDecomposition:
     def side_vertices(self, e, endpoint):
         """The digraph vertices at the leaves of the component of
         tree − e containing the given endpoint."""
-        assert endpoint in e
-        seen = {endpoint}
-        stack = [endpoint]
-        while stack:
-            u = stack.pop()
-            for f in self.edges:
-                if f == tuple(sorted(e)):
-                    continue
-                if u in f:
-                    w = f[0] if f[1] == u else f[1]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
         return frozenset(
-            self.leaf_vertex[t] for t in seen if t in self.leaf_vertex
+            self.leaf_vertex[t]
+            for t in _side_nodes(self.edges, e, endpoint)
+            if t in self.leaf_vertex
         )
 
     def width(self):
@@ -338,21 +345,12 @@ class HyperbranchDecomposition:
         return tuple(t for t in self.nodes if self.degree(t) <= 1)
 
     def side_edge_indices(self, e, endpoint):
-        assert endpoint in e
-        seen = {endpoint}
-        stack = [endpoint]
-        while stack:
-            u = stack.pop()
-            for f in self.edges:
-                if f == tuple(sorted(e)):
-                    continue
-                if u in f:
-                    w = f[0] if f[1] == u else f[1]
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
+        """The hyperedge indices at the leaves of the component of tree − e
+        containing the given endpoint."""
         return frozenset(
-            self.leaf_edge[t] for t in seen if t in self.leaf_edge
+            self.leaf_edge[t]
+            for t in _side_nodes(self.edges, e, endpoint)
+            if t in self.leaf_edge
         )
 
     def boundary(self, e):

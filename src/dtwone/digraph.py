@@ -1,10 +1,10 @@
-"""Digraphs with dense integer vertices, butterfly contractions and one-vertex
-separations.
+"""Digraphs with dense integer vertices, quotients and one-vertex separations.
 
 A digraph is a vertex count plus a set of ordered pairs; loops and parallel
 edges are excluded.  Everything else — strong components, butterfly
-contractions, tight separations and their shore contractions — is computed on
-demand.  All enumeration orders are deterministic.
+contractibility, tight separations — is computed on demand.  Every
+contraction, of one edge or of a whole shore, is a `quotient`.  All
+enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -212,31 +212,18 @@ def butterfly_contractible(d, edge):
     return len(d.out_neighbours(u)) == 1 or len(d.in_neighbours(v)) == 1
 
 
-def butterfly_contract(d, edge):
-    """Contract a butterfly-contractible edge (u,v).
+def quotient(d, label_of):
+    """Merge the vertices that share a label and number the classes densely.
 
-    The merged vertex keeps the smaller of the two ids; ids are then renamed to
-    stay dense.  Returns (contracted digraph, mapping) with mapping[old] = new.
+    `label_of[v]` is the label of vertex v.  Returns (quotient, labels), where
+    labels is the sorted tuple of distinct labels and vertex i of the
+    quotient stands for labels[i].  Edges inside a class are dropped.
     """
-    (u, v) = edge
-    assert butterfly_contractible(d, edge), f"edge {edge} is not butterfly contractible"
-    keep, gone = min(u, v), max(u, v)
-    mapping = []
-    for x in range(d.n):
-        if x == gone:
-            mapping.append(keep if keep < gone else keep - 1)
-        elif x < gone:
-            mapping.append(x)
-        else:
-            mapping.append(x - 1)
-    # after deleting `gone`, all ids above shift down; `keep` is below `gone`
-    es = set()
-    for (a, b) in d.edges:
-        a2 = mapping[keep] if a in (u, v) else mapping[a]
-        b2 = mapping[keep] if b in (u, v) else mapping[b]
-        if a2 != b2:
-            es.add((a2, b2))
-    return Digraph(d.n - 1, frozenset(es)), tuple(mapping)
+    labels = tuple(sorted({label_of[v] for v in range(d.n)}))
+    index = {label: i for i, label in enumerate(labels)}
+    new = [index[label_of[v]] for v in range(d.n)]
+    es = frozenset((new[a], new[b]) for (a, b) in d.edges if new[a] != new[b])
+    return Digraph(len(labels), es), labels
 
 
 @dataclass(frozen=True)
@@ -342,27 +329,6 @@ def tight_separations(d, non_trivial_only=True):
                 first, second = q, p
             found[key] = TightSeparation(first, second)
     return sorted(found.values(), key=TightSeparation.sort_key)
-
-
-def contract_shore(d, sep, shore):
-    """Contract one shore of a tight separation onto its cut vertex.
-
-    `shore` is "A" or "B".  Returns (contracted digraph, mapping) with
-    mapping[old] = new dense id; all vertices of the contracted shore map to
-    the cut vertex's new id.
-    """
-    assert shore in ("A", "B")
-    s = sep.shoreA if shore == "A" else sep.shoreB
-    c = sep.cut_vertex
-    keep = sorted((set(range(d.n)) - s) | {c})
-    new_of = {old: new for new, old in enumerate(keep)}
-    mapping = tuple(new_of[x] if x not in s else new_of[c] for x in range(d.n))
-    es = set()
-    for (a, b) in d.edges:
-        a2, b2 = mapping[a], mapping[b]
-        if a2 != b2:
-            es.add((a2, b2))
-    return Digraph(len(keep), frozenset(es)), mapping
 
 
 def is_strongly_2_connected(d):

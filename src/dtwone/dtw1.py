@@ -27,6 +27,7 @@ from .digraph import (
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
+    quotient,
     reachable_from,
     reaching,
     separations_cross,
@@ -48,24 +49,28 @@ class _ReplayState:
 
     Vertices never disappear: contractions merge them into classes, and every
     script step may name any member of a class.  The representative of a class
-    is its smallest label.
+    is its smallest label.  The current digraph lives on the representatives
+    as an adjacency index: `out[r]` and `inn[r]` hold the representatives
+    joined to r by an edge leaving or entering r.  A contraction moves only
+    the edges of the class that stops being represented, so a step costs
+    that class's degree, not the size of the digraph.
     """
 
     def __init__(self, d: Digraph):
         self.base = d
         self.rep_of = list(range(d.n))
         self.members = {v: frozenset({v}) for v in range(d.n)}
-        self.edges = set(d.edges)
+        self.out = {v: set(d.out_neighbours(v)) for v in range(d.n)}
+        self.inn = {v: set(d.in_neighbours(v)) for v in range(d.n)}
         self.steps: list = []
+
+    @property
+    def edges(self) -> frozenset:
+        """The current edges, as pairs of representatives."""
+        return frozenset((a, b) for a, heads in self.out.items() for b in heads)
 
     def rep(self, v: int) -> int:
         return self.rep_of[v]
-
-    def _out_degree(self, v: int) -> int:
-        return sum(1 for (a, _) in self.edges if a == v)
-
-    def _in_degree(self, v: int) -> int:
-        return sum(1 for (_, b) in self.edges if b == v)
 
     def apply(self, steps) -> None:
         for step in steps:
@@ -75,35 +80,40 @@ class _ReplayState:
             ra, rb = self.rep_of[a], self.rep_of[b]
             if ra == rb:
                 raise ValueError(f"step {step} joins a vertex with itself")
-            if (ra, rb) not in self.edges:
+            if rb not in self.out[ra]:
                 raise ValueError(f"step {step} needs the missing edge ({ra}, {rb})")
             if kind == "del":
-                self.edges.discard((ra, rb))
+                self.out[ra].discard(rb)
+                self.inn[rb].discard(ra)
             elif kind == "contract":
-                if self._out_degree(ra) != 1 and self._in_degree(rb) != 1:
+                if len(self.out[ra]) != 1 and len(self.inn[rb]) != 1:
                     raise ValueError(
                         f"step {step}: edge ({ra}, {rb}) is not butterfly contractible"
                     )
-                keep, gone = min(ra, rb), max(ra, rb)
-                merged = self.members.pop(gone) | self.members[keep]
-                self.members[keep] = merged
-                for v in merged:
-                    self.rep_of[v] = keep
-                self.edges = {
-                    (keep if x == gone else x, keep if y == gone else y)
-                    for (x, y) in self.edges
-                    if (keep if x == gone else x) != (keep if y == gone else y)
-                }
+                self._merge(min(ra, rb), max(ra, rb))
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
             self.steps.append(step)
 
+    def _merge(self, keep: int, gone: int) -> None:
+        merged = self.members.pop(gone) | self.members[keep]
+        self.members[keep] = merged
+        for v in merged:
+            self.rep_of[v] = keep
+        for w in self.out.pop(gone):
+            self.inn[w].discard(gone)
+            if w != keep:
+                self.inn[w].add(keep)
+                self.out[keep].add(w)
+        for w in self.inn.pop(gone):
+            self.out[w].discard(gone)
+            if w != keep:
+                self.out[w].add(keep)
+                self.inn[keep].add(w)
+
     def dense(self) -> tuple[Digraph, tuple]:
         """The current digraph over 0..k-1 plus the label of each new id."""
-        labels = tuple(sorted(self.members))
-        idx = {v: i for i, v in enumerate(labels)}
-        es = frozenset((idx[a], idx[b]) for (a, b) in self.edges)
-        return Digraph(len(labels), es), labels
+        return quotient(Digraph(self.base.n, self.edges), self.rep_of)
 
 
 def replay_script(d: Digraph, script) -> _ReplayState:
@@ -329,15 +339,6 @@ def witness_pattern(witness: MinorWitness) -> Digraph:
     return a4_digraph()
 
 
-def _contract_set(d: Digraph, shore, cut: int) -> Digraph:
-    """The digraph after collapsing a whole vertex set onto one of its members."""
-    keep = sorted((set(range(d.n)) - set(shore)) | {cut})
-    idx = {v: i for i, v in enumerate(keep)}
-    lab = lambda v: idx[cut] if v in shore else idx[v]
-    es = frozenset((lab(a), lab(b)) for (a, b) in d.edges if lab(a) != lab(b))
-    return Digraph(len(keep), es)
-
-
 def _case_one_steps(d: Digraph) -> list:
     """Contract a tight-separation shore when d is not strongly 2-connected.
 
@@ -368,9 +369,11 @@ def _case_one_steps(d: Digraph) -> list:
             y_side = frozenset(range(d.n)) - x_side - {v}
             if len(y_side) < 2:
                 continue
-            if not butterfly_dominating_vertices(_contract_set(d, x_side | {v}, v)):
+            shore = x_side | {v}
+            collapsed, _ = quotient(d, [v if u in shore else u for u in range(d.n)])
+            if not butterfly_dominating_vertices(collapsed):
                 continue
-            return shore_contraction_script(d, x_side | {v}, v)
+            return shore_contraction_script(d, shore, v)
     assert saw_cut, "strongly 2-connected digraphs have no case here"
     raise AssertionError("no cut vertex admits a usable shore contraction")
 
@@ -483,18 +486,15 @@ def _fallback_minor_search(state: _ReplayState):
                 queue.append((nxt, labels, steps + (("del", labels[a], labels[b]),)))
         for (a, b) in dense.sorted_edges():
             if len(dense.out_neighbours(a)) == 1 or len(dense.in_neighbours(b)) == 1:
-                probe = _ReplayState(dense)
-                probe.apply([("contract", a, b)])
-                nxt, sub_labels = probe.dense()
+                keep = labels[min(a, b)]
+                nxt, nxt_labels = quotient(
+                    dense, [keep if v in (a, b) else labels[v] for v in range(dense.n)]
+                )
                 key = (nxt.n, nxt.edges)
                 if key not in seen:
                     seen.add(key)
                     queue.append(
-                        (
-                            nxt,
-                            tuple(labels[i] for i in sub_labels),
-                            steps + (("contract", labels[a], labels[b]),),
-                        )
+                        (nxt, nxt_labels, steps + (("contract", labels[a], labels[b]),))
                     )
     raise RuntimeError("exhaustive minor search exhausted every digraph")
 
@@ -522,8 +522,7 @@ def extract_minor_witness(d: Digraph) -> MinorWitness:
             state.apply(
                 [(kind, labels[a], labels[b]) for (kind, a, b) in info]
             )
-            after_dense, _ = state.dense()
-            after = (after_dense.n, len(after_dense.edges))
+            after = (len(state.members), len(state.edges))
             assert after < before, "every round must shrink the digraph"
             continue
         if verdict == "stuck":
@@ -584,14 +583,7 @@ def _collapse_piece(d: Digraph, piece: _PieceState) -> tuple[Digraph, tuple]:
             assert label_of.get(u, cut) == cut, "far shores overlap beyond their cuts"
             label_of[u] = cut
     assert len(label_of) == d.n, "piece and far shores must cover the digraph"
-    labels = tuple(sorted(piece.territory))
-    idx = {v: i for i, v in enumerate(labels)}
-    es = frozenset(
-        (idx[label_of[a]], idx[label_of[b]])
-        for (a, b) in d.edges
-        if label_of[a] != label_of[b]
-    )
-    return Digraph(len(labels), es), labels
+    return quotient(d, label_of)
 
 
 def _lift_separation(d, piece, local_sep, labels) -> TightSeparation:
@@ -906,7 +898,7 @@ def verify_witness(d: Digraph, witness: MinorWitness) -> Report:
             violations.append("branch sets must partition the remaining classes")
     if not violations:
         image = frozenset((reps[a], reps[b]) for (a, b) in pattern.edges)
-        if image != frozenset(state.edges):
+        if image != state.edges:
             violations.append("replayed digraph is not the claimed pattern")
     return Report(not violations, 0, tuple(violations))
 

@@ -51,14 +51,6 @@ def _robber_options(d: Digraph, old_cops, old_robber, new_cops) -> tuple[frozens
 
 
 @dataclass(frozen=True)
-class GamePosition:
-    """A game state: cop vertices and the robber's strong component (empty = caught)."""
-
-    cops: frozenset
-    robber: frozenset
-
-
-@dataclass(frozen=True)
 class CopStrategy:
     """A positional cop strategy: where to start and, per position, where to go next.
 

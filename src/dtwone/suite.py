@@ -51,6 +51,7 @@ from .games import (
     verify_haven,
 )
 from .hypergraph import (
+    _tree_sides,
     dual,
     exact_hbw,
     exact_hw,
@@ -224,26 +225,6 @@ def _recognized(shared, d, cap):
 # -------------------------------------------------- exhaustive branch width
 
 
-def _tree_edge_sides(edges):
-    """For each edge of a tree, the node set on its first endpoint's side."""
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    sides = {}
-    for a, b in edges:
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen and {u, w} != {a, b}:
-                    seen.add(w)
-                    stack.append(w)
-        sides[(a, b)] = frozenset(seen)
-    return sides
-
-
 def exhaustive_optimal_dbd(d, ch) -> DirectedBranchDecomposition:
     """An optimal directed branch decomposition found by scanning every
     leaf-labeled subcubic tree shape, with true minimum hitting sets cached
@@ -261,7 +242,7 @@ def exhaustive_optimal_dbd(d, ch) -> DirectedBranchDecomposition:
 
     best = None
     for tree in leaf_labeled_subcubic_trees(n):
-        sides = _tree_edge_sides(tree)
+        sides = _tree_sides(tree)
         width = 0
         for e in tree:
             width = max(width, len(hitting(frozenset(x for x in sides[e] if x < n))))

@@ -251,6 +251,40 @@ class TestGame:
         assert res.exit_code == 2
 
 
+class TestInternalErrorsExitThree:
+    """A library failure the input does not explain exits 3 in every command,
+    never 1, which means NO or invalid."""
+
+    @pytest.fixture()
+    def files(self, runner, tmp_path, digon_file, b3_file):
+        cert = tmp_path / "digon.cert"
+        cert.write_text(runner.invoke(main, ["recognize", digon_file]).output)
+        hyper = tmp_path / "h.txt"
+        hyper.write_text("v a b c\ne a b\ne b c\n")
+        return {"digon": digon_file, "b3": b3_file, "cert": str(cert), "hyper": str(hyper)}
+
+    @pytest.mark.parametrize(
+        "target, args",
+        [
+            ("dtwone.cli.verify_certificate", ["verify-cert", "digon", "cert"]),
+            ("dtwone.decomp.validate_dtd", ["validate-dtd", "digon", "cert"]),
+            ("dtwone.decomp.validate_dtd", ["convert", "digon", "cert", "dbd"]),
+            ("dtwone.cli.is_alpha_acyclic", ["hypergraph", "hyper"]),
+            ("dtwone.cli.hypertree_witness", ["hypergraph", "hyper"]),
+            ("dtwone.cli.play_transcript", ["game", "b3", "3"]),
+        ],
+    )
+    def test_internal_error_exit_three(self, runner, files, monkeypatch, target, args):
+        def broken(*args, **kwargs):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(target, broken)
+        res = runner.invoke(main, [files.get(a, a) for a in args])
+        assert res.exit_code == 3
+        assert "internal error: AssertionError: broken invariant" in res.output
+        assert isinstance(res.exception.__context__, AssertionError)
+
+
 class TestSuiteCommand:
     def fake_results(self, ok):
         return [

@@ -16,10 +16,8 @@ from dtwone.digraph import (
     all_subsets,
     bicycle,
     bidirect,
-    butterfly_contract,
     butterfly_contractible,
     butterfly_dominating_vertices,
-    contract_shore,
     delete_vertex,
     digraph_from_edges,
     directed_cycle_digraph,
@@ -27,12 +25,14 @@ from dtwone.digraph import (
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
+    quotient,
     reachable_from,
     reaching,
     separations_cross,
     strong_components,
     tight_separations,
 )
+from dtwone.dtw1 import replay_script, shore_contraction_script
 
 
 def random_strongly_connected(rng: random.Random, n: int, p: float) -> Digraph:
@@ -176,31 +176,57 @@ class TestButterfly:
 
     def test_contract_merges_and_relabels(self):
         d = digraph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-        c, mapping = butterfly_contract(d, (1, 2))
+        # Contracting (1, 2): the smaller label survives, vertex 3 becomes 2.
+        c, labels = quotient(d, [0, 1, 1, 3])
         assert c.n == 3
-        # Survivor is min(1, 2) = 1; vertex 3 shifts down to 2.
-        assert mapping == (0, 1, 1, 2)
+        assert labels == (0, 1, 3)
         assert c.sorted_edges() == [(0, 1), (1, 2), (2, 0)]
+        assert replay_script(d, [("contract", 1, 2)]).dense() == (c, labels)
 
     def test_contract_triangle_to_digon(self):
-        c, _ = butterfly_contract(directed_cycle_digraph(3), (0, 1))
+        d = directed_cycle_digraph(3)
+        c, labels = quotient(d, [0, 0, 2])
         assert c.sorted_edges() == [(0, 1), (1, 0)]
+        assert labels == (0, 2)
+        assert replay_script(d, [("contract", 0, 1)]).dense() == (c, labels)
 
     def test_contract_drops_loops(self):
         d = digraph_from_edges(2, [(0, 1), (1, 0)])
-        c, mapping = butterfly_contract(d, (0, 1))
+        c, labels = quotient(d, [0, 0])
         assert c.n == 1
         assert c.sorted_edges() == []
-        assert mapping == (0, 0)
+        assert labels == (0,)
+        state = replay_script(d, [("contract", 1, 0)])
+        assert state.dense() == (c, labels)
+        assert state.edges == frozenset()
 
     def test_contraction_preserves_strong_connectivity(self):
         rng = random.Random(11)
         for _ in range(50):
             d = random_strongly_connected(rng, rng.randint(3, 7), 0.3)
-            for e in d.edges:
-                if butterfly_contractible(d, e):
-                    c, _ = butterfly_contract(d, e)
+            for (u, v) in d.edges:
+                if butterfly_contractible(d, (u, v)):
+                    keep = min(u, v)
+                    c, _ = quotient(d, [keep if x in (u, v) else x for x in range(d.n)])
+                    assert c.n == d.n - 1
                     assert is_strongly_connected(c)
+                    replayed, _ = replay_script(d, [("contract", u, v)]).dense()
+                    assert replayed == c
+
+
+class TestQuotient:
+    def test_labels_may_be_any_sortable_values(self):
+        d = directed_cycle_digraph(4)
+        c, labels = quotient(d, {0: "b", 1: "a", 2: "b", 3: "c"})
+        assert labels == ("a", "b", "c")
+        # Vertices 0 and 2 form class "b", which becomes vertex 1.
+        assert c.sorted_edges() == [(0, 1), (1, 0), (1, 2), (2, 1)]
+
+    def test_parallel_edges_between_classes_merge(self):
+        d = bidirect(4, [(0, 2), (1, 3), (0, 3)])
+        c, labels = quotient(d, [0, 0, 2, 2])
+        assert labels == (0, 2)
+        assert c.sorted_edges() == [(0, 1), (1, 0)]
 
 
 class TestDominatingVertices:
@@ -328,11 +354,17 @@ class TestTightSeparations:
     def test_contract_shore(self):
         d = bidirect(3, [(0, 1), (1, 2)])
         (s,) = tight_separations(d)
-        c, mapping = contract_shore(d, s, "A")
-        assert c.n == 2
-        assert c.sorted_edges() == [(0, 1), (1, 0)]
-        # Both 0 and 1 collapse onto the cut vertex.
-        assert mapping[0] == mapping[1]
+        c = s.cut_vertex
+        # Collapse shore A onto its cut vertex.
+        q, labels = quotient(d, [c if v in s.shoreA else v for v in range(d.n)])
+        assert q.n == 2
+        assert q.sorted_edges() == [(0, 1), (1, 0)]
+        assert labels == tuple(sorted((set(range(d.n)) - s.shoreA) | {c}))
+        # Replaying the shore's contraction script gives the same digraph; the
+        # merged class is named by its smallest member, not by the cut.
+        state = replay_script(d, shore_contraction_script(d, s.shoreA, c))
+        assert state.dense()[0] == q
+        assert state.members[state.rep(c)] == s.shoreA
 
     def test_sort_key_deterministic(self):
         d = bidirect(5, [(0, 1), (1, 2), (2, 3), (3, 4)])

@@ -93,6 +93,133 @@ class TestReplay:
             replay_script(digon(), [("shrink", 0, 1)])
 
 
+class EdgeSetReplay:
+    """The replay state before it kept an adjacency index: one edge set,
+    scanned for every degree and rebuilt on every contraction."""
+
+    def __init__(self, d):
+        self.base = d
+        self.rep_of = list(range(d.n))
+        self.members = {v: frozenset({v}) for v in range(d.n)}
+        self.edges = set(d.edges)
+        self.steps = []
+
+    def apply(self, steps):
+        for step in steps:
+            kind, a, b = step
+            if not (0 <= a < self.base.n and 0 <= b < self.base.n):
+                raise ValueError(f"step {step} names an unknown vertex")
+            ra, rb = self.rep_of[a], self.rep_of[b]
+            if ra == rb:
+                raise ValueError(f"step {step} joins a vertex with itself")
+            if (ra, rb) not in self.edges:
+                raise ValueError(f"step {step} needs the missing edge ({ra}, {rb})")
+            if kind == "del":
+                self.edges.discard((ra, rb))
+            elif kind == "contract":
+                out_degree = sum(1 for (x, _) in self.edges if x == ra)
+                in_degree = sum(1 for (_, y) in self.edges if y == rb)
+                if out_degree != 1 and in_degree != 1:
+                    raise ValueError(
+                        f"step {step}: edge ({ra}, {rb}) is not butterfly contractible"
+                    )
+                keep, gone = min(ra, rb), max(ra, rb)
+                merged = self.members.pop(gone) | self.members[keep]
+                self.members[keep] = merged
+                for v in merged:
+                    self.rep_of[v] = keep
+                rename = lambda x: keep if x == gone else x
+                self.edges = {
+                    (rename(x), rename(y)) for (x, y) in self.edges if rename(x) != rename(y)
+                }
+            else:
+                raise ValueError(f"unknown step kind {kind!r}")
+            self.steps.append(step)
+
+    def dense(self):
+        labels = tuple(sorted(self.members))
+        idx = {v: i for i, v in enumerate(labels)}
+        es = frozenset((idx[a], idx[b]) for (a, b) in self.edges)
+        return Digraph(len(labels), es), labels
+
+
+def random_step(rng, ref):
+    """A random step for the reference state: legal three times in four."""
+    n = ref.base.n
+    edges = sorted(ref.edges)
+    if edges and rng.random() < 0.75:
+        ra, rb = rng.choice(edges)
+        a, b = rng.choice(sorted(ref.members[ra])), rng.choice(sorted(ref.members[rb]))
+        contractible = (
+            sum(1 for (x, _) in edges if x == ra) == 1
+            or sum(1 for (_, y) in edges if y == rb) == 1
+        )
+        return ("contract" if contractible and rng.random() < 0.6 else "del", a, b)
+    kind = rng.choice(("del", "contract", "contract", "shrink"))
+    return (kind, rng.randrange(n + 1), rng.randrange(n))
+
+
+class TestReplayDifferential:
+    """The indexed replay state steps exactly like the edge-set one."""
+
+    @staticmethod
+    def replay_both(d, steps):
+        new, ref = dtw1._ReplayState(d), EdgeSetReplay(d)
+        for step in steps:
+            errors = []
+            for state in (new, ref):
+                try:
+                    state.apply([step])
+                    errors.append(None)
+                except ValueError as err:
+                    errors.append(str(err))
+            assert errors[0] == errors[1], (sorted(d.edges), step)
+            assert new.members == ref.members
+            assert new.rep_of == ref.rep_of
+            assert new.edges == ref.edges
+            assert new.steps == ref.steps
+            assert new.dense() == ref.dense()
+        return new
+
+    def test_random_scripts(self):
+        rng = random.Random(404)
+        illegal = 0
+        for _ in range(150):
+            d = random_strongly_connected(rng, rng.randint(2, 8), rng.choice((0.1, 0.3, 0.5)))
+            ref = EdgeSetReplay(d)
+            steps = []
+            while ref.edges and len(steps) < 40:
+                step = random_step(rng, ref)
+                try:
+                    ref.apply([step])
+                except ValueError:
+                    illegal += 1
+                steps.append(step)
+            self.replay_both(d, steps)
+        assert illegal >= 100
+
+    def test_witness_scripts_of_the_pattern_search_corpus(self):
+        replayed = steps = 0
+        crashed = []
+        for d in pattern_search_corpus():
+            try:
+                w = extract_minor_witness(d)
+            except ValueError:
+                continue
+            except AssertionError as err:
+                # The case analysis can still break its own invariant on a
+                # NO instance (one 7-vertex input here); that produces no
+                # script, so there is nothing to replay.
+                assert "no cut vertex admits a usable shore contraction" in str(err)
+                crashed.append(sorted(d.edges))
+                continue
+            assert self.replay_both(d, w.script).steps == list(w.script)
+            replayed += 1
+            steps += len(w.script)
+        assert replayed >= 450 and steps >= 1000, (replayed, steps)
+        assert len(crashed) <= 1, crashed
+
+
 class TestShoreContraction:
     def test_two_vertex_shore_is_one_contraction(self):
         d = bidirected_path(3)

@@ -9,8 +9,8 @@ import pytest
 
 from dtwone.cycles import cycle_hypergraph
 from dtwone.digraph import bicycle, digraph_from_edges, is_strongly_connected
+from dtwone.hypergraph import _tree_sides
 from dtwone.suite import (
-    _tree_edge_sides,
     exhaustive_dbw,
     exhaustive_optimal_dbd,
     labeled_strongly_connected,
@@ -49,7 +49,7 @@ class TestGenerators:
 class TestExhaustiveBranchWidth:
     def test_tree_edge_sides_partition(self):
         edges = ((0, 4), (1, 4), (4, 5), (2, 5), (3, 5))
-        sides = _tree_edge_sides(edges)
+        sides = _tree_sides(edges)
         nodes = {x for e in edges for x in e}
         for (a, b), side in sides.items():
             assert a in side and b not in side
