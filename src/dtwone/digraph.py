@@ -2,9 +2,10 @@
 
 A digraph is a vertex count plus a set of ordered pairs; loops and parallel
 edges are excluded.  Everything else — strong components, butterfly
-contractibility, tight separations — is computed on demand.  Every
-contraction, of one edge or of a whole shore, is a `quotient`.  All
-enumeration orders are deterministic.
+contractibility, tight separations — is computed on demand.  The strong
+components of d minus a vertex set come from one Tarjan pass over d itself,
+without building d minus the set.  Every contraction, of one edge or of a
+whole shore, is a `quotient`.  All enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -99,15 +100,21 @@ def a4_digraph():
     )
 
 
-def strong_components(d):
-    """Strong components of d in reverse topological order of the condensation.
+def strong_components(d, removed=()):
+    """Strong components of d minus `removed`, in reverse topological order of
+    the condensation.
 
     The first component returned is a sink of the condensation; for the single
     edge a->b the result is [{b}, {a}].  Deterministic: Tarjan's algorithm with
-    vertices visited in increasing order and sorted adjacency.
+    vertices visited in increasing order and sorted adjacency.  The removed
+    vertices are marked visited before the first root, so the result is the
+    list `induced_subgraph` of the other vertices would give, in the same
+    order, in the original names.
     """
     n = d.n
     index = [None] * n
+    for x in removed:
+        index[x] = -1
     low = [0] * n
     on_stack = [False] * n
     stack = []
@@ -252,7 +259,7 @@ def is_directed_separation(d, shore_a, shore_b):
         return False
     a_only = frozenset(shore_a) - frozenset(shore_b)
     b_only = frozenset(shore_b) - frozenset(shore_a)
-    return not any(u in b_only and v in a_only for (u, v) in d.edges)
+    return not any(v in a_only for u in b_only for v in d.out_neighbours(u))
 
 
 def separations_cross(s, t):
@@ -279,8 +286,7 @@ def tight_separations(d, non_trivial_only=True):
     """
     found = {}
     for v in range(d.n):
-        sub, old_ids = delete_vertex(d, v)
-        comps = [frozenset(old_ids[i] for i in comp) for comp in strong_components(sub)]
+        comps = strong_components(d, (v,))
         if len(comps) <= 1:
             continue
         comp_of = {}
@@ -340,11 +346,7 @@ def is_strongly_2_connected(d):
         return True
     if not is_strongly_connected(d):
         return False
-    for v in range(d.n):
-        sub, _ = delete_vertex(d, v)
-        if not is_strongly_connected(sub):
-            return False
-    return True
+    return all(len(strong_components(d, (v,))) == 1 for v in range(d.n))
 
 
 def butterfly_dominating_vertices(d):

@@ -622,12 +622,26 @@ def _lift_separation(d, piece, local_sep, labels) -> TightSeparation:
     return lifted
 
 
+def _least_candidate(d: Digraph, piece: _PieceState):
+    """The piece's lexicographically least lifted separation as (sort key,
+    separation), the first of equals; None when the piece has none."""
+    collapsed, labels = _collapse_piece(d, piece)
+    best = None
+    for local in tight_separations(collapsed):
+        lifted = _lift_separation(d, piece, local, labels)
+        key = lifted.sort_key()
+        if best is None or key < best[0]:
+            best = (key, lifted)
+    return best
+
+
 def s_decomposition(d: Digraph) -> SDecomposition:
     """Split d along a maximal laminar family of one-cut-vertex separations.
 
-    The family grows greedily: every round collapses each current piece,
-    enumerates its non-trivial tight separations, lifts them back to d, and
-    adds the lexicographically least candidate, splitting its piece in two.
+    The family grows greedily: every round adds the lexicographically least
+    lifted separation of any piece, splitting its piece in two.  A piece's
+    least candidate depends only on its territory and attachments, which a
+    split of another piece leaves alone, so it is searched for once per piece.
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
@@ -635,17 +649,14 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         raise ValueError("need a strongly connected digraph")
 
     pieces = [_PieceState(range(d.n), [])]
+    candidates = [_least_candidate(d, pieces[0])]  # per piece, by index
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
 
     while True:
         best = None
-        for pi, piece in enumerate(pieces):
-            collapsed, labels = _collapse_piece(d, piece)
-            for local in tight_separations(collapsed):
-                lifted = _lift_separation(d, piece, local, labels)
-                key = lifted.sort_key()
-                if best is None or key < best[0]:
-                    best = (key, pi, lifted)
+        for pi, cand in enumerate(candidates):
+            if cand is not None and (best is None or cand[0] < best[0]):
+                best = (cand[0], pi, cand[1])
         if best is None:
             break
         _, pi, sep = best
@@ -667,8 +678,10 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         for piece_state in (side_a, side_b):
             piece_state.attachments.sort(key=lambda t: (t[0], tuple(sorted(t[1]))))
         pieces[pi] = side_a
+        candidates[pi] = _least_candidate(d, side_a)
         new_index = len(pieces)
         pieces.append(side_b)
+        candidates.append(_least_candidate(d, side_b))
         rewired = []
         for (ai, bi, s) in tree_edges:
             if pi in (ai, bi):

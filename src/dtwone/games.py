@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cycles import DEFAULT_CYCLE_CAP, CycleChain, cut, cycle_hypergraph, min_hitting_set
-from .digraph import Digraph, all_subsets, induced_subgraph, is_strongly_connected, strong_components
+from .digraph import Digraph, all_subsets, is_strongly_connected, strong_components
 from .errors import InstanceTooLarge
 
 GAME_SIZE_LIMIT = 20_000_000
@@ -23,14 +23,7 @@ GAME_SIZE_LIMIT = 20_000_000
 
 def _components_avoiding(d: Digraph, removed) -> tuple[frozenset, ...]:
     """Strong components of d minus the removed vertices, sorted by least vertex."""
-    keep = [v for v in range(d.n) if v not in removed]
-    if not keep:
-        return ()
-    sub, old_ids = induced_subgraph(d, keep)
-    comps = []
-    for comp in strong_components(sub):
-        comps.append(frozenset(old_ids[v] for v in comp))
-    return tuple(sorted(comps, key=min))
+    return tuple(sorted(strong_components(d, removed), key=min))
 
 
 def _robber_options(d: Digraph, old_cops, old_robber, new_cops) -> tuple[frozenset, ...]:

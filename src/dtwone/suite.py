@@ -34,7 +34,6 @@ from .digraph import (
     bidirect,
     digraph_from_edges,
     directed_cycle_digraph,
-    induced_subgraph,
     is_strongly_connected,
     strong_components,
 )
@@ -513,11 +512,7 @@ def criterion_9(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
 
         s = frozenset(v for v in range(d.n) if rng.random() < 0.4)
         touched = frozenset(i for i, e in enumerate(ch.hyperedges) if e & s)
-        keep = [v for v in range(d.n) if v not in s]
-        sub, old_ids = induced_subgraph(d, keep)
-        comps = [
-            frozenset(old_ids[v] for v in comp) for comp in strong_components(sub)
-        ]
+        comps = strong_components(d, s)
         image = sorted(
             (
                 frozenset(i for i, e in enumerate(ch.hyperedges) if e <= comp)

@@ -33,6 +33,7 @@ from dtwone.digraph import (
     tight_separations,
 )
 from dtwone.dtw1 import replay_script, shore_contraction_script
+from dtwone.suite import labeled_strongly_connected
 
 
 def random_strongly_connected(rng: random.Random, n: int, p: float) -> Digraph:
@@ -126,12 +127,22 @@ class TestStrongComponents:
         assert is_strongly_connected(Digraph(1, ()))
         assert is_strongly_connected(Digraph(0, ()))
 
-    def test_deterministic_across_runs(self):
+    def test_removed_matches_the_induced_subgraph(self):
+        # Same list, same order as the components of the renumbered
+        # subgraph, mapped back to the original names.
         rng = random.Random(7)
+        corpus = [random_strongly_connected(rng, rng.randint(2, 7), 0.2) for _ in range(20)]
         for _ in range(20):
-            d = random_strongly_connected(rng, 6, 0.2)
-            dd = delete_vertex(d, 0)[0]
-            assert strong_components(dd) == strong_components(dd)
+            n = rng.randint(1, 7)
+            corpus.append(Digraph(n, frozenset(
+                (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3
+            )))
+        for d in corpus:
+            for removed in all_subsets(range(d.n), 2):
+                keep = [v for v in range(d.n) if v not in removed]
+                sub, old_ids = induced_subgraph(d, keep)
+                expected = [frozenset(old_ids[i] for i in c) for c in strong_components(sub)]
+                assert strong_components(d, removed) == expected, (sorted(d.edges), removed)
 
 
 class TestReachability:
@@ -373,6 +384,131 @@ class TestTightSeparations:
         assert keys == sorted(keys)
 
 
+def reference_is_directed_separation(d, shore_a, shore_b):
+    """The edge-scan form of `is_directed_separation`."""
+    if frozenset(shore_a) | frozenset(shore_b) != frozenset(range(d.n)):
+        return False
+    a_only = frozenset(shore_a) - frozenset(shore_b)
+    b_only = frozenset(shore_b) - frozenset(shore_a)
+    return not any(u in b_only and v in a_only for (u, v) in d.edges)
+
+
+def reference_tight_separations(d, non_trivial_only=True):
+    """`tight_separations` as it was when it built each d - v as a digraph."""
+    found = {}
+    for v in range(d.n):
+        sub, old_ids = delete_vertex(d, v)
+        comps = [frozenset(old_ids[i] for i in comp) for comp in strong_components(sub)]
+        if len(comps) <= 1:
+            continue
+        comp_of = {}
+        for ci, comp in enumerate(comps):
+            for u in comp:
+                comp_of[u] = ci
+        succ = {ci: set() for ci in range(len(comps))}
+        pred = {ci: set() for ci in range(len(comps))}
+        for (a, b) in d.edges:
+            if a == v or b == v:
+                continue
+            ca, cb = comp_of[a], comp_of[b]
+            if ca != cb:
+                succ[ca].add(cb)
+                pred[cb].add(ca)
+        for ci in sorted(range(len(comps)), key=lambda i: min(comps[i])):
+            if pred[ci]:
+                closure = set()
+                frontier = [ci]
+                while frontier:
+                    cj = frontier.pop()
+                    if cj in closure:
+                        continue
+                    closure.add(cj)
+                    frontier.extend(succ[cj])
+                x = frozenset().union(*(comps[cj] for cj in closure))
+            else:
+                x = comps[ci]
+            y = frozenset(u for u in range(d.n) if u != v) - x
+            if not y and non_trivial_only:
+                continue
+            p = y | {v}
+            q = x | {v}
+            key = frozenset((p, q))
+            if key in found:
+                continue
+            pq_valid = reference_is_directed_separation(d, p, q)
+            qp_valid = reference_is_directed_separation(d, q, p)
+            assert pq_valid or qp_valid
+            if pq_valid and qp_valid:
+                first, second = sorted((p, q), key=lambda s: tuple(sorted(s)))
+            elif pq_valid:
+                first, second = p, q
+            else:
+                first, second = q, p
+            found[key] = TightSeparation(first, second)
+    return sorted(found.values(), key=TightSeparation.sort_key)
+
+
+def random_tree_edges(rng, n):
+    return [(v, rng.randrange(v)) for v in range(1, n)]
+
+
+def tree_plus_triangle(rng, n):
+    """A bidirected random tree plus one digon closing a bidirected triangle."""
+    edges = random_tree_edges(rng, n)
+    nbrs = {v: [] for v in range(n)}
+    for (u, v) in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    middle = rng.choice([v for v in range(n) if len(nbrs[v]) >= 2])
+    a, c = rng.sample(nbrs[middle], 2)
+    return bidirect(n, edges + [(a, c)])
+
+
+def separation_corpus():
+    """Every labeled strongly connected digraph on at most 4 vertices, 200
+    seeded random strongly connected digraphs on 3-12 vertices, and 20
+    seeded bidirected trees and 20 trees plus a triangle on at most 40."""
+    for n in range(1, 5):
+        yield from labeled_strongly_connected(n)
+    rng = random.Random(404)
+    for _ in range(200):
+        yield random_strongly_connected(rng, rng.randint(3, 12), rng.choice([0.05, 0.1, 0.2, 0.4]))
+    for _ in range(20):
+        yield bidirect(n := rng.randint(2, 40), random_tree_edges(rng, n))
+        yield tree_plus_triangle(rng, rng.randint(3, 40))
+
+
+class TestSeparationReference:
+    def test_tight_separations_match_the_subgraph_form(self):
+        count = 0
+        for d in separation_corpus():
+            for trivial in (True, False):
+                got = tight_separations(d, non_trivial_only=trivial)
+                assert got == reference_tight_separations(d, trivial), sorted(d.edges)
+            count += 1
+        assert count == 1 + 1 + 18 + 1606 + 200 + 40
+
+    def test_is_directed_separation_matches_the_edge_scan(self):
+        rng = random.Random(405)
+        covering = overlapping = valid = 0
+        for _ in range(400):
+            n = rng.randint(1, 8)
+            d = Digraph(n, frozenset(
+                (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3
+            ))
+            for _ in range(10):
+                a = frozenset(v for v in range(n) if rng.random() < 0.6)
+                b = frozenset(v for v in range(n) if v not in a or rng.random() < 0.5)
+                if rng.random() < 0.2:
+                    b -= {rng.randrange(n)}
+                covering += a | b == frozenset(range(n))
+                overlapping += len(a & b) > 1
+                got = is_directed_separation(d, a, b)
+                assert got == reference_is_directed_separation(d, a, b), (sorted(d.edges), a, b)
+                valid += got
+        assert covering >= 1000 and overlapping >= 1000 and valid >= 500, (covering, overlapping, valid)
+
+
 class TestAllSubsets:
     def test_order(self):
         assert list(all_subsets([2, 0, 1], 2)) == [
@@ -395,23 +531,25 @@ class TestAllSubsets:
                     st.integers(0, n - 1), st.integers(0, n - 1)
                 ).filter(lambda e: e[0] != e[1]),
             ),
+            st.frozensets(st.integers(0, n - 1)),
         )
     )
 )
 @settings(max_examples=150, deadline=None)
 def test_strong_components_partition(args):
-    n, edges = args
+    n, edges, removed = args
     d = Digraph(n, tuple(sorted(edges)))
-    comps = strong_components(d)
+    comps = strong_components(d, removed)
     union = set()
     for c in comps:
         assert not (c & union)
         union |= c
-    assert union == set(range(n))
+    assert union == set(range(n)) - removed
     # Reverse topological: no arc from an earlier component to a later one.
     index = {}
     for i, c in enumerate(comps):
         for v in c:
             index[v] = i
     for u, v in d.edges:
-        assert index[u] >= index[v]
+        if u not in removed and v not in removed:
+            assert index[u] >= index[v]

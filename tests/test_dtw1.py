@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import random
@@ -20,6 +21,7 @@ from dtwone.digraph import (
     is_strongly_2_connected,
     is_strongly_connected,
     separations_cross,
+    tight_separations,
 )
 from dtwone.decomp import validate_dtd
 from dtwone import dtw1
@@ -38,7 +40,12 @@ from dtwone.dtw1 import (
     witness_pattern,
 )
 from dtwone.games import Haven, solve_game, verify_haven
-from test_digraph import random_strongly_connected
+from test_digraph import (
+    random_strongly_connected,
+    random_tree_edges,
+    reference_tight_separations,
+    separation_corpus,
+)
 
 
 def digon():
@@ -527,6 +534,103 @@ class TestSDecomposition:
                 assert laminar == (cand in family), (sorted(d.edges), cand)
 
 
+def reference_s_decomposition(d):
+    """`s_decomposition` as it was when every round searched every piece."""
+    pieces = [dtw1._PieceState(range(d.n), [])]
+    tree_edges = []
+    while True:
+        best = None
+        for pi, piece in enumerate(pieces):
+            collapsed, labels = dtw1._collapse_piece(d, piece)
+            for local in reference_tight_separations(collapsed):
+                lifted = dtw1._lift_separation(d, piece, local, labels)
+                key = lifted.sort_key()
+                if best is None or key < best[0]:
+                    best = (key, pi, lifted)
+        if best is None:
+            break
+        _, pi, sep = best
+        old = pieces[pi]
+        v = sep.cut_vertex
+        side_a = dtw1._PieceState(old.territory & sep.shoreA, [])
+        side_b = dtw1._PieceState(old.territory & sep.shoreB, [])
+        for (cut, far, far_is_a) in old.attachments:
+            if not (far - {cut}) - (sep.shoreA - sep.shoreB):
+                side_a.attachments.append((cut, far, far_is_a))
+            else:
+                side_b.attachments.append((cut, far, far_is_a))
+        side_a.attachments.append((v, sep.shoreB, False))
+        side_b.attachments.append((v, sep.shoreA, True))
+        for piece_state in (side_a, side_b):
+            piece_state.attachments.sort(key=lambda t: (t[0], tuple(sorted(t[1]))))
+        pieces[pi] = side_a
+        new_index = len(pieces)
+        pieces.append(side_b)
+        rewired = []
+        for (ai, bi, s) in tree_edges:
+            if pi in (ai, bi):
+                far = s.shoreB if ai == pi else s.shoreA
+                keep = pi if not (far - {s.cut_vertex}) - (sep.shoreA - sep.shoreB) else new_index
+                if ai == pi:
+                    ai = keep
+                else:
+                    bi = keep
+            rewired.append((ai, bi, s))
+        tree_edges = rewired
+        tree_edges.append((pi, new_index, sep))
+
+    order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i].territory)))
+    rank = {old: new for new, old in enumerate(order)}
+    edges, separations, shore_toward = [], {}, {}
+    for (ai, bi, sep) in tree_edges:
+        e = tuple(sorted((rank[ai], rank[bi])))
+        edges.append(e)
+        separations[e] = sep
+        shore_toward[(rank[ai], e)] = sep.shoreA
+        shore_toward[(rank[bi], e)] = sep.shoreB
+    territories, piece_digraphs, piece_labels = {}, {}, {}
+    for old_index, piece in enumerate(pieces):
+        t = rank[old_index]
+        territories[t] = piece.territory
+        piece_digraphs[t], piece_labels[t] = dtw1._collapse_piece(d, piece)
+    return dtw1.SDecomposition(
+        nodes=tuple(range(len(pieces))),
+        edges=tuple(sorted(edges)),
+        separations=separations,
+        shore_toward=shore_toward,
+        territories=territories,
+        pieces=piece_digraphs,
+        piece_labels=piece_labels,
+    )
+
+
+class TestSDecompositionCache:
+    def test_matches_the_round_by_round_search(self):
+        split = 0
+        for d in separation_corpus():
+            if d.n < 2:
+                continue
+            got = s_decomposition(d)
+            expected = reference_s_decomposition(d)
+            for f in dataclasses.fields(dtw1.SDecomposition):
+                assert getattr(got, f.name) == getattr(expected, f.name), (f.name, sorted(d.edges))
+            split += len(got.edges) >= 2
+        assert split >= 100, split
+
+    def test_each_piece_is_searched_once(self, monkeypatch):
+        calls = []
+
+        def counted(d, *args, **kwargs):
+            calls.append(d.n)
+            return tight_separations(d, *args, **kwargs)
+
+        monkeypatch.setattr(dtw1, "tight_separations", counted)
+        rng = random.Random(40)
+        sdec = s_decomposition(bidirect(40, random_tree_edges(rng, 40)))
+        assert len(sdec.edges) == 38
+        assert len(calls) == 1 + 2 * len(sdec.edges)
+
+
 class TestRecognize:
     @pytest.mark.parametrize(
         "d",
@@ -623,6 +727,26 @@ class TestRecognize:
     def test_not_strongly_connected_raises(self):
         with pytest.raises(ValueError):
             recognize_dtw1(digraph_from_edges(3, [(0, 1), (1, 2), (2, 1)]))
+
+
+# Two 7-vertex NO instances on which the case analysis reaches a piece that
+# is neither strongly 2-connected nor has a butterfly-dominating vertex, so
+# `_case_one_steps` raises "no cut vertex admits a usable shore contraction".
+CASE_ONE_CRASHES = [
+    "0 4, 1 3, 1 5, 2 0, 2 4, 3 2, 3 5, 4 1, 4 6, 5 2, 5 4, 5 6, 6 1, 6 3",
+    "0 3, 0 4, 1 2, 1 3, 2 0, 2 5, 3 0, 3 5, 4 1, 4 6, 5 4, 5 6, 6 1, 6 2",
+]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the case-one shrinking step can break its own invariant")
+@pytest.mark.parametrize("edges", CASE_ONE_CRASHES, ids=["seven-a", "seven-b"])
+def test_case_one_crash_inputs_get_verified_no_certificates(edges):
+    d = digraph_from_edges(7, [tuple(map(int, pair.split())) for pair in edges.split(", ")])
+    assert not hypertree_route(d).is_hypertree
+    cert = recognize_dtw1(d)
+    assert cert.verdict == "NO"
+    assert verify_certificate(d, cert).valid
 
 
 class TestVerifyCertificate:
