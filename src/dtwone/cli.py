@@ -9,8 +9,6 @@ internal errors (a library call failed in a way its input does not explain).
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Optional
 
 import click
 
@@ -35,25 +33,8 @@ from .formats import (
     parse_hypergraph,
     read_document,
 )
-from .games import GAME_SIZE_LIMIT, play_transcript, solve_game
+from .games import play_transcript, solve_game
 from .hypergraph import hypertree_witness, is_alpha_acyclic
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One invocation's knobs, echoed into every output header."""
-
-    input: Optional[str]
-    command: str
-    cycle_cap: int = DEFAULT_CYCLE_CAP
-    game_size_cap: int = GAME_SIZE_LIMIT
-    seed: int = 0
-    output_format: str = "text"
-
-    def __post_init__(self):
-        assert self.cycle_cap > 0, "cycle cap must be positive"
-        assert self.game_size_cap > 0, "game size cap must be positive"
-        assert self.output_format in ("text", "structured"), "unknown format"
 
 
 def _run_options(f):
@@ -120,8 +101,8 @@ def _guarded(fn, *args, **kwargs):
         sys.exit(3)
 
 
-def _note(cfg: RunConfig, lines: list, text: str):
-    if cfg.output_format == "text":
+def _note(output_format: str, lines: list, text: str):
+    if output_format == "text":
         lines.append(f"# {text}")
 
 
@@ -159,19 +140,17 @@ def main():
 @_run_options
 def cmd_recognize(digraph_file, cap, seed, output_format):
     """Decide directed treewidth one; print a certificate either way."""
-    cfg = RunConfig(digraph_file, "recognize", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
     d, names = _load_digraph(digraph_file)
-    cert = _guarded(recognize_dtw1, d, cap=cfg.cycle_cap)
-    lines = header_lines("recognize", cfg.seed, cap=cfg.cycle_cap, digraph=d)
+    cert = _guarded(recognize_dtw1, d, cap=cap)
+    lines = header_lines("recognize", seed, cap=cap, digraph=d)
     if cert.verdict == "YES":
-        _note(cfg, lines, "directed treewidth one: the decomposition below "
-                          "has width 1")
+        _note(output_format, lines, "directed treewidth one: the decomposition below "
+                                    "has width 1")
     else:
         w = cert.witness
         pattern = f"Bicycle({w.length})" if w.kind == "bicycle" else "A4"
-        _note(cfg, lines, f"directed treewidth exceeds one: butterfly minor "
-                          f"{pattern} plus an order-3 haven")
+        _note(output_format, lines, f"directed treewidth exceeds one: butterfly minor "
+                                    f"{pattern} plus an order-3 haven")
     _emit(format_certificate(cert, names, lines))
     sys.exit(0 if cert.verdict == "YES" else 1)
 
@@ -182,8 +161,6 @@ def cmd_recognize(digraph_file, cap, seed, output_format):
 @_run_options
 def cmd_verify_cert(digraph_file, certificate_file, cap, seed, output_format):
     """Re-check a previously emitted certificate against its digraph."""
-    cfg = RunConfig(digraph_file, "verify-cert", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     text = _read_file(certificate_file)
@@ -198,15 +175,15 @@ def cmd_verify_cert(digraph_file, certificate_file, cap, seed, output_format):
     except ParseError as exc:
         _die(str(exc))
     report = _guarded(verify_certificate, d, cert)
-    lines = header_lines("verify-cert", cfg.seed, cap=cfg.cycle_cap, digraph=d)
+    lines = header_lines("verify-cert", seed, cap=cap, digraph=d)
     lines.append(f"verdict={cert.verdict}")
     lines.append(f"result={'valid' if report.valid else 'invalid'}")
     if cert.verdict == "YES" and report.valid and report.width is not None:
         lines.append(f"width={report.width}")
     for violation in report.violations:
         lines.append(f"violation={violation}")
-    _note(cfg, lines, "certificate is sound" if report.valid
-          else "certificate FAILED verification")
+    _note(output_format, lines, "certificate is sound" if report.valid
+                                else "certificate FAILED verification")
     _emit(lines)
     sys.exit(0 if report.valid else 1)
 
@@ -216,14 +193,12 @@ def cmd_verify_cert(digraph_file, certificate_file, cap, seed, output_format):
 @_run_options
 def cmd_cycles(digraph_file, cap, seed, output_format):
     """Enumerate the simple directed cycles, one `c ...` line each."""
-    cfg = RunConfig(digraph_file, "cycles", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
     d, names = _load_digraph(digraph_file)
-    ch = _guarded(cycle_hypergraph, d, cfg.cycle_cap)
-    lines = header_lines("cycles", cfg.seed, cap=cfg.cycle_cap, digraph=d)
+    ch = _guarded(cycle_hypergraph, d, cap)
+    lines = header_lines("cycles", seed, cap=cap, digraph=d)
     lines.append(f"count={len(ch.cycles)}")
-    _note(cfg, lines, f"{len(ch.cycles)} simple directed cycle(s) in "
-                      f"canonical rotation")
+    _note(output_format, lines, f"{len(ch.cycles)} simple directed cycle(s) in "
+                                f"canonical rotation")
     lines.extend(format_cycles(ch, names))
     _emit(lines)
     sys.exit(0)
@@ -234,28 +209,26 @@ def cmd_cycles(digraph_file, cap, seed, output_format):
 @_run_options
 def cmd_hypergraph(hypergraph_file, cap, seed, output_format):
     """Analyse a standalone hypergraph: acyclicity and hypertree structure."""
-    cfg = RunConfig(hypergraph_file, "hypergraph", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
     try:
         h = parse_hypergraph(_read_file(hypergraph_file))
     except ParseError as exc:
         _die(str(exc))
     acyclic = _guarded(is_alpha_acyclic, h)
     witness = _guarded(hypertree_witness, h)
-    lines = header_lines("hypergraph", cfg.seed, cap=cfg.cycle_cap)
+    lines = header_lines("hypergraph", seed, cap=cap)
     lines.append(f"vertices={len(h.vertices)}")
     lines.append(f"edges={len(h.edges)}")
     lines.append(f"alpha_acyclic={'true' if acyclic else 'false'}")
     lines.append(f"hypertree={'true' if witness is not None else 'false'}")
     if witness is not None:
-        _note(cfg, lines, "host tree edges follow; every hyperedge induces "
-                          "a subtree")
+        _note(output_format, lines, "host tree edges follow; every hyperedge induces "
+                                    "a subtree")
         pos = {v: i for i, v in enumerate(h.vertices)}
         tree_edges = [tuple(sorted(e, key=pos.get)) for e in witness.tree.edges]
         for u, v in sorted(tree_edges, key=lambda e: (pos[e[0]], pos[e[1]])):
             lines.append(f"tree {u} {v}")
     else:
-        _note(cfg, lines, "not a hypertree")
+        _note(output_format, lines, "not a hypertree")
     _emit(lines)
     sys.exit(0)
 
@@ -266,8 +239,6 @@ def cmd_hypergraph(hypergraph_file, cap, seed, output_format):
 @_run_options
 def cmd_validate_dtd(digraph_file, decomposition_file, cap, seed, output_format):
     """Validate a directed tree decomposition against its digraph."""
-    cfg = RunConfig(digraph_file, "validate-dtd", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     _, records = _load_decomposition_document(decomposition_file, d)
@@ -276,7 +247,7 @@ def cmd_validate_dtd(digraph_file, decomposition_file, cap, seed, output_format)
     except ParseError as exc:
         _die(str(exc))
     report = _guarded(decomp.validate_dtd, d, dec)
-    lines = header_lines("validate-dtd", cfg.seed, cap=cfg.cycle_cap, digraph=d)
+    lines = header_lines("validate-dtd", seed, cap=cap, digraph=d)
     _report_lines(lines, "kind", "dtd", report)
     _emit(lines)
     sys.exit(0 if report.valid else 1)
@@ -288,8 +259,6 @@ def cmd_validate_dtd(digraph_file, decomposition_file, cap, seed, output_format)
 @_run_options
 def cmd_validate_dbd(digraph_file, decomposition_file, cap, seed, output_format):
     """Validate a directed branch decomposition against its digraph."""
-    cfg = RunConfig(digraph_file, "validate-dbd", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     _, records = _load_decomposition_document(decomposition_file, d)
@@ -297,9 +266,8 @@ def cmd_validate_dbd(digraph_file, decomposition_file, cap, seed, output_format)
         dec = parse_dbd(records, name_to_id)
     except ParseError as exc:
         _die(str(exc))
-    report = _guarded(decomp.validate_dbd, d, dec, bound=d.n,
-                      cap=cfg.cycle_cap)
-    lines = header_lines("validate-dbd", cfg.seed, cap=cfg.cycle_cap, digraph=d)
+    report = _guarded(decomp.validate_dbd, d, dec, bound=d.n, cap=cap)
+    lines = header_lines("validate-dbd", seed, cap=cap, digraph=d)
     _report_lines(lines, "kind", "dbd", report)
     _emit(lines)
     sys.exit(0 if report.valid else 1)
@@ -313,8 +281,6 @@ def cmd_validate_dbd(digraph_file, decomposition_file, cap, seed, output_format)
 def cmd_convert(digraph_file, decomposition_file, target, cap, seed,
                 output_format):
     """Convert decompositions: dtd to dbd, dbd to hbd, dtd to ghd."""
-    cfg = RunConfig(digraph_file, "convert", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     _, records = _load_decomposition_document(decomposition_file, d)
@@ -326,25 +292,24 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, seed,
     except ParseError as exc:
         _die(str(exc))
     if target == "hbd":
-        report = _guarded(decomp.validate_dbd, d, dec, bound=d.n,
-                          cap=cfg.cycle_cap)
+        report = _guarded(decomp.validate_dbd, d, dec, bound=d.n, cap=cap)
     else:
         report = _guarded(decomp.validate_dtd, d, dec)
     if not report.valid:
         _die("input decomposition invalid: " + "; ".join(report.violations))
     if target == "dbd":
-        out = _guarded(decomp.dtd_to_dbd, d, dec, cfg.cycle_cap)
+        out = _guarded(decomp.dtd_to_dbd, d, dec, cap)
         body, width = format_dbd(out, names), out.width()
     elif target == "hbd":
-        out = _guarded(decomp.dbd_to_hbd, d, dec, cfg.cycle_cap)
+        out = _guarded(decomp.dbd_to_hbd, d, dec, cap)
         body, width = format_hbd(out), out.width()
     else:
-        out = _guarded(decomp.dtd_to_ghd, d, dec, cfg.cycle_cap)
+        out = _guarded(decomp.dtd_to_ghd, d, dec, cap)
         body, width = format_ghd(out), out.width
-    lines = header_lines("convert", cfg.seed, cap=cfg.cycle_cap, digraph=d)
+    lines = header_lines("convert", seed, cap=cap, digraph=d)
     lines.append(f"convert={target}")
     lines.append(f"width={width}")
-    _note(cfg, lines, f"converted to a {target} of width {width}")
+    _note(output_format, lines, f"converted to a {target} of width {width}")
     lines.extend(body)
     _emit(lines)
     sys.exit(0)
@@ -356,20 +321,18 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, seed,
 @_run_options
 def cmd_game(digraph_file, cops, cap, seed, output_format):
     """Solve the robber game with the given cop budget; print one play."""
-    cfg = RunConfig(digraph_file, "game", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
     d, names = _load_digraph(digraph_file)
     result = _guarded(solve_game, d, cops)
-    lines = header_lines("game", cfg.seed, cap=cfg.cycle_cap, digraph=d)
+    lines = header_lines("game", seed, cap=cap, digraph=d)
     lines.append(f"cops={cops}")
     lines.append(f"cops_win={'true' if result.cops_win else 'false'}")
     if result.cops_win:
         moves = _guarded(play_transcript, d, result.strategy)
-        _note(cfg, lines, f"capture after {len(moves) - 1} cop move(s) "
-                          f"against the least-component robber")
+        _note(output_format, lines, f"capture after {len(moves) - 1} cop move(s) "
+                                    f"against the least-component robber")
         lines.extend(format_transcript(moves, names))
     else:
-        _note(cfg, lines, f"{cops} cop(s) never catch the robber")
+        _note(output_format, lines, f"{cops} cop(s) never catch the robber")
     _emit(lines)
     sys.exit(0)
 
@@ -380,14 +343,12 @@ def cmd_suite(cap, seed, output_format):
     """Run the acceptance criteria; nonzero exit when any of them fail."""
     from .suite import run_all
 
-    cfg = RunConfig(None, "suite", cycle_cap=cap, seed=seed,
-                    output_format=output_format)
-    results = run_all(seed=cfg.seed, cycle_cap=cfg.cycle_cap)
-    lines = header_lines("suite", cfg.seed, cap=cfg.cycle_cap)
+    results = run_all(seed=seed, cycle_cap=cap)
+    lines = header_lines("suite", seed, cap=cap)
     all_pass = True
     for r in results:
         all_pass &= r.passed
-        _note(cfg, lines, f"criterion {r.index}: {r.name}")
+        _note(output_format, lines, f"criterion {r.index}: {r.name}")
         lines.append(
             f"criterion {r.index} status={'pass' if r.passed else 'fail'} "
             f"checked={r.checked} skipped={r.skipped} time={r.seconds:.1f}"

@@ -185,32 +185,6 @@ def delete_vertex(d, v):
     return induced_subgraph(d, [u for u in range(d.n) if u != v])
 
 
-def reachable_from(d, sources):
-    """All vertices reachable from `sources` (including them)."""
-    seen = set(sources)
-    frontier = list(seen)
-    while frontier:
-        u = frontier.pop()
-        for w in d.out_neighbours(u):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
-def reaching(d, targets):
-    """All vertices with a directed path into `targets` (including them)."""
-    seen = set(targets)
-    frontier = list(seen)
-    while frontier:
-        u = frontier.pop()
-        for w in d.in_neighbours(u):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
 def butterfly_contractible(d, edge):
     """An edge (u,v) is butterfly contractible if it is the unique edge leaving
     u or the unique edge entering v."""
@@ -270,14 +244,41 @@ def separations_cross(s, t):
     return bool(a & c) and bool(b & dd) and bool((a & dd) - (b & c)) and bool((b & c) - (a & dd))
 
 
+def cut_vertex_shores(d, v):
+    """The strong components of d - v, each paired with its X-shore.
+
+    The X-shore of a component K is K alone when no other component has an
+    edge into K, and otherwise every vertex reachable from K in d - v.
+    Components come in `strong_components(d, (v,))` order; the list is empty
+    when d - v has at most one component, that is when v is no cut vertex.
+    """
+    comps = strong_components(d, (v,))
+    if len(comps) <= 1:
+        return []
+    comp_of = {u: ci for ci, comp in enumerate(comps) for u in comp}
+    succ = [set() for _ in comps]
+    entered = set()
+    for (a, b) in d.edges:
+        if a != v and b != v and comp_of[a] != comp_of[b]:
+            succ[comp_of[a]].add(comp_of[b])
+            entered.add(comp_of[b])
+    # Reverse topological order: every successor of a component comes before
+    # it and is entered, so its shore is already everything it reaches.
+    shores = []
+    for ci, comp in enumerate(comps):
+        if ci in entered:
+            comp = comp.union(*(shores[cj] for cj in succ[ci]))
+        shores.append(comp)
+    return list(zip(comps, shores))
+
+
 def tight_separations(d, non_trivial_only=True):
     """All tight separations of a strongly connected digraph arising from single
     cut vertices.
 
     For each vertex v whose removal leaves several strong components and each
-    component K of d - v: if some other component has a path to K, the shore X
-    is the union of all components reachable from K (including K); otherwise
-    X is K alone.  The rest of d - v is Y, and the separation pairs Y+v against
+    component K of d - v, the shore X is the X-shore `cut_vertex_shores`
+    pairs with K.  The rest of d - v is Y, and the separation pairs Y+v against
     X+v with separator {v}.  Results are deduplicated by unordered shore pair,
     stored in the valid orientation (edges crossing from the first shore to the
     second; lexicographically smaller first shore when both orientations are
@@ -286,36 +287,7 @@ def tight_separations(d, non_trivial_only=True):
     """
     found = {}
     for v in range(d.n):
-        comps = strong_components(d, (v,))
-        if len(comps) <= 1:
-            continue
-        comp_of = {}
-        for ci, comp in enumerate(comps):
-            for u in comp:
-                comp_of[u] = ci
-        # condensation adjacency of d - v
-        succ = {ci: set() for ci in range(len(comps))}
-        pred = {ci: set() for ci in range(len(comps))}
-        for (a, b) in d.edges:
-            if a == v or b == v:
-                continue
-            ca, cb = comp_of[a], comp_of[b]
-            if ca != cb:
-                succ[ca].add(cb)
-                pred[cb].add(ca)
-        for ci in sorted(range(len(comps)), key=lambda i: min(comps[i])):
-            if pred[ci]:
-                closure = set()
-                frontier = [ci]
-                while frontier:
-                    cj = frontier.pop()
-                    if cj in closure:
-                        continue
-                    closure.add(cj)
-                    frontier.extend(succ[cj])
-                x = frozenset().union(*(comps[cj] for cj in closure))
-            else:
-                x = comps[ci]
+        for _, x in cut_vertex_shores(d, v):
             y = frozenset(u for u in range(d.n) if u != v) - x
             if not y and non_trivial_only:
                 continue

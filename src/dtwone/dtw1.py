@@ -11,7 +11,6 @@ pairs the embedding with an order-3 haven.
 from __future__ import annotations
 
 import itertools
-import logging
 from dataclasses import dataclass
 from typing import Optional
 
@@ -23,21 +22,16 @@ from .digraph import (
     a4_digraph,
     bicycle,
     butterfly_dominating_vertices,
-    delete_vertex,
+    cut_vertex_shores,
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
     quotient,
-    reachable_from,
-    reaching,
     separations_cross,
-    strong_components,
     tight_separations,
 )
 from .games import Haven, haven_from_closed_chain, verify_haven
 from .hypergraph import JoinTreeWitness, hypertree_witness
-
-_log = logging.getLogger("dtwone.dtw1")
 
 
 # ---------------------------------------------------------------------------
@@ -339,33 +333,24 @@ def witness_pattern(witness: MinorWitness) -> Digraph:
     return a4_digraph()
 
 
-def _case_one_steps(d: Digraph) -> list:
+def _case_one_steps(d: Digraph) -> Optional[list]:
     """Contract a tight-separation shore when d is not strongly 2-connected.
 
-    The shore is built from a strong component of d minus a cut vertex,
+    The shore is the X-shore of a strong component of d minus a cut vertex,
     preferring components that hold a butterfly-dominating vertex; a candidate
     only counts when the contracted digraph keeps at least three vertices and
     still has a dominating vertex, so the shrinking argument can continue.
+    Returns None when no vertex is a cut vertex.
     """
     dom = butterfly_dominating_vertices(d)
     saw_cut = False
     for v in range(d.n):
-        sub, old_ids = delete_vertex(d, v)
-        raw = strong_components(sub)
-        if len(raw) <= 1:
+        shores = cut_vertex_shores(d, v)
+        if not shores:
             continue
         saw_cut = True
-        back = {i: old_ids[i] for i in range(sub.n)}
-        fwd = {old_ids[i]: i for i in range(sub.n)}
-        comps = sorted((frozenset(back[i] for i in c) for c in raw), key=min)
-        comps.sort(key=lambda c: (not (c & dom), min(c)))
-        for comp in comps:
-            local = {fwd[u] for u in comp}
-            upstream = frozenset(back[i] for i in reaching(sub, local)) - comp
-            if upstream:
-                x_side = frozenset(back[i] for i in reachable_from(sub, local))
-            else:
-                x_side = comp
+        shores.sort(key=lambda pair: (not (pair[0] & dom), min(pair[0])))
+        for _, x_side in shores:
             y_side = frozenset(range(d.n)) - x_side - {v}
             if len(y_side) < 2:
                 continue
@@ -374,7 +359,8 @@ def _case_one_steps(d: Digraph) -> list:
             if not butterfly_dominating_vertices(collapsed):
                 continue
             return shore_contraction_script(d, shore, v)
-    assert saw_cut, "strongly 2-connected digraphs have no case here"
+    if not saw_cut:
+        return None
     raise AssertionError("no cut vertex admits a usable shore contraction")
 
 
@@ -382,18 +368,21 @@ def _case_analysis_steps(d: Digraph):
     """One round of the shrink-or-finish analysis.
 
     Returns ("done", kind, embedding) on a terminal digraph or
-    ("steps", step list) when the digraph can be shrunk further.
+    ("steps", step list) when the digraph can be shrunk further.  A digraph
+    that fits no case fails an assertion.
     """
     n = d.n
     assert n >= 3, "the analysis never goes below three vertices"
     if n == 3:
         walk = _bicycle_walk(d)
-        if walk is None:
-            return ("stuck", None, None)
+        assert walk is not None, (
+            "a three-vertex digraph left to the analysis must be a bidirected triangle"
+        )
         return ("done", ("bicycle", 3), walk)
 
-    if not is_strongly_2_connected(d):
-        return ("steps", _case_one_steps(d), None)
+    steps = _case_one_steps(d)
+    if steps is not None:
+        return ("steps", steps, None)
 
     heavy_out = [u for u in range(n) if len(d.out_neighbours(u)) >= 3]
     heavy_in = [u for u in range(n) if len(d.in_neighbours(u)) >= 3]
@@ -424,8 +413,7 @@ def _case_analysis_steps(d: Digraph):
         x, y, z = hit
         if n == 4:
             emb = _a4_embedding(d)
-            if emb is None:
-                return ("stuck", None, None)
+            assert emb is not None, "a four-vertex digraph with an induced K3+ must be A4 here"
             return ("done", ("a4", None), emb)
         return (
             "steps",
@@ -449,54 +437,8 @@ def _case_analysis_steps(d: Digraph):
         return ("steps", [("del", w, y), ("contract", w, z)], None)
 
     walk = _bicycle_walk(d)
-    if walk is None:
-        return ("stuck", None, None)
+    assert walk is not None, "a digraph with no applicable step must be a bidirected cycle"
     return ("done", ("bicycle", n), walk)
-
-
-def _fallback_minor_search(state: _ReplayState):
-    """Breadth-first search over deletions and contractions for a pattern.
-
-    Only reached when the structured analysis finds no applicable step, which
-    the theory rules out; a trigger is worth reporting upstream.
-    """
-    _log.warning(
-        "case analysis found no applicable step; falling back to exhaustive search"
-    )
-    start_dense, start_labels = state.dense()
-    queue = [(start_dense, start_labels, ())]
-    seen = {(start_dense.n, start_dense.edges)}
-    budget = 200_000
-    while queue:
-        dense, labels, steps = queue.pop(0)
-        walk = _bicycle_walk(dense)
-        if walk is not None:
-            return steps, ("bicycle", dense.n), walk
-        emb = _a4_embedding(dense)
-        if emb is not None:
-            return steps, ("a4", None), emb
-        budget -= 1
-        if budget <= 0:
-            raise RuntimeError("exhaustive minor search exceeded its budget")
-        for (a, b) in dense.sorted_edges():
-            nxt = Digraph(dense.n, dense.edges - {(a, b)})
-            key = (nxt.n, nxt.edges)
-            if key not in seen:
-                seen.add(key)
-                queue.append((nxt, labels, steps + (("del", labels[a], labels[b]),)))
-        for (a, b) in dense.sorted_edges():
-            if len(dense.out_neighbours(a)) == 1 or len(dense.in_neighbours(b)) == 1:
-                keep = labels[min(a, b)]
-                nxt, nxt_labels = quotient(
-                    dense, [keep if v in (a, b) else labels[v] for v in range(dense.n)]
-                )
-                key = (nxt.n, nxt.edges)
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(
-                        (nxt, nxt_labels, steps + (("contract", labels[a], labels[b]),))
-                    )
-    raise RuntimeError("exhaustive minor search exhausted every digraph")
 
 
 def extract_minor_witness(d: Digraph) -> MinorWitness:
@@ -525,10 +467,6 @@ def extract_minor_witness(d: Digraph) -> MinorWitness:
             after = (len(state.members), len(state.edges))
             assert after < before, "every round must shrink the digraph"
             continue
-        if verdict == "stuck":
-            steps, info, embedding = _fallback_minor_search(state)
-            state.apply(steps)
-            dense, labels = state.dense()
         kind, length = info
         branch = {
             p: state.members[labels[embedding[p]]]
@@ -872,9 +810,10 @@ def recognize_dtw1(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> Dtw1Certificate:
     check = verify_witness(d, witness)
     assert check.valid, f"constructed witness failed replay: {check.violations}"
 
-    chain = find_closed_chain(cycle_hypergraph(d, cap))
+    ch = cycle_hypergraph(d, cap)
+    chain = find_closed_chain(ch)
     assert chain is not None, "a digraph with the minor must contain a closed chain"
-    haven = haven_from_closed_chain(d, chain, cap)
+    haven = haven_from_closed_chain(ch, chain)
     return Dtw1Certificate("NO", None, witness, haven)
 
 
@@ -1005,12 +944,3 @@ def hypertree_route(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> HypertreeRoute:
     assert report.valid, f"host tree gave an invalid decomposition: {report.violations}"
     assert report.width <= 1, "host tree decompositions have width at most one"
     return HypertreeRoute(True, witness, dec)
-
-
-def dtw1_implies_hypertree_check(
-    d: Digraph, cert: Dtw1Certificate, cap: int = DEFAULT_CYCLE_CAP
-) -> bool:
-    """A width-one digraph's cycle hypergraph always has a host tree."""
-    assert cert.verdict == "YES", "only meaningful for positive certificates"
-    ch = cycle_hypergraph(d, cap)
-    return hypertree_witness(ch.as_hypergraph()) is not None

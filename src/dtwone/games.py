@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .cycles import DEFAULT_CYCLE_CAP, CycleChain, cut, cycle_hypergraph, min_hitting_set
+from .cycles import CycleChain, CycleHypergraph, cut, cycle_hypergraph, min_hitting_set
 from .digraph import Digraph, all_subsets, is_strongly_connected, strong_components
 from .errors import InstanceTooLarge
 
@@ -336,8 +336,9 @@ def _within_cyclic_window(indices, ell: int) -> bool:
     return any(pool <= {start, (start + 1) % ell} for start in range(ell))
 
 
-def haven_from_closed_chain(d: Digraph, chain: CycleChain, cap: int = DEFAULT_CYCLE_CAP) -> Haven:
-    """Build an order-3 haven from a closed chain of at least three cycles.
+def haven_from_closed_chain(ch: CycleHypergraph, chain: CycleChain) -> Haven:
+    """Build an order-3 haven on ch.host from a closed chain of at least three
+    of ch's cycles.
 
     Two cops touch at most two consecutive chain cycles each.  If the touched
     cycles fit one window of two consecutive positions, the untouched cycles
@@ -345,7 +346,7 @@ def haven_from_closed_chain(d: Digraph, chain: CycleChain, cap: int = DEFAULT_CY
     there.  Otherwise some junction vertex between two consecutive cycles is
     missed by every single cop, and the haven follows that junction.
     """
-    ch = cycle_hypergraph(d, cap)
+    d = ch.host
     if not chain.closed or len(chain.cycles) < 3:
         raise ValueError("need a closed chain of at least three cycles")
     if any(i < 0 or i >= len(ch.hyperedges) for i in chain.cycles):

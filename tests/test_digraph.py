@@ -18,6 +18,7 @@ from dtwone.digraph import (
     bidirect,
     butterfly_contractible,
     butterfly_dominating_vertices,
+    cut_vertex_shores,
     delete_vertex,
     digraph_from_edges,
     directed_cycle_digraph,
@@ -26,8 +27,6 @@ from dtwone.digraph import (
     is_strongly_2_connected,
     is_strongly_connected,
     quotient,
-    reachable_from,
-    reaching,
     separations_cross,
     strong_components,
     tight_separations,
@@ -146,11 +145,16 @@ class TestStrongComponents:
 
 
 class TestReachability:
-    def test_reachable_and_reaching(self):
-        d = digraph_from_edges(4, [(0, 1), (1, 2), (3, 2)])
-        assert reachable_from(d, {0}) == {0, 1, 2}
-        assert reaching(d, {2}) == {0, 1, 2, 3}
-        assert reachable_from(d, set()) == set()
+    def test_cut_vertex_shores_reach_downstream(self):
+        d = directed_cycle_digraph(4)
+        # d - 0 is the path 1 -> 2 -> 3; only the source keeps its component.
+        assert cut_vertex_shores(d, 0) == [
+            ({3}, {3}),
+            ({2}, {2, 3}),
+            ({1}, {1}),
+        ]
+        assert cut_vertex_shores(bicycle(3), 0) == []
+        assert cut_vertex_shores(Digraph(1, ()), 0) == []
 
     def test_induced_subgraph_mapping(self):
         d = digraph_from_edges(4, [(0, 2), (2, 3), (3, 0)])

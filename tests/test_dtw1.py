@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import logging
 import random
 
 import pytest
@@ -16,20 +15,23 @@ from dtwone.digraph import (
     bicycle,
     bidirect,
     butterfly_dominating_vertices,
+    delete_vertex,
     digraph_from_edges,
     directed_cycle_digraph,
     is_strongly_2_connected,
     is_strongly_connected,
+    quotient,
     separations_cross,
+    strong_components,
     tight_separations,
 )
+from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import validate_dtd
-from dtwone import dtw1
+from dtwone import dtw1, games
 from dtwone.dtw1 import (
     Dtw1Certificate,
     MinorWitness,
     extract_minor_witness,
-    dtw1_implies_hypertree_check,
     hypertree_route,
     recognize_dtw1,
     replay_script,
@@ -46,6 +48,7 @@ from test_digraph import (
     reference_tight_separations,
     separation_corpus,
 )
+from test_golden import random_corpus
 
 
 def digon():
@@ -304,20 +307,22 @@ class TestExtractMinorWitness:
         assert w.kind == "bicycle"
         assert verify_witness(d, w).valid
 
-    def test_random_instances_extract_without_the_search_fallback(self, caplog):
+    def test_random_instances_extract_without_the_search_fallback(self):
         rng = random.Random(2718)
         seen = 0
-        with caplog.at_level(logging.WARNING, logger="dtwone.dtw1"):
-            while seen < 30:
-                n = rng.choice([4, 5, 6, 7, 8])
-                d = random_strongly_connected(rng, n, rng.choice([0.2, 0.4, 0.6]))
-                if not butterfly_dominating_vertices(d):
-                    continue
-                seen += 1
-                w = extract_minor_witness(d)
-                report = verify_witness(d, w)
-                assert report.valid, report.violations
-        assert not any("falling back" in r.message for r in caplog.records)
+        while seen < 30:
+            n = rng.choice([4, 5, 6, 7, 8])
+            d = random_strongly_connected(rng, n, rng.choice([0.2, 0.4, 0.6]))
+            if not butterfly_dominating_vertices(d):
+                continue
+            seen += 1
+            w = extract_minor_witness(d)
+            report = verify_witness(d, w)
+            assert report.valid, report.violations
+
+    def test_a_digraph_no_case_fits_fails_an_assertion(self):
+        with pytest.raises(AssertionError, match="bidirected triangle"):
+            dtw1._case_analysis_steps(directed_cycle_digraph(3))
 
 
 def reference_induced_edge_set(d, tup):
@@ -420,6 +425,124 @@ class TestPatternSearch:
         w = extract_minor_witness(d)
         assert (w.kind, w.length) == ("bicycle", 64)
         assert verify_witness(d, w).valid
+
+
+def reference_reachable_from(d, sources):
+    seen = set(sources)
+    frontier = list(seen)
+    while frontier:
+        for w in d.out_neighbours(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
+
+
+def reference_reaching(d, targets):
+    seen = set(targets)
+    frontier = list(seen)
+    while frontier:
+        for w in d.in_neighbours(frontier.pop()):
+            if w not in seen:
+                seen.add(w)
+                frontier.append(w)
+    return frozenset(seen)
+
+
+def reference_case_one_steps(d):
+    """`_case_one_steps` as it was when it built each d - v as a digraph and
+    searched it for the X-shore."""
+    dom = butterfly_dominating_vertices(d)
+    saw_cut = False
+    for v in range(d.n):
+        sub, old_ids = delete_vertex(d, v)
+        raw = strong_components(sub)
+        if len(raw) <= 1:
+            continue
+        saw_cut = True
+        fwd = {u: i for i, u in enumerate(old_ids)}
+        comps = sorted(
+            (frozenset(old_ids[i] for i in c) for c in raw),
+            key=lambda c: (not (c & dom), min(c)),
+        )
+        for comp in comps:
+            local = {fwd[u] for u in comp}
+            if frozenset(old_ids[i] for i in reference_reaching(sub, local)) - comp:
+                x_side = frozenset(old_ids[i] for i in reference_reachable_from(sub, local))
+            else:
+                x_side = comp
+            if len(frozenset(range(d.n)) - x_side - {v}) < 2:
+                continue
+            shore = x_side | {v}
+            collapsed, _ = quotient(d, [v if u in shore else u for u in range(d.n)])
+            if not butterfly_dominating_vertices(collapsed):
+                continue
+            return shore_contraction_script(d, shore, v)
+    assert saw_cut, "strongly 2-connected digraphs have no case here"
+    raise AssertionError("no cut vertex admits a usable shore contraction")
+
+
+def reference_round(d):
+    """A case-analysis round as it was with its own strong 2-connectivity
+    check; past case one the round is unchanged, so the rest is the program's."""
+    if d.n > 3 and not is_strongly_2_connected(d):
+        return ("steps", reference_case_one_steps(d), None)
+    return dtw1._case_analysis_steps(d)
+
+
+def outcome(fn, d):
+    try:
+        return fn(d)
+    except AssertionError as err:
+        return ("raised", str(err))
+
+
+class TestCaseAnalysisReference:
+    """Case one, found without a separate 2-connectivity check, takes the
+    same step as the round that checked first and built each d - v."""
+
+    @staticmethod
+    def round_inputs(monkeypatch, run, corpus):
+        """Every digraph a round of the case analysis sees while `run` goes
+        over the corpus."""
+        seen = []
+        original = dtw1._case_analysis_steps
+
+        def recording(d):
+            seen.append(d)
+            return original(d)
+
+        monkeypatch.setattr(dtw1, "_case_analysis_steps", recording)
+        for d in corpus:
+            try:
+                run(d)
+            except ValueError:
+                pass
+            except AssertionError as err:
+                assert "no cut vertex admits a usable shore contraction" in str(err)
+        monkeypatch.undo()
+        return seen
+
+    def check_rounds(self, rounds):
+        case_one = 0
+        for d in rounds:
+            expected = outcome(reference_round, d)
+            assert outcome(dtw1._case_analysis_steps, d) == expected, sorted(d.edges)
+            if d.n > 3:
+                steps = outcome(dtw1._case_one_steps, d)
+                assert (steps is None) == is_strongly_2_connected(d), sorted(d.edges)
+                case_one += steps is not None
+        return case_one
+
+    def test_pattern_search_corpus(self, monkeypatch):
+        rounds = self.round_inputs(monkeypatch, extract_minor_witness, pattern_search_corpus())
+        case_one = self.check_rounds(rounds)
+        assert len(rounds) >= 1200 and case_one >= 450, (len(rounds), case_one)
+
+    def test_random_corpus(self, monkeypatch):
+        rounds = self.round_inputs(monkeypatch, recognize_dtw1, random_corpus())
+        case_one = self.check_rounds(rounds)
+        assert len(rounds) >= 1200 and case_one >= 350, (len(rounds), case_one)
 
 
 def brute_tight_separations(d):
@@ -717,8 +840,20 @@ class TestRecognize:
             cert = recognize_dtw1(d)
             assert verify_certificate(d, cert).valid
             assert (cert.verdict == "YES") == hypertree_route(d).is_hypertree
-            if cert.verdict == "YES":
-                assert dtw1_implies_hypertree_check(d, cert)
+
+    def test_no_answers_enumerate_cycles_once(self, monkeypatch):
+        calls = []
+
+        def counted(d, *args, **kwargs):
+            calls.append(d)
+            return cycle_hypergraph(d, *args, **kwargs)
+
+        monkeypatch.setattr(dtw1, "cycle_hypergraph", counted)
+        monkeypatch.setattr(games, "cycle_hypergraph", counted)
+        d = bicycle(5)
+        cert = recognize_dtw1(d)
+        assert cert.verdict == "NO" and verify_certificate(d, cert).valid
+        assert calls == [d]
 
     def test_single_vertex_raises(self):
         with pytest.raises(ValueError):

@@ -232,47 +232,48 @@ class TestStrategyFromDbd:
 
 
 class TestHavens:
-    def chain_of(self, d):
-        chain = find_closed_chain(cycle_hypergraph(d))
+    def haven_of(self, d):
+        ch = cycle_hypergraph(d)
+        chain = find_closed_chain(ch)
         assert chain is not None
-        return chain
+        return haven_from_closed_chain(ch, chain)
 
     def test_a4_haven(self):
         d = a4_digraph()
-        hav = haven_from_closed_chain(d, self.chain_of(d))
+        hav = self.haven_of(d)
         assert hav.order == 3
         assert verify_haven(d, hav)
 
     def test_bidirected_triangle_haven(self):
         d = bicycle(3)
-        hav = haven_from_closed_chain(d, self.chain_of(d))
+        hav = self.haven_of(d)
         assert verify_haven(d, hav)
 
     def test_bidirected_hexagon_haven(self):
         d = bicycle(6)
-        hav = haven_from_closed_chain(d, self.chain_of(d))
+        hav = self.haven_of(d)
         assert verify_haven(d, hav)
 
     def test_haven_blocks_two_cops(self):
         for d in (a4_digraph(), bicycle(3), bicycle(6)):
-            hav = haven_from_closed_chain(d, self.chain_of(d))
+            hav = self.haven_of(d)
             assert verify_haven(d, hav)
             assert solve_game(d, 2).cops_win is False
 
     def test_open_chain_rejected(self):
-        d = a4_digraph()
+        ch = cycle_hypergraph(a4_digraph())
         with pytest.raises(ValueError):
-            haven_from_closed_chain(d, CycleChain((0, 4, 6), False))
+            haven_from_closed_chain(ch, CycleChain((0, 4, 6), False))
 
     def test_unknown_cycle_rejected(self):
-        d = a4_digraph()
+        ch = cycle_hypergraph(a4_digraph())
         with pytest.raises(ValueError):
-            haven_from_closed_chain(d, CycleChain((0, 4, 99), True))
+            haven_from_closed_chain(ch, CycleChain((0, 4, 99), True))
 
     def test_repeated_cycle_rejected(self):
-        d = directed_cycle_digraph(5)
+        ch = cycle_hypergraph(directed_cycle_digraph(5))
         with pytest.raises(ValueError):
-            haven_from_closed_chain(d, CycleChain((0, 0, 0), True))
+            haven_from_closed_chain(ch, CycleChain((0, 0, 0), True))
 
     def test_verify_rejects_missing_assignment(self):
         d = digon()
