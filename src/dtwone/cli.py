@@ -17,7 +17,6 @@ from .cycles import DEFAULT_CYCLE_CAP, cycle_hypergraph
 from .dtw1 import recognize_dtw1, verify_certificate
 from .errors import CapExceeded, InstanceTooLarge
 from .formats import (
-    ParseError,
     digraph_hash,
     format_certificate,
     format_cycles,
@@ -78,13 +77,6 @@ def _read_file(path: str) -> str:
         _die(str(exc))
 
 
-def _load_digraph(path: str):
-    try:
-        return parse_digraph(_read_file(path))
-    except ParseError as exc:
-        _die(str(exc))
-
-
 def _guarded(fn, *args, **kwargs):
     """Run a library call, mapping its input rejections to exit code 2 and
     any other failure to exit code 3, so a broken invariant never reads as NO.
@@ -99,6 +91,10 @@ def _guarded(fn, *args, **kwargs):
     except Exception as exc:
         click.echo(f"internal error: {type(exc).__name__}: {exc}", err=True)
         sys.exit(3)
+
+
+def _load_digraph(path: str):
+    return _guarded(parse_digraph, _read_file(path))
 
 
 def _note(output_format: str, lines: list, text: str):
@@ -120,10 +116,7 @@ def _report_lines(lines, verdict_key, verdict, report):
 
 
 def _load_decomposition_document(path: str, d):
-    try:
-        kv, records = read_document(_read_file(path))
-    except ParseError as exc:
-        _die(str(exc))
+    kv, records = _guarded(read_document, _read_file(path))
     if "digraph" in kv and kv["digraph"] != digraph_hash(d):
         _die("decomposition was produced for a different digraph")
     return kv, records
@@ -164,16 +157,10 @@ def cmd_verify_cert(digraph_file, certificate_file, cap, seed, output_format):
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     text = _read_file(certificate_file)
-    try:
-        kv, _ = read_document(text)
-    except ParseError as exc:
-        _die(str(exc))
+    kv, _ = _guarded(read_document, text)
     if kv.get("digraph") != digraph_hash(d):
         _die("certificate was issued for a different digraph")
-    try:
-        _, cert = parse_certificate(text, name_to_id)
-    except ParseError as exc:
-        _die(str(exc))
+    _, cert = _guarded(parse_certificate, text, name_to_id)
     report = _guarded(verify_certificate, d, cert)
     lines = header_lines("verify-cert", seed, cap=cap, digraph=d)
     lines.append(f"verdict={cert.verdict}")
@@ -209,10 +196,7 @@ def cmd_cycles(digraph_file, cap, seed, output_format):
 @_run_options
 def cmd_hypergraph(hypergraph_file, cap, seed, output_format):
     """Analyse a standalone hypergraph: acyclicity and hypertree structure."""
-    try:
-        h = parse_hypergraph(_read_file(hypergraph_file))
-    except ParseError as exc:
-        _die(str(exc))
+    h = _guarded(parse_hypergraph, _read_file(hypergraph_file))
     acyclic = _guarded(is_alpha_acyclic, h)
     witness = _guarded(hypertree_witness, h)
     lines = header_lines("hypergraph", seed, cap=cap)
@@ -242,10 +226,7 @@ def cmd_validate_dtd(digraph_file, decomposition_file, cap, seed, output_format)
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     _, records = _load_decomposition_document(decomposition_file, d)
-    try:
-        dec = parse_dtd(records, name_to_id)
-    except ParseError as exc:
-        _die(str(exc))
+    dec = _guarded(parse_dtd, records, name_to_id)
     report = _guarded(decomp.validate_dtd, d, dec)
     lines = header_lines("validate-dtd", seed, cap=cap, digraph=d)
     _report_lines(lines, "kind", "dtd", report)
@@ -262,11 +243,8 @@ def cmd_validate_dbd(digraph_file, decomposition_file, cap, seed, output_format)
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     _, records = _load_decomposition_document(decomposition_file, d)
-    try:
-        dec = parse_dbd(records, name_to_id)
-    except ParseError as exc:
-        _die(str(exc))
-    report = _guarded(decomp.validate_dbd, d, dec, bound=d.n, cap=cap)
+    dec = _guarded(parse_dbd, records, name_to_id)
+    report = _guarded(decomp.validate_dbd, d, dec, cap=cap)
     lines = header_lines("validate-dbd", seed, cap=cap, digraph=d)
     _report_lines(lines, "kind", "dbd", report)
     _emit(lines)
@@ -284,15 +262,9 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, seed,
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     _, records = _load_decomposition_document(decomposition_file, d)
-    try:
-        if target == "hbd":
-            dec = parse_dbd(records, name_to_id)
-        else:
-            dec = parse_dtd(records, name_to_id)
-    except ParseError as exc:
-        _die(str(exc))
+    dec = _guarded(parse_dbd if target == "hbd" else parse_dtd, records, name_to_id)
     if target == "hbd":
-        report = _guarded(decomp.validate_dbd, d, dec, bound=d.n, cap=cap)
+        report = _guarded(decomp.validate_dbd, d, dec, cap=cap)
     else:
         report = _guarded(decomp.validate_dtd, d, dec)
     if not report.valid:
@@ -343,7 +315,7 @@ def cmd_suite(cap, seed, output_format):
     """Run the acceptance criteria; nonzero exit when any of them fail."""
     from .suite import run_all
 
-    results = run_all(seed=seed, cycle_cap=cap)
+    results = _guarded(run_all, seed=seed, cycle_cap=cap)
     lines = header_lines("suite", seed, cap=cap)
     all_pass = True
     for r in results:

@@ -5,11 +5,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
-
 from .digraph import Digraph, all_subsets
 from .errors import CapExceeded
-from .hypergraph import Hypergraph
+from .hypergraph import Hypergraph, _vertex_components, line_graph
 
 DEFAULT_CYCLE_CAP = 100_000
 
@@ -50,6 +48,8 @@ def enumerate_cycles(d: Digraph, cap: int = DEFAULT_CYCLE_CAP):
 
     Raises CapExceeded as soon as more than `cap` cycles have been seen.
     """
+    import networkx as nx
+
     assert cap >= 1, "cap must be positive"
     g = nx.DiGraph()
     g.add_nodes_from(range(d.n))
@@ -108,22 +108,20 @@ def cut(ch: CycleHypergraph, x) -> frozenset:
     )
 
 
-def min_hitting_set(ch: CycleHypergraph, targets, bound: int):
-    """A minimum-cardinality vertex set meeting every target hyperedge, or
-    None if none of size at most `bound` exists.
+def min_hitting_set(ch: CycleHypergraph, targets) -> frozenset:
+    """A minimum-cardinality vertex set meeting every target hyperedge.
 
     Search is exhaustive by increasing size, lexicographic within a size, so
     the result is deterministic.
     """
-    assert bound >= 0
     sets = [ch.hyperedges[i] for i in sorted(targets)]
     if not sets:
         return frozenset()
     useful = sorted(set().union(*sets))
-    for s in all_subsets(useful, min(bound, len(useful))):
+    for s in all_subsets(useful, len(useful)):
         if all(e & s for e in sets):
             return frozenset(s)
-    return None
+    raise AssertionError("the union of the targets hits every target")
 
 
 def is_chain(ch: CycleHypergraph, seq) -> bool:
@@ -227,16 +225,5 @@ def strongly_connected_via_chains(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> b
     ch = cycle_hypergraph(d, cap)
     if len(ch.vertices) != d.n:
         return False
-    es = ch.hyperedges
-    m = len(es)
-    if m == 0:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        i = stack.pop()
-        for j in range(m):
-            if j not in seen and es[i] & es[j]:
-                seen.add(j)
-                stack.append(j)
-    return len(seen) == m
+    lines = line_graph(ch.as_hypergraph())
+    return len(_vertex_components(lines.adjacency, lines.vertices)) == 1

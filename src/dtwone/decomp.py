@@ -5,10 +5,19 @@ decompositions and decompositions of the dual cycle hypergraph."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cycles import DEFAULT_CYCLE_CAP, cut, cycle_hypergraph, min_hitting_set
-from .digraph import Digraph, all_subsets
-from .hypergraph import Hypergraph, HypertreeDecomposition, dual
+from .digraph import Digraph
+from .hypergraph import (
+    Hypergraph,
+    HypertreeDecomposition,
+    _bfs_arcs,
+    _tree_sides,
+    _vertex_components,
+    dual,
+    min_cover,
+)
 
 
 @dataclass(frozen=True)
@@ -57,16 +66,7 @@ class DirectedTreeDecomposition:
         return tuple(c for (p, c) in self.arcs if p == t)
 
     def subtree_nodes(self, t):
-        out = [t]
-        seen = {t}
-        i = 0
-        while i < len(out):
-            for c in self.children(out[i]):
-                if c not in seen:
-                    seen.add(c)
-                    out.append(c)
-            i += 1
-        return tuple(out)
+        return tuple(_bfs_arcs(t, self.children)[0])
 
     def subtree_vertices(self, t):
         return frozenset().union(*(self.bags[s] for s in self.subtree_nodes(t)))
@@ -174,22 +174,15 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
     return Report(True, dec.width(), ())
 
 
-def _side_nodes(edges, e, endpoint):
-    """The nodes of the component of tree − e containing the given endpoint;
-    `edges` are the tree's edges with sorted ends."""
-    assert endpoint in e
-    removed = tuple(sorted(e))
-    seen = {endpoint}
-    stack = [endpoint]
-    while stack:
-        u = stack.pop()
-        for f in edges:
-            if f != removed and u in f:
-                w = f[0] if f[1] == u else f[1]
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-    return seen
+def _leaf_sides(nodes, edges, leaf_label):
+    """Per (tree edge, endpoint), the labels of the leaves in the component
+    of tree − edge containing that endpoint; `edges` have sorted ends."""
+    every = frozenset(nodes)
+    sides = {}
+    for e, near in _tree_sides(edges).items():
+        for end, part in ((e[0], near), (e[1], every - near)):
+            sides[e, end] = frozenset(leaf_label[t] for t in part if t in leaf_label)
+    return sides
 
 
 @dataclass(frozen=True)
@@ -219,14 +212,15 @@ class DirectedBranchDecomposition:
     def leaves(self):
         return tuple(t for t in self.nodes if self.degree(t) <= 1)
 
+    @cached_property
+    def _sides(self):
+        return _leaf_sides(self.nodes, self.edges, self.leaf_vertex)
+
     def side_vertices(self, e, endpoint):
         """The digraph vertices at the leaves of the component of
         tree − e containing the given endpoint."""
-        return frozenset(
-            self.leaf_vertex[t]
-            for t in _side_nodes(self.edges, e, endpoint)
-            if t in self.leaf_vertex
-        )
+        assert endpoint in e
+        return self._sides[tuple(sorted(e)), endpoint]
 
     def width(self):
         return max((len(s) for s in self.hitting_sets.values()), default=0)
@@ -253,16 +247,7 @@ def _tree_report(nodes, edges, max_degree=3):
     for (u, v) in edges:
         adj[u].append(v)
         adj[v].append(u)
-    start = nodes[0]
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != len(nodes):
+    if len(_vertex_components(adj, nodes)) != 1:
         violations.append("the edges do not connect all nodes")
     for t in nodes:
         if len(adj[t]) > max_degree:
@@ -273,14 +258,12 @@ def _tree_report(nodes, edges, max_degree=3):
 def validate_dbd(
     d: Digraph,
     dec: DirectedBranchDecomposition,
-    bound: int,
     cap: int = DEFAULT_CYCLE_CAP,
 ) -> Report:
     """Check a directed branch decomposition and recompute every edge's
     thickness: the least size of a set hitting all directed cycles with
     vertices on both sides of the edge.  The cached witnesses must hit their
-    crossing cycles and be of minimum size; `bound` caps the hitting-set
-    search."""
+    crossing cycles and be of minimum size."""
     violations = _tree_report(dec.nodes, dec.edges)
     if violations:
         return Report(False, None, tuple(violations))
@@ -299,12 +282,7 @@ def validate_dbd(
     for e in dec.edges:
         side = dec.side_vertices(e, e[0])
         targets = cut(ch, side)
-        best = min_hitting_set(ch, targets, bound)
-        if best is None:
-            violations.append(
-                f"no hitting set of size at most {bound} for edge {e!r}"
-            )
-            continue
+        best = min_hitting_set(ch, targets)
         cached = dec.hitting_sets[e]
         if not all(ch.hyperedges[i] & cached for i in targets):
             violations.append(f"cached set of edge {e!r} misses a crossing cycle")
@@ -344,14 +322,15 @@ class HyperbranchDecomposition:
     def leaves(self):
         return tuple(t for t in self.nodes if self.degree(t) <= 1)
 
+    @cached_property
+    def _sides(self):
+        return _leaf_sides(self.nodes, self.edges, self.leaf_edge)
+
     def side_edge_indices(self, e, endpoint):
         """The hyperedge indices at the leaves of the component of tree − e
         containing the given endpoint."""
-        return frozenset(
-            self.leaf_edge[t]
-            for t in _side_nodes(self.edges, e, endpoint)
-            if t in self.leaf_edge
-        )
+        assert endpoint in e
+        return self._sides[tuple(sorted(e)), endpoint]
 
     def boundary(self, e):
         """Ground vertices covered by hyperedges on both sides of a tree
@@ -396,14 +375,7 @@ def validate_hbd(h: Hypergraph, dec: HyperbranchDecomposition) -> Report:
     width = 0
     for e in dec.edges:
         boundary = dec.boundary(e)
-        best = None
-        for s in all_subsets(range(m), m):
-            covered = (
-                frozenset().union(*(h.edges[i] for i in s)) if s else frozenset()
-            )
-            if boundary <= covered:
-                best = s
-                break
+        best = min_cover(h, boundary)
         cached = dec.cover_sets[e]
         got = (
             frozenset().union(*(h.edges[i] for i in cached))
@@ -449,15 +421,7 @@ def _validate_hyper_decomposition(h, dec, descendant):
     for (p, c) in dec.arcs:
         adj[p].append(c)
         adj[c].append(p)
-    seen = {nodes[0]}
-    stack = [nodes[0]]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    if len(seen) != len(nodes):
+    if len(_vertex_components(adj, nodes)) != 1:
         violations.append("the arcs do not connect all nodes")
         return Report(False, None, tuple(violations))
     if descendant:
@@ -498,19 +462,7 @@ def _validate_hyper_decomposition(h, dec, descendant):
                         f"no bag contains both {u!r} and {v!r} of a common edge"
                     )
     for v in h.vertices:
-        hold = set(holders[v])
-        if not hold:
-            continue
-        start = holders[v][0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in hold and w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != hold:
+        if len(_vertex_components(adj, holders[v])) > 1:
             violations.append(f"the bags containing {v!r} are not connected")
     for t in nodes:
         covered = frozenset().union(
@@ -522,20 +474,12 @@ def _validate_hyper_decomposition(h, dec, descendant):
         children = {t: [] for t in nodes}
         for (p, c) in dec.arcs:
             children[p].append(c)
-
-        def below(t):
-            out = [t]
-            i = 0
-            while i < len(out):
-                out.extend(children[out[i]])
-                i += 1
-            return out
-
         for t in nodes:
             covered = frozenset().union(
                 *(h.edges[i] for i in dec.guards[t])
             ) if dec.guards[t] else frozenset()
-            inside = frozenset().union(*(dec.bags[s] for s in below(t)))
+            below, _ = _bfs_arcs(t, children.__getitem__)
+            inside = frozenset().union(*(dec.bags[s] for s in below))
             if not covered & inside <= dec.bags[t]:
                 violations.append(
                     f"guard of node {t!r} reaches below the node past its bag"
@@ -643,10 +587,8 @@ def dtd_to_leaf_dtd(
 
     # prune childless empty nodes and empty single-child roots
     children = {}
-    parent_of = {}
     for (p, c) in arcs:
         children.setdefault(p, []).append(c)
-        parent_of[c] = p
     alive = set(bags)
     root_token = ("node", root)
     changed = True
@@ -663,25 +605,15 @@ def dtd_to_leaf_dtd(
             root_token = live_kids[0]
             changed = True
 
-    order = [root_token]
-    i = 0
-    while i < len(order):
-        for c in children.get(order[i], ()):
-            if c in alive:
-                order.append(c)
-        i += 1
+    order, kept = _bfs_arcs(
+        root_token, lambda t: [c for c in children.get(t, ()) if c in alive]
+    )
     rename = {t: i for i, t in enumerate(order)}
     out = DirectedTreeDecomposition(
         nodes=tuple(range(len(order))),
-        arcs=tuple(
-            (rename[parent_of[t]], rename[t]) for t in order if t != root_token
-        ),
+        arcs=tuple((rename[p], rename[c]) for (p, c) in kept),
         bags={rename[t]: bags[t] for t in order},
-        guards={
-            (rename[parent_of[t]], rename[t]): guards[(parent_of[t], t)]
-            for t in order
-            if t != root_token
-        },
+        guards={(rename[p], rename[c]): guards[(p, c)] for (p, c) in kept},
     )
     check = validate_dtd(d, out)
     assert check.valid, f"leaf construction went invalid: {check.violations}"
@@ -719,9 +651,7 @@ def dtd_to_dbd(
     hitting = {}
     for e in edges:
         targets = cut(ch, dec_out.side_vertices(e, e[0]))
-        best = min_hitting_set(ch, targets, d.n)
-        assert best is not None, "the full vertex set hits everything"
-        hitting[e] = best
+        hitting[e] = min_hitting_set(ch, targets)
     return DirectedBranchDecomposition(
         nodes=leaf.nodes,
         edges=edges,
@@ -762,7 +692,7 @@ def dbd_to_hbd(
         )
         assert boundary <= covered, "hitting set fails to cover its boundary"
         targets = cut(ch, dec.side_vertices(e, e[0]))
-        best = min_hitting_set(ch, targets, d.n)
+        best = min_hitting_set(ch, targets)
         assert len(best) == len(cached), "widths must agree edge for edge"
     return out
 

@@ -272,7 +272,7 @@ def cut_vertex_shores(d, v):
     return list(zip(comps, shores))
 
 
-def tight_separations(d, non_trivial_only=True):
+def tight_separations(d):
     """All tight separations of a strongly connected digraph arising from single
     cut vertices.
 
@@ -282,14 +282,14 @@ def tight_separations(d, non_trivial_only=True):
     X+v with separator {v}.  Results are deduplicated by unordered shore pair,
     stored in the valid orientation (edges crossing from the first shore to the
     second; lexicographically smaller first shore when both orientations are
-    valid) and sorted.  With non_trivial_only both shores must have >= 2
-    vertices, which here just excludes the Y = empty case.
+    valid) and sorted.  Both shores must have >= 2 vertices, which here just
+    excludes the Y = empty case.
     """
     found = {}
     for v in range(d.n):
         for _, x in cut_vertex_shores(d, v):
             y = frozenset(u for u in range(d.n) if u != v) - x
-            if not y and non_trivial_only:
+            if not y:
                 continue
             p = y | {v}
             q = x | {v}

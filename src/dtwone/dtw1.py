@@ -31,7 +31,7 @@ from .digraph import (
     tight_separations,
 )
 from .games import Haven, haven_from_closed_chain, verify_haven
-from .hypergraph import JoinTreeWitness, hypertree_witness
+from .hypergraph import JoinTreeWitness, _bfs_arcs, hypertree_witness
 
 
 # ---------------------------------------------------------------------------
@@ -507,16 +507,23 @@ class SDecomposition:
         return sum(1 for e in self.edges if t in e)
 
 
-class _PieceState:
-    def __init__(self, territory, attachments):
-        self.territory = frozenset(territory)
-        self.attachments = list(attachments)  # (cut, far shore, far is an A-shore)
+def _attachments(tree_edges, p) -> list:
+    """The far shores of piece p as (cut vertex, far shore, far is an
+    A-shore), one per tree edge (A-side piece, B-side piece, separation) at
+    p, sorted by cut vertex and far shore."""
+    out = []
+    for (ai, bi, sep) in tree_edges:
+        if ai == p:
+            out.append((sep.cut_vertex, sep.shoreB, False))
+        elif bi == p:
+            out.append((sep.cut_vertex, sep.shoreA, True))
+    return sorted(out, key=lambda t: (t[0], tuple(sorted(t[1]))))
 
 
-def _collapse_piece(d: Digraph, piece: _PieceState) -> tuple[Digraph, tuple]:
-    label_of = {v: v for v in piece.territory}
-    for (cut, far, _) in piece.attachments:
-        assert far & piece.territory == {cut}, "far shore must meet the piece in its cut"
+def _collapse_piece(d: Digraph, territory, attachments) -> tuple[Digraph, tuple]:
+    label_of = {v: v for v in territory}
+    for (cut, far, _) in attachments:
+        assert far & territory == {cut}, "far shore must meet the piece in its cut"
         for u in far - {cut}:
             assert label_of.get(u, cut) == cut, "far shores overlap beyond their cuts"
             label_of[u] = cut
@@ -524,7 +531,7 @@ def _collapse_piece(d: Digraph, piece: _PieceState) -> tuple[Digraph, tuple]:
     return quotient(d, label_of)
 
 
-def _lift_separation(d, piece, local_sep, labels) -> TightSeparation:
+def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
     """Expand a separation of the collapsed piece back to the whole digraph.
 
     Collapsed far shores re-enter on the side their cut vertex lies on; a cut
@@ -532,7 +539,7 @@ def _lift_separation(d, piece, local_sep, labels) -> TightSeparation:
     role in its own separation, which keeps the family laminar.
     """
     blob = {}
-    for (cut, far, far_is_a) in piece.attachments:
+    for (cut, far, far_is_a) in attachments:
         blob.setdefault(cut, []).append((far - {cut}, far_is_a))
     shore_a = set()
     shore_b = set()
@@ -560,13 +567,13 @@ def _lift_separation(d, piece, local_sep, labels) -> TightSeparation:
     return lifted
 
 
-def _least_candidate(d: Digraph, piece: _PieceState):
+def _least_candidate(d: Digraph, territory, attachments):
     """The piece's lexicographically least lifted separation as (sort key,
     separation), the first of equals; None when the piece has none."""
-    collapsed, labels = _collapse_piece(d, piece)
+    collapsed, labels = _collapse_piece(d, territory, attachments)
     best = None
     for local in tight_separations(collapsed):
-        lifted = _lift_separation(d, piece, local, labels)
+        lifted = _lift_separation(d, attachments, local, labels)
         key = lifted.sort_key()
         if best is None or key < best[0]:
             best = (key, lifted)
@@ -586,8 +593,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     if not is_strongly_connected(d):
         raise ValueError("need a strongly connected digraph")
 
-    pieces = [_PieceState(range(d.n), [])]
-    candidates = [_least_candidate(d, pieces[0])]  # per piece, by index
+    pieces = [frozenset(range(d.n))]  # the territory of each piece, by index
+    candidates = [_least_candidate(d, pieces[0], [])]
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
 
     while True:
@@ -599,27 +606,9 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             break
         _, pi, sep = best
         old = pieces[pi]
-        v = sep.cut_vertex
-        side_a = _PieceState(old.territory & sep.shoreA, [])
-        side_b = _PieceState(old.territory & sep.shoreB, [])
-        for (cut, far, far_is_a) in old.attachments:
-            inner = far - {cut}
-            if not inner - (sep.shoreA - sep.shoreB):
-                side_a.attachments.append((cut, far, far_is_a))
-            else:
-                assert not inner - (sep.shoreB - sep.shoreA), (
-                    "an old far shore straddles the new separation"
-                )
-                side_b.attachments.append((cut, far, far_is_a))
-        side_a.attachments.append((v, sep.shoreB, False))
-        side_b.attachments.append((v, sep.shoreA, True))
-        for piece_state in (side_a, side_b):
-            piece_state.attachments.sort(key=lambda t: (t[0], tuple(sorted(t[1]))))
-        pieces[pi] = side_a
-        candidates[pi] = _least_candidate(d, side_a)
+        pieces[pi] = old & sep.shoreA
         new_index = len(pieces)
-        pieces.append(side_b)
-        candidates.append(_least_candidate(d, side_b))
+        pieces.append(old & sep.shoreB)
         rewired = []
         for (ai, bi, s) in tree_edges:
             if pi in (ai, bi):
@@ -639,8 +628,12 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             rewired.append((ai, bi, s))
         tree_edges = rewired
         tree_edges.append((pi, new_index, sep))
+        candidates[pi] = _least_candidate(d, pieces[pi], _attachments(tree_edges, pi))
+        candidates.append(
+            _least_candidate(d, pieces[new_index], _attachments(tree_edges, new_index))
+        )
 
-    order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i].territory)))
+    order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i])))
     rank = {old: new for new, old in enumerate(order)}
     nodes = tuple(range(len(pieces)))
     edges = []
@@ -656,10 +649,12 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     territories = {}
     piece_digraphs = {}
     piece_labels = {}
-    for old_index, piece in enumerate(pieces):
+    for old_index, territory in enumerate(pieces):
         t = rank[old_index]
-        territories[t] = piece.territory
-        collapsed, labels = _collapse_piece(d, piece)
+        territories[t] = territory
+        collapsed, labels = _collapse_piece(
+            d, territory, _attachments(tree_edges, old_index)
+        )
         assert is_strongly_2_connected(collapsed), (
             "a finished piece must be strongly 2-connected"
         )
@@ -715,25 +710,16 @@ def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomp
         adj[b].append(a)
     for t in adj:
         adj[t].sort(key=lambda u: tuple(sorted(sdec.territories[u])))
-    arcs = []
-    guards = {}
+    order, arcs = _bfs_arcs(root, adj.__getitem__)
     bags = {}
     placed = set()
-    order = [root]
-    seen = {root}
-    head = 0
-    while head < len(order):
-        t = order[head]
-        head += 1
+    for t in order:
         bags[t] = frozenset(sdec.territories[t]) - frozenset(placed)
         placed |= sdec.territories[t]
-        for u in adj[t]:
-            if u not in seen:
-                seen.add(u)
-                e = tuple(sorted((t, u)))
-                arcs.append((t, u))
-                guards[(t, u)] = frozenset({sdec.separations[e].cut_vertex})
-                order.append(u)
+    guards = {
+        (t, u): frozenset({sdec.separations[tuple(sorted((t, u)))].cut_vertex})
+        for (t, u) in arcs
+    }
     dec = DirectedTreeDecomposition(
         nodes=tuple(order),
         arcs=tuple(arcs),
@@ -922,18 +908,7 @@ def hypertree_route(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> HypertreeRoute:
         return HypertreeRoute(True, witness, dec)
     degree = {v: len(witness.tree.neighbours(v)) for v in vs}
     root = min(v for v in vs if degree[v] <= 1)
-    arcs = []
-    order = [root]
-    seen = {root}
-    head = 0
-    while head < len(order):
-        t = order[head]
-        head += 1
-        for u in sorted(witness.tree.neighbours(t)):
-            if u not in seen:
-                seen.add(u)
-                arcs.append((t, u))
-                order.append(u)
+    order, arcs = _bfs_arcs(root, witness.tree.neighbours)
     dec = DirectedTreeDecomposition(
         nodes=tuple(order),
         arcs=tuple(arcs),

@@ -17,6 +17,7 @@ from typing import Optional
 from .cycles import CycleChain, CycleHypergraph, cut, cycle_hypergraph, min_hitting_set
 from .digraph import Digraph, all_subsets, is_strongly_connected, strong_components
 from .errors import InstanceTooLarge
+from .hypergraph import _bfs_arcs, _vertex_components, two_section
 
 GAME_SIZE_LIMIT = 20_000_000
 
@@ -206,7 +207,7 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
 
     if not is_strongly_connected(d):
         raise ValueError("the tree-walking strategy needs a strongly connected digraph")
-    report = validate_dbd(d, dec, bound=d.n)
+    report = validate_dbd(d, dec)
     if not report.valid:
         raise ValueError("invalid branch decomposition: " + "; ".join(report.violations))
 
@@ -217,10 +218,7 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
     ch = cycle_hypergraph(d)
     hits = {}
     for e in dec.edges:
-        targets = cut(ch, dec.side_vertices(e, e[0]))
-        best = min_hitting_set(ch, targets, d.n)
-        assert best is not None
-        hits[e] = best
+        hits[e] = min_hitting_set(ch, cut(ch, dec.side_vertices(e, e[0])))
     k = max(len(s) for s in hits.values())
     budget = max(3 * k, 1)
 
@@ -251,13 +249,8 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
     assert len(x0) <= budget, "opening cop set over budget"
 
     depth = {ell: 0}
-    frontier = [ell]
-    while frontier:
-        t = frontier.pop()
-        for u in adj[t]:
-            if u not in depth:
-                depth[u] = depth[t] + 1
-                frontier.append(u)
+    for t, u in _bfs_arcs(ell, adj.__getitem__)[1]:
+        depth[u] = depth[t] + 1
 
     # The walk state is (cop set, robber component, tree cursor).  One game
     # position can occur at several cursors with different prescribed moves;
@@ -402,24 +395,7 @@ def is_k_linked(d: Digraph, w, k: int) -> bool:
 def hyper_components(h, removed) -> tuple[frozenset, ...]:
     """Connected components of the hypergraph after deleting the removed vertices."""
     alive = [v for v in h.vertices if v not in removed]
-    parent = {v: v for v in alive}
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for e in h.edges:
-        live = sorted(v for v in e if v not in removed)
-        for a, b in zip(live, live[1:]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[rb] = ra
-    groups: dict = {}
-    for v in alive:
-        groups.setdefault(find(v), set()).add(v)
-    return tuple(sorted((frozenset(g) for g in groups.values()), key=min))
+    return tuple(_vertex_components(two_section(h).adjacency, alive))
 
 
 def is_k_hyperlinked(h, w, k: int) -> bool:

@@ -73,7 +73,8 @@ class UGraph:
             assert e <= vs, f"edge {sorted(e)} uses undeclared vertices"
 
     @cached_property
-    def _adj(self):
+    def adjacency(self):
+        """The sorted neighbours of every vertex."""
         adj = {v: set() for v in self.vertices}
         for e in self.edges:
             u, v = sorted(e)
@@ -82,7 +83,7 @@ class UGraph:
         return {v: tuple(sorted(ns)) for v, ns in adj.items()}
 
     def neighbours(self, v):
-        return self._adj[v]
+        return self.adjacency[v]
 
     def has_edge(self, u, v):
         return frozenset((u, v)) in self.edges
@@ -246,20 +247,60 @@ class JoinTreeWitness:
     subtrees: tuple
 
 
-def _connected_in(g, subset):
-    subset = set(subset)
-    if len(subset) <= 1:
-        return True
-    start = min(subset)
-    seen = {start}
-    stack = [start]
-    while stack:
-        u = stack.pop()
-        for w in g.neighbours(u):
-            if w in subset and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen == subset
+def _vertex_components(adj, rest):
+    """Connected pieces of `rest` under the adjacency map, sorted by minimum."""
+    rest = set(rest)
+    pieces = []
+    while rest:
+        start = min(rest)
+        comp = {start}
+        stack = [start]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w in rest and w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        pieces.append(frozenset(comp))
+        rest -= comp
+    return sorted(pieces, key=min)
+
+
+def _bfs_arcs(root, neighbours):
+    """A breadth-first walk from root that enters each node's unseen
+    neighbours in the order `neighbours(node)` lists them.  Returns the
+    visiting order and the (parent, child) arcs of the walk's tree."""
+    order = [root]
+    seen = {root}
+    arcs = []
+    for t in order:  # the list grows while it is walked
+        for u in neighbours(t):
+            if u not in seen:
+                seen.add(u)
+                arcs.append((t, u))
+                order.append(u)
+    return order, arcs
+
+
+def _spanning_tree(nodes, ranked):
+    """Kruskal's spanning forest on the nodes: the (key, a, b) candidates are
+    taken in ascending order, and a pair joins the forest when its ends lie
+    in different trees."""
+    parent = {v: v for v in nodes}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    edges = set()
+    for _, a, b in sorted(ranked):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+            edges.add(frozenset((a, b)))
+    return UGraph(tuple(nodes), frozenset(edges))
 
 
 def hypertree_witness(h):
@@ -274,27 +315,15 @@ def hypertree_witness(h):
     vs = sorted(h.vertices)
     if not vs:
         return JoinTreeWitness(UGraph((), frozenset()), tuple(h.edges))
-    ranked = sorted(
-        (-sum(1 for e in h.edges if u in e and v in e), u, v)
-        for u, v in itertools.combinations(vs, 2)
+    tree = _spanning_tree(
+        vs,
+        (
+            (-sum(1 for e in h.edges if u in e and v in e), u, v)
+            for u, v in itertools.combinations(vs, 2)
+        ),
     )
-    parent = {v: v for v in vs}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    tree_edges = set()
-    for _, u, v in ranked:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-            tree_edges.add(frozenset((u, v)))
-    tree = UGraph(tuple(vs), frozenset(tree_edges))
     for e in h.edges:
-        if not _connected_in(tree, e):
+        if len(_vertex_components(tree.adjacency, e)) > 1:
             return None
     return JoinTreeWitness(tree, tuple(h.edges))
 
@@ -323,68 +352,25 @@ def _width_one_decomposition(h):
     """A hypertree decomposition of width 1 for an acyclic hypergraph: a join
     tree over the hyperedge indices, each node guarded by its own edge."""
     m = len(h.edges)
-    ranked = sorted(
-        (-len(h.edges[i] & h.edges[j]), i, j)
-        for i, j in itertools.combinations(range(m), 2)
-    )
-    parent = list(range(m))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    adj = {i: set() for i in range(m)}
-    for _, i, j in ranked:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            adj[i].add(j)
-            adj[j].add(i)
-    holders = UGraph(
-        tuple(range(m)),
-        frozenset(frozenset((i, j)) for i in range(m) for j in adj[i]),
+    holders = _spanning_tree(
+        range(m),
+        (
+            (-len(h.edges[i] & h.edges[j]), i, j)
+            for i, j in itertools.combinations(range(m), 2)
+        ),
     )
     for v in h.vertices:
-        assert _connected_in(
-            holders, {i for i in range(m) if v in h.edges[i]}
-        ), "maximum-weight tree failed to connect an edge's holders"
-    arcs = []
-    seen = {0}
-    queue = [0]
-    while queue:
-        t = queue.pop(0)
-        for c in sorted(adj[t]):
-            if c not in seen:
-                seen.add(c)
-                arcs.append((t, c))
-                queue.append(c)
+        holding = {i for i in range(m) if v in h.edges[i]}
+        assert len(_vertex_components(holders.adjacency, holding)) <= 1, (
+            "maximum-weight tree failed to connect an edge's holders"
+        )
+    _, arcs = _bfs_arcs(0, holders.neighbours)
     return HypertreeDecomposition(
         nodes=tuple(range(m)),
         arcs=tuple(arcs),
         bags={i: h.edges[i] for i in range(m)},
         guards={i: frozenset((i,)) for i in range(m)},
     )
-
-
-def _vertex_components(adj, rest):
-    """Connected pieces of `rest` under the adjacency map, sorted by minimum."""
-    rest = set(rest)
-    pieces = []
-    while rest:
-        start = min(rest)
-        comp = {start}
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w in rest and w not in comp:
-                    comp.add(w)
-                    stack.append(w)
-        pieces.append(frozenset(comp))
-        rest -= comp
-    return sorted(pieces, key=min)
 
 
 def _bounded_width_decomposition(h, k):
@@ -395,8 +381,7 @@ def _bounded_width_decomposition(h, k):
     covered and the bag vertices of the parent it attaches to.  Guards are
     tried by increasing size, then lexicographically.
     """
-    sec = two_section(h)
-    adj = {v: set(sec.neighbours(v)) for v in h.vertices}
+    adj = two_section(h).adjacency
     m = len(h.edges)
     candidates = [g for g in all_subsets(range(m), k) if g]
     memo = {}
@@ -544,6 +529,15 @@ def _tree_sides(edges):
     return sides
 
 
+def min_cover(h, boundary):
+    """The first of the smallest sets of hyperedge indices whose union covers
+    `boundary`, in the order `all_subsets` lists them."""
+    for s in all_subsets(range(len(h.edges)), len(h.edges)):
+        if boundary <= frozenset().union(*(h.edges[i] for i in s)):
+            return s
+    raise AssertionError("the full edge set always covers")
+
+
 def exact_hbw(h, k_max):
     """Minimum hyperbranch width with an optimal decomposition, as a pair
     (width, decomposition); None if the width exceeds k_max.
@@ -571,15 +565,6 @@ def exact_hbw(h, k_max):
     all_indices = frozenset(range(m))
     cover_memo = {}
 
-    def min_cover(boundary):
-        if boundary in cover_memo:
-            return cover_memo[boundary]
-        for s in all_subsets(range(m), m):
-            if boundary <= frozenset().union(*(h.edges[i] for i in s)):
-                cover_memo[boundary] = s
-                return s
-        raise AssertionError("the full edge set always covers")
-
     best = None
     for edges in leaf_labeled_subcubic_trees(m):
         sides = _tree_sides(edges)
@@ -591,7 +576,9 @@ def exact_hbw(h, k_max):
             boundary = frozenset().union(
                 *(h.edges[i] for i in side)
             ) & frozenset().union(*(h.edges[i] for i in other))
-            cover = min_cover(boundary)
+            if boundary not in cover_memo:
+                cover_memo[boundary] = min_cover(h, boundary)
+            cover = cover_memo[boundary]
             covers[e] = cover
             width = max(width, len(cover))
         if best is None or width < best[0]:

@@ -234,9 +234,7 @@ def exhaustive_optimal_dbd(d, ch) -> DirectedBranchDecomposition:
 
     def hitting(side):
         if side not in memo:
-            best = min_hitting_set(ch, cut(ch, side), n)
-            assert best is not None, "the full vertex set hits everything"
-            memo[side] = best
+            memo[side] = min_hitting_set(ch, cut(ch, side))
         return memo[side]
 
     best = None
@@ -388,7 +386,7 @@ def criterion_5(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
             continue
         try:
             dbd = dtd_to_dbd(d, cert.decomposition, cycle_cap)
-            report = validate_dbd(d, dbd, bound=d.n, cap=cycle_cap)
+            report = validate_dbd(d, dbd, cap=cycle_cap)
         except (CapExceeded, InstanceTooLarge):
             tally.skip()
             continue

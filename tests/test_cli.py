@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from click.testing import CliRunner
 
+import dtwone
 from dtwone.cli import main
 from dtwone.suite import CriterionResult
 
@@ -304,6 +310,17 @@ class TestSuiteCommand:
         assert "criterion 1 status=pass checked=5 skipped=1 time=0.1" in res.output
         assert "suite=pass" in res.output
 
+    def test_internal_error_exit_three(self, runner, monkeypatch):
+        import dtwone.suite as suite
+
+        def broken(seed, cycle_cap):
+            raise AssertionError("broken invariant")
+
+        monkeypatch.setattr(suite, "run_all", broken)
+        res = runner.invoke(main, ["suite"])
+        assert res.exit_code == 3
+        assert "internal error: AssertionError: broken invariant" in res.output
+
     def test_failure_lines_and_exit(self, runner, monkeypatch):
         import dtwone.suite as suite
 
@@ -313,3 +330,34 @@ class TestSuiteCommand:
         assert "criterion 2 status=fail" in res.output
         assert "failure=boom" in res.output
         assert "suite=fail" in res.output
+
+
+LAUNCH = """
+import sys
+from click.testing import CliRunner
+from dtwone.cli import main
+
+graph, cert = sys.argv[1:]
+runner = CliRunner()
+res = runner.invoke(main, ["recognize", graph])
+assert res.exit_code == 0, res.output
+with open(cert, "w") as fh:
+    fh.write(res.output)
+res = runner.invoke(main, ["verify-cert", graph, cert])
+assert res.exit_code == 0, res.output
+print("networkx" in sys.modules)
+"""
+
+
+def test_yes_answers_never_load_networkx(digon_file, tmp_path):
+    """networkx only enumerates cycles, so a launch that recognises and
+    verifies a YES digraph does not pay for importing it."""
+    src = str(Path(dtwone.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+    out = subprocess.run(
+        [sys.executable, "-c", LAUNCH, digon_file, str(tmp_path / "cert")],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert out.stdout == "False\n"

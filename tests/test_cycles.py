@@ -167,20 +167,16 @@ class TestCut:
 class TestMinHittingSet:
     def test_bidirected_triangle_needs_two(self):
         ch = cycle_hypergraph(bicycle(3))
-        assert min_hitting_set(ch, range(5), bound=3) == frozenset({0, 1})
-
-    def test_bound_respected(self):
-        ch = cycle_hypergraph(bicycle(3))
-        assert min_hitting_set(ch, range(5), bound=1) is None
+        assert min_hitting_set(ch, range(5)) == frozenset({0, 1})
 
     def test_empty_targets(self):
         ch = cycle_hypergraph(bicycle(3))
-        assert min_hitting_set(ch, [], bound=0) == frozenset()
+        assert min_hitting_set(ch, []) == frozenset()
 
     def test_single_target_lexicographic_minimum(self):
         ch = cycle_hypergraph(bicycle(3))
         # hyperedge 4 is {1, 2}; the smallest singleton hitting it is {1}
-        assert min_hitting_set(ch, [4], bound=2) == frozenset({1})
+        assert min_hitting_set(ch, [4]) == frozenset({1})
 
     def test_matches_brute_force(self):
         rng = random.Random(14)
@@ -191,7 +187,7 @@ class TestMinHittingSet:
             if m == 0:
                 continue
             targets = [i for i in range(m) if rng.random() < 0.7]
-            got = min_hitting_set(ch, targets, bound=d.n)
+            got = min_hitting_set(ch, targets)
             sets = [ch.hyperedges[i] for i in targets]
             best = None
             for size in range(d.n + 1):

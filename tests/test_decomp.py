@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from dtwone.cycles import cut, cycle_hypergraph, min_hitting_set
+from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import (
     DirectedBranchDecomposition,
     DirectedTreeDecomposition,
@@ -177,33 +177,27 @@ def star_dbd(n, hits):
 
 class TestValidateDbd:
     def test_digon_two_leaves(self):
-        report = validate_dbd(digon(), two_leaf_dbd({0}), bound=2)
+        report = validate_dbd(digon(), two_leaf_dbd({0}))
         assert report.valid and report.width == 1
 
     def test_triangle_star(self):
-        report = validate_dbd(
-            directed_cycle_digraph(3), star_dbd(3, [{0}, {0}, {0}]), bound=2
-        )
+        report = validate_dbd(directed_cycle_digraph(3), star_dbd(3, [{0}, {0}, {0}]))
         assert report.valid and report.width == 1
 
     def test_bidirected_triangle_star(self):
         # every crossing cycle contains the separated vertex, so singletons do
-        report = validate_dbd(bicycle(3), star_dbd(3, [{0}, {1}, {2}]), bound=3)
+        report = validate_dbd(bicycle(3), star_dbd(3, [{0}, {1}, {2}]))
         assert report.valid and report.width == 1
 
     def test_cached_set_missing_a_cycle(self):
-        report = validate_dbd(digon(), two_leaf_dbd(set()), bound=2)
+        report = validate_dbd(digon(), two_leaf_dbd(set()))
         assert not report.valid
         assert any("misses a crossing cycle" in v for v in report.violations)
 
     def test_cached_set_not_minimum(self):
-        report = validate_dbd(digon(), two_leaf_dbd({0, 1}), bound=2)
+        report = validate_dbd(digon(), two_leaf_dbd({0, 1}))
         assert not report.valid
         assert any("not minimum" in v for v in report.violations)
-
-    def test_bound_too_small(self):
-        report = validate_dbd(digon(), two_leaf_dbd({0}), bound=0)
-        assert not report.valid
 
     def test_leaf_map_must_be_bijective(self):
         dec = DirectedBranchDecomposition(
@@ -212,12 +206,23 @@ class TestValidateDbd:
             leaf_vertex={0: 0, 1: 0},
             hitting_sets={(0, 1): frozenset({0})},
         )
-        assert not validate_dbd(digon(), dec, bound=2).valid
+        assert not validate_dbd(digon(), dec).valid
+
+    def test_disconnected_tree_rejected(self):
+        # three edges on four nodes, but a triangle leaves node 3 alone
+        dec = DirectedBranchDecomposition(
+            nodes=(0, 1, 2, 3),
+            edges=((0, 1), (0, 2), (1, 2)),
+            leaf_vertex={3: 0},
+            hitting_sets={},
+        )
+        report = validate_dbd(digon(), dec)
+        assert report.violations == ("the edges do not connect all nodes",)
 
     def test_degree_four_rejected(self):
         d = directed_cycle_digraph(4)
         dec = star_dbd(4, [{0}, {0}, {0}, {0}])
-        report = validate_dbd(d, dec, bound=2)
+        report = validate_dbd(d, dec)
         assert not report.valid
         assert any("degree" in v for v in report.violations)
 
@@ -281,13 +286,13 @@ class TestDtdToDbd:
     def test_digon(self):
         d = digon()
         out = dtd_to_dbd(d, single_node_dtd(d))
-        report = validate_dbd(d, out, bound=2)
+        report = validate_dbd(d, out)
         assert report.valid and report.width == 1
 
     def test_triangle(self):
         d = directed_cycle_digraph(3)
         out = dtd_to_dbd(d, triangle_dtd({0}))
-        report = validate_dbd(d, out, bound=2)
+        report = validate_dbd(d, out)
         assert report.valid and report.width == 1
 
     def test_a4_width_at_most_three(self):
@@ -299,13 +304,13 @@ class TestDtdToDbd:
             guards={(0, 1): frozenset({0, 1})},
         )
         out = dtd_to_dbd(d, dec)
-        report = validate_dbd(d, out, bound=4)
+        report = validate_dbd(d, out)
         assert report.valid and report.width <= 3
 
     def test_bidirected_triangle(self):
         d = bicycle(3)
         out = dtd_to_dbd(d, single_node_dtd(d))
-        report = validate_dbd(d, out, bound=3)
+        report = validate_dbd(d, out)
         assert report.valid and report.width == 1
 
 
@@ -426,6 +431,18 @@ class TestValidateGhdHd:
         report = validate_ghd(h, dec)
         assert not report.valid
         assert any("not connected" in v for v in report.violations)
+
+    def test_disconnected_tree_rejected(self):
+        h = hypergraph_from_edges([{0, 1}])
+        dec = HypertreeDecomposition(
+            nodes=(0, 1, 2, 3),
+            arcs=((0, 1), (1, 2), (2, 0)),
+            bags={t: frozenset({0, 1}) for t in range(4)},
+            guards={t: frozenset({0}) for t in range(4)},
+        )
+        for checker in (validate_ghd, validate_hd):
+            report = checker(h, dec)
+            assert report.violations == ("the arcs do not connect all nodes",)
 
     def test_descendant_condition_only_for_hd(self):
         # the guard edge of the root reaches a vertex placed below the root

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
 import random
 
 import pytest
@@ -397,7 +396,7 @@ def reference_is_directed_separation(d, shore_a, shore_b):
     return not any(u in b_only and v in a_only for (u, v) in d.edges)
 
 
-def reference_tight_separations(d, non_trivial_only=True):
+def reference_tight_separations(d):
     """`tight_separations` as it was when it built each d - v as a digraph."""
     found = {}
     for v in range(d.n):
@@ -432,7 +431,7 @@ def reference_tight_separations(d, non_trivial_only=True):
             else:
                 x = comps[ci]
             y = frozenset(u for u in range(d.n) if u != v) - x
-            if not y and non_trivial_only:
+            if not y:
                 continue
             p = y | {v}
             q = x | {v}
@@ -486,9 +485,7 @@ class TestSeparationReference:
     def test_tight_separations_match_the_subgraph_form(self):
         count = 0
         for d in separation_corpus():
-            for trivial in (True, False):
-                got = tight_separations(d, non_trivial_only=trivial)
-                assert got == reference_tight_separations(d, trivial), sorted(d.edges)
+            assert tight_separations(d) == reference_tight_separations(d), sorted(d.edges)
             count += 1
         assert count == 1 + 1 + 18 + 1606 + 200 + 40
 

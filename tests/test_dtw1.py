@@ -41,7 +41,7 @@ from dtwone.dtw1 import (
     verify_witness,
     witness_pattern,
 )
-from dtwone.games import Haven, solve_game, verify_haven
+from dtwone.games import Haven, solve_game
 from test_digraph import (
     random_strongly_connected,
     random_tree_edges,
@@ -657,16 +657,22 @@ class TestSDecomposition:
                 assert laminar == (cand in family), (sorted(d.edges), cand)
 
 
+class _PieceState:
+    def __init__(self, territory, attachments):
+        self.territory = frozenset(territory)
+        self.attachments = list(attachments)  # (cut, far shore, far is an A-shore)
+
+
 def reference_s_decomposition(d):
     """`s_decomposition` as it was when every round searched every piece."""
-    pieces = [dtw1._PieceState(range(d.n), [])]
+    pieces = [_PieceState(range(d.n), [])]
     tree_edges = []
     while True:
         best = None
         for pi, piece in enumerate(pieces):
-            collapsed, labels = dtw1._collapse_piece(d, piece)
+            collapsed, labels = dtw1._collapse_piece(d, piece.territory, piece.attachments)
             for local in reference_tight_separations(collapsed):
-                lifted = dtw1._lift_separation(d, piece, local, labels)
+                lifted = dtw1._lift_separation(d, piece.attachments, local, labels)
                 key = lifted.sort_key()
                 if best is None or key < best[0]:
                     best = (key, pi, lifted)
@@ -675,8 +681,8 @@ def reference_s_decomposition(d):
         _, pi, sep = best
         old = pieces[pi]
         v = sep.cut_vertex
-        side_a = dtw1._PieceState(old.territory & sep.shoreA, [])
-        side_b = dtw1._PieceState(old.territory & sep.shoreB, [])
+        side_a = _PieceState(old.territory & sep.shoreA, [])
+        side_b = _PieceState(old.territory & sep.shoreB, [])
         for (cut, far, far_is_a) in old.attachments:
             if not (far - {cut}) - (sep.shoreA - sep.shoreB):
                 side_a.attachments.append((cut, far, far_is_a))
@@ -715,7 +721,9 @@ def reference_s_decomposition(d):
     for old_index, piece in enumerate(pieces):
         t = rank[old_index]
         territories[t] = piece.territory
-        piece_digraphs[t], piece_labels[t] = dtw1._collapse_piece(d, piece)
+        piece_digraphs[t], piece_labels[t] = dtw1._collapse_piece(
+            d, piece.territory, piece.attachments
+        )
     return dtw1.SDecomposition(
         nodes=tuple(range(len(pieces))),
         edges=tuple(sorted(edges)),

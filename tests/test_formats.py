@@ -5,8 +5,7 @@ from __future__ import annotations
 import pytest
 
 from dtwone.cycles import cycle_hypergraph
-from dtwone.decomp import dtd_to_dbd, dtd_to_leaf_dtd, dbd_to_hbd
-from dtwone.digraph import digraph_from_edges
+from dtwone.decomp import dtd_to_dbd, dbd_to_hbd
 from dtwone.dtw1 import Dtw1Certificate, MinorWitness, recognize_dtw1
 from dtwone.formats import (
     FORMAT_VERSION,

@@ -178,7 +178,7 @@ class TestStrategyFromDbd:
                 (4, 5): frozenset({1, 3}),
             },
         )
-        assert validate_dbd(d, dec, bound=4).width == 2
+        assert validate_dbd(d, dec).width == 2
         s = strategy_from_dbd(d, dec)
         assert s.budget == 6
         assert strategy_beats_all_robbers(d, s)
@@ -225,7 +225,7 @@ class TestStrategyFromDbd:
                 (4, 5): frozenset({1}),
             },
         )
-        assert validate_dbd(d, dec, bound=4).valid
+        assert validate_dbd(d, dec).valid
         s = strategy_from_dbd(d, dec)
         assert s.budget == 3
         assert strategy_beats_all_robbers(d, s)

@@ -69,7 +69,7 @@ class TestExhaustiveBranchWidth:
 
         d = bicycle(3)
         dec = exhaustive_optimal_dbd(d, cycle_hypergraph(d, 100))
-        report = validate_dbd(d, dec, bound=d.n, cap=100)
+        report = validate_dbd(d, dec, cap=100)
         assert report.valid
         assert report.width == dec.width()
 
