@@ -134,7 +134,7 @@ def main():
 def cmd_recognize(digraph_file, cap, seed, output_format):
     """Decide directed treewidth one; print a certificate either way."""
     d, names = _load_digraph(digraph_file)
-    cert = _guarded(recognize_dtw1, d, cap=cap)
+    cert = _guarded(recognize_dtw1, d)
     lines = header_lines("recognize", seed, cap=cap, digraph=d)
     if cert.verdict == "YES":
         _note(output_format, lines, "directed treewidth one: the decomposition below "

@@ -5,7 +5,8 @@ one-vertex separations; when every resulting piece is a digon the width-one
 decomposition can be read off.  The negative route contracts a large piece
 down to a bidirected cycle or the four-vertex digraph A4, recording every
 deletion and butterfly contraction so the embedding can be replayed, and
-pairs the embedding with an order-3 haven.
+pairs the embedding with an order-3 haven lifted from the pattern, so no
+cycle of the digraph is enumerated.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .cycles import DEFAULT_CYCLE_CAP, cycle_hypergraph, find_closed_chain
+from .cycles import DEFAULT_CYCLE_CAP, cycle_hypergraph
 from .decomp import DirectedTreeDecomposition, Report, validate_dtd
 from .digraph import (
     Digraph,
@@ -30,7 +31,7 @@ from .digraph import (
     separations_cross,
     tight_separations,
 )
-from .games import Haven, haven_from_closed_chain, verify_haven
+from .games import Haven, haven_from_minor, verify_haven
 from .hypergraph import JoinTreeWitness, _bfs_arcs, hypertree_witness
 
 
@@ -48,6 +49,10 @@ class _ReplayState:
     joined to r by an edge leaving or entering r.  A contraction moves only
     the edges of the class that stops being represented, so a step costs
     that class's degree, not the size of the digraph.
+
+    Each class keeps a root `root[r]`, reached inside the class from every
+    vertex with a surviving edge entering it and reaching every vertex with
+    one leaving it; so root(P) reaches root(Q) inside P ∪ Q for each edge P -> Q.
     """
 
     def __init__(self, d: Digraph):
@@ -56,6 +61,7 @@ class _ReplayState:
         self.members = {v: frozenset({v}) for v in range(d.n)}
         self.out = {v: set(d.out_neighbours(v)) for v in range(d.n)}
         self.inn = {v: set(d.in_neighbours(v)) for v in range(d.n)}
+        self.root = list(range(d.n))
         self.steps: list = []
 
     @property
@@ -80,11 +86,14 @@ class _ReplayState:
                 self.out[ra].discard(rb)
                 self.inn[rb].discard(ra)
             elif kind == "contract":
-                if len(self.out[ra]) != 1 and len(self.inn[rb]) != 1:
+                tail_only_out = len(self.out[ra]) == 1
+                if not tail_only_out and len(self.inn[rb]) != 1:
                     raise ValueError(
                         f"step {step}: edge ({ra}, {rb}) is not butterfly contractible"
                     )
+                root = self.root[rb] if tail_only_out else self.root[ra]
                 self._merge(min(ra, rb), max(ra, rb))
+                self.root[min(ra, rb)] = root
             else:
                 raise ValueError(f"unknown step kind {kind!r}")
             self.steps.append(step)
@@ -454,8 +463,12 @@ def extract_minor_witness(d: Digraph) -> MinorWitness:
         raise ValueError("need a strongly connected digraph")
     if not butterfly_dominating_vertices(d):
         raise ValueError("need a vertex dominating all butterfly-contractible edges")
+    return _shrink(_ReplayState(d))
 
-    state = _ReplayState(d)
+
+def _shrink(state: _ReplayState) -> MinorWitness:
+    """Run the case analysis on the state's current digraph until it is a
+    pattern, applying every round's steps to the state."""
     while True:
         dense, labels = state.dense()
         verdict, info, embedding = _case_analysis_steps(dense)
@@ -732,8 +745,9 @@ def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomp
     return dec
 
 
-def recognize_dtw1(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> Dtw1Certificate:
-    """Decide directed treewidth one, emitting a checkable certificate."""
+def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
+    """Decide directed treewidth one, emitting a checkable certificate; a NO
+    haven is lifted from the pattern through the roots of the branch sets."""
     if d.n < 2:
         raise ValueError("need at least two vertices")
     if not is_strongly_connected(d):
@@ -766,40 +780,21 @@ def recognize_dtw1(d: Digraph, cap: int = DEFAULT_CYCLE_CAP) -> Dtw1Certificate:
         local_cut = back[state.rep(cut)]
         steps = shore_contraction_script(dense, shore, local_cut)
         state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in steps])
-    dense, labels = state.dense()
     expected = sdec.pieces[node]
     expect_labels = sdec.piece_labels[node]
     projected = frozenset(
         (state.rep(expect_labels[a]), state.rep(expect_labels[b]))
         for (a, b) in expected.edges
     )
-    assert projected == state.edges and dense.n == expected.n, (
+    assert projected == state.edges and len(state.members) == expected.n, (
         "collapsing the far shores must reproduce the stored piece"
     )
 
-    inner = extract_minor_witness(dense)
-    state.apply(
-        [(kind, labels[a], labels[b]) for (kind, a, b) in inner.script]
-    )
-    branch = {}
-    for p, local_class in inner.branch_sets.items():
-        merged = frozenset()
-        for i in local_class:
-            merged |= state.members[state.rep(labels[i])]
-        branch[p] = merged
-    witness = MinorWitness(
-        kind=inner.kind,
-        length=inner.length,
-        script=tuple(state.steps),
-        branch_sets=branch,
-    )
+    witness = _shrink(state)
     check = verify_witness(d, witness)
     assert check.valid, f"constructed witness failed replay: {check.violations}"
-
-    ch = cycle_hypergraph(d, cap)
-    chain = find_closed_chain(ch)
-    assert chain is not None, "a digraph with the minor must contain a closed chain"
-    haven = haven_from_closed_chain(ch, chain)
+    roots = {p: state.root[state.rep(min(cls))] for p, cls in witness.branch_sets.items()}
+    haven = haven_from_minor(d, witness.branch_sets, roots)
     return Dtw1Certificate("NO", None, witness, haven)
 
 

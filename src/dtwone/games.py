@@ -10,7 +10,7 @@ component exists.
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -67,7 +67,7 @@ class GameResult:
 
 
 def _check_game_size(d: Digraph, k: int) -> int:
-    n_copsets = sum(len(list(itertools.combinations(range(d.n), s))) for s in range(min(k, d.n) + 1))
+    n_copsets = sum(math.comb(d.n, s) for s in range(min(k, d.n) + 1))
     cost = n_copsets * n_copsets * (d.n + 1)
     if cost > GAME_SIZE_LIMIT:
         raise InstanceTooLarge(
@@ -378,6 +378,24 @@ def haven_from_closed_chain(ch: CycleHypergraph, chain: CycleChain) -> Haven:
             assignment[s] = next(c for c in comps if junction in c)
     hav = Haven(3, assignment)
     assert verify_haven(d, hav), "closed chain produced a defective haven"
+    return hav
+
+
+def haven_from_minor(d: Digraph, branch_sets: dict, roots: dict) -> Haven:
+    """Lift the order-3 haven of Bicycle(k) or A4 to d through a minor of it.
+
+    roots[p] lies in branch_sets[p], and root(P) reaches root(Q) inside P ∪ Q
+    for every pattern edge P -> Q.  h(X) is the strong component of d - X
+    holding roots[p] for the least p whose branch set misses X.  The pattern
+    stays strongly connected without any one vertex, so for |Y| ≤ 1 the roots
+    of the sets missing Y share a strong component of d - Y: h is monotone.
+    """
+    assignment = {}
+    for x in all_subsets(range(d.n), 2):
+        p = min(p for p, cls in branch_sets.items() if not cls & x)
+        assignment[x] = next(c for c in strong_components(d, x) if roots[p] in c)
+    hav = Haven(3, assignment)
+    assert verify_haven(d, hav), "the minor's roots produced a defective haven"
     return hav
 
 

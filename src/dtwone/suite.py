@@ -212,13 +212,12 @@ def random_equivalence_instances(seed):
         yield random_strongly_connected(rng, n, p)
 
 
-def _recognized(shared, d, cap):
+def _recognized(shared, d):
     if shared is None:
-        return recognize_dtw1(d, cap=cap)
-    key = (d, cap)
-    if key not in shared:
-        shared[key] = recognize_dtw1(d, cap=cap)
-    return shared[key]
+        return recognize_dtw1(d)
+    if d not in shared:
+        shared[d] = recognize_dtw1(d)
+    return shared[d]
 
 
 # -------------------------------------------------- exhaustive branch width
@@ -271,7 +270,7 @@ def _three_way_check(d, tally, cap, shared):
     certified dtd, witness replay and haven checks; returns the certificate
     (or None when the instance was skipped)."""
     try:
-        cert = _recognized(shared, d, cap)
+        cert = _recognized(shared, d)
         route = hypertree_route(d, cap)
     except (CapExceeded, InstanceTooLarge):
         tally.skip()
@@ -332,11 +331,7 @@ def criterion_3(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
     tally = _Tally()
     for n in (2, 3, 4):
         for d in labeled_strongly_connected(n):
-            try:
-                cert = _recognized(shared, d, cycle_cap)
-            except (CapExceeded, InstanceTooLarge):
-                tally.skip()
-                continue
+            cert = _recognized(shared, d)
             if cert.verdict != "NO":
                 continue
             if solve_game(d, 2).cops_win:
@@ -377,11 +372,7 @@ def criterion_5(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
     t0 = time.perf_counter()
     tally = _Tally()
     for d in equivalence_corpus(seed):
-        try:
-            cert = _recognized(shared, d, cycle_cap)
-        except (CapExceeded, InstanceTooLarge):
-            tally.skip()
-            continue
+        cert = _recognized(shared, d)
         if cert.verdict != "YES":
             continue
         try:
@@ -406,11 +397,7 @@ def criterion_6(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
     t0 = time.perf_counter()
     tally = _Tally()
     for d in equivalence_corpus(seed):
-        try:
-            cert = _recognized(shared, d, cycle_cap)
-        except (CapExceeded, InstanceTooLarge):
-            tally.skip()
-            continue
+        cert = _recognized(shared, d)
         if cert.verdict != "YES":
             continue
         try:
@@ -438,7 +425,7 @@ def criterion_7(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
     tally = _Tally()
     for d in equivalence_corpus(seed):
         try:
-            cert = _recognized(shared, d, cycle_cap)
+            cert = _recognized(shared, d)
             if cert.verdict == "YES":
                 dbd = dtd_to_dbd(d, cert.decomposition, cycle_cap)
             else:
@@ -599,7 +586,7 @@ def criterion_11(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
 
     def yes_with_width_1(label, d):
         def check():
-            cert = _recognized(shared, d, cycle_cap)
+            cert = _recognized(shared, d)
             if cert.verdict != "YES":
                 return False
             report = validate_dtd(d, cert.decomposition)
@@ -614,7 +601,7 @@ def criterion_11(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
 
     def bicycle_check():
         b3 = bicycle(3)
-        cert = _recognized(shared, b3, cycle_cap)
+        cert = _recognized(shared, b3)
         return (
             cert.verdict == "NO"
             and cert.witness.kind == "bicycle"
@@ -626,7 +613,7 @@ def criterion_11(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
 
     def a4_check():
         a4 = a4_digraph()
-        cert = _recognized(shared, a4, cycle_cap)
+        cert = _recognized(shared, a4)
         return (
             cert.verdict == "NO"
             and cert.witness.kind == "a4"

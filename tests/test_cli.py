@@ -12,6 +12,7 @@ from click.testing import CliRunner
 
 import dtwone
 from dtwone.cli import main
+from dtwone.digraph import a4_digraph
 from dtwone.suite import CriterionResult
 
 DIGON = "0 1\n1 0\n"
@@ -122,6 +123,16 @@ class TestVerifyCert:
             res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
             assert res.exit_code == 0
             assert "result=valid" in res.output
+
+    def test_cap_binds_neither_recognize_nor_verify_cert(self, runner, b3_file, tmp_path):
+        # Bicycle(3) has five cycles; neither command enumerates them.
+        res = runner.invoke(main, ["recognize", b3_file, "--cap", "2"])
+        assert res.exit_code == 1 and "cap=2" in res.output
+        cert = tmp_path / "b3.cert"
+        cert.write_text(res.output)
+        res = runner.invoke(main, ["verify-cert", b3_file, str(cert), "--cap", "2"])
+        assert res.exit_code == 0
+        assert "result=valid" in res.output
 
     def test_tampered_witness_fails(self, runner, b3_file, tmp_path):
         text = self.cert(runner, b3_file)
@@ -337,10 +348,10 @@ import sys
 from click.testing import CliRunner
 from dtwone.cli import main
 
-graph, cert = sys.argv[1:]
+graph, cert, code = sys.argv[1:]
 runner = CliRunner()
 res = runner.invoke(main, ["recognize", graph])
-assert res.exit_code == 0, res.output
+assert res.exit_code == int(code), res.output
 with open(cert, "w") as fh:
     fh.write(res.output)
 res = runner.invoke(main, ["verify-cert", graph, cert])
@@ -349,15 +360,34 @@ print("networkx" in sys.modules)
 """
 
 
-def test_yes_answers_never_load_networkx(digon_file, tmp_path):
-    """networkx only enumerates cycles, so a launch that recognises and
-    verifies a YES digraph does not pay for importing it."""
+def launch_loads_networkx(edges, code, tmp_path) -> bool:
+    """Recognise and verify `edges` in a fresh interpreter; whether that
+    imported networkx."""
+    graph = tmp_path / "d.txt"
+    graph.write_text(edges)
     src = str(Path(dtwone.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p
     )}
     out = subprocess.run(
-        [sys.executable, "-c", LAUNCH, digon_file, str(tmp_path / "cert")],
+        [sys.executable, "-c", LAUNCH, str(graph), str(tmp_path / "cert"), str(code)],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert out.stdout == "False\n"
+    return out.stdout == "True\n"
+
+
+def test_yes_answers_never_load_networkx(tmp_path):
+    """networkx only enumerates cycles, so a launch that recognises and
+    verifies a YES digraph does not pay for importing it."""
+    assert not launch_loads_networkx(DIGON, 0, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [B3, "".join(f"{u} {v}\n" for (u, v) in a4_digraph().sorted_edges())],
+    ids=["b3", "a4"],
+)
+def test_no_answers_never_load_networkx(edges, tmp_path):
+    """The NO certificate's haven comes from the minor, so a NO launch
+    enumerates no cycles either."""
+    assert not launch_loads_networkx(edges, 1, tmp_path)

@@ -25,9 +25,8 @@ from dtwone.digraph import (
     strong_components,
     tight_separations,
 )
-from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import validate_dtd
-from dtwone import dtw1, games
+from dtwone import cycles, dtw1
 from dtwone.dtw1 import (
     Dtw1Certificate,
     MinorWitness,
@@ -105,13 +104,15 @@ class TestReplay:
 
 class EdgeSetReplay:
     """The replay state before it kept an adjacency index: one edge set,
-    scanned for every degree and rebuilt on every contraction."""
+    scanned for every degree and rebuilt on every contraction.  `alive` holds
+    the original edges no deletion has removed."""
 
     def __init__(self, d):
         self.base = d
         self.rep_of = list(range(d.n))
         self.members = {v: frozenset({v}) for v in range(d.n)}
         self.edges = set(d.edges)
+        self.alive = set(d.edges)
         self.steps = []
 
     def apply(self, steps):
@@ -126,6 +127,10 @@ class EdgeSetReplay:
                 raise ValueError(f"step {step} needs the missing edge ({ra}, {rb})")
             if kind == "del":
                 self.edges.discard((ra, rb))
+                self.alive = {
+                    (x, y) for (x, y) in self.alive
+                    if (self.rep_of[x], self.rep_of[y]) != (ra, rb)
+                }
             elif kind == "contract":
                 out_degree = sum(1 for (x, _) in self.edges if x == ra)
                 in_degree = sum(1 for (_, y) in self.edges if y == rb)
@@ -169,8 +174,43 @@ def random_step(rng, ref):
     return (kind, rng.randrange(n + 1), rng.randrange(n))
 
 
+def reach_inside(d, start, inside, forward=True):
+    """Vertices of `inside` that start reaches (or that reach start) along
+    edges of d within `inside`."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        v = stack.pop()
+        step = d.out_neighbours(v) if forward else d.in_neighbours(v)
+        for w in step:
+            if w in inside and w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def check_roots(state, alive):
+    """Every class's root is reached from each vertex with a surviving edge
+    entering the class and reaches each vertex with one leaving it, inside
+    the class; so root(P) reaches root(Q) inside P ∪ Q for every edge."""
+    d = state.base
+    reached = {}
+    for r, cls in state.members.items():
+        root = state.root[r]
+        assert root in cls
+        reached[r] = (reach_inside(d, root, cls), reach_inside(d, root, cls, False))
+    for (x, y) in alive:
+        rx, ry = state.rep(x), state.rep(y)
+        if rx != ry:
+            assert x in reached[rx][0] and y in reached[ry][1], (sorted(d.edges), x, y)
+    for (p, q) in state.edges:
+        span = state.members[p] | state.members[q]
+        assert state.root[q] in reach_inside(d, state.root[p], span)
+
+
 class TestReplayDifferential:
-    """The indexed replay state steps exactly like the edge-set one."""
+    """The indexed replay state steps exactly like the edge-set one, and its
+    class roots keep their invariant after every step."""
 
     @staticmethod
     def replay_both(d, steps):
@@ -189,6 +229,7 @@ class TestReplayDifferential:
             assert new.edges == ref.edges
             assert new.steps == ref.steps
             assert new.dense() == ref.dense()
+            check_roots(new, ref.alive)
         return new
 
     def test_random_scripts(self):
@@ -849,19 +890,15 @@ class TestRecognize:
             assert verify_certificate(d, cert).valid
             assert (cert.verdict == "YES") == hypertree_route(d).is_hypertree
 
-    def test_no_answers_enumerate_cycles_once(self, monkeypatch):
-        calls = []
+    def test_no_answers_never_enumerate_cycles(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("recognize_dtw1 enumerated cycles")
 
-        def counted(d, *args, **kwargs):
-            calls.append(d)
-            return cycle_hypergraph(d, *args, **kwargs)
-
-        monkeypatch.setattr(dtw1, "cycle_hypergraph", counted)
-        monkeypatch.setattr(games, "cycle_hypergraph", counted)
-        d = bicycle(5)
-        cert = recognize_dtw1(d)
-        assert cert.verdict == "NO" and verify_certificate(d, cert).valid
-        assert calls == [d]
+        monkeypatch.setattr(cycles, "enumerate_cycles", refuse)
+        tree_and_triangle = bidirect(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (4, 5)])
+        for d in (bicycle(5), a4_digraph(), tree_and_triangle):
+            cert = recognize_dtw1(d)
+            assert cert.verdict == "NO" and verify_certificate(d, cert).valid
 
     def test_single_vertex_raises(self):
         with pytest.raises(ValueError):
@@ -890,6 +927,32 @@ def test_case_one_crash_inputs_get_verified_no_certificates(edges):
     cert = recognize_dtw1(d)
     assert cert.verdict == "NO"
     assert verify_certificate(d, cert).valid
+
+
+# Indices into the random golden corpus of the two inputs that still crash
+# `_case_one_steps` (see CASE_ONE_CRASHES).
+RANDOM_CORPUS_CRASHES = (50, 89)
+
+
+def test_random_corpus_agrees_with_the_hypertree_route():
+    """Beyond n ≤ 6: the 200 random golden inputs on 7-12 vertices."""
+    checked = 0
+    for i, d in enumerate(random_corpus()):
+        if i in RANDOM_CORPUS_CRASHES:
+            continue
+        cert = recognize_dtw1(d)
+        assert (cert.verdict == "YES") == hypertree_route(d).is_hypertree, i
+        checked += 1
+    assert checked == 198
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the case-one shrinking step can break its own invariant")
+@pytest.mark.parametrize("index", RANDOM_CORPUS_CRASHES)
+def test_random_corpus_crash_inputs_agree_with_the_hypertree_route(index):
+    d = list(random_corpus())[index]
+    assert not hypertree_route(d).is_hypertree
+    assert recognize_dtw1(d).verdict == "NO"
 
 
 class TestVerifyCertificate:

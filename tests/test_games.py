@@ -11,8 +11,10 @@ from dtwone.decomp import DirectedBranchDecomposition, validate_dbd
 from dtwone.digraph import (
     a4_digraph,
     bicycle,
+    bidirect,
     digraph_from_edges,
     directed_cycle_digraph,
+    strong_components,
 )
 from dtwone.errors import InstanceTooLarge
 from dtwone.games import (
@@ -22,6 +24,7 @@ from dtwone.games import (
     _robber_options,
     dcn_exact,
     haven_from_closed_chain,
+    haven_from_minor,
     hyper_components,
     is_k_hyperlinked,
     is_k_linked,
@@ -111,6 +114,13 @@ class TestSolveGame:
     def test_instance_too_large(self):
         with pytest.raises(InstanceTooLarge):
             solve_game(directed_cycle_digraph(12), 6)
+
+    def test_size_guard_counts_cop_sets_without_listing_them(self):
+        # C(40, 10) is about 8.5e8 cop sets: the guard must refuse them
+        # by arithmetic alone.
+        path = bidirect(40, [(v, v + 1) for v in range(39)])
+        with pytest.raises(InstanceTooLarge):
+            solve_game(path, 10)
 
     def test_random_wins_are_simulation_checked_and_monotone(self):
         rng = random.Random(2024)
@@ -259,6 +269,42 @@ class TestHavens:
             hav = self.haven_of(d)
             assert verify_haven(d, hav)
             assert solve_game(d, 2).cops_win is False
+
+    @pytest.mark.parametrize(
+        "d", [*(bicycle(k) for k in range(3, 9)), a4_digraph()],
+        ids=[*(f"bicycle{k}" for k in range(3, 9)), "a4"],
+    )
+    def test_patterns_survive_losing_any_one_vertex(self, d):
+        """The minor haven points every cop set at one strong component of
+        what the pattern keeps, which needs this."""
+        for v in range(d.n):
+            assert len(strong_components(d, {v})) == 1
+
+    @pytest.mark.parametrize(
+        "d", [bicycle(3), bicycle(6), a4_digraph()], ids=["bicycle3", "bicycle6", "a4"]
+    )
+    def test_minor_haven_of_a_pattern(self, d):
+        singletons = {p: frozenset({p}) for p in range(d.n)}
+        hav = haven_from_minor(d, singletons, {p: p for p in range(d.n)})
+        assert hav.order == 3 and verify_haven(d, hav)
+        assert hav.assignment[frozenset()] == frozenset(range(d.n))
+        assert hav.assignment[frozenset({0, 1})] == next(
+            c for c in strong_components(d, {0, 1}) if 2 in c
+        )
+
+    def test_minor_haven_follows_the_roots(self):
+        # Bicycle(3) with its vertex 0 stretched into the path 3 -> 0: the
+        # class {0, 3} is entered at 3 and at 0 and left only from 0, so its
+        # root is 0.  Rooted at 3, h({2}) = {3} but h({0, 2}) = {1}.
+        d = digraph_from_edges(
+            4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0)]
+        )
+        branch = {0: frozenset({0, 3}), 1: frozenset({1}), 2: frozenset({2})}
+        hav = haven_from_minor(d, branch, {0: 0, 1: 1, 2: 2})
+        assert verify_haven(d, hav)
+        assert hav.assignment[frozenset({2})] == frozenset({0, 1})
+        with pytest.raises(AssertionError):
+            haven_from_minor(d, branch, {0: 3, 1: 1, 2: 2})
 
     def test_open_chain_rejected(self):
         ch = cycle_hypergraph(a4_digraph())
