@@ -50,9 +50,6 @@ class Digraph:
         """Sorted tuple of tails of edges entering u."""
         return self._in[u]
 
-    def vertices(self):
-        return range(self.n)
-
     def has_edge(self, u, v):
         return (u, v) in self.edges
 

@@ -304,17 +304,6 @@ def _bicycle_walk(d: Digraph):
     return tuple(walk)
 
 
-def _a4_embedding(d: Digraph):
-    """Lexicographically least map pattern-vertex -> vertex of d, or None."""
-    target = a4_digraph()
-    if d.n != 4 or len(d.edges) != len(target.edges):
-        return None
-    for perm in itertools.permutations(range(4)):
-        if all((perm[a], perm[b]) in d.edges for (a, b) in target.edges):
-            return perm
-    return None
-
-
 # ---------------------------------------------------------------------------
 # minor extraction (the case analysis)
 
@@ -332,14 +321,6 @@ class MinorWitness:
     length: Optional[int]
     script: tuple
     branch_sets: dict
-
-
-def witness_pattern(witness: MinorWitness) -> Digraph:
-    """The canonical digraph the witness claims to reach."""
-    if witness.kind == "bicycle":
-        return bicycle(witness.length)
-    assert witness.kind == "a4"
-    return a4_digraph()
 
 
 def _case_one_steps(d: Digraph) -> Optional[list]:
@@ -421,7 +402,7 @@ def _case_analysis_steps(d: Digraph):
     if hit is not None:
         x, y, z = hit
         if n == 4:
-            emb = _a4_embedding(d)
+            emb = _find_induced(d, 4, a4_digraph().edges)
             assert emb is not None, "a four-vertex digraph with an induced K3+ must be A4 here"
             return ("done", ("a4", None), emb)
         return (
@@ -499,25 +480,23 @@ def _shrink(state: _ReplayState) -> MinorWitness:
 
 @dataclass(frozen=True)
 class SDecomposition:
-    """A tree of one-cut-vertex splits with the piece each node keeps.
+    """A tree of one-cut-vertex splits and the territory each node keeps.
 
-    Each tree edge carries one separation of the family; shore_toward gives,
-    per (node, edge), the shore on that node's side.  A node's territory is
-    the intersection of its shores, and its collapsed piece (every far shore
-    contracted onto its cut vertex) is stored as a dense digraph whose vertex
-    i stands for piece_labels[node][i].
+    Nodes are numbered by sorted territory.  Each tree edge is a triple
+    (A-side node, B-side node, separation): the node on the separation's
+    A side keeps its territory inside shoreA, the other inside shoreB.  A
+    node's collapsed piece, every far shore contracted onto its cut vertex,
+    is derived on demand: `_collapse_piece(d, territories[node],
+    _attachments(tree_edges, node))`.
     """
 
-    nodes: tuple
-    edges: tuple
-    separations: dict
-    shore_toward: dict
-    territories: dict
-    pieces: dict
-    piece_labels: dict
+    territories: tuple
+    tree_edges: tuple
 
-    def degree(self, t: int) -> int:
-        return sum(1 for e in self.edges if t in e)
+    @property
+    def edges(self) -> tuple:
+        """The tree edges as sorted node pairs, in sorted order."""
+        return tuple(sorted(tuple(sorted((a, b))) for (a, b, _) in self.tree_edges))
 
 
 def _attachments(tree_edges, p) -> list:
@@ -600,6 +579,9 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     lifted separation of any piece, splitting its piece in two.  A piece's
     least candidate depends only on its territory and attachments, which a
     split of another piece leaves alone, so it is searched for once per piece.
+    The result keeps only each node's territory and the oriented tree edges,
+    sorted by node pair; every finished piece is checked to be strongly
+    2-connected and the family to be laminar before it is returned.
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
@@ -646,44 +628,19 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             _least_candidate(d, pieces[new_index], _attachments(tree_edges, new_index))
         )
 
-    order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i])))
-    rank = {old: new for new, old in enumerate(order)}
-    nodes = tuple(range(len(pieces)))
-    edges = []
-    separations = {}
-    shore_toward = {}
-    for (ai, bi, sep) in tree_edges:
-        e = tuple(sorted((rank[ai], rank[bi])))
-        edges.append(e)
-        separations[e] = sep
-        shore_toward[(rank[ai], e)] = sep.shoreA
-        shore_toward[(rank[bi], e)] = sep.shoreB
-    edges = tuple(sorted(edges))
-    territories = {}
-    piece_digraphs = {}
-    piece_labels = {}
-    for old_index, territory in enumerate(pieces):
-        t = rank[old_index]
-        territories[t] = territory
-        collapsed, labels = _collapse_piece(
-            d, territory, _attachments(tree_edges, old_index)
-        )
+    for pi, territory in enumerate(pieces):
+        collapsed, _ = _collapse_piece(d, territory, _attachments(tree_edges, pi))
         assert is_strongly_2_connected(collapsed), (
             "a finished piece must be strongly 2-connected"
         )
-        piece_digraphs[t] = collapsed
-        piece_labels[t] = labels
-    family = list(separations.values())
-    for s, t in itertools.combinations(family, 2):
+    for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2):
         assert not separations_cross(s, t), "family must be pairwise laminar"
+    order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i])))
+    rank = {old: new for new, old in enumerate(order)}
+    ranked = [(rank[ai], rank[bi], sep) for (ai, bi, sep) in tree_edges]
     return SDecomposition(
-        nodes=nodes,
-        edges=edges,
-        separations=separations,
-        shore_toward=shore_toward,
-        territories=territories,
-        pieces=piece_digraphs,
-        piece_labels=piece_labels,
+        territories=tuple(pieces[i] for i in order),
+        tree_edges=tuple(sorted(ranked, key=lambda e: sorted(e[:2]))),
     )
 
 
@@ -708,31 +665,28 @@ class Dtw1Certificate:
 def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomposition:
     """Read the width-one decomposition off an all-digon split tree.
 
-    The root is a leaf piece; walking away from it, each node's bag keeps the
-    territory vertices not yet placed, and each tree arc is guarded by the
-    cut vertex of its separation.
+    The root is the least leaf node, which has the least territory of all
+    leaves; walking away from it, nodes in index order, each node's bag keeps
+    the territory vertices not yet placed, and each tree arc is guarded by
+    the cut vertex of its tree edge's separation.
     """
-    assert all(len(t) == 2 for t in sdec.territories.values()), (
+    assert all(len(t) == 2 for t in sdec.territories), (
         "every piece must have exactly two vertices"
     )
-    leaf_nodes = [t for t in sdec.nodes if sdec.degree(t) <= 1]
-    root = min(leaf_nodes, key=lambda t: tuple(sorted(sdec.territories[t])))
-    adj = {t: [] for t in sdec.nodes}
-    for (a, b) in sdec.edges:
+    adj = {t: [] for t in range(len(sdec.territories))}
+    cut = {}
+    for (a, b, sep) in sdec.tree_edges:
         adj[a].append(b)
         adj[b].append(a)
-    for t in adj:
-        adj[t].sort(key=lambda u: tuple(sorted(sdec.territories[u])))
-    order, arcs = _bfs_arcs(root, adj.__getitem__)
+        cut[(a, b)] = cut[(b, a)] = frozenset({sep.cut_vertex})
+    root = min(t for t in adj if len(adj[t]) <= 1)
+    order, arcs = _bfs_arcs(root, lambda t: sorted(adj[t]))
     bags = {}
     placed = set()
     for t in order:
-        bags[t] = frozenset(sdec.territories[t]) - frozenset(placed)
+        bags[t] = sdec.territories[t] - placed
         placed |= sdec.territories[t]
-    guards = {
-        (t, u): frozenset({sdec.separations[tuple(sorted((t, u)))].cut_vertex})
-        for (t, u) in arcs
-    }
+    guards = {arc: cut[arc] for arc in arcs}
     dec = DirectedTreeDecomposition(
         nodes=tuple(order),
         arcs=tuple(arcs),
@@ -753,41 +707,27 @@ def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
     if not is_strongly_connected(d):
         raise ValueError("need a strongly connected digraph")
     sdec = s_decomposition(d)
-    if all(len(t) == 2 for t in sdec.territories.values()):
+    if all(len(t) == 2 for t in sdec.territories):
         dec = width1_dtd_from_sdec(d, sdec)
         return Dtw1Certificate("YES", dec, None, None)
 
-    node = min(
-        (t for t in sdec.nodes if len(sdec.territories[t]) >= 3),
-        key=lambda t: tuple(sorted(sdec.territories[t])),
-    )
+    node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
+    attachments = _attachments(sdec.tree_edges, node)
+    expected, expect_labels = _collapse_piece(d, sdec.territories[node], attachments)
     state = _ReplayState(d)
-    incident = [e for e in sdec.edges if node in e]
-    attachments = sorted(
-        (
-            (
-                sdec.separations[e].cut_vertex,
-                sdec.shore_toward[(next(u for u in e if u != node), e)],
-            )
-            for e in incident
-        ),
-        key=lambda t: (t[0], tuple(sorted(t[1]))),
-    )
-    for (cut, far) in attachments:
+    for (cut, far, _) in attachments:
         dense, labels = state.dense()
         back = {v: i for i, v in enumerate(labels)}
         shore = frozenset(back[state.rep(u)] for u in far)
         local_cut = back[state.rep(cut)]
         steps = shore_contraction_script(dense, shore, local_cut)
         state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in steps])
-    expected = sdec.pieces[node]
-    expect_labels = sdec.piece_labels[node]
     projected = frozenset(
         (state.rep(expect_labels[a]), state.rep(expect_labels[b]))
         for (a, b) in expected.edges
     )
     assert projected == state.edges and len(state.members) == expected.n, (
-        "collapsing the far shores must reproduce the stored piece"
+        "collapsing the far shores must reproduce the collapsed piece"
     )
 
     witness = _shrink(state)

@@ -66,14 +66,13 @@ class GameResult:
     strategy: Optional[CopStrategy]
 
 
-def _check_game_size(d: Digraph, k: int) -> int:
+def _check_game_size(d: Digraph, k: int) -> None:
     n_copsets = sum(math.comb(d.n, s) for s in range(min(k, d.n) + 1))
     cost = n_copsets * n_copsets * (d.n + 1)
     if cost > GAME_SIZE_LIMIT:
         raise InstanceTooLarge(
             f"game with {d.n} vertices and {k} cops needs ~{cost} steps, over the {GAME_SIZE_LIMIT} limit"
         )
-    return n_copsets
 
 
 def solve_game(d: Digraph, k: int) -> GameResult:

@@ -38,7 +38,6 @@ from dtwone.dtw1 import (
     shore_contraction_script,
     verify_certificate,
     verify_witness,
-    witness_pattern,
 )
 from dtwone.games import Haven, solve_game
 from test_digraph import (
@@ -320,8 +319,10 @@ class TestExtractMinorWitness:
         assert (w.kind, w.length, w.script) == ("bicycle", length, ())
 
     def test_witness_pattern_matches_kind(self):
-        assert witness_pattern(extract_minor_witness(bicycle(4))).edges == bicycle(4).edges
-        assert witness_pattern(extract_minor_witness(a4_digraph())).edges == a4_digraph().edges
+        for d, kind, length in ((bicycle(4), "bicycle", 4), (a4_digraph(), "a4", None)):
+            w = extract_minor_witness(d)
+            assert (w.kind, w.length) == (kind, length)
+            assert verify_witness(d, w).valid
 
     def test_too_small_raises(self):
         with pytest.raises(ValueError):
@@ -393,6 +394,17 @@ def reference_edge_in_small_cycle(d, edge):
     return False
 
 
+def reference_a4_embedding(d):
+    """The permutation scan the case analysis used to place A4 on four vertices."""
+    target = a4_digraph()
+    if d.n != 4 or len(d.edges) != len(target.edges):
+        return None
+    for perm in itertools.permutations(range(4)):
+        if all((perm[a], perm[b]) in d.edges for (a, b) in target.edges):
+            return perm
+    return None
+
+
 ORDERED_PAIR = lambda t: t[0] < t[1]
 ORDERED_PAIRS = lambda t: t[0] < t[1] and t[2] < t[3]
 
@@ -460,6 +472,16 @@ class TestPatternSearch:
                 assert dtw1._edge_in_small_cycle(d, e) == reference_edge_in_small_cycle(d, e), (
                     sorted(d.edges), e
                 )
+
+    def test_a4_search_matches_the_permutation_scan(self):
+        pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
+        hits = 0
+        for bits in itertools.product((0, 1), repeat=len(pairs)):
+            d = Digraph(4, frozenset(p for p, b in zip(pairs, bits) if b))
+            expected = reference_a4_embedding(d)
+            assert dtw1._find_induced(d, 4, a4_digraph().edges) == expected, sorted(d.edges)
+            hits += expected is not None
+        assert hits == 6
 
     def test_bicycle_64_extracts_its_full_length_witness(self):
         d = bicycle(64)
@@ -606,36 +628,48 @@ def brute_tight_separations(d):
     return found
 
 
+def collapsed_pieces(d, s):
+    """Each node's piece with every far shore contracted onto its cut vertex."""
+    return [
+        dtw1._collapse_piece(d, territory, dtw1._attachments(s.tree_edges, t))[0]
+        for t, territory in enumerate(s.territories)
+    ]
+
+
 class TestSDecomposition:
     def test_digon_is_a_single_node(self):
         s = s_decomposition(digon())
-        assert s.nodes == (0,)
+        assert s.territories == (frozenset({0, 1}),)
+        assert s.tree_edges == ()
         assert s.edges == ()
-        assert s.territories[0] == frozenset({0, 1})
 
     def test_bidirected_path_splits_at_its_middle_vertex(self):
         s = s_decomposition(bidirected_path(3))
-        assert sorted(sorted(t) for t in s.territories.values()) == [[0, 1], [1, 2]]
-        ((edge, sep),) = s.separations.items()
+        assert sorted(sorted(t) for t in s.territories) == [[0, 1], [1, 2]]
+        ((a, b, sep),) = s.tree_edges
         assert sep.cut_vertex == 1
         assert {sep.shoreA, sep.shoreB} == {frozenset({0, 1}), frozenset({1, 2})}
+        assert s.territories[a] <= sep.shoreA and s.territories[b] <= sep.shoreB
+        assert s.edges == ((0, 1),)
 
     def test_bidirected_triangle_stays_whole(self):
         d = bicycle(3)
         s = s_decomposition(d)
-        assert s.nodes == (0,)
-        assert s.pieces[0].edges == d.edges
+        assert s.territories == (frozenset(range(3)),)
+        (piece,) = collapsed_pieces(d, s)
+        assert piece.edges == d.edges
 
     def test_directed_triangle_splits_into_two_digons(self):
-        s = s_decomposition(directed_cycle_digraph(3))
-        assert sorted(sorted(t) for t in s.territories.values()) == [[0, 1], [0, 2]]
-        for piece in s.pieces.values():
+        d = directed_cycle_digraph(3)
+        s = s_decomposition(d)
+        assert sorted(sorted(t) for t in s.territories) == [[0, 1], [0, 2]]
+        for piece in collapsed_pieces(d, s):
             assert piece.n == 2
 
     def test_bidirected_star_splits_into_leaf_digons(self):
         star = bidirect(4, [(0, 3), (1, 3), (2, 3)])
         s = s_decomposition(star)
-        assert sorted(sorted(t) for t in s.territories.values()) == [
+        assert sorted(sorted(t) for t in s.territories) == [
             [0, 3], [1, 3], [2, 3],
         ]
         assert len(s.edges) == 2
@@ -650,33 +684,41 @@ class TestSDecomposition:
 
     def test_tree_shape_and_shore_consistency(self):
         rng = random.Random(91)
+        split = 0
         for _ in range(40):
             d = random_strongly_connected(rng, rng.choice([4, 5, 6]), 0.3)
             s = s_decomposition(d)
-            assert len(s.edges) == len(s.nodes) - 1
-            covered = frozenset().union(*s.territories.values())
-            assert covered == frozenset(range(d.n))
-            for e in s.edges:
-                a, b = e
-                left = s.shore_toward[(a, e)]
-                right = s.shore_toward[(b, e)]
-                assert left | right == frozenset(range(d.n))
-                assert left & right == {s.separations[e].cut_vertex}
+            everything = frozenset(range(d.n))
+            assert len(s.edges) == len(s.territories) - 1
+            assert len(s.edges) == len(set(s.edges))
+            assert frozenset().union(*s.territories) == everything
+            for (a, b, sep) in s.tree_edges:
+                assert sep.shoreA | sep.shoreB == everything
+                assert sep.shoreA & sep.shoreB == {sep.cut_vertex}
+                assert s.territories[a] <= sep.shoreA and s.territories[b] <= sep.shoreB
+            for t, territory in enumerate(s.territories):
+                covered = set(territory)
+                for (cut, far, _) in dtw1._attachments(s.tree_edges, t):
+                    assert far & territory == {cut}
+                    covered |= far
+                assert covered == everything
+            split += len(s.edges) >= 2
+        assert split >= 5, split
 
     def test_every_piece_is_strongly_2_connected(self):
         rng = random.Random(92)
         for _ in range(40):
             d = random_strongly_connected(rng, rng.choice([4, 5, 6]), 0.4)
             s = s_decomposition(d)
-            for t in s.nodes:
-                assert is_strongly_2_connected(s.pieces[t])
-                assert len(s.territories[t]) >= 2
+            for territory, piece in zip(s.territories, collapsed_pieces(d, s)):
+                assert is_strongly_2_connected(piece)
+                assert len(territory) >= 2
 
     def test_family_is_pairwise_laminar(self):
         rng = random.Random(93)
         for _ in range(40):
             d = random_strongly_connected(rng, rng.choice([4, 5, 6]), 0.5)
-            family = list(s_decomposition(d).separations.values())
+            family = [sep for (_, _, sep) in s_decomposition(d).tree_edges]
             for s, t in itertools.combinations(family, 2):
                 assert not separations_cross(s, t)
                 assert not separations_cross(t, s)
@@ -689,7 +731,7 @@ class TestSDecomposition:
             for _ in range(40)
         ]
         for d in corpus:
-            family = set(s_decomposition(d).separations.values())
+            family = {sep for (_, _, sep) in s_decomposition(d).tree_edges}
             for cand in brute_tight_separations(d):
                 laminar = all(
                     not separations_cross(cand, f) and not separations_cross(f, cand)
@@ -705,7 +747,9 @@ class _PieceState:
 
 
 def reference_s_decomposition(d):
-    """`s_decomposition` as it was when every round searched every piece."""
+    """`s_decomposition` as it was when every round searched every piece and
+    each piece carried its own attachments; returns the record plus those
+    attachments, by node."""
     pieces = [_PieceState(range(d.n), [])]
     tree_edges = []
     while True:
@@ -751,29 +795,12 @@ def reference_s_decomposition(d):
 
     order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i].territory)))
     rank = {old: new for new, old in enumerate(order)}
-    edges, separations, shore_toward = [], {}, {}
-    for (ai, bi, sep) in tree_edges:
-        e = tuple(sorted((rank[ai], rank[bi])))
-        edges.append(e)
-        separations[e] = sep
-        shore_toward[(rank[ai], e)] = sep.shoreA
-        shore_toward[(rank[bi], e)] = sep.shoreB
-    territories, piece_digraphs, piece_labels = {}, {}, {}
-    for old_index, piece in enumerate(pieces):
-        t = rank[old_index]
-        territories[t] = piece.territory
-        piece_digraphs[t], piece_labels[t] = dtw1._collapse_piece(
-            d, piece.territory, piece.attachments
-        )
-    return dtw1.SDecomposition(
-        nodes=tuple(range(len(pieces))),
-        edges=tuple(sorted(edges)),
-        separations=separations,
-        shore_toward=shore_toward,
-        territories=territories,
-        pieces=piece_digraphs,
-        piece_labels=piece_labels,
+    ranked = [(rank[ai], rank[bi], sep) for (ai, bi, sep) in tree_edges]
+    record = dtw1.SDecomposition(
+        territories=tuple(pieces[i].territory for i in order),
+        tree_edges=tuple(sorted(ranked, key=lambda e: sorted(e[:2]))),
     )
+    return record, [pieces[i].attachments for i in order]
 
 
 class TestSDecompositionCache:
@@ -783,9 +810,14 @@ class TestSDecompositionCache:
             if d.n < 2:
                 continue
             got = s_decomposition(d)
-            expected = reference_s_decomposition(d)
+            expected, attachments = reference_s_decomposition(d)
             for f in dataclasses.fields(dtw1.SDecomposition):
                 assert getattr(got, f.name) == getattr(expected, f.name), (f.name, sorted(d.edges))
+            assert got.edges == expected.edges
+            for t in range(len(got.territories)):
+                assert dtw1._attachments(got.tree_edges, t) == attachments[t], (
+                    t, sorted(d.edges)
+                )
             split += len(got.edges) >= 2
         assert split >= 100, split
 
@@ -909,20 +941,39 @@ class TestRecognize:
             recognize_dtw1(digraph_from_edges(3, [(0, 1), (1, 2), (2, 1)]))
 
 
-# Two 7-vertex NO instances on which the case analysis reaches a piece that
-# is neither strongly 2-connected nor has a butterfly-dominating vertex, so
+# NO instances on which the case analysis reaches a piece that is neither
+# strongly 2-connected nor has a butterfly-dominating vertex, so
 # `_case_one_steps` raises "no cut vertex admits a usable shore contraction".
-CASE_ONE_CRASHES = [
-    "0 4, 1 3, 1 5, 2 0, 2 4, 3 2, 3 5, 4 1, 4 6, 5 2, 5 4, 5 6, 6 1, 6 3",
-    "0 3, 0 4, 1 2, 1 3, 2 0, 2 5, 3 0, 3 5, 4 1, 4 6, 5 4, 5 6, 6 1, 6 2",
-]
+# The two 7-vertex ones are the smallest repros; the census ones are every
+# crash among 1,500 draws of `rng = random.Random(7)`, `n = rng.randint(7, 11)`,
+# `p = rng.choice((0.05, 0.1, 0.15, 0.2))`,
+# `suite.random_strongly_connected(rng, n, p)`, named by draw index.
+CASE_ONE_CRASHES = {
+    "seven-a": "0 4, 1 3, 1 5, 2 0, 2 4, 3 2, 3 5, 4 1, 4 6, 5 2, 5 4, 5 6, 6 1, 6 3",
+    "seven-b": "0 3, 0 4, 1 2, 1 3, 2 0, 2 5, 3 0, 3 5, 4 1, 4 6, 5 4, 5 6, 6 1, 6 2",
+    "census-400": "0 6, 1 2, 1 4, 1 8, 2 3, 2 6, 3 1, 3 8, 4 2, 5 0, 5 4, 5 7, 6 3, 6 7, "
+    "7 1, 8 1, 8 5",
+    "census-444": "0 5, 0 6, 0 9, 1 0, 1 2, 1 3, 2 3, 2 4, 2 5, 3 0, 3 2, 3 8, 4 1, 4 6, "
+    "4 7, 5 1, 5 3, 6 9, 7 0, 7 8, 8 4, 8 6, 8 7, 9 1, 9 2",
+    "census-568": "0 3, 0 6, 0 8, 0 9, 1 2, 1 4, 1 6, 1 9, 2 0, 3 1, 3 2, 3 5, 4 1, 4 6, "
+    "5 6, 5 7, 6 2, 6 3, 6 7, 6 9, 7 8, 8 1, 8 4, 9 0, 9 1, 9 3, 9 4",
+    "census-821": "0 6, 1 6, 1 7, 2 1, 2 4, 2 7, 2 8, 3 1, 3 2, 3 5, 3 8, 4 5, 4 8, 4 10, "
+    "5 0, 5 3, 5 8, 5 9, 6 2, 6 3, 6 10, 7 5, 7 6, 7 8, 8 2, 9 0, 9 6, 10 5",
+    "census-1158": "0 1, 0 2, 0 4, 0 5, 1 0, 1 4, 1 6, 2 1, 2 5, 2 6, 3 1, 4 3, 5 1, 5 3, "
+    "5 7, 6 2, 6 4, 6 5, 6 7, 7 0, 7 4",
+    "census-1225": "0 9, 1 0, 1 2, 2 7, 3 0, 3 5, 3 6, 3 7, 4 2, 4 3, 4 5, 5 6, 5 7, 6 0, "
+    "6 2, 6 4, 7 2, 7 8, 7 9, 8 1, 8 2, 8 4, 9 0, 9 3, 9 4",
+    "census-1311": "0 1, 0 6, 0 8, 1 3, 1 6, 2 1, 2 3, 2 7, 3 2, 3 7, 3 10, 4 0, 4 2, 4 6, "
+    "5 2, 5 4, 6 1, 6 3, 6 9, 7 6, 7 8, 7 9, 7 10, 8 2, 8 5, 9 0, 9 8, 10 0, 10 4, 10 8",
+}
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the case-one shrinking step can break its own invariant")
-@pytest.mark.parametrize("edges", CASE_ONE_CRASHES, ids=["seven-a", "seven-b"])
+@pytest.mark.parametrize("edges", CASE_ONE_CRASHES.values(), ids=CASE_ONE_CRASHES.keys())
 def test_case_one_crash_inputs_get_verified_no_certificates(edges):
-    d = digraph_from_edges(7, [tuple(map(int, pair.split())) for pair in edges.split(", ")])
+    pairs = [tuple(map(int, pair.split())) for pair in edges.split(", ")]
+    d = digraph_from_edges(1 + max(map(max, pairs)), pairs)
     assert not hypertree_route(d).is_hypertree
     cert = recognize_dtw1(d)
     assert cert.verdict == "NO"
