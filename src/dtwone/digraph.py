@@ -4,7 +4,8 @@ A digraph is a vertex count plus a set of ordered pairs; loops and parallel
 edges are excluded.  Everything else — strong components, butterfly
 contractibility, tight separations — is computed on demand.  The strong
 components of d minus a vertex set come from one Tarjan pass over d itself,
-without building d minus the set.  Every contraction, of one edge or of a
+without building d minus the set, and the one holding a given vertex from a
+forward and a backward walk.  Every contraction, of one edge or of a
 whole shore, is a `quotient`.  All enumeration orders are deterministic.
 """
 
@@ -27,6 +28,11 @@ class Digraph:
         for (u, v) in self.edges:
             assert 0 <= u < self.n and 0 <= v < self.n, f"edge ({u},{v}) out of range"
             assert u != v, f"loop at {u}"
+
+    @cached_property
+    def vertex_set(self):
+        """The vertices 0..n-1 as a frozenset."""
+        return frozenset(range(self.n))
 
     @cached_property
     def _out(self):
@@ -105,8 +111,8 @@ def strong_components(d, removed=()):
     edge a->b the result is [{b}, {a}].  Deterministic: Tarjan's algorithm with
     vertices visited in increasing order and sorted adjacency.  The removed
     vertices are marked visited before the first root, so the result is the
-    list `induced_subgraph` of the other vertices would give, in the same
-    order, in the original names.
+    list the induced subgraph on the other vertices would give, renumbered
+    densely, in the same order, in the original names.
     """
     n = d.n
     index = [None] * n
@@ -158,28 +164,34 @@ def strong_components(d, removed=()):
     return comps
 
 
+def strong_component_of(d, v, removed=()):
+    """The strong component of d minus `removed` holding v, which is not
+    removed: the vertices v reaches in d - removed that also reach v.
+
+    The backward walk from v stays inside the forward reach, since every
+    vertex on a path back to v is itself reached from v.
+    """
+    reach = {v}
+    stack = [v]
+    while stack:
+        for w in d.out_neighbours(stack.pop()):
+            if w not in reach and w not in removed:
+                reach.add(w)
+                stack.append(w)
+    comp = {v}
+    stack = [v]
+    while stack:
+        for w in d.in_neighbours(stack.pop()):
+            if w in reach and w not in comp:
+                comp.add(w)
+                stack.append(w)
+    return frozenset(comp)
+
+
 def is_strongly_connected(d):
     if d.n <= 1:
         return True
     return len(strong_components(d)) == 1
-
-
-def induced_subgraph(d, keep):
-    """Induced subgraph on `keep`, with dense renaming.
-
-    Returns (subgraph, old_ids) where old_ids[new] is the original vertex.
-    """
-    old_ids = tuple(sorted(keep))
-    new_of = {old: new for new, old in enumerate(old_ids)}
-    es = frozenset(
-        (new_of[u], new_of[v]) for (u, v) in d.edges if u in new_of and v in new_of
-    )
-    return Digraph(len(old_ids), es), old_ids
-
-
-def delete_vertex(d, v):
-    """d - v with dense renaming; returns (subgraph, old_ids)."""
-    return induced_subgraph(d, [u for u in range(d.n) if u != v])
 
 
 def butterfly_contractible(d, edge):
@@ -226,11 +238,12 @@ class TightSeparation:
 
 def is_directed_separation(d, shore_a, shore_b):
     """True if (shore_a, shore_b) covers V and no edge runs from B-only to A-only."""
-    if frozenset(shore_a) | frozenset(shore_b) != frozenset(range(d.n)):
+    shore_a = frozenset(shore_a)
+    shore_b = frozenset(shore_b)
+    if shore_a | shore_b != d.vertex_set:
         return False
-    a_only = frozenset(shore_a) - frozenset(shore_b)
-    b_only = frozenset(shore_b) - frozenset(shore_a)
-    return not any(v in a_only for u in b_only for v in d.out_neighbours(u))
+    a_only = shore_a - shore_b
+    return all(a_only.isdisjoint(d.out_neighbours(u)) for u in shore_b - shore_a)
 
 
 def separations_cross(s, t):
@@ -242,12 +255,23 @@ def separations_cross(s, t):
 
 
 def cut_vertex_shores(d, v):
-    """The strong components of d - v, each paired with its X-shore.
+    """The strong components of d - v, each with its X-shore and orientation.
 
-    The X-shore of a component K is K alone when no other component has an
-    edge into K, and otherwise every vertex reachable from K in d - v.
-    Components come in `strong_components(d, (v,))` order; the list is empty
-    when d - v has at most one component, that is when v is no cut vertex.
+    The X-shore X of a component K is K alone when no other component has an
+    edge into K, and otherwise every vertex reachable from K in d - v.  With Y
+    the rest of d - v, the orientation x_first says which of (X+v, Y+v) and
+    (Y+v, X+v) is a directed separation, and the condensation decides it:
+
+    - K is entered by another component: X is everything K reaches, so no
+      edge leaves X, and the entering edge runs from Y into X.  Only
+      (Y+v, X+v) is valid; x_first is False.
+    - K is not entered and no edge leaves it: both are valid; x_first is None.
+    - K is not entered and an edge leaves it: only (X+v, Y+v) is valid;
+      x_first is True.
+
+    Each entry is (K, X, x_first).  Components come in
+    `strong_components(d, (v,))` order; the list is empty when d - v has at
+    most one component, that is when v is no cut vertex.
     """
     comps = strong_components(d, (v,))
     if len(comps) <= 1:
@@ -261,12 +285,13 @@ def cut_vertex_shores(d, v):
             entered.add(comp_of[b])
     # Reverse topological order: every successor of a component comes before
     # it and is entered, so its shore is already everything it reaches.
-    shores = []
+    out = []
     for ci, comp in enumerate(comps):
         if ci in entered:
-            comp = comp.union(*(shores[cj] for cj in succ[ci]))
-        shores.append(comp)
-    return list(zip(comps, shores))
+            out.append((comp, comp.union(*(out[cj][1] for cj in succ[ci])), False))
+        else:
+            out.append((comp, comp, True if succ[ci] else None))
+    return out
 
 
 def tight_separations(d):
@@ -276,32 +301,35 @@ def tight_separations(d):
     For each vertex v whose removal leaves several strong components and each
     component K of d - v, the shore X is the X-shore `cut_vertex_shores`
     pairs with K.  The rest of d - v is Y, and the separation pairs Y+v against
-    X+v with separator {v}.  Results are deduplicated by unordered shore pair,
-    stored in the valid orientation (edges crossing from the first shore to the
-    second; lexicographically smaller first shore when both orientations are
-    valid) and sorted.  Both shores must have >= 2 vertices, which here just
-    excludes the Y = empty case.
+    X+v with separator {v}.  Results are deduplicated by unordered shore pair
+    and sorted.  Each is stored in its valid orientation, edges crossing from
+    the first shore to the second, which the condensation of d - v decides
+    (see `cut_vertex_shores`): X+v second when K is entered by another
+    component, X+v first when K is not entered but has an edge leaving it,
+    and the lexicographically smaller shore first when K has neither, since
+    then both orientations are valid.  The picked orientation is asserted to
+    be a directed separation.  Both shores must have >= 2 vertices, which
+    here just excludes the Y = empty case.
     """
     found = {}
     for v in range(d.n):
-        for _, x in cut_vertex_shores(d, v):
-            y = frozenset(u for u in range(d.n) if u != v) - x
-            if not y:
+        for _, x, x_first in cut_vertex_shores(d, v):
+            p = d.vertex_set - x
+            if len(p) < 2:
                 continue
-            p = y | {v}
             q = x | {v}
             key = frozenset((p, q))
             if key in found:
                 continue
-            pq_valid = is_directed_separation(d, p, q)
-            qp_valid = is_directed_separation(d, q, p)
-            assert pq_valid or qp_valid, "constructed shores admit no valid orientation"
-            if pq_valid and qp_valid:
+            if x_first is None:
                 first, second = sorted((p, q), key=lambda s: tuple(sorted(s)))
-            elif pq_valid:
-                first, second = p, q
-            else:
+            elif x_first:
                 first, second = q, p
+            else:
+                first, second = p, q
+            assert is_directed_separation(d, first, second), (
+                "constructed shores admit no valid orientation"
+            )
             found[key] = TightSeparation(first, second)
     return sorted(found.values(), key=TightSeparation.sort_key)
 

@@ -340,7 +340,7 @@ def _case_one_steps(d: Digraph) -> Optional[list]:
             continue
         saw_cut = True
         shores.sort(key=lambda pair: (not (pair[0] & dom), min(pair[0])))
-        for _, x_side in shores:
+        for _, x_side, _ in shores:
             y_side = frozenset(range(d.n)) - x_side - {v}
             if len(y_side) < 2:
                 continue
@@ -528,30 +528,17 @@ def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
 
     Collapsed far shores re-enter on the side their cut vertex lies on; a cut
     vertex on the separator sends its shore to the side matching the shore's
-    role in its own separation, which keeps the family laminar.
+    role in its own separation, which keeps the family laminar.  A far shore
+    meets the territory only in its cut, so adding it to a side never moves
+    another cut vertex.
     """
-    blob = {}
+    shore_a = {labels[i] for i in local_sep.shoreA}
+    shore_b = {labels[i] for i in local_sep.shoreB}
     for (cut, far, far_is_a) in attachments:
-        blob.setdefault(cut, []).append((far - {cut}, far_is_a))
-    shore_a = set()
-    shore_b = set()
-    local_a = {labels[i] for i in local_sep.shoreA}
-    local_b = {labels[i] for i in local_sep.shoreB}
-    for v in labels:
-        in_a = v in local_a
-        in_b = v in local_b
-        if in_a:
-            shore_a.add(v)
-        if in_b:
-            shore_b.add(v)
-        for inner, far_is_a in blob.get(v, ()):
-            if in_a and in_b:
-                target = shore_a if far_is_a else shore_b
-            elif in_a:
-                target = shore_a
-            else:
-                target = shore_b
-            target |= inner
+        if cut in shore_a and (far_is_a or cut not in shore_b):
+            shore_a |= far
+        else:
+            shore_b |= far
     lifted = TightSeparation(frozenset(shore_a), frozenset(shore_b))
     assert is_directed_separation(d, lifted.shoreA, lifted.shoreB), (
         "lifted shores stopped being a directed separation"

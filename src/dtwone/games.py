@@ -15,7 +15,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cycles import CycleChain, CycleHypergraph, cut, cycle_hypergraph, min_hitting_set
-from .digraph import Digraph, all_subsets, is_strongly_connected, strong_components
+from .digraph import (
+    Digraph,
+    all_subsets,
+    is_strongly_connected,
+    strong_component_of,
+    strong_components,
+)
 from .errors import InstanceTooLarge
 from .hypergraph import _bfs_arcs, _vertex_components, two_section
 
@@ -306,12 +312,20 @@ class Haven:
 
 
 def verify_haven(d: Digraph, hav: Haven) -> bool:
-    """Exhaustively check the haven conditions for every X with |X| < order."""
+    """Exhaustively check the haven conditions for every X with |X| < order.
+
+    h(X) is a strong component of d - X exactly when it is a non-empty vertex
+    set missing X that equals the strong component of d - X holding its least
+    vertex, so each entry costs one walk, not a condensation of d - X.
+    """
     domain = list(all_subsets(range(d.n), min(hav.order - 1, d.n)))
     for x in domain:
         if x not in hav.assignment:
             return False
-        if hav.assignment[x] not in _components_avoiding(d, x):
+        h = hav.assignment[x]
+        if not h or not h <= d.vertex_set or not h.isdisjoint(x):
+            return False
+        if strong_component_of(d, min(h), x) != h:
             return False
     for x in domain:
         for y in all_subsets(sorted(x), len(x)):
@@ -385,14 +399,15 @@ def haven_from_minor(d: Digraph, branch_sets: dict, roots: dict) -> Haven:
 
     roots[p] lies in branch_sets[p], and root(P) reaches root(Q) inside P ∪ Q
     for every pattern edge P -> Q.  h(X) is the strong component of d - X
-    holding roots[p] for the least p whose branch set misses X.  The pattern
-    stays strongly connected without any one vertex, so for |Y| ≤ 1 the roots
-    of the sets missing Y share a strong component of d - Y: h is monotone.
+    holding roots[p] for the least p whose branch set misses X, found by one
+    walk from that root.  The pattern stays strongly connected without any
+    one vertex, so for |Y| ≤ 1 the roots of the sets missing Y share a strong
+    component of d - Y: h is monotone.
     """
     assignment = {}
     for x in all_subsets(range(d.n), 2):
         p = min(p for p, cls in branch_sets.items() if not cls & x)
-        assignment[x] = next(c for c in strong_components(d, x) if roots[p] in c)
+        assignment[x] = strong_component_of(d, roots[p], x)
     hav = Haven(3, assignment)
     assert verify_haven(d, hav), "the minor's roots produced a defective haven"
     return hav

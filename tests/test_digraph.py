@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dtwone import digraph
 from dtwone.digraph import (
     Digraph,
     TightSeparation,
@@ -18,15 +19,14 @@ from dtwone.digraph import (
     butterfly_contractible,
     butterfly_dominating_vertices,
     cut_vertex_shores,
-    delete_vertex,
     digraph_from_edges,
     directed_cycle_digraph,
-    induced_subgraph,
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
     quotient,
     separations_cross,
+    strong_component_of,
     strong_components,
     tight_separations,
 )
@@ -142,15 +142,31 @@ class TestStrongComponents:
                 expected = [frozenset(old_ids[i] for i in c) for c in strong_components(sub)]
                 assert strong_components(d, removed) == expected, (sorted(d.edges), removed)
 
+    def test_strong_component_of_matches_the_condensation(self):
+        # Every vertex of every component up to 12 vertices; on the larger
+        # trees, the least and greatest vertex of each component.
+        checked = 0
+        for d in separation_corpus():
+            for removed in all_subsets(range(d.n), 2):
+                for comp in strong_components(d, removed):
+                    for v in comp if d.n <= 12 else {min(comp), max(comp)}:
+                        assert strong_component_of(d, v, removed) == comp, (
+                            sorted(d.edges), removed, v
+                        )
+                        checked += 1
+        assert checked >= 100_000, checked
+
 
 class TestReachability:
     def test_cut_vertex_shores_reach_downstream(self):
         d = directed_cycle_digraph(4)
         # d - 0 is the path 1 -> 2 -> 3; only the source keeps its component.
+        # {3} and {2} are entered, so their shores go second; {1} is not
+        # entered and has an edge leaving it, so its shore goes first.
         assert cut_vertex_shores(d, 0) == [
-            ({3}, {3}),
-            ({2}, {2, 3}),
-            ({1}, {1}),
+            ({3}, {3}, False),
+            ({2}, {2, 3}, False),
+            ({1}, {1}, True),
         ]
         assert cut_vertex_shores(bicycle(3), 0) == []
         assert cut_vertex_shores(Digraph(1, ()), 0) == []
@@ -387,6 +403,24 @@ class TestTightSeparations:
         assert keys == sorted(keys)
 
 
+def induced_subgraph(d, keep):
+    """Induced subgraph on `keep`, with dense renaming.
+
+    Returns (subgraph, old_ids) where old_ids[new] is the original vertex.
+    """
+    old_ids = tuple(sorted(keep))
+    new_of = {old: new for new, old in enumerate(old_ids)}
+    es = frozenset(
+        (new_of[u], new_of[v]) for (u, v) in d.edges if u in new_of and v in new_of
+    )
+    return Digraph(len(old_ids), es), old_ids
+
+
+def delete_vertex(d, v):
+    """d - v with dense renaming; returns (subgraph, old_ids)."""
+    return induced_subgraph(d, [u for u in range(d.n) if u != v])
+
+
 def reference_is_directed_separation(d, shore_a, shore_b):
     """The edge-scan form of `is_directed_separation`."""
     if frozenset(shore_a) | frozenset(shore_b) != frozenset(range(d.n)):
@@ -488,6 +522,21 @@ class TestSeparationReference:
             assert tight_separations(d) == reference_tight_separations(d), sorted(d.edges)
             count += 1
         assert count == 1 + 1 + 18 + 1606 + 200 + 40
+
+    def test_one_orientation_check_per_separation(self, monkeypatch):
+        calls = []
+
+        def counted(d, shore_a, shore_b):
+            calls.append((shore_a, shore_b))
+            return is_directed_separation(d, shore_a, shore_b)
+
+        monkeypatch.setattr(digraph, "is_directed_separation", counted)
+        d = bidirect(40, random_tree_edges(random.Random(41), 40))
+        seps = tight_separations(d)
+        assert len(seps) >= 38
+        assert sorted(calls, key=lambda c: TightSeparation(*c).sort_key()) == [
+            (s.shoreA, s.shoreB) for s in seps
+        ]
 
     def test_is_directed_separation_matches_the_edge_scan(self):
         rng = random.Random(405)

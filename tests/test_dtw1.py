@@ -15,7 +15,6 @@ from dtwone.digraph import (
     bicycle,
     bidirect,
     butterfly_dominating_vertices,
-    delete_vertex,
     digraph_from_edges,
     directed_cycle_digraph,
     is_strongly_2_connected,
@@ -41,6 +40,7 @@ from dtwone.dtw1 import (
 )
 from dtwone.games import Haven, solve_game
 from test_digraph import (
+    delete_vertex,
     random_strongly_connected,
     random_tree_edges,
     reference_tight_separations,
@@ -746,6 +746,33 @@ class _PieceState:
         self.attachments = list(attachments)  # (cut, far shore, far is an A-shore)
 
 
+def reference_lift_separation(d, attachments, local_sep, labels):
+    """`_lift_separation` as it was when it walked every label of the piece."""
+    blob = {}
+    for (cut, far, far_is_a) in attachments:
+        blob.setdefault(cut, []).append((far - {cut}, far_is_a))
+    shore_a = set()
+    shore_b = set()
+    local_a = {labels[i] for i in local_sep.shoreA}
+    local_b = {labels[i] for i in local_sep.shoreB}
+    for v in labels:
+        in_a = v in local_a
+        in_b = v in local_b
+        if in_a:
+            shore_a.add(v)
+        if in_b:
+            shore_b.add(v)
+        for inner, far_is_a in blob.get(v, ()):
+            if in_a and in_b:
+                target = shore_a if far_is_a else shore_b
+            elif in_a:
+                target = shore_a
+            else:
+                target = shore_b
+            target |= inner
+    return TightSeparation(frozenset(shore_a), frozenset(shore_b))
+
+
 def reference_s_decomposition(d):
     """`s_decomposition` as it was when every round searched every piece and
     each piece carried its own attachments; returns the record plus those
@@ -757,7 +784,8 @@ def reference_s_decomposition(d):
         for pi, piece in enumerate(pieces):
             collapsed, labels = dtw1._collapse_piece(d, piece.territory, piece.attachments)
             for local in reference_tight_separations(collapsed):
-                lifted = dtw1._lift_separation(d, piece.attachments, local, labels)
+                lifted = reference_lift_separation(d, piece.attachments, local, labels)
+                assert lifted == dtw1._lift_separation(d, piece.attachments, local, labels)
                 key = lifted.sort_key()
                 if best is None or key < best[0]:
                     best = (key, pi, lifted)

@@ -6,16 +6,19 @@ import random
 
 import pytest
 
+from dtwone import digraph, games
 from dtwone.cycles import CycleChain, cycle_hypergraph, find_closed_chain
 from dtwone.decomp import DirectedBranchDecomposition, validate_dbd
 from dtwone.digraph import (
     a4_digraph,
+    all_subsets,
     bicycle,
     bidirect,
     digraph_from_edges,
     directed_cycle_digraph,
     strong_components,
 )
+from dtwone.dtw1 import recognize_dtw1
 from dtwone.errors import InstanceTooLarge
 from dtwone.games import (
     CopStrategy,
@@ -35,7 +38,23 @@ from dtwone.games import (
     verify_haven,
 )
 from dtwone.hypergraph import dual
-from test_digraph import random_strongly_connected
+from test_digraph import random_strongly_connected, tree_plus_triangle
+
+
+def reference_verify_haven(d, hav):
+    """`verify_haven` as it was when it listed the strong components of d - X
+    for every entry."""
+    domain = list(all_subsets(range(d.n), min(hav.order - 1, d.n)))
+    for x in domain:
+        if x not in hav.assignment:
+            return False
+        if hav.assignment[x] not in _components_avoiding(d, x):
+            return False
+    for x in domain:
+        for y in all_subsets(sorted(x), len(x)):
+            if not hav.assignment[x] <= hav.assignment[y]:
+                return False
+    return True
 
 
 def digon():
@@ -305,6 +324,52 @@ class TestHavens:
         assert hav.assignment[frozenset({2})] == frozenset({0, 1})
         with pytest.raises(AssertionError):
             haven_from_minor(d, branch, {0: 3, 1: 1, 2: 2})
+
+    def test_minor_haven_runs_no_condensation(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return strong_components(*args)
+
+        monkeypatch.setattr(games, "strong_components", counted)
+        monkeypatch.setattr(digraph, "strong_components", counted)
+        d = bicycle(8)
+        singletons = {p: frozenset({p}) for p in range(d.n)}
+        hav = haven_from_minor(d, singletons, {p: p for p in range(d.n)})
+        assert len(hav.assignment) == 1 + 8 + 28
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "d",
+        [*(bicycle(k) for k in range(3, 9)), a4_digraph(),
+         tree_plus_triangle(random.Random(12), 12)],
+        ids=[*(f"bicycle{k}" for k in range(3, 9)), "a4", "tree-plus-triangle"],
+    )
+    def test_verify_agrees_with_the_component_list_on_mutations(self, d):
+        """Each entry of a valid haven is replaced by a proper subset of its
+        component, a union of two components, a set holding a cop, the empty
+        set, a set naming vertex n, or another component of d - X."""
+        hav = recognize_dtw1(d).haven
+        assert verify_haven(d, hav) and reference_verify_haven(d, hav)
+        tried = rejected = 0
+        for x, h in hav.assignment.items():
+            others = [c for c in strong_components(d, x) if c != h]
+            mutations = [frozenset(), h | {d.n}]
+            if len(h) >= 2:
+                mutations += [h - {min(h)}, h - {max(h)}]
+            if x:
+                mutations.append(h | {min(x)})
+            if others:
+                mutations += [h | others[0], others[0]]
+            for m in mutations:
+                mutated = Haven(hav.order, {**hav.assignment, x: m})
+                got = verify_haven(d, mutated)
+                assert got == reference_verify_haven(d, mutated), (sorted(d.edges), x, m)
+                tried += 1
+                rejected += not got
+        assert rejected >= tried - 2 * len(hav.assignment), (tried, rejected)
+        assert tried >= 4 * len(hav.assignment), (tried, rejected)
 
     def test_open_chain_rejected(self):
         ch = cycle_hypergraph(a4_digraph())
