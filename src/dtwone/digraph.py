@@ -5,8 +5,10 @@ edges are excluded.  Everything else — strong components, butterfly
 contractibility, tight separations — is computed on demand.  The strong
 components of d minus a vertex set come from one Tarjan pass over d itself,
 without building d minus the set, and the one holding a given vertex from a
-forward and a backward walk.  Every contraction, of one edge or of a
-whole shore, is a `quotient`.  All enumeration orders are deterministic.
+forward and a backward walk.  `tight_separations` takes the components of
+every d minus one vertex from a caller that already has them.  Every
+contraction, of one edge or of a whole shore, is a `quotient`.  All
+enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -243,7 +245,9 @@ def is_directed_separation(d, shore_a, shore_b):
     if shore_a | shore_b != d.vertex_set:
         return False
     a_only = shore_a - shore_b
-    return all(a_only.isdisjoint(d.out_neighbours(u)) for u in shore_b - shore_a)
+    return a_only.isdisjoint(
+        itertools.chain.from_iterable(map(d._out.__getitem__, shore_b - shore_a))
+    )
 
 
 def separations_cross(s, t):
@@ -254,7 +258,7 @@ def separations_cross(s, t):
     return bool(a & c) and bool(b & dd) and bool((a & dd) - (b & c)) and bool((b & c) - (a & dd))
 
 
-def cut_vertex_shores(d, v):
+def cut_vertex_shores(d, v, comps=None):
     """The strong components of d - v, each with its X-shore and orientation.
 
     The X-shore X of a component K is K alone when no other component has an
@@ -269,11 +273,15 @@ def cut_vertex_shores(d, v):
     - K is not entered and an edge leaves it: only (X+v, Y+v) is valid;
       x_first is True.
 
-    Each entry is (K, X, x_first).  Components come in
-    `strong_components(d, (v,))` order; the list is empty when d - v has at
-    most one component, that is when v is no cut vertex.
+    Each entry is (K, X, x_first).  `comps` is the list of strong components
+    of d - v in any reverse topological order of the condensation (no edge
+    runs from an earlier component to a later one); when it is not given it
+    is `strong_components(d, (v,))`.  Entries come in that order; the list is
+    empty when d - v has at most one component, that is when v is no cut
+    vertex.
     """
-    comps = strong_components(d, (v,))
+    if comps is None:
+        comps = strong_components(d, (v,))
     if len(comps) <= 1:
         return []
     comp_of = {u: ci for ci, comp in enumerate(comps) for u in comp}
@@ -294,7 +302,7 @@ def cut_vertex_shores(d, v):
     return out
 
 
-def tight_separations(d):
+def tight_separations(d, minus=None):
     """All tight separations of a strongly connected digraph arising from single
     cut vertices.
 
@@ -310,10 +318,18 @@ def tight_separations(d):
     then both orientations are valid.  The picked orientation is asserted to
     be a directed separation.  Both shores must have >= 2 vertices, which
     here just excludes the Y = empty case.
+
+    `minus[v]` is the list of strong components of d - v, in a reverse
+    topological order of its condensation, for every vertex v; a caller that
+    already knows them passes them in.  When `minus` is not given, each list
+    is `strong_components(d, (v,))`.  The result does not depend on which
+    reverse topological order a list is in.
     """
+    if minus is None:
+        minus = [strong_components(d, (v,)) for v in range(d.n)]
     found = {}
     for v in range(d.n):
-        for _, x, x_first in cut_vertex_shores(d, v):
+        for _, x, x_first in cut_vertex_shores(d, v, minus[v]):
             p = d.vertex_set - x
             if len(p) < 2:
                 continue

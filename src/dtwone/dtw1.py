@@ -29,6 +29,7 @@ from .digraph import (
     is_strongly_connected,
     quotient,
     separations_cross,
+    strong_components,
     tight_separations,
 )
 from .games import Haven, haven_from_minor, verify_haven
@@ -546,17 +547,54 @@ def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
     return lifted
 
 
-def _least_candidate(d: Digraph, territory, attachments):
+def _least_candidate(d: Digraph, territory, attachments, inherited):
     """The piece's lexicographically least lifted separation as (sort key,
-    separation), the first of equals; None when the piece has none."""
+    separation), the first of equals, or None when the piece has none;
+    returned with the piece's table of strong components.
+
+    The table maps each vertex v of the territory to the strong components
+    of the collapsed piece minus v, as sets of labels, in a reverse
+    topological order of their condensation.  `inherited` holds the entries
+    a split piece takes over from its parent, each parent component
+    restricted to the territory: the collapsed piece minus v has exactly
+    those components whenever v is not the piece's new cut vertex, since
+    merging the far side of a one-vertex separation into its cut changes no
+    reachability among the vertices that stay (see `s_decomposition`).  The
+    missing entries, every vertex of the root piece and the cut vertex of a
+    split piece, take one Tarjan pass each.  The piece is collapsed once and
+    `tight_separations` reads the table instead of recomputing it.
+    """
     collapsed, labels = _collapse_piece(d, territory, attachments)
+    index = {label: i for i, label in enumerate(labels)}
+    table = {}
+    minus = []
+    for i, label in enumerate(labels):
+        if label in inherited:
+            comps = inherited[label]
+            minus.append([frozenset(map(index.__getitem__, k)) for k in comps])
+        else:
+            local = strong_components(collapsed, (i,))
+            minus.append(local)
+            comps = [frozenset(map(labels.__getitem__, k)) for k in local]
+        table[label] = comps
     best = None
-    for local in tight_separations(collapsed):
+    for local in tight_separations(collapsed, minus):
         lifted = _lift_separation(d, attachments, local, labels)
         key = lifted.sort_key()
         if best is None or key < best[0]:
             best = (key, lifted)
-    return best
+    return best, table
+
+
+def _inherit(table, territory, cut) -> dict:
+    """The entries of a split piece's table that it takes over from its
+    parent's: every territory vertex but the cut, each parent component
+    restricted to the territory, empty ones dropped, order kept."""
+    return {
+        v: [part for k in table[v] if (part := k & territory)]
+        for v in territory
+        if v != cut
+    }
 
 
 def s_decomposition(d: Digraph) -> SDecomposition:
@@ -569,6 +607,23 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     The result keeps only each node's territory and the oriented tree edges,
     sorted by node pair; every finished piece is checked to be strongly
     2-connected and the family to be laminar before it is returned.
+
+    The search of a piece needs the strong components of its collapsed
+    piece minus each vertex.  A split piece inherits them from its parent
+    for every vertex but the new cut c, which is exact.  Let Q be the
+    parent's collapsed piece, split along (A, B) with A and B meeting in c.
+    Q is strongly connected and no edge runs from B-only to A-only, so every
+    B-only vertex reaches c inside B, and every A-only vertex is reached
+    from c inside A.  For v in A - {c}, a path of Q - v between vertices of
+    A that enters B-only leaves it through c, and an edge a -> b into B-only
+    continues to c without meeting v.  So reachability among A's vertices is
+    the same in Q - v as in Q_A - v, where Q_A is Q with B merged into c:
+    the A side's collapsed piece.  Its strong components are the non-empty
+    K & T_A over the components K of Q - v, T_A the A side's territory, and
+    the parent's order stays a reverse topological order, because every
+    edge a -> c that Q_A - v gains stands for a path a -> b ~> c of Q - v.
+    The B side is the same argument with every edge reversed.  Only c takes
+    a fresh Tarjan pass in each child.
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
@@ -576,12 +631,12 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         raise ValueError("need a strongly connected digraph")
 
     pieces = [frozenset(range(d.n))]  # the territory of each piece, by index
-    candidates = [_least_candidate(d, pieces[0], [])]
+    searched = [_least_candidate(d, pieces[0], [], {})]  # (candidate, table)
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
 
     while True:
         best = None
-        for pi, cand in enumerate(candidates):
+        for pi, (cand, _) in enumerate(searched):
             if cand is not None and (best is None or cand[0] < best[0]):
                 best = (cand[0], pi, cand[1])
         if best is None:
@@ -610,10 +665,15 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             rewired.append((ai, bi, s))
         tree_edges = rewired
         tree_edges.append((pi, new_index, sep))
-        candidates[pi] = _least_candidate(d, pieces[pi], _attachments(tree_edges, pi))
-        candidates.append(
-            _least_candidate(d, pieces[new_index], _attachments(tree_edges, new_index))
-        )
+        table = searched[pi][1]
+        searched[pi], searched_new = [
+            _least_candidate(
+                d, pieces[i], _attachments(tree_edges, i),
+                _inherit(table, pieces[i], sep.cut_vertex),
+            )
+            for i in (pi, new_index)
+        ]
+        searched.append(searched_new)
 
     for pi, territory in enumerate(pieces):
         collapsed, _ = _collapse_piece(d, territory, _attachments(tree_edges, pi))

@@ -430,6 +430,28 @@ def reference_is_directed_separation(d, shore_a, shore_b):
     return not any(u in b_only and v in a_only for (u, v) in d.edges)
 
 
+def generator_is_directed_separation(d, shore_a, shore_b):
+    """`is_directed_separation` as it was when it scanned each B-only
+    vertex's out-neighbours in a generator."""
+    shore_a = frozenset(shore_a)
+    shore_b = frozenset(shore_b)
+    if shore_a | shore_b != d.vertex_set:
+        return False
+    a_only = shore_a - shore_b
+    return all(a_only.isdisjoint(d.out_neighbours(u)) for u in shore_b - shore_a)
+
+
+def other_reverse_topological_order(d, removed):
+    """The strong components of d - removed from Tarjan's pass over d with
+    its vertices renamed v -> n-1-v, mapped back: another reverse
+    topological order of the same condensation."""
+    flip = Digraph(d.n, frozenset((d.n - 1 - a, d.n - 1 - b) for (a, b) in d.edges))
+    return [
+        frozenset(d.n - 1 - u for u in comp)
+        for comp in strong_components(flip, {d.n - 1 - u for u in removed})
+    ]
+
+
 def reference_tight_separations(d):
     """`tight_separations` as it was when it built each d - v as a digraph."""
     found = {}
@@ -523,6 +545,19 @@ class TestSeparationReference:
             count += 1
         assert count == 1 + 1 + 18 + 1606 + 200 + 40
 
+    def test_given_components_in_another_order_give_the_same_separations(self):
+        reordered = 0
+        for d in separation_corpus():
+            minus = [other_reverse_topological_order(d, {v}) for v in range(d.n)]
+            for v in range(d.n):
+                assert sorted(minus[v], key=min) == sorted(strong_components(d, (v,)), key=min)
+                assert sorted(cut_vertex_shores(d, v, minus[v]), key=lambda t: min(t[0])) == sorted(
+                    cut_vertex_shores(d, v), key=lambda t: min(t[0])
+                ), (sorted(d.edges), v)
+                reordered += minus[v] != strong_components(d, (v,))
+            assert tight_separations(d, minus) == tight_separations(d), sorted(d.edges)
+        assert reordered >= 500, reordered
+
     def test_one_orientation_check_per_separation(self, monkeypatch):
         calls = []
 
@@ -557,6 +592,28 @@ class TestSeparationReference:
                 assert got == reference_is_directed_separation(d, a, b), (sorted(d.edges), a, b)
                 valid += got
         assert covering >= 1000 and overlapping >= 1000 and valid >= 500, (covering, overlapping, valid)
+
+    def test_is_directed_separation_matches_the_generator_form(self):
+        rng = random.Random(406)
+        uncovering = overlapping = no_b_only = valid = 0
+        for d in separation_corpus():
+            for _ in range(4):
+                a = frozenset(v for v in range(d.n) if rng.random() < 0.6)
+                b = frozenset(v for v in range(d.n) if v not in a or rng.random() < 0.5)
+                if rng.random() < 0.2:
+                    b -= {rng.randrange(d.n)}
+                if rng.random() < 0.2:
+                    b &= a
+                covering = a | b == d.vertex_set
+                uncovering += not covering
+                overlapping += len(a & b) > 1
+                no_b_only += covering and not b - a
+                got = is_directed_separation(d, a, b)
+                assert got == generator_is_directed_separation(d, a, b), (sorted(d.edges), a, b)
+                valid += got
+        assert min(uncovering, overlapping, no_b_only, valid) >= 500, (
+            uncovering, overlapping, no_b_only, valid
+        )
 
 
 class TestAllSubsets:
