@@ -36,32 +36,27 @@ from .games import play_transcript, solve_game
 from .hypergraph import hypertree_witness, is_alpha_acyclic
 
 
-def _run_options(f):
-    for opt in (
-        click.option(
-            "--format",
-            "output_format",
-            type=click.Choice(("text", "structured")),
-            default="text",
-            show_default=True,
-            help="`text` adds `#` comment lines; `structured` is records only.",
-        ),
-        click.option(
-            "--seed",
-            default=0,
-            show_default=True,
-            help="Random seed, echoed in the output header.",
-        ),
-        click.option(
-            "--cap",
-            type=click.IntRange(min=1),
-            default=DEFAULT_CYCLE_CAP,
-            show_default=True,
-            help="Cycle enumeration cap.",
-        ),
-    ):
-        f = opt(f)
-    return f
+_format_option = click.option(
+    "--format",
+    "output_format",
+    type=click.Choice(("text", "structured")),
+    default="text",
+    show_default=True,
+    help="`text` adds `#` comment lines; `structured` is records only.",
+)
+_cap_option = click.option(
+    "--cap",
+    type=click.IntRange(min=1),
+    default=DEFAULT_CYCLE_CAP,
+    show_default=True,
+    help="Cycle enumeration cap.",
+)
+_seed_option = click.option(
+    "--seed",
+    default=0,
+    show_default=True,
+    help="Random seed of the generated instances.",
+)
 
 
 def _die(message: str):
@@ -130,12 +125,12 @@ def main():
 
 @main.command("recognize")
 @click.argument("digraph_file", type=click.Path(exists=True, dir_okay=False))
-@_run_options
-def cmd_recognize(digraph_file, cap, seed, output_format):
+@_format_option
+def cmd_recognize(digraph_file, output_format):
     """Decide directed treewidth one; print a certificate either way."""
     d, names = _load_digraph(digraph_file)
     cert = _guarded(recognize_dtw1, d)
-    lines = header_lines("recognize", seed, cap=cap, digraph=d)
+    lines = header_lines("recognize", digraph=d)
     if cert.verdict == "YES":
         _note(output_format, lines, "directed treewidth one: the decomposition below "
                                     "has width 1")
@@ -151,18 +146,17 @@ def cmd_recognize(digraph_file, cap, seed, output_format):
 @main.command("verify-cert")
 @click.argument("digraph_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("certificate_file", type=click.Path(exists=True, dir_okay=False))
-@_run_options
-def cmd_verify_cert(digraph_file, certificate_file, cap, seed, output_format):
+@_format_option
+def cmd_verify_cert(digraph_file, certificate_file, output_format):
     """Re-check a previously emitted certificate against its digraph."""
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
-    text = _read_file(certificate_file)
-    kv, _ = _guarded(read_document, text)
+    kv, records = _guarded(read_document, _read_file(certificate_file))
     if kv.get("digraph") != digraph_hash(d):
         _die("certificate was issued for a different digraph")
-    _, cert = _guarded(parse_certificate, text, name_to_id)
+    cert = _guarded(parse_certificate, (kv, records), name_to_id)
     report = _guarded(verify_certificate, d, cert)
-    lines = header_lines("verify-cert", seed, cap=cap, digraph=d)
+    lines = header_lines("verify-cert", digraph=d)
     lines.append(f"verdict={cert.verdict}")
     lines.append(f"result={'valid' if report.valid else 'invalid'}")
     if cert.verdict == "YES" and report.valid and report.width is not None:
@@ -177,12 +171,13 @@ def cmd_verify_cert(digraph_file, certificate_file, cap, seed, output_format):
 
 @main.command("cycles")
 @click.argument("digraph_file", type=click.Path(exists=True, dir_okay=False))
-@_run_options
-def cmd_cycles(digraph_file, cap, seed, output_format):
+@_format_option
+@_cap_option
+def cmd_cycles(digraph_file, cap, output_format):
     """Enumerate the simple directed cycles, one `c ...` line each."""
     d, names = _load_digraph(digraph_file)
     ch = _guarded(cycle_hypergraph, d, cap)
-    lines = header_lines("cycles", seed, cap=cap, digraph=d)
+    lines = header_lines("cycles", cap=cap, digraph=d)
     lines.append(f"count={len(ch.cycles)}")
     _note(output_format, lines, f"{len(ch.cycles)} simple directed cycle(s) in "
                                 f"canonical rotation")
@@ -193,13 +188,13 @@ def cmd_cycles(digraph_file, cap, seed, output_format):
 
 @main.command("hypergraph")
 @click.argument("hypergraph_file", type=click.Path(exists=True, dir_okay=False))
-@_run_options
-def cmd_hypergraph(hypergraph_file, cap, seed, output_format):
+@_format_option
+def cmd_hypergraph(hypergraph_file, output_format):
     """Analyse a standalone hypergraph: acyclicity and hypertree structure."""
     h = _guarded(parse_hypergraph, _read_file(hypergraph_file))
     acyclic = _guarded(is_alpha_acyclic, h)
     witness = _guarded(hypertree_witness, h)
-    lines = header_lines("hypergraph", seed, cap=cap)
+    lines = header_lines("hypergraph")
     lines.append(f"vertices={len(h.vertices)}")
     lines.append(f"edges={len(h.edges)}")
     lines.append(f"alpha_acyclic={'true' if acyclic else 'false'}")
@@ -220,15 +215,15 @@ def cmd_hypergraph(hypergraph_file, cap, seed, output_format):
 @main.command("validate-dtd")
 @click.argument("digraph_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("decomposition_file", type=click.Path(exists=True, dir_okay=False))
-@_run_options
-def cmd_validate_dtd(digraph_file, decomposition_file, cap, seed, output_format):
+@_format_option
+def cmd_validate_dtd(digraph_file, decomposition_file, output_format):
     """Validate a directed tree decomposition against its digraph."""
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     _, records = _load_decomposition_document(decomposition_file, d)
     dec = _guarded(parse_dtd, records, name_to_id)
     report = _guarded(decomp.validate_dtd, d, dec)
-    lines = header_lines("validate-dtd", seed, cap=cap, digraph=d)
+    lines = header_lines("validate-dtd", digraph=d)
     _report_lines(lines, "kind", "dtd", report)
     _emit(lines)
     sys.exit(0 if report.valid else 1)
@@ -237,15 +232,16 @@ def cmd_validate_dtd(digraph_file, decomposition_file, cap, seed, output_format)
 @main.command("validate-dbd")
 @click.argument("digraph_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("decomposition_file", type=click.Path(exists=True, dir_okay=False))
-@_run_options
-def cmd_validate_dbd(digraph_file, decomposition_file, cap, seed, output_format):
+@_format_option
+@_cap_option
+def cmd_validate_dbd(digraph_file, decomposition_file, cap, output_format):
     """Validate a directed branch decomposition against its digraph."""
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     _, records = _load_decomposition_document(decomposition_file, d)
     dec = _guarded(parse_dbd, records, name_to_id)
     report = _guarded(decomp.validate_dbd, d, dec, cap=cap)
-    lines = header_lines("validate-dbd", seed, cap=cap, digraph=d)
+    lines = header_lines("validate-dbd", cap=cap, digraph=d)
     _report_lines(lines, "kind", "dbd", report)
     _emit(lines)
     sys.exit(0 if report.valid else 1)
@@ -255,9 +251,9 @@ def cmd_validate_dbd(digraph_file, decomposition_file, cap, seed, output_format)
 @click.argument("digraph_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("decomposition_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("target", type=click.Choice(("dbd", "hbd", "ghd")))
-@_run_options
-def cmd_convert(digraph_file, decomposition_file, target, cap, seed,
-                output_format):
+@_format_option
+@_cap_option
+def cmd_convert(digraph_file, decomposition_file, target, cap, output_format):
     """Convert decompositions: dtd to dbd, dbd to hbd, dtd to ghd."""
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
@@ -278,7 +274,7 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, seed,
     else:
         out = _guarded(decomp.dtd_to_ghd, d, dec, cap)
         body, width = format_ghd(out), out.width
-    lines = header_lines("convert", seed, cap=cap, digraph=d)
+    lines = header_lines("convert", cap=cap, digraph=d)
     lines.append(f"convert={target}")
     lines.append(f"width={width}")
     _note(output_format, lines, f"converted to a {target} of width {width}")
@@ -290,12 +286,12 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, seed,
 @main.command("game")
 @click.argument("digraph_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("cops", type=click.IntRange(min=0))
-@_run_options
-def cmd_game(digraph_file, cops, cap, seed, output_format):
+@_format_option
+def cmd_game(digraph_file, cops, output_format):
     """Solve the robber game with the given cop budget; print one play."""
     d, names = _load_digraph(digraph_file)
     result = _guarded(solve_game, d, cops)
-    lines = header_lines("game", seed, cap=cap, digraph=d)
+    lines = header_lines("game", digraph=d)
     lines.append(f"cops={cops}")
     lines.append(f"cops_win={'true' if result.cops_win else 'false'}")
     if result.cops_win:
@@ -310,13 +306,15 @@ def cmd_game(digraph_file, cops, cap, seed, output_format):
 
 
 @main.command("suite")
-@_run_options
-def cmd_suite(cap, seed, output_format):
+@_format_option
+@_cap_option
+@_seed_option
+def cmd_suite(seed, cap, output_format):
     """Run the acceptance criteria; nonzero exit when any of them fail."""
     from .suite import run_all
 
     results = _guarded(run_all, seed=seed, cycle_cap=cap)
-    lines = header_lines("suite", seed, cap=cap)
+    lines = header_lines("suite", seed=seed, cap=cap)
     all_pass = True
     for r in results:
         all_pass &= r.passed

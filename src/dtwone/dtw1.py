@@ -358,9 +358,9 @@ def _case_one_steps(d: Digraph) -> Optional[list]:
 def _case_analysis_steps(d: Digraph):
     """One round of the shrink-or-finish analysis.
 
-    Returns ("done", kind, embedding) on a terminal digraph or
-    ("steps", step list) when the digraph can be shrunk further.  A digraph
-    that fits no case fails an assertion.
+    Returns ("done", (kind, length), embedding) on a terminal digraph or
+    ("steps", step list, rule name) when the digraph can be shrunk further.
+    A digraph that fits no case fails an assertion.
     """
     n = d.n
     assert n >= 3, "the analysis never goes below three vertices"
@@ -373,16 +373,16 @@ def _case_analysis_steps(d: Digraph):
 
     steps = _case_one_steps(d)
     if steps is not None:
-        return ("steps", steps, None)
+        return ("steps", steps, "case one")
 
     heavy_out = [u for u in range(n) if len(d.out_neighbours(u)) >= 3]
     heavy_in = [u for u in range(n) if len(d.in_neighbours(u)) >= 3]
     if heavy_out:
         u = heavy_out[0]
-        return ("steps", [("del", u, min(d.out_neighbours(u)))], None)
+        return ("steps", [("del", u, min(d.out_neighbours(u)))], "heavy out")
     if heavy_in:
         u = heavy_in[0]
-        return ("steps", [("del", min(d.in_neighbours(u)), u)], None)
+        return ("steps", [("del", min(d.in_neighbours(u)), u)], "heavy in")
     assert all(
         len(d.out_neighbours(v)) == 2 and len(d.in_neighbours(v)) == 2
         for v in range(n)
@@ -392,12 +392,19 @@ def _case_analysis_steps(d: Digraph):
     if missing is not None:
         x, y = missing
         (z,) = [w for w in d.out_neighbours(x) if w != y]
-        return ("steps", [("del", x, z), ("contract", x, y)], None)
+        return ("steps", [("del", x, z), ("contract", x, y)], "missing small cycle")
 
     hit = _find_induced(d, 3, _K3)
     if hit is not None:
+        # The round is 2-in/2-out and, with no cut vertex, strongly
+        # 2-connected, so out(x) = {y, z} and in(z) = {x, y}.  Deleting x->y
+        # keeps it strongly connected: x->z, and z reaches y inside D - x.
+        # It also leaves x->z as x's only out-edge, so that edge contracts.
+        # Afterwards no degree has dropped but y's, whose in-edges are now
+        # {u->y} for its other in-neighbour u: u->y is the only contractible
+        # edge, and y dominates it.
         x, y, z = hit
-        return ("steps", [("del", x, z), ("contract", y, z)], None)
+        return ("steps", [("del", x, y), ("contract", x, z)], "K3")
 
     hit = _find_induced(d, 3, _K3_PLUS)
     if hit is not None:
@@ -409,7 +416,7 @@ def _case_analysis_steps(d: Digraph):
         return (
             "steps",
             [("del", x, z), ("del", z, x), ("contract", x, y), ("contract", y, z)],
-            None,
+            "K3+",
         )
 
     assert _find_induced(d, 3, _K3_OUT, lambda t: t[0] < t[1]) is None, (
@@ -425,7 +432,7 @@ def _case_analysis_steps(d: Digraph):
     hit = _find_induced(d, 4, _K22_UP, lambda t: t[0] < t[1] and t[2] < t[3])
     if hit is not None:
         w, x, y, z = hit
-        return ("steps", [("del", w, y), ("contract", w, z)], None)
+        return ("steps", [("del", w, y), ("contract", w, z)], "K22")
 
     walk = _bicycle_walk(d)
     assert walk is not None, "a digraph with no applicable step must be a bidirected cycle"
@@ -450,29 +457,34 @@ def extract_minor_witness(d: Digraph) -> MinorWitness:
 
 def _shrink(state: _ReplayState) -> MinorWitness:
     """Run the case analysis on the state's current digraph until it is a
-    pattern, applying every round's steps to the state."""
+    pattern, applying every round's steps to the state.
+
+    Every round must leave what `extract_minor_witness` asks of its input:
+    at least three vertices, strong connectivity and a butterfly-dominating
+    vertex.  A round that breaks it fails an assertion naming its rule.
+    """
+    dense, labels = state.dense()
     while True:
+        verdict, info, detail = _case_analysis_steps(dense)
+        if verdict == "done":
+            break
+        before = (dense.n, len(dense.edges))
+        state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in info])
         dense, labels = state.dense()
-        verdict, info, embedding = _case_analysis_steps(dense)
-        if verdict == "steps":
-            before = (dense.n, len(dense.edges))
-            state.apply(
-                [(kind, labels[a], labels[b]) for (kind, a, b) in info]
-            )
-            after = (len(state.members), len(state.edges))
-            assert after < before, "every round must shrink the digraph"
-            continue
-        kind, length = info
-        branch = {
-            p: state.members[labels[embedding[p]]]
-            for p in range(len(embedding))
-        }
-        return MinorWitness(
-            kind=kind,
-            length=length,
-            script=tuple(state.steps),
-            branch_sets=branch,
-        )
+        assert (dense.n, len(dense.edges)) < before, "every round must shrink the digraph"
+        assert (
+            dense.n >= 3
+            and is_strongly_connected(dense)
+            and butterfly_dominating_vertices(dense)
+        ), f"the {detail} step left a digraph the case analysis cannot shrink"
+    kind, length = info
+    branch = {p: state.members[labels[v]] for p, v in enumerate(detail)}
+    return MinorWitness(
+        kind=kind,
+        length=length,
+        script=tuple(state.steps),
+        branch_sets=branch,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -126,9 +126,12 @@ def parse_set(text: str, line_no, name_to_id=None) -> frozenset:
 # --------------------------------------------------------------- documents
 
 
-def header_lines(command: str, seed: int, cap=None, digraph=None) -> list:
-    """The versioned header opening every emitted document."""
-    out = [FORMAT_VERSION, f"command={command}", f"seed={seed}"]
+def header_lines(command: str, seed=None, cap=None, digraph=None) -> list:
+    """The versioned header opening every emitted document; `seed` and `cap`
+    appear only when given, for the commands that read them."""
+    out = [FORMAT_VERSION, f"command={command}"]
+    if seed is not None:
+        out.append(f"seed={seed}")
     if cap is not None:
         out.append(f"cap={cap}")
     if digraph is not None:
@@ -434,13 +437,13 @@ _BRANCHSET = re.compile(r"branchset ([0-9]+): (\{[^{}]*\})")
 _HAVEN = re.compile(r"haven (\{[^{}]*\}): (\{[^{}]*\})")
 
 
-def parse_certificate(text: str, name_to_id) -> tuple[dict, Dtw1Certificate]:
-    """Rebuild a certificate from its serialized form; returns the header
-    pairs (hash, seed, ...) alongside the certificate itself."""
-    kv, records = read_document(text)
+def parse_certificate(document, name_to_id) -> Dtw1Certificate:
+    """Rebuild a certificate from the `(kv, records)` pair that
+    `read_document` returned for its serialized form."""
+    kv, records = document
     verdict = kv.get("verdict")
     if verdict == "YES":
-        return kv, Dtw1Certificate("YES", parse_dtd(records, name_to_id), None, None)
+        return Dtw1Certificate("YES", parse_dtd(records, name_to_id), None, None)
     if verdict != "NO":
         raise ParseError(None, "certificate must declare verdict=YES or verdict=NO")
 
@@ -492,4 +495,4 @@ def parse_certificate(text: str, name_to_id) -> tuple[dict, Dtw1Certificate]:
         raise ParseError(None, "certificate needs `haven_order=<int>`")
     witness = MinorWitness(kind, length, tuple(script), branch_sets)
     haven = Haven(int(kv["haven_order"]), assignment)
-    return kv, Dtw1Certificate("NO", None, witness, haven)
+    return Dtw1Certificate("NO", None, witness, haven)

@@ -7,12 +7,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import click
 import pytest
 from click.testing import CliRunner
 
 import dtwone
 from dtwone.cli import main
 from dtwone.digraph import a4_digraph
+from dtwone.formats import read_document
 from dtwone.suite import CriterionResult
 
 DIGON = "0 1\n1 0\n"
@@ -80,14 +82,6 @@ class TestRecognize:
         )
         assert stripped + "\n" == structured
 
-    def test_seed_and_cap_echoed(self, runner, digon_file):
-        res = runner.invoke(main, ["recognize", digon_file, "--seed", "9", "--cap", "55"])
-        assert "seed=9" in res.output and "cap=55" in res.output
-
-    def test_cap_must_be_positive(self, runner, digon_file):
-        res = runner.invoke(main, ["recognize", digon_file, "--cap", "0"])
-        assert res.exit_code == 2
-
     def test_internal_error_exit_three(self, runner, digon_file, monkeypatch):
         def broken(*args, **kwargs):
             raise AssertionError("broken invariant")
@@ -124,15 +118,20 @@ class TestVerifyCert:
             assert res.exit_code == 0
             assert "result=valid" in res.output
 
-    def test_cap_binds_neither_recognize_nor_verify_cert(self, runner, b3_file, tmp_path):
-        # Bicycle(3) has five cycles; neither command enumerates them.
-        res = runner.invoke(main, ["recognize", b3_file, "--cap", "2"])
-        assert res.exit_code == 1 and "cap=2" in res.output
+    def test_reads_the_certificate_once(self, runner, b3_file, tmp_path, monkeypatch):
         cert = tmp_path / "b3.cert"
-        cert.write_text(res.output)
-        res = runner.invoke(main, ["verify-cert", b3_file, str(cert), "--cap", "2"])
-        assert res.exit_code == 0
-        assert "result=valid" in res.output
+        cert.write_text(self.cert(runner, b3_file))
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return read_document(text)
+
+        monkeypatch.setattr("dtwone.cli.read_document", counting)
+        monkeypatch.setattr("dtwone.formats.read_document", counting)
+        res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
+        assert res.exit_code == 0 and "result=valid" in res.output
+        assert len(calls) == 1
 
     def test_tampered_witness_fails(self, runner, b3_file, tmp_path):
         text = self.cert(runner, b3_file)
@@ -230,6 +229,15 @@ class TestCyclesAndHypergraph:
         res = runner.invoke(main, ["cycles", b3_file, "--cap", "2"])
         assert res.exit_code == 2
 
+    def test_cap_echoed(self, runner, b3_file):
+        res = runner.invoke(main, ["cycles", b3_file, "--cap", "55"])
+        assert res.exit_code == 0
+        assert "\ncap=55\n" in res.output and "seed=" not in res.output
+
+    def test_cap_must_be_positive(self, runner, b3_file):
+        res = runner.invoke(main, ["cycles", b3_file, "--cap", "0"])
+        assert res.exit_code == 2
+
     def test_hypergraph_hypertree(self, runner, tmp_path):
         p = tmp_path / "h.txt"
         p.write_text("v a b c\ne a b\ne b c\n")
@@ -266,6 +274,41 @@ class TestGame:
     def test_negative_cops_rejected(self, runner, b3_file):
         res = runner.invoke(main, ["game", b3_file, "-1"])
         assert res.exit_code == 2
+
+
+# The options each command reads: `--cap` binds the commands that enumerate
+# cycles, and `suite` is the one seeded command.
+OPTIONS = {
+    "recognize": {"--format"},
+    "verify-cert": {"--format"},
+    "cycles": {"--format", "--cap"},
+    "hypergraph": {"--format"},
+    "validate-dtd": {"--format"},
+    "validate-dbd": {"--format", "--cap"},
+    "convert": {"--format", "--cap"},
+    "game": {"--format"},
+    "suite": {"--format", "--cap", "--seed"},
+}
+
+
+class TestOptionTable:
+    def test_each_command_takes_only_the_options_it_reads(self):
+        assert set(main.commands) == set(OPTIONS)
+        for name, command in main.commands.items():
+            opts = {p.opts[0] for p in command.params if isinstance(p, click.Option)}
+            assert opts == OPTIONS[name], name
+            help_text = CliRunner().invoke(main, [name, "--help"]).output
+            for option in ("--format", "--cap", "--seed"):
+                assert (option in help_text) == (option in OPTIONS[name]), (name, option)
+
+    @pytest.mark.parametrize(
+        "command, option",
+        [(c, o) for c in OPTIONS for o in ("--cap", "--seed") if o not in OPTIONS[c]],
+    )
+    def test_dropped_option_exits_two(self, runner, command, option):
+        res = runner.invoke(main, [command, option, "1"])
+        assert res.exit_code == 2
+        assert "No such option" in res.output and option in res.output
 
 
 class TestInternalErrorsExitThree:

@@ -550,7 +550,7 @@ def reference_round(d):
     """A case-analysis round as it was with its own strong 2-connectivity
     check; past case one the round is unchanged, so the rest is the program's."""
     if d.n > 3 and not is_strongly_2_connected(d):
-        return ("steps", reference_case_one_steps(d), None)
+        return ("steps", reference_case_one_steps(d), "case one")
     return dtw1._case_analysis_steps(d)
 
 
@@ -582,8 +582,6 @@ class TestCaseAnalysisReference:
                 run(d)
             except ValueError:
                 pass
-            except AssertionError as err:
-                assert "no cut vertex admits a usable shore contraction" in str(err)
         monkeypatch.undo()
         return seen
 
@@ -1023,9 +1021,10 @@ class TestRecognize:
             recognize_dtw1(digraph_from_edges(3, [(0, 1), (1, 2), (2, 1)]))
 
 
-# NO instances on which the case analysis reaches a piece that is neither
-# strongly 2-connected nor has a butterfly-dominating vertex, so
-# `_case_one_steps` raises "no cut vertex admits a usable shore contraction".
+# NO instances on which a `_K3` step that deleted x->z and contracted y->z
+# lost the obstruction: a later round reached a piece that is neither
+# strongly 2-connected nor has a butterfly-dominating vertex, and
+# `_case_one_steps` raised "no cut vertex admits a usable shore contraction".
 # The two 7-vertex ones are the smallest repros; the census ones are every
 # crash among 1,500 draws of `rng = random.Random(7)`, `n = rng.randint(7, 11)`,
 # `p = rng.choice((0.05, 0.1, 0.15, 0.2))`,
@@ -1050,8 +1049,6 @@ CASE_ONE_CRASHES = {
 }
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the case-one shrinking step can break its own invariant")
 @pytest.mark.parametrize("edges", CASE_ONE_CRASHES.values(), ids=CASE_ONE_CRASHES.keys())
 def test_case_one_crash_inputs_get_verified_no_certificates(edges):
     pairs = [tuple(map(int, pair.split())) for pair in edges.split(", ")]
@@ -1062,8 +1059,8 @@ def test_case_one_crash_inputs_get_verified_no_certificates(edges):
     assert verify_certificate(d, cert).valid
 
 
-# Indices into the random golden corpus of the two inputs that still crash
-# `_case_one_steps` (see CASE_ONE_CRASHES).
+# Indices into the random golden corpus of the two inputs that crashed the
+# same way (see CASE_ONE_CRASHES).
 RANDOM_CORPUS_CRASHES = (50, 89)
 
 
@@ -1079,8 +1076,6 @@ def test_random_corpus_agrees_with_the_hypertree_route():
     assert checked == 198
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="the case-one shrinking step can break its own invariant")
 @pytest.mark.parametrize("index", RANDOM_CORPUS_CRASHES)
 def test_random_corpus_crash_inputs_agree_with_the_hypertree_route(index):
     d = list(random_corpus())[index]

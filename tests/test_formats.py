@@ -102,6 +102,22 @@ class TestSetsAndDocuments:
         assert kv["digraph"] == digraph_hash(d)
         assert records == [(6, "node 0 bag={}")]
 
+    @pytest.mark.parametrize(
+        "options, middle",
+        [
+            ({}, []),
+            ({"cap": 55}, ["cap=55"]),
+            ({"seed": 0}, ["seed=0"]),
+            ({"seed": 3, "cap": 100000}, ["seed=3", "cap=100000"]),
+        ],
+    )
+    def test_header_lines_write_seed_and_cap_only_when_given(self, options, middle):
+        d, _ = parse_digraph("0 1\n1 0\n")
+        assert header_lines("x", **options) == [FORMAT_VERSION, "command=x", *middle]
+        assert header_lines("x", **options, digraph=d) == [
+            FORMAT_VERSION, "command=x", *middle, f"digraph={digraph_hash(d)}"
+        ]
+
     def test_version_line_required(self):
         with pytest.raises(ParseError):
             read_document("command=x\n")
@@ -217,19 +233,19 @@ class TestCertificates:
     def test_yes_round_trip(self):
         d, names = parse_digraph("0 1\n1 0\n")
         cert = recognize_dtw1(d)
-        lines = format_certificate(cert, names, header_lines("recognize", 0, cap=10, digraph=d))
-        kv, back = parse_certificate("\n".join(lines) + "\n",
-                                     {n: i for i, n in enumerate(names)})
-        assert kv["digraph"] == digraph_hash(d)
+        lines = format_certificate(cert, names, header_lines("recognize", digraph=d))
+        document = read_document("\n".join(lines) + "\n")
+        back = parse_certificate(document, {n: i for i, n in enumerate(names)})
+        assert document[0]["digraph"] == digraph_hash(d)
         assert back.verdict == "YES"
         assert back.decomposition.bags == cert.decomposition.bags
 
     def test_no_round_trip(self):
         d, names = parse_digraph("a b\nb a\nb c\nc b\nc a\na c\n")
         cert = recognize_dtw1(d)
-        lines = format_certificate(cert, names, header_lines("recognize", 0, cap=10, digraph=d))
-        _, back = parse_certificate("\n".join(lines) + "\n",
-                                    {n: i for i, n in enumerate(names)})
+        lines = format_certificate(cert, names, header_lines("recognize", digraph=d))
+        back = parse_certificate(read_document("\n".join(lines) + "\n"),
+                                 {n: i for i, n in enumerate(names)})
         assert back.verdict == "NO"
         assert back.witness.kind == cert.witness.kind == "bicycle"
         assert back.witness.length == 3
@@ -249,8 +265,8 @@ class TestCertificates:
         cert = Dtw1Certificate("NO", None, witness, haven)
         names = tuple("abcde")
         lines = format_certificate(cert, names, [FORMAT_VERSION])
-        _, back = parse_certificate("\n".join(lines) + "\n",
-                                    {n: i for i, n in enumerate(names)})
+        back = parse_certificate(read_document("\n".join(lines) + "\n"),
+                                 {n: i for i, n in enumerate(names)})
         assert back.witness.script == witness.script
         assert back.witness.branch_sets == witness.branch_sets
         assert back.haven.assignment == haven.assignment
@@ -259,14 +275,14 @@ class TestCertificates:
         text = doc("verdict=NO", "pattern=bicycle", "branchset 0: {0}",
                    "haven_order=1", "haven {}: {0}")
         with pytest.raises(ParseError):
-            parse_certificate(text, {"0": 0})
+            parse_certificate(read_document(text), {"0": 0})
 
     def test_unknown_verdict_rejected(self):
         with pytest.raises(ParseError):
-            parse_certificate(doc("verdict=MAYBE"), {})
+            parse_certificate(read_document(doc("verdict=MAYBE")), {})
 
     def test_duplicate_branchset_rejected(self):
         text = doc("verdict=NO", "pattern=a4", "branchset 0: {0}",
                    "branchset 0: {1}", "haven_order=1", "haven {}: {0}")
         with pytest.raises(ParseError):
-            parse_certificate(text, {"0": 0, "1": 1})
+            parse_certificate(read_document(text), {"0": 0, "1": 1})
