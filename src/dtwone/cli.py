@@ -138,7 +138,7 @@ def cmd_recognize(digraph_file, output_format):
         w = cert.witness
         pattern = f"Bicycle({w.length})" if w.kind == "bicycle" else "A4"
         _note(output_format, lines, f"directed treewidth exceeds one: butterfly minor "
-                                    f"{pattern} plus an order-3 haven")
+                                    f"{pattern}, which implies an order-3 haven")
     _emit(format_certificate(cert, names, lines))
     sys.exit(0 if cert.verdict == "YES" else 1)
 

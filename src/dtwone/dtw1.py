@@ -4,9 +4,11 @@ The positive route splits the digraph along a maximal laminar family of
 one-vertex separations; when every resulting piece is a digon the width-one
 decomposition can be read off.  The negative route contracts a large piece
 down to a bidirected cycle or the four-vertex digraph A4, recording every
-deletion and butterfly contraction so the embedding can be replayed, and
-pairs the embedding with an order-3 haven lifted from the pattern, so no
-cycle of the digraph is enumerated.
+deletion and butterfly contraction so the embedding can be replayed; no
+cycle of the digraph is enumerated.  The embedding is the whole NO
+certificate: the order-3 haven it implies, lifted from the pattern through
+the roots of the branch sets, is derived by the checker (`verify_certificate`,
+one walk per cop set) or by `minor_haven`, never stored.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from .digraph import (
     strong_components,
     tight_separations,
 )
-from .games import Haven, haven_from_minor, verify_haven
+from .games import Haven, haven_from_minor, haven_is_monotone
+from .games import verify_haven  # noqa: F401  (bench/tracer.py wraps this binding)
 from .hypergraph import JoinTreeWitness, _bfs_arcs, hypertree_witness
 
 
@@ -712,13 +715,13 @@ class Dtw1Certificate:
     """The recogniser's answer with its proof.
 
     YES carries a width-one decomposition; NO carries a minor embedding whose
-    script replays from the input digraph, plus an order-3 haven.
+    script replays from the input digraph, which implies an order-3 haven
+    (`minor_haven`).
     """
 
     verdict: str
     decomposition: Optional[DirectedTreeDecomposition]
     witness: Optional[MinorWitness]
-    haven: Optional[Haven]
 
 
 def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomposition:
@@ -759,8 +762,8 @@ def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomp
 
 
 def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
-    """Decide directed treewidth one, emitting a checkable certificate; a NO
-    haven is lifted from the pattern through the roots of the branch sets."""
+    """Decide directed treewidth one, emitting a checkable certificate: a
+    width-one decomposition for YES, a replayable minor witness for NO."""
     if d.n < 2:
         raise ValueError("need at least two vertices")
     if not is_strongly_connected(d):
@@ -768,7 +771,7 @@ def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
     sdec = s_decomposition(d)
     if all(len(t) == 2 for t in sdec.territories):
         dec = width1_dtd_from_sdec(d, sdec)
-        return Dtw1Certificate("YES", dec, None, None)
+        return Dtw1Certificate("YES", dec, None)
 
     node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
     attachments = _attachments(sdec.tree_edges, node)
@@ -792,29 +795,50 @@ def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
     witness = _shrink(state)
     check = verify_witness(d, witness)
     assert check.valid, f"constructed witness failed replay: {check.violations}"
-    roots = {p: state.root[state.rep(min(cls))] for p, cls in witness.branch_sets.items()}
-    haven = haven_from_minor(d, witness.branch_sets, roots)
-    return Dtw1Certificate("NO", None, witness, haven)
+    return Dtw1Certificate("NO", None, witness)
+
+
+def _roots(state: _ReplayState, branch_sets) -> dict:
+    """The root of each branch set's class in a replayed state."""
+    return {p: state.root[state.rep(min(cls))] for p, cls in branch_sets.items()}
+
+
+def minor_haven(d: Digraph, witness: MinorWitness) -> Haven:
+    """The order-3 haven a minor witness implies, by `haven_from_minor`
+    through the roots of a fresh replay of its script.
+
+    The roots depend only on the script, so this is the haven the recogniser
+    would have built.  The witness must pass `verify_witness`; the result is
+    not checked here.
+    """
+    state = replay_script(d, witness.script)
+    return haven_from_minor(d, witness.branch_sets, _roots(state, witness.branch_sets))
 
 
 def verify_witness(d: Digraph, witness: MinorWitness) -> Report:
     """Replay a minor witness against its digraph and check every claim."""
+    return _replay_witness(d, witness)[0]
+
+
+def _replay_witness(d: Digraph, witness: MinorWitness):
+    """`verify_witness`'s report, with the replay state when the script
+    replays (None otherwise)."""
     violations = []
     pattern = None
     if witness.kind == "bicycle":
         if witness.length is None or witness.length < 3:
-            return Report(False, 0, ("bicycle witnesses need a length of at least three",))
+            return Report(False, 0, ("bicycle witnesses need a length of at least three",)), None
         pattern = bicycle(witness.length)
     elif witness.kind == "a4":
         pattern = a4_digraph()
     else:
-        return Report(False, 0, (f"unknown pattern kind {witness.kind!r}",))
+        return Report(False, 0, (f"unknown pattern kind {witness.kind!r}",)), None
     if sorted(witness.branch_sets) != list(range(pattern.n)):
-        return Report(False, 0, ("branch sets must cover the pattern's vertices",))
+        return Report(False, 0, ("branch sets must cover the pattern's vertices",)), None
     try:
         state = replay_script(d, witness.script)
     except ValueError as err:
-        return Report(False, 0, (str(err),))
+        return Report(False, 0, (str(err),)), None
     reps = {}
     for p in range(pattern.n):
         cls = frozenset(witness.branch_sets[p])
@@ -832,14 +856,19 @@ def verify_witness(d: Digraph, witness: MinorWitness) -> Report:
         image = frozenset((reps[a], reps[b]) for (a, b) in pattern.edges)
         if image != state.edges:
             violations.append("replayed digraph is not the claimed pattern")
-    return Report(not violations, 0, tuple(violations))
+    return Report(not violations, 0, tuple(violations)), state
 
 
 def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
     """Check a recogniser certificate end to end.
 
-    YES certificates are validated as width-one decompositions; NO
-    certificates get their script replayed and their haven verified.
+    YES certificates are validated as width-one decompositions.  A NO
+    certificate's script is replayed once, for the witness checks and for
+    the roots of its branch sets; the order-3 haven is then derived with
+    `haven_from_minor`, one walk per cop set, and checked to be monotone.
+    Each entry is by construction the strong component of d - X holding a
+    root outside X, so walking it again would only test the walk against
+    itself: every haven condition is checked.
     """
     if cert.verdict == "YES":
         if cert.decomposition is None:
@@ -852,14 +881,14 @@ def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
         return Report(False, 0, (f"unknown verdict {cert.verdict!r}",))
     if cert.witness is None:
         return Report(False, 0, ("a NO certificate needs a minor witness",))
-    report = verify_witness(d, cert.witness)
+    report, state = _replay_witness(d, cert.witness)
     if not report.valid:
         return report
-    if cert.haven is None:
-        return Report(False, 0, ("a NO certificate needs a haven",))
-    if cert.haven.order != 3:
-        return Report(False, 0, ("the haven must have order three",))
-    if not verify_haven(d, cert.haven):
+    branch_sets = cert.witness.branch_sets
+    roots = _roots(state, branch_sets)
+    if any(roots[p] not in cls for p, cls in branch_sets.items()):
+        return Report(False, 0, ("a branch set's root lies outside it",))
+    if not haven_is_monotone(d, haven_from_minor(d, branch_sets, roots)):
         return Report(False, 0, ("haven verification failed",))
     return Report(True, 0, ())
 

@@ -16,7 +16,6 @@ from .decomp import (
 )
 from .digraph import Digraph, digraph_from_edges
 from .dtw1 import Dtw1Certificate, MinorWitness
-from .games import Haven
 from .hypergraph import Hypergraph
 
 FORMAT_VERSION = "dtwone v1"
@@ -407,8 +406,10 @@ def format_transcript(moves, names) -> list:
 
 def format_certificate(cert: Dtw1Certificate, names, header) -> list:
     """Serialize a recognition certificate below the given header lines:
-    the decomposition records for YES, the pattern with its replay script,
-    branch sets and haven table for NO."""
+    the decomposition records for YES; for NO the pattern, its replay
+    script, the branch sets and `haven_order=3`, the order of the haven the
+    witness implies.  The haven itself is not written: `verify-cert`
+    derives it from the witness."""
     out = list(header)
     out.append(f"verdict={cert.verdict}")
     if cert.verdict == "YES":
@@ -422,19 +423,11 @@ def format_certificate(cert: Dtw1Certificate, names, header) -> list:
         out.append(f"{op} {names[u]} {names[v]}")
     for p in sorted(w.branch_sets):
         out.append(f"branchset {p}: {format_set(w.branch_sets[p], names)}")
-    out.append(f"haven_order={cert.haven.order}")
-    for x in sorted(
-        cert.haven.assignment, key=lambda s: (len(s), sorted(s))
-    ):
-        out.append(
-            f"haven {format_set(x, names)}:"
-            f" {format_set(cert.haven.assignment[x], names)}"
-        )
+    out.append("haven_order=3")
     return out
 
 
 _BRANCHSET = re.compile(r"branchset ([0-9]+): (\{[^{}]*\})")
-_HAVEN = re.compile(r"haven (\{[^{}]*\}): (\{[^{}]*\})")
 
 
 def parse_certificate(document, name_to_id) -> Dtw1Certificate:
@@ -443,7 +436,7 @@ def parse_certificate(document, name_to_id) -> Dtw1Certificate:
     kv, records = document
     verdict = kv.get("verdict")
     if verdict == "YES":
-        return Dtw1Certificate("YES", parse_dtd(records, name_to_id), None, None)
+        return Dtw1Certificate("YES", parse_dtd(records, name_to_id), None)
     if verdict != "NO":
         raise ParseError(None, "certificate must declare verdict=YES or verdict=NO")
 
@@ -460,7 +453,6 @@ def parse_certificate(document, name_to_id) -> Dtw1Certificate:
 
     script = []
     branch_sets: dict = {}
-    assignment: dict = {}
     for line_no, line in records:
         head = line.split(maxsplit=1)[0]
         if head in ("del", "contract"):
@@ -482,17 +474,13 @@ def parse_certificate(document, name_to_id) -> Dtw1Certificate:
                 raise ParseError(line_no, f"branch set {p} repeats")
             branch_sets[p] = parse_set(m.group(2), line_no, name_to_id)
         elif head == "haven":
-            m = _HAVEN.fullmatch(line)
-            if not m:
-                raise ParseError(line_no, "expected `haven <set>: <set>`")
-            x = parse_set(m.group(1), line_no, name_to_id)
-            if x in assignment:
-                raise ParseError(line_no, f"haven entry {sorted(x)} repeats")
-            assignment[x] = parse_set(m.group(2), line_no, name_to_id)
+            raise ParseError(
+                line_no, "unexpected `haven` record: havens are derived from "
+                "the witness, not read"
+            )
         else:
             raise ParseError(line_no, f"unexpected record {head!r}")
-    if not kv.get("haven_order", "").isdigit():
-        raise ParseError(None, "certificate needs `haven_order=<int>`")
+    if kv.get("haven_order") != "3":
+        raise ParseError(None, "a NO certificate needs `haven_order=3`")
     witness = MinorWitness(kind, length, tuple(script), branch_sets)
-    haven = Haven(int(kv["haven_order"]), assignment)
-    return Dtw1Certificate("NO", None, witness, haven)
+    return Dtw1Certificate("NO", None, witness)

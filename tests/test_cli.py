@@ -143,6 +143,18 @@ class TestVerifyCert:
         assert res.exit_code == 1
         assert "result=invalid" in res.output
 
+    def test_haven_table_exit_two(self, runner, b3_file, tmp_path):
+        """A certificate in the older form, with its haven table, is refused
+        as malformed, and the message names the first `haven` line."""
+        lines = self.cert(runner, b3_file, "structured").splitlines()
+        assert lines[-1] == "haven_order=3"
+        table = ["haven {}: {a,b,c}", "haven {a}: {b,c}"]
+        cert = tmp_path / "old.cert"
+        cert.write_text("\n".join(lines + table) + "\n")
+        res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
+        assert res.exit_code == 2
+        assert f"line {len(lines) + 1}:" in res.output and "derived" in res.output
+
     def test_wrong_digraph_exit_two(self, runner, digon_file, b3_file, tmp_path):
         cert = tmp_path / "b3.cert"
         cert.write_text(self.cert(runner, b3_file))
@@ -431,6 +443,6 @@ def test_yes_answers_never_load_networkx(tmp_path):
     ids=["b3", "a4"],
 )
 def test_no_answers_never_load_networkx(edges, tmp_path):
-    """The NO certificate's haven comes from the minor, so a NO launch
+    """A NO certificate is the minor witness alone, so a NO launch
     enumerates no cycles either."""
     assert not launch_loads_networkx(edges, 1, tmp_path)

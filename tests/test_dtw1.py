@@ -25,12 +25,13 @@ from dtwone.digraph import (
     tight_separations,
 )
 from dtwone.decomp import validate_dtd
-from dtwone import cycles, digraph, dtw1
+from dtwone import cycles, digraph, dtw1, games
 from dtwone.dtw1 import (
     Dtw1Certificate,
     MinorWitness,
     extract_minor_witness,
     hypertree_route,
+    minor_haven,
     recognize_dtw1,
     replay_script,
     s_decomposition,
@@ -38,7 +39,14 @@ from dtwone.dtw1 import (
     verify_certificate,
     verify_witness,
 )
-from dtwone.games import Haven, solve_game
+from dtwone.formats import (
+    ParseError,
+    format_certificate,
+    header_lines,
+    parse_certificate,
+    read_document,
+)
+from dtwone.games import solve_game
 from test_digraph import (
     delete_vertex,
     random_strongly_connected,
@@ -934,7 +942,7 @@ class TestRecognize:
         report = verify_certificate(d, cert)
         assert report.valid, report.violations
         assert report.width <= 1
-        assert cert.witness is None and cert.haven is None
+        assert cert.witness is None
 
     def test_bidirected_triangle_gets_a_bicycle_witness(self):
         d = bicycle(3)
@@ -942,7 +950,7 @@ class TestRecognize:
         assert cert.verdict == "NO"
         assert (cert.witness.kind, cert.witness.length) == ("bicycle", 3)
         assert cert.witness.script == ()
-        assert cert.haven.order == 3
+        assert minor_haven(d, cert.witness).order == 3
         assert verify_certificate(d, cert).valid
 
     def test_a4_gets_an_a4_witness(self):
@@ -1011,6 +1019,23 @@ class TestRecognize:
         for d in (bicycle(5), a4_digraph(), tree_and_triangle):
             cert = recognize_dtw1(d)
             assert cert.verdict == "NO" and verify_certificate(d, cert).valid
+
+    def test_no_answers_build_no_haven(self, monkeypatch):
+        """A NO answer is the minor witness alone: no haven is lifted and no
+        strong component is walked until a checker asks for one."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("recognize_dtw1 built a haven")
+
+        for module, name in ((dtw1, "haven_from_minor"), (games, "haven_from_minor"),
+                             (games, "strong_component_of"),
+                             (digraph, "strong_component_of")):
+            monkeypatch.setattr(module, name, refuse)
+        tree_and_triangle = bidirect(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (4, 5)])
+        inputs = (bicycle(5), a4_digraph(), tree_and_triangle)
+        certs = [recognize_dtw1(d) for d in inputs]
+        assert [c.verdict for c in certs] == ["NO"] * 3
+        monkeypatch.undo()
+        assert all(verify_certificate(d, c).valid for d, c in zip(inputs, certs))
 
     def test_single_vertex_raises(self):
         with pytest.raises(ValueError):
@@ -1095,7 +1120,6 @@ class TestVerifyCertificate:
             "YES",
             type(dec)(nodes=dec.nodes, arcs=dec.arcs, bags=bags, guards=dec.guards),
             None,
-            None,
         )
         report = verify_certificate(d, tampered)
         assert not report.valid or report.width > 1
@@ -1110,7 +1134,7 @@ class TestVerifyCertificate:
         cert = recognize_dtw1(d)
         w = cert.witness
         cut = MinorWitness(w.kind, w.length, w.script[:-1], w.branch_sets)
-        assert not verify_certificate(d, Dtw1Certificate("NO", None, cut, cert.haven)).valid
+        assert not verify_certificate(d, Dtw1Certificate("NO", None, cut)).valid
 
     def test_doctored_branch_sets_are_rejected(self):
         d = bicycle(3)
@@ -1123,30 +1147,99 @@ class TestVerifyCertificate:
             {0: frozenset({0, 1}), 1: frozenset({1}), 2: frozenset({2})},
         )
         assert not verify_witness(d, swapped).valid
+        assert not verify_certificate(d, Dtw1Certificate("NO", None, swapped)).valid
+
+    @pytest.mark.parametrize("d", [bicycle(6), tree_plus_triangle(random.Random(12), 12)],
+                             ids=["bicycle6", "tree-plus-triangle"])
+    def test_tampered_witnesses_are_rejected(self, d):
+        """Each step of a valid NO witness swapped for the other kind,
+        reversed or dropped, and each branch set's least vertex moved to the
+        next set: `verify_certificate` rejects exactly the changed witnesses
+        that fail replay, and those that still replay to the pattern are real
+        witnesses whose derived haven passes."""
+        w = recognize_dtw1(d).witness
+        tampered = []
+        for i, (kind, a, b) in enumerate(w.script):
+            other = "del" if kind == "contract" else "contract"
+            for step in ((other, a, b), (kind, b, a)):
+                tampered.append(w.script[:i] + (step,) + w.script[i + 1:])
+            tampered.append(w.script[:i] + w.script[i + 1:])
+        witnesses = [MinorWitness(w.kind, w.length, script, w.branch_sets)
+                     for script in tampered]
+        for p, cls in w.branch_sets.items():
+            q = (p + 1) % len(w.branch_sets)
+            moved = {**w.branch_sets, p: cls - {min(cls)}, q: w.branch_sets[q] | {min(cls)}}
+            witnesses.append(MinorWitness(w.kind, w.length, w.script, moved))
+        rejected = 0
+        for bad in witnesses:
+            report = verify_certificate(d, Dtw1Certificate("NO", None, bad))
+            assert report.valid == verify_witness(d, bad).valid
+            rejected += not report.valid
+        assert rejected >= len(witnesses) - len(w.script), (rejected, len(witnesses))
+
+    def test_wrong_roots_are_caught(self, monkeypatch):
+        """The haven checks of a NO certificate: Bicycle(3) with vertex 0
+        stretched into the path 3 -> 0 has root 0 in the class {0, 3}.  A
+        root outside its class, or rooted at 3, which gives h({2}) = {3} but
+        h({0, 2}) = {1}, is reported."""
+        d = digraph_from_edges(4, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 1), (2, 3), (3, 0)])
+        branch = {0: frozenset({0, 3}), 1: frozenset({1}), 2: frozenset({2})}
+        cert = Dtw1Certificate("NO", None, MinorWitness("bicycle", 3, (("contract", 3, 0),), branch))
+        assert verify_certificate(d, cert).valid
+        for root, message in ((1, "root lies outside"), (3, "haven verification failed")):
+            monkeypatch.setattr(dtw1, "_roots", lambda state, sets: {0: root, 1: 1, 2: 2})
+            report = verify_certificate(d, cert)
+            assert not report.valid and message in report.violations[0]
+
+    def certificate_lines(self, d):
+        names = tuple(str(v) for v in range(d.n))
+        cert = recognize_dtw1(d)
+        return format_certificate(cert, names, header_lines("recognize", digraph=d))
+
+    def parse(self, d, lines):
+        return parse_certificate(read_document("\n".join(lines) + "\n"),
+                                 {str(v): v for v in range(d.n)})
 
     def test_missing_haven_is_rejected(self):
+        """The in-memory certificate carries no haven; its text form must
+        still claim one of order three."""
         d = bicycle(3)
-        cert = recognize_dtw1(d)
-        assert not verify_certificate(
-            d, Dtw1Certificate("NO", None, cert.witness, None)
-        ).valid
+        lines = self.certificate_lines(d)
+        assert verify_certificate(d, self.parse(d, lines)).valid
+        with pytest.raises(ParseError, match="haven_order=3"):
+            self.parse(d, [line for line in lines if line != "haven_order=3"])
 
     def test_wrong_haven_order_is_rejected(self):
         d = bicycle(3)
+        lines = [line.replace("haven_order=3", "haven_order=2")
+                 for line in self.certificate_lines(d)]
+        with pytest.raises(ParseError, match="haven_order=3"):
+            self.parse(d, lines)
+
+    def test_one_walk_per_cop_set(self, monkeypatch):
+        """Checking a NO certificate walks each cop set's strong component
+        once: C(8,2) + 8 + 1 walks on Bicycle(8), none of them repeated."""
+        d = bicycle(8)
         cert = recognize_dtw1(d)
-        bad = Haven(order=2, assignment=dict(cert.haven.assignment))
-        assert not verify_certificate(
-            d, Dtw1Certificate("NO", None, cert.witness, bad)
-        ).valid
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return digraph.strong_component_of(*args)
+
+        monkeypatch.setattr(games, "strong_component_of", counted)
+        assert verify_certificate(d, cert).valid
+        assert len(calls) == 28 + 8 + 1
+        assert len({frozenset(removed) for (_, _, removed) in calls}) == len(calls)
 
     def test_unknown_verdict_is_rejected(self):
         assert not verify_certificate(
-            digon(), Dtw1Certificate("MAYBE", None, None, None)
+            digon(), Dtw1Certificate("MAYBE", None, None)
         ).valid
 
     def test_yes_without_decomposition_is_rejected(self):
         assert not verify_certificate(
-            digon(), Dtw1Certificate("YES", None, None, None)
+            digon(), Dtw1Certificate("YES", None, None)
         ).valid
 
     def test_unknown_pattern_kind_is_rejected(self):

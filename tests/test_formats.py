@@ -29,7 +29,7 @@ from dtwone.formats import (
     parse_set,
     read_document,
 )
-from dtwone.games import Haven, play_transcript, solve_game
+from dtwone.games import play_transcript, solve_game
 
 
 def doc(*body):
@@ -246,12 +246,10 @@ class TestCertificates:
         lines = format_certificate(cert, names, header_lines("recognize", digraph=d))
         back = parse_certificate(read_document("\n".join(lines) + "\n"),
                                  {n: i for i, n in enumerate(names)})
-        assert back.verdict == "NO"
-        assert back.witness.kind == cert.witness.kind == "bicycle"
-        assert back.witness.length == 3
-        assert back.witness.branch_sets == cert.witness.branch_sets
-        assert back.haven.order == 3
-        assert back.haven.assignment == cert.haven.assignment
+        assert back == cert
+        assert back.witness.kind == "bicycle" and back.witness.length == 3
+        assert lines[-1] == "haven_order=3"
+        assert not [line for line in lines if line.startswith("haven ")]
 
     def test_script_steps_round_trip(self):
         # serialization is exercised independently of witness soundness
@@ -261,20 +259,18 @@ class TestCertificates:
             script=(("del", 4, 0), ("contract", 0, 3)),
             branch_sets={0: frozenset({0, 3}), 1: frozenset({1}), 2: frozenset({2})},
         )
-        haven = Haven(order=1, assignment={frozenset(): frozenset({0, 1, 2})})
-        cert = Dtw1Certificate("NO", None, witness, haven)
+        cert = Dtw1Certificate("NO", None, witness)
         names = tuple("abcde")
         lines = format_certificate(cert, names, [FORMAT_VERSION])
         back = parse_certificate(read_document("\n".join(lines) + "\n"),
                                  {n: i for i, n in enumerate(names)})
         assert back.witness.script == witness.script
         assert back.witness.branch_sets == witness.branch_sets
-        assert back.haven.assignment == haven.assignment
 
     def test_bicycle_requires_length(self):
         text = doc("verdict=NO", "pattern=bicycle", "branchset 0: {0}",
-                   "haven_order=1", "haven {}: {0}")
-        with pytest.raises(ParseError):
+                   "haven_order=3")
+        with pytest.raises(ParseError, match="length"):
             parse_certificate(read_document(text), {"0": 0})
 
     def test_unknown_verdict_rejected(self):
@@ -283,6 +279,6 @@ class TestCertificates:
 
     def test_duplicate_branchset_rejected(self):
         text = doc("verdict=NO", "pattern=a4", "branchset 0: {0}",
-                   "branchset 0: {1}", "haven_order=1", "haven {}: {0}")
-        with pytest.raises(ParseError):
+                   "branchset 0: {1}", "haven_order=3")
+        with pytest.raises(ParseError, match="repeats"):
             parse_certificate(read_document(text), {"0": 0, "1": 1})

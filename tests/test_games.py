@@ -18,7 +18,7 @@ from dtwone.digraph import (
     directed_cycle_digraph,
     strong_components,
 )
-from dtwone.dtw1 import recognize_dtw1
+from dtwone.dtw1 import minor_haven, recognize_dtw1
 from dtwone.errors import InstanceTooLarge
 from dtwone.games import (
     CopStrategy,
@@ -28,6 +28,7 @@ from dtwone.games import (
     dcn_exact,
     haven_from_closed_chain,
     haven_from_minor,
+    haven_is_monotone,
     hyper_components,
     is_k_hyperlinked,
     is_k_linked,
@@ -50,6 +51,13 @@ def reference_verify_haven(d, hav):
             return False
         if hav.assignment[x] not in _components_avoiding(d, x):
             return False
+    return reference_is_monotone(d, hav)
+
+
+def reference_is_monotone(d, hav):
+    """The monotonicity loop of `verify_haven` before it became
+    `haven_is_monotone`."""
+    domain = list(all_subsets(range(d.n), min(hav.order - 1, d.n)))
     for x in domain:
         for y in all_subsets(sorted(x), len(x)):
             if not hav.assignment[x] <= hav.assignment[y]:
@@ -322,8 +330,8 @@ class TestHavens:
         hav = haven_from_minor(d, branch, {0: 0, 1: 1, 2: 2})
         assert verify_haven(d, hav)
         assert hav.assignment[frozenset({2})] == frozenset({0, 1})
-        with pytest.raises(AssertionError):
-            haven_from_minor(d, branch, {0: 3, 1: 1, 2: 2})
+        wrong = haven_from_minor(d, branch, {0: 3, 1: 1, 2: 2})
+        assert not haven_is_monotone(d, wrong) and not verify_haven(d, wrong)
 
     def test_minor_haven_runs_no_condensation(self, monkeypatch):
         calls = []
@@ -349,9 +357,14 @@ class TestHavens:
     def test_verify_agrees_with_the_component_list_on_mutations(self, d):
         """Each entry of a valid haven is replaced by a proper subset of its
         component, a union of two components, a set holding a cop, the empty
-        set, a set naming vertex n, or another component of d - X."""
-        hav = recognize_dtw1(d).haven
+        set, a set naming vertex n, or another component of d - X.  The
+        monotonicity helper agrees with the old loop on every mutation, and
+        where the new entry is still a component of d - X, the only kind of
+        entry the derived haven can hold, it alone gives `verify_haven`'s
+        verdict."""
+        hav = minor_haven(d, recognize_dtw1(d).witness)
         assert verify_haven(d, hav) and reference_verify_haven(d, hav)
+        assert haven_is_monotone(d, hav)
         tried = rejected = 0
         for x, h in hav.assignment.items():
             others = [c for c in strong_components(d, x) if c != h]
@@ -366,6 +379,10 @@ class TestHavens:
                 mutated = Haven(hav.order, {**hav.assignment, x: m})
                 got = verify_haven(d, mutated)
                 assert got == reference_verify_haven(d, mutated), (sorted(d.edges), x, m)
+                monotone = haven_is_monotone(d, mutated)
+                assert monotone == reference_is_monotone(d, mutated), (sorted(d.edges), x, m)
+                if m in others:
+                    assert monotone == got, (sorted(d.edges), x, m)
                 tried += 1
                 rejected += not got
         assert rejected >= tried - 2 * len(hav.assignment), (tried, rejected)

@@ -5,10 +5,14 @@ recognize` on every labeled strongly connected digraph on 2-4 vertices,
 Bicycle(5..8) and a few seeded bidirected trees.  The second covers the exit
 code and stdout on 200 seeded random strongly connected digraphs on 7-12
 vertices, most of which reach the case analysis's shore contractions.  A
-third digest covers both corpora without the `haven ` lines: verdicts, YES
-decompositions, witness scripts and branch sets, which a change to the
-haven construction alone leaves in place.  The last covers exit code and
-stdout of every other command (`verify-cert`, `cycles`, `game`,
+third digest covers both corpora's exit codes and stdout again: it was
+recorded without the `haven ` lines that certificates carried until havens
+became derived, so it pins verdicts, YES decompositions, witness scripts and
+branch sets across that change.  NO certificates now hold no haven table;
+the order-3 haven each witness implies is derived by `minor_haven`, and a
+fourth digest checks that those havens, written as the old `haven ` lines,
+are the tables the certificates used to carry.  The last covers exit code
+and stdout of every other command (`verify-cert`, `cycles`, `game`,
 `validate-dtd`, `validate-dbd`, `convert` and `hypergraph`) over small
 digraphs, their cycle hypergraphs and duals, and random hypergraphs.  When a
 change alters a certificate on purpose, recompute the digest and say why in
@@ -27,12 +31,17 @@ from dtwone.cli import main
 from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import DirectedTreeDecomposition
 from dtwone.digraph import bicycle, bidirect
+from dtwone.dtw1 import minor_haven
 from dtwone.formats import (
     FORMAT_VERSION,
     format_dtd,
     format_hypergraph,
+    format_set,
+    parse_certificate,
     parse_digraph,
+    read_document,
 )
+from dtwone.games import verify_haven
 from dtwone.hypergraph import dual
 from dtwone.suite import (
     labeled_strongly_connected,
@@ -40,9 +49,12 @@ from dtwone.suite import (
     random_strongly_connected,
 )
 
-GOLDEN_SHA256 = "b064d8b907977bce59b17cf82750d204052d3aa4ba768e779ec13ffdb04637a3"
-RANDOM_SHA256 = "3b2682fcfd7dae084c7ddef1abce3f078cba4925d934fc27e6bdf662c7f75862"
+GOLDEN_SHA256 = "31379965bfa80936f50d6714570562e62e670f2d38a75d9c8828eec8e94ac8c5"
+RANDOM_SHA256 = "8571cd0df9982edc32f04f29175a512d952822b9e13c74b38fd33169fe60eceb"
 HAVEN_FREE_SHA256 = "d5769c785e345d54ceed3a44b33fa313463cd6aa4ca0d0187bb76bba5564488f"
+# The `haven ` lines the NO certificates of both corpora carried, in output
+# order, recorded before havens stopped being written.
+HAVEN_TABLES_SHA256 = "01cee3cb13916141706d4ba1e318211e22b3b80bf5c5aca415918e07359bcddc"
 COMMANDS_SHA256 = "b514bbfb5c4edbc424824256de492ca1f2558872aa9acec1c65aff88246c3212"
 
 
@@ -63,6 +75,10 @@ def random_corpus():
         yield random_strongly_connected(rng, n, rng.choice((0.15, 0.2)))
 
 
+def edge_text(d) -> str:
+    return "".join(f"{u} {v}\n" for (u, v) in d.sorted_edges())
+
+
 @pytest.fixture(scope="module")
 def answers(tmp_path_factory):
     """`recognize --format structured` on both corpora, as (exit code,
@@ -73,7 +89,7 @@ def answers(tmp_path_factory):
     def run(corpus):
         out = []
         for d in corpus:
-            path.write_text("".join(f"{u} {v}\n" for (u, v) in d.sorted_edges()))
+            path.write_text(edge_text(d))
             res = runner.invoke(main, ["recognize", str(path), "--format", "structured"])
             out.append((res.exit_code, res.output, res.stdout))
         return out
@@ -101,16 +117,42 @@ def test_random_answers_match_the_golden_digest(answers):
 
 def test_answers_without_havens_match_the_golden_digest(answers):
     """Verdicts, YES decompositions, witness scripts and branch sets of both
-    corpora: everything but the `haven ` lines, which may change whenever
-    the haven construction does."""
+    corpora, byte for byte as before havens became derived: the
+    certificates hold no `haven ` line any more."""
     digest = hashlib.sha256()
     for corpus in ("golden", "random"):
         for code, _, stdout in answers[corpus]:
             digest.update(f"{code}\n".encode())
             for line in stdout.splitlines(keepends=True):
-                if not line.startswith("haven "):
-                    digest.update(line.encode())
+                assert not line.startswith("haven "), line
+                digest.update(line.encode())
     assert digest.hexdigest() == HAVEN_FREE_SHA256
+
+
+def test_derived_havens_match_the_old_tables(answers):
+    """Each NO certificate is read back and its haven derived from the
+    witness; written as the old `haven <cop set>: <component>` lines, the
+    havens of both corpora are exactly the tables the certificates used to
+    carry, and each passes both haven verifiers."""
+    from test_games import reference_verify_haven
+
+    digest = hashlib.sha256()
+    lines = 0
+    for corpus, inputs in (("golden", _corpus()), ("random", random_corpus())):
+        for d, (code, _, stdout) in zip(inputs, answers[corpus], strict=True):
+            if code != 1:
+                continue
+            d, names = parse_digraph(edge_text(d))
+            cert = parse_certificate(read_document(stdout),
+                                     {name: i for i, name in enumerate(names)})
+            hav = minor_haven(d, cert.witness)
+            assert verify_haven(d, hav) and reference_verify_haven(d, hav)
+            for x in sorted(hav.assignment, key=lambda s: (len(s), sorted(s))):
+                digest.update(f"haven {format_set(x, names)}:"
+                              f" {format_set(hav.assignment[x], names)}\n".encode())
+                lines += 1
+    assert lines == 13387
+    assert digest.hexdigest() == HAVEN_TABLES_SHA256
 
 
 def command_corpus():
