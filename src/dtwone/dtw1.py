@@ -215,7 +215,7 @@ def _induced_edge_set(d: Digraph, tup) -> frozenset:
     )
 
 
-def _find_induced(d: Digraph, size: int, template, canonical=None):
+def _find_induced(d: Digraph, size: int, template):
     """Lexicographically first ordered vertex tuple inducing exactly `template`.
 
     Positions are filled in order by a backtracking search.  A position that a
@@ -245,7 +245,7 @@ def _find_induced(d: Digraph, size: int, template, canonical=None):
 
     def extend(i):
         if i == size:
-            return canonical is None or canonical(tuple(tup))
+            return True
         for v in candidates(i):
             if fits(i, v):
                 tup.append(v)
@@ -308,6 +308,21 @@ def _bicycle_walk(d: Digraph):
     return tuple(walk)
 
 
+def _pattern(d: Digraph):
+    """(kind, length, embedding) when d is a bidirected cycle or A4, else None.
+
+    The embedding lists the vertices of d standing for the pattern's 0, 1, ...
+    """
+    walk = _bicycle_walk(d)
+    if walk is not None:
+        return "bicycle", d.n, walk
+    if d.n == 4:
+        emb = _find_induced(d, 4, a4_digraph().edges)
+        if emb is not None:
+            return "a4", None, emb
+    return None
+
+
 # ---------------------------------------------------------------------------
 # minor extraction (the case analysis)
 
@@ -359,33 +374,26 @@ def _case_one_steps(d: Digraph) -> Optional[list]:
 
 
 def _case_analysis_steps(d: Digraph):
-    """One round of the shrink-or-finish analysis.
+    """One shrinking round on a digraph that is not a pattern.
 
-    Returns ("done", (kind, length), embedding) on a terminal digraph or
-    ("steps", step list, rule name) when the digraph can be shrunk further.
-    A digraph that fits no case fails an assertion.
+    Returns (step list, rule name).  A digraph that fits no case fails an
+    assertion.
     """
     n = d.n
-    assert n >= 3, "the analysis never goes below three vertices"
-    if n == 3:
-        walk = _bicycle_walk(d)
-        assert walk is not None, (
-            "a three-vertex digraph left to the analysis must be a bidirected triangle"
-        )
-        return ("done", ("bicycle", 3), walk)
+    assert n > 3, "on three vertices only the bidirected triangle is left, a pattern"
 
     steps = _case_one_steps(d)
     if steps is not None:
-        return ("steps", steps, "case one")
+        return steps, "case one"
 
     heavy_out = [u for u in range(n) if len(d.out_neighbours(u)) >= 3]
     heavy_in = [u for u in range(n) if len(d.in_neighbours(u)) >= 3]
     if heavy_out:
         u = heavy_out[0]
-        return ("steps", [("del", u, min(d.out_neighbours(u)))], "heavy out")
+        return [("del", u, min(d.out_neighbours(u)))], "heavy out"
     if heavy_in:
         u = heavy_in[0]
-        return ("steps", [("del", min(d.in_neighbours(u)), u)], "heavy in")
+        return [("del", min(d.in_neighbours(u)), u)], "heavy in"
     assert all(
         len(d.out_neighbours(v)) == 2 and len(d.in_neighbours(v)) == 2
         for v in range(n)
@@ -395,7 +403,7 @@ def _case_analysis_steps(d: Digraph):
     if missing is not None:
         x, y = missing
         (z,) = [w for w in d.out_neighbours(x) if w != y]
-        return ("steps", [("del", x, z), ("contract", x, y)], "missing small cycle")
+        return [("del", x, z), ("contract", x, y)], "missing small cycle"
 
     hit = _find_induced(d, 3, _K3)
     if hit is not None:
@@ -407,39 +415,28 @@ def _case_analysis_steps(d: Digraph):
         # {u->y} for its other in-neighbour u: u->y is the only contractible
         # edge, and y dominates it.
         x, y, z = hit
-        return ("steps", [("del", x, y), ("contract", x, z)], "K3")
+        return [("del", x, y), ("contract", x, z)], "K3"
 
     hit = _find_induced(d, 3, _K3_PLUS)
     if hit is not None:
+        assert n > 4, "a four-vertex digraph with an induced K3+ must be A4, a pattern"
         x, y, z = hit
-        if n == 4:
-            emb = _find_induced(d, 4, a4_digraph().edges)
-            assert emb is not None, "a four-vertex digraph with an induced K3+ must be A4 here"
-            return ("done", ("a4", None), emb)
-        return (
-            "steps",
-            [("del", x, z), ("del", z, x), ("contract", x, y), ("contract", y, z)],
-            "K3+",
-        )
+        return [("del", x, z), ("del", z, x), ("contract", x, y), ("contract", y, z)], "K3+"
 
-    assert _find_induced(d, 3, _K3_OUT, lambda t: t[0] < t[1]) is None, (
+    assert _find_induced(d, 3, _K3_OUT) is None, (
         "a one-way fan out contradicts strong 2-connectivity"
     )
-    assert _find_induced(d, 3, _K3_IN, lambda t: t[0] < t[1]) is None, (
+    assert _find_induced(d, 3, _K3_IN) is None, (
         "a one-way fan in contradicts strong 2-connectivity"
     )
     assert _find_induced(d, 3, _K3_PLUS_PLUS) is None, (
         "a pendant one-way edge contradicts strong 2-connectivity"
     )
 
-    hit = _find_induced(d, 4, _K22_UP, lambda t: t[0] < t[1] and t[2] < t[3])
-    if hit is not None:
-        w, x, y, z = hit
-        return ("steps", [("del", w, y), ("contract", w, z)], "K22")
-
-    walk = _bicycle_walk(d)
-    assert walk is not None, "a digraph with no applicable step must be a bidirected cycle"
-    return ("done", ("bicycle", n), walk)
+    hit = _find_induced(d, 4, _K22_UP)
+    assert hit is not None, "a digraph that is not a pattern must have an applicable step"
+    w, x, y, z = hit
+    return [("del", w, y), ("contract", w, z)], "K22"
 
 
 def extract_minor_witness(d: Digraph) -> MinorWitness:
@@ -459,29 +456,27 @@ def extract_minor_witness(d: Digraph) -> MinorWitness:
 
 
 def _shrink(state: _ReplayState) -> MinorWitness:
-    """Run the case analysis on the state's current digraph until it is a
-    pattern, applying every round's steps to the state.
+    """Shrink the state's current digraph by case-analysis rounds until it is
+    a pattern, applying every round's steps to the state.
 
     Every round must leave what `extract_minor_witness` asks of its input:
     at least three vertices, strong connectivity and a butterfly-dominating
     vertex.  A round that breaks it fails an assertion naming its rule.
     """
     dense, labels = state.dense()
-    while True:
-        verdict, info, detail = _case_analysis_steps(dense)
-        if verdict == "done":
-            break
+    while (found := _pattern(dense)) is None:
+        steps, rule = _case_analysis_steps(dense)
         before = (dense.n, len(dense.edges))
-        state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in info])
+        state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in steps])
         dense, labels = state.dense()
         assert (dense.n, len(dense.edges)) < before, "every round must shrink the digraph"
         assert (
             dense.n >= 3
             and is_strongly_connected(dense)
             and butterfly_dominating_vertices(dense)
-        ), f"the {detail} step left a digraph the case analysis cannot shrink"
-    kind, length = info
-    branch = {p: state.members[labels[v]] for p, v in enumerate(detail)}
+        ), f"the {rule} step left a digraph the case analysis cannot shrink"
+    kind, length, embedding = found
+    branch = {p: state.members[labels[v]] for p, v in enumerate(embedding)}
     return MinorWitness(
         kind=kind,
         length=length,
@@ -563,9 +558,9 @@ def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
 
 
 def _least_candidate(d: Digraph, territory, attachments, inherited):
-    """The piece's lexicographically least lifted separation as (sort key,
-    separation), the first of equals, or None when the piece has none;
-    returned with the piece's table of strong components.
+    """The piece's lexicographically least lifted separation, the first of
+    equals, or None when the piece has none; returned with the piece's table
+    of strong components.
 
     The table maps each vertex v of the territory to the strong components
     of the collapsed piece minus v, as sets of labels, in a reverse
@@ -592,12 +587,12 @@ def _least_candidate(d: Digraph, territory, attachments, inherited):
             minus.append(local)
             comps = [frozenset(map(labels.__getitem__, k)) for k in local]
         table[label] = comps
-    best = None
-    for local in tight_separations(collapsed, minus):
-        lifted = _lift_separation(d, attachments, local, labels)
-        key = lifted.sort_key()
-        if best is None or key < best[0]:
-            best = (key, lifted)
+    best = min(
+        (_lift_separation(d, attachments, local, labels)
+         for local in tight_separations(collapsed, minus)),
+        key=TightSeparation.sort_key,
+        default=None,
+    )
     return best, table
 
 
@@ -615,13 +610,17 @@ def _inherit(table, territory, cut) -> dict:
 def s_decomposition(d: Digraph) -> SDecomposition:
     """Split d along a maximal laminar family of one-cut-vertex separations.
 
-    The family grows greedily: every round adds the lexicographically least
-    lifted separation of any piece, splitting its piece in two.  A piece's
-    least candidate depends only on its territory and attachments, which a
-    split of another piece leaves alone, so it is searched for once per piece.
-    The result keeps only each node's territory and the oriented tree edges,
-    sorted by node pair; every finished piece is checked to be strongly
-    2-connected and the family to be laminar before it is returned.
+    Pieces are taken from a worklist: each is searched once, and split in two
+    along its lexicographically least lifted separation if it has one.  The
+    order of the splits does not matter.  A piece's least candidate depends
+    only on its territory and its attachments, and a split of another piece
+    changes neither: a tree edge it rewires keeps its separation and its end
+    at this piece.  So every order makes the same splits as the greedy one
+    that always splits the least candidate of all pieces, and numbering the
+    nodes by sorted territory gives the same result.  The result keeps only
+    each node's territory and the oriented tree edges, sorted by node pair;
+    every finished piece is checked to be strongly 2-connected and the
+    family to be laminar before it is returned.
 
     The search of a piece needs the strong components of its collapsed
     piece minus each vertex.  A split piece inherits them from its parent
@@ -646,17 +645,16 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         raise ValueError("need a strongly connected digraph")
 
     pieces = [frozenset(range(d.n))]  # the territory of each piece, by index
-    searched = [_least_candidate(d, pieces[0], [], {})]  # (candidate, table)
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
+    work = [(0, {})]  # (piece index, table entries inherited from its parent)
 
-    while True:
-        best = None
-        for pi, (cand, _) in enumerate(searched):
-            if cand is not None and (best is None or cand[0] < best[0]):
-                best = (cand[0], pi, cand[1])
-        if best is None:
-            break
-        _, pi, sep = best
+    while work:
+        pi, inherited = work.pop()
+        sep, table = _least_candidate(
+            d, pieces[pi], _attachments(tree_edges, pi), inherited
+        )
+        if sep is None:
+            continue
         old = pieces[pi]
         pieces[pi] = old & sep.shoreA
         new_index = len(pieces)
@@ -680,15 +678,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             rewired.append((ai, bi, s))
         tree_edges = rewired
         tree_edges.append((pi, new_index, sep))
-        table = searched[pi][1]
-        searched[pi], searched_new = [
-            _least_candidate(
-                d, pieces[i], _attachments(tree_edges, i),
-                _inherit(table, pieces[i], sep.cut_vertex),
-            )
-            for i in (pi, new_index)
-        ]
-        searched.append(searched_new)
+        work += [(i, _inherit(table, pieces[i], sep.cut_vertex)) for i in (pi, new_index)]
 
     for pi, territory in enumerate(pieces):
         collapsed, _ = _collapse_piece(d, territory, _attachments(tree_edges, pi))
@@ -824,15 +814,17 @@ def _replay_witness(d: Digraph, witness: MinorWitness):
     """`verify_witness`'s report, with the replay state when the script
     replays (None otherwise)."""
     violations = []
-    pattern = None
     if witness.kind == "bicycle":
         if witness.length is None or witness.length < 3:
             return Report(False, 0, ("bicycle witnesses need a length of at least three",)), None
-        pattern = bicycle(witness.length)
+        size = witness.length
     elif witness.kind == "a4":
-        pattern = a4_digraph()
+        size = 4
     else:
         return Report(False, 0, (f"unknown pattern kind {witness.kind!r}",)), None
+    if size > d.n:
+        return Report(False, 0, ("the pattern has more vertices than the digraph",)), None
+    pattern = bicycle(size) if witness.kind == "bicycle" else a4_digraph()
     if sorted(witness.branch_sets) != list(range(pattern.n)):
         return Report(False, 0, ("branch sets must cover the pattern's vertices",)), None
     try:

@@ -143,6 +143,19 @@ class TestVerifyCert:
         assert res.exit_code == 1
         assert "result=invalid" in res.output
 
+    def test_forged_bicycle_length_is_invalid(self, runner, b3_file, tmp_path):
+        """A bicycle longer than the digraph is refused before it is built,
+        so a length that would need terabytes to build answers at once."""
+        text = self.cert(runner, b3_file)
+        forged = text.replace("length=3", "length=1000000000000")
+        assert forged != text
+        cert = tmp_path / "forged.cert"
+        cert.write_text(forged)
+        res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
+        assert res.exit_code == 1
+        assert "result=invalid" in res.output
+        assert "violation=the pattern has more vertices than the digraph" in res.output
+
     def test_haven_table_exit_two(self, runner, b3_file, tmp_path):
         """A certificate in the older form, with its haven table, is refused
         as malformed, and the message names the first `haven` line."""

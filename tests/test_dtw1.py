@@ -7,6 +7,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dtwone.digraph import (
     Digraph,
@@ -417,7 +419,9 @@ def reference_a4_embedding(d):
 ORDERED_PAIR = lambda t: t[0] < t[1]
 ORDERED_PAIRS = lambda t: t[0] < t[1] and t[2] < t[3]
 
-# Every template with no filter, plus the filters the case analysis uses.
+# Every template with no filter, plus the filters the case analysis used.  Each
+# filter fixes a symmetry of its template, so the unfiltered search's first
+# match passes it: the search takes none.
 TEMPLATE_QUERIES = [
     (2, dtw1._DIGON, None),
     (3, dtw1._K3, None),
@@ -470,7 +474,7 @@ class TestPatternSearch:
             )
             for q, (size, template, canonical) in enumerate(TEMPLATE_QUERIES):
                 expected = reference_find_induced(d, size, template, canonical)
-                got = dtw1._find_induced(d, size, template, canonical)
+                got = dtw1._find_induced(d, size, template)
                 assert got == expected, (sorted(d.edges), sorted(template))
                 hits[q] += expected is not None
         assert all(hits) and two_regular >= 40, (hits, two_regular)
@@ -558,8 +562,17 @@ def reference_round(d):
     """A case-analysis round as it was with its own strong 2-connectivity
     check; past case one the round is unchanged, so the rest is the program's."""
     if d.n > 3 and not is_strongly_2_connected(d):
-        return ("steps", reference_case_one_steps(d), "case one")
+        return (reference_case_one_steps(d), "case one")
     return dtw1._case_analysis_steps(d)
+
+
+def reference_pattern(d):
+    """The pattern a round ends on, found by the walk and the permutation scan."""
+    walk = dtw1._bicycle_walk(d)
+    if walk is not None:
+        return ("bicycle", d.n, walk)
+    emb = reference_a4_embedding(d)
+    return None if emb is None else ("a4", None, emb)
 
 
 def outcome(fn, d):
@@ -570,21 +583,22 @@ def outcome(fn, d):
 
 
 class TestCaseAnalysisReference:
-    """Case one, found without a separate 2-connectivity check, takes the
-    same step as the round that checked first and built each d - v."""
+    """Every round of the shrinking loop ends on the pattern the reference
+    finds or, short of one, takes the step of a round that checked strong
+    2-connectivity first and built each d - v for case one."""
 
     @staticmethod
     def round_inputs(monkeypatch, run, corpus):
-        """Every digraph a round of the case analysis sees while `run` goes
-        over the corpus."""
+        """Every digraph a round of the shrinking loop sees while `run` goes
+        over the corpus: each is tested for a pattern first."""
         seen = []
-        original = dtw1._case_analysis_steps
+        original = dtw1._pattern
 
         def recording(d):
             seen.append(d)
             return original(d)
 
-        monkeypatch.setattr(dtw1, "_case_analysis_steps", recording)
+        monkeypatch.setattr(dtw1, "_pattern", recording)
         for d in corpus:
             try:
                 run(d)
@@ -596,6 +610,10 @@ class TestCaseAnalysisReference:
     def check_rounds(self, rounds):
         case_one = 0
         for d in rounds:
+            found = dtw1._pattern(d)
+            assert found == reference_pattern(d), sorted(d.edges)
+            if found is not None:
+                continue
             expected = outcome(reference_round, d)
             assert outcome(dtw1._case_analysis_steps, d) == expected, sorted(d.edges)
             if d.n > 3:
@@ -1037,6 +1055,28 @@ class TestRecognize:
         monkeypatch.undo()
         assert all(verify_certificate(d, c).valid for d, c in zip(inputs, certs))
 
+    def test_patterns_skip_the_case_analysis(self, monkeypatch):
+        """A digraph whose collapsed piece is already a bidirected cycle or
+        A4 ends at the pattern test, before any round of the case analysis."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a pattern went through the case analysis")
+
+        monkeypatch.setattr(dtw1, "_case_analysis_steps", refuse)
+        monkeypatch.setattr(dtw1, "_case_one_steps", refuse)
+        cases = [(bicycle(k), ("bicycle", k)) for k in range(3, 9)]
+        cases += [
+            (Digraph(4, frozenset((perm[a], perm[b]) for (a, b) in a4_digraph().edges)),
+             ("a4", None))
+            for perm in itertools.permutations(range(4))
+        ]
+        rng = random.Random(97)
+        cases += [(tree_plus_triangle(rng, n), ("bicycle", 3)) for n in (3, 4, 8, 16, 30)]
+        for d, pattern in cases:
+            cert = recognize_dtw1(d)
+            assert cert.verdict == "NO", sorted(d.edges)
+            assert (cert.witness.kind, cert.witness.length) == pattern, sorted(d.edges)
+            assert verify_certificate(d, cert).valid, sorted(d.edges)
+
     def test_single_vertex_raises(self):
         with pytest.raises(ValueError):
             recognize_dtw1(Digraph(1, frozenset()))
@@ -1106,6 +1146,27 @@ def test_random_corpus_crash_inputs_agree_with_the_hypertree_route(index):
     d = list(random_corpus())[index]
     assert not hypertree_route(d).is_hypertree
     assert recognize_dtw1(d).verdict == "NO"
+
+
+@st.composite
+def hamiltonian_digraphs(draw):
+    """A strongly connected digraph on 3-8 vertices: a Hamiltonian cycle
+    through the vertices in a drawn order, plus a drawn set of other arcs."""
+    n = draw(st.integers(3, 8))
+    order = draw(st.permutations(range(n)))
+    cycle = {(order[i], order[(i + 1) % n]) for i in range(n)}
+    others = [(a, b) for a in range(n) for b in range(n) if a != b and (a, b) not in cycle]
+    extra = draw(st.sets(st.sampled_from(others)))
+    return Digraph(n, frozenset(cycle | extra))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(hamiltonian_digraphs())
+def test_certificates_verify_and_agree_with_the_hypertree_route(d):
+    cert = recognize_dtw1(d)
+    report = verify_certificate(d, cert)
+    assert report.valid, (sorted(d.edges), report.violations)
+    assert (cert.verdict == "YES") == hypertree_route(d).is_hypertree, sorted(d.edges)
 
 
 class TestVerifyCertificate:
@@ -1249,6 +1310,23 @@ class TestVerifyCertificate:
     def test_short_bicycle_length_is_rejected(self):
         w = MinorWitness("bicycle", 2, (), {0: frozenset({0}), 1: frozenset({1})})
         assert not verify_witness(digon(), w).valid
+
+    def test_oversized_pattern_is_refused_before_it_is_built(self, monkeypatch):
+        """The certificate alone sets a bicycle's length, so a forged one
+        larger than the digraph is refused before the pattern is built."""
+        d = bicycle(5)
+        witness = recognize_dtw1(d).witness
+        forged = dataclasses.replace(witness, length=500_000)
+
+        def refuse(length):
+            raise AssertionError(f"built a bicycle of length {length}")
+
+        monkeypatch.setattr(dtw1, "bicycle", refuse)
+        message = ("the pattern has more vertices than the digraph",)
+        assert verify_witness(d, forged).violations == message
+        assert verify_certificate(d, Dtw1Certificate("NO", None, forged)).violations == message
+        a4 = MinorWitness("a4", None, (), {p: frozenset({p}) for p in range(4)})
+        assert verify_witness(bicycle(3), a4).violations == message
 
     def test_wrong_pattern_image_is_rejected(self):
         d = bidirect(3, [(0, 1), (1, 2)])
