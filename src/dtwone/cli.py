@@ -22,7 +22,6 @@ from .formats import (
     format_cycles,
     format_dbd,
     format_ghd,
-    format_hbd,
     format_transcript,
     header_lines,
     parse_certificate,
@@ -270,7 +269,7 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, output_format):
         body, width = format_dbd(out, names), out.width()
     elif target == "hbd":
         out = _guarded(decomp.dbd_to_hbd, d, dec, cap)
-        body, width = format_hbd(out), out.width()
+        body, width = format_dbd(out), out.width()
     else:
         out = _guarded(decomp.dtd_to_ghd, d, dec, cap)
         body, width = format_ghd(out), out.width

@@ -1,10 +1,15 @@
 """Decomposition types and validators for digraphs and hypergraphs, plus the
-conversions linking directed tree decompositions, directed branch
-decompositions and decompositions of the dual cycle hypergraph."""
+conversions from directed tree decompositions.
+
+One `BranchDecomposition` type serves a digraph and its dual cycle
+hypergraph, whose leaf labels are the digraph's vertices or the
+hypergraph's edge indices.  The conversions are dtd → dbd (`dtd_to_dbd`),
+a dbd checked as a decomposition of the dual (`dbd_to_hbd`), and dtd → ghd
+(`dtd_to_ghd`)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .cycles import DEFAULT_CYCLE_CAP, cut, cycle_hypergraph, min_hitting_set
@@ -62,8 +67,15 @@ class DirectedTreeDecomposition:
         assert len(roots) == 1, "expected exactly one root"
         return roots[0]
 
+    @cached_property
+    def _children(self):
+        kids = {}
+        for (p, c) in self.arcs:
+            kids.setdefault(p, []).append(c)
+        return {t: tuple(cs) for t, cs in kids.items()}
+
     def children(self, t):
-        return tuple(c for (p, c) in self.arcs if p == t)
+        return self._children.get(t, ())
 
     def subtree_nodes(self, t):
         return tuple(_bfs_arcs(t, self.children)[0])
@@ -174,26 +186,22 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
     return Report(True, dec.width(), ())
 
 
-def _leaf_sides(nodes, edges, leaf_label):
-    """Per (tree edge, endpoint), the labels of the leaves in the component
-    of tree − edge containing that endpoint; `edges` have sorted ends."""
-    every = frozenset(nodes)
-    sides = {}
-    for e, near in _tree_sides(edges).items():
-        for end, part in ((e[0], near), (e[1], every - near)):
-            sides[e, end] = frozenset(leaf_label[t] for t in part if t in leaf_label)
-    return sides
-
-
 @dataclass(frozen=True)
-class DirectedBranchDecomposition:
-    """An unrooted subcubic tree whose leaves name the digraph's vertices,
-    with a cached minimum hitting set per tree edge."""
+class BranchDecomposition:
+    """An unrooted subcubic tree with a label per leaf and a cached set per
+    tree edge.
+
+    Over a digraph, leaves name its vertices and each set is a minimum
+    hitting set of the directed cycles crossing the edge.  Over a
+    hypergraph, leaves name its edge indices and each set is a minimum cover
+    of the edge's boundary.  Over the dual cycle hypergraph the two readings
+    are one: vertex v is dual hyperedge v.
+    """
 
     nodes: tuple
     edges: tuple
-    leaf_vertex: dict
-    hitting_sets: dict
+    leaf_label: dict
+    edge_sets: dict
 
     def __post_init__(self):
         object.__setattr__(self, "nodes", tuple(self.nodes))
@@ -202,8 +210,8 @@ class DirectedBranchDecomposition:
         )
         object.__setattr__(
             self,
-            "hitting_sets",
-            {tuple(sorted(e)): frozenset(s) for e, s in self.hitting_sets.items()},
+            "edge_sets",
+            {tuple(sorted(e)): frozenset(s) for e, s in self.edge_sets.items()},
         )
 
     def degree(self, t):
@@ -214,16 +222,23 @@ class DirectedBranchDecomposition:
 
     @cached_property
     def _sides(self):
-        return _leaf_sides(self.nodes, self.edges, self.leaf_vertex)
+        every = frozenset(self.nodes)
+        leaves = frozenset(self.leaf_label)
+        label = self.leaf_label.__getitem__
+        sides = {}
+        for e, near in _tree_sides(self.edges).items():
+            sides[e, e[0]] = frozenset(map(label, near & leaves))
+            sides[e, e[1]] = frozenset(map(label, (every - near) & leaves))
+        return sides
 
-    def side_vertices(self, e, endpoint):
-        """The digraph vertices at the leaves of the component of
-        tree − e containing the given endpoint."""
+    def side(self, e, endpoint):
+        """The labels at the leaves of the component of tree − e containing
+        the given endpoint."""
         assert endpoint in e
         return self._sides[tuple(sorted(e)), endpoint]
 
     def width(self):
-        return max((len(s) for s in self.hitting_sets.values()), default=0)
+        return max((len(s) for s in self.edge_sets.values()), default=0)
 
 
 def _tree_report(nodes, edges, max_degree=3):
@@ -255,35 +270,41 @@ def _tree_report(nodes, edges, max_degree=3):
     return violations
 
 
+def _shape_report(dec: BranchDecomposition, count, labels, sets) -> list:
+    """Violations of a branch decomposition's shape: a subcubic tree whose
+    leaves biject onto range(count) and whose sets are keyed by its edges.
+    `labels` and `sets` name the leaf labels and the edge sets."""
+    violations = _tree_report(dec.nodes, dec.edges)
+    if violations:
+        return violations
+    if set(dec.leaf_label) != set(dec.leaves()):
+        violations.append("leaf map must be keyed by exactly the tree leaves")
+    if sorted(dec.leaf_label.values()) != list(range(count)):
+        violations.append(f"leaf map must be a bijection onto the {labels}")
+    if set(dec.edge_sets) != set(dec.edges):
+        violations.append(f"{sets} must be keyed by exactly the edges")
+    return violations
+
+
 def validate_dbd(
     d: Digraph,
-    dec: DirectedBranchDecomposition,
+    dec: BranchDecomposition,
     cap: int = DEFAULT_CYCLE_CAP,
 ) -> Report:
     """Check a directed branch decomposition and recompute every edge's
     thickness: the least size of a set hitting all directed cycles with
     vertices on both sides of the edge.  The cached witnesses must hit their
     crossing cycles and be of minimum size."""
-    violations = _tree_report(dec.nodes, dec.edges)
-    if violations:
-        return Report(False, None, tuple(violations))
-    leaves = dec.leaves()
-    if set(dec.leaf_vertex) != set(leaves):
-        violations.append("leaf map must be keyed by exactly the tree leaves")
-    if sorted(dec.leaf_vertex.values()) != list(range(d.n)):
-        violations.append("leaf map must be a bijection onto the vertices")
-    if set(dec.hitting_sets) != set(dec.edges):
-        violations.append("hitting sets must be keyed by exactly the edges")
+    violations = _shape_report(dec, d.n, "vertices", "hitting sets")
     if violations:
         return Report(False, None, tuple(violations))
 
     ch = cycle_hypergraph(d, cap)
     width = 0
     for e in dec.edges:
-        side = dec.side_vertices(e, e[0])
-        targets = cut(ch, side)
+        targets = cut(ch, dec.side(e, e[0]))
         best = min_hitting_set(ch, targets)
-        cached = dec.hitting_sets[e]
+        cached = dec.edge_sets[e]
         if not all(ch.hyperedges[i] & cached for i in targets):
             violations.append(f"cached set of edge {e!r} misses a crossing cycle")
         elif len(cached) != len(best):
@@ -294,97 +315,38 @@ def validate_dbd(
     return Report(True, width, ())
 
 
-@dataclass(frozen=True)
-class HyperbranchDecomposition:
-    """An unrooted subcubic tree whose leaves name the ground hypergraph's
-    edges (by index), with a cached minimum cover per tree edge."""
-
-    ground: Hypergraph
-    nodes: tuple
-    edges: tuple
-    leaf_edge: dict
-    cover_sets: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(
-            self, "edges", tuple(tuple(sorted(e)) for e in self.edges)
-        )
-        object.__setattr__(
-            self,
-            "cover_sets",
-            {tuple(sorted(e)): frozenset(s) for e, s in self.cover_sets.items()},
-        )
-
-    def degree(self, t):
-        return sum(1 for e in self.edges if t in e)
-
-    def leaves(self):
-        return tuple(t for t in self.nodes if self.degree(t) <= 1)
-
-    @cached_property
-    def _sides(self):
-        return _leaf_sides(self.nodes, self.edges, self.leaf_edge)
-
-    def side_edge_indices(self, e, endpoint):
-        """The hyperedge indices at the leaves of the component of tree − e
-        containing the given endpoint."""
-        assert endpoint in e
-        return self._sides[tuple(sorted(e)), endpoint]
-
-    def boundary(self, e):
-        """Ground vertices covered by hyperedges on both sides of a tree
-        edge."""
-        here = self.side_edge_indices(e, e[0])
-        there = frozenset(range(len(self.ground.edges))) - here
-        union = lambda idx: frozenset().union(
-            *(self.ground.edges[i] for i in idx)
-        ) if idx else frozenset()
-        return union(here) & union(there)
-
-    def width(self):
-        return max((len(s) for s in self.cover_sets.values()), default=0)
+def _union(h: Hypergraph, indices) -> frozenset:
+    """The vertices of h covered by the hyperedges with the given indices."""
+    return frozenset().union(*map(h.edges.__getitem__, indices))
 
 
-def validate_hbd(h: Hypergraph, dec: HyperbranchDecomposition) -> Report:
-    """Check a hyperbranch decomposition against its ground hypergraph: the
+def _boundary(h: Hypergraph, dec: BranchDecomposition, e) -> frozenset:
+    """The vertices of h covered by hyperedges on both sides of a tree edge
+    of a branch decomposition whose leaves biject onto the edges of h."""
+    return _union(h, dec.side(e, e[0])) & _union(h, dec.side(e, e[1]))
+
+
+def validate_hbd(h: Hypergraph, dec: BranchDecomposition) -> Report:
+    """Check a hyperbranch decomposition against the hypergraph h: the
     cached covers must cover their boundaries and be of minimum size."""
-    violations = []
-    if not (h.vertices == dec.ground.vertices and h.edges == dec.ground.edges):
-        violations.append("decomposition was built over a different hypergraph")
-        return Report(False, None, tuple(violations))
     m = len(h.edges)
     if m <= 1:
         if dec.edges or len(dec.nodes) != m or sorted(
-            dec.leaf_edge.values()
+            dec.leaf_label.values()
         ) != list(range(m)):
-            violations.append("a hypergraph this small needs a bare tree")
-            return Report(False, None, tuple(violations))
+            return Report(False, None, ("a hypergraph this small needs a bare tree",))
         return Report(True, 0, ())
-    violations = _tree_report(dec.nodes, dec.edges)
-    if violations:
-        return Report(False, None, tuple(violations))
-    if set(dec.leaf_edge) != set(dec.leaves()):
-        violations.append("leaf map must be keyed by exactly the tree leaves")
-    if sorted(dec.leaf_edge.values()) != list(range(m)):
-        violations.append("leaf map must be a bijection onto the edge indices")
-    if set(dec.cover_sets) != set(dec.edges):
-        violations.append("cover sets must be keyed by exactly the edges")
+    violations = _shape_report(dec, m, "edge indices", "cover sets")
     if violations:
         return Report(False, None, tuple(violations))
     width = 0
     for e in dec.edges:
-        boundary = dec.boundary(e)
+        boundary = _boundary(h, dec, e)
         best = min_cover(h, boundary)
-        cached = dec.cover_sets[e]
-        got = (
-            frozenset().union(*(h.edges[i] for i in cached))
-            if cached
-            else frozenset()
-        )
+        cached = dec.edge_sets[e]
         if not cached <= frozenset(range(m)):
             violations.append(f"cover of edge {e!r} names unknown hyperedges")
-        elif not boundary <= got:
+        elif not boundary <= _union(h, cached):
             violations.append(f"cover of edge {e!r} misses its boundary")
         elif len(cached) != len(best):
             violations.append(f"cover of edge {e!r} is not minimum")
@@ -465,22 +427,16 @@ def _validate_hyper_decomposition(h, dec, descendant):
         if len(_vertex_components(adj, holders[v])) > 1:
             violations.append(f"the bags containing {v!r} are not connected")
     for t in nodes:
-        covered = frozenset().union(
-            *(h.edges[i] for i in dec.guards[t])
-        ) if dec.guards[t] else frozenset()
-        if not dec.bags[t] <= covered:
+        if not dec.bags[t] <= _union(h, dec.guards[t]):
             violations.append(f"bag of node {t!r} is not covered by its guard")
     if descendant and not violations:
         children = {t: [] for t in nodes}
         for (p, c) in dec.arcs:
             children[p].append(c)
         for t in nodes:
-            covered = frozenset().union(
-                *(h.edges[i] for i in dec.guards[t])
-            ) if dec.guards[t] else frozenset()
             below, _ = _bfs_arcs(t, children.__getitem__)
             inside = frozenset().union(*(dec.bags[s] for s in below))
-            if not covered & inside <= dec.bags[t]:
+            if not _union(h, dec.guards[t]) & inside <= dec.bags[t]:
                 violations.append(
                     f"guard of node {t!r} reaches below the node past its bag"
                 )
@@ -505,17 +461,12 @@ def validate_hd(h: Hypergraph, dec: HypertreeDecomposition) -> Report:
 def _ordered_children(dec: DirectedTreeDecomposition):
     """Children lists keyed by node, ordered by the least vertex below the
     child (children with vertex-free subtrees come last, by name)."""
-    kids = {t: [] for t in dec.nodes}
-    for (p, c) in dec.arcs:
-        kids[p].append(c)
 
     def key(c):
         vs = dec.subtree_vertices(c)
         return (0, min(vs), "") if vs else (1, 0, str(c))
 
-    for t in kids:
-        kids[t].sort(key=key)
-    return kids
+    return {t: sorted(dec.children(t), key=key) for t in dec.nodes}
 
 
 def dtd_to_leaf_dtd(
@@ -633,90 +584,43 @@ def dtd_to_leaf_dtd(
 
 def dtd_to_dbd(
     d: Digraph, dec: DirectedTreeDecomposition, cap: int = DEFAULT_CYCLE_CAP
-) -> DirectedBranchDecomposition:
+) -> BranchDecomposition:
     """Forget the orientation of the leaf-shaped decomposition: leaves name
     their bag vertices and every tree edge caches a true minimum hitting set
     for its crossing cycles."""
     leaf = dtd_to_leaf_dtd(d, dec)
-    edges = tuple(sorted(tuple(sorted(a)) for a in leaf.arcs))
-    leaf_nodes = [t for t in leaf.nodes if not leaf.children(t)]
-    leaf_vertex = {t: min(leaf.bags[t]) for t in leaf_nodes}
-    dec_out = DirectedBranchDecomposition(
+    shape = BranchDecomposition(
         nodes=leaf.nodes,
-        edges=edges,
-        leaf_vertex=leaf_vertex,
-        hitting_sets={e: frozenset() for e in edges},
+        edges=sorted(tuple(sorted(a)) for a in leaf.arcs),
+        leaf_label={t: min(leaf.bags[t]) for t in leaf.nodes if not leaf.children(t)},
+        edge_sets={},
     )
     ch = cycle_hypergraph(d, cap)
-    hitting = {}
-    for e in edges:
-        targets = cut(ch, dec_out.side_vertices(e, e[0]))
-        hitting[e] = min_hitting_set(ch, targets)
-    return DirectedBranchDecomposition(
-        nodes=leaf.nodes,
-        edges=edges,
-        leaf_vertex=leaf_vertex,
-        hitting_sets=hitting,
-    )
+    hitting = {e: min_hitting_set(ch, cut(ch, shape.side(e, e[0]))) for e in shape.edges}
+    return replace(shape, edge_sets=hitting)
 
 
-def _dual_ground(d: Digraph, cap: int):
+def dbd_to_hbd(
+    d: Digraph, dec: BranchDecomposition, cap: int = DEFAULT_CYCLE_CAP
+) -> BranchDecomposition:
+    """Check a branch decomposition of the digraph as one of its dual cycle
+    hypergraph, edge for edge, and return it unchanged.  Leaf vertex v is
+    dual hyperedge v.  Each cached hitting set must cover its edge's
+    boundary and have the size of a minimum hitting set of the crossing
+    cycles; both are asserted."""
     ch = cycle_hypergraph(d, cap)
     assert len(ch.vertices) == d.n, (
         "conversion needs every vertex on a directed cycle"
     )
-    return ch, dual(ch.as_hypergraph())
-
-
-def dbd_to_hbd(
-    d: Digraph, dec: DirectedBranchDecomposition, cap: int = DEFAULT_CYCLE_CAP
-) -> HyperbranchDecomposition:
-    """Reinterpret a branch decomposition of the digraph over the dual cycle
-    hypergraph: leaf vertices become their dual hyperedges and hitting sets
-    become covers.  Thicknesses agree edge for edge, which is asserted."""
-    ch, ground = _dual_ground(d, cap)
-    out = HyperbranchDecomposition(
-        ground=ground,
-        nodes=dec.nodes,
-        edges=dec.edges,
-        leaf_edge=dict(dec.leaf_vertex),
-        cover_sets=dict(dec.hitting_sets),
-    )
-    for e in out.edges:
-        boundary = out.boundary(e)
-        cached = out.cover_sets[e]
-        covered = (
-            frozenset().union(*(ground.edges[i] for i in cached))
-            if cached
-            else frozenset()
+    ground = dual(ch.as_hypergraph())
+    for e in dec.edges:
+        cached = dec.edge_sets[e]
+        assert _boundary(ground, dec, e) <= _union(ground, cached), (
+            "hitting set fails to cover its boundary"
         )
-        assert boundary <= covered, "hitting set fails to cover its boundary"
-        targets = cut(ch, dec.side_vertices(e, e[0]))
-        best = min_hitting_set(ch, targets)
+        best = min_hitting_set(ch, cut(ch, dec.side(e, e[0])))
         assert len(best) == len(cached), "widths must agree edge for edge"
-    return out
-
-
-def hbd_to_dbd(
-    d: Digraph, dec: HyperbranchDecomposition, cap: int = DEFAULT_CYCLE_CAP
-) -> DirectedBranchDecomposition:
-    """Invert dbd_to_hbd: requires the decomposition's ground hypergraph to
-    be the dual cycle hypergraph of the digraph."""
-    _, ground = _dual_ground(d, cap)
-    if not (
-        dec.ground.vertices == ground.vertices
-        and dec.ground.edges == ground.edges
-    ):
-        raise ValueError(
-            "ground hypergraph is not the dual cycle hypergraph of the digraph"
-        )
-    labels = ground.labels or tuple(range(len(ground.edges)))
-    return DirectedBranchDecomposition(
-        nodes=dec.nodes,
-        edges=dec.edges,
-        leaf_vertex={t: labels[i] for t, i in dec.leaf_edge.items()},
-        hitting_sets=dict(dec.cover_sets),
-    )
+    return dec
 
 
 def _minimal_subtree(adj, targets):

@@ -572,7 +572,9 @@ def _least_candidate(d: Digraph, territory, attachments, inherited):
     reachability among the vertices that stay (see `s_decomposition`).  The
     missing entries, every vertex of the root piece and the cut vertex of a
     split piece, take one Tarjan pass each.  The piece is collapsed once and
-    `tight_separations` reads the table instead of recomputing it.
+    `tight_separations` reads the table instead of recomputing it.  A piece
+    without a candidate is finished, and its collapsed piece is asserted to
+    be strongly 2-connected here.
     """
     collapsed, labels = _collapse_piece(d, territory, attachments)
     index = {label: i for i, label in enumerate(labels)}
@@ -592,6 +594,9 @@ def _least_candidate(d: Digraph, territory, attachments, inherited):
          for local in tight_separations(collapsed, minus)),
         key=TightSeparation.sort_key,
         default=None,
+    )
+    assert best is not None or is_strongly_2_connected(collapsed), (
+        "a finished piece must be strongly 2-connected"
     )
     return best, table
 
@@ -618,9 +623,11 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     at this piece.  So every order makes the same splits as the greedy one
     that always splits the least candidate of all pieces, and numbering the
     nodes by sorted territory gives the same result.  The result keeps only
-    each node's territory and the oriented tree edges, sorted by node pair;
-    every finished piece is checked to be strongly 2-connected and the
-    family to be laminar before it is returned.
+    each node's territory and the oriented tree edges, sorted by node pair.
+    Each finished piece is checked to be strongly 2-connected when its
+    search comes up empty, which is final because its attachments never
+    change afterwards; the family is checked to be laminar before it is
+    returned.
 
     The search of a piece needs the strong components of its collapsed
     piece minus each vertex.  A split piece inherits them from its parent
@@ -680,11 +687,6 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         tree_edges.append((pi, new_index, sep))
         work += [(i, _inherit(table, pieces[i], sep.cut_vertex)) for i in (pi, new_index)]
 
-    for pi, territory in enumerate(pieces):
-        collapsed, _ = _collapse_piece(d, territory, _attachments(tree_edges, pi))
-        assert is_strongly_2_connected(collapsed), (
-            "a finished piece must be strongly 2-connected"
-        )
     for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2):
         assert not separations_cross(s, t), "family must be pairwise laminar"
     order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i])))

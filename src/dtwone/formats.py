@@ -10,10 +10,7 @@ from __future__ import annotations
 import hashlib
 import re
 
-from .decomp import (
-    DirectedBranchDecomposition,
-    DirectedTreeDecomposition,
-)
+from .decomp import BranchDecomposition, DirectedTreeDecomposition
 from .digraph import Digraph, digraph_from_edges
 from .dtw1 import Dtw1Certificate, MinorWitness
 from .hypergraph import Hypergraph
@@ -259,26 +256,27 @@ def parse_dtd(records, name_to_id) -> DirectedTreeDecomposition:
     )
 
 
-def format_dbd(dec: DirectedBranchDecomposition, names) -> list:
+def format_dbd(dec: BranchDecomposition, names=None) -> list:
     """Branch decompositions reuse the node/arc records: leaves carry their
-    vertex as a singleton bag, tree edges carry the hitting set as guard."""
+    label as a singleton bag, tree edges carry their set as guard.  Without
+    names the ids print as integers, as for a decomposition of the dual."""
     assert all(isinstance(t, int) for t in dec.nodes), "serializable node ids"
     out = []
     for t in sorted(dec.nodes):
         bag = (
-            frozenset({dec.leaf_vertex[t]})
-            if t in dec.leaf_vertex
+            frozenset({dec.leaf_label[t]})
+            if t in dec.leaf_label
             else frozenset()
         )
         out.append(f"node {t} bag={format_set(bag, names)}")
     for e in sorted(dec.edges):
         out.append(
-            f"arc {e[0]} {e[1]} guard={format_set(dec.hitting_sets[e], names)}"
+            f"arc {e[0]} {e[1]} guard={format_set(dec.edge_sets[e], names)}"
         )
     return out
 
 
-def parse_dbd(records, name_to_id) -> DirectedBranchDecomposition:
+def parse_dbd(records, name_to_id) -> BranchDecomposition:
     nodes, node_data, arcs, arc_data = _scan_node_arc_records(
         records, name_to_id, {"bag": True}, {"guard": True}
     )
@@ -286,36 +284,21 @@ def parse_dbd(records, name_to_id) -> DirectedBranchDecomposition:
     for (a, b) in arcs:
         degree[a] = degree.get(a, 0) + 1
         degree[b] = degree.get(b, 0) + 1
-    leaf_vertex = {}
+    leaf_label = {}
     for t in nodes:
         bag = node_data[t]["bag"]
         if len(bag) == 1 and degree.get(t, 0) <= 1:
-            leaf_vertex[t] = next(iter(bag))
+            leaf_label[t] = next(iter(bag))
         elif bag:
             raise ParseError(
                 None, f"node {t} is internal but its bag is not empty"
             )
-    return DirectedBranchDecomposition(
+    return BranchDecomposition(
         nodes=tuple(nodes),
         edges=tuple(arcs),
-        leaf_vertex=leaf_vertex,
-        hitting_sets={tuple(sorted(a)): arc_data[a]["guard"] for a in arcs},
+        leaf_label=leaf_label,
+        edge_sets={tuple(sorted(a)): arc_data[a]["guard"] for a in arcs},
     )
-
-
-def format_hbd(dec) -> list:
-    """Same records over the dual ground: leaf bags hold the dual hyperedge
-    index, guards hold the cover sets (all integer ids)."""
-    assert all(isinstance(t, int) for t in dec.nodes), "serializable node ids"
-    out = []
-    for t in sorted(dec.nodes):
-        bag = (
-            frozenset({dec.leaf_edge[t]}) if t in dec.leaf_edge else frozenset()
-        )
-        out.append(f"node {t} bag={format_set(bag)}")
-    for e in sorted(dec.edges):
-        out.append(f"arc {e[0]} {e[1]} guard={format_set(dec.cover_sets[e])}")
-    return out
 
 
 def format_ghd(dec) -> list:

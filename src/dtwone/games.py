@@ -218,12 +218,12 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
 
     if len(dec.nodes) == 1:
         only = dec.nodes[0]
-        return CopStrategy(budget=1, initial=frozenset({dec.leaf_vertex[only]}), table={})
+        return CopStrategy(budget=1, initial=frozenset({dec.leaf_label[only]}), table={})
 
     ch = cycle_hypergraph(d)
     hits = {}
     for e in dec.edges:
-        hits[e] = min_hitting_set(ch, cut(ch, dec.side_vertices(e, e[0])))
+        hits[e] = min_hitting_set(ch, cut(ch, dec.side(e, e[0])))
     k = max(len(s) for s in hits.values())
     budget = max(3 * k, 1)
 
@@ -246,11 +246,11 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
 
     def side(t, u):
         """Leaf vertices in the subtree hanging off u when the edge (t, u) is cut."""
-        return dec.side_vertices(tree_edge(t, u), u)
+        return dec.side(tree_edge(t, u), u)
 
-    ell = min(dec.leaves(), key=lambda t: dec.leaf_vertex[t])
+    ell = min(dec.leaves(), key=lambda t: dec.leaf_label[t])
     t0 = adj[ell][0]
-    x0 = frozenset({dec.leaf_vertex[ell]}) | guards_around(t0, skip=ell)
+    x0 = frozenset({dec.leaf_label[ell]}) | guards_around(t0, skip=ell)
     assert len(x0) <= budget, "opening cop set over budget"
 
     depth = {ell: 0}
@@ -270,14 +270,14 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
         head += 1
         while True:
             if len(adj[curr]) == 1:
-                x2 = hits[tree_edge(prev, curr)] | frozenset({dec.leaf_vertex[curr]})
+                x2 = hits[tree_edge(prev, curr)] | frozenset({dec.leaf_label[curr]})
                 nxt = curr
             else:
                 cands = [u for u in adj[curr] if u != prev and r <= side(curr, u)]
                 assert len(cands) == 1, "robber component must sit inside exactly one subtree"
                 nxt = cands[0]
                 if len(adj[nxt]) == 1:
-                    x2 = hits[tree_edge(curr, nxt)] | frozenset({dec.leaf_vertex[nxt]})
+                    x2 = hits[tree_edge(curr, nxt)] | frozenset({dec.leaf_label[nxt]})
                 else:
                     x2 = guards_around(nxt)
             if x2 != x:

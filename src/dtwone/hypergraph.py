@@ -348,31 +348,6 @@ class HypertreeDecomposition:
         return max((len(self.guards[t]) for t in self.nodes), default=0)
 
 
-def _width_one_decomposition(h):
-    """A hypertree decomposition of width 1 for an acyclic hypergraph: a join
-    tree over the hyperedge indices, each node guarded by its own edge."""
-    m = len(h.edges)
-    holders = _spanning_tree(
-        range(m),
-        (
-            (-len(h.edges[i] & h.edges[j]), i, j)
-            for i, j in itertools.combinations(range(m), 2)
-        ),
-    )
-    for v in h.vertices:
-        holding = {i for i in range(m) if v in h.edges[i]}
-        assert len(_vertex_components(holders.adjacency, holding)) <= 1, (
-            "maximum-weight tree failed to connect an edge's holders"
-        )
-    _, arcs = _bfs_arcs(0, holders.neighbours)
-    return HypertreeDecomposition(
-        nodes=tuple(range(m)),
-        arcs=tuple(arcs),
-        bags={i: h.edges[i] for i in range(m)},
-        guards={i: frozenset((i,)) for i in range(m)},
-    )
-
-
 def _bounded_width_decomposition(h, k):
     """A guard-first exhaustive search for a hypertree decomposition of width
     at most k, as nested (bag, guard, children) templates; None if impossible.
@@ -447,9 +422,9 @@ def exact_hw(h, k_max):
     """Minimum hypertree width with a witnessing decomposition, as a pair
     (width, decomposition); None if the width exceeds k_max.
 
-    Width 1 is decided by the reduction characterisation and witnessed by a
-    join tree over the hyperedges; larger widths by the guard-first search.
-    Guarded to small instances.
+    Every width from 1 up is tried with the guard-first search, and the
+    first decomposition found must pass `validate_hd`.  Guarded to small
+    instances.
     """
     if len(h.vertices) + len(h.edges) > EXACT_HW_SIZE_GUARD:
         raise InstanceTooLarge(
@@ -458,11 +433,7 @@ def exact_hw(h, k_max):
         )
     if not h.edges:
         return 0, HypertreeDecomposition((), (), {}, {})
-    if k_max < 1:
-        return None
-    if is_alpha_acyclic(h):
-        return 1, _width_one_decomposition(h)
-    for k in range(2, k_max + 1):
+    for k in range(1, k_max + 1):
         dec = _bounded_width_decomposition(h, k)
         if dec is not None:
             from .decomp import validate_hd
@@ -544,54 +515,34 @@ def exact_hbw(h, k_max):
 
     Exhaustive over all leaf-labelled subcubic trees on the hyperedges; the
     thickness of a tree edge is the least number of hyperedges covering the
-    boundary between the two sides, memoised per boundary.
+    boundary between the two sides, memoised per leaf side.
     """
-    from .decomp import HyperbranchDecomposition
+    from .decomp import BranchDecomposition, _boundary
 
     m = len(h.edges)
     if m > EXACT_HBW_MAX_EDGES:
         raise InstanceTooLarge(
             f"exact hyperbranch width limited to {EXACT_HBW_MAX_EDGES} hyperedges, got {m}"
         )
+    labels = {i: i for i in range(m)}
     if m <= 1:
-        dec = HyperbranchDecomposition(
-            ground=h,
-            nodes=(0,) if m else (),
-            edges=(),
-            leaf_edge={0: 0} if m else {},
-            cover_sets={},
-        )
-        return 0, dec
-    all_indices = frozenset(range(m))
+        return 0, BranchDecomposition(tuple(range(m)), (), labels, {})
+    nodes = tuple(range(2 * m - 2))
     cover_memo = {}
 
     best = None
     for edges in leaf_labeled_subcubic_trees(m):
-        sides = _tree_sides(edges)
-        width = 0
+        dec = BranchDecomposition(nodes, edges, labels, {})
         covers = {}
         for e in edges:
-            side = frozenset(x for x in sides[e] if x < m)
-            other = all_indices - side
-            boundary = frozenset().union(
-                *(h.edges[i] for i in side)
-            ) & frozenset().union(*(h.edges[i] for i in other))
-            if boundary not in cover_memo:
-                cover_memo[boundary] = min_cover(h, boundary)
-            cover = cover_memo[boundary]
-            covers[e] = cover
-            width = max(width, len(cover))
+            side = dec.side(e, e[0])
+            if side not in cover_memo:
+                cover_memo[side] = min_cover(h, _boundary(h, dec, e))
+            covers[e] = cover_memo[side]
+        width = max(len(c) for c in covers.values())
         if best is None or width < best[0]:
             best = (width, edges, covers)
     width, edges, covers = best
     if width > k_max:
         return None
-    nodes = tuple(sorted({x for e in edges for x in e}))
-    dec = HyperbranchDecomposition(
-        ground=h,
-        nodes=nodes,
-        edges=edges,
-        leaf_edge={i: i for i in range(m)},
-        cover_sets={e: frozenset(c) for e, c in covers.items()},
-    )
-    return width, dec
+    return width, BranchDecomposition(nodes, edges, labels, covers)

@@ -21,7 +21,7 @@ from .cycles import (
     strongly_connected_via_chains,
 )
 from .decomp import (
-    DirectedBranchDecomposition,
+    BranchDecomposition,
     dtd_to_dbd,
     dtd_to_ghd,
     validate_dbd,
@@ -223,7 +223,7 @@ def _recognized(shared, d):
 # -------------------------------------------------- exhaustive branch width
 
 
-def exhaustive_optimal_dbd(d, ch) -> DirectedBranchDecomposition:
+def exhaustive_optimal_dbd(d, ch) -> BranchDecomposition:
     """An optimal directed branch decomposition found by scanning every
     leaf-labeled subcubic tree shape, with true minimum hitting sets cached
     on the edges and memoised per leaf side."""
@@ -245,11 +245,11 @@ def exhaustive_optimal_dbd(d, ch) -> DirectedBranchDecomposition:
         if best is None or width < best[0]:
             best = (width, tree, sides)
     _, tree, sides = best
-    return DirectedBranchDecomposition(
+    return BranchDecomposition(
         nodes=tuple(sorted({x for e in tree for x in e})),
         edges=tree,
-        leaf_vertex={i: i for i in range(n)},
-        hitting_sets={
+        leaf_label={i: i for i in range(n)},
+        edge_sets={
             e: hitting(frozenset(x for x in sides[e] if x < n)) for e in tree
         },
     )

@@ -3,18 +3,14 @@ decompositions and decompositions of the dual cycle hypergraph."""
 
 from __future__ import annotations
 
-import pytest
-
 from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import (
-    DirectedBranchDecomposition,
+    BranchDecomposition,
     DirectedTreeDecomposition,
-    HyperbranchDecomposition,
     dbd_to_hbd,
     dtd_to_dbd,
     dtd_to_ghd,
     dtd_to_leaf_dtd,
-    hbd_to_dbd,
     validate_dbd,
     validate_dtd,
     validate_ghd,
@@ -24,15 +20,19 @@ from dtwone.decomp import (
 from dtwone.digraph import (
     a4_digraph,
     bicycle,
+    bidirect,
     digraph_from_edges,
     directed_cycle_digraph,
 )
+from dtwone.dtw1 import recognize_dtw1
 from dtwone.hypergraph import (
     Hypergraph,
     HypertreeDecomposition,
     dual,
+    exact_hbw,
     hypergraph_from_edges,
 )
+from dtwone.suite import exhaustive_optimal_dbd, strongly_connected_up_to_iso
 
 
 def digon():
@@ -157,21 +157,21 @@ class TestValidateDtd:
 
 
 def two_leaf_dbd(hit):
-    return DirectedBranchDecomposition(
+    return BranchDecomposition(
         nodes=(0, 1),
         edges=((0, 1),),
-        leaf_vertex={0: 0, 1: 1},
-        hitting_sets={(0, 1): frozenset(hit)},
+        leaf_label={0: 0, 1: 1},
+        edge_sets={(0, 1): frozenset(hit)},
     )
 
 
 def star_dbd(n, hits):
     # centre 0, leaf i+1 carries vertex i
-    return DirectedBranchDecomposition(
+    return BranchDecomposition(
         nodes=tuple(range(n + 1)),
         edges=tuple((0, i + 1) for i in range(n)),
-        leaf_vertex={i + 1: i for i in range(n)},
-        hitting_sets={(0, i + 1): frozenset(h) for i, h in enumerate(hits)},
+        leaf_label={i + 1: i for i in range(n)},
+        edge_sets={(0, i + 1): frozenset(h) for i, h in enumerate(hits)},
     )
 
 
@@ -200,21 +200,21 @@ class TestValidateDbd:
         assert any("not minimum" in v for v in report.violations)
 
     def test_leaf_map_must_be_bijective(self):
-        dec = DirectedBranchDecomposition(
+        dec = BranchDecomposition(
             nodes=(0, 1),
             edges=((0, 1),),
-            leaf_vertex={0: 0, 1: 0},
-            hitting_sets={(0, 1): frozenset({0})},
+            leaf_label={0: 0, 1: 0},
+            edge_sets={(0, 1): frozenset({0})},
         )
         assert not validate_dbd(digon(), dec).valid
 
     def test_disconnected_tree_rejected(self):
         # three edges on four nodes, but a triangle leaves node 3 alone
-        dec = DirectedBranchDecomposition(
+        dec = BranchDecomposition(
             nodes=(0, 1, 2, 3),
             edges=((0, 1), (0, 2), (1, 2)),
-            leaf_vertex={3: 0},
-            hitting_sets={},
+            leaf_label={3: 0},
+            edge_sets={},
         )
         report = validate_dbd(digon(), dec)
         assert report.violations == ("the edges do not connect all nodes",)
@@ -225,6 +225,24 @@ class TestValidateDbd:
         report = validate_dbd(d, dec)
         assert not report.valid
         assert any("degree" in v for v in report.violations)
+
+
+class TestDtdChildren:
+    def test_children_are_the_arc_scan(self):
+        # The cached map gives every node its children in arc order, and no
+        # children to a name that is not a parent.
+        c6 = directed_cycle_digraph(6)
+        tree = bidirect(8, [(0, 1), (1, 2), (1, 3), (3, 4), (0, 5), (5, 6), (5, 7)])
+        decs = [
+            single_node_dtd(digon()),
+            triangle_dtd({0}),
+            dtd_to_leaf_dtd(c6, single_node_dtd(c6)),
+            recognize_dtw1(tree).decomposition,
+        ]
+        for dec in decs:
+            for t in dec.nodes:
+                assert dec.children(t) == tuple(c for (p, c) in dec.arcs if p == t)
+            assert dec.children("absent") == ()
 
 
 class TestLeafDtd:
@@ -326,28 +344,28 @@ class TestDbdHbdRoundTrip:
 
     def test_widths_agree(self):
         for d, dbd in self.cases():
-            hbd = dbd_to_hbd(d, dbd)
-            assert hbd.width() == dbd.width()
-            report = validate_hbd(hbd.ground, hbd)
+            assert dbd_to_hbd(d, dbd) is dbd
+            report = validate_hbd(dual(cycle_hypergraph(d).as_hypergraph()), dbd)
             assert report.valid and report.width == dbd.width()
 
-    def test_ground_is_the_dual_cycle_hypergraph(self):
-        d = digon()
-        hbd = dbd_to_hbd(d, dtd_to_dbd(d, single_node_dtd(d)))
-        expected = dual(cycle_hypergraph(d).as_hypergraph())
-        assert hbd.ground.vertices == expected.vertices
-        assert hbd.ground.edges == expected.edges
-
-    def test_round_trip_identity(self):
-        for d, dbd in self.cases():
-            back = hbd_to_dbd(d, dbd_to_hbd(d, dbd))
-            assert back == dbd
-
-    def test_ground_mismatch_raises(self):
-        d = digon()
-        hbd = dbd_to_hbd(d, dtd_to_dbd(d, single_node_dtd(d)))
-        with pytest.raises(ValueError):
-            hbd_to_dbd(directed_cycle_digraph(3), hbd)
+    def test_one_type_reads_both_ways(self):
+        # Small strongly connected digraphs, one per isomorphism class: an
+        # optimal decomposition of the dual validates over the digraph, and
+        # an optimal decomposition of the digraph validates over the dual,
+        # each with its own width.
+        checked = 0
+        for n in (2, 3, 4):
+            for d in strongly_connected_up_to_iso(n):
+                ch = cycle_hypergraph(d)
+                ground = dual(ch.as_hypergraph())
+                width, hbd = exact_hbw(ground, n)
+                report = validate_dbd(d, hbd)
+                assert report.valid and report.width == width, sorted(d.edges)
+                dbd = exhaustive_optimal_dbd(d, ch)
+                report = validate_hbd(ground, dbd)
+                assert report.valid and report.width == dbd.width(), sorted(d.edges)
+                checked += 1
+        assert checked == 1 + 5 + 83
 
 
 class TestDtdToGhd:
@@ -481,29 +499,56 @@ class TestValidateGhdHd:
 class TestValidateHbd:
     def test_minimal_cases(self):
         h = hypergraph_from_edges([{0, 1}])
-        dec = HyperbranchDecomposition(
-            ground=h, nodes=(0,), edges=(), leaf_edge={0: 0}, cover_sets={}
+        dec = BranchDecomposition(
+            nodes=(0,), edges=(), leaf_label={0: 0}, edge_sets={}
         )
         report = validate_hbd(h, dec)
         assert report.valid and report.width == 0
 
+    def test_leaves_must_biject_onto_the_given_edges(self):
+        h = hypergraph_from_edges([{0, 1}, {1, 2}, {2, 0}])
+        width, dec = exact_hbw(h, 3)
+        assert validate_hbd(h, dec).valid and width == 1
+        # the same tree is no decomposition of a hypergraph with an edge more
+        bigger = hypergraph_from_edges([{0, 1}, {1, 2}, {2, 0}, {0, 3}])
+        report = validate_hbd(bigger, dec)
+        assert report.violations == (
+            "leaf map must be a bijection onto the edge indices",
+        )
+        relabelled = BranchDecomposition(
+            dec.nodes, dec.edges, {t: 0 for t in dec.leaf_label}, dec.edge_sets
+        )
+        report = validate_hbd(h, relabelled)
+        assert report.violations == (
+            "leaf map must be a bijection onto the edge indices",
+        )
+
     def test_cover_must_be_minimum(self):
         h = hypergraph_from_edges([{0, 1}, {1, 2}])
-        good = HyperbranchDecomposition(
-            ground=h,
+        good = BranchDecomposition(
             nodes=(0, 1),
             edges=((0, 1),),
-            leaf_edge={0: 0, 1: 1},
-            cover_sets={(0, 1): frozenset({0})},
+            leaf_label={0: 0, 1: 1},
+            edge_sets={(0, 1): frozenset({0})},
         )
         assert validate_hbd(h, good).valid
-        fat = HyperbranchDecomposition(
-            ground=h,
+        fat = BranchDecomposition(
             nodes=(0, 1),
             edges=((0, 1),),
-            leaf_edge={0: 0, 1: 1},
-            cover_sets={(0, 1): frozenset({0, 1})},
+            leaf_label={0: 0, 1: 1},
+            edge_sets={(0, 1): frozenset({0, 1})},
         )
         report = validate_hbd(h, fat)
         assert not report.valid
         assert any("not minimum" in v for v in report.violations)
+
+    def test_cover_naming_an_unknown_hyperedge_is_a_violation(self):
+        h = hypergraph_from_edges([{0, 1}, {1, 2}])
+        dec = BranchDecomposition(
+            nodes=(0, 1),
+            edges=((0, 1),),
+            leaf_label={0: 0, 1: 1},
+            edge_sets={(0, 1): frozenset({5})},
+        )
+        report = validate_hbd(h, dec)
+        assert report.violations == ("cover of edge (0, 1) names unknown hyperedges",)

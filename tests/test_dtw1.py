@@ -739,6 +739,24 @@ class TestSDecomposition:
                 assert is_strongly_2_connected(piece)
                 assert len(territory) >= 2
 
+    def test_each_finished_piece_is_checked_where_it_was_collapsed(self, monkeypatch):
+        # The strong 2-connectivity assertion sees every finished piece's
+        # collapsed piece exactly once, and nothing else.
+        seen = []
+
+        def recording(piece):
+            seen.append(piece)
+            return True
+
+        monkeypatch.setattr(dtw1, "is_strongly_2_connected", recording)
+        rng = random.Random(95)
+        corpus = [random_strongly_connected(rng, rng.choice([4, 5, 6]), 0.4) for _ in range(20)]
+        corpus += [bidirect(n := rng.randint(2, 20), random_tree_edges(rng, n)) for _ in range(5)]
+        for d in corpus:
+            seen.clear()
+            s = s_decomposition(d)
+            assert sorted(seen, key=repr) == sorted(collapsed_pieces(d, s), key=repr)
+
     def test_family_is_pairwise_laminar(self):
         rng = random.Random(93)
         for _ in range(40):

@@ -16,7 +16,6 @@ from dtwone.formats import (
     format_dbd,
     format_digraph,
     format_dtd,
-    format_hbd,
     format_hypergraph,
     format_set,
     format_transcript,
@@ -154,8 +153,8 @@ class TestDecompositionRecords:
         back = parse_dbd(records, {n: i for i, n in enumerate(names)})
         assert sorted(back.nodes) == sorted(dbd.nodes)
         assert sorted(back.edges) == sorted(dbd.edges)
-        assert back.leaf_vertex == dbd.leaf_vertex
-        assert back.hitting_sets == dbd.hitting_sets
+        assert back.leaf_label == dbd.leaf_label
+        assert back.edge_sets == dbd.edge_sets
 
     def test_internal_node_with_bag_rejected(self):
         _, records = read_document(
@@ -169,7 +168,7 @@ class TestDecompositionRecords:
         d, names, dec = self.digon_dtd()
         dbd = dtd_to_dbd(d, dec, 1000)
         hbd = dbd_to_hbd(d, dbd, 1000)
-        lines = format_hbd(hbd)
+        lines = format_dbd(hbd)
         assert all(line.startswith(("node ", "arc ")) for line in lines)
         # dual hyperedge indices, not vertex names
         import re

@@ -8,7 +8,7 @@ import pytest
 
 from dtwone import digraph, games
 from dtwone.cycles import CycleChain, cycle_hypergraph, find_closed_chain
-from dtwone.decomp import DirectedBranchDecomposition, validate_dbd
+from dtwone.decomp import BranchDecomposition, validate_dbd
 from dtwone.digraph import (
     a4_digraph,
     all_subsets,
@@ -182,7 +182,7 @@ class TestDcnExact:
 class TestStrategyFromDbd:
     def test_digon_two_node_tree(self):
         d = digon()
-        dec = DirectedBranchDecomposition(
+        dec = BranchDecomposition(
             (0, 1), ((0, 1),), {0: 0, 1: 1}, {(0, 1): frozenset({0})}
         )
         s = strategy_from_dbd(d, dec)
@@ -191,7 +191,7 @@ class TestStrategyFromDbd:
 
     def test_triangle_star(self):
         d = directed_cycle_digraph(3)
-        dec = DirectedBranchDecomposition(
+        dec = BranchDecomposition(
             (0, 1, 2, 3),
             ((0, 3), (1, 3), (2, 3)),
             {0: 0, 1: 1, 2: 2},
@@ -203,7 +203,7 @@ class TestStrategyFromDbd:
 
     def test_bidirected_square_balanced_tree(self):
         d = bicycle(4)
-        dec = DirectedBranchDecomposition(
+        dec = BranchDecomposition(
             (0, 1, 2, 3, 4, 5),
             ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)),
             {0: 0, 1: 1, 2: 2, 3: 3},
@@ -222,7 +222,7 @@ class TestStrategyFromDbd:
 
     def test_single_vertex_single_node(self):
         d = digraph_from_edges(1, [])
-        dec = DirectedBranchDecomposition((0,), (), {0: 0}, {})
+        dec = BranchDecomposition((0,), (), {0: 0}, {})
         s = strategy_from_dbd(d, dec)
         assert s.budget == 1
         assert s.initial == frozenset({0})
@@ -230,7 +230,7 @@ class TestStrategyFromDbd:
 
     def test_invalid_decomposition_rejected(self):
         d = digon()
-        dec = DirectedBranchDecomposition(
+        dec = BranchDecomposition(
             (0, 1), ((0, 1),), {0: 0, 1: 1}, {(0, 1): frozenset()}
         )
         with pytest.raises(ValueError):
@@ -238,7 +238,7 @@ class TestStrategyFromDbd:
 
     def test_needs_strong_connectivity(self):
         d = digraph_from_edges(2, [(0, 1)])
-        dec = DirectedBranchDecomposition(
+        dec = BranchDecomposition(
             (0, 1), ((0, 1),), {0: 0, 1: 1}, {(0, 1): frozenset()}
         )
         with pytest.raises(ValueError):
@@ -250,7 +250,7 @@ class TestStrategyFromDbd:
         from dtwone.digraph import bidirect
 
         d = bidirect(4, [(0, 1), (1, 2), (1, 3)])
-        dec = DirectedBranchDecomposition(
+        dec = BranchDecomposition(
             (0, 1, 2, 3, 4, 5),
             ((0, 4), (1, 4), (2, 5), (3, 5), (4, 5)),
             {0: 0, 1: 1, 2: 2, 3: 3},

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from dtwone import hypergraph
 from dtwone.errors import InstanceTooLarge
 from dtwone.hypergraph import (
     Hypergraph,
@@ -344,6 +345,26 @@ class TestExactHw:
         big = hypergraph_from_edges([{i, i + 1} for i in range(8)])
         with pytest.raises(InstanceTooLarge):
             exact_hw(big, 2)
+
+    def test_width_one_is_searched_not_tested(self, monkeypatch):
+        # Width 1 comes from the same search as every other width, so it is
+        # an independent check of alpha-acyclicity.
+        def refuse(h):
+            raise AssertionError("exact_hw must not call is_alpha_acyclic")
+
+        monkeypatch.setattr(hypergraph, "is_alpha_acyclic", refuse)
+        cases = [
+            (hypergraph_from_edges([{0, 1, 2}]), 1),
+            (hypergraph_from_edges([{0, 1}, {1, 2}, {2, 3}]), 1),
+            (hypergraph_from_edges([{0, 1, 2}, {0, 1}, {1, 2}, {0, 2}]), 1),
+            (hypergraph_from_edges([{0, 1}, {1, 2}, {0, 2}]), 2),
+            (dual(Hypergraph((0, 1), (frozenset({0, 1}),))), 1),
+            (dual(bidirected_triangle_cycle_hypergraph()), 2),
+        ]
+        for h, expected in cases:
+            width, dec = exact_hw(h, 3)
+            assert width == dec.width == expected
+            assert exact_hw(h, expected - 1) is None
 
     def test_acyclic_iff_width_one(self):
         rng = random.Random(59)
