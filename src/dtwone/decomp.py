@@ -83,19 +83,21 @@ class DirectedTreeDecomposition:
     def subtree_vertices(self, t):
         return frozenset().union(*(self.bags[s] for s in self.subtree_nodes(t)))
 
+    @cached_property
+    def _gammas(self):
+        gammas = {t: set(self.bags[t]) for t in self.nodes}
+        for a in self.arcs:
+            for t in a:
+                gammas[t] |= self.guards[a]
+        return {t: frozenset(g) for t, g in gammas.items()}
+
     def gamma_at(self, t):
         """The bag together with all guards of arcs incident to t."""
-        g = set(self.bags[t])
-        for a in self.arcs:
-            if t in a:
-                g |= self.guards[a]
-        return frozenset(g)
+        return self._gammas[t]
 
     def width(self):
         """max |Γ(t)|−1 over the nodes, clamped to be non-negative."""
-        return max(
-            max((len(self.gamma_at(t)) - 1 for t in self.nodes), default=0), 0
-        )
+        return max(max((len(g) - 1 for g in self._gammas.values()), default=0), 0)
 
 
 def _reach(d: Digraph, sources, removed, backwards=False):
@@ -157,9 +159,15 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
         violations.append("expected exactly one root")
     if violations:
         return Report(False, None, tuple(violations))
-    if len(dec.subtree_nodes(roots[0])) != len(nodes):
+    order = dec.subtree_nodes(roots[0])
+    if len(order) != len(nodes):
         violations.append("not every node is reachable from the root")
         return Report(False, None, tuple(violations))
+    # The arcs form an arborescence now, so each node's children come after
+    # it in the walk's order, and every subtree's vertices build bottom-up.
+    below = {}
+    for t in reversed(order):
+        below[t] = dec.bags[t].union(*map(below.__getitem__, dec.children(t)))
 
     union = set()
     total = 0
@@ -170,7 +178,7 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
         violations.append("bags must partition the vertex set of the digraph")
 
     for a in dec.arcs:
-        s = dec.subtree_vertices(a[1])
+        s = below[a[1]]
         g = dec.guards[a]
         if not g <= set(range(d.n)):
             violations.append(f"guard of arc {a!r} mentions unknown vertices")

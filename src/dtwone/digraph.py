@@ -6,7 +6,9 @@ contractibility, tight separations — is computed on demand.  The strong
 components of d minus a vertex set come from one Tarjan pass over d itself,
 without building d minus the set, and the one holding a given vertex from a
 forward and a backward walk.  `tight_separations` takes the components of
-every d minus one vertex from a caller that already has them.  Every
+every d minus one vertex from a caller that already has them, and
+`cut_vertex_shores` reads the condensation of d minus a vertex off the
+out-lists of each component's members.  Every
 contraction, of one edge or of a whole shore, is a `quotient`.  All
 enumeration orders are deterministic.
 """
@@ -278,19 +280,23 @@ def cut_vertex_shores(d, v, comps=None):
     runs from an earlier component to a later one); when it is not given it
     is `strong_components(d, (v,))`.  Entries come in that order; the list is
     empty when d - v has at most one component, that is when v is no cut
-    vertex.
+    vertex.  The condensation's edges come from the out-lists of each
+    component's members, so the work is the out-degrees of d - v, not a
+    scan of every edge of d.
     """
     if comps is None:
         comps = strong_components(d, (v,))
     if len(comps) <= 1:
         return []
     comp_of = {u: ci for ci, comp in enumerate(comps) for u in comp}
-    succ = [set() for _ in comps]
+    adj = d._out
+    succ = []
     entered = set()
-    for (a, b) in d.edges:
-        if a != v and b != v and comp_of[a] != comp_of[b]:
-            succ[comp_of[a]].add(comp_of[b])
-            entered.add(comp_of[b])
+    for ci, comp in enumerate(comps):
+        heads = {comp_of[b] for a in comp for b in adj[a] if b != v}
+        heads.discard(ci)
+        succ.append(heads)
+        entered |= heads
     # Reverse topological order: every successor of a component comes before
     # it and is entered, so its shore is already everything it reaches.
     out = []
@@ -338,7 +344,13 @@ def tight_separations(d, minus=None):
             if key in found:
                 continue
             if x_first is None:
-                first, second = sorted((p, q), key=lambda s: tuple(sorted(s)))
+                # The shores meet in v alone, so their sorted tuples differ
+                # at the first element, or at the second when both start
+                # with v.
+                least_p, least_q = min(p), min(q)
+                if least_p == least_q:
+                    least_p, least_q = min(p - {v}), min(x)
+                first, second = (p, q) if least_p < least_q else (q, p)
             elif x_first:
                 first, second = q, p
             else:

@@ -534,8 +534,9 @@ def _collapse_piece(d: Digraph, territory, attachments) -> tuple[Digraph, tuple]
     return quotient(d, label_of)
 
 
-def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
-    """Expand a separation of the collapsed piece back to the whole digraph.
+def _lifted_shores(attachments, local_sep, labels) -> tuple[set, set]:
+    """The shores of a separation of the collapsed piece, expanded back to
+    the whole digraph.
 
     Collapsed far shores re-enter on the side their cut vertex lies on; a cut
     vertex on the separator sends its shore to the side matching the shore's
@@ -550,6 +551,13 @@ def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
             shore_a |= far
         else:
             shore_b |= far
+    return shore_a, shore_b
+
+
+def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
+    """The lifted separation (see `_lifted_shores`), asserted to be a
+    directed separation of d."""
+    shore_a, shore_b = _lifted_shores(attachments, local_sep, labels)
     lifted = TightSeparation(frozenset(shore_a), frozenset(shore_b))
     assert is_directed_separation(d, lifted.shoreA, lifted.shoreB), (
         "lifted shores stopped being a directed separation"
@@ -564,52 +572,50 @@ def _least_candidate(d: Digraph, territory, attachments, inherited):
 
     The table maps each vertex v of the territory to the strong components
     of the collapsed piece minus v, as sets of labels, in a reverse
-    topological order of their condensation.  `inherited` holds the entries
-    a split piece takes over from its parent, each parent component
-    restricted to the territory: the collapsed piece minus v has exactly
-    those components whenever v is not the piece's new cut vertex, since
-    merging the far side of a one-vertex separation into its cut changes no
-    reachability among the vertices that stay (see `s_decomposition`).  The
-    missing entries, every vertex of the root piece and the cut vertex of a
-    split piece, take one Tarjan pass each.  The piece is collapsed once and
-    `tight_separations` reads the table instead of recomputing it.  A piece
-    without a candidate is finished, and its collapsed piece is asserted to
-    be strongly 2-connected here.
+    topological order of their condensation.  A split piece takes its whole
+    table over from its parent (`inherited`, see `_inherit` and
+    `s_decomposition`); only the root piece, which inherits nothing, takes
+    one Tarjan pass per vertex.  The piece is collapsed once and
+    `tight_separations` reads the table instead of recomputing it.  Each
+    local separation is keyed by its sorted lifted shores, and only the
+    least is lifted as a `TightSeparation` and asserted: lifting keeps the
+    local shores as the lifted shores' trace on the territory, so distinct
+    local separations have distinct keys.  A piece without a candidate is
+    finished, and its collapsed piece is asserted to be strongly
+    2-connected here.
     """
     collapsed, labels = _collapse_piece(d, territory, attachments)
-    index = {label: i for i, label in enumerate(labels)}
-    table = {}
-    minus = []
-    for i, label in enumerate(labels):
-        if label in inherited:
-            comps = inherited[label]
-            minus.append([frozenset(map(index.__getitem__, k)) for k in comps])
-        else:
-            local = strong_components(collapsed, (i,))
-            minus.append(local)
-            comps = [frozenset(map(labels.__getitem__, k)) for k in local]
-        table[label] = comps
-    best = min(
-        (_lift_separation(d, attachments, local, labels)
-         for local in tight_separations(collapsed, minus)),
-        key=TightSeparation.sort_key,
-        default=None,
-    )
-    assert best is not None or is_strongly_2_connected(collapsed), (
-        "a finished piece must be strongly 2-connected"
-    )
-    return best, table
+    if inherited:
+        table = inherited
+        index = {label: i for i, label in enumerate(labels)}
+        minus = [
+            [frozenset(map(index.__getitem__, k)) for k in table[label]] for label in labels
+        ]
+    else:
+        minus = [strong_components(collapsed, (i,)) for i in range(collapsed.n)]
+        table = {
+            label: [frozenset(map(labels.__getitem__, k)) for k in local]
+            for label, local in zip(labels, minus)
+        }
+
+    def lifted_key(local):
+        shore_a, shore_b = _lifted_shores(attachments, local, labels)
+        return tuple(sorted(shore_a)), tuple(sorted(shore_b))
+
+    best = min(tight_separations(collapsed, minus), key=lifted_key, default=None)
+    if best is None:
+        assert is_strongly_2_connected(collapsed), (
+            "a finished piece must be strongly 2-connected"
+        )
+        return None, table
+    return _lift_separation(d, attachments, best, labels), table
 
 
-def _inherit(table, territory, cut) -> dict:
-    """The entries of a split piece's table that it takes over from its
-    parent's: every territory vertex but the cut, each parent component
-    restricted to the territory, empty ones dropped, order kept."""
-    return {
-        v: [part for k in table[v] if (part := k & territory)]
-        for v in territory
-        if v != cut
-    }
+def _inherit(table, territory) -> dict:
+    """A split piece's table, taken over from its parent's: for every
+    territory vertex, each parent component restricted to the territory,
+    empty ones dropped, order kept."""
+    return {v: [part for k in table[v] if (part := k & territory)] for v in territory}
 
 
 def s_decomposition(d: Digraph) -> SDecomposition:
@@ -643,8 +649,13 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     K & T_A over the components K of Q - v, T_A the A side's territory, and
     the parent's order stays a reverse topological order, because every
     edge a -> c that Q_A - v gains stands for a path a -> b ~> c of Q - v.
-    The B side is the same argument with every edge reversed.  Only c takes
-    a fresh Tarjan pass in each child.
+    The B side is the same argument with every edge reversed.  The cut c
+    inherits too.  No component of Q - c straddles the cut: a path from a
+    B-only vertex to an A-only vertex needs an edge from B-only to A-only
+    or passes through c.  So each component of Q - c lies in A-only or in
+    B-only, Q_A - c is Q - c restricted to A-only, and its components are
+    those that lie there, in the parent's order; likewise for the B side.
+    Only the root piece takes Tarjan passes, one per vertex.
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
@@ -685,7 +696,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             rewired.append((ai, bi, s))
         tree_edges = rewired
         tree_edges.append((pi, new_index, sep))
-        work += [(i, _inherit(table, pieces[i], sep.cut_vertex)) for i in (pi, new_index)]
+        work += [(i, _inherit(table, pieces[i])) for i in (pi, new_index)]
 
     for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2):
         assert not separations_cross(s, t), "family must be pairwise laminar"

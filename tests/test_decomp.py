@@ -3,9 +3,14 @@ decompositions and decompositions of the dual cycle hypergraph."""
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
+
 from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import (
     BranchDecomposition,
+    Report,
+    _unguarded_return_witnesses,
     DirectedTreeDecomposition,
     dbd_to_hbd,
     dtd_to_dbd,
@@ -33,6 +38,7 @@ from dtwone.hypergraph import (
     hypergraph_from_edges,
 )
 from dtwone.suite import exhaustive_optimal_dbd, strongly_connected_up_to_iso
+from test_digraph import random_strongly_connected, random_tree_edges
 
 
 def digon():
@@ -154,6 +160,129 @@ class TestValidateDtd:
             nodes=dec.nodes, arcs=dec.arcs, bags=dec.bags, guards={(0, 1): frozenset()}
         )
         assert not validate_dtd(d, mutated).valid
+
+
+def reference_validate_dtd(d, dec):
+    """`validate_dtd` as it was when each arc walked its own subtree and
+    each node's Γ scanned every arc."""
+    violations = []
+    nodes = dec.nodes
+    if not nodes or len(set(nodes)) != len(nodes):
+        violations.append("nodes must be non-empty and pairwise distinct")
+    known = set(nodes)
+    for a in dec.arcs:
+        if len(a) != 2 or a[0] not in known or a[1] not in known or a[0] == a[1]:
+            violations.append(f"arc {a!r} does not join two distinct nodes")
+    if len(set(dec.arcs)) != len(dec.arcs):
+        violations.append("arcs repeat")
+    if set(dec.bags) != known:
+        violations.append("bags must be keyed by exactly the nodes")
+    if set(dec.guards) != set(dec.arcs):
+        violations.append("guards must be keyed by exactly the arcs")
+    if violations:
+        return Report(False, None, tuple(violations))
+    parent = {}
+    for (p, c) in dec.arcs:
+        if c in parent:
+            violations.append(f"node {c!r} has two parents")
+        parent[c] = p
+    roots = [t for t in nodes if t not in parent]
+    if len(roots) != 1:
+        violations.append("expected exactly one root")
+    if violations:
+        return Report(False, None, tuple(violations))
+    if len(dec.subtree_nodes(roots[0])) != len(nodes):
+        violations.append("not every node is reachable from the root")
+        return Report(False, None, tuple(violations))
+    union = set()
+    total = 0
+    for t in nodes:
+        union |= dec.bags[t]
+        total += len(dec.bags[t])
+    if union != set(range(d.n)) or total != d.n:
+        violations.append("bags must partition the vertex set of the digraph")
+    for a in dec.arcs:
+        s = dec.subtree_vertices(a[1])
+        g = dec.guards[a]
+        if not g <= set(range(d.n)):
+            violations.append(f"guard of arc {a!r} mentions unknown vertices")
+            continue
+        bad = _unguarded_return_witnesses(d, s, g)
+        if bad:
+            violations.append(
+                f"guard {sorted(g)} of arc {a!r} misses a walk returning to "
+                f"{sorted(s)} through vertex {min(bad)}"
+            )
+    if violations:
+        return Report(False, None, tuple(violations))
+    width = max(
+        len(dec.bags[t].union(*(dec.guards[a] for a in dec.arcs if t in a))) - 1
+        for t in nodes
+    )
+    return Report(True, max(width, 0), ())
+
+
+def mutated_dtds(rng, dec, d):
+    """The decomposition, then copies with one guard vertex dropped or
+    added, one bag vertex moved, one arc re-hung under another node, and
+    one node's bag emptied."""
+    yield dec
+    arcs = list(dec.arcs)
+    for a in arcs:
+        g = dec.guards[a]
+        if g:
+            yield replace(dec, guards={**dec.guards, a: g - {rng.choice(sorted(g))}})
+        yield replace(dec, guards={**dec.guards, a: g | {rng.randrange(d.n + 1)}})
+    for t in dec.nodes:
+        if dec.bags[t]:
+            v = rng.choice(sorted(dec.bags[t]))
+            u = rng.choice(dec.nodes)
+            bags = {**dec.bags, t: dec.bags[t] - {v}}
+            bags[u] = bags[u] | {v}
+            yield replace(dec, bags=bags)
+            yield replace(dec, bags={**dec.bags, t: frozenset()})
+    if arcs:
+        i = rng.randrange(len(arcs))
+        p, c = arcs[i]
+        q = rng.choice(dec.nodes)
+        rehung = arcs[:i] + [(q, c)] + arcs[i + 1:]
+        guards = {(q, c) if a == (p, c) else a: g for a, g in dec.guards.items()}
+        yield replace(dec, arcs=tuple(rehung), guards=guards)
+
+
+class TestValidateDtdReference:
+    def test_reports_match_the_per_arc_walks(self):
+        rng = random.Random(430)
+        decs = []
+        for _ in range(20):
+            d = bidirect(n := rng.randint(2, 20), random_tree_edges(rng, n))
+            dec = recognize_dtw1(d).decomposition
+            decs += [(d, dec), (d, dtd_to_leaf_dtd(d, dec))]
+        for _ in range(60):
+            d = random_strongly_connected(rng, rng.randint(2, 6), 0.1)
+            decs.append((d, single_node_dtd(d)))
+            cert = recognize_dtw1(d)
+            if cert.decomposition is not None:
+                decs.append((d, cert.decomposition))
+        valid = missed = wider = 0
+        for d, dec in decs:
+            for mutant in mutated_dtds(rng, dec, d):
+                got = validate_dtd(d, mutant)
+                assert got == reference_validate_dtd(d, mutant), (sorted(d.edges), mutant)
+                valid += got.valid
+                missed += any("misses a walk" in v for v in got.violations)
+                wider += got.valid and got.width > 1
+        assert valid >= 1_000 and missed >= 500 and wider >= 500, (valid, missed, wider)
+
+    def test_gammas_are_the_arc_scan(self):
+        rng = random.Random(431)
+        for _ in range(20):
+            d = bidirect(n := rng.randint(2, 30), random_tree_edges(rng, n))
+            for dec in (recognize_dtw1(d).decomposition, single_node_dtd(d)):
+                dec = dtd_to_leaf_dtd(d, dec)
+                for t in dec.nodes:
+                    expected = dec.bags[t].union(*(dec.guards[a] for a in dec.arcs if t in a))
+                    assert dec.gamma_at(t) == expected
 
 
 def two_leaf_dbd(hit):

@@ -452,6 +452,29 @@ def other_reverse_topological_order(d, removed):
     ]
 
 
+def edge_scan_cut_vertex_shores(d, v, comps=None):
+    """`cut_vertex_shores` as it was when it scanned every edge of d for
+    the condensation of d - v."""
+    if comps is None:
+        comps = strong_components(d, (v,))
+    if len(comps) <= 1:
+        return []
+    comp_of = {u: ci for ci, comp in enumerate(comps) for u in comp}
+    succ = [set() for _ in comps]
+    entered = set()
+    for (a, b) in d.edges:
+        if a != v and b != v and comp_of[a] != comp_of[b]:
+            succ[comp_of[a]].add(comp_of[b])
+            entered.add(comp_of[b])
+    out = []
+    for ci, comp in enumerate(comps):
+        if ci in entered:
+            out.append((comp, comp.union(*(out[cj][1] for cj in succ[ci])), False))
+        else:
+            out.append((comp, comp, True if succ[ci] else None))
+    return out
+
+
 def reference_tight_separations(d):
     """`tight_separations` as it was when it built each d - v as a digraph."""
     found = {}
@@ -557,6 +580,19 @@ class TestSeparationReference:
                 reordered += minus[v] != strong_components(d, (v,))
             assert tight_separations(d, minus) == tight_separations(d), sorted(d.edges)
         assert reordered >= 500, reordered
+
+    def test_cut_vertex_shores_match_the_edge_scan(self):
+        entries = entered = 0
+        for d in separation_corpus():
+            for v in range(d.n):
+                orders = (strong_components(d, (v,)), other_reverse_topological_order(d, {v}))
+                for comps in orders:
+                    got = cut_vertex_shores(d, v, comps)
+                    assert got == edge_scan_cut_vertex_shores(d, v, comps), (sorted(d.edges), v)
+                    entries += len(got)
+                    entered += sum(x_first is False for (_, _, x_first) in got)
+        # 23,198 entries, 12,754 of them entered by another component.
+        assert entries >= 20_000 and entered >= 10_000, (entries, entered)
 
     def test_one_orientation_check_per_separation(self, monkeypatch):
         calls = []
