@@ -7,8 +7,8 @@ down to a bidirected cycle or the four-vertex digraph A4, recording every
 deletion and butterfly contraction so the embedding can be replayed; no
 cycle of the digraph is enumerated.  The embedding is the whole NO
 certificate: the order-3 haven it implies, lifted from the pattern through
-the roots of the branch sets, is derived by the checker (`verify_certificate`,
-one walk per cop set) or by `minor_haven`, never stored.
+the roots of the branch sets, is checked by `verify_certificate` with one
+walk per vertex and no table, or built by `minor_haven`, never stored.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .digraph import (
     strong_components,
     tight_separations,
 )
-from .games import Haven, haven_from_minor, haven_is_monotone
+from .games import Haven, haven_from_minor, minor_haven_is_monotone
 from .games import verify_haven  # noqa: F401  (bench/tracer.py wraps this binding)
 from .hypergraph import JoinTreeWitness, _bfs_arcs, hypertree_witness
 
@@ -869,11 +869,12 @@ def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
 
     YES certificates are validated as width-one decompositions.  A NO
     certificate's script is replayed once, for the witness checks and for
-    the roots of its branch sets; the order-3 haven is then derived with
-    `haven_from_minor`, one walk per cop set, and checked to be monotone.
-    Each entry is by construction the strong component of d - X holding a
-    root outside X, so walking it again would only test the walk against
-    itself: every haven condition is checked.
+    the roots of its branch sets.  The order-3 haven those roots give
+    (`haven_from_minor`) is then checked to be monotone by
+    `minor_haven_is_monotone`: one walk of d and one of d - y for each
+    vertex y, n + 1 walks in all, with no table.  Each entry is by
+    construction the strong component of d - X holding a root outside X, so
+    monotonicity is the only haven condition left to check.
     """
     if cert.verdict == "YES":
         if cert.decomposition is None:
@@ -893,7 +894,7 @@ def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
     roots = _roots(state, branch_sets)
     if any(roots[p] not in cls for p, cls in branch_sets.items()):
         return Report(False, 0, ("a branch set's root lies outside it",))
-    if not haven_is_monotone(d, haven_from_minor(d, branch_sets, roots)):
+    if not minor_haven_is_monotone(d, branch_sets, roots):
         return Report(False, 0, ("haven verification failed",))
     return Report(True, 0, ())
 

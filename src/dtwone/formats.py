@@ -19,6 +19,7 @@ FORMAT_VERSION = "dtwone v1"
 
 _TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+")
 _KEY_VALUE = re.compile(r"([A-Za-z_][A-Za-z0-9_.]*)=(.*)")
+_NUMBER = re.compile(r"[0-9]+")
 
 
 class ParseError(ValueError):
@@ -112,7 +113,7 @@ def parse_set(text: str, line_no, name_to_id=None) -> frozenset:
             if tok not in name_to_id:
                 raise ParseError(line_no, f"unknown vertex {tok!r}")
             out.add(name_to_id[tok])
-        elif tok.isdigit():
+        elif _NUMBER.fullmatch(tok):
             out.add(int(tok))
         else:
             raise ParseError(line_no, f"expected an integer, got {tok!r}")
@@ -120,6 +121,14 @@ def parse_set(text: str, line_no, name_to_id=None) -> frozenset:
 
 
 # --------------------------------------------------------------- documents
+
+
+class _KeyValues(dict):
+    """A document's `key=value` pairs; `line` maps each key to its line."""
+
+    def __init__(self):
+        super().__init__()
+        self.line = {}
 
 
 def header_lines(command: str, seed=None, cap=None, digraph=None) -> list:
@@ -140,7 +149,8 @@ def read_document(text: str) -> tuple[dict, list]:
 
     The first content line must announce the format version.  Whole-line
     `#` comments and blank lines are dropped; records come back as
-    (line_no, line) pairs in file order.
+    (line_no, line) pairs in file order.  The `key=value` dict's `line`
+    attribute maps each key to its line number.
     """
     lines = []
     for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -152,7 +162,7 @@ def read_document(text: str) -> tuple[dict, list]:
             lines[0][0] if lines else 1,
             f"expected a `{FORMAT_VERSION}` header line",
         )
-    kv: dict = {}
+    kv = _KeyValues()
     records = []
     for line_no, line in lines[1:]:
         m = _KEY_VALUE.fullmatch(line)
@@ -160,6 +170,7 @@ def read_document(text: str) -> tuple[dict, list]:
             if m.group(1) in kv:
                 raise ParseError(line_no, f"duplicate key {m.group(1)!r}")
             kv[m.group(1)] = m.group(2)
+            kv.line[m.group(1)] = line_no
         else:
             records.append((line_no, line))
     return kv, records
@@ -179,7 +190,7 @@ def _scan_node_arc_records(records, name_to_id, node_fields, arc_fields):
     for line_no, line in records:
         tokens = line.split()
         if tokens[0] == "node":
-            if len(tokens) != 2 + len(node_fields) or not tokens[1].isdigit():
+            if len(tokens) != 2 + len(node_fields) or not _NUMBER.fullmatch(tokens[1]):
                 raise ParseError(
                     line_no,
                     "expected `node <id>"
@@ -201,8 +212,8 @@ def _scan_node_arc_records(records, name_to_id, node_fields, arc_fields):
         elif tokens[0] == "arc":
             if (
                 len(tokens) != 3 + len(arc_fields)
-                or not tokens[1].isdigit()
-                or not tokens[2].isdigit()
+                or not _NUMBER.fullmatch(tokens[1])
+                or not _NUMBER.fullmatch(tokens[2])
             ):
                 raise ParseError(
                     line_no,
@@ -428,11 +439,11 @@ def parse_certificate(document, name_to_id) -> Dtw1Certificate:
         raise ParseError(None, f"unknown pattern {kind!r}")
     length = None
     if kind == "bicycle":
-        if not kv.get("length", "").isdigit():
-            raise ParseError(None, "a bicycle pattern needs `length=<int>`")
+        if not _NUMBER.fullmatch(kv.get("length", "")):
+            raise ParseError(kv.line.get("length"), "a bicycle pattern needs `length=<int>`")
         length = int(kv["length"])
     elif "length" in kv:
-        raise ParseError(None, "only bicycle patterns carry a length")
+        raise ParseError(kv.line["length"], "only bicycle patterns carry a length")
 
     script = []
     branch_sets: dict = {}
@@ -464,6 +475,6 @@ def parse_certificate(document, name_to_id) -> Dtw1Certificate:
         else:
             raise ParseError(line_no, f"unexpected record {head!r}")
     if kv.get("haven_order") != "3":
-        raise ParseError(None, "a NO certificate needs `haven_order=3`")
+        raise ParseError(kv.line.get("haven_order"), "a NO certificate needs `haven_order=3`")
     witness = MinorWitness(kind, length, tuple(script), branch_sets)
     return Dtw1Certificate("NO", None, witness)

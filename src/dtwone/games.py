@@ -408,12 +408,15 @@ def haven_from_minor(d: Digraph, branch_sets: dict, roots: dict) -> Haven:
     roots[p] lies in branch_sets[p], and root(P) reaches root(Q) inside P ∪ Q
     for every pattern edge P -> Q.  h(X) is the strong component of d - X
     holding roots[p] for the least p whose branch set misses X, found by one
-    walk from that root.  The pattern stays strongly connected without any
-    one vertex, so for |Y| ≤ 1 the roots of the sets missing Y share a strong
-    component of d - Y: h is monotone.
+    walk from that root, so the table costs one walk per cop set.  The
+    pattern stays strongly connected without any one vertex, so for |Y| ≤ 1
+    the roots of the sets missing Y share a strong component of d - Y: h is
+    monotone.
 
     Nothing is checked here: each entry is a strong component of d - X by
     construction, and `haven_is_monotone` or `verify_haven` checks the rest.
+    `minor_haven_is_monotone` gives `haven_is_monotone`'s verdict on this
+    table without building it.
     """
     order = sorted(branch_sets)
     assignment = {}
@@ -421,6 +424,40 @@ def haven_from_minor(d: Digraph, branch_sets: dict, roots: dict) -> Haven:
         p = next(p for p in order if branch_sets[p].isdisjoint(x))
         assignment[x] = strong_component_of(d, roots[p], x)
     return Haven(3, assignment)
+
+
+def minor_haven_is_monotone(d: Digraph, branch_sets: dict, roots: dict) -> bool:
+    """Whether `haven_from_minor(d, branch_sets, roots)` is monotone, by one
+    walk of d and one of d - y for each vertex y, with no table.
+
+    Write r(X) for the root of the least branch set missing X, so h(X) is
+    the strong component of d - X holding r(X).  For Y ⊆ X, h(X) ⊆ h(Y)
+    exactly when r(X) ∈ h(Y): h(X) is strongly connected in d - Y and holds
+    r(X).  By transitivity only Y = X minus one vertex needs checking.
+
+    The branch sets must be disjoint and nonempty, at least three of them,
+    with roots[p] in branch_sets[p], as a replayed witness guarantees.  Then
+    r(X) for |X| ≤ 2 is the root of one of the three least sets.  If y lies
+    in the i-th of them (or in none), r({y, z}) is the root of the least of
+    the three other than the i-th and z's, and each of those sets has a
+    vertex z; where z's set is y's or none of the three, r({y, z}) = r({y}),
+    which h({y}) holds.
+    """
+    least = sorted(branch_sets)[:3]
+    slot = {v: i for i, p in enumerate(least) for v in branch_sets[p]}
+
+    def root_missing(*slots):
+        return roots[least[min({0, 1, 2}.difference(slots))]]
+
+    whole = strong_component_of(d, root_missing(), ())
+    for y in range(d.n):
+        i = slot.get(y)
+        if root_missing(i) not in whole:
+            return False
+        h = strong_component_of(d, root_missing(i), {y})
+        if any(root_missing(i, j) not in h for j in range(3)):
+            return False
+    return True
 
 
 def is_k_linked(d: Digraph, w, k: int) -> bool:

@@ -37,7 +37,13 @@ from .digraph import (
     is_strongly_connected,
     strong_components,
 )
-from .dtw1 import hypertree_route, minor_haven, recognize_dtw1, verify_witness
+from .dtw1 import (
+    hypertree_route,
+    minor_haven,
+    recognize_dtw1,
+    verify_certificate,
+    verify_witness,
+)
 from .errors import CapExceeded, InstanceTooLarge
 from .games import (
     dcn_exact,
@@ -274,8 +280,9 @@ def _haven_holds(d, cert) -> bool:
 def _three_way_check(d, tally, cap, shared):
     """One equivalence instance: recogniser vs hypertree route, plus the
     certified dtd, witness replay and the full `verify_haven` check of the
-    haven the witness implies; returns the certificate (or None when the
-    instance was skipped)."""
+    haven the witness implies, which `verify_certificate`'s check without a
+    table must match; returns the certificate (or None when the instance
+    was skipped)."""
     try:
         cert = _recognized(shared, d)
         route = hypertree_route(d, cap)
@@ -296,8 +303,12 @@ def _three_way_check(d, tally, cap, shared):
     else:
         if cert.witness is None or not verify_witness(d, cert.witness).valid:
             problems.append("NO witness fails replay")
-        elif not _haven_holds(d, cert):
-            problems.append("NO haven fails verification")
+        else:
+            holds = _haven_holds(d, cert)
+            if verify_certificate(d, cert).valid != holds:
+                problems.append("verify_certificate and verify_haven disagree")
+            if not holds:
+                problems.append("NO haven fails verification")
     if problems:
         tally.fail(_describe(d) + ": " + "; ".join(problems))
     else:

@@ -156,6 +156,20 @@ class TestVerifyCert:
         assert "result=invalid" in res.output
         assert "violation=the pattern has more vertices than the digraph" in res.output
 
+    @pytest.mark.parametrize("digit", ["\u00b3", "\uff13"], ids=["superscript", "fullwidth"])
+    def test_non_ascii_length_exit_two(self, runner, b3_file, tmp_path, digit):
+        """A length in digits other than ASCII ones is malformed, and the
+        message names its line."""
+        lines = self.cert(runner, b3_file, "structured").splitlines()
+        at = lines.index("length=3")
+        lines[at] = f"length={digit}"
+        cert = tmp_path / "digit.cert"
+        cert.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
+        assert res.exit_code == 2
+        assert f"line {at + 1}: a bicycle pattern needs" in res.output
+        assert "invalid literal" not in res.output
+
     def test_haven_table_exit_two(self, runner, b3_file, tmp_path):
         """A certificate in the older form, with its haven table, is refused
         as malformed, and the message names the first `haven` line."""

@@ -1350,11 +1350,9 @@ class TestVerifyCertificate:
         with pytest.raises(ParseError, match="haven_order=3"):
             self.parse(d, lines)
 
-    def test_one_walk_per_cop_set(self, monkeypatch):
-        """Checking a NO certificate walks each cop set's strong component
-        once: C(8,2) + 8 + 1 walks on Bicycle(8), none of them repeated."""
-        d = bicycle(8)
-        cert = recognize_dtw1(d)
+    def test_one_walk_per_vertex(self, monkeypatch):
+        """Checking a NO certificate's haven walks d once and d - y once for
+        each vertex y: n + 1 walks on Bicycle(k), not one per cop set."""
         calls = []
 
         def counted(*args):
@@ -1362,9 +1360,15 @@ class TestVerifyCertificate:
             return digraph.strong_component_of(*args)
 
         monkeypatch.setattr(games, "strong_component_of", counted)
-        assert verify_certificate(d, cert).valid
-        assert len(calls) == 28 + 8 + 1
-        assert len({frozenset(removed) for (_, _, removed) in calls}) == len(calls)
+        for k in (8, 256):
+            d = bicycle(k)
+            cert = recognize_dtw1(d)
+            calls.clear()
+            assert verify_certificate(d, cert).valid
+            assert len(calls) == k + 1
+            removed_sets = {frozenset(removed) for (_, _, removed) in calls}
+            assert len(removed_sets) == len(calls)
+            assert all(len(removed) <= 1 for removed in removed_sets)
 
     def test_unknown_verdict_is_rejected(self):
         assert not verify_certificate(

@@ -272,6 +272,37 @@ class TestCertificates:
         with pytest.raises(ParseError, match="length"):
             parse_certificate(read_document(text), {"0": 0})
 
+    @pytest.mark.parametrize("digit", ["\u00b3", "\uff13"], ids=["superscript", "fullwidth"])
+    def test_length_takes_ascii_digits_only(self, digit):
+        """`length=³` used to reach `int()` and fail without a line number,
+        and `length=３` (fullwidth) read as 3."""
+        text = doc("verdict=NO", "pattern=bicycle", f"length={digit}",
+                   "branchset 0: {0}", "haven_order=3")
+        with pytest.raises(ParseError, match="line 4: a bicycle pattern needs") as err:
+            parse_certificate(read_document(text), {"0": 0})
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("record", ["node \u00b3 bag={0}", "node \uff13 bag={0}",
+                                        "arc \u00b3 0 guard={}", "arc 0 \uff13 guard={}"])
+    def test_node_and_arc_ids_take_ascii_digits_only(self, record):
+        text = doc("verdict=YES", "node 0 bag={0}", record)
+        with pytest.raises(ParseError, match="line 4: expected `(node|arc) ") as err:
+            parse_certificate(read_document(text), {"0": 0})
+        assert err.value.line == 4
+
+    @pytest.mark.parametrize("digit", ["\u00b3", "\uff13"], ids=["superscript", "fullwidth"])
+    def test_integer_sets_take_ascii_digits_only(self, digit):
+        with pytest.raises(ParseError, match="line 7: expected an integer"):
+            parse_set("{1," + digit + "}", 7)
+
+    def test_misplaced_length_and_wrong_haven_order_name_their_lines(self):
+        text = doc("verdict=NO", "pattern=a4", "length=4", "haven_order=3")
+        with pytest.raises(ParseError, match="line 4: only bicycle patterns carry a length"):
+            parse_certificate(read_document(text), {})
+        text = doc("verdict=NO", "pattern=a4", "haven_order=2")
+        with pytest.raises(ParseError, match="line 4: a NO certificate needs `haven_order=3`"):
+            parse_certificate(read_document(text), {})
+
     def test_unknown_verdict_rejected(self):
         with pytest.raises(ParseError):
             parse_certificate(read_document(doc("verdict=MAYBE")), {})

@@ -32,6 +32,7 @@ from dtwone.games import (
     hyper_components,
     is_k_hyperlinked,
     is_k_linked,
+    minor_haven_is_monotone,
     play_transcript,
     solve_game,
     strategy_beats_all_robbers,
@@ -347,6 +348,30 @@ class TestHavens:
         hav = haven_from_minor(d, singletons, {p: p for p in range(d.n)})
         assert len(hav.assignment) == 1 + 8 + 28
         assert calls == []
+
+    def test_monotone_without_the_table_agrees_with_the_table(self):
+        """`minor_haven_is_monotone` gives `haven_is_monotone`'s verdict on
+        the table `haven_from_minor` builds.  The corpus has 3-9 vertices,
+        digraphs that are not strongly connected, branch sets that leave
+        vertices out and roots drawn anywhere in their branch sets."""
+        rng = random.Random(2026)
+        verdicts = []
+        for _ in range(6000):
+            n = rng.randint(3, 9)
+            p = rng.choice((0.2, 0.35, 0.5, 0.7))
+            d = digraph_from_edges(n, [(u, v) for u in range(n) for v in range(n)
+                                       if u != v and rng.random() < p])
+            k = rng.randint(3, n)
+            covered = rng.sample(range(n), rng.randint(k, n))
+            cuts = [0, *sorted(rng.sample(range(1, len(covered)), k - 1)), len(covered)]
+            parts = [covered[a:b] for a, b in zip(cuts, cuts[1:])]
+            branch = {q: frozenset(part) for q, part in enumerate(parts)}
+            roots = {q: rng.choice(part) for q, part in enumerate(parts)}
+            want = haven_is_monotone(d, haven_from_minor(d, branch, roots))
+            assert minor_haven_is_monotone(d, branch, roots) == want, (
+                sorted(d.edges), branch, roots)
+            verdicts.append(want)
+        assert 1000 <= sum(verdicts) <= 5000, sum(verdicts)
 
     @pytest.mark.parametrize(
         "d",

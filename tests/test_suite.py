@@ -7,7 +7,9 @@ import random
 
 import pytest
 
+from dtwone import suite
 from dtwone.cycles import cycle_hypergraph
+from dtwone.decomp import Report
 from dtwone.digraph import bicycle, digraph_from_edges, is_strongly_connected
 from dtwone.hypergraph import _tree_sides
 from dtwone.suite import (
@@ -76,3 +78,15 @@ class TestExhaustiveBranchWidth:
     def test_directed_triangle_width_one(self):
         d = digraph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
         assert exhaustive_dbw(d, cycle_hypergraph(d, 100)) == 1
+
+
+class TestThreeWayCheck:
+    def test_fast_and_full_haven_checks_must_agree(self, monkeypatch):
+        """`verify_certificate`'s haven check is held to the full
+        `verify_haven` on every NO instance of a corpus."""
+        monkeypatch.setattr(suite, "verify_certificate",
+                            lambda d, cert: Report(False, 0, ("haven verification failed",)))
+        tally = suite._Tally()
+        suite._three_way_check(bicycle(4), tally, 100, None)
+        assert len(tally.failures) == 1
+        assert "verify_certificate and verify_haven disagree" in tally.failures[0]
