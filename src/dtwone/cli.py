@@ -13,8 +13,9 @@ import sys
 import click
 
 from . import decomp
+from .check import verify_certificate
 from .cycles import DEFAULT_CYCLE_CAP, cycle_hypergraph
-from .dtw1 import recognize_dtw1, verify_certificate
+from .dtw1 import recognize_dtw1
 from .errors import CapExceeded, InstanceTooLarge
 from .formats import (
     digraph_hash,

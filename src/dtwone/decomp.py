@@ -1,5 +1,6 @@
-"""Decomposition types and validators for digraphs and hypergraphs, plus the
-conversions from directed tree decompositions.
+"""Branch and hypertree decompositions with their validators, plus the
+conversions from directed tree decompositions, whose type and validator
+(`validate_dtd`) live in the certificate checker, `check`.
 
 One `BranchDecomposition` type serves a digraph and its dual cycle
 hypergraph, whose leaf labels are the digraph's vertices or the
@@ -12,186 +13,17 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 
+from .check import DirectedTreeDecomposition, Report, validate_dtd
 from .cycles import DEFAULT_CYCLE_CAP, cut, cycle_hypergraph, min_hitting_set
-from .digraph import Digraph
+from .digraph import Digraph, _bfs_arcs
 from .hypergraph import (
     Hypergraph,
     HypertreeDecomposition,
-    _bfs_arcs,
     _tree_sides,
     _vertex_components,
     dual,
     min_cover,
 )
-
-
-@dataclass(frozen=True)
-class Report:
-    """Outcome of a validation: width is only reported for valid inputs."""
-
-    valid: bool
-    width: int | None
-    violations: tuple = ()
-
-
-@dataclass(frozen=True)
-class DirectedTreeDecomposition:
-    """An arborescence with a vertex bag per node and a guard set per arc.
-
-    Arcs run (parent, child), away from the root.  Bags partition the host's
-    vertex set; empty bags are allowed.  The guard of an arc must hit every
-    directed walk that starts and ends in the union of the bags below the arc
-    and leaves that union in between.
-    """
-
-    nodes: tuple
-    arcs: tuple
-    bags: dict
-    guards: dict
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "arcs", tuple(tuple(a) for a in self.arcs))
-        object.__setattr__(
-            self, "bags", {t: frozenset(b) for t, b in self.bags.items()}
-        )
-        object.__setattr__(
-            self,
-            "guards",
-            {tuple(a): frozenset(g) for a, g in self.guards.items()},
-        )
-
-    def root(self):
-        targets = {c for (_, c) in self.arcs}
-        roots = [t for t in self.nodes if t not in targets]
-        assert len(roots) == 1, "expected exactly one root"
-        return roots[0]
-
-    @cached_property
-    def _children(self):
-        kids = {}
-        for (p, c) in self.arcs:
-            kids.setdefault(p, []).append(c)
-        return {t: tuple(cs) for t, cs in kids.items()}
-
-    def children(self, t):
-        return self._children.get(t, ())
-
-    def subtree_nodes(self, t):
-        return tuple(_bfs_arcs(t, self.children)[0])
-
-    def subtree_vertices(self, t):
-        return frozenset().union(*(self.bags[s] for s in self.subtree_nodes(t)))
-
-    @cached_property
-    def _gammas(self):
-        gammas = {t: set(self.bags[t]) for t in self.nodes}
-        for a in self.arcs:
-            for t in a:
-                gammas[t] |= self.guards[a]
-        return {t: frozenset(g) for t, g in gammas.items()}
-
-    def gamma_at(self, t):
-        """The bag together with all guards of arcs incident to t."""
-        return self._gammas[t]
-
-    def width(self):
-        """max |Γ(t)|−1 over the nodes, clamped to be non-negative."""
-        return max(max((len(g) - 1 for g in self._gammas.values()), default=0), 0)
-
-
-def _reach(d: Digraph, sources, removed, backwards=False):
-    """Vertices reachable from the sources in d minus the removed set,
-    following edges backwards when asked."""
-    step = d.in_neighbours if backwards else d.out_neighbours
-    seen = set(sources) - set(removed)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for v in step(u):
-            if v not in removed and v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
-
-
-def _unguarded_return_witnesses(d: Digraph, s, g):
-    """Vertices outside s and g through which a directed walk can leave s∖g
-    and come back to it while avoiding g.
-
-    Such a vertex exists iff some walk starting and ending in s escapes the
-    guard, so an empty result certifies that g hits every returning walk.
-    """
-    sources = s - g
-    forward = _reach(d, sources, g)
-    backward = _reach(d, sources, g, backwards=True)
-    return (forward & backward) - s - g
-
-
-def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
-    """Check a directed tree decomposition: the arcs must form an
-    arborescence, the bags must partition the vertex set, and every arc's
-    guard must block all walks returning to the bags below it."""
-    violations = []
-    nodes = dec.nodes
-    if not nodes or len(set(nodes)) != len(nodes):
-        violations.append("nodes must be non-empty and pairwise distinct")
-    known = set(nodes)
-    for a in dec.arcs:
-        if len(a) != 2 or a[0] not in known or a[1] not in known or a[0] == a[1]:
-            violations.append(f"arc {a!r} does not join two distinct nodes")
-    if len(set(dec.arcs)) != len(dec.arcs):
-        violations.append("arcs repeat")
-    if set(dec.bags) != known:
-        violations.append("bags must be keyed by exactly the nodes")
-    if set(dec.guards) != set(dec.arcs):
-        violations.append("guards must be keyed by exactly the arcs")
-    if violations:
-        return Report(False, None, tuple(violations))
-
-    parent = {}
-    for (p, c) in dec.arcs:
-        if c in parent:
-            violations.append(f"node {c!r} has two parents")
-        parent[c] = p
-    roots = [t for t in nodes if t not in parent]
-    if len(roots) != 1:
-        violations.append("expected exactly one root")
-    if violations:
-        return Report(False, None, tuple(violations))
-    order = dec.subtree_nodes(roots[0])
-    if len(order) != len(nodes):
-        violations.append("not every node is reachable from the root")
-        return Report(False, None, tuple(violations))
-    # The arcs form an arborescence now, so each node's children come after
-    # it in the walk's order, and every subtree's vertices build bottom-up.
-    below = {}
-    for t in reversed(order):
-        below[t] = dec.bags[t].union(*map(below.__getitem__, dec.children(t)))
-
-    union = set()
-    total = 0
-    for t in nodes:
-        union |= dec.bags[t]
-        total += len(dec.bags[t])
-    if union != set(range(d.n)) or total != d.n:
-        violations.append("bags must partition the vertex set of the digraph")
-
-    for a in dec.arcs:
-        s = below[a[1]]
-        g = dec.guards[a]
-        if not g <= set(range(d.n)):
-            violations.append(f"guard of arc {a!r} mentions unknown vertices")
-            continue
-        bad = _unguarded_return_witnesses(d, s, g)
-        if bad:
-            violations.append(
-                f"guard {sorted(g)} of arc {a!r} misses a walk returning to "
-                f"{sorted(s)} through vertex {min(bad)}"
-            )
-    if violations:
-        return Report(False, None, tuple(violations))
-    return Report(True, dec.width(), ())
 
 
 @dataclass(frozen=True)
@@ -466,17 +298,6 @@ def validate_hd(h: Hypergraph, dec: HypertreeDecomposition) -> Report:
     return _validate_hyper_decomposition(h, dec, descendant=True)
 
 
-def _ordered_children(dec: DirectedTreeDecomposition):
-    """Children lists keyed by node, ordered by the least vertex below the
-    child (children with vertex-free subtrees come last, by name)."""
-
-    def key(c):
-        vs = dec.subtree_vertices(c)
-        return (0, min(vs), "") if vs else (1, 0, str(c))
-
-    return {t: sorted(dec.children(t), key=key) for t in dec.nodes}
-
-
 def dtd_to_leaf_dtd(
     d: Digraph, dec: DirectedTreeDecomposition
 ) -> DirectedTreeDecomposition:
@@ -492,19 +313,20 @@ def dtd_to_leaf_dtd(
     """
     report = validate_dtd(d, dec)
     assert report.valid, f"input decomposition invalid: {report.violations}"
-    root = dec.root()
+    (root,) = set(dec.nodes).difference(c for (_, c) in dec.arcs)
     orig_gamma = {t: dec.gamma_at(t) for t in dec.nodes}
-    kids = _ordered_children(dec)
 
     bags = {}
     arcs = []
     guards = {}
     spine_count = {}
     for t in dec.nodes:
-        keep = not kids[t] and len(dec.bags[t]) == 1
+        keep = not dec.children(t) and len(dec.bags[t]) == 1
         bags[("node", t)] = dec.bags[t] if keep else frozenset()
 
     def child_key(token):
+        """Leaves and child subtrees by their least vertex; children whose
+        subtrees hold no vertex last, by name."""
         if token[0] == "leaf":
             return (0, token[2], "")
         vs = dec.subtree_vertices(token[1])
@@ -534,8 +356,8 @@ def dtd_to_leaf_dtd(
             guards[(parent, child)] = dec.guards[(source, child[1])]
 
     for t in dec.nodes:
-        keep = not kids[t] and len(dec.bags[t]) == 1
-        tokens = [("node", c) for c in kids[t]]
+        keep = not dec.children(t) and len(dec.bags[t]) == 1
+        tokens = [("node", c) for c in dec.children(t)]
         if not keep:
             for v in sorted(dec.bags[t]):
                 leaf = ("leaf", t, v)

@@ -4,8 +4,9 @@ A digraph is a vertex count plus a set of ordered pairs; loops and parallel
 edges are excluded.  Everything else — strong components, butterfly
 contractibility, tight separations — is computed on demand.  The strong
 components of d minus a vertex set come from one Tarjan pass over d itself,
-without building d minus the set, and the one holding a given vertex from a
-forward and a backward walk.  `tight_separations` takes the components of
+without building d minus the set.  `round_trips` walks forward from a
+source set and back inside what it reached: one source gives the strong
+component holding it.  `tight_separations` takes the components of
 every d minus one vertex from a caller that already has them, and
 `cut_vertex_shores` reads the condensation of d minus a vertex off the
 out-lists of each component's members.  Every
@@ -168,28 +169,33 @@ def strong_components(d, removed=()):
     return comps
 
 
-def strong_component_of(d, v, removed=()):
-    """The strong component of d minus `removed` holding v, which is not
-    removed: the vertices v reaches in d - removed that also reach v.
-
-    The backward walk from v stays inside the forward reach, since every
-    vertex on a path back to v is itself reached from v.
+def round_trips(d, sources, removed=()):
+    """The vertices of d minus `removed` that a source reaches and that reach
+    a source, for sources that miss `removed`: a forward walk from the
+    sources, then a backward walk kept inside the forward reach, which loses
+    nothing, since a vertex on a path back to a source is reached from one.
     """
-    reach = {v}
-    stack = [v]
+    reach = set(sources)
+    stack = list(reach)
     while stack:
         for w in d.out_neighbours(stack.pop()):
             if w not in reach and w not in removed:
                 reach.add(w)
                 stack.append(w)
-    comp = {v}
-    stack = [v]
+    back = set(sources)
+    stack = list(back)
     while stack:
         for w in d.in_neighbours(stack.pop()):
-            if w in reach and w not in comp:
-                comp.add(w)
+            if w in reach and w not in back:
+                back.add(w)
                 stack.append(w)
-    return frozenset(comp)
+    return back
+
+
+def strong_component_of(d, v, removed=()):
+    """The strong component of d minus `removed` holding v, which is not
+    removed: the `round_trips` of v alone."""
+    return frozenset(round_trips(d, (v,), removed))
 
 
 def is_strongly_connected(d):
@@ -398,6 +404,22 @@ def butterfly_dominating_vertices(d):
         else:
             result.add(v)
     return frozenset(result)
+
+
+def _bfs_arcs(root, neighbours):
+    """A breadth-first walk from root that enters each node's unseen
+    neighbours in the order `neighbours(node)` lists them.  Returns the
+    visiting order and the (parent, child) arcs of the walk's tree."""
+    order = [root]
+    seen = {root}
+    arcs = []
+    for t in order:  # the list grows while it is walked
+        for u in neighbours(t):
+            if u not in seen:
+                seen.add(u)
+                arcs.append((t, u))
+                order.append(u)
+    return order, arcs
 
 
 def all_subsets(items, max_size):

@@ -7,8 +7,10 @@ down to a bidirected cycle or the four-vertex digraph A4, recording every
 deletion and butterfly contraction so the embedding can be replayed; no
 cycle of the digraph is enumerated.  The embedding is the whole NO
 certificate: the order-3 haven it implies, lifted from the pattern through
-the roots of the branch sets, is checked by `verify_certificate` with one
-walk per vertex and no table, or built by `minor_haven`, never stored.
+the roots of the branch sets, is built by `minor_haven` on request and
+never stored.  The certificate types and their checker are in `check`, and
+the script is recorded by the checker's own replay state, so recogniser and
+checker cannot disagree on what a step means.
 """
 
 from __future__ import annotations
@@ -17,13 +19,23 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional
 
+from .check import (
+    DirectedTreeDecomposition,
+    Dtw1Certificate,
+    MinorWitness,
+    _ReplayState,
+    _roots,
+    replay_script,
+    validate_dtd,
+    verify_witness,
+)
+from .check import verify_certificate  # noqa: F401  (bench/tracer.py wraps this binding)
 from .cycles import DEFAULT_CYCLE_CAP, cycle_hypergraph
-from .decomp import DirectedTreeDecomposition, Report, validate_dtd
 from .digraph import (
     Digraph,
     TightSeparation,
+    _bfs_arcs,
     a4_digraph,
-    bicycle,
     butterfly_dominating_vertices,
     cut_vertex_shores,
     is_directed_separation,
@@ -34,100 +46,13 @@ from .digraph import (
     strong_components,
     tight_separations,
 )
-from .games import Haven, haven_from_minor, minor_haven_is_monotone
+from .games import Haven, haven_from_minor
 from .games import verify_haven  # noqa: F401  (bench/tracer.py wraps this binding)
-from .hypergraph import JoinTreeWitness, _bfs_arcs, hypertree_witness
+from .hypergraph import JoinTreeWitness, hypertree_witness
 
 
 # ---------------------------------------------------------------------------
 # contraction scripts and their replay
-
-
-class _ReplayState:
-    """Tracks a digraph being shrunk by deletions and butterfly contractions.
-
-    Vertices never disappear: contractions merge them into classes, and every
-    script step may name any member of a class.  The representative of a class
-    is its smallest label.  The current digraph lives on the representatives
-    as an adjacency index: `out[r]` and `inn[r]` hold the representatives
-    joined to r by an edge leaving or entering r.  A contraction moves only
-    the edges of the class that stops being represented, so a step costs
-    that class's degree, not the size of the digraph.
-
-    Each class keeps a root `root[r]`, reached inside the class from every
-    vertex with a surviving edge entering it and reaching every vertex with
-    one leaving it; so root(P) reaches root(Q) inside P ∪ Q for each edge P -> Q.
-    """
-
-    def __init__(self, d: Digraph):
-        self.base = d
-        self.rep_of = list(range(d.n))
-        self.members = {v: frozenset({v}) for v in range(d.n)}
-        self.out = {v: set(d.out_neighbours(v)) for v in range(d.n)}
-        self.inn = {v: set(d.in_neighbours(v)) for v in range(d.n)}
-        self.root = list(range(d.n))
-        self.steps: list = []
-
-    @property
-    def edges(self) -> frozenset:
-        """The current edges, as pairs of representatives."""
-        return frozenset((a, b) for a, heads in self.out.items() for b in heads)
-
-    def rep(self, v: int) -> int:
-        return self.rep_of[v]
-
-    def apply(self, steps) -> None:
-        for step in steps:
-            kind, a, b = step
-            if not (0 <= a < self.base.n and 0 <= b < self.base.n):
-                raise ValueError(f"step {step} names an unknown vertex")
-            ra, rb = self.rep_of[a], self.rep_of[b]
-            if ra == rb:
-                raise ValueError(f"step {step} joins a vertex with itself")
-            if rb not in self.out[ra]:
-                raise ValueError(f"step {step} needs the missing edge ({ra}, {rb})")
-            if kind == "del":
-                self.out[ra].discard(rb)
-                self.inn[rb].discard(ra)
-            elif kind == "contract":
-                tail_only_out = len(self.out[ra]) == 1
-                if not tail_only_out and len(self.inn[rb]) != 1:
-                    raise ValueError(
-                        f"step {step}: edge ({ra}, {rb}) is not butterfly contractible"
-                    )
-                root = self.root[rb] if tail_only_out else self.root[ra]
-                self._merge(min(ra, rb), max(ra, rb))
-                self.root[min(ra, rb)] = root
-            else:
-                raise ValueError(f"unknown step kind {kind!r}")
-            self.steps.append(step)
-
-    def _merge(self, keep: int, gone: int) -> None:
-        merged = self.members.pop(gone) | self.members[keep]
-        self.members[keep] = merged
-        for v in merged:
-            self.rep_of[v] = keep
-        for w in self.out.pop(gone):
-            self.inn[w].discard(gone)
-            if w != keep:
-                self.inn[w].add(keep)
-                self.out[keep].add(w)
-        for w in self.inn.pop(gone):
-            self.out[w].discard(gone)
-            if w != keep:
-                self.out[w].add(keep)
-                self.inn[keep].add(w)
-
-    def dense(self) -> tuple[Digraph, tuple]:
-        """The current digraph over 0..k-1 plus the label of each new id."""
-        return quotient(Digraph(self.base.n, self.edges), self.rep_of)
-
-
-def replay_script(d: Digraph, script) -> _ReplayState:
-    """Replay a witness script from scratch; ValueError on any illegal step."""
-    state = _ReplayState(d)
-    state.apply(script)
-    return state
 
 
 def shore_contraction_script(d: Digraph, shore, cut: int) -> list:
@@ -325,21 +250,6 @@ def _pattern(d: Digraph):
 
 # ---------------------------------------------------------------------------
 # minor extraction (the case analysis)
-
-
-@dataclass(frozen=True)
-class MinorWitness:
-    """A butterfly-minor embedding of a bidirected cycle or A4.
-
-    The script lists deletions and contractions over the labels of the
-    original digraph; replaying it yields the pattern, and branch_sets maps
-    each pattern vertex to the class of original vertices merged into it.
-    """
-
-    kind: str
-    length: Optional[int]
-    script: tuple
-    branch_sets: dict
 
 
 def _case_one_steps(d: Digraph) -> Optional[list]:
@@ -713,20 +623,6 @@ def s_decomposition(d: Digraph) -> SDecomposition:
 # certificates
 
 
-@dataclass(frozen=True)
-class Dtw1Certificate:
-    """The recogniser's answer with its proof.
-
-    YES carries a width-one decomposition; NO carries a minor embedding whose
-    script replays from the input digraph, which implies an order-3 haven
-    (`minor_haven`).
-    """
-
-    verdict: str
-    decomposition: Optional[DirectedTreeDecomposition]
-    witness: Optional[MinorWitness]
-
-
 def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomposition:
     """Read the width-one decomposition off an all-digon split tree.
 
@@ -766,11 +662,8 @@ def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomp
 
 def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
     """Decide directed treewidth one, emitting a checkable certificate: a
-    width-one decomposition for YES, a replayable minor witness for NO."""
-    if d.n < 2:
-        raise ValueError("need at least two vertices")
-    if not is_strongly_connected(d):
-        raise ValueError("need a strongly connected digraph")
+    width-one decomposition for YES, a replayable minor witness for NO.
+    A digraph `s_decomposition` refuses raises its ValueError."""
     sdec = s_decomposition(d)
     if all(len(t) == 2 for t in sdec.territories):
         dec = width1_dtd_from_sdec(d, sdec)
@@ -801,11 +694,6 @@ def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
     return Dtw1Certificate("NO", None, witness)
 
 
-def _roots(state: _ReplayState, branch_sets) -> dict:
-    """The root of each branch set's class in a replayed state."""
-    return {p: state.root[state.rep(min(cls))] for p, cls in branch_sets.items()}
-
-
 def minor_haven(d: Digraph, witness: MinorWitness) -> Haven:
     """The order-3 haven a minor witness implies, by `haven_from_minor`
     through the roots of a fresh replay of its script.
@@ -816,87 +704,6 @@ def minor_haven(d: Digraph, witness: MinorWitness) -> Haven:
     """
     state = replay_script(d, witness.script)
     return haven_from_minor(d, witness.branch_sets, _roots(state, witness.branch_sets))
-
-
-def verify_witness(d: Digraph, witness: MinorWitness) -> Report:
-    """Replay a minor witness against its digraph and check every claim."""
-    return _replay_witness(d, witness)[0]
-
-
-def _replay_witness(d: Digraph, witness: MinorWitness):
-    """`verify_witness`'s report, with the replay state when the script
-    replays (None otherwise)."""
-    violations = []
-    if witness.kind == "bicycle":
-        if witness.length is None or witness.length < 3:
-            return Report(False, 0, ("bicycle witnesses need a length of at least three",)), None
-        size = witness.length
-    elif witness.kind == "a4":
-        size = 4
-    else:
-        return Report(False, 0, (f"unknown pattern kind {witness.kind!r}",)), None
-    if size > d.n:
-        return Report(False, 0, ("the pattern has more vertices than the digraph",)), None
-    pattern = bicycle(size) if witness.kind == "bicycle" else a4_digraph()
-    if sorted(witness.branch_sets) != list(range(pattern.n)):
-        return Report(False, 0, ("branch sets must cover the pattern's vertices",)), None
-    try:
-        state = replay_script(d, witness.script)
-    except ValueError as err:
-        return Report(False, 0, (str(err),)), None
-    reps = {}
-    for p in range(pattern.n):
-        cls = frozenset(witness.branch_sets[p])
-        if not cls:
-            violations.append(f"branch set {p} is empty")
-            continue
-        r = state.rep(min(cls))
-        if state.members.get(r) != cls:
-            violations.append(f"branch set {p} does not match a merged class")
-        reps[p] = r
-    if not violations:
-        if len(set(reps.values())) != pattern.n or len(state.members) != pattern.n:
-            violations.append("branch sets must partition the remaining classes")
-    if not violations:
-        image = frozenset((reps[a], reps[b]) for (a, b) in pattern.edges)
-        if image != state.edges:
-            violations.append("replayed digraph is not the claimed pattern")
-    return Report(not violations, 0, tuple(violations)), state
-
-
-def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
-    """Check a recogniser certificate end to end.
-
-    YES certificates are validated as width-one decompositions.  A NO
-    certificate's script is replayed once, for the witness checks and for
-    the roots of its branch sets.  The order-3 haven those roots give
-    (`haven_from_minor`) is then checked to be monotone by
-    `minor_haven_is_monotone`: one walk of d and one of d - y for each
-    vertex y, n + 1 walks in all, with no table.  Each entry is by
-    construction the strong component of d - X holding a root outside X, so
-    monotonicity is the only haven condition left to check.
-    """
-    if cert.verdict == "YES":
-        if cert.decomposition is None:
-            return Report(False, 0, ("a YES certificate needs a decomposition",))
-        report = validate_dtd(d, cert.decomposition)
-        if report.valid and report.width > 1:
-            return Report(False, report.width, ("decomposition is wider than one",))
-        return report
-    if cert.verdict != "NO":
-        return Report(False, 0, (f"unknown verdict {cert.verdict!r}",))
-    if cert.witness is None:
-        return Report(False, 0, ("a NO certificate needs a minor witness",))
-    report, state = _replay_witness(d, cert.witness)
-    if not report.valid:
-        return report
-    branch_sets = cert.witness.branch_sets
-    roots = _roots(state, branch_sets)
-    if any(roots[p] not in cls for p, cls in branch_sets.items()):
-        return Report(False, 0, ("a branch set's root lies outside it",))
-    if not minor_haven_is_monotone(d, branch_sets, roots):
-        return Report(False, 0, ("haven verification failed",))
-    return Report(True, 0, ())
 
 
 # ---------------------------------------------------------------------------

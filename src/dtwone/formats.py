@@ -10,9 +10,9 @@ from __future__ import annotations
 import hashlib
 import re
 
-from .decomp import BranchDecomposition, DirectedTreeDecomposition
+from .check import DirectedTreeDecomposition, Dtw1Certificate, MinorWitness
+from .decomp import BranchDecomposition
 from .digraph import Digraph, digraph_from_edges
-from .dtw1 import Dtw1Certificate, MinorWitness
 from .hypergraph import Hypergraph
 
 FORMAT_VERSION = "dtwone v1"

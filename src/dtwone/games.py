@@ -5,7 +5,8 @@ The game is played on a digraph D with k cops.  A position is a pair
 When the cops announce a new set X', the robber may move to any strong
 component of D - X' inside the strong component of D - (X ∩ X') that
 contains their current component.  The robber is caught when no such
-component exists.
+component exists.  The havens here are the reference: a NO certificate's
+haven is checked without its table by `check.minor_haven_is_monotone`.
 """
 
 from __future__ import annotations
@@ -17,13 +18,14 @@ from typing import Optional
 from .cycles import CycleChain, CycleHypergraph, cut, cycle_hypergraph, min_hitting_set
 from .digraph import (
     Digraph,
+    _bfs_arcs,
     all_subsets,
     is_strongly_connected,
     strong_component_of,
     strong_components,
 )
 from .errors import InstanceTooLarge
-from .hypergraph import _bfs_arcs, _vertex_components, two_section
+from .hypergraph import _vertex_components, two_section
 
 GAME_SIZE_LIMIT = 20_000_000
 
@@ -415,8 +417,8 @@ def haven_from_minor(d: Digraph, branch_sets: dict, roots: dict) -> Haven:
 
     Nothing is checked here: each entry is a strong component of d - X by
     construction, and `haven_is_monotone` or `verify_haven` checks the rest.
-    `minor_haven_is_monotone` gives `haven_is_monotone`'s verdict on this
-    table without building it.
+    `check.minor_haven_is_monotone` gives `haven_is_monotone`'s verdict on
+    this table without building it.
     """
     order = sorted(branch_sets)
     assignment = {}
@@ -424,40 +426,6 @@ def haven_from_minor(d: Digraph, branch_sets: dict, roots: dict) -> Haven:
         p = next(p for p in order if branch_sets[p].isdisjoint(x))
         assignment[x] = strong_component_of(d, roots[p], x)
     return Haven(3, assignment)
-
-
-def minor_haven_is_monotone(d: Digraph, branch_sets: dict, roots: dict) -> bool:
-    """Whether `haven_from_minor(d, branch_sets, roots)` is monotone, by one
-    walk of d and one of d - y for each vertex y, with no table.
-
-    Write r(X) for the root of the least branch set missing X, so h(X) is
-    the strong component of d - X holding r(X).  For Y ⊆ X, h(X) ⊆ h(Y)
-    exactly when r(X) ∈ h(Y): h(X) is strongly connected in d - Y and holds
-    r(X).  By transitivity only Y = X minus one vertex needs checking.
-
-    The branch sets must be disjoint and nonempty, at least three of them,
-    with roots[p] in branch_sets[p], as a replayed witness guarantees.  Then
-    r(X) for |X| ≤ 2 is the root of one of the three least sets.  If y lies
-    in the i-th of them (or in none), r({y, z}) is the root of the least of
-    the three other than the i-th and z's, and each of those sets has a
-    vertex z; where z's set is y's or none of the three, r({y, z}) = r({y}),
-    which h({y}) holds.
-    """
-    least = sorted(branch_sets)[:3]
-    slot = {v: i for i, p in enumerate(least) for v in branch_sets[p]}
-
-    def root_missing(*slots):
-        return roots[least[min({0, 1, 2}.difference(slots))]]
-
-    whole = strong_component_of(d, root_missing(), ())
-    for y in range(d.n):
-        i = slot.get(y)
-        if root_missing(i) not in whole:
-            return False
-        h = strong_component_of(d, root_missing(i), {y})
-        if any(root_missing(i, j) not in h for j in range(3)):
-            return False
-    return True
 
 
 def is_k_linked(d: Digraph, w, k: int) -> bool:

@@ -266,22 +266,6 @@ def _vertex_components(adj, rest):
     return sorted(pieces, key=min)
 
 
-def _bfs_arcs(root, neighbours):
-    """A breadth-first walk from root that enters each node's unseen
-    neighbours in the order `neighbours(node)` lists them.  Returns the
-    visiting order and the (parent, child) arcs of the walk's tree."""
-    order = [root]
-    seen = {root}
-    arcs = []
-    for t in order:  # the list grows while it is walked
-        for u in neighbours(t):
-            if u not in seen:
-                seen.add(u)
-                arcs.append((t, u))
-                order.append(u)
-    return order, arcs
-
-
 def _spanning_tree(nodes, ranked):
     """Kruskal's spanning forest on the nodes: the (key, a, b) candidates are
     taken in ascending order, and a pair joins the forest when its ends lie

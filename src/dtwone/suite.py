@@ -13,6 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
+from .check import validate_dtd, verify_certificate, verify_witness
 from .cycles import (
     DEFAULT_CYCLE_CAP,
     cut,
@@ -25,7 +26,6 @@ from .decomp import (
     dtd_to_dbd,
     dtd_to_ghd,
     validate_dbd,
-    validate_dtd,
     validate_ghd,
 )
 from .digraph import (
@@ -37,13 +37,7 @@ from .digraph import (
     is_strongly_connected,
     strong_components,
 )
-from .dtw1 import (
-    hypertree_route,
-    minor_haven,
-    recognize_dtw1,
-    verify_certificate,
-    verify_witness,
-)
+from .dtw1 import hypertree_route, minor_haven, recognize_dtw1
 from .errors import CapExceeded, InstanceTooLarge
 from .games import (
     dcn_exact,

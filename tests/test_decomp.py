@@ -6,18 +6,15 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+from dtwone.check import DirectedTreeDecomposition, Report, validate_dtd
 from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import (
     BranchDecomposition,
-    Report,
-    _unguarded_return_witnesses,
-    DirectedTreeDecomposition,
     dbd_to_hbd,
     dtd_to_dbd,
     dtd_to_ghd,
     dtd_to_leaf_dtd,
     validate_dbd,
-    validate_dtd,
     validate_ghd,
     validate_hbd,
     validate_hd,
@@ -38,7 +35,7 @@ from dtwone.hypergraph import (
     hypergraph_from_edges,
 )
 from dtwone.suite import exhaustive_optimal_dbd, strongly_connected_up_to_iso
-from test_digraph import random_strongly_connected, random_tree_edges
+from test_digraph import random_strongly_connected, random_tree_edges, reference_reach
 
 
 def digon():
@@ -207,7 +204,9 @@ def reference_validate_dtd(d, dec):
         if not g <= set(range(d.n)):
             violations.append(f"guard of arc {a!r} mentions unknown vertices")
             continue
-        bad = _unguarded_return_witnesses(d, s, g)
+        # Two full walks of d - g, sharing none with `round_trips`.
+        forward = reference_reach(d, s - g, g)
+        bad = (forward & reference_reach(d, s - g, g, backwards=True)) - s
         if bad:
             violations.append(
                 f"guard {sorted(g)} of arc {a!r} misses a walk returning to "

@@ -25,12 +25,14 @@ from dtwone.digraph import (
     is_strongly_2_connected,
     is_strongly_connected,
     quotient,
+    round_trips,
     separations_cross,
     strong_component_of,
     strong_components,
     tight_separations,
 )
-from dtwone.dtw1 import replay_script, shore_contraction_script
+from dtwone.check import replay_script
+from dtwone.dtw1 import shore_contraction_script
 from dtwone.suite import labeled_strongly_connected
 
 
@@ -155,6 +157,27 @@ class TestStrongComponents:
                         )
                         checked += 1
         assert checked >= 100_000, checked
+        # `round_trips` from any source set is the forward reach intersected
+        # with the backward reach, each a full walk of d - removed.
+        rng = random.Random(146)
+        kinds = set()
+        for _ in range(3_000):
+            n = rng.randint(1, 12)
+            p = rng.choice((0.1, 0.2, 0.35, 0.6))
+            d = digraph_from_edges(
+                n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p]
+            )
+            removed = frozenset(v for v in range(n) if rng.random() < 0.2)
+            rest = [v for v in range(n) if v not in removed]
+            sources = frozenset(rng.sample(rest, rng.randint(0, len(rest))))
+            expected = reference_reach(d, sources, removed) & reference_reach(
+                d, sources, removed, backwards=True
+            )
+            assert round_trips(d, sources, removed) == expected, (
+                sorted(d.edges), sources, removed
+            )
+            kinds.add((len(sources) > 1, len(expected) > len(sources)))
+        assert kinds == {(False, False), (False, True), (True, False), (True, True)}
 
 
 class TestReachability:
@@ -401,6 +424,20 @@ class TestTightSeparations:
         seps = tight_separations(d)
         keys = [s.sort_key() for s in seps]
         assert keys == sorted(keys)
+
+
+def reference_reach(d, sources, removed, backwards=False):
+    """Every vertex of d minus `removed` that the sources reach, or that
+    reaches them when `backwards`: one full walk."""
+    step = d.in_neighbours if backwards else d.out_neighbours
+    seen = set(sources)
+    stack = list(seen)
+    while stack:
+        for v in step(stack.pop()):
+            if v not in removed and v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen
 
 
 def induced_subgraph(d, keep):

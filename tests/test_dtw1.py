@@ -26,20 +26,22 @@ from dtwone.digraph import (
     strong_components,
     tight_separations,
 )
-from dtwone.decomp import validate_dtd
-from dtwone import cycles, digraph, dtw1, games
-from dtwone.dtw1 import (
+from dtwone import check, cycles, digraph, dtw1, games
+from dtwone.check import (
     Dtw1Certificate,
     MinorWitness,
+    replay_script,
+    validate_dtd,
+    verify_certificate,
+    verify_witness,
+)
+from dtwone.dtw1 import (
     extract_minor_witness,
     hypertree_route,
     minor_haven,
     recognize_dtw1,
-    replay_script,
     s_decomposition,
     shore_contraction_script,
-    verify_certificate,
-    verify_witness,
 )
 from dtwone.formats import (
     ParseError,
@@ -224,7 +226,7 @@ class TestReplayDifferential:
 
     @staticmethod
     def replay_both(d, steps):
-        new, ref = dtw1._ReplayState(d), EdgeSetReplay(d)
+        new, ref = check._ReplayState(d), EdgeSetReplay(d)
         for step in steps:
             errors = []
             for state in (new, ref):
@@ -1119,7 +1121,8 @@ class TestRecognize:
 
         for module, name in ((dtw1, "haven_from_minor"), (games, "haven_from_minor"),
                              (games, "strong_component_of"),
-                             (digraph, "strong_component_of")):
+                             (check, "strong_component_of"),
+                             (digraph, "strong_component_of"), (digraph, "round_trips")):
             monkeypatch.setattr(module, name, refuse)
         tree_and_triangle = bidirect(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (4, 5)])
         inputs = (bicycle(5), a4_digraph(), tree_and_triangle)
@@ -1321,7 +1324,7 @@ class TestVerifyCertificate:
         cert = Dtw1Certificate("NO", None, MinorWitness("bicycle", 3, (("contract", 3, 0),), branch))
         assert verify_certificate(d, cert).valid
         for root, message in ((1, "root lies outside"), (3, "haven verification failed")):
-            monkeypatch.setattr(dtw1, "_roots", lambda state, sets: {0: root, 1: 1, 2: 2})
+            monkeypatch.setattr(check, "_roots", lambda state, sets: {0: root, 1: 1, 2: 2})
             report = verify_certificate(d, cert)
             assert not report.valid and message in report.violations[0]
 
@@ -1359,7 +1362,7 @@ class TestVerifyCertificate:
             calls.append(args)
             return digraph.strong_component_of(*args)
 
-        monkeypatch.setattr(games, "strong_component_of", counted)
+        monkeypatch.setattr(check, "strong_component_of", counted)
         for k in (8, 256):
             d = bicycle(k)
             cert = recognize_dtw1(d)
@@ -1398,7 +1401,7 @@ class TestVerifyCertificate:
         def refuse(length):
             raise AssertionError(f"built a bicycle of length {length}")
 
-        monkeypatch.setattr(dtw1, "bicycle", refuse)
+        monkeypatch.setattr(check, "bicycle", refuse)
         message = ("the pattern has more vertices than the digraph",)
         assert verify_witness(d, forged).violations == message
         assert verify_certificate(d, Dtw1Certificate("NO", None, forged)).violations == message

@@ -6,7 +6,8 @@ import pytest
 
 from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import dtd_to_dbd, dbd_to_hbd
-from dtwone.dtw1 import Dtw1Certificate, MinorWitness, recognize_dtw1
+from dtwone.check import Dtw1Certificate, MinorWitness
+from dtwone.dtw1 import recognize_dtw1
 from dtwone.formats import (
     FORMAT_VERSION,
     ParseError,

@@ -7,6 +7,7 @@ import random
 import pytest
 
 from dtwone import digraph, games
+from dtwone.check import minor_haven_is_monotone
 from dtwone.cycles import CycleChain, cycle_hypergraph, find_closed_chain
 from dtwone.decomp import BranchDecomposition, validate_dbd
 from dtwone.digraph import (
@@ -32,7 +33,6 @@ from dtwone.games import (
     hyper_components,
     is_k_hyperlinked,
     is_k_linked,
-    minor_haven_is_monotone,
     play_transcript,
     solve_game,
     strategy_beats_all_robbers,

@@ -27,9 +27,9 @@ import random
 import pytest
 from click.testing import CliRunner
 
+from dtwone.check import DirectedTreeDecomposition
 from dtwone.cli import main
 from dtwone.cycles import cycle_hypergraph
-from dtwone.decomp import DirectedTreeDecomposition
 from dtwone.digraph import bicycle, bidirect
 from dtwone.dtw1 import minor_haven
 from dtwone.formats import (

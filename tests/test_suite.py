@@ -8,8 +8,8 @@ import random
 import pytest
 
 from dtwone import suite
+from dtwone.check import Report
 from dtwone.cycles import cycle_hypergraph
-from dtwone.decomp import Report
 from dtwone.digraph import bicycle, digraph_from_edges, is_strongly_connected
 from dtwone.hypergraph import _tree_sides
 from dtwone.suite import (
