@@ -219,6 +219,10 @@ class _ReplayState:
 
     def apply(self, steps) -> None:
         n = self.base.n
+        try:
+            steps = iter(steps)
+        except TypeError:
+            raise ValueError(f"script {steps!r} is not a sequence of steps") from None
         for step in steps:
             try:
                 kind, a, b = step
@@ -310,7 +314,11 @@ def _replay_witness(d: Digraph, witness: MinorWitness):
         return Report(False, 0, (str(err),)), None
     reps = {}
     for p in range(pattern.n):
-        cls = frozenset(witness.branch_sets[p])
+        try:
+            cls = frozenset(witness.branch_sets[p])
+        except TypeError:
+            violations.append(f"branch set {p} is not a set of vertices")
+            continue
         if not cls:
             violations.append(f"branch set {p} is empty")
             continue

@@ -6,10 +6,11 @@ contractibility, tight separations — is computed on demand.  The strong
 components of d minus a vertex set come from one Tarjan pass over d itself,
 without building d minus the set.  `round_trips` walks forward from a
 source set and back inside what it reached: one source gives the strong
-component holding it.  `tight_separations` takes the components of
-every d minus one vertex from a caller that already has them, and
-`cut_vertex_shores` reads the condensation of d minus a vertex off the
-out-lists of each component's members.  Every
+component holding it.  `cut_vertex_shores` reads the condensation of d
+minus a vertex off the out-lists of each component's members, from
+components a caller may already have, and `orient_cut_separation` orients
+each of its shores; `tight_separations` collects them for every vertex,
+and the recogniser's s-decomposition keeps them per piece.  Every
 contraction, of one edge or of a whole shore, is a `quotient`.  All
 enumeration orders are deterministic.
 """
@@ -314,7 +315,29 @@ def cut_vertex_shores(d, v, comps=None):
     return out
 
 
-def tight_separations(d, minus=None):
+def orient_cut_separation(p, q, v, x, x_first):
+    """The shores p = Y+v and q = X+v of a `cut_vertex_shores` entry in their
+    valid orientation, edges crossing from the first to the second, with the
+    pair of vertices whose comparison chose it.
+
+    x_first decides when it is not None, and the pair is then empty.  When
+    it is None both orientations are valid, and the shore whose sorted tuple
+    is smaller goes first.  The shores meet in v alone, so their sorted
+    tuples differ at the first element, or at the second when both start
+    with v; the pair is the two elements compared there.
+    """
+    if x_first is None:
+        least_p, least_q = min(p), min(q)
+        if least_p == least_q:
+            least_p, least_q = min(p - {v}), min(x)
+        first, second = (p, q) if least_p < least_q else (q, p)
+        return first, second, (least_p, least_q)
+    if x_first:
+        return q, p, ()
+    return p, q, ()
+
+
+def tight_separations(d):
     """All tight separations of a strongly connected digraph arising from single
     cut vertices.
 
@@ -324,24 +347,18 @@ def tight_separations(d, minus=None):
     X+v with separator {v}.  Results are deduplicated by unordered shore pair
     and sorted.  Each is stored in its valid orientation, edges crossing from
     the first shore to the second, which the condensation of d - v decides
-    (see `cut_vertex_shores`): X+v second when K is entered by another
-    component, X+v first when K is not entered but has an edge leaving it,
-    and the lexicographically smaller shore first when K has neither, since
-    then both orientations are valid.  The picked orientation is asserted to
-    be a directed separation.  Both shores must have >= 2 vertices, which
-    here just excludes the Y = empty case.
-
-    `minus[v]` is the list of strong components of d - v, in a reverse
-    topological order of its condensation, for every vertex v; a caller that
-    already knows them passes them in.  When `minus` is not given, each list
-    is `strong_components(d, (v,))`.  The result does not depend on which
-    reverse topological order a list is in.
+    (see `cut_vertex_shores` and `orient_cut_separation`): X+v second when K
+    is entered by another component, X+v first when K is not entered but has
+    an edge leaving it, and the lexicographically smaller shore first when K
+    has neither, since then both orientations are valid.  The picked
+    orientation is asserted to be a directed separation.  Both shores must
+    have >= 2 vertices, which here just excludes the Y = empty case.  The
+    recogniser does not call this: its s-decomposition keeps the entries
+    of each piece and carries them from piece to piece.
     """
-    if minus is None:
-        minus = [strong_components(d, (v,)) for v in range(d.n)]
     found = {}
     for v in range(d.n):
-        for _, x, x_first in cut_vertex_shores(d, v, minus[v]):
+        for _, x, x_first in cut_vertex_shores(d, v):
             p = d.vertex_set - x
             if len(p) < 2:
                 continue
@@ -349,18 +366,7 @@ def tight_separations(d, minus=None):
             key = frozenset((p, q))
             if key in found:
                 continue
-            if x_first is None:
-                # The shores meet in v alone, so their sorted tuples differ
-                # at the first element, or at the second when both start
-                # with v.
-                least_p, least_q = min(p), min(q)
-                if least_p == least_q:
-                    least_p, least_q = min(p - {v}), min(x)
-                first, second = (p, q) if least_p < least_q else (q, p)
-            elif x_first:
-                first, second = q, p
-            else:
-                first, second = p, q
+            first, second, _ = orient_cut_separation(p, q, v, x, x_first)
             assert is_directed_separation(d, first, second), (
                 "constructed shores admit no valid orientation"
             )

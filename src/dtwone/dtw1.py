@@ -2,7 +2,10 @@
 
 The positive route splits the digraph along a maximal laminar family of
 one-vertex separations; when every resulting piece is a digon the width-one
-decomposition can be read off.  The negative route contracts a large piece
+decomposition can be read off.  Only the whole digraph takes a Tarjan pass
+per vertex: a split piece carries its parent's candidate separations over,
+and recomputes only its new cut vertex and the vertices where the split
+drops a strong component.  The negative route contracts a large piece
 down to a bidirected cycle or the four-vertex digraph A4, recording every
 deletion and butterfly contraction so the embedding can be replayed; no
 cycle of the digraph is enumerated.  The embedding is the whole NO
@@ -17,7 +20,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from functools import cached_property
+from typing import NamedTuple, Optional
 
 from .check import (
     DirectedTreeDecomposition,
@@ -41,10 +45,10 @@ from .digraph import (
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
+    orient_cut_separation,
     quotient,
     separations_cross,
     strong_components,
-    tight_separations,
 )
 from .games import Haven, haven_from_minor
 from .games import verify_haven  # noqa: F401  (bench/tracer.py wraps this binding)
@@ -444,9 +448,9 @@ def _collapse_piece(d: Digraph, territory, attachments) -> tuple[Digraph, tuple]
     return quotient(d, label_of)
 
 
-def _lifted_shores(attachments, local_sep, labels) -> tuple[set, set]:
-    """The shores of a separation of the collapsed piece, expanded back to
-    the whole digraph.
+def _lifted_shores(attachments, shore_a, shore_b) -> tuple[set, set]:
+    """The shores of a separation of a collapsed piece, given as label sets,
+    expanded back to the whole digraph.
 
     Collapsed far shores re-enter on the side their cut vertex lies on; a cut
     vertex on the separator sends its shore to the side matching the shore's
@@ -454,8 +458,8 @@ def _lifted_shores(attachments, local_sep, labels) -> tuple[set, set]:
     meets the territory only in its cut, so adding it to a side never moves
     another cut vertex.
     """
-    shore_a = {labels[i] for i in local_sep.shoreA}
-    shore_b = {labels[i] for i in local_sep.shoreB}
+    shore_a = set(shore_a)
+    shore_b = set(shore_b)
     for (cut, far, far_is_a) in attachments:
         if cut in shore_a and (far_is_a or cut not in shore_b):
             shore_a |= far
@@ -464,10 +468,10 @@ def _lifted_shores(attachments, local_sep, labels) -> tuple[set, set]:
     return shore_a, shore_b
 
 
-def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
+def _lift_separation(d, attachments, shore_a, shore_b) -> TightSeparation:
     """The lifted separation (see `_lifted_shores`), asserted to be a
     directed separation of d."""
-    shore_a, shore_b = _lifted_shores(attachments, local_sep, labels)
+    shore_a, shore_b = _lifted_shores(attachments, shore_a, shore_b)
     lifted = TightSeparation(frozenset(shore_a), frozenset(shore_b))
     assert is_directed_separation(d, lifted.shoreA, lifted.shoreB), (
         "lifted shores stopped being a directed separation"
@@ -475,57 +479,102 @@ def _lift_separation(d, attachments, local_sep, labels) -> TightSeparation:
     return lifted
 
 
-def _least_candidate(d: Digraph, territory, attachments, inherited):
-    """The piece's lexicographically least lifted separation, the first of
-    equals, or None when the piece has none; returned with the piece's table
-    of strong components.
+class _Entry(NamedTuple):
+    """One `cut_vertex_shores` entry of a piece at a vertex v, with its key.
 
-    The table maps each vertex v of the territory to the strong components
-    of the collapsed piece minus v, as sets of labels, in a reverse
-    topological order of their condensation.  A split piece takes its whole
-    table over from its parent (`inherited`, see `_inherit` and
-    `s_decomposition`); only the root piece, which inherits nothing, takes
-    one Tarjan pass per vertex.  The piece is collapsed once and
-    `tight_separations` reads the table instead of recomputing it.  Each
-    local separation is keyed by its sorted lifted shores, and only the
-    least is lifted as a `TightSeparation` and asserted: lifting keeps the
-    local shores as the lifted shores' trace on the territory, so distinct
-    local separations have distinct keys.  A piece without a candidate is
-    finished, and its collapsed piece is asserted to be strongly
-    2-connected here.
+    The X-shore is x's trace on the piece's territory: x may still hold
+    vertices an ancestor piece dropped.  key is the entry's separation,
+    oriented by `orient_cut_separation` and lifted to d, as its pair of
+    sorted shores; it is None when the other shore is v alone, which makes
+    no candidate.  pivots is the pair of vertices whose comparison chose the
+    orientation when x_first is None, and () otherwise.
     """
-    collapsed, labels = _collapse_piece(d, territory, attachments)
-    if inherited:
-        table = inherited
-        index = {label: i for i, label in enumerate(labels)}
-        minus = [
-            [frozenset(map(index.__getitem__, k)) for k in table[label]] for label in labels
-        ]
-    else:
-        minus = [strong_components(collapsed, (i,)) for i in range(collapsed.n)]
-        table = {
-            label: [frozenset(map(labels.__getitem__, k)) for k in local]
-            for label, local in zip(labels, minus)
-        }
 
-    def lifted_key(local):
-        shore_a, shore_b = _lifted_shores(attachments, local, labels)
-        return tuple(sorted(shore_a)), tuple(sorted(shore_b))
-
-    best = min(tight_separations(collapsed, minus), key=lifted_key, default=None)
-    if best is None:
-        assert is_strongly_2_connected(collapsed), (
-            "a finished piece must be strongly 2-connected"
-        )
-        return None, table
-    return _lift_separation(d, attachments, best, labels), table
+    x: frozenset
+    x_first: Optional[bool]
+    key: Optional[tuple]
+    pivots: tuple
 
 
-def _inherit(table, territory) -> dict:
-    """A split piece's table, taken over from its parent's: for every
-    territory vertex, each parent component restricted to the territory,
-    empty ones dropped, order kept."""
-    return {v: [part for k in table[v] if (part := k & territory)] for v in territory}
+@dataclass
+class _Piece:
+    """A live piece of the s-decomposition.
+
+    The collapsed piece has every far shore contracted onto its cut vertex;
+    its vertex i stands for the territory vertex labels[i].  `entries[v]`,
+    for each territory vertex v, lists v's `_Entry`s, one per strong
+    component of the collapsed piece minus v, in a reverse topological
+    order of the condensation.
+    """
+
+    territory: frozenset
+    collapsed: Digraph
+    labels: tuple
+    attachments: list
+    entries: dict
+
+    @cached_property
+    def index(self) -> dict:
+        """The inverse of labels."""
+        return {label: i for i, label in enumerate(self.labels)}
+
+
+def _entry(piece: _Piece, v, x, x_first) -> _Entry:
+    """v's entry in the piece for the X-shore x, a set of territory vertices."""
+    p = piece.territory - x
+    if len(p) < 2:
+        return _Entry(x, x_first, None, ())
+    first, second, pivots = orient_cut_separation(p, x | {v}, v, x, x_first)
+    shore_a, shore_b = _lifted_shores(piece.attachments, first, second)
+    return _Entry(x, x_first, (tuple(sorted(shore_a)), tuple(sorted(shore_b))), pivots)
+
+
+def _fresh_entries(piece: _Piece, v, comps) -> list:
+    """v's entries computed afresh from `comps`, the strong components of the
+    collapsed piece minus v as label sets, in a reverse topological order."""
+    index = piece.index
+    local = [frozenset(map(index.__getitem__, k)) for k in comps]
+    labels = piece.labels
+    return [
+        _entry(piece, v, frozenset(map(labels.__getitem__, x)), x_first)
+        for _, x, x_first in cut_vertex_shores(piece.collapsed, index[v], local)
+    ]
+
+
+def _least_entry(piece: _Piece):
+    """(v, entry) for an entry of the piece with the least key, the first of
+    equals, or None when no entry is a candidate."""
+    candidates = (
+        (v, entry) for v, entries in piece.entries.items()
+        for entry in entries if entry.key is not None
+    )
+    return min(candidates, key=lambda pair: pair[1].key, default=None)
+
+
+def _split_off(parent: _Piece, territory, cut, attachments, minus, where) -> _Piece:
+    """The child of `parent` that keeps `territory` after a split at `cut`,
+    with its entries carried over or recomputed (see `s_decomposition`)."""
+    dropped = parent.territory - territory
+    collapsed, labels = quotient(
+        parent.collapsed, [cut if u in dropped else u for u in parent.labels]
+    )
+    piece = _Piece(territory, collapsed, labels, attachments, {})
+    for v in labels:
+        row = where[v]
+        home = row[cut]
+        if v == cut or any(row[u] != home for u in dropped):
+            comps = [part for k in minus[v] if (part := k & territory)]
+            piece.entries[v] = _fresh_entries(piece, v, comps)
+            continue
+        entries = parent.entries[v]
+        if not all(dropped.isdisjoint(entry.pivots) for entry in entries):
+            entries = [
+                entry if dropped.isdisjoint(entry.pivots)
+                else _entry(piece, v, entry.x & territory, entry.x_first)
+                for entry in entries
+            ]
+        piece.entries[v] = entries
+    return piece
 
 
 def s_decomposition(d: Digraph) -> SDecomposition:
@@ -545,44 +594,84 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     change afterwards; the family is checked to be laminar before it is
     returned.
 
-    The search of a piece needs the strong components of its collapsed
-    piece minus each vertex.  A split piece inherits them from its parent
-    for every vertex but the new cut c, which is exact.  Let Q be the
-    parent's collapsed piece, split along (A, B) with A and B meeting in c.
-    Q is strongly connected and no edge runs from B-only to A-only, so every
-    B-only vertex reaches c inside B, and every A-only vertex is reached
-    from c inside A.  For v in A - {c}, a path of Q - v between vertices of
-    A that enters B-only leaves it through c, and an edge a -> b into B-only
-    continues to c without meeting v.  So reachability among A's vertices is
-    the same in Q - v as in Q_A - v, where Q_A is Q with B merged into c:
-    the A side's collapsed piece.  Its strong components are the non-empty
-    K & T_A over the components K of Q - v, T_A the A side's territory, and
-    the parent's order stays a reverse topological order, because every
-    edge a -> c that Q_A - v gains stands for a path a -> b ~> c of Q - v.
-    The B side is the same argument with every edge reversed.  The cut c
-    inherits too.  No component of Q - c straddles the cut: a path from a
-    B-only vertex to an A-only vertex needs an edge from B-only to A-only
-    or passes through c.  So each component of Q - c lies in A-only or in
-    B-only, Q_A - c is Q - c restricted to A-only, and its components are
-    those that lie there, in the parent's order; likewise for the B side.
-    Only the root piece takes Tarjan passes, one per vertex.
+    A piece's candidates are its entries (see `_Piece`): every X-shore of a
+    strong component of the collapsed piece minus a vertex, keyed by its
+    lifted separation.  Only the winner is lifted as a separation and
+    asserted, and its key is asserted to be that lift.  The root piece
+    computes its entries with one Tarjan pass per vertex.  A split piece
+    takes most of its entries over from its parent, unchanged.  Let Q be
+    the parent's collapsed piece, split along (A, B) at c, and take the A
+    side, with territory T' = T_A, which drops D, the B-only vertices; the
+    B side is the same with every edge reversed.  Q is strongly connected
+    and no edge runs from B-only to A-only, so every vertex of D reaches c
+    inside B.
+
+    - Components.  For every v in T', the strong components of the child's
+      collapsed piece minus v are the non-empty K & T' over the components
+      K of Q - v, in the same reverse topological order.  For v other than
+      c, a path of Q - v between vertices of T' that enters D leaves it
+      through c, and an edge into D continues to c without meeting v; so
+      reachability within T' is unchanged, and each edge into c that the
+      child gains stands for a path of Q - v.  No component of Q - c meets
+      both D and the rest, since a path from D to A-only passes through c,
+      and the child minus c is Q - c without D.  So the root's Tarjan
+      passes, restricted to T', give every piece's components.
+    - Carry-over.  For v in T' other than c, every component of Q - v that
+      meets D and is not inside it holds c, since a path out of D leaves it
+      through c.  When no component of Q - v lies inside D, D lies in c's
+      component, and merging D into c changes no edge of the condensation:
+      an edge into or out of D becomes one into or out of c, in the same
+      component.  So v's entries carry over with each X-shore restricted to
+      T' and the same x_first, in the same order.  Their candidates are the
+      same too: if c's component lies in X, the other shore keeps every
+      vertex, and otherwise it keeps c and v.
+    - Keys.  A carried entry's lift in the child is its lift in the parent.
+      c is not on the separator, so in the parent D, the far shores
+      attached in D and every far shore at c go to c's side.  In the child
+      the B side's part of them is the new far shore at c, and goes to c's
+      side too; every other far shore keeps its cut vertex and its side.
+      So the key carries over, unless x_first is None and a pivot lies in
+      D, the one case where the orientation may flip; such an entry is
+      re-keyed.
+    - Recomputed.  c, and every v with a component of Q - v inside D, take
+      their entries afresh: `cut_vertex_shores` on the child's collapsed
+      piece, with the root's components restricted to T'.  `where[v][u]`,
+      the index of u's root component of d - v, tells which: a component
+      of Q - v lies inside D exactly when a vertex of D is not in c's.
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
     if not is_strongly_connected(d):
         raise ValueError("need a strongly connected digraph")
 
-    pieces = [frozenset(range(d.n))]  # the territory of each piece, by index
+    minus = [strong_components(d, (v,)) for v in range(d.n)]
+    where = []
+    for comps in minus:
+        row = [-1] * d.n
+        for i, k in enumerate(comps):
+            for u in k:
+                row[u] = i
+        where.append(row)
+    root = _Piece(frozenset(range(d.n)), d, tuple(range(d.n)), [], {})
+    root.entries = {v: _fresh_entries(root, v, minus[v]) for v in range(d.n)}
+
+    pieces = [root.territory]  # the territory of each piece, by index
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
-    work = [(0, {})]  # (piece index, table entries inherited from its parent)
+    work = [(0, root)]
 
     while work:
-        pi, inherited = work.pop()
-        sep, table = _least_candidate(
-            d, pieces[pi], _attachments(tree_edges, pi), inherited
-        )
-        if sep is None:
+        pi, piece = work.pop()
+        best = _least_entry(piece)
+        if best is None:
+            assert is_strongly_2_connected(piece.collapsed), (
+                "a finished piece must be strongly 2-connected"
+            )
             continue
+        v, (x, x_first, key, _) = best
+        x = x & piece.territory
+        first, second, _ = orient_cut_separation(piece.territory - x, x | {v}, v, x, x_first)
+        sep = _lift_separation(d, piece.attachments, first, second)
+        assert sep.sort_key() == key, "an entry's key must be its lifted separation"
         old = pieces[pi]
         pieces[pi] = old & sep.shoreA
         new_index = len(pieces)
@@ -606,7 +695,10 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             rewired.append((ai, bi, s))
         tree_edges = rewired
         tree_edges.append((pi, new_index, sep))
-        work += [(i, _inherit(table, pieces[i])) for i in (pi, new_index)]
+        work += [
+            (i, _split_off(piece, pieces[i], v, _attachments(tree_edges, i), minus, where))
+            for i in (pi, new_index)
+        ]
 
     for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2):
         assert not separations_cross(s, t), "family must be pairwise laminar"

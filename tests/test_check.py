@@ -98,3 +98,16 @@ class TestMalformedWitnesses:
         for report in self.reports(script=(step,)):
             assert report.violations == (message,)
             assert not report.valid
+
+    @pytest.mark.parametrize("branch_set", [5, None])
+    def test_a_branch_set_that_is_not_a_collection(self, branch_set):
+        sets = {**recognize_dtw1(bicycle(4)).witness.branch_sets, 1: branch_set}
+        for report in self.reports(branch_sets=sets):
+            assert report.violations == ("branch set 1 is not a set of vertices",)
+            assert not report.valid
+
+    @pytest.mark.parametrize("script", [None, 7])
+    def test_a_script_that_is_not_a_sequence(self, script):
+        for report in self.reports(script=script):
+            assert report.violations == (f"script {script!r} is not a sequence of steps",)
+            assert not report.valid

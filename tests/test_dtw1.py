@@ -17,6 +17,7 @@ from dtwone.digraph import (
     bicycle,
     bidirect,
     butterfly_dominating_vertices,
+    cut_vertex_shores,
     digraph_from_edges,
     directed_cycle_digraph,
     is_strongly_2_connected,
@@ -53,6 +54,7 @@ from dtwone.formats import (
 from dtwone.games import solve_game
 from test_digraph import (
     delete_vertex,
+    reference_is_directed_separation,
     random_strongly_connected,
     random_tree_edges,
     reference_tight_separations,
@@ -830,7 +832,9 @@ def reference_s_decomposition(d):
             collapsed, labels = dtw1._collapse_piece(d, piece.territory, piece.attachments)
             for local in reference_tight_separations(collapsed):
                 lifted = reference_lift_separation(d, piece.attachments, local, labels)
-                assert lifted == dtw1._lift_separation(d, piece.attachments, local, labels)
+                local_a = {labels[i] for i in local.shoreA}
+                local_b = {labels[i] for i in local.shoreB}
+                assert lifted == dtw1._lift_separation(d, piece.attachments, local_a, local_b)
                 key = lifted.sort_key()
                 if best is None or key < best[0]:
                     best = (key, pi, lifted)
@@ -876,10 +880,153 @@ def reference_s_decomposition(d):
     return record, [pieces[i].attachments for i in order]
 
 
+def pruned(rng, d):
+    """d with a seeded share of its arcs dropped, each only when d stays
+    strongly connected without it."""
+    edges = set(d.edges)
+    arcs = sorted(edges)
+    rng.shuffle(arcs)
+    for e in arcs[: rng.randint(1, len(arcs))]:
+        if is_strongly_connected(Digraph(d.n, frozenset(edges - {e}))):
+            edges.discard(e)
+    return Digraph(d.n, frozenset(edges))
+
+
+def ear_decomposition(rng, n):
+    """A directed cycle plus seeded ears, each a directed path of up to three
+    new vertices between two old ones, until there are n vertices; strongly
+    connected by construction."""
+    size = rng.randint(2, min(n, 5))
+    edges = {(i, (i + 1) % size) for i in range(size)}
+    while size < n or rng.random() < 0.4:
+        new = rng.randint(0, min(3, n - size))
+        u, w = rng.randrange(size), rng.randrange(size)
+        if new == 0 and u == w:
+            continue
+        path = [u, *range(size, size + new), w]
+        edges |= set(zip(path, path[1:]))
+        size += new
+    return Digraph(size, frozenset(edges))
+
+
+def relabelled(rng, d):
+    """d with its vertices renamed by a seeded permutation."""
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return Digraph(d.n, frozenset((perm[a], perm[b]) for (a, b) in d.edges))
+
+
+def carry_over_corpus():
+    """`separation_corpus()` plus seeded inputs whose splits drop more than
+    a digon or drop the least vertex of a shore: relabelled bidirected trees
+    and trees plus a triangle on at most 40 vertices, pruned or not, ear
+    decompositions, and dense random digraphs."""
+    yield from separation_corpus()
+    rng = random.Random(418)
+    for _ in range(8):
+        for d in (
+            bidirect(n := rng.randint(3, 40), random_tree_edges(rng, n)),
+            tree_plus_triangle(rng, rng.randint(3, 40)),
+        ):
+            yield relabelled(rng, d)
+            yield relabelled(rng, pruned(rng, d))
+    for _ in range(150):
+        yield ear_decomposition(rng, rng.randint(3, 16))
+    for _ in range(60):
+        yield random_strongly_connected(rng, rng.randint(4, 10), rng.choice([0.5, 0.7]))
+
+
+def record_searches(monkeypatch):
+    """A list that gets (piece, least entry) for every searched piece."""
+    searched = []
+    least_entry = dtw1._least_entry
+
+    def recording(piece):
+        searched.append((piece, least_entry(piece)))
+        return searched[-1][1]
+
+    monkeypatch.setattr(dtw1, "_least_entry", recording)
+    return searched
+
+
+def count_paths(monkeypatch):
+    """Counters of the three ways a split piece gets an entry: carried over
+    unchanged, re-keyed, or computed afresh at a recomputed vertex."""
+    counts = {"carried": 0, "re-keyed": 0, "recomputed vertices": 0, "recomputed entries": 0}
+    fresh = set()
+    fresh_entries = dtw1._fresh_entries
+    split_off = dtw1._split_off
+
+    def recomputing(piece, v, comps):
+        fresh.add((id(piece), v))
+        return fresh_entries(piece, v, comps)
+
+    def splitting(parent, *args):
+        child = split_off(parent, *args)
+        for v, entries in child.entries.items():
+            if (id(child), v) in fresh:
+                counts["recomputed vertices"] += 1
+                counts["recomputed entries"] += len(entries)
+                continue
+            old = parent.entries[v]
+            assert len(entries) == len(old)
+            same = sum(a is b for a, b in zip(entries, old))
+            counts["carried"] += same
+            counts["re-keyed"] += len(entries) - same
+        fresh.clear()
+        return child
+
+    monkeypatch.setattr(dtw1, "_fresh_entries", recomputing)
+    monkeypatch.setattr(dtw1, "_split_off", splitting)
+    return counts
+
+
+def reference_entries(d, territory, attachments):
+    """Each territory vertex's entries, from `cut_vertex_shores` on the freshly
+    collapsed piece with a fresh Tarjan pass, as (X-shore, x_first, key)
+    triples in label sets, key the `reference_lift_separation` of the
+    shores in the orientation the edge scan finds valid."""
+    collapsed, labels = dtw1._collapse_piece(d, territory, attachments)
+    index = {label: j for j, label in enumerate(labels)}
+
+    def local(shore):
+        return frozenset(map(index.__getitem__, shore))
+
+    out = {}
+    for i, v in enumerate(labels):
+        triples = []
+        for _, x, x_first in cut_vertex_shores(collapsed, i):
+            x = frozenset(labels[j] for j in x)
+            p, q = frozenset(labels) - x, x | {v}
+            key = None
+            if len(p) >= 2:
+                pq = reference_is_directed_separation(collapsed, local(p), local(q))
+                qp = reference_is_directed_separation(collapsed, local(q), local(p))
+                if pq and qp:
+                    first, second = sorted((p, q), key=lambda s: tuple(sorted(s)))
+                else:
+                    first, second = (p, q) if pq else (q, p)
+                local_sep = TightSeparation(local(first), local(second))
+                key = reference_lift_separation(d, attachments, local_sep, labels).sort_key()
+            triples.append((x, x_first, key))
+        out[v] = triples
+    return out
+
+
+def canonical(entries):
+    """(X-shore, x_first, key) triples in an order that does not depend on
+    how their sets were built."""
+    return sorted((tuple(sorted(x)), repr(x_first), key or ()) for (x, x_first, key) in entries)
+
+
 class TestSDecompositionCache:
-    def test_matches_the_round_by_round_search(self):
+    def test_matches_the_round_by_round_search(self, monkeypatch):
+        # Every carry-over path must fire on this corpus.  Recorded counts:
+        # 32,541 carried entries, 413 re-keyed, and 16,058 recomputed
+        # vertices with 14,346 entries.
+        counts = count_paths(monkeypatch)
         split = 0
-        for d in separation_corpus():
+        for d in carry_over_corpus():
             if d.n < 2:
                 continue
             got = s_decomposition(d)
@@ -893,9 +1040,13 @@ class TestSDecompositionCache:
                 )
             split += len(got.edges) >= 2
         assert split >= 100, split
+        floors = {"carried": 30_000, "re-keyed": 350, "recomputed vertices": 15_000,
+                  "recomputed entries": 13_000}
+        assert all(counts[k] >= floor for k, floor in floors.items()), counts
 
-    # Work counts on one 40-vertex tree: a per-piece Tarjan pass or a lift
-    # per candidate coming back fails one of the next three tests.
+    # Work counts on one 40-vertex tree: a per-piece Tarjan pass, a lift
+    # per candidate or a recomputed vertex beyond each new cut coming back
+    # fails one of the next three tests.
     def test_one_tarjan_pass_per_root_vertex(self, monkeypatch):
         removed_counts = []
 
@@ -909,18 +1060,18 @@ class TestSDecompositionCache:
         assert len(sdec.edges) == 38
         assert removed_counts.count(1) == 40
 
-    def test_each_piece_is_searched_once(self, monkeypatch):
-        calls = []
-
-        def counted(d, *args, **kwargs):
-            calls.append(d.n)
-            return tight_separations(d, *args, **kwargs)
-
-        monkeypatch.setattr(dtw1, "tight_separations", counted)
-        rng = random.Random(40)
-        sdec = s_decomposition(bidirect(40, random_tree_edges(rng, 40)))
+    def test_only_the_new_cut_is_recomputed(self, monkeypatch):
+        # Each split piece recomputes only its new cut vertex; every other
+        # entry carries over.  The searched piece sizes add up to 895, about
+        # n^2/2: ROADMAP item 12's one-digon peel.
+        counts = count_paths(monkeypatch)
+        searched = record_searches(monkeypatch)
+        sdec = s_decomposition(bidirect(40, random_tree_edges(random.Random(40), 40)))
         assert len(sdec.edges) == 38
-        assert len(calls) == 1 + 2 * len(sdec.edges)
+        assert counts["recomputed vertices"] == 2 * len(sdec.edges)
+        assert counts["re-keyed"] == 0
+        assert len(searched) == 1 + 2 * len(sdec.edges)
+        assert sum(len(piece.territory) for piece, _ in searched) == 895
 
     def test_only_each_split_is_lifted(self, monkeypatch):
         lifted = []
@@ -941,79 +1092,55 @@ class TestSDecompositionCache:
     def test_each_piece_keeps_the_least_reference_lift(self, monkeypatch):
         # Only the winner is lifted as a separation; it must still be the
         # least of every candidate's full lift.
-        recorded = []
-        least_candidate = dtw1._least_candidate
-
-        def recording(d, territory, attachments, inherited):
-            best, table = least_candidate(d, territory, attachments, inherited)
-            recorded.append((d, territory, attachments, best))
-            return best, table
-
-        monkeypatch.setattr(dtw1, "_least_candidate", recording)
+        searched = record_searches(monkeypatch)
         rng = random.Random(420)
-        corpus = [d for d in separation_corpus() if d.n >= 2]
+        corpus = [d for d in carry_over_corpus() if d.n >= 2]
         for _ in range(10):
             corpus.append(bidirect(n := rng.randint(2, 40), random_tree_edges(rng, n)))
             corpus.append(tree_plus_triangle(rng, rng.randint(3, 40)))
-        for d in corpus:
-            s_decomposition(d)
         chosen = 0
-        for d, territory, attachments, best in recorded:
-            collapsed, labels = dtw1._collapse_piece(d, territory, attachments)
-            lifts = [
-                reference_lift_separation(d, attachments, local, labels)
-                for local in tight_separations(collapsed)
-            ]
-            assert best == min(lifts, key=TightSeparation.sort_key, default=None), (
-                sorted(d.edges), sorted(territory)
-            )
-            chosen += len(lifts) >= 2
+        for d in corpus:
+            searched.clear()
+            s_decomposition(d)
+            for piece, best in searched:
+                collapsed, labels = dtw1._collapse_piece(d, piece.territory, piece.attachments)
+                lifts = [
+                    reference_lift_separation(d, piece.attachments, local, labels)
+                    for local in tight_separations(collapsed)
+                ]
+                least = min(lifts, key=TightSeparation.sort_key, default=None)
+                assert (best and best[1].key) == (least and least.sort_key()), (
+                    sorted(d.edges), sorted(piece.territory)
+                )
+                chosen += len(lifts) >= 2
         assert chosen >= 3_000, chosen
 
 
-class TestInheritedComponents:
-    def test_tables_match_a_fresh_tarjan_pass(self, monkeypatch):
-        # Every piece's table, inherited or not, against the strong
-        # components of its collapsed piece minus each vertex.
-        recorded = []
-        least_candidate = dtw1._least_candidate
-
-        def recording(d, territory, attachments, inherited):
-            best, table = least_candidate(d, territory, attachments, inherited)
-            recorded.append((d, territory, attachments, len(inherited), table))
-            return best, table
-
-        monkeypatch.setattr(dtw1, "_least_candidate", recording)
+class TestCarriedEntries:
+    def test_entries_match_a_fresh_tarjan_pass(self, monkeypatch):
+        # Every piece's entries at every vertex, carried or fresh, against
+        # `cut_vertex_shores` on its freshly collapsed piece, keys included.
+        searched = record_searches(monkeypatch)
         rng = random.Random(410)
-        corpus = list(separation_corpus())
+        corpus = [d for d in carry_over_corpus() if d.n >= 2]
         for _ in range(10):
             corpus.append(bidirect(n := rng.randint(2, 40), random_tree_edges(rng, n)))
             corpus.append(tree_plus_triangle(rng, rng.randint(3, 40)))
+        checked = 0
         for d in corpus:
-            if d.n >= 2:
-                s_decomposition(d)
-        inherited = checked = 0
-        for d, territory, attachments, inherited_count, table in recorded:
-            collapsed, labels = dtw1._collapse_piece(d, territory, attachments)
-            assert set(table) == set(territory)
-            # A split piece inherits every entry, the root piece none.
-            assert inherited_count == (len(territory) if attachments else 0)
-            for i, label in enumerate(labels):
-                expected = [frozenset(labels[j] for j in k) for k in strong_components(collapsed, (i,))]
-                assert set(table[label]) == set(expected), (sorted(d.edges), sorted(territory), label)
-                position = {u: ci for ci, k in enumerate(table[label]) for u in k}
-                for (a, b) in collapsed.edges:
-                    if i not in (a, b):
-                        assert position[labels[a]] >= position[labels[b]], (
-                            sorted(d.edges), sorted(territory), label, (a, b)
-                        )
-                checked += 1
-            inherited += inherited_count
-        # 43,254 entries in 10,893 pieces: 34,055 inherited, and the 9,199
-        # of the root pieces from a fresh pass.
-        roots = sum(d.n for d in corpus if d.n >= 2)
-        assert checked - inherited == roots, (inherited, checked, roots)
-        assert inherited >= 34_000 and roots >= 9_000, (inherited, roots)
+            searched.clear()
+            s_decomposition(d)
+            for piece, _ in searched:
+                expected = reference_entries(d, piece.territory, piece.attachments)
+                assert set(piece.entries) == set(piece.territory)
+                for v, entries in piece.entries.items():
+                    got = [(x & piece.territory, x_first, key) for (x, x_first, key, _) in entries]
+                    assert canonical(got) == canonical(expected[v]), (
+                        sorted(d.edges), sorted(piece.territory), v
+                    )
+                    checked += len(got)
+        # 71,433 entries, carried or fresh.
+        assert checked >= 70_000, checked
 
 
 class TestRecognize:
