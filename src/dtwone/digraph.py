@@ -119,13 +119,18 @@ def strong_components(d, removed=()):
     vertices are marked visited before the first root, so the result is the
     list the induced subgraph on the other vertices would give, renumbered
     densely, in the same order, in the original names.
+
+    A removed or finished vertex has index n, above every live index, so it
+    never lowers a low link and no on-stack flag is needed.  Each frame
+    keeps its vertex's place on the stack, and a finished component leaves
+    the stack as one slice.
     """
     n = d.n
+    out = d._out
     index = [None] * n
     for x in removed:
-        index[x] = -1
+        index[x] = n
     low = [0] * n
-    on_stack = [False] * n
     stack = []
     comps = []
     counter = 0
@@ -135,38 +140,31 @@ def strong_components(d, removed=()):
         index[root] = low[root] = counter
         counter += 1
         stack.append(root)
-        on_stack[root] = True
-        work = [(root, iter(d.out_neighbours(root)))]
+        work = [(root, iter(out[root]), 0)]
         while work:
-            v, it = work[-1]
-            pushed = False
+            v, it, at = work[-1]
             for w in it:
-                if index[w] is None:
+                seen = index[w]
+                if seen is None:
                     index[w] = low[w] = counter
                     counter += 1
+                    work.append((w, iter(out[w]), len(stack)))
                     stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(d.out_neighbours(w))))
-                    pushed = True
                     break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
-            if pushed:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                if low[v] < low[parent]:
-                    low[parent] = low[v]
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(frozenset(comp))
+                if seen < low[v]:
+                    low[v] = seen
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    if low[v] < low[parent]:
+                        low[parent] = low[v]
+                if low[v] == index[v]:
+                    comp = stack[at:]
+                    del stack[at:]
+                    for w in comp:
+                        index[w] = n
+                    comps.append(frozenset(comp))
     return comps
 
 
@@ -246,6 +244,11 @@ class TightSeparation:
     def sort_key(self):
         return (tuple(sorted(self.shoreA)), tuple(sorted(self.shoreB)))
 
+    @cached_property
+    def masks(self):
+        """shoreA and shoreB as int bitmasks, bit v for vertex v."""
+        return sum(1 << v for v in self.shoreA), sum(1 << v for v in self.shoreB)
+
 
 def is_directed_separation(d, shore_a, shore_b):
     """True if (shore_a, shore_b) covers V and no edge runs from B-only to A-only."""
@@ -261,10 +264,12 @@ def is_directed_separation(d, shore_a, shore_b):
 
 def separations_cross(s, t):
     """Crossing test on stored orientations: (A,B) and (C,D) cross when A∩C,
-    B∩D, (A∩D)∖(B∩C) and (B∩C)∖(A∩D) are all non-empty."""
-    a, b = s.shoreA, s.shoreB
-    c, dd = t.shoreA, t.shoreB
-    return bool(a & c) and bool(b & dd) and bool((a & dd) - (b & c)) and bool((b & c) - (a & dd))
+    B∩D, (A∩D)∖(B∩C) and (B∩C)∖(A∩D) are all non-empty.  The sets are the
+    separations' cached `masks`, so each test is a few int operations."""
+    a, b = s.masks
+    c, dd = t.masks
+    ad, bc = a & dd, b & c
+    return bool(a & c) and bool(b & dd) and bool(ad & ~bc) and bool(bc & ~ad)
 
 
 def cut_vertex_shores(d, v, comps=None):

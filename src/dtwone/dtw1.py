@@ -19,6 +19,7 @@ checker cannot disagree on what a step means.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Optional
@@ -427,7 +428,8 @@ class SDecomposition:
 def _attachments(tree_edges, p) -> list:
     """The far shores of piece p as (cut vertex, far shore, far is an
     A-shore), one per tree edge (A-side piece, B-side piece, separation) at
-    p, sorted by cut vertex and far shore."""
+    p, sorted by cut vertex and far shore.  Edges not at p are skipped, so
+    `tree_edges` may be the whole tree or only p's incident edges."""
     out = []
     for (ai, bi, sep) in tree_edges:
         if ai == p:
@@ -504,7 +506,9 @@ class _Piece:
     its vertex i stands for the territory vertex labels[i].  `entries[v]`,
     for each territory vertex v, lists v's `_Entry`s, one per strong
     component of the collapsed piece minus v, in a reverse topological
-    order of the condensation.
+    order of the condensation.  A split builds a piece only when its
+    territory has three or more vertices: a two-vertex piece is final (see
+    `s_decomposition`).
     """
 
     territory: frozenset
@@ -553,16 +557,23 @@ def _least_entry(piece: _Piece):
 
 def _split_off(parent: _Piece, territory, cut, attachments, minus, where) -> _Piece:
     """The child of `parent` that keeps `territory` after a split at `cut`,
-    with its entries carried over or recomputed (see `s_decomposition`)."""
+    with its entries carried over or recomputed (see `s_decomposition`).
+
+    The recomputed vertices are the cut and every v at which some dropped
+    u lies in another root component of d - v than the cut does: the
+    positions where the columns where[u] and where[cut] differ.
+    """
     dropped = parent.territory - territory
     collapsed, labels = quotient(
         parent.collapsed, [cut if u in dropped else u for u in parent.labels]
     )
     piece = _Piece(territory, collapsed, labels, attachments, {})
+    home = where[cut]
+    fresh = {cut}
+    for u in dropped:
+        fresh.update(itertools.compress(itertools.count(), map(operator.ne, where[u], home)))
     for v in labels:
-        row = where[v]
-        home = row[cut]
-        if v == cut or any(row[u] != home for u in dropped):
+        if v in fresh:
             comps = [part for k in minus[v] if (part := k & territory)]
             piece.entries[v] = _fresh_entries(piece, v, comps)
             continue
@@ -589,10 +600,18 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     that always splits the least candidate of all pieces, and numbering the
     nodes by sorted territory gives the same result.  The result keeps only
     each node's territory and the oriented tree edges, sorted by node pair.
-    Each finished piece is checked to be strongly 2-connected when its
-    search comes up empty, which is final because its attachments never
-    change afterwards; the family is checked to be laminar before it is
-    returned.
+    Each finished piece of three or more vertices is checked to be strongly
+    2-connected when its search comes up empty, which is final because its
+    attachments never change afterwards; the family is checked to be
+    laminar before it is returned.
+
+    A piece with two vertices is final as it stands, and is neither built
+    nor searched.  Its collapsed piece is a contraction of a strongly
+    connected digraph, so a digon: every entry's other shore would be v
+    alone, which makes no candidate, and `is_strongly_2_connected` holds on
+    two vertices by definition.  Each piece keeps the indices of its
+    incident tree edges, so a split rewires, and reads its children's
+    attachments from, the split piece's edges alone.
 
     A piece's candidates are its entries (see `_Piece`): every X-shore of a
     strong component of the collapsed piece minus a vertex, keyed by its
@@ -635,9 +654,10 @@ def s_decomposition(d: Digraph) -> SDecomposition:
       re-keyed.
     - Recomputed.  c, and every v with a component of Q - v inside D, take
       their entries afresh: `cut_vertex_shores` on the child's collapsed
-      piece, with the root's components restricted to T'.  `where[v][u]`,
+      piece, with the root's components restricted to T'.  `where[u][v]`,
       the index of u's root component of d - v, tells which: a component
-      of Q - v lies inside D exactly when a vertex of D is not in c's.
+      of Q - v lies inside D exactly when a vertex u of D is not in c's,
+      that is where[u][v] != where[c][v].
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
@@ -645,19 +665,18 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         raise ValueError("need a strongly connected digraph")
 
     minus = [strong_components(d, (v,)) for v in range(d.n)]
-    where = []
-    for comps in minus:
-        row = [-1] * d.n
+    where = [[-1] * d.n for _ in range(d.n)]
+    for v, comps in enumerate(minus):
         for i, k in enumerate(comps):
             for u in k:
-                row[u] = i
-        where.append(row)
+                where[u][v] = i
     root = _Piece(frozenset(range(d.n)), d, tuple(range(d.n)), [], {})
     root.entries = {v: _fresh_entries(root, v, minus[v]) for v in range(d.n)}
 
     pieces = [root.territory]  # the territory of each piece, by index
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
-    work = [(0, root)]
+    incident = [[]]  # the indices in tree_edges of each piece's edges
+    work = [(0, root)] if d.n > 2 else []
 
     while work:
         pi, piece = work.pop()
@@ -676,29 +695,24 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         pieces[pi] = old & sep.shoreA
         new_index = len(pieces)
         pieces.append(old & sep.shoreB)
-        rewired = []
-        for (ai, bi, s) in tree_edges:
-            if pi in (ai, bi):
-                far = s.shoreB if ai == pi else s.shoreA
-                inner = far - {s.cut_vertex}
-                if not inner - (sep.shoreA - sep.shoreB):
-                    keep = pi
-                else:
-                    assert not inner - (sep.shoreB - sep.shoreA), (
-                        "an old tree edge straddles the new separation"
-                    )
-                    keep = new_index
-                if ai == pi:
-                    ai = keep
-                else:
-                    bi = keep
-            rewired.append((ai, bi, s))
-        tree_edges = rewired
+        kept, moved = [], []
+        for e in incident[pi]:
+            ai, bi, s = tree_edges[e]
+            far = s.shoreB if ai == pi else s.shoreA
+            inner = far - {s.cut_vertex}
+            if inner.isdisjoint(sep.shoreB):
+                kept.append(e)
+                continue
+            assert inner.isdisjoint(sep.shoreA), "an old tree edge straddles the new separation"
+            moved.append(e)
+            tree_edges[e] = (new_index, bi, s) if ai == pi else (ai, new_index, s)
+        incident[pi] = kept + [len(tree_edges)]
+        incident.append(moved + [len(tree_edges)])
         tree_edges.append((pi, new_index, sep))
-        work += [
-            (i, _split_off(piece, pieces[i], v, _attachments(tree_edges, i), minus, where))
-            for i in (pi, new_index)
-        ]
+        for i in (pi, new_index):
+            if len(pieces[i]) > 2:
+                attachments = _attachments([tree_edges[e] for e in incident[i]], i)
+                work.append((i, _split_off(piece, pieces[i], v, attachments, minus, where)))
 
     for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2):
         assert not separations_cross(s, t), "family must be pairwise laminar"

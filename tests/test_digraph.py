@@ -144,6 +144,27 @@ class TestStrongComponents:
                 expected = [frozenset(old_ids[i] for i in c) for c in strong_components(sub)]
                 assert strong_components(d, removed) == expected, (sorted(d.edges), removed)
 
+    def test_matches_the_on_stack_reference(self):
+        # Same components in the same order as the version with an
+        # on-stack flag, on seeded digraphs that are strongly connected or
+        # not, minus 0-2 vertices.
+        rng = random.Random(112)
+        split = 0
+        for i in range(3_000):
+            n = rng.randint(1, 14)
+            p = rng.choice([0.1, 0.2, 0.35])
+            if i % 2 and n >= 2:
+                d = random_strongly_connected(rng, n, p)
+            else:
+                d = Digraph(n, frozenset(
+                    (u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p
+                ))
+            removed = rng.sample(range(n), rng.randint(0, min(2, n)))
+            got = strong_components(d, removed)
+            assert got == reference_strong_components(d, removed), (sorted(d.edges), removed)
+            split += len(got) >= 2
+        assert split >= 1_400, split  # 1,521
+
     def test_strong_component_of_matches_the_condensation(self):
         # Every vertex of every component up to 12 vertices; on the larger
         # trees, the least and greatest vertex of each component.
@@ -424,6 +445,76 @@ class TestTightSeparations:
         seps = tight_separations(d)
         keys = [s.sort_key() for s in seps]
         assert keys == sorted(keys)
+
+
+def reference_strong_components(d, removed=()):
+    """`strong_components` as it was with an on-stack flag per vertex and a
+    component popped one vertex at a time: strong components of d minus
+    `removed`, in reverse topological order of the condensation.
+
+    The first component returned is a sink of the condensation; for the single
+    edge a->b the result is [{b}, {a}].  Deterministic: Tarjan's algorithm with
+    vertices visited in increasing order and sorted adjacency.  The removed
+    vertices are marked visited before the first root, so the result is the
+    list the induced subgraph on the other vertices would give, renumbered
+    densely, in the same order, in the original names.
+    """
+    n = d.n
+    index = [None] * n
+    for x in removed:
+        index[x] = -1
+    low = [0] * n
+    on_stack = [False] * n
+    stack = []
+    comps = []
+    counter = 0
+    for root in range(n):
+        if index[root] is not None:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        work = [(root, iter(d.out_neighbours(root)))]
+        while work:
+            v, it = work[-1]
+            pushed = False
+            for w in it:
+                if index[w] is None:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(d.out_neighbours(w))))
+                    pushed = True
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            if pushed:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                if low[v] < low[parent]:
+                    low[parent] = low[v]
+            if low[v] == index[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                comps.append(frozenset(comp))
+    return comps
+
+
+def reference_separations_cross(s, t):
+    """`separations_cross` on the frozenset shores: (A,B) and (C,D) cross
+    when A∩C, B∩D, (A∩D)∖(B∩C) and (B∩C)∖(A∩D) are all non-empty."""
+    a, b = s.shoreA, s.shoreB
+    c, dd = t.shoreA, t.shoreB
+    return bool(a & c) and bool(b & dd) and bool((a & dd) - (b & c)) and bool((b & c) - (a & dd))
 
 
 def reference_reach(d, sources, removed, backwards=False):

@@ -55,6 +55,7 @@ from dtwone.games import solve_game
 from test_digraph import (
     delete_vertex,
     reference_is_directed_separation,
+    reference_separations_cross,
     random_strongly_connected,
     random_tree_edges,
     reference_tight_separations,
@@ -744,8 +745,10 @@ class TestSDecomposition:
                 assert len(territory) >= 2
 
     def test_each_finished_piece_is_checked_where_it_was_collapsed(self, monkeypatch):
-        # The strong 2-connectivity assertion sees every finished piece's
-        # collapsed piece exactly once, and nothing else.
+        # The strong 2-connectivity assertion sees the collapsed piece of
+        # every finished piece of three or more vertices exactly once, and
+        # nothing else.  A two-vertex piece is never built; it is a digon,
+        # strongly 2-connected as it stands.
         seen = []
 
         def recording(piece):
@@ -756,10 +759,21 @@ class TestSDecomposition:
         rng = random.Random(95)
         corpus = [random_strongly_connected(rng, rng.choice([4, 5, 6]), 0.4) for _ in range(20)]
         corpus += [bidirect(n := rng.randint(2, 20), random_tree_edges(rng, n)) for _ in range(5)]
+        built = skipped = 0
         for d in corpus:
             seen.clear()
             s = s_decomposition(d)
-            assert sorted(seen, key=repr) == sorted(collapsed_pieces(d, s), key=repr)
+            checked = []
+            for territory, piece in zip(s.territories, collapsed_pieces(d, s)):
+                if len(territory) >= 3:
+                    checked.append(piece)
+                    continue
+                assert len(territory) == 2 and is_strongly_2_connected(piece)
+                skipped += 1
+            assert sorted(seen, key=repr) == sorted(checked, key=repr)
+            built += len(checked)
+        # 15 pieces of three or more vertices, 93 of two.
+        assert built >= 15 and skipped >= 90, (built, skipped)
 
     def test_family_is_pairwise_laminar(self):
         rng = random.Random(93)
@@ -769,6 +783,24 @@ class TestSDecomposition:
             for s, t in itertools.combinations(family, 2):
                 assert not separations_cross(s, t)
                 assert not separations_cross(t, s)
+
+    def test_crossing_test_matches_the_frozenset_reference(self):
+        # Every ordered pair of each decomposition's family, and of each
+        # digraph's tight separations, on the bitmask test and on the
+        # frozenset one.  Recorded: 171,355 pairs, 29,078 of them crossing.
+        families = [
+            [sep for (_, _, sep) in s_decomposition(d).tree_edges]
+            for d in carry_over_corpus() if d.n >= 2
+        ]
+        families += [tight_separations(d) for d in separation_corpus()]
+        pairs = crossing = 0
+        for family in families:
+            for s, t in itertools.product(family, repeat=2):
+                got = separations_cross(s, t)
+                assert got == reference_separations_cross(s, t), (s, t)
+                pairs += 1
+                crossing += got
+        assert pairs >= 170_000 and crossing >= 25_000, (pairs, crossing)
 
     def test_family_is_maximal_among_all_tight_separations(self):
         corpus = list(labeled_strongly_connected(3))
@@ -951,20 +983,26 @@ def record_searches(monkeypatch):
 
 def count_paths(monkeypatch):
     """Counters of the three ways a split piece gets an entry: carried over
-    unchanged, re-keyed, or computed afresh at a recomputed vertex."""
+    unchanged, re-keyed, or computed afresh at a recomputed vertex.  Only
+    the recomputations made inside a `_split_off` call count, and every
+    call must build a piece of three or more vertices."""
     counts = {"carried": 0, "re-keyed": 0, "recomputed vertices": 0, "recomputed entries": 0}
-    fresh = set()
+    inside = []  # the vertices recomputed so far by each running `_split_off`
     fresh_entries = dtw1._fresh_entries
     split_off = dtw1._split_off
 
     def recomputing(piece, v, comps):
-        fresh.add((id(piece), v))
+        if inside:
+            inside[-1].add(v)
         return fresh_entries(piece, v, comps)
 
-    def splitting(parent, *args):
-        child = split_off(parent, *args)
+    def splitting(parent, territory, *args):
+        assert len(territory) >= 3, "a two-vertex piece is never built"
+        inside.append(set())
+        child = split_off(parent, territory, *args)
+        fresh = inside.pop()
         for v, entries in child.entries.items():
-            if (id(child), v) in fresh:
+            if v in fresh:
                 counts["recomputed vertices"] += 1
                 counts["recomputed entries"] += len(entries)
                 continue
@@ -973,7 +1011,6 @@ def count_paths(monkeypatch):
             same = sum(a is b for a, b in zip(entries, old))
             counts["carried"] += same
             counts["re-keyed"] += len(entries) - same
-        fresh.clear()
         return child
 
     monkeypatch.setattr(dtw1, "_fresh_entries", recomputing)
@@ -1022,8 +1059,9 @@ def canonical(entries):
 class TestSDecompositionCache:
     def test_matches_the_round_by_round_search(self, monkeypatch):
         # Every carry-over path must fire on this corpus.  Recorded counts:
-        # 32,541 carried entries, 413 re-keyed, and 16,058 recomputed
-        # vertices with 14,346 entries.
+        # 32,541 carried entries, 413 re-keyed, and 7,028 recomputed
+        # vertices with 14,346 entries, all in pieces of three or more
+        # vertices.
         counts = count_paths(monkeypatch)
         split = 0
         for d in carry_over_corpus():
@@ -1040,7 +1078,7 @@ class TestSDecompositionCache:
                 )
             split += len(got.edges) >= 2
         assert split >= 100, split
-        floors = {"carried": 30_000, "re-keyed": 350, "recomputed vertices": 15_000,
+        floors = {"carried": 30_000, "re-keyed": 350, "recomputed vertices": 6_500,
                   "recomputed entries": 13_000}
         assert all(counts[k] >= floor for k, floor in floors.items()), counts
 
@@ -1061,17 +1099,19 @@ class TestSDecompositionCache:
         assert removed_counts.count(1) == 40
 
     def test_only_the_new_cut_is_recomputed(self, monkeypatch):
-        # Each split piece recomputes only its new cut vertex; every other
-        # entry carries over.  The searched piece sizes add up to 895, about
-        # n^2/2: ROADMAP item 12's one-digon peel.
+        # Each split piece of three or more vertices recomputes only its new
+        # cut vertex; every other entry carries over.  The 39 two-vertex
+        # pieces are never built.  The searched piece sizes add up to 817,
+        # about n^2/2: ROADMAP item 12's one-digon peel.
         counts = count_paths(monkeypatch)
         searched = record_searches(monkeypatch)
         sdec = s_decomposition(bidirect(40, random_tree_edges(random.Random(40), 40)))
         assert len(sdec.edges) == 38
-        assert counts["recomputed vertices"] == 2 * len(sdec.edges)
+        assert len(searched) == 38
+        assert all(len(piece.territory) >= 3 for piece, _ in searched)
+        assert sum(len(piece.territory) for piece, _ in searched) == 817
+        assert counts["recomputed vertices"] == len(searched) - 1 == 37
         assert counts["re-keyed"] == 0
-        assert len(searched) == 1 + 2 * len(sdec.edges)
-        assert sum(len(piece.territory) for piece, _ in searched) == 895
 
     def test_only_each_split_is_lifted(self, monkeypatch):
         lifted = []
