@@ -391,32 +391,6 @@ def is_strongly_2_connected(d):
     return all(len(strong_components(d, (v,))) == 1 for v in range(d.n))
 
 
-def butterfly_dominating_vertices(d):
-    """Vertices incident with every butterfly-contractible edge, subject to the
-    degree proviso.
-
-    A vertex v qualifies when (i) every contractible edge has v as an endpoint
-    and (ii) if v has both an incoming and an outgoing contractible edge, then
-    v has exactly one in-edge or exactly one out-edge.  With no contractible
-    edge at all, every vertex qualifies.
-    """
-    contractible = [e for e in d.sorted_edges() if butterfly_contractible(d, e)]
-    if not contractible:
-        return frozenset(range(d.n))
-    result = set()
-    for v in range(d.n):
-        if not all(v in e for e in contractible):
-            continue
-        has_in = any(h == v for (_, h) in contractible)
-        has_out = any(t == v for (t, _) in contractible)
-        if has_in and has_out:
-            if len(d.in_neighbours(v)) == 1 or len(d.out_neighbours(v)) == 1:
-                result.add(v)
-        else:
-            result.add(v)
-    return frozenset(result)
-
-
 def _bfs_arcs(root, neighbours):
     """A breadth-first walk from root that enters each node's unseen
     neighbours in the order `neighbours(node)` lists them.  Returns the

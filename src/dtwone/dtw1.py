@@ -5,9 +5,14 @@ one-vertex separations; when every resulting piece is a digon the width-one
 decomposition can be read off.  Only the whole digraph takes a Tarjan pass
 per vertex: a split piece carries its parent's candidate separations over,
 and recomputes only its new cut vertex and the vertices where the split
-drops a strong component.  The negative route contracts a large piece
-down to a bidirected cycle or the four-vertex digraph A4, recording every
-deletion and butterfly contraction so the embedding can be replayed; no
+drops a strong component.  The negative route shrinks the digraph to a
+bidirected cycle or the four-vertex digraph A4 by one rule: contract the
+far shores of the least piece with three or more vertices, stop if that
+piece is a pattern, and otherwise delete the first edge whose deletion
+leaves a digraph whose s-decomposition still has such a piece, then
+collapse again.  A collapsed piece is strongly 2-connected, so no edge of
+it is butterfly-contractible and every deletion keeps it strongly
+connected.  Every step is recorded so the embedding can be replayed; no
 cycle of the digraph is enumerated.  The embedding is the whole NO
 certificate: the order-3 haven it implies, lifted from the pattern through
 the roots of the branch sets, is built by `minor_haven` on request and
@@ -41,7 +46,6 @@ from .digraph import (
     TightSeparation,
     _bfs_arcs,
     a4_digraph,
-    butterfly_dominating_vertices,
     cut_vertex_shores,
     is_directed_separation,
     is_strongly_2_connected,
@@ -119,100 +123,7 @@ def shore_contraction_script(d: Digraph, shore, cut: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# pattern matching for the case analysis
-
-_DIGON = frozenset({(0, 1), (1, 0)})
-_K3 = frozenset({(0, 1), (1, 2), (0, 2)})
-_K3_PLUS = frozenset({(0, 1), (1, 2), (0, 2), (2, 0)})
-_K3_OUT = frozenset({(0, 1), (1, 0), (0, 2), (1, 2)})
-_K3_IN = frozenset({(0, 1), (1, 0), (2, 0), (2, 1)})
-_K3_PLUS_PLUS = frozenset({(0, 1), (1, 0), (0, 2), (2, 0), (1, 2)})
-_K22_UP = frozenset({(0, 2), (0, 3), (1, 2), (1, 3)})
-
-_SMALL_CYCLE_PATTERNS = {
-    2: (_DIGON,),
-    3: (_K3, _K3_PLUS, _K3_OUT, _K3_IN, _K3_PLUS_PLUS),
-    4: (_K22_UP,),
-}
-
-
-def _induced_edge_set(d: Digraph, tup) -> frozenset:
-    return frozenset(
-        (i, j)
-        for i, u in enumerate(tup)
-        for j, v in enumerate(tup)
-        if (u, v) in d.edges
-    )
-
-
-def _find_induced(d: Digraph, size: int, template):
-    """Lexicographically first ordered vertex tuple inducing exactly `template`.
-
-    Positions are filled in order by a backtracking search.  A position that a
-    template edge joins to an earlier one draws its candidates from the
-    out- or in-neighbours of that earlier vertex (intersected over every such
-    edge); any match must take one of these values there, so the candidate
-    set is complete.  Only a position joined to no earlier one tries every
-    vertex.  Each candidate is checked against the earlier positions at once,
-    and candidates go in ascending order, so the first full tuple found is the
-    lexicographically first match.
-    """
-    tup = []
-
-    def candidates(i):
-        pools = [d.out_neighbours(u) for j, u in enumerate(tup) if (j, i) in template]
-        pools += [d.in_neighbours(u) for j, u in enumerate(tup) if (i, j) in template]
-        if not pools:
-            return range(d.n)
-        return sorted(set(pools[0]).intersection(*pools[1:]))
-
-    def fits(i, v):
-        return v not in tup and all(
-            ((u, v) in d.edges) == ((j, i) in template)
-            and ((v, u) in d.edges) == ((i, j) in template)
-            for j, u in enumerate(tup)
-        )
-
-    def extend(i):
-        if i == size:
-            return True
-        for v in candidates(i):
-            if fits(i, v):
-                tup.append(v)
-                if extend(i + 1):
-                    return True
-                tup.pop()
-        return False
-
-    return tuple(tup) if extend(0) else None
-
-
-def _edge_in_small_cycle(d: Digraph, edge) -> bool:
-    """Whether `edge` lies in an induced copy of a `_SMALL_CYCLE_PATTERNS` entry.
-
-    The extra vertices come from the in- and out-neighbours of the edge's
-    ends only.  That set is complete: every pattern is weakly connected, and
-    in each one every vertex is adjacent to an end of any edge it contains.
-    """
-    a, b = edge
-    near = set()
-    for v in (a, b):
-        near.update(d.out_neighbours(v), d.in_neighbours(v))
-    others = sorted(near - {a, b})
-    for size in (2, 3, 4):
-        for extra in itertools.combinations(others, size - 2):
-            base = sorted((a, b) + extra)
-            for tup in itertools.permutations(base):
-                if _induced_edge_set(d, tup) in _SMALL_CYCLE_PATTERNS[size]:
-                    return True
-    return False
-
-
-def _edge_missing_small_cycle(d: Digraph):
-    for e in d.sorted_edges():
-        if not _edge_in_small_cycle(d, e):
-            return e
-    return None
+# patterns and the NO loop
 
 
 def _bicycle_walk(d: Digraph):
@@ -241,155 +152,49 @@ def _bicycle_walk(d: Digraph):
 def _pattern(d: Digraph):
     """(kind, length, embedding) when d is a bidirected cycle or A4, else None.
 
-    The embedding lists the vertices of d standing for the pattern's 0, 1, ...
+    The embedding lists the vertices of d standing for the pattern's 0, 1, ...;
+    for A4 it is the first permutation of range(4) that maps A4 onto d.
     """
     walk = _bicycle_walk(d)
     if walk is not None:
         return "bicycle", d.n, walk
     if d.n == 4:
-        emb = _find_induced(d, 4, a4_digraph().edges)
-        if emb is not None:
-            return "a4", None, emb
+        target = a4_digraph().edges
+        for emb in itertools.permutations(range(4)):
+            if {(emb[a], emb[b]) for (a, b) in target} == d.edges:
+                return "a4", None, emb
     return None
 
 
-# ---------------------------------------------------------------------------
-# minor extraction (the case analysis)
-
-
-def _case_one_steps(d: Digraph) -> Optional[list]:
-    """Contract a tight-separation shore when d is not strongly 2-connected.
-
-    The shore is the X-shore of a strong component of d minus a cut vertex,
-    preferring components that hold a butterfly-dominating vertex; a candidate
-    only counts when the contracted digraph keeps at least three vertices and
-    still has a dominating vertex, so the shrinking argument can continue.
-    Returns None when no vertex is a cut vertex.
-    """
-    dom = butterfly_dominating_vertices(d)
-    saw_cut = False
-    for v in range(d.n):
-        shores = cut_vertex_shores(d, v)
-        if not shores:
-            continue
-        saw_cut = True
-        shores.sort(key=lambda pair: (not (pair[0] & dom), min(pair[0])))
-        for _, x_side, _ in shores:
-            y_side = frozenset(range(d.n)) - x_side - {v}
-            if len(y_side) < 2:
-                continue
-            shore = x_side | {v}
-            collapsed, _ = quotient(d, [v if u in shore else u for u in range(d.n)])
-            if not butterfly_dominating_vertices(collapsed):
-                continue
-            return shore_contraction_script(d, shore, v)
-    if not saw_cut:
-        return None
-    raise AssertionError("no cut vertex admits a usable shore contraction")
-
-
-def _case_analysis_steps(d: Digraph):
-    """One shrinking round on a digraph that is not a pattern.
-
-    Returns (step list, rule name).  A digraph that fits no case fails an
-    assertion.
-    """
-    n = d.n
-    assert n > 3, "on three vertices only the bidirected triangle is left, a pattern"
-
-    steps = _case_one_steps(d)
-    if steps is not None:
-        return steps, "case one"
-
-    heavy_out = [u for u in range(n) if len(d.out_neighbours(u)) >= 3]
-    heavy_in = [u for u in range(n) if len(d.in_neighbours(u)) >= 3]
-    if heavy_out:
-        u = heavy_out[0]
-        return [("del", u, min(d.out_neighbours(u)))], "heavy out"
-    if heavy_in:
-        u = heavy_in[0]
-        return [("del", min(d.in_neighbours(u)), u)], "heavy in"
-    assert all(
-        len(d.out_neighbours(v)) == 2 and len(d.in_neighbours(v)) == 2
-        for v in range(n)
-    ), "every vertex must have in- and out-degree two now"
-
-    missing = _edge_missing_small_cycle(d)
-    if missing is not None:
-        x, y = missing
-        (z,) = [w for w in d.out_neighbours(x) if w != y]
-        return [("del", x, z), ("contract", x, y)], "missing small cycle"
-
-    hit = _find_induced(d, 3, _K3)
-    if hit is not None:
-        # The round is 2-in/2-out and, with no cut vertex, strongly
-        # 2-connected, so out(x) = {y, z} and in(z) = {x, y}.  Deleting x->y
-        # keeps it strongly connected: x->z, and z reaches y inside D - x.
-        # It also leaves x->z as x's only out-edge, so that edge contracts.
-        # Afterwards no degree has dropped but y's, whose in-edges are now
-        # {u->y} for its other in-neighbour u: u->y is the only contractible
-        # edge, and y dominates it.
-        x, y, z = hit
-        return [("del", x, y), ("contract", x, z)], "K3"
-
-    hit = _find_induced(d, 3, _K3_PLUS)
-    if hit is not None:
-        assert n > 4, "a four-vertex digraph with an induced K3+ must be A4, a pattern"
-        x, y, z = hit
-        return [("del", x, z), ("del", z, x), ("contract", x, y), ("contract", y, z)], "K3+"
-
-    assert _find_induced(d, 3, _K3_OUT) is None, (
-        "a one-way fan out contradicts strong 2-connectivity"
-    )
-    assert _find_induced(d, 3, _K3_IN) is None, (
-        "a one-way fan in contradicts strong 2-connectivity"
-    )
-    assert _find_induced(d, 3, _K3_PLUS_PLUS) is None, (
-        "a pendant one-way edge contradicts strong 2-connectivity"
-    )
-
-    hit = _find_induced(d, 4, _K22_UP)
-    assert hit is not None, "a digraph that is not a pattern must have an applicable step"
-    w, x, y, z = hit
-    return [("del", w, y), ("contract", w, z)], "K22"
-
-
 def extract_minor_witness(d: Digraph) -> MinorWitness:
-    """Shrink a suitable digraph to a bidirected cycle or A4, keeping the script.
+    """Shrink a strongly connected NO digraph to a bidirected cycle or A4,
+    keeping the script.  A digraph `s_decomposition` refuses raises its
+    ValueError, and so does one of directed treewidth one."""
+    sdec = s_decomposition(d)
+    if all(len(t) == 2 for t in sdec.territories):
+        raise ValueError("a digraph of directed treewidth one has no such minor")
+    return _minor_witness(d, sdec)
 
-    The input must be strongly connected on at least three vertices and have
-    a vertex meeting every butterfly-contractible edge; strongly 2-connected
-    digraphs on three or more vertices always qualify.
+
+def _minor_witness(d: Digraph, sdec: SDecomposition) -> MinorWitness:
+    """The witness for d, given its s-decomposition, which has a piece of
+    three or more vertices.
+
+    The loop holds a strongly connected NO digraph and an s-decomposition
+    of it.  It contracts every far shore of the least piece with three or
+    more vertices (`_collapse`), stops if what is left is a pattern, and
+    otherwise takes `_no_step`'s deletion, whose s-decomposition it
+    collapses next.  Every step shrinks the digraph, so the loop ends.
     """
-    if d.n < 3:
-        raise ValueError("need at least three vertices")
-    if not is_strongly_connected(d):
-        raise ValueError("need a strongly connected digraph")
-    if not butterfly_dominating_vertices(d):
-        raise ValueError("need a vertex dominating all butterfly-contractible edges")
-    return _shrink(_ReplayState(d))
-
-
-def _shrink(state: _ReplayState) -> MinorWitness:
-    """Shrink the state's current digraph by case-analysis rounds until it is
-    a pattern, applying every round's steps to the state.
-
-    Every round must leave what `extract_minor_witness` asks of its input:
-    at least three vertices, strong connectivity and a butterfly-dominating
-    vertex.  A round that breaks it fails an assertion naming its rule.
-    """
-    dense, labels = state.dense()
-    while (found := _pattern(dense)) is None:
-        steps, rule = _case_analysis_steps(dense)
-        before = (dense.n, len(dense.edges))
-        state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in steps])
-        dense, labels = state.dense()
-        assert (dense.n, len(dense.edges)) < before, "every round must shrink the digraph"
-        assert (
-            dense.n >= 3
-            and is_strongly_connected(dense)
-            and butterfly_dominating_vertices(dense)
-        ), f"the {rule} step left a digraph the case analysis cannot shrink"
+    state = _ReplayState(d)
+    while True:
+        dense, labels = _collapse(state, sdec)
+        found = _pattern(dense)
+        if found is not None:
+            break
+        (a, b), trial, sdec = _no_step(dense)
+        state.apply([("del", labels[a], labels[b])])
+        assert state.dense()[0] == trial, "a step must leave the digraph it was tried on"
     kind, length, embedding = found
     branch = {p: state.members[labels[v]] for p, v in enumerate(embedding)}
     return MinorWitness(
@@ -398,6 +203,56 @@ def _shrink(state: _ReplayState) -> MinorWitness:
         script=tuple(state.steps),
         branch_sets=branch,
     )
+
+
+def _collapse(state: _ReplayState, sdec: SDecomposition) -> tuple[Digraph, tuple]:
+    """Contract every far shore of sdec's least piece with three or more
+    vertices, applying the steps to the state; sdec is an s-decomposition
+    of `state.dense()`.  Returns the new `state.dense()`, which is that
+    collapsed piece."""
+    whole, start = state.dense()
+    node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
+    attachments = _attachments(sdec.tree_edges, node)
+    expected, expect_labels = _collapse_piece(whole, sdec.territories[node], attachments)
+    for (cut, far, _) in attachments:
+        dense, labels = state.dense()
+        back = {v: i for i, v in enumerate(labels)}
+        shore = frozenset(back[state.rep(start[u])] for u in far)
+        local_cut = back[state.rep(start[cut])]
+        steps = shore_contraction_script(dense, shore, local_cut)
+        state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in steps])
+    projected = frozenset(
+        (state.rep(start[expect_labels[a]]), state.rep(start[expect_labels[b]]))
+        for (a, b) in expected.edges
+    )
+    assert projected == state.edges and len(state.members) == expected.n, (
+        "collapsing the far shores must reproduce the collapsed piece"
+    )
+    return state.dense()
+
+
+def _no_step(d: Digraph):
+    """(edge, the digraph its deletion leaves, that digraph's
+    s-decomposition) for the first edge of d, in sorted order, whose
+    deletion leaves a NO digraph: one whose s-decomposition has a piece of
+    three or more vertices.
+
+    d is a collapsed piece, so it is strongly 2-connected on three or more
+    vertices, and deletions are the only steps worth trying.  No edge a->b
+    is butterfly-contractible: as a's only out-edge it would leave a with
+    none in d - b, and as b's only in-edge it would leave b with none in
+    d - a.  Every deletion keeps d strongly connected: a has another
+    out-neighbour c, and c reaches b in d - a.  When no deletion
+    qualifies, the assertion names d by an edge list that
+    `digraph_from_edges` reads back.
+    """
+    for (a, b) in d.sorted_edges():
+        trial = Digraph(d.n, d.edges - {(a, b)})
+        sdec = s_decomposition(trial)
+        if any(len(t) >= 3 for t in sdec.territories):
+            return (a, b), trial, sdec
+    edges = ", ".join(f"{a} {b}" for (a, b) in d.sorted_edges())
+    raise AssertionError(f"no deletion leaves a strongly connected NO digraph: {edges}")
 
 
 # ---------------------------------------------------------------------------
@@ -775,26 +630,7 @@ def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
         dec = width1_dtd_from_sdec(d, sdec)
         return Dtw1Certificate("YES", dec, None)
 
-    node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
-    attachments = _attachments(sdec.tree_edges, node)
-    expected, expect_labels = _collapse_piece(d, sdec.territories[node], attachments)
-    state = _ReplayState(d)
-    for (cut, far, _) in attachments:
-        dense, labels = state.dense()
-        back = {v: i for i, v in enumerate(labels)}
-        shore = frozenset(back[state.rep(u)] for u in far)
-        local_cut = back[state.rep(cut)]
-        steps = shore_contraction_script(dense, shore, local_cut)
-        state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in steps])
-    projected = frozenset(
-        (state.rep(expect_labels[a]), state.rep(expect_labels[b]))
-        for (a, b) in expected.edges
-    )
-    assert projected == state.edges and len(state.members) == expected.n, (
-        "collapsing the far shores must reproduce the collapsed piece"
-    )
-
-    witness = _shrink(state)
+    witness = _minor_witness(d, sdec)
     check = verify_witness(d, witness)
     assert check.valid, f"constructed witness failed replay: {check.violations}"
     return Dtw1Certificate("NO", None, witness)

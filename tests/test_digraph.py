@@ -17,7 +17,6 @@ from dtwone.digraph import (
     bicycle,
     bidirect,
     butterfly_contractible,
-    butterfly_dominating_vertices,
     cut_vertex_shores,
     digraph_from_edges,
     directed_cycle_digraph,
@@ -301,49 +300,6 @@ class TestQuotient:
         c, labels = quotient(d, [0, 0, 2, 2])
         assert labels == (0, 2)
         assert c.sorted_edges() == [(0, 1), (1, 0)]
-
-
-class TestDominatingVertices:
-    def test_directed_triangle_has_none(self):
-        assert butterfly_dominating_vertices(directed_cycle_digraph(3)) == frozenset()
-
-    def test_digon_both(self):
-        d = bidirect(2, [(0, 1)])
-        assert butterfly_dominating_vertices(d) == frozenset({0, 1})
-
-    def test_three_vertex_census(self):
-        # Among strongly connected digraphs on 3 vertices, exactly the one
-        # with all six arcs has every vertex dominating; the rest have none.
-        full = frozenset({0, 1, 2})
-        seen_full = 0
-        all_arcs = [(u, v) for u in range(3) for v in range(3) if u != v]
-        for mask in range(1 << 6):
-            edges = tuple(
-                sorted(e for i, e in enumerate(all_arcs) if mask >> i & 1)
-            )
-            d = Digraph(3, edges)
-            if not is_strongly_connected(d):
-                continue
-            dom = butterfly_dominating_vertices(d)
-            if len(edges) == 6:
-                assert dom == full
-                seen_full += 1
-            else:
-                assert dom == frozenset()
-        assert seen_full == 1
-
-    def test_a4_all_dominating(self):
-        assert butterfly_dominating_vertices(a4_digraph()) == frozenset(range(4))
-
-    def test_strongly_2_connected_implies_all_dominating(self):
-        rng = random.Random(5)
-        found = 0
-        for _ in range(200):
-            d = random_strongly_connected(rng, rng.randint(3, 6), 0.5)
-            if is_strongly_2_connected(d):
-                found += 1
-                assert butterfly_dominating_vertices(d) == frozenset(range(d.n))
-        assert found > 10
 
 
 class TestStrong2Connectivity:

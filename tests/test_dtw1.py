@@ -16,13 +16,11 @@ from dtwone.digraph import (
     a4_digraph,
     bicycle,
     bidirect,
-    butterfly_dominating_vertices,
     cut_vertex_shores,
     digraph_from_edges,
     directed_cycle_digraph,
     is_strongly_2_connected,
     is_strongly_connected,
-    quotient,
     separations_cross,
     strong_components,
     tight_separations,
@@ -53,7 +51,6 @@ from dtwone.formats import (
 )
 from dtwone.games import solve_game
 from test_digraph import (
-    delete_vertex,
     reference_is_directed_separation,
     reference_separations_cross,
     random_strongly_connected,
@@ -266,24 +263,15 @@ class TestReplayDifferential:
 
     def test_witness_scripts_of_the_pattern_search_corpus(self):
         replayed = steps = 0
-        crashed = []
         for d in pattern_search_corpus():
             try:
                 w = extract_minor_witness(d)
             except ValueError:
                 continue
-            except AssertionError as err:
-                # The case analysis can still break its own invariant on a
-                # NO instance (one 7-vertex input here); that produces no
-                # script, so there is nothing to replay.
-                assert "no cut vertex admits a usable shore contraction" in str(err)
-                crashed.append(sorted(d.edges))
-                continue
             assert self.replay_both(d, w.script).steps == list(w.script)
             replayed += 1
             steps += len(w.script)
         assert replayed >= 450 and steps >= 1000, (replayed, steps)
-        assert len(crashed) <= 1, crashed
 
 
 class TestShoreContraction:
@@ -348,10 +336,11 @@ class TestExtractMinorWitness:
         with pytest.raises(ValueError):
             extract_minor_witness(digraph_from_edges(3, [(0, 1), (1, 0), (1, 2)]))
 
-    def test_no_dominating_vertex_raises(self):
-        assert not butterfly_dominating_vertices(directed_cycle_digraph(3))
-        with pytest.raises(ValueError):
-            extract_minor_witness(directed_cycle_digraph(3))
+    def test_width_one_digraph_raises(self):
+        for d in (directed_cycle_digraph(3), bidirected_path(5)):
+            assert recognize_dtw1(d).verdict == "YES"
+            with pytest.raises(ValueError):
+                extract_minor_witness(d)
 
     def test_eight_vertex_regression_extracts_a_replayable_witness(self):
         edges = [
@@ -371,47 +360,26 @@ class TestExtractMinorWitness:
         while seen < 30:
             n = rng.choice([4, 5, 6, 7, 8])
             d = random_strongly_connected(rng, n, rng.choice([0.2, 0.4, 0.6]))
-            if not butterfly_dominating_vertices(d):
+            if hypertree_route(d).is_hypertree:
                 continue
             seen += 1
             w = extract_minor_witness(d)
             report = verify_witness(d, w)
             assert report.valid, report.violations
 
-    def test_a_digraph_no_case_fits_fails_an_assertion(self):
-        with pytest.raises(AssertionError, match="bidirected triangle"):
-            dtw1._case_analysis_steps(directed_cycle_digraph(3))
-
-
-def reference_induced_edge_set(d, tup):
-    pos = {v: i for i, v in enumerate(tup)}
-    return frozenset((pos[a], pos[b]) for (a, b) in d.edges if a in pos and b in pos)
-
-
-def reference_find_induced(d, size, template, canonical=None):
-    """The permutation scan over every vertex tuple that the search replaced."""
-    for tup in itertools.permutations(range(d.n), size):
-        if canonical is not None and not canonical(tup):
-            continue
-        if reference_induced_edge_set(d, tup) == template:
-            return tup
-    return None
-
-
-def reference_edge_in_small_cycle(d, edge):
-    """Tries extra vertices from the whole digraph, not just the edge's neighbours."""
-    a, b = edge
-    others = [v for v in range(d.n) if v not in (a, b)]
-    for size in (2, 3, 4):
-        for extra in itertools.combinations(others, size - 2):
-            for tup in itertools.permutations(sorted((a, b) + extra)):
-                if reference_induced_edge_set(d, tup) in dtw1._SMALL_CYCLE_PATTERNS[size]:
-                    return True
-    return False
+    def test_a_digraph_no_step_fits_fails_with_its_edge_list(self):
+        """Every deletion from the bidirected triangle leaves a width-one
+        digraph; the assertion names the digraph so that it can be replayed."""
+        with pytest.raises(AssertionError, match="no deletion leaves") as err:
+            dtw1._no_step(bicycle(3))
+        listed = str(err.value).rsplit(": ", 1)[1]
+        pairs = [tuple(map(int, pair.split())) for pair in listed.split(", ")]
+        assert digraph_from_edges(3, pairs) == bicycle(3)
 
 
 def reference_a4_embedding(d):
-    """The permutation scan the case analysis used to place A4 on four vertices."""
+    """The first permutation of range(4) under which every edge of A4 is an
+    edge of d, when d has four vertices and as many edges as A4."""
     target = a4_digraph()
     if d.n != 4 or len(d.edges) != len(target.edges):
         return None
@@ -419,26 +387,6 @@ def reference_a4_embedding(d):
         if all((perm[a], perm[b]) in d.edges for (a, b) in target.edges):
             return perm
     return None
-
-
-ORDERED_PAIR = lambda t: t[0] < t[1]
-ORDERED_PAIRS = lambda t: t[0] < t[1] and t[2] < t[3]
-
-# Every template with no filter, plus the filters the case analysis used.  Each
-# filter fixes a symmetry of its template, so the unfiltered search's first
-# match passes it: the search takes none.
-TEMPLATE_QUERIES = [
-    (2, dtw1._DIGON, None),
-    (3, dtw1._K3, None),
-    (3, dtw1._K3_PLUS, None),
-    (3, dtw1._K3_OUT, None),
-    (3, dtw1._K3_OUT, ORDERED_PAIR),
-    (3, dtw1._K3_IN, None),
-    (3, dtw1._K3_IN, ORDERED_PAIR),
-    (3, dtw1._K3_PLUS_PLUS, None),
-    (4, dtw1._K22_UP, None),
-    (4, dtw1._K22_UP, ORDERED_PAIRS),
-]
 
 
 def random_two_regular(rng, n):
@@ -468,28 +416,7 @@ def pattern_search_corpus():
 
 
 class TestPatternSearch:
-    """The neighbour-driven search agrees with the permutation scan it replaced."""
-
-    def test_find_induced_returns_the_reference_tuple(self):
-        hits = [0] * len(TEMPLATE_QUERIES)
-        two_regular = 0
-        for d in pattern_search_corpus():
-            two_regular += d.n >= 5 and all(
-                len(d.out_neighbours(v)) == 2 == len(d.in_neighbours(v)) for v in range(d.n)
-            )
-            for q, (size, template, canonical) in enumerate(TEMPLATE_QUERIES):
-                expected = reference_find_induced(d, size, template, canonical)
-                got = dtw1._find_induced(d, size, template)
-                assert got == expected, (sorted(d.edges), sorted(template))
-                hits[q] += expected is not None
-        assert all(hits) and two_regular >= 40, (hits, two_regular)
-
-    def test_edge_in_small_cycle_matches_the_reference(self):
-        for d in pattern_search_corpus():
-            for e in d.sorted_edges():
-                assert dtw1._edge_in_small_cycle(d, e) == reference_edge_in_small_cycle(d, e), (
-                    sorted(d.edges), e
-                )
+    """The pattern test agrees with a permutation scan written apart from it."""
 
     def test_a4_search_matches_the_permutation_scan(self):
         pairs = [(a, b) for a in range(4) for b in range(4) if a != b]
@@ -497,7 +424,9 @@ class TestPatternSearch:
         for bits in itertools.product((0, 1), repeat=len(pairs)):
             d = Digraph(4, frozenset(p for p, b in zip(pairs, bits) if b))
             expected = reference_a4_embedding(d)
-            assert dtw1._find_induced(d, 4, a4_digraph().edges) == expected, sorted(d.edges)
+            found = dtw1._pattern(d)
+            got = found[2] if found is not None and found[0] == "a4" else None
+            assert got == expected, sorted(d.edges)
             hits += expected is not None
         assert hits == 6
 
@@ -506,69 +435,6 @@ class TestPatternSearch:
         w = extract_minor_witness(d)
         assert (w.kind, w.length) == ("bicycle", 64)
         assert verify_witness(d, w).valid
-
-
-def reference_reachable_from(d, sources):
-    seen = set(sources)
-    frontier = list(seen)
-    while frontier:
-        for w in d.out_neighbours(frontier.pop()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
-def reference_reaching(d, targets):
-    seen = set(targets)
-    frontier = list(seen)
-    while frontier:
-        for w in d.in_neighbours(frontier.pop()):
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
-    return frozenset(seen)
-
-
-def reference_case_one_steps(d):
-    """`_case_one_steps` as it was when it built each d - v as a digraph and
-    searched it for the X-shore."""
-    dom = butterfly_dominating_vertices(d)
-    saw_cut = False
-    for v in range(d.n):
-        sub, old_ids = delete_vertex(d, v)
-        raw = strong_components(sub)
-        if len(raw) <= 1:
-            continue
-        saw_cut = True
-        fwd = {u: i for i, u in enumerate(old_ids)}
-        comps = sorted(
-            (frozenset(old_ids[i] for i in c) for c in raw),
-            key=lambda c: (not (c & dom), min(c)),
-        )
-        for comp in comps:
-            local = {fwd[u] for u in comp}
-            if frozenset(old_ids[i] for i in reference_reaching(sub, local)) - comp:
-                x_side = frozenset(old_ids[i] for i in reference_reachable_from(sub, local))
-            else:
-                x_side = comp
-            if len(frozenset(range(d.n)) - x_side - {v}) < 2:
-                continue
-            shore = x_side | {v}
-            collapsed, _ = quotient(d, [v if u in shore else u for u in range(d.n)])
-            if not butterfly_dominating_vertices(collapsed):
-                continue
-            return shore_contraction_script(d, shore, v)
-    assert saw_cut, "strongly 2-connected digraphs have no case here"
-    raise AssertionError("no cut vertex admits a usable shore contraction")
-
-
-def reference_round(d):
-    """A case-analysis round as it was with its own strong 2-connectivity
-    check; past case one the round is unchanged, so the rest is the program's."""
-    if d.n > 3 and not is_strongly_2_connected(d):
-        return (reference_case_one_steps(d), "case one")
-    return dtw1._case_analysis_steps(d)
 
 
 def reference_pattern(d):
@@ -580,22 +446,34 @@ def reference_pattern(d):
     return None if emb is None else ("a4", None, emb)
 
 
-def outcome(fn, d):
-    try:
-        return fn(d)
-    except AssertionError as err:
-        return ("raised", str(err))
+def reference_no_step(d):
+    """The step the NO loop must take on d, or None: the first edge in sorted
+    order whose deletion or, failing that, contraction leaves a strongly
+    connected digraph on three or more vertices that the hypertree route
+    calls NO.  Each step is applied by a replay.  The program tries
+    deletions alone and skips both tests: on the strongly 2-connected
+    digraphs the loop hands it, no edge is contractible and every deletion
+    passes both."""
+    for (a, b) in d.sorted_edges():
+        for kind in ("del", "contract"):
+            try:
+                trial, _ = replay_script(d, [(kind, a, b)]).dense()
+            except ValueError:
+                continue
+            if (trial.n >= 3 and is_strongly_connected(trial)
+                    and not hypertree_route(trial).is_hypertree):
+                return (kind, a, b)
+    return None
 
 
-class TestCaseAnalysisReference:
-    """Every round of the shrinking loop ends on the pattern the reference
-    finds or, short of one, takes the step of a round that checked strong
-    2-connectivity first and built each d - v for case one."""
+class TestNoStepReference:
+    """Every round of the NO loop ends on the pattern the reference finds or,
+    short of one, takes the step `reference_no_step` takes."""
 
     @staticmethod
     def round_inputs(monkeypatch, run, corpus):
-        """Every digraph a round of the shrinking loop sees while `run` goes
-        over the corpus: each is tested for a pattern first."""
+        """Every collapsed digraph the NO loop holds while `run` goes over the
+        corpus: each is tested for a pattern first."""
         seen = []
         original = dtw1._pattern
 
@@ -612,30 +490,32 @@ class TestCaseAnalysisReference:
         monkeypatch.undo()
         return seen
 
-    def check_rounds(self, rounds):
-        case_one = 0
+    @staticmethod
+    def check_rounds(rounds):
+        """The number of rounds that take a step."""
+        steps = 0
         for d in rounds:
             found = dtw1._pattern(d)
             assert found == reference_pattern(d), sorted(d.edges)
             if found is not None:
                 continue
-            expected = outcome(reference_round, d)
-            assert outcome(dtw1._case_analysis_steps, d) == expected, sorted(d.edges)
-            if d.n > 3:
-                steps = outcome(dtw1._case_one_steps, d)
-                assert (steps is None) == is_strongly_2_connected(d), sorted(d.edges)
-                case_one += steps is not None
-        return case_one
+            assert is_strongly_2_connected(d), sorted(d.edges)
+            edge, trial, sdec = dtw1._no_step(d)
+            assert ("del", *edge) == reference_no_step(d), sorted(d.edges)
+            assert trial == replay_script(d, [("del", *edge)]).dense()[0]
+            assert sdec == s_decomposition(trial)
+            steps += 1
+        return steps
 
     def test_pattern_search_corpus(self, monkeypatch):
         rounds = self.round_inputs(monkeypatch, extract_minor_witness, pattern_search_corpus())
-        case_one = self.check_rounds(rounds)
-        assert len(rounds) >= 1200 and case_one >= 450, (len(rounds), case_one)
+        steps = self.check_rounds(rounds)
+        assert len(rounds) >= 650 and steps >= 200, (len(rounds), steps)
 
     def test_random_corpus(self, monkeypatch):
         rounds = self.round_inputs(monkeypatch, recognize_dtw1, random_corpus())
-        case_one = self.check_rounds(rounds)
-        assert len(rounds) >= 1200 and case_one >= 350, (len(rounds), case_one)
+        steps = self.check_rounds(rounds)
+        assert len(rounds) >= 600 and steps >= 450, (len(rounds), steps)
 
 
 def brute_tight_separations(d):
@@ -1298,14 +1178,13 @@ class TestRecognize:
         monkeypatch.undo()
         assert all(verify_certificate(d, c).valid for d, c in zip(inputs, certs))
 
-    def test_patterns_skip_the_case_analysis(self, monkeypatch):
+    def test_patterns_take_no_step(self, monkeypatch):
         """A digraph whose collapsed piece is already a bidirected cycle or
-        A4 ends at the pattern test, before any round of the case analysis."""
+        A4 ends at the pattern test, before the NO loop tries any step."""
         def refuse(*args, **kwargs):
-            raise AssertionError("a pattern went through the case analysis")
+            raise AssertionError("a pattern went through a shrinking step")
 
-        monkeypatch.setattr(dtw1, "_case_analysis_steps", refuse)
-        monkeypatch.setattr(dtw1, "_case_one_steps", refuse)
+        monkeypatch.setattr(dtw1, "_no_step", refuse)
         cases = [(bicycle(k), ("bicycle", k)) for k in range(3, 9)]
         cases += [
             (Digraph(4, frozenset((perm[a], perm[b]) for (a, b) in a4_digraph().edges)),
@@ -1329,13 +1208,13 @@ class TestRecognize:
             recognize_dtw1(digraph_from_edges(3, [(0, 1), (1, 2), (2, 1)]))
 
 
-# NO instances on which a `_K3` step that deleted x->z and contracted y->z
-# lost the obstruction: a later round reached a piece that is neither
-# strongly 2-connected nor has a butterfly-dominating vertex, and
-# `_case_one_steps` raised "no cut vertex admits a usable shore contraction".
-# The two 7-vertex ones are the smallest repros; the census ones are every
-# crash among 1,500 draws of `rng = random.Random(7)`, `n = rng.randint(7, 11)`,
-# `p = rng.choice((0.05, 0.1, 0.15, 0.2))`,
+# NO instances that crashed the hand-written case analysis the NO loop
+# replaced: one of its rounds (a `_K3` step that deleted x->z and contracted
+# y->z) lost the obstruction, and a later round raised "no cut vertex admits
+# a usable shore contraction".  They stay as regression inputs for the one
+# rule.  The two 7-vertex ones are the smallest repros; the census ones are
+# every crash among 1,500 draws of `rng = random.Random(7)`,
+# `n = rng.randint(7, 11)`, `p = rng.choice((0.05, 0.1, 0.15, 0.2))`,
 # `suite.random_strongly_connected(rng, n, p)`, named by draw index.
 CASE_ONE_CRASHES = {
     "seven-a": "0 4, 1 3, 1 5, 2 0, 2 4, 3 2, 3 5, 4 1, 4 6, 5 2, 5 4, 5 6, 6 1, 6 3",
@@ -1382,6 +1261,29 @@ def test_random_corpus_agrees_with_the_hypertree_route():
         assert (cert.verdict == "YES") == hypertree_route(d).is_hypertree, i
         checked += 1
     assert checked == 198
+
+
+def test_every_no_answer_of_a_thousand_draws_verifies(monkeypatch):
+    """1,000 seeded random strongly connected digraphs on 5-10 vertices: the
+    NO loop never fails an assertion, and every NO certificate verifies."""
+    steps = 0
+    original = dtw1._no_step
+
+    def counting(d):
+        nonlocal steps
+        steps += 1
+        return original(d)
+
+    monkeypatch.setattr(dtw1, "_no_step", counting)
+    rng = random.Random(1000)
+    no = 0
+    for _ in range(1000):
+        d = random_strongly_connected(rng, rng.randint(5, 10), rng.choice((0.15, 0.25, 0.4)))
+        cert = recognize_dtw1(d)
+        if cert.verdict == "NO":
+            assert verify_certificate(d, cert).valid, sorted(d.edges)
+            no += 1
+    assert no >= 700 and steps >= 2500, (no, steps)
 
 
 @pytest.mark.parametrize("index", RANDOM_CORPUS_CRASHES)

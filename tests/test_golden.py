@@ -4,19 +4,19 @@ The first digest covers the `--format structured` output of `dtwone
 recognize` on every labeled strongly connected digraph on 2-4 vertices,
 Bicycle(5..8) and a few seeded bidirected trees.  The second covers the exit
 code and stdout on 200 seeded random strongly connected digraphs on 7-12
-vertices, most of which reach the case analysis's shore contractions.  A
-third digest covers both corpora's exit codes and stdout again: it was
-recorded without the `haven ` lines that certificates carried until havens
-became derived, so it pins verdicts, YES decompositions, witness scripts and
-branch sets across that change.  NO certificates now hold no haven table;
-the order-3 haven each witness implies is derived by `minor_haven`, and a
-fourth digest checks that those havens, written as the old `haven ` lines,
-are the tables the certificates used to carry.  The last covers exit code
-and stdout of every other command (`verify-cert`, `cycles`, `game`,
-`validate-dtd`, `validate-dbd`, `convert` and `hypergraph`) over small
-digraphs, their cycle hypergraphs and duals, and random hypergraphs.  When a
-change alters a certificate on purpose, recompute the digest and say why in
-the change log.
+vertices, most of which take shrinking steps in the NO loop.  A third
+digest covers both corpora's exit codes and stdout with no `haven ` line in
+them: NO certificates hold no haven table, so it pins verdicts, YES
+decompositions, witness scripts and branch sets.  The order-3 haven each
+witness implies is derived by `minor_haven`, and a fourth digest pins
+those havens, written as `haven ` lines.  A fifth covers the exit codes of
+both corpora alone, so that a change to how a NO witness is found can show
+it keeps every verdict.  The last covers exit code and stdout of every
+other command (`verify-cert`, `cycles`, `game`, `validate-dtd`,
+`validate-dbd`, `convert` and `hypergraph`) over small digraphs, their
+cycle hypergraphs and duals, and random hypergraphs.  When a change alters
+a certificate on purpose, recompute the digest and say why in the change
+log.
 """
 
 from __future__ import annotations
@@ -49,12 +49,14 @@ from dtwone.suite import (
     random_strongly_connected,
 )
 
-GOLDEN_SHA256 = "31379965bfa80936f50d6714570562e62e670f2d38a75d9c8828eec8e94ac8c5"
-RANDOM_SHA256 = "8571cd0df9982edc32f04f29175a512d952822b9e13c74b38fd33169fe60eceb"
-HAVEN_FREE_SHA256 = "d5769c785e345d54ceed3a44b33fa313463cd6aa4ca0d0187bb76bba5564488f"
-# The `haven ` lines the NO certificates of both corpora carried, in output
-# order, recorded before havens stopped being written.
-HAVEN_TABLES_SHA256 = "01cee3cb13916141706d4ba1e318211e22b3b80bf5c5aca415918e07359bcddc"
+GOLDEN_SHA256 = "7f80bf9bed6ad22e62fadc5934f2eda06542d0ef1ed129a708fa5893dde3568c"
+RANDOM_SHA256 = "72a4dc5415847161a90483691aafa8e2749fbb5ccb12e425f453cd64b9133d1a"
+HAVEN_FREE_SHA256 = "d3c132f2219261a864aaec508be2dbf6dae8fd3bf771bf5d40d5cef87056ea98"
+# The derived havens of the NO certificates of both corpora, in output
+# order, written as the `haven ` lines certificates used to carry.
+HAVEN_TABLES_SHA256 = "3ddcdbeb7770b6d9e0494bea9d508c6348d4134d3de10ebc518e4860a298ce8a"
+# The exit code of every input of both corpora, in order: 0 for YES, 1 for NO.
+VERDICTS_SHA256 = "74e1ecafa7dfde5c5c4d2cb7421e6604f545f25817f62e2cbb160221e98085e2"
 COMMANDS_SHA256 = "b514bbfb5c4edbc424824256de492ca1f2558872aa9acec1c65aff88246c3212"
 
 
@@ -115,10 +117,19 @@ def test_random_answers_match_the_golden_digest(answers):
     assert digest.hexdigest() == RANDOM_SHA256
 
 
+def test_verdicts_match_the_golden_digest(answers):
+    """The verdicts alone: a change to how a NO witness is found must leave
+    every exit code of both corpora as it is."""
+    digest = hashlib.sha256()
+    for corpus in ("golden", "random"):
+        for code, _, _ in answers[corpus]:
+            digest.update(f"{code}\n".encode())
+    assert digest.hexdigest() == VERDICTS_SHA256
+
+
 def test_answers_without_havens_match_the_golden_digest(answers):
     """Verdicts, YES decompositions, witness scripts and branch sets of both
-    corpora, byte for byte as before havens became derived: the
-    certificates hold no `haven ` line any more."""
+    corpora, byte for byte: the certificates hold no `haven ` line."""
     digest = hashlib.sha256()
     for corpus in ("golden", "random"):
         for code, _, stdout in answers[corpus]:
@@ -131,9 +142,11 @@ def test_answers_without_havens_match_the_golden_digest(answers):
 
 def test_derived_havens_match_the_old_tables(answers):
     """Each NO certificate is read back and its haven derived from the
-    witness; written as the old `haven <cop set>: <component>` lines, the
-    havens of both corpora are exactly the tables the certificates used to
-    carry, and each passes both haven verifiers."""
+    witness.  Written as the old `haven <cop set>: <component>` lines, the
+    havens of both corpora match the pinned digest, and each passes both
+    haven verifiers.  The digest pins the derived havens: since the NO loop
+    took its one-rule form they are no longer the tables the certificates
+    used to carry."""
     from test_games import reference_verify_haven
 
     digest = hashlib.sha256()
