@@ -10,9 +10,12 @@ component holding it.  `cut_vertex_shores` reads the condensation of d
 minus a vertex off the out-lists of each component's members, from
 components a caller may already have, and `orient_cut_separation` orients
 each of its shores; `tight_separations` collects them for every vertex,
-and the recogniser's s-decomposition keeps them per piece.  Every
-contraction, of one edge or of a whole shore, is a `quotient`.  All
-enumeration orders are deterministic.
+and the recogniser's s-decomposition keeps them per piece.
+`immediate_dominators` is Lengauer and Tarjan's algorithm.
+`is_strongly_2_connected` filters by degree, then runs it from one vertex
+in d and in d reversed and adds one Tarjan pass, so no vertex takes a pass
+of its own.  Every contraction, of one edge or of a whole shore, is a
+`quotient`.  All enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -42,17 +45,19 @@ class Digraph:
 
     @cached_property
     def _out(self):
-        adj = {u: [] for u in range(self.n)}
-        for (u, v) in sorted(self.edges):
+        adj = [[] for _ in range(self.n)]
+        for (u, v) in self.edges:
             adj[u].append(v)
-        return {u: tuple(vs) for u, vs in adj.items()}
+        return {u: tuple(sorted(vs)) for u, vs in enumerate(adj)}
 
     @cached_property
     def _in(self):
-        adj = {u: [] for u in range(self.n)}
-        for (u, v) in sorted(self.edges):
-            adj[v].append(u)
-        return {u: tuple(vs) for u, vs in adj.items()}
+        """Read off `_out`: tails come in increasing order, so no sort."""
+        adj = [[] for _ in range(self.n)]
+        for u, vs in self._out.items():
+            for v in vs:
+                adj[v].append(u)
+        return {u: tuple(vs) for u, vs in enumerate(adj)}
 
     def out_neighbours(self, u):
         """Sorted tuple of heads of edges leaving u."""
@@ -379,16 +384,106 @@ def tight_separations(d):
     return sorted(found.values(), key=TightSeparation.sort_key)
 
 
+def immediate_dominators(d, root, reverse=False):
+    """The immediate dominator of every vertex from root, in d or, with
+    `reverse`, in d with every edge reversed: a list by vertex, with the
+    root its own entry and None for every vertex the root does not reach.
+
+    x dominates v when every path from the root to v passes through x.
+    Lengauer and Tarjan's algorithm (*A fast algorithm for finding
+    dominators in a flowgraph*, TOPLAS 1(1), 1979) with path compression:
+    vertices are numbered in the preorder of an iterative depth-first
+    walk, and every array below is indexed by that number.
+    """
+    succ, pred = (d._in, d._out) if reverse else (d._out, d._in)
+    num = [-1] * d.n
+    num[root] = 0
+    order = [root]
+    parent = [0]
+    work = [(0, iter(succ[root]))]
+    while work:
+        i, it = work[-1]
+        for w in it:
+            if num[w] < 0:
+                num[w] = len(order)
+                order.append(w)
+                parent.append(i)
+                work.append((num[w], iter(succ[w])))
+                break
+        else:
+            work.pop()
+    count = len(order)
+    semi = list(range(count))
+    label = list(range(count))
+    ancestor = [-1] * count
+    idom = [0] * count
+    bucket = [[] for _ in range(count)]
+
+    def least(v):
+        """The vertex of least semi-dominator on the forest path from the
+        linked vertex v, below its tree's root; compresses the path."""
+        path = []
+        u = v
+        while ancestor[ancestor[u]] >= 0:
+            path.append(u)
+            u = ancestor[u]
+        for u in reversed(path):
+            a = ancestor[u]
+            if semi[label[a]] < semi[label[u]]:
+                label[u] = label[a]
+            ancestor[u] = ancestor[a]
+        return label[v]
+
+    for i in range(count - 1, 0, -1):
+        s = i
+        for v in pred[order[i]]:
+            j = num[v]
+            if j > i:  # already linked; a j below i is its own semi
+                j = semi[label[j] if ancestor[ancestor[j]] < 0 else least(j)]
+            if 0 <= j < s:
+                s = j
+        semi[i] = s
+        bucket[s].append(i)
+        p = ancestor[i] = parent[i]
+        for v in bucket[p]:
+            u = least(v)
+            idom[v] = u if semi[u] < semi[v] else p
+        bucket[p] = []
+    for i in range(1, count):
+        if idom[i] != semi[i]:
+            idom[i] = idom[idom[i]]
+    result = [None] * d.n
+    for i, v in enumerate(order):
+        result[v] = order[idom[i]]
+    return result
+
+
 def is_strongly_2_connected(d):
     """True if d stays strongly connected after deleting any single vertex.
 
-    Digraphs on at most two vertices count as strongly 2-connected.
+    Digraphs on at most two vertices count as strongly 2-connected; one
+    that is not strongly connected does not.  Otherwise, with n >= 3, a
+    vertex v of in- or out-degree at most one settles it: if v's only
+    out-neighbour is w, v reaches nothing in d - w.  Past that filter, in
+    a strongly connected d, a vertex x other than 0 is a strong
+    articulation point exactly when it dominates some vertex from 0 in d
+    or in its reverse (Italiano, Laura,
+    Santaroni, *Finding strong bridges and strong articulation points in
+    linear time*, TCS 447, 2012).  So d is strongly 2-connected exactly
+    when every immediate dominator from 0 is 0 in both, which also says
+    that d is strongly connected, and d - 0 is strongly connected: two
+    dominator trees and one Tarjan pass.
     """
     if d.n <= 2:
         return True
-    if not is_strongly_connected(d):
+    out, into = d._out, d._in
+    if any(len(out[v]) < 2 or len(into[v]) < 2 for v in range(d.n)):
         return False
-    return all(len(strong_components(d, (v,))) == 1 for v in range(d.n))
+    return (
+        all(x == 0 for x in immediate_dominators(d, 0))
+        and all(x == 0 for x in immediate_dominators(d, 0, reverse=True))
+        and len(strong_components(d, (0,))) == 1
+    )
 
 
 def _bfs_arcs(root, neighbours):

@@ -2,23 +2,26 @@
 
 The positive route splits the digraph along a maximal laminar family of
 one-vertex separations; when every resulting piece is a digon the width-one
-decomposition can be read off.  Only the whole digraph takes a Tarjan pass
-per vertex: a split piece carries its parent's candidate separations over,
-and recomputes only its new cut vertex and the vertices where the split
-drops a strong component.  The negative route shrinks the digraph to a
-bidirected cycle or the four-vertex digraph A4 by one rule: contract the
-far shores of the least piece with three or more vertices, stop if that
-piece is a pattern, and otherwise delete the first edge whose deletion
-leaves a digraph whose s-decomposition still has such a piece, then
-collapse again.  A collapsed piece is strongly 2-connected, so no edge of
-it is butterfly-contractible and every deletion keeps it strongly
-connected.  Every step is recorded so the embedding can be replayed; no
-cycle of the digraph is enumerated.  The embedding is the whole NO
-certificate: the order-3 haven it implies, lifted from the pattern through
-the roots of the branch sets, is built by `minor_haven` on request and
-never stored.  The certificate types and their checker are in `check`, and
-the script is recorded by the checker's own replay state, so recogniser and
-checker cannot disagree on what a step means.
+decomposition can be read off.  A strongly 2-connected digraph is one
+piece, found by two dominator trees and one Tarjan pass.  Only any other
+whole digraph takes a Tarjan pass per vertex: a split piece carries its
+parent's candidate separations over, and recomputes only its new cut
+vertex and the vertices where the split drops a strong component.  The
+negative route shrinks the digraph to a bidirected cycle or the
+four-vertex digraph A4 by one rule: contract the far shores of the least
+piece with three or more vertices, stop if that piece is a pattern, and
+otherwise delete the first edge whose deletion leaves a digraph whose
+s-decomposition still has such a piece, then collapse again.  A collapsed
+piece is strongly 2-connected, so no edge of it is butterfly-contractible,
+every deletion keeps it strongly connected, and a trial that stays
+strongly 2-connected costs its s-decomposition no per-vertex pass.  Every
+step is recorded so the embedding can be replayed; no cycle of the digraph
+is enumerated.  The embedding is the whole NO certificate: the order-3
+haven it implies, lifted from the pattern through the roots of the branch
+sets, is built by `minor_haven` on request and never stored.  The
+certificate types and their checker are in `check`, and the script is
+recorded by the checker's own replay state, so recogniser and checker
+cannot disagree on what a step means.
 """
 
 from __future__ import annotations
@@ -226,7 +229,7 @@ def _collapse(state: _ReplayState, sdec: SDecomposition) -> tuple[Digraph, tuple
         for (a, b) in expected.edges
     )
     assert projected == state.edges and len(state.members) == expected.n, (
-        "collapsing the far shores must reproduce the collapsed piece"
+        f"collapsing the far shores must reproduce the collapsed piece: {_edge_list(whole)}"
     )
     return state.dense()
 
@@ -251,8 +254,13 @@ def _no_step(d: Digraph):
         sdec = s_decomposition(trial)
         if any(len(t) >= 3 for t in sdec.territories):
             return (a, b), trial, sdec
-    edges = ", ".join(f"{a} {b}" for (a, b) in d.sorted_edges())
-    raise AssertionError(f"no deletion leaves a strongly connected NO digraph: {edges}")
+    raise AssertionError(f"no deletion leaves a strongly connected NO digraph: {_edge_list(d)}")
+
+
+def _edge_list(d: Digraph) -> str:
+    """d's edges as "a b" pairs joined by commas, in sorted order: the list
+    an assertion names a digraph by, which `digraph_from_edges` reads back."""
+    return ", ".join(f"{a} {b}" for (a, b) in d.sorted_edges())
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +454,16 @@ def _split_off(parent: _Piece, territory, cut, attachments, minus, where) -> _Pi
 def s_decomposition(d: Digraph) -> SDecomposition:
     """Split d along a maximal laminar family of one-cut-vertex separations.
 
+    A strongly 2-connected d is one piece, and its test
+    (`is_strongly_2_connected`: a degree filter, two dominator trees and
+    one Tarjan pass) comes first, before any per-vertex work.  It is the
+    result the search below would reach, since no vertex of d would have
+    a second component and so no entry a candidate.  Every digraph on two
+    vertices passes, so the search only ever starts on three or more.  A
+    root with a cut vertex always has a candidate (the X-shore of the
+    sink component of d - v is that component alone), so the root is
+    never a finished piece.
+
     Pieces are taken from a worklist: each is searched once, and split in two
     along its lexicographically least lifted separation if it has one.  The
     order of the splits does not matter.  A piece's least candidate depends
@@ -458,7 +476,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     Each finished piece of three or more vertices is checked to be strongly
     2-connected when its search comes up empty, which is final because its
     attachments never change afterwards; the family is checked to be
-    laminar before it is returned.
+    laminar before it is returned.  Both assertions name d by
+    `_edge_list`.
 
     A piece with two vertices is final as it stands, and is neither built
     nor searched.  Its collapsed piece is a contraction of a strongly
@@ -471,8 +490,9 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     A piece's candidates are its entries (see `_Piece`): every X-shore of a
     strong component of the collapsed piece minus a vertex, keyed by its
     lifted separation.  Only the winner is lifted as a separation and
-    asserted, and its key is asserted to be that lift.  The root piece
-    computes its entries with one Tarjan pass per vertex.  A split piece
+    asserted, and its key is asserted to be that lift.  The root piece,
+    which is searched only when d fails the test above, computes its
+    entries with one Tarjan pass per vertex.  A split piece
     takes most of its entries over from its parent, unchanged.  Let Q be
     the parent's collapsed piece, split along (A, B) at c, and take the A
     side, with territory T' = T_A, which drops D, the B-only vertices; the
@@ -518,6 +538,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         raise ValueError("need at least two vertices")
     if not is_strongly_connected(d):
         raise ValueError("need a strongly connected digraph")
+    if is_strongly_2_connected(d):
+        return SDecomposition((d.vertex_set,), ())
 
     minus = [strong_components(d, (v,)) for v in range(d.n)]
     where = [[-1] * d.n for _ in range(d.n)]
@@ -531,14 +553,14 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     pieces = [root.territory]  # the territory of each piece, by index
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
     incident = [[]]  # the indices in tree_edges of each piece's edges
-    work = [(0, root)] if d.n > 2 else []
+    work = [(0, root)]
 
     while work:
         pi, piece = work.pop()
         best = _least_entry(piece)
         if best is None:
             assert is_strongly_2_connected(piece.collapsed), (
-                "a finished piece must be strongly 2-connected"
+                f"a finished piece must be strongly 2-connected: {_edge_list(d)}"
             )
             continue
         v, (x, x_first, key, _) = best
@@ -570,7 +592,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
                 work.append((i, _split_off(piece, pieces[i], v, attachments, minus, where)))
 
     for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2):
-        assert not separations_cross(s, t), "family must be pairwise laminar"
+        assert not separations_cross(s, t), f"family must be pairwise laminar: {_edge_list(d)}"
     order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i])))
     rank = {old: new for new, old in enumerate(order)}
     ranked = [(rank[ai], rank[bi], sep) for (ai, bi, sep) in tree_edges]

@@ -25,7 +25,7 @@ from dtwone.digraph import (
     strong_components,
     tight_separations,
 )
-from dtwone import check, cycles, digraph, dtw1, games
+from dtwone import check, cycles, digraph, dtw1, games, suite
 from dtwone.check import (
     Dtw1Certificate,
     MinorWitness,
@@ -372,9 +372,15 @@ class TestExtractMinorWitness:
         digraph; the assertion names the digraph so that it can be replayed."""
         with pytest.raises(AssertionError, match="no deletion leaves") as err:
             dtw1._no_step(bicycle(3))
-        listed = str(err.value).rsplit(": ", 1)[1]
-        pairs = [tuple(map(int, pair.split())) for pair in listed.split(", ")]
-        assert digraph_from_edges(3, pairs) == bicycle(3)
+        assert named_digraph(err.value) == bicycle(3)
+
+
+def named_digraph(error):
+    """The digraph an assertion message names by the edge list after its
+    last colon."""
+    listed = str(error).rsplit(": ", 1)[1]
+    pairs = [tuple(map(int, pair.split())) for pair in listed.split(", ")]
+    return digraph_from_edges(1 + max(map(max, pairs)), pairs)
 
 
 def reference_a4_embedding(d):
@@ -625,15 +631,17 @@ class TestSDecomposition:
                 assert len(territory) >= 2
 
     def test_each_finished_piece_is_checked_where_it_was_collapsed(self, monkeypatch):
-        # The strong 2-connectivity assertion sees the collapsed piece of
+        # The strong 2-connectivity test sees the root digraph once, where
+        # it decides whether d is one piece, then the collapsed piece of
         # every finished piece of three or more vertices exactly once, and
-        # nothing else.  A two-vertex piece is never built; it is a digon,
-        # strongly 2-connected as it stands.
+        # nothing else.  A strongly 2-connected root is its own finished
+        # piece and is seen once.  A two-vertex piece is never built; it is
+        # a digon, strongly 2-connected as it stands.
         seen = []
 
         def recording(piece):
             seen.append(piece)
-            return True
+            return is_strongly_2_connected(piece)
 
         monkeypatch.setattr(dtw1, "is_strongly_2_connected", recording)
         rng = random.Random(95)
@@ -650,10 +658,39 @@ class TestSDecomposition:
                     continue
                 assert len(territory) == 2 and is_strongly_2_connected(piece)
                 skipped += 1
-            assert sorted(seen, key=repr) == sorted(checked, key=repr)
+            if s.tree_edges:
+                assert seen[0] == d
+                assert sorted(seen[1:], key=repr) == sorted(checked, key=repr)
+            else:
+                assert seen == [d]
             built += len(checked)
         # 15 pieces of three or more vertices, 93 of two.
         assert built >= 15 and skipped >= 90, (built, skipped)
+
+    def test_a_piece_that_is_not_strongly_2_connected_names_the_digraph(self, monkeypatch):
+        # Told that nothing is strongly 2-connected, the search of the
+        # bidirected 4-cycle finds no candidate and fails on its root.
+        monkeypatch.setattr(dtw1, "is_strongly_2_connected", lambda d: False)
+        with pytest.raises(AssertionError, match="finished piece") as err:
+            s_decomposition(bicycle(4))
+        assert named_digraph(err.value) == bicycle(4)
+
+    def test_a_crossing_family_names_the_digraph(self, monkeypatch):
+        d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
+        monkeypatch.setattr(dtw1, "separations_cross", lambda s, t: True)
+        with pytest.raises(AssertionError, match="pairwise laminar") as err:
+            s_decomposition(d)
+        assert named_digraph(err.value) == d
+
+    def test_a_collapse_that_misses_its_piece_names_the_digraph(self, monkeypatch):
+        # The bidirected 4-cycle with a pendant digon at 0: its far shore
+        # left uncontracted, the state is not the collapsed piece.
+        d = bidirect(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        sdec = s_decomposition(d)
+        monkeypatch.setattr(dtw1, "shore_contraction_script", lambda *args: [])
+        with pytest.raises(AssertionError, match="reproduce the collapsed piece") as err:
+            dtw1._collapse(dtw1._ReplayState(d), sdec)
+        assert named_digraph(err.value) == d
 
     def test_family_is_pairwise_laminar(self):
         rng = random.Random(93)
@@ -977,6 +1014,32 @@ class TestSDecompositionCache:
         sdec = s_decomposition(bidirect(40, random_tree_edges(random.Random(40), 40)))
         assert len(sdec.edges) == 38
         assert removed_counts.count(1) == 40
+
+    @pytest.mark.parametrize("which, expected", [("bicycle", 2), ("dense", 952)])
+    def test_strong_components_calls_of_a_recognition(self, monkeypatch, which, expected):
+        # Bicycle(22) is strongly 2-connected: one pass checks that it is
+        # strongly connected and one is the test's pass of d - 0, and no
+        # vertex takes a pass of its own.  The 40-vertex dense draw (269
+        # edges) takes 103 NO rounds and 105 trial s-decompositions, and a
+        # strongly 2-connected trial costs two passes.  The two took 46 and
+        # 5,909 when every s-decomposition built its table with a pass per
+        # vertex and asserted each finished piece with one more per vertex.
+        if which == "bicycle":
+            d = bicycle(22)
+        else:
+            rng = random.Random(5)
+            d = [suite.random_strongly_connected(rng, n, 0.15) for n in (20, 30, 40)][-1]
+        calls = 0
+
+        def counted(d, removed=()):
+            nonlocal calls
+            calls += 1
+            return strong_components(d, removed)
+
+        monkeypatch.setattr(dtw1, "strong_components", counted)
+        monkeypatch.setattr(digraph, "strong_components", counted)
+        assert recognize_dtw1(d).verdict == "NO"
+        assert calls == expected
 
     def test_only_the_new_cut_is_recomputed(self, monkeypatch):
         # Each split piece of three or more vertices recomputes only its new
