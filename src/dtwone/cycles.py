@@ -124,21 +124,6 @@ def min_hitting_set(ch: CycleHypergraph, targets) -> frozenset:
     raise AssertionError("the union of the targets hits every target")
 
 
-def is_chain(ch: CycleHypergraph, seq) -> bool:
-    """True if the cycle-index sequence forms a chain: consecutive cycles
-    intersect and cycles at distance at least two are disjoint.  Singleton
-    sequences are chains."""
-    sets = [ch.hyperedges[i] for i in seq]
-    for a in range(len(sets) - 1):
-        if not sets[a] & sets[a + 1]:
-            return False
-    for a in range(len(sets)):
-        for b in range(a + 2, len(sets)):
-            if sets[a] & sets[b]:
-                return False
-    return True
-
-
 @dataclass(frozen=True)
 class CycleChain:
     """A chain of cycles by hyperedge index; closed chains wrap around."""

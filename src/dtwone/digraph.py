@@ -1,8 +1,8 @@
 """Digraphs with dense integer vertices, quotients and one-vertex separations.
 
 A digraph is a vertex count plus a set of ordered pairs; loops and parallel
-edges are excluded.  Everything else — strong components, butterfly
-contractibility, tight separations — is computed on demand.  The strong
+edges are excluded.  Everything else — strong components, dominators,
+tight separations — is computed on demand.  The strong
 components of d minus a vertex set come from one Tarjan pass over d itself,
 without building d minus the set.  `round_trips` walks forward from a
 source set and back inside what it reached: one source gives the strong
@@ -206,14 +206,6 @@ def is_strongly_connected(d):
     if d.n <= 1:
         return True
     return len(strong_components(d)) == 1
-
-
-def butterfly_contractible(d, edge):
-    """An edge (u,v) is butterfly contractible if it is the unique edge leaving
-    u or the unique edge entering v."""
-    (u, v) = edge
-    assert edge in d.edges, f"edge {edge} not present"
-    return len(d.out_neighbours(u)) == 1 or len(d.in_neighbours(v)) == 1
 
 
 def quotient(d, label_of):

@@ -14,7 +14,11 @@ otherwise delete the first edge whose deletion leaves a digraph whose
 s-decomposition still has such a piece, then collapse again.  A collapsed
 piece is strongly 2-connected, so no edge of it is butterfly-contractible,
 every deletion keeps it strongly connected, and a trial that stays
-strongly 2-connected costs its s-decomposition no per-vertex pass.  Every
+strongly 2-connected costs its s-decomposition no per-vertex pass.  The
+loop works in one label space, the replay state's class representatives:
+shores are scripted on the state's own adjacency, a deletion's trial is the
+next round's digraph as it stands, and the collapsed piece is rebuilt as a
+dense digraph only after a round that contracted a far shore.  Every
 step is recorded so the embedding can be replayed; no cycle of the digraph
 is enumerated.  The embedding is the whole NO certificate: the order-3
 haven it implies, lifted from the pattern through the roots of the branch
@@ -67,48 +71,51 @@ from .hypergraph import JoinTreeWitness, hypertree_witness
 # contraction scripts and their replay
 
 
-def shore_contraction_script(d: Digraph, shore, cut: int) -> list:
+def shore_contraction_script(state: _ReplayState, shore, cut: int) -> list:
     """Steps that butterfly-contract a tight-separation shore onto its cut vertex.
 
-    A spanning branching of the shore rooted at the cut is kept, every other
+    The shore, its cut and the steps are in the state's representatives,
+    and the shore is read off the state's adjacency (`out` / `inn`).  A
+    spanning branching of the shore rooted at the cut is kept, every other
     edge inside the shore is deleted, and the branching is contracted leaf by
     leaf.  Whether the branching points at or away from the cut depends on
-    which way the shore leaks edges past its boundary.
+    which way the shore leaks edges past its boundary.  A failed check
+    names the state's input digraph by `_edge_list`.
     """
     shore = frozenset(shore)
-    assert cut in shore, "cut vertex must lie on its shore"
+    assert cut in shore, f"cut vertex must lie on its shore: {_edge_list(state.base)}"
     inner = shore - {cut}
     if not inner:
         return []
-    outside = frozenset(range(d.n)) - shore
-    sends = any(a in inner and b in outside for (a, b) in d.edges)
-    receives = any(a in outside and b in inner for (a, b) in d.edges)
-    assert not (sends and receives), "shore leaks in both directions"
+    sends = any(not shore.issuperset(state.out[a]) for a in inner)
+    receives = any(not shore.issuperset(state.inn[b]) for b in inner)
+    assert not (sends and receives), f"shore leaks in both directions: {_edge_list(state.base)}"
     toward_cut = not sends
 
     parent = {}
     depth = {cut: 0}
     stack = [cut]
+    adjacent = state.inn if toward_cut else state.out
     while stack:
         cur = stack.pop()
-        if toward_cut:
-            nbrs = [u for u in d.in_neighbours(cur) if u in inner and u not in depth]
-        else:
-            nbrs = [u for u in d.out_neighbours(cur) if u in inner and u not in depth]
+        nbrs = [u for u in adjacent[cur] if u in inner and u not in depth]
         for u in sorted(nbrs, reverse=True):
             parent[u] = cur
             depth[u] = depth[cur] + 1
             stack.append(u)
-    assert set(parent) == set(inner), "shore is not connected through its cut"
+    assert set(parent) == set(inner), (
+        f"shore is not connected through its cut: {_edge_list(state.base)}"
+    )
 
     if toward_cut:
         branching = {(u, parent[u]) for u in inner}
     else:
         branching = {(parent[u], u) for u in inner}
     steps = []
-    for (a, b) in d.sorted_edges():
-        if a in shore and b in shore and (a, b) not in branching:
-            steps.append(("del", a, b))
+    for a in sorted(shore):
+        for b in sorted(shore.intersection(state.out[a])):
+            if (a, b) not in branching:
+                steps.append(("del", a, b))
 
     children = {u: set() for u in shore}
     for u in inner:
@@ -183,21 +190,27 @@ def _minor_witness(d: Digraph, sdec: SDecomposition) -> MinorWitness:
     """The witness for d, given its s-decomposition, which has a piece of
     three or more vertices.
 
-    The loop holds a strongly connected NO digraph and an s-decomposition
-    of it.  It contracts every far shore of the least piece with three or
-    more vertices (`_collapse`), stops if what is left is a pattern, and
-    otherwise takes `_no_step`'s deletion, whose s-decomposition it
-    collapses next.  Every step shrinks the digraph, so the loop ends.
+    The loop holds a strongly connected NO digraph, with the state's
+    representative for each of its vertices, and an s-decomposition of it.
+    It contracts every far shore of the least piece with three or more
+    vertices (`_collapse`), stops if what is left is a pattern, and
+    otherwise takes `_no_step`'s deletion.  A deletion merges no classes,
+    so the trial it was tried on, under the same labels, is the digraph
+    the loop collapses next, with the trial's s-decomposition.  Every step
+    shrinks the digraph, so the loop ends.
     """
     state = _ReplayState(d)
+    dense, labels = d, tuple(range(d.n))
     while True:
-        dense, labels = _collapse(state, sdec)
+        dense, labels = _collapse(state, sdec, dense, labels)
         found = _pattern(dense)
         if found is not None:
             break
-        (a, b), trial, sdec = _no_step(dense)
+        (a, b), dense, sdec = _no_step(dense)
         state.apply([("del", labels[a], labels[b])])
-        assert state.dense()[0] == trial, "a step must leave the digraph it was tried on"
+        assert state.edges == {(labels[u], labels[v]) for (u, v) in dense.edges}, (
+            f"a step must leave the digraph it was tried on: {_edge_list(state.base)}"
+        )
     kind, length, embedding = found
     branch = {p: state.members[labels[v]] for p, v in enumerate(embedding)}
     return MinorWitness(
@@ -208,30 +221,29 @@ def _minor_witness(d: Digraph, sdec: SDecomposition) -> MinorWitness:
     )
 
 
-def _collapse(state: _ReplayState, sdec: SDecomposition) -> tuple[Digraph, tuple]:
+def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels: tuple):
     """Contract every far shore of sdec's least piece with three or more
-    vertices, applying the steps to the state; sdec is an s-decomposition
-    of `state.dense()`.  Returns the new `state.dense()`, which is that
-    collapsed piece."""
-    whole, start = state.dense()
+    vertices, applying the steps to the state, and return that collapsed
+    piece with the representative of each of its vertices.
+
+    whole is the state's current digraph, its vertex i standing for the
+    representative labels[i], and sdec is an s-decomposition of it.  Each
+    shore is mapped to representatives and scripted on the state itself.
+    The collapsed piece is rebuilt by `state.dense()` only when a far shore
+    was contracted; otherwise it is whole.
+    """
     node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
     attachments = _attachments(sdec.tree_edges, node)
     expected, expect_labels = _collapse_piece(whole, sdec.territories[node], attachments)
     for (cut, far, _) in attachments:
-        dense, labels = state.dense()
-        back = {v: i for i, v in enumerate(labels)}
-        shore = frozenset(back[state.rep(start[u])] for u in far)
-        local_cut = back[state.rep(start[cut])]
-        steps = shore_contraction_script(dense, shore, local_cut)
-        state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in steps])
-    projected = frozenset(
-        (state.rep(start[expect_labels[a]]), state.rep(start[expect_labels[b]]))
-        for (a, b) in expected.edges
-    )
+        shore = frozenset(state.rep(labels[u]) for u in far)
+        state.apply(shore_contraction_script(state, shore, state.rep(labels[cut])))
+    rep = [state.rep(labels[v]) for v in expect_labels]
+    projected = frozenset((rep[a], rep[b]) for (a, b) in expected.edges)
     assert projected == state.edges and len(state.members) == expected.n, (
-        f"collapsing the far shores must reproduce the collapsed piece: {_edge_list(whole)}"
+        f"collapsing the far shores must reproduce the collapsed piece: {_edge_list(state.base)}"
     )
-    return state.dense()
+    return state.dense() if attachments else (whole, labels)
 
 
 def _no_step(d: Digraph):
@@ -339,7 +351,7 @@ def _lift_separation(d, attachments, shore_a, shore_b) -> TightSeparation:
     shore_a, shore_b = _lifted_shores(attachments, shore_a, shore_b)
     lifted = TightSeparation(frozenset(shore_a), frozenset(shore_b))
     assert is_directed_separation(d, lifted.shoreA, lifted.shoreB), (
-        "lifted shores stopped being a directed separation"
+        f"lifted shores stopped being a directed separation: {_edge_list(d)}"
     )
     return lifted
 
@@ -454,15 +466,18 @@ def _split_off(parent: _Piece, territory, cut, attachments, minus, where) -> _Pi
 def s_decomposition(d: Digraph) -> SDecomposition:
     """Split d along a maximal laminar family of one-cut-vertex separations.
 
-    A strongly 2-connected d is one piece, and its test
-    (`is_strongly_2_connected`: a degree filter, two dominator trees and
-    one Tarjan pass) comes first, before any per-vertex work.  It is the
-    result the search below would reach, since no vertex of d would have
-    a second component and so no entry a candidate.  Every digraph on two
-    vertices passes, so the search only ever starts on three or more.  A
-    root with a cut vertex always has a candidate (the X-shore of the
-    sink component of d - v is that component alone), so the root is
-    never a finished piece.
+    A strongly 2-connected d on three or more vertices is one piece, and
+    its test (`is_strongly_2_connected`: a degree filter, two dominator
+    trees and one Tarjan pass) comes first, before any other work.  It is
+    the result the search below would reach, since no vertex of d would
+    have a second component and so no entry a candidate.  It also says
+    that d is strongly connected, so only a d that fails it takes the
+    strong connectivity pass.  That test holds on every two-vertex
+    digraph, so it is not asked there: a strongly connected one is a
+    digon, one piece, and the search only ever starts on three or more
+    vertices.  A root with a cut vertex always has a candidate (the
+    X-shore of the sink component of d - v is that component alone), so
+    the root is never a finished piece.
 
     Pieces are taken from a worklist: each is searched once, and split in two
     along its lexicographically least lifted separation if it has one.  The
@@ -476,8 +491,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     Each finished piece of three or more vertices is checked to be strongly
     2-connected when its search comes up empty, which is final because its
     attachments never change afterwards; the family is checked to be
-    laminar before it is returned.  Both assertions name d by
-    `_edge_list`.
+    laminar before it is returned.  These assertions, and the lift, key
+    and straddle checks of each split, name d by `_edge_list`.
 
     A piece with two vertices is final as it stands, and is neither built
     nor searched.  Its collapsed piece is a contraction of a strongly
@@ -536,9 +551,10 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
-    if not is_strongly_connected(d):
+    one_piece = d.n >= 3 and is_strongly_2_connected(d)
+    if not one_piece and not is_strongly_connected(d):
         raise ValueError("need a strongly connected digraph")
-    if is_strongly_2_connected(d):
+    if one_piece or d.n == 2:
         return SDecomposition((d.vertex_set,), ())
 
     minus = [strong_components(d, (v,)) for v in range(d.n)]
@@ -567,7 +583,9 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         x = x & piece.territory
         first, second, _ = orient_cut_separation(piece.territory - x, x | {v}, v, x, x_first)
         sep = _lift_separation(d, piece.attachments, first, second)
-        assert sep.sort_key() == key, "an entry's key must be its lifted separation"
+        assert sep.sort_key() == key, (
+            f"an entry's key must be its lifted separation: {_edge_list(d)}"
+        )
         old = pieces[pi]
         pieces[pi] = old & sep.shoreA
         new_index = len(pieces)
@@ -580,7 +598,9 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             if inner.isdisjoint(sep.shoreB):
                 kept.append(e)
                 continue
-            assert inner.isdisjoint(sep.shoreA), "an old tree edge straddles the new separation"
+            assert inner.isdisjoint(sep.shoreA), (
+                f"an old tree edge straddles the new separation: {_edge_list(d)}"
+            )
             moved.append(e)
             tree_edges[e] = (new_index, bi, s) if ai == pi else (ai, new_index, s)
         incident[pi] = kept + [len(tree_edges)]

@@ -74,11 +74,6 @@ def vertex_names(d: Digraph, names=None) -> tuple:
     return tuple(names)
 
 
-def format_digraph(d: Digraph, names=None) -> list:
-    names = vertex_names(d, names)
-    return [f"{names[u]} {names[v]}" for (u, v) in d.sorted_edges()]
-
-
 def digraph_hash(d: Digraph) -> str:
     """Canonical-form digest: names are forgotten, only the dense sorted
     edge list and the vertex count enter the hash."""

@@ -14,7 +14,6 @@ from dtwone.cycles import (
     cycle_hypergraph,
     enumerate_cycles,
     find_closed_chain,
-    is_chain,
     min_hitting_set,
     strongly_connected_via_chains,
 )
@@ -203,28 +202,6 @@ class TestMinHittingSet:
 
 
 class TestChains:
-    def test_singleton_is_chain(self):
-        ch = cycle_hypergraph(a4_digraph())
-        assert is_chain(ch, [3])
-
-    def test_two_intersecting_cycles(self):
-        ch = cycle_hypergraph(a4_digraph())
-        # {0, 2} and {0, 1, 2} share vertices
-        assert is_chain(ch, [3, 0])
-
-    def test_disjoint_consecutive_fails(self):
-        ch = cycle_hypergraph(a4_digraph())
-        # {0, 2} and {1, 3} are disjoint
-        assert not is_chain(ch, [3, 6])
-
-    def test_a4_triangle_triple_is_not_an_open_chain(self):
-        ch = cycle_hypergraph(a4_digraph())
-        # ({0,1,3}, {1,2,3}, {0,2}): the outer pair intersects in {0}
-        assert ch.hyperedges[2] == frozenset({0, 1, 3})
-        assert ch.hyperedges[5] == frozenset({1, 2, 3})
-        assert ch.hyperedges[3] == frozenset({0, 2})
-        assert not is_chain(ch, [2, 5, 3])
-
     def test_closed_chain_needs_three(self):
         with pytest.raises(AssertionError):
             CycleChain((0, 1), True)

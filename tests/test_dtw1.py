@@ -274,25 +274,31 @@ class TestReplayDifferential:
         assert replayed >= 450 and steps >= 1000, (replayed, steps)
 
 
+def shore_script(d, shore, cut):
+    """`shore_contraction_script` on a fresh replay state of d, whose
+    representatives are d's own vertices."""
+    return shore_contraction_script(check._ReplayState(d), shore, cut)
+
+
 class TestShoreContraction:
     def test_two_vertex_shore_is_one_contraction(self):
         d = bidirected_path(3)
-        steps = shore_contraction_script(d, {1, 2}, 1)
+        steps = shore_script(d, {1, 2}, 1)
         state = replay_script(d, steps)
         assert len(state.members) == 2
         assert state.members[state.rep(2)] == frozenset({1, 2})
 
     def test_shore_sending_out_gets_an_out_branching(self):
         d = directed_cycle_digraph(3)
-        assert shore_contraction_script(d, {0, 1}, 0) == [("contract", 0, 1)]
+        assert shore_script(d, {0, 1}, 0) == [("contract", 0, 1)]
 
     def test_shore_receiving_gets_an_in_branching(self):
         d = directed_cycle_digraph(3)
-        assert shore_contraction_script(d, {0, 2}, 0) == [("contract", 2, 0)]
+        assert shore_script(d, {0, 2}, 0) == [("contract", 2, 0)]
 
     def test_non_branching_edges_are_deleted_first(self):
         d = bidirected_path(4)
-        steps = shore_contraction_script(d, {1, 2, 3}, 1)
+        steps = shore_script(d, {1, 2, 3}, 1)
         assert steps == [
             ("del", 1, 2),
             ("del", 2, 3),
@@ -303,7 +309,43 @@ class TestShoreContraction:
         assert state.members[state.rep(3)] == frozenset({1, 2, 3})
 
     def test_trivial_shore_is_empty(self):
-        assert shore_contraction_script(digon(), {0}, 0) == []
+        assert shore_script(digon(), {0}, 0) == []
+
+    def test_shores_are_named_by_representatives(self):
+        # With 3 -> 2 contracted, the class {2, 3} is named 2: the shore
+        # {1, 2} of what is left, the bidirected path 0 1 2, is one
+        # deletion and one contraction.
+        d = bidirected_path(4)
+        state = replay_script(d, [("del", 2, 3), ("contract", 3, 2)])
+        steps = shore_contraction_script(state, {1, 2}, 1)
+        assert steps == [("del", 1, 2), ("contract", 2, 1)]
+        state.apply(steps)
+        assert state.members[1] == frozenset({1, 2, 3})
+
+    # Each shore check names the state's input digraph, not the digraph
+    # the state holds after its steps.
+    def test_a_cut_off_its_shore_names_the_digraph(self):
+        d = bidirected_path(4)
+        state = replay_script(d, [("del", 2, 3)])
+        with pytest.raises(AssertionError, match="cut vertex must lie on its shore") as err:
+            shore_contraction_script(state, {1, 2}, 0)
+        assert named_digraph(err.value) == d
+
+    def test_a_shore_leaking_both_ways_names_the_digraph(self):
+        d = bicycle(4)
+        state = replay_script(d, [("del", 2, 3)])
+        with pytest.raises(AssertionError, match="leaks in both directions") as err:
+            shore_contraction_script(state, {0, 1}, 0)
+        assert named_digraph(err.value) == d
+
+    def test_a_shore_cut_off_from_its_cut_names_the_digraph(self):
+        # With 3 -> 0 deleted, 2 and 3 only receive from outside the shore
+        # {0, 2, 3}, and its cut 0 has no in-neighbour among them.
+        d = digraph_from_edges(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 2), (3, 0)])
+        state = replay_script(d, [("del", 3, 0)])
+        with pytest.raises(AssertionError, match="not connected through its cut") as err:
+            shore_contraction_script(state, {0, 2, 3}, 0)
+        assert named_digraph(err.value) == d
 
 
 class TestExtractMinorWitness:
@@ -524,6 +566,75 @@ class TestNoStepReference:
         assert len(rounds) >= 600 and steps >= 450, (len(rounds), steps)
 
 
+def reference_collapse(state, sdec, whole, labels):
+    """`_collapse` in two label spaces: the state's digraph is rebuilt
+    densely for every far shore, each shore is scripted on a fresh replay
+    of that rebuild, and its steps are mapped back to representatives.
+    The digraph the loop hands over must be the state's own."""
+    assert (whole, labels) == state.dense()
+    node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
+    attachments = dtw1._attachments(sdec.tree_edges, node)
+    expected, expect_labels = dtw1._collapse_piece(whole, sdec.territories[node], attachments)
+    start = labels
+    for (cut, far, _) in attachments:
+        dense, labels = state.dense()
+        back = {v: i for i, v in enumerate(labels)}
+        shore = frozenset(back[state.rep(start[u])] for u in far)
+        steps = shore_script(dense, shore, back[state.rep(start[cut])])
+        state.apply([(kind, labels[a], labels[b]) for (kind, a, b) in steps])
+    projected = frozenset(
+        (state.rep(start[expect_labels[a]]), state.rep(start[expect_labels[b]]))
+        for (a, b) in expected.edges
+    )
+    assert projected == state.edges and len(state.members) == expected.n
+    return state.dense()
+
+
+class TestCollapseReference:
+    """The NO loop in the state's own labels gives the certificates the
+    per-shore dense rebuild gives, and rebuilds only after a contraction."""
+
+    def test_certificates_match_the_reference_collapse(self, monkeypatch):
+        rng = random.Random(2026)
+        corpus = [
+            random_strongly_connected(rng, rng.randint(4, 12), rng.choice((0.15, 0.25, 0.4)))
+            for _ in range(150)
+        ]
+        corpus += [tree_plus_triangle(rng, n) for n in (3, 5, 8, 13, 21, 34)]
+        got = [recognize_dtw1(d) for d in corpus]
+        monkeypatch.setattr(dtw1, "_collapse", reference_collapse)
+        for d, cert in zip(corpus, got):
+            # Equal certificates: the same witness script and branch sets.
+            assert cert == recognize_dtw1(d), sorted(d.edges)
+        # Recorded: 113 NO answers, 1,752 script steps.
+        witnesses = [cert.witness for cert in got if cert.verdict == "NO"]
+        steps = sum(len(w.script) for w in witnesses)
+        assert len(witnesses) >= 110 and steps >= 1_700, (len(witnesses), steps)
+
+    @pytest.mark.parametrize("which, expected", [("bicycle", 0), ("dense", 32)])
+    def test_dense_calls_of_a_recognition(self, monkeypatch, which, expected):
+        # Bicycle(22) is one piece and a pattern: no far shore, no rebuild.
+        # The 40-vertex dense draw rebuilds once per round that contracts a
+        # far shore; it took 345 when every far shore and every round
+        # rebuilt the digraph.
+        if which == "bicycle":
+            d = bicycle(22)
+        else:
+            rng = random.Random(5)
+            d = [suite.random_strongly_connected(rng, n, 0.15) for n in (20, 30, 40)][-1]
+        calls = 0
+        original = check._ReplayState.dense
+
+        def counted(state):
+            nonlocal calls
+            calls += 1
+            return original(state)
+
+        monkeypatch.setattr(check._ReplayState, "dense", counted)
+        assert recognize_dtw1(d).verdict == "NO"
+        assert calls == expected
+
+
 def brute_tight_separations(d):
     """Every non-trivial one-cut directed separation, in both orientations."""
     found = []
@@ -595,8 +706,12 @@ class TestSDecomposition:
             s_decomposition(Digraph(1, frozenset()))
 
     def test_not_strongly_connected_raises(self):
-        with pytest.raises(ValueError):
-            s_decomposition(digraph_from_edges(2, [(0, 1)]))
+        # `is_strongly_2_connected` holds on every two-vertex digraph, so
+        # it cannot stand in for strong connectivity there.
+        for d in (digraph_from_edges(2, [(0, 1)]), Digraph(2, frozenset()),
+                  digraph_from_edges(3, [(0, 1), (1, 0), (1, 2)])):
+            with pytest.raises(ValueError, match="need a strongly connected digraph"):
+                s_decomposition(d)
 
     def test_tree_shape_and_shore_consistency(self):
         rng = random.Random(91)
@@ -682,6 +797,44 @@ class TestSDecomposition:
             s_decomposition(d)
         assert named_digraph(err.value) == d
 
+    def test_a_lift_that_is_no_separation_names_the_digraph(self, monkeypatch):
+        d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
+        monkeypatch.setattr(dtw1, "is_directed_separation", lambda *args: False)
+        with pytest.raises(AssertionError, match="stopped being a directed separation") as err:
+            s_decomposition(d)
+        assert named_digraph(err.value) == d
+
+    def test_a_key_that_is_not_its_lift_names_the_digraph(self, monkeypatch):
+        # Every candidate keyed by its shores swapped: the least key is
+        # not the winner's lifted separation.
+        original = dtw1._entry
+
+        def swapped(*args):
+            entry = original(*args)
+            return entry if entry.key is None else entry._replace(key=entry.key[::-1])
+
+        monkeypatch.setattr(dtw1, "_entry", swapped)
+        d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(AssertionError, match="key must be its lifted separation") as err:
+            s_decomposition(d)
+        assert named_digraph(err.value) == d
+
+    def test_a_straddling_tree_edge_names_the_digraph(self, monkeypatch):
+        # Every far shore lifted onto both sides: the path's second split
+        # puts the far shore of its first on both of its shores.  The
+        # lift stays a directed separation, and keys and lifts agree.
+        original = dtw1._lifted_shores
+
+        def both_sides(attachments, shore_a, shore_b):
+            far = set().union(*(far for (_, far, _) in attachments))
+            return tuple(side | far for side in original(attachments, shore_a, shore_b))
+
+        monkeypatch.setattr(dtw1, "_lifted_shores", both_sides)
+        d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(AssertionError, match="straddles the new separation") as err:
+            s_decomposition(d)
+        assert named_digraph(err.value) == d
+
     def test_a_collapse_that_misses_its_piece_names_the_digraph(self, monkeypatch):
         # The bidirected 4-cycle with a pendant digon at 0: its far shore
         # left uncontracted, the state is not the collapsed piece.
@@ -689,7 +842,24 @@ class TestSDecomposition:
         sdec = s_decomposition(d)
         monkeypatch.setattr(dtw1, "shore_contraction_script", lambda *args: [])
         with pytest.raises(AssertionError, match="reproduce the collapsed piece") as err:
-            dtw1._collapse(dtw1._ReplayState(d), sdec)
+            dtw1._collapse(dtw1._ReplayState(d), sdec, d, tuple(range(d.n)))
+        assert named_digraph(err.value) == d
+
+    def test_a_step_that_misses_its_trial_names_the_digraph(self, monkeypatch):
+        # The bidirected K4 with a pendant digon at 0, whose first round
+        # contracts that digon.  Told that each deletion leaves the digraph
+        # it was taken from, the loop finds the state one edge short of it,
+        # and names the input digraph rather than the state's.
+        original = dtw1._no_step
+
+        def untouched(d):
+            edge, _, sdec = original(d)
+            return edge, d, sdec
+
+        monkeypatch.setattr(dtw1, "_no_step", untouched)
+        d = bidirect(5, [*itertools.combinations(range(4), 2), (0, 4)])
+        with pytest.raises(AssertionError, match="must leave the digraph it was tried on") as err:
+            extract_minor_witness(d)
         assert named_digraph(err.value) == d
 
     def test_family_is_pairwise_laminar(self):
@@ -1015,15 +1185,17 @@ class TestSDecompositionCache:
         assert len(sdec.edges) == 38
         assert removed_counts.count(1) == 40
 
-    @pytest.mark.parametrize("which, expected", [("bicycle", 2), ("dense", 952)])
+    @pytest.mark.parametrize("which, expected", [("bicycle", 1), ("dense", 880)])
     def test_strong_components_calls_of_a_recognition(self, monkeypatch, which, expected):
-        # Bicycle(22) is strongly 2-connected: one pass checks that it is
-        # strongly connected and one is the test's pass of d - 0, and no
-        # vertex takes a pass of its own.  The 40-vertex dense draw (269
-        # edges) takes 103 NO rounds and 105 trial s-decompositions, and a
-        # strongly 2-connected trial costs two passes.  The two took 46 and
-        # 5,909 when every s-decomposition built its table with a pass per
-        # vertex and asserted each finished piece with one more per vertex.
+        # Bicycle(22) is strongly 2-connected: the test's pass of d - 0 is
+        # its only pass, since the test also says that d is strongly
+        # connected, and no vertex takes a pass of its own.  The 40-vertex
+        # dense draw (269 edges) takes 103 NO rounds and 105 trial
+        # s-decompositions, and a strongly 2-connected trial costs one
+        # pass.  The two took 2 and 952 with a strong connectivity pass
+        # before the test, and 46 and 5,909 when every s-decomposition built
+        # its table with a pass per vertex and asserted each finished piece
+        # with one more per vertex.
         if which == "bicycle":
             d = bicycle(22)
         else:
