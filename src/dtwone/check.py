@@ -17,6 +17,7 @@ from .digraph import (
     _bfs_arcs,
     a4_digraph,
     bicycle,
+    merge_into,
     quotient,
     round_trips,
     strong_component_of,
@@ -256,16 +257,7 @@ class _ReplayState:
         self.members[keep] = merged
         for v in merged:
             self.rep_of[v] = keep
-        for w in self.out.pop(gone):
-            self.inn[w].discard(gone)
-            if w != keep:
-                self.inn[w].add(keep)
-                self.out[keep].add(w)
-        for w in self.inn.pop(gone):
-            self.out[w].discard(gone)
-            if w != keep:
-                self.out[w].add(keep)
-                self.inn[keep].add(w)
+        merge_into(self.out, self.inn, keep, gone)
 
     def dense(self) -> tuple[Digraph, tuple]:
         """The current digraph over 0..k-1 plus the label of each new id."""

@@ -14,8 +14,10 @@ and the recogniser's s-decomposition keeps them per piece.
 `immediate_dominators` is Lengauer and Tarjan's algorithm.
 `is_strongly_2_connected` filters by degree, then runs it from one vertex
 in d and in d reversed and adds one Tarjan pass, so no vertex takes a pass
-of its own.  Every contraction, of one edge or of a whole shore, is a
-`quotient`.  All enumeration orders are deterministic.
+of its own.  `quotient` builds the digraph that merging vertex classes
+leaves; the recogniser's s-decomposition and the replay state contract in
+place on adjacency sets instead, one `merge_into` per vertex.  All
+enumeration orders are deterministic.
 """
 
 from __future__ import annotations
@@ -222,6 +224,23 @@ def quotient(d, label_of):
     return Digraph(len(labels), es), labels
 
 
+def merge_into(out, inn, keep, gone):
+    """Merge vertex `gone` into `keep` in an adjacency kept as mappings of
+    sets, `out[v]` the heads and `inn[v]` the tails of v's edges: gone's
+    edges move to keep, an edge between the two is dropped, and gone leaves
+    both mappings.  The work is gone's degree."""
+    for w in out.pop(gone):
+        inn[w].discard(gone)
+        if w != keep:
+            inn[w].add(keep)
+            out[keep].add(w)
+    for w in inn.pop(gone):
+        out[w].discard(gone)
+        if w != keep:
+            out[w].add(keep)
+            inn[keep].add(w)
+
+
 @dataclass(frozen=True)
 class TightSeparation:
     """A directed separation of order one.
@@ -291,14 +310,16 @@ def cut_vertex_shores(d, v, comps=None):
     empty when d - v has at most one component, that is when v is no cut
     vertex.  The condensation's edges come from the out-lists of each
     component's members, so the work is the out-degrees of d - v, not a
-    scan of every edge of d.
+    scan of every edge of d.  d is a `Digraph`, or a mapping from each
+    vertex to its out-neighbours, which needs `comps`: the recogniser
+    passes the adjacency of a piece it edits in place.
     """
     if comps is None:
         comps = strong_components(d, (v,))
     if len(comps) <= 1:
         return []
     comp_of = {u: ci for ci, comp in enumerate(comps) for u in comp}
-    adj = d._out
+    adj = d._out if isinstance(d, Digraph) else d
     succ = []
     entered = set()
     for ci, comp in enumerate(comps):

@@ -6,7 +6,11 @@ decomposition can be read off.  A strongly 2-connected digraph is one
 piece, found by two dominator trees and one Tarjan pass.  Only any other
 whole digraph takes a Tarjan pass per vertex: a split piece carries its
 parent's candidate separations over, and recomputes only its new cut
-vertex and the vertices where the split drops a strong component.  The
+vertex and the vertices where the split drops a strong component.  A
+split edits its piece in place, contracting the dropped vertices into the
+cut and touching only the entries it drops or gives anew, and a heap per
+piece keeps its least candidate; only a split that leaves two pieces of
+three or more vertices copies one.  The
 negative route shrinks the digraph to a bidirected cycle or the
 four-vertex digraph A4 by one rule: contract the far shores of the least
 piece with three or more vertices, stop if that piece is a pattern, and
@@ -30,10 +34,11 @@ cannot disagree on what a step means.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import operator
-from dataclasses import dataclass
-from functools import cached_property
+from collections import defaultdict
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .check import (
@@ -57,6 +62,7 @@ from .digraph import (
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
+    merge_into,
     orient_cut_separation,
     quotient,
     separations_cross,
@@ -230,11 +236,18 @@ def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels:
     representative labels[i], and sdec is an s-decomposition of it.  Each
     shore is mapped to representatives and scripted on the state itself.
     The collapsed piece is rebuilt by `state.dense()` only when a far shore
-    was contracted; otherwise it is whole.
+    was contracted; otherwise it is whole, and the state is checked against
+    whole itself rather than an identity `quotient` of it.
     """
     node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
     attachments = _attachments(sdec.tree_edges, node)
-    expected, expect_labels = _collapse_piece(whole, sdec.territories[node], attachments)
+    if attachments:
+        expected, expect_labels = _collapse_piece(whole, sdec.territories[node], attachments)
+    else:
+        assert sdec.territories[node] == whole.vertex_set, (
+            "piece and far shores must cover the digraph"
+        )
+        expected, expect_labels = whole, range(whole.n)
     for (cut, far, _) in attachments:
         shore = frozenset(state.rep(labels[u]) for u in far)
         state.apply(shore_contraction_script(state, shore, state.rep(labels[cut])))
@@ -375,27 +388,52 @@ class _Entry(NamedTuple):
 
 @dataclass
 class _Piece:
-    """A live piece of the s-decomposition.
+    """A live piece of the s-decomposition, which each split edits in place.
 
-    The collapsed piece has every far shore contracted onto its cut vertex;
-    its vertex i stands for the territory vertex labels[i].  `entries[v]`,
-    for each territory vertex v, lists v's `_Entry`s, one per strong
-    component of the collapsed piece minus v, in a reverse topological
-    order of the condensation.  A split builds a piece only when its
-    territory has three or more vertices: a two-vertex piece is final (see
-    `s_decomposition`).
+    `out[v]` and `inn[v]`, for each territory vertex v, are the adjacency
+    of the collapsed piece, every far shore contracted onto its cut vertex,
+    in d's own vertex names.  `entries[v]` lists v's `_Entry`s, one per
+    strong component of the collapsed piece minus v, in a reverse
+    topological order of the condensation; a list is replaced, never
+    edited, so a copy of the mapping keeps what the piece held.  `heap`
+    holds (key, v, stamp, i) for every candidate `entries[v][i]`; an item is
+    live while `stamps[v]` is stamp, and a dead one is popped when it
+    reaches the top.  `pivoted[u]` holds every vertex that was given an
+    entry with u among its pivots, and may hold vertices that no longer
+    have one.  A split builds a piece only when its territory has three or
+    more vertices: a two-vertex piece is final (see `s_decomposition`).
     """
 
     territory: frozenset
-    collapsed: Digraph
-    labels: tuple
+    out: dict
+    inn: dict
     attachments: list
-    entries: dict
+    entries: dict = field(default_factory=dict)
+    heap: list = field(default_factory=list)
+    stamps: dict = field(default_factory=dict)
+    pivoted: defaultdict = field(default_factory=lambda: defaultdict(set))
 
-    @cached_property
-    def index(self) -> dict:
-        """The inverse of labels."""
-        return {label: i for i, label in enumerate(self.labels)}
+    def copy(self) -> _Piece:
+        """A piece that a split can edit without touching this one."""
+        return _Piece(
+            self.territory,
+            {v: set(heads) for v, heads in self.out.items()},
+            {v: set(tails) for v, tails in self.inn.items()},
+            self.attachments,
+            dict(self.entries),
+            self.heap.copy(),
+            dict(self.stamps),
+            defaultdict(set, {u: set(vs) for u, vs in self.pivoted.items()}),
+        )
+
+    def dense(self) -> Digraph:
+        """The collapsed piece as a `Digraph`, its vertex i standing for the
+        i-th territory vertex in sorted order, as `quotient` numbers it."""
+        labels = sorted(self.territory)
+        index = {v: i for i, v in enumerate(labels)}
+        return Digraph(
+            len(labels), frozenset((index[a], index[b]) for a in labels for b in self.out[a])
+        )
 
 
 def _entry(piece: _Piece, v, x, x_first) -> _Entry:
@@ -410,56 +448,73 @@ def _entry(piece: _Piece, v, x, x_first) -> _Entry:
 
 def _fresh_entries(piece: _Piece, v, comps) -> list:
     """v's entries computed afresh from `comps`, the strong components of the
-    collapsed piece minus v as label sets, in a reverse topological order."""
-    index = piece.index
-    local = [frozenset(map(index.__getitem__, k)) for k in comps]
-    labels = piece.labels
+    collapsed piece minus v, in a reverse topological order."""
     return [
-        _entry(piece, v, frozenset(map(labels.__getitem__, x)), x_first)
-        for _, x, x_first in cut_vertex_shores(piece.collapsed, index[v], local)
+        _entry(piece, v, x, x_first)
+        for _, x, x_first in cut_vertex_shores(piece.out, v, comps)
     ]
 
 
+def _set_entries(piece: _Piece, v, entries) -> None:
+    """Give v these entries in place of its old ones, whose heap items die,
+    and push a heap item for each candidate."""
+    piece.entries[v] = entries
+    stamp = piece.stamps[v] = piece.stamps.get(v, 0) + 1
+    for i, entry in enumerate(entries):
+        for u in entry.pivots:
+            piece.pivoted[u].add(v)
+        if entry.key is not None:
+            heapq.heappush(piece.heap, (entry.key, v, stamp, i))
+
+
 def _least_entry(piece: _Piece):
-    """(v, entry) for an entry of the piece with the least key, the first of
-    equals, or None when no entry is a candidate."""
-    candidates = (
-        (v, entry) for v, entries in piece.entries.items()
-        for entry in entries if entry.key is not None
-    )
-    return min(candidates, key=lambda pair: pair[1].key, default=None)
+    """(v, entry) for an entry of the piece with the least key, the least
+    (v, position) of equals, or None when no entry is a candidate.  Dead
+    heap items on top are popped; the winner stays."""
+    heap, stamps = piece.heap, piece.stamps
+    while heap:
+        _, v, stamp, i = heap[0]
+        if stamps.get(v) == stamp:
+            return v, piece.entries[v][i]
+        heapq.heappop(heap)
+    return None
 
 
-def _split_off(parent: _Piece, territory, cut, attachments, minus, where) -> _Piece:
-    """The child of `parent` that keeps `territory` after a split at `cut`,
-    with its entries carried over or recomputed (see `s_decomposition`).
+def _split_off(piece: _Piece, territory, cut, attachments, minus, where) -> _Piece:
+    """Edit `piece` into its child that keeps `territory` after a split at
+    `cut`, and return it, its entries carried over, re-keyed or recomputed
+    (see `s_decomposition`).  Beyond one set difference of territories
+    and a scan of the `where` column of each dropped vertex, the work is
+    the degrees and entries of the dropped vertices and the entries it
+    gives anew, not a walk over the piece.
 
     The recomputed vertices are the cut and every v at which some dropped
     u lies in another root component of d - v than the cut does: the
-    positions where the columns where[u] and where[cut] differ.
+    positions where the columns where[u] and where[cut] differ.  The
+    re-keyed ones are read off `pivoted` at the dropped vertices.
     """
-    dropped = parent.territory - territory
-    collapsed, labels = quotient(
-        parent.collapsed, [cut if u in dropped else u for u in parent.labels]
-    )
-    piece = _Piece(territory, collapsed, labels, attachments, {})
+    dropped = piece.territory - territory
     home = where[cut]
     fresh = {cut}
+    rekeyed = set()
     for u in dropped:
+        merge_into(piece.out, piece.inn, cut, u)
         fresh.update(itertools.compress(itertools.count(), map(operator.ne, where[u], home)))
-    for v in labels:
-        if v in fresh:
-            comps = [part for k in minus[v] if (part := k & territory)]
-            piece.entries[v] = _fresh_entries(piece, v, comps)
-            continue
-        entries = parent.entries[v]
+        rekeyed |= piece.pivoted.pop(u, set())
+        del piece.entries[u], piece.stamps[u]
+    piece.territory = territory
+    piece.attachments = attachments
+    for v in fresh & territory:
+        comps = [part for k in minus[v] if (part := k & territory)]
+        _set_entries(piece, v, _fresh_entries(piece, v, comps))
+    for v in (rekeyed & territory) - fresh:
+        entries = piece.entries[v]
         if not all(dropped.isdisjoint(entry.pivots) for entry in entries):
-            entries = [
+            _set_entries(piece, v, [
                 entry if dropped.isdisjoint(entry.pivots)
                 else _entry(piece, v, entry.x & territory, entry.x_first)
                 for entry in entries
-            ]
-        piece.entries[v] = entries
+            ])
     return piece
 
 
@@ -502,6 +557,14 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     incident tree edges, so a split rewires, and reads its children's
     attachments from, the split piece's edges alone.
 
+    A split builds its children by editing the split piece (`_split_off`):
+    the piece becomes its last child of three or more vertices, and when
+    both children have three or more the first is built from a copy taken
+    before any edit.  The split asks each piece for its least entry from
+    its heap (`_Piece`), and no `quotient` or `Digraph` is built for a
+    piece: a finished piece of three or more vertices is made a `Digraph`
+    only for its assertion.
+
     A piece's candidates are its entries (see `_Piece`): every X-shore of a
     strong component of the collapsed piece minus a vertex, keyed by its
     lifted separation.  Only the winner is lifted as a separation and
@@ -533,7 +596,11 @@ def s_decomposition(d: Digraph) -> SDecomposition:
       component.  So v's entries carry over with each X-shore restricted to
       T' and the same x_first, in the same order.  Their candidates are the
       same too: if c's component lies in X, the other shore keeps every
-      vertex, and otherwise it keeps c and v.
+      vertex, and otherwise it keeps c and v.  A carried list is left where
+      it is, with its heap items: the split edits only the adjacency of D
+      and c, moving every edge of D onto c, and drops the entries, heap
+      stamps and pivot index of D.  The copy a two-child split takes of
+      the piece shares the lists, which are never edited.
     - Keys.  A carried entry's lift in the child is its lift in the parent.
       c is not on the separator, so in the parent D, the far shores
       attached in D and every far shore at c go to c's side.  In the child
@@ -541,13 +608,17 @@ def s_decomposition(d: Digraph) -> SDecomposition:
       side too; every other far shore keeps its cut vertex and its side.
       So the key carries over, unless x_first is None and a pivot lies in
       D, the one case where the orientation may flip; such an entry is
-      re-keyed.
+      re-keyed.  The piece's pivot index names the vertices that may hold
+      one, so no other vertex's entries are read.
     - Recomputed.  c, and every v with a component of Q - v inside D, take
       their entries afresh: `cut_vertex_shores` on the child's collapsed
-      piece, with the root's components restricted to T'.  `where[u][v]`,
-      the index of u's root component of d - v, tells which: a component
-      of Q - v lies inside D exactly when a vertex u of D is not in c's,
-      that is where[u][v] != where[c][v].
+      piece, read off its edited adjacency, with the root's components
+      restricted to T'.  `where[u][v]`, the index of u's root component of
+      d - v, tells which: a component of Q - v lies inside D exactly when
+      a vertex u of D is not in c's, that is where[u][v] != where[c][v].
+      A vertex whose entries are recomputed or re-keyed gets a new stamp,
+      which kills its old heap items, and pushes one item per candidate;
+      the heap drops dead items only when they reach its top.
     """
     if d.n < 2:
         raise ValueError("need at least two vertices")
@@ -563,8 +634,14 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         for i, k in enumerate(comps):
             for u in k:
                 where[u][v] = i
-    root = _Piece(frozenset(range(d.n)), d, tuple(range(d.n)), [], {})
-    root.entries = {v: _fresh_entries(root, v, minus[v]) for v in range(d.n)}
+    root = _Piece(
+        d.vertex_set,
+        {v: set(d.out_neighbours(v)) for v in range(d.n)},
+        {v: set(d.in_neighbours(v)) for v in range(d.n)},
+        [],
+    )
+    for v in range(d.n):
+        _set_entries(root, v, _fresh_entries(root, v, minus[v]))
 
     pieces = [root.territory]  # the territory of each piece, by index
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
@@ -575,7 +652,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         pi, piece = work.pop()
         best = _least_entry(piece)
         if best is None:
-            assert is_strongly_2_connected(piece.collapsed), (
+            assert is_strongly_2_connected(piece.dense()), (
                 f"a finished piece must be strongly 2-connected: {_edge_list(d)}"
             )
             continue
@@ -606,10 +683,11 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         incident[pi] = kept + [len(tree_edges)]
         incident.append(moved + [len(tree_edges)])
         tree_edges.append((pi, new_index, sep))
-        for i in (pi, new_index):
-            if len(pieces[i]) > 2:
-                attachments = _attachments([tree_edges[e] for e in incident[i]], i)
-                work.append((i, _split_off(piece, pieces[i], v, attachments, minus, where)))
+        built = [i for i in (pi, new_index) if len(pieces[i]) > 2]
+        for i in built:
+            attachments = _attachments([tree_edges[e] for e in incident[i]], i)
+            source = piece if i == built[-1] else piece.copy()
+            work.append((i, _split_off(source, pieces[i], v, attachments, minus, where)))
 
     for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2):
         assert not separations_cross(s, t), f"family must be pairwise laminar: {_edge_list(d)}"

@@ -802,13 +802,16 @@ class TestSeparationReference:
         assert reordered >= 500, reordered
 
     def test_cut_vertex_shores_match_the_edge_scan(self):
+        # Also read off an out-adjacency mapping of sets, as a piece keeps it.
         entries = entered = 0
         for d in separation_corpus():
+            adjacency = {u: set(d.out_neighbours(u)) for u in range(d.n)}
             for v in range(d.n):
                 orders = (strong_components(d, (v,)), other_reverse_topological_order(d, {v}))
                 for comps in orders:
                     got = cut_vertex_shores(d, v, comps)
                     assert got == edge_scan_cut_vertex_shores(d, v, comps), (sorted(d.edges), v)
+                    assert cut_vertex_shores(adjacency, v, comps) == got, (sorted(d.edges), v)
                     entries += len(got)
                     entered += sum(x_first is False for (_, _, x_first) in got)
         # 23,198 entries, 12,754 of them entered by another component.

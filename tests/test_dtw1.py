@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import types
 
 import pytest
 from hypothesis import given, settings
@@ -1056,12 +1057,19 @@ def carry_over_corpus():
 
 
 def record_searches(monkeypatch):
-    """A list that gets (piece, least entry) for every searched piece."""
+    """A list that gets (piece, least entry) for every searched piece, the
+    piece a snapshot of its territory, attachments and entries taken when
+    it was searched: a split edits the piece in place afterwards."""
     searched = []
     least_entry = dtw1._least_entry
 
     def recording(piece):
-        searched.append((piece, least_entry(piece)))
+        snapshot = types.SimpleNamespace(
+            territory=piece.territory,
+            attachments=list(piece.attachments),
+            entries=dict(piece.entries),
+        )
+        searched.append((snapshot, least_entry(piece)))
         return searched[-1][1]
 
     monkeypatch.setattr(dtw1, "_least_entry", recording)
@@ -1070,11 +1078,16 @@ def record_searches(monkeypatch):
 
 def count_paths(monkeypatch):
     """Counters of the three ways a split piece gets an entry: carried over
-    unchanged, re-keyed, or computed afresh at a recomputed vertex.  Only
-    the recomputations made inside a `_split_off` call count, and every
-    call must build a piece of three or more vertices."""
-    counts = {"carried": 0, "re-keyed": 0, "recomputed vertices": 0, "recomputed entries": 0}
+    unchanged, re-keyed, or computed afresh at a recomputed vertex, each
+    child compared with a copy of its parent's entries taken before the
+    split edits it.  Only the recomputations made inside a `_split_off`
+    call count, and every call must build a piece of three or more
+    vertices.  A split that builds both children calls `_split_off`
+    twice in a row on pieces with the same territory and cut."""
+    counts = {"carried": 0, "re-keyed": 0, "recomputed vertices": 0, "recomputed entries": 0,
+              "both children": 0}
     inside = []  # the vertices recomputed so far by each running `_split_off`
+    last = [None]  # the parent territory and cut of the last call
     fresh_entries = dtw1._fresh_entries
     split_off = dtw1._split_off
 
@@ -1083,17 +1096,21 @@ def count_paths(monkeypatch):
             inside[-1].add(v)
         return fresh_entries(piece, v, comps)
 
-    def splitting(parent, territory, *args):
+    def splitting(parent, territory, cut, *args):
         assert len(territory) >= 3, "a two-vertex piece is never built"
+        counts["both children"] += last[0] == (parent.territory, cut)
+        last[0] = (parent.territory, cut)
+        before = dict(parent.entries)
         inside.append(set())
-        child = split_off(parent, territory, *args)
+        child = split_off(parent, territory, cut, *args)
         fresh = inside.pop()
+        assert set(child.entries) == set(territory)
         for v, entries in child.entries.items():
             if v in fresh:
                 counts["recomputed vertices"] += 1
                 counts["recomputed entries"] += len(entries)
                 continue
-            old = parent.entries[v]
+            old = before[v]
             assert len(entries) == len(old)
             same = sum(a is b for a, b in zip(entries, old))
             counts["carried"] += same
@@ -1148,7 +1165,8 @@ class TestSDecompositionCache:
         # Every carry-over path must fire on this corpus.  Recorded counts:
         # 32,541 carried entries, 413 re-keyed, and 7,028 recomputed
         # vertices with 14,346 entries, all in pieces of three or more
-        # vertices.
+        # vertices; 1,449 splits build both children, the first from a
+        # copy of the piece and the second by editing the piece itself.
         counts = count_paths(monkeypatch)
         split = 0
         for d in carry_over_corpus():
@@ -1166,7 +1184,7 @@ class TestSDecompositionCache:
             split += len(got.edges) >= 2
         assert split >= 100, split
         floors = {"carried": 30_000, "re-keyed": 350, "recomputed vertices": 6_500,
-                  "recomputed entries": 13_000}
+                  "recomputed entries": 13_000, "both children": 1_400}
         assert all(counts[k] >= floor for k, floor in floors.items()), counts
 
     # Work counts on one 40-vertex tree: a per-piece Tarjan pass, a lift
@@ -1227,6 +1245,31 @@ class TestSDecompositionCache:
         assert sum(len(piece.territory) for piece, _ in searched) == 817
         assert counts["recomputed vertices"] == len(searched) - 1 == 37
         assert counts["re-keyed"] == 0
+
+    def test_splits_build_no_digraph_and_key_only_new_entries(self, monkeypatch):
+        # A split edits its piece in place: no `quotient` and no `Digraph`
+        # after the root, whose finished pieces all have two vertices.  Every
+        # `_entry` call keys a fresh or re-keyed entry: 58 at the root, whose
+        # 20 non-leaf vertices have as many entries as neighbours, and 41 at
+        # the 37 recomputed cuts.
+        d = bidirect(40, random_tree_edges(random.Random(40), 40))
+        counts = count_paths(monkeypatch)
+        calls = {"quotient": 0, "Digraph": 0, "_entry": 0}
+
+        def counted(name, original):
+            def call(*args):
+                calls[name] += 1
+                return original(*args)
+            return call
+
+        monkeypatch.setattr(dtw1, "quotient", counted("quotient", dtw1.quotient))
+        monkeypatch.setattr(digraph, "quotient", counted("quotient", digraph.quotient))
+        monkeypatch.setattr(Digraph, "__post_init__", counted("Digraph", Digraph.__post_init__))
+        monkeypatch.setattr(dtw1, "_entry", counted("_entry", dtw1._entry))
+        sdec = s_decomposition(d)
+        assert len(sdec.edges) == 38
+        assert calls == {"quotient": 0, "Digraph": 0, "_entry": 99}
+        assert counts["recomputed entries"] == 41 and counts["re-keyed"] == 0
 
     def test_only_each_split_is_lifted(self, monkeypatch):
         lifted = []

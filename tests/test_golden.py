@@ -14,7 +14,10 @@ both corpora alone, so that a change to how a NO witness is found can show
 it keeps every verdict.  The last covers exit code and stdout of every
 other command (`verify-cert`, `cycles`, `game`, `validate-dtd`,
 `validate-dbd`, `convert` and `hypergraph`) over small digraphs, their
-cycle hypergraphs and duals, and random hypergraphs.  When a change alters
+cycle hypergraphs and duals, and random hypergraphs.  One more digest
+covers the certificates of seeded bidirected trees and trees plus a
+triangle on 40-64 vertices, as drawn and renamed, whose s-decompositions
+make hundreds of splits each.  When a change alters
 a certificate on purpose, recompute the digest and say why in the change
 log.
 """
@@ -30,16 +33,18 @@ from click.testing import CliRunner
 from dtwone.check import DirectedTreeDecomposition
 from dtwone.cli import main
 from dtwone.cycles import cycle_hypergraph
-from dtwone.digraph import bicycle, bidirect
-from dtwone.dtw1 import minor_haven
+from dtwone.digraph import Digraph, bicycle, bidirect
+from dtwone.dtw1 import minor_haven, recognize_dtw1
 from dtwone.formats import (
     FORMAT_VERSION,
+    format_certificate,
     format_dtd,
     format_hypergraph,
     format_set,
     parse_certificate,
     parse_digraph,
     read_document,
+    vertex_names,
 )
 from dtwone.games import verify_haven
 from dtwone.hypergraph import dual
@@ -58,6 +63,7 @@ HAVEN_TABLES_SHA256 = "3ddcdbeb7770b6d9e0494bea9d508c6348d4134d3de10ebc518e4860a
 # The exit code of every input of both corpora, in order: 0 for YES, 1 for NO.
 VERDICTS_SHA256 = "74e1ecafa7dfde5c5c4d2cb7421e6604f545f25817f62e2cbb160221e98085e2"
 COMMANDS_SHA256 = "b514bbfb5c4edbc424824256de492ca1f2558872aa9acec1c65aff88246c3212"
+TREES_SHA256 = "f56a34aabe4c3593f5e40ed3048a7b9589ea03817a40e350043fff63ea240b6d"
 
 
 def _corpus():
@@ -234,3 +240,40 @@ def test_commands_match_the_golden_digest(tmp_path):
         hypergraph(random_hypergraph(rng, 6, 5))
     assert count == 4518
     assert digest.hexdigest() == COMMANDS_SHA256
+
+
+def tree_corpus():
+    """Per round, a bidirected tree and a tree plus a triangle on 40-64
+    vertices, each as drawn (every vertex's parent has a smaller number)
+    and with its vertices renamed by a seeded permutation.  Their
+    s-decompositions make 2,314 splits, 29 of them into two pieces of
+    three or more vertices."""
+    from test_digraph import random_tree_edges, tree_plus_triangle
+
+    def renamed(d):
+        perm = list(range(d.n))
+        rng.shuffle(perm)
+        return Digraph(d.n, frozenset((perm[a], perm[b]) for (a, b) in d.edges))
+
+    rng = random.Random(2026)
+    for _ in range(12):
+        for d in (
+            bidirect(n := rng.randint(40, 64), random_tree_edges(rng, n)),
+            tree_plus_triangle(rng, rng.randint(40, 64)),
+        ):
+            yield d
+            yield renamed(d)
+
+
+def test_tree_certificates_match_the_golden_digest():
+    """Certificates of large trees and trees plus a triangle, in process:
+    the YES decompositions and NO witnesses read off long runs of splits."""
+    digest = hashlib.sha256()
+    verdicts = []
+    for d in tree_corpus():
+        cert = recognize_dtw1(d)
+        verdicts.append(cert.verdict)
+        for line in format_certificate(cert, vertex_names(d), []):
+            digest.update(f"{line}\n".encode())
+    assert verdicts == ["YES", "YES", "NO", "NO"] * 12
+    assert digest.hexdigest() == TREES_SHA256
