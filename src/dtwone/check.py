@@ -18,7 +18,6 @@ from .digraph import (
     a4_digraph,
     bicycle,
     merge_into,
-    quotient,
     round_trips,
     strong_component_of,
 )
@@ -194,7 +193,8 @@ class _ReplayState:
     as an adjacency index: `out[r]` and `inn[r]` hold the representatives
     joined to r by an edge leaving or entering r.  A contraction moves only
     the edges of the class that stops being represented, so a step costs
-    that class's degree, not the size of the digraph.
+    that class's degree, not the size of the digraph; `dense_digraph(out)`
+    numbers the current digraph densely, by sorted representative.
 
     Each class keeps a root `root[r]`, reached inside the class from every
     vertex with a surviving edge entering it and reaching every vertex with
@@ -258,10 +258,6 @@ class _ReplayState:
         for v in merged:
             self.rep_of[v] = keep
         merge_into(self.out, self.inn, keep, gone)
-
-    def dense(self) -> tuple[Digraph, tuple]:
-        """The current digraph over 0..k-1 plus the label of each new id."""
-        return quotient(Digraph(self.base.n, self.edges), self.rep_of)
 
 
 def replay_script(d: Digraph, script) -> _ReplayState:

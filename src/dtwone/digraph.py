@@ -1,4 +1,4 @@
-"""Digraphs with dense integer vertices, quotients and one-vertex separations.
+"""Digraphs on dense integer vertices, and their one-vertex separations.
 
 A digraph is a vertex count plus a set of ordered pairs; loops and parallel
 edges are excluded.  Everything else — strong components, dominators,
@@ -7,17 +7,18 @@ components of d minus a vertex set come from one Tarjan pass over d itself,
 without building d minus the set.  `round_trips` walks forward from a
 source set and back inside what it reached: one source gives the strong
 component holding it.  `cut_vertex_shores` reads the condensation of d
-minus a vertex off the out-lists of each component's members, from
-components a caller may already have, and `orient_cut_separation` orients
-each of its shores; `tight_separations` collects them for every vertex,
-and the recogniser's s-decomposition keeps them per piece.
+minus a vertex off an out-adjacency mapping, from components the caller
+already has, and `orient_cut_separation` orients each of its shores;
+`tight_separations` collects them for every vertex, and the recogniser's
+s-decomposition keeps them per piece.
 `immediate_dominators` is Lengauer and Tarjan's algorithm.
 `is_strongly_2_connected` filters by degree, then runs it from one vertex
 in d and in d reversed and adds one Tarjan pass, so no vertex takes a pass
-of its own.  `quotient` builds the digraph that merging vertex classes
-leaves; the recogniser's s-decomposition and the replay state contract in
-place on adjacency sets instead, one `merge_into` per vertex.  All
-enumeration orders are deterministic.
+of its own.  The recogniser's s-decomposition and the replay state
+contract in place on adjacency sets, one `merge_into` per vertex, and
+`dense_digraph` is the one place such a mapping becomes a `Digraph`,
+numbered densely by sorted label.  All enumeration orders are
+deterministic.
 """
 
 from __future__ import annotations
@@ -210,17 +211,17 @@ def is_strongly_connected(d):
     return len(strong_components(d)) == 1
 
 
-def quotient(d, label_of):
-    """Merge the vertices that share a label and number the classes densely.
-
-    `label_of[v]` is the label of vertex v.  Returns (quotient, labels), where
-    labels is the sorted tuple of distinct labels and vertex i of the
-    quotient stands for labels[i].  Edges inside a class are dropped.
+def dense_digraph(out):
+    """The digraph an adjacency mapping of sets describes, `out[v]` the
+    heads of v's edges, with its vertices numbered densely: returns
+    (digraph, labels), where labels is the sorted tuple of the mapping's
+    keys and vertex i of the digraph stands for labels[i].  Every head must
+    be a key other than its tail.  The recogniser's pieces and the replay
+    state keep such mappings and become `Digraph`s only here.
     """
-    labels = tuple(sorted({label_of[v] for v in range(d.n)}))
-    index = {label: i for i, label in enumerate(labels)}
-    new = [index[label_of[v]] for v in range(d.n)]
-    es = frozenset((new[a], new[b]) for (a, b) in d.edges if new[a] != new[b])
+    labels = tuple(sorted(out))
+    index = {v: i for i, v in enumerate(labels)}
+    es = frozenset((index[a], index[b]) for a in labels for b in out[a])
     return Digraph(len(labels), es), labels
 
 
@@ -252,7 +253,7 @@ class TightSeparation:
     shoreA: frozenset
     shoreB: frozenset
 
-    @property
+    @cached_property
     def cut_vertex(self):
         (c,) = self.shoreA & self.shoreB
         return c
@@ -288,7 +289,7 @@ def separations_cross(s, t):
     return bool(a & c) and bool(b & dd) and bool(ad & ~bc) and bool(bc & ~ad)
 
 
-def cut_vertex_shores(d, v, comps=None):
+def cut_vertex_shores(d, v, comps):
     """The strong components of d - v, each with its X-shore and orientation.
 
     The X-shore X of a component K is K alone when no other component has an
@@ -303,27 +304,24 @@ def cut_vertex_shores(d, v, comps=None):
     - K is not entered and an edge leaves it: only (X+v, Y+v) is valid;
       x_first is True.
 
-    Each entry is (K, X, x_first).  `comps` is the list of strong components
-    of d - v in any reverse topological order of the condensation (no edge
-    runs from an earlier component to a later one); when it is not given it
-    is `strong_components(d, (v,))`.  Entries come in that order; the list is
-    empty when d - v has at most one component, that is when v is no cut
-    vertex.  The condensation's edges come from the out-lists of each
-    component's members, so the work is the out-degrees of d - v, not a
-    scan of every edge of d.  d is a `Digraph`, or a mapping from each
-    vertex to its out-neighbours, which needs `comps`: the recogniser
-    passes the adjacency of a piece it edits in place.
+    Each entry is (K, X, x_first).  d is given as a mapping from each
+    vertex to its out-neighbours: a `Digraph`'s `_out`, or the adjacency of
+    a piece the recogniser edits in place.  `comps` is the list of strong
+    components of d - v in any reverse topological order of the
+    condensation (no edge runs from an earlier component to a later one),
+    such as `strong_components` gives.  Entries come in that order; the
+    list is empty when d - v has at most one component, that is when v is
+    no cut vertex.  The condensation's edges come from the out-lists of
+    each component's members, so the work is the out-degrees of d - v, not
+    a scan of every edge of d.
     """
-    if comps is None:
-        comps = strong_components(d, (v,))
     if len(comps) <= 1:
         return []
     comp_of = {u: ci for ci, comp in enumerate(comps) for u in comp}
-    adj = d._out if isinstance(d, Digraph) else d
     succ = []
     entered = set()
     for ci, comp in enumerate(comps):
-        heads = {comp_of[b] for a in comp for b in adj[a] if b != v}
+        heads = {comp_of[b] for a in comp for b in d[a] if b != v}
         heads.discard(ci)
         succ.append(heads)
         entered |= heads
@@ -381,7 +379,7 @@ def tight_separations(d):
     """
     found = {}
     for v in range(d.n):
-        for _, x, x_first in cut_vertex_shores(d, v):
+        for _, x, x_first in cut_vertex_shores(d._out, v, strong_components(d, (v,))):
             p = d.vertex_set - x
             if len(p) < 2:
                 continue

@@ -21,8 +21,9 @@ every deletion keeps it strongly connected, and a trial that stays
 strongly 2-connected costs its s-decomposition no per-vertex pass.  The
 loop works in one label space, the replay state's class representatives:
 shores are scripted on the state's own adjacency, a deletion's trial is the
-next round's digraph as it stands, and the collapsed piece is rebuilt as a
-dense digraph only after a round that contracted a far shore.  Every
+next round's digraph as it stands, and the state is checked against the
+collapsed piece the s-decomposition built and kept, then numbered densely
+by `dense_digraph` only after a round that contracted a far shore.  Every
 step is recorded so the embedding can be replayed; no cycle of the digraph
 is enumerated.  The embedding is the whole NO certificate: the order-3
 haven it implies, lifted from the pattern through the roots of the branch
@@ -59,12 +60,12 @@ from .digraph import (
     _bfs_arcs,
     a4_digraph,
     cut_vertex_shores,
+    dense_digraph,
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
     merge_into,
     orient_cut_separation,
-    quotient,
     separations_cross,
     strong_components,
 )
@@ -234,29 +235,40 @@ def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels:
 
     whole is the state's current digraph, its vertex i standing for the
     representative labels[i], and sdec is an s-decomposition of it.  Each
-    shore is mapped to representatives and scripted on the state itself.
-    The collapsed piece is rebuilt by `state.dense()` only when a far shore
-    was contracted; otherwise it is whole, and the state is checked against
-    whole itself rather than an identity `quotient` of it.
+    far shore must meet the piece only in its cut and no other far shore
+    beyond it, and together with the piece they must cover whole.  Each is
+    mapped to representatives and scripted on the state itself, in order of
+    cut vertex and sorted far shore; only this order reaches the output.
+    The state must then hold the collapsed piece sdec kept for the node
+    (`SDecomposition.collapsed`), and it is numbered by `dense_digraph`
+    only when a far shore was contracted; otherwise it is whole itself.
     """
     node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
-    attachments = _attachments(sdec.tree_edges, node)
-    if attachments:
-        expected, expect_labels = _collapse_piece(whole, sdec.territories[node], attachments)
-    else:
-        assert sdec.territories[node] == whole.vertex_set, (
-            "piece and far shores must cover the digraph"
-        )
-        expected, expect_labels = whole, range(whole.n)
+    territory = sdec.territories[node]
+    attachments = sorted(
+        _attachments(sdec.tree_edges, node), key=lambda t: (t[0], tuple(sorted(t[1])))
+    )
+    far_cut = {}
     for (cut, far, _) in attachments:
+        assert far & territory == {cut}, (
+            f"far shore must meet the piece in its cut: {_edge_list(state.base)}"
+        )
+        for u in far - {cut}:
+            assert far_cut.setdefault(u, cut) == cut, (
+                f"far shores overlap beyond their cuts: {_edge_list(state.base)}"
+            )
         shore = frozenset(state.rep(labels[u]) for u in far)
         state.apply(shore_contraction_script(state, shore, state.rep(labels[cut])))
-    rep = [state.rep(labels[v]) for v in expect_labels]
+    assert len(territory) + len(far_cut) == whole.n, (
+        f"piece and far shores must cover the digraph: {_edge_list(state.base)}"
+    )
+    expected = sdec.collapsed[node]
+    rep = [state.rep(labels[v]) for v in sorted(territory)]
     projected = frozenset((rep[a], rep[b]) for (a, b) in expected.edges)
     assert projected == state.edges and len(state.members) == expected.n, (
         f"collapsing the far shores must reproduce the collapsed piece: {_edge_list(state.base)}"
     )
-    return state.dense() if attachments else (whole, labels)
+    return dense_digraph(state.out) if attachments else (whole, labels)
 
 
 def _no_step(d: Digraph):
@@ -299,13 +311,17 @@ class SDecomposition:
     Nodes are numbered by sorted territory.  Each tree edge is a triple
     (A-side node, B-side node, separation): the node on the separation's
     A side keeps its territory inside shoreA, the other inside shoreB.  A
-    node's collapsed piece, every far shore contracted onto its cut vertex,
-    is derived on demand: `_collapse_piece(d, territories[node],
-    _attachments(tree_edges, node))`.
+    node's far shores are `_attachments(tree_edges, node)`.  `collapsed`
+    stores each node's collapsed piece, every far shore contracted onto its
+    cut vertex, as the `s_decomposition` built it: a `Digraph` whose vertex
+    i stands for the i-th territory vertex in sorted order, d itself when d
+    is one strongly 2-connected piece, and None for a node of two vertices,
+    whose piece is a digon and never built.
     """
 
     territories: tuple
     tree_edges: tuple
+    collapsed: tuple
 
     @property
     def edges(self) -> tuple:
@@ -316,7 +332,7 @@ class SDecomposition:
 def _attachments(tree_edges, p) -> list:
     """The far shores of piece p as (cut vertex, far shore, far is an
     A-shore), one per tree edge (A-side piece, B-side piece, separation) at
-    p, sorted by cut vertex and far shore.  Edges not at p are skipped, so
+    p, in the order of the edges.  Edges not at p are skipped, so
     `tree_edges` may be the whole tree or only p's incident edges."""
     out = []
     for (ai, bi, sep) in tree_edges:
@@ -324,18 +340,7 @@ def _attachments(tree_edges, p) -> list:
             out.append((sep.cut_vertex, sep.shoreB, False))
         elif bi == p:
             out.append((sep.cut_vertex, sep.shoreA, True))
-    return sorted(out, key=lambda t: (t[0], tuple(sorted(t[1]))))
-
-
-def _collapse_piece(d: Digraph, territory, attachments) -> tuple[Digraph, tuple]:
-    label_of = {v: v for v in territory}
-    for (cut, far, _) in attachments:
-        assert far & territory == {cut}, "far shore must meet the piece in its cut"
-        for u in far - {cut}:
-            assert label_of.get(u, cut) == cut, "far shores overlap beyond their cuts"
-            label_of[u] = cut
-    assert len(label_of) == d.n, "piece and far shores must cover the digraph"
-    return quotient(d, label_of)
+    return out
 
 
 def _lifted_shores(attachments, shore_a, shore_b) -> tuple[set, set]:
@@ -424,15 +429,6 @@ class _Piece:
             self.heap.copy(),
             dict(self.stamps),
             defaultdict(set, {u: set(vs) for u, vs in self.pivoted.items()}),
-        )
-
-    def dense(self) -> Digraph:
-        """The collapsed piece as a `Digraph`, its vertex i standing for the
-        i-th territory vertex in sorted order, as `quotient` numbers it."""
-        labels = sorted(self.territory)
-        index = {v: i for i, v in enumerate(labels)}
-        return Digraph(
-            len(labels), frozenset((index[a], index[b]) for a in labels for b in self.out[a])
         )
 
 
@@ -545,8 +541,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     each node's territory and the oriented tree edges, sorted by node pair.
     Each finished piece of three or more vertices is checked to be strongly
     2-connected when its search comes up empty, which is final because its
-    attachments never change afterwards; the family is checked to be
-    laminar before it is returned.  These assertions, and the lift, key
+    attachments never change afterwards, and is kept; the family is checked
+    to be laminar before it is returned.  These assertions, and the lift, key
     and straddle checks of each split, name d by `_edge_list`.
 
     A piece with two vertices is final as it stands, and is neither built
@@ -561,9 +557,10 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     the piece becomes its last child of three or more vertices, and when
     both children have three or more the first is built from a copy taken
     before any edit.  The split asks each piece for its least entry from
-    its heap (`_Piece`), and no `quotient` or `Digraph` is built for a
-    piece: a finished piece of three or more vertices is made a `Digraph`
-    only for its assertion.
+    its heap (`_Piece`), and no `Digraph` is built for a piece until it is
+    finished: a finished piece of three or more vertices becomes one by
+    `dense_digraph`, once, which its assertion checks and the result keeps
+    as the node's `collapsed` piece for the NO loop.
 
     A piece's candidates are its entries (see `_Piece`): every X-shore of a
     strong component of the collapsed piece minus a vertex, keyed by its
@@ -626,7 +623,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     if not one_piece and not is_strongly_connected(d):
         raise ValueError("need a strongly connected digraph")
     if one_piece or d.n == 2:
-        return SDecomposition((d.vertex_set,), ())
+        return SDecomposition((d.vertex_set,), (), (d if one_piece else None,))
 
     minus = [strong_components(d, (v,)) for v in range(d.n)]
     where = [[-1] * d.n for _ in range(d.n)]
@@ -644,6 +641,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         _set_entries(root, v, _fresh_entries(root, v, minus[v]))
 
     pieces = [root.territory]  # the territory of each piece, by index
+    collapsed = {}  # the collapsed piece of each finished piece of 3+ vertices
     tree_edges = []  # (piece index on A side, piece index on B side, separation)
     incident = [[]]  # the indices in tree_edges of each piece's edges
     work = [(0, root)]
@@ -652,7 +650,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         pi, piece = work.pop()
         best = _least_entry(piece)
         if best is None:
-            assert is_strongly_2_connected(piece.dense()), (
+            collapsed[pi], _ = dense_digraph(piece.out)
+            assert is_strongly_2_connected(collapsed[pi]), (
                 f"a finished piece must be strongly 2-connected: {_edge_list(d)}"
             )
             continue
@@ -697,6 +696,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     return SDecomposition(
         territories=tuple(pieces[i] for i in order),
         tree_edges=tuple(sorted(ranked, key=lambda e: sorted(e[:2]))),
+        collapsed=tuple(collapsed.get(i) for i in order),
     )
 
 

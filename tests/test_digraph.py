@@ -17,13 +17,13 @@ from dtwone.digraph import (
     bicycle,
     bidirect,
     cut_vertex_shores,
+    dense_digraph,
     digraph_from_edges,
     directed_cycle_digraph,
     immediate_dominators,
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
-    quotient,
     round_trips,
     separations_cross,
     strong_component_of,
@@ -206,13 +206,13 @@ class TestReachability:
         # d - 0 is the path 1 -> 2 -> 3; only the source keeps its component.
         # {3} and {2} are entered, so their shores go second; {1} is not
         # entered and has an edge leaving it, so its shore goes first.
-        assert cut_vertex_shores(d, 0) == [
+        assert cut_vertex_shores(d._out, 0, strong_components(d, (0,))) == [
             ({3}, {3}, False),
             ({2}, {2, 3}, False),
             ({1}, {1}, True),
         ]
-        assert cut_vertex_shores(bicycle(3), 0) == []
-        assert cut_vertex_shores(Digraph(1, ()), 0) == []
+        for d in (bicycle(3), Digraph(1, ())):
+            assert cut_vertex_shores(d._out, 0, strong_components(d, (0,))) == []
 
     def test_induced_subgraph_mapping(self):
         d = digraph_from_edges(4, [(0, 2), (2, 3), (3, 0)])
@@ -260,27 +260,27 @@ class TestButterfly:
     def test_contract_merges_and_relabels(self):
         d = digraph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
         # Contracting (1, 2): the smaller label survives, vertex 3 becomes 2.
-        c, labels = quotient(d, [0, 1, 1, 3])
+        c, labels = reference_quotient(d, [0, 1, 1, 3])
         assert c.n == 3
         assert labels == (0, 1, 3)
         assert c.sorted_edges() == [(0, 1), (1, 2), (2, 0)]
-        assert replay_script(d, [("contract", 1, 2)]).dense() == (c, labels)
+        assert dense_digraph(replay_script(d, [("contract", 1, 2)]).out) == (c, labels)
 
     def test_contract_triangle_to_digon(self):
         d = directed_cycle_digraph(3)
-        c, labels = quotient(d, [0, 0, 2])
+        c, labels = reference_quotient(d, [0, 0, 2])
         assert c.sorted_edges() == [(0, 1), (1, 0)]
         assert labels == (0, 2)
-        assert replay_script(d, [("contract", 0, 1)]).dense() == (c, labels)
+        assert dense_digraph(replay_script(d, [("contract", 0, 1)]).out) == (c, labels)
 
     def test_contract_drops_loops(self):
         d = digraph_from_edges(2, [(0, 1), (1, 0)])
-        c, labels = quotient(d, [0, 0])
+        c, labels = reference_quotient(d, [0, 0])
         assert c.n == 1
         assert c.sorted_edges() == []
         assert labels == (0,)
         state = replay_script(d, [("contract", 1, 0)])
-        assert state.dense() == (c, labels)
+        assert dense_digraph(state.out) == (c, labels)
         assert state.edges == frozenset()
 
     def test_contraction_preserves_strong_connectivity(self):
@@ -290,26 +290,56 @@ class TestButterfly:
             for (u, v) in d.edges:
                 if contractible(d, (u, v)):
                     keep = min(u, v)
-                    c, _ = quotient(d, [keep if x in (u, v) else x for x in range(d.n)])
+                    c, _ = reference_quotient(d, [keep if x in (u, v) else x for x in range(d.n)])
                     assert c.n == d.n - 1
                     assert is_strongly_connected(c)
-                    replayed, _ = replay_script(d, [("contract", u, v)]).dense()
+                    replayed, _ = dense_digraph(replay_script(d, [("contract", u, v)]).out)
                     assert replayed == c
 
 
+def reference_quotient(d, label_of):
+    """Merge the vertices that share a label and number the classes densely:
+    the `quotient` the program built digraphs with before `dense_digraph`.
+
+    `label_of[v]` is the label of vertex v.  Returns (quotient, labels), where
+    labels is the sorted tuple of distinct labels and vertex i of the
+    quotient stands for labels[i].  Edges inside a class are dropped.
+    """
+    labels = tuple(sorted({label_of[v] for v in range(d.n)}))
+    index = {label: i for i, label in enumerate(labels)}
+    new = [index[label_of[v]] for v in range(d.n)]
+    es = frozenset((new[a], new[b]) for (a, b) in d.edges if new[a] != new[b])
+    return Digraph(len(labels), es), labels
+
+
+def class_adjacency(d, label_of):
+    """The out-adjacency of d's vertex classes, a set of head labels per
+    label, as the replay state keeps it."""
+    out = {label_of[v]: set() for v in range(d.n)}
+    for (a, b) in d.edges:
+        if label_of[a] != label_of[b]:
+            out[label_of[a]].add(label_of[b])
+    return out
+
+
 class TestQuotient:
+    """`dense_digraph` of a class adjacency is the reference quotient."""
+
     def test_labels_may_be_any_sortable_values(self):
         d = directed_cycle_digraph(4)
-        c, labels = quotient(d, {0: "b", 1: "a", 2: "b", 3: "c"})
+        label_of = {0: "b", 1: "a", 2: "b", 3: "c"}
+        c, labels = reference_quotient(d, label_of)
         assert labels == ("a", "b", "c")
         # Vertices 0 and 2 form class "b", which becomes vertex 1.
         assert c.sorted_edges() == [(0, 1), (1, 0), (1, 2), (2, 1)]
+        assert dense_digraph(class_adjacency(d, label_of)) == (c, labels)
 
     def test_parallel_edges_between_classes_merge(self):
         d = bidirect(4, [(0, 2), (1, 3), (0, 3)])
-        c, labels = quotient(d, [0, 0, 2, 2])
+        c, labels = reference_quotient(d, [0, 0, 2, 2])
         assert labels == (0, 2)
         assert c.sorted_edges() == [(0, 1), (1, 0)]
+        assert dense_digraph(class_adjacency(d, [0, 0, 2, 2])) == (c, labels)
 
 
 class TestStrong2Connectivity:
@@ -474,7 +504,7 @@ class TestTightSeparations:
         (s,) = tight_separations(d)
         c = s.cut_vertex
         # Collapse shore A onto its cut vertex.
-        q, labels = quotient(d, [c if v in s.shoreA else v for v in range(d.n)])
+        q, labels = reference_quotient(d, [c if v in s.shoreA else v for v in range(d.n)])
         assert q.n == 2
         assert q.sorted_edges() == [(0, 1), (1, 0)]
         assert labels == tuple(sorted((set(range(d.n)) - s.shoreA) | {c}))
@@ -482,7 +512,7 @@ class TestTightSeparations:
         # merged class is named by its smallest member, not by the cut.
         state = _ReplayState(d)
         state.apply(shore_contraction_script(state, s.shoreA, c))
-        assert state.dense()[0] == q
+        assert dense_digraph(state.out)[0] == q
         assert state.members[state.rep(c)] == s.shoreA
 
     def test_sort_key_deterministic(self):
@@ -795,8 +825,8 @@ class TestSeparationReference:
             minus = [other_reverse_topological_order(d, {v}) for v in range(d.n)]
             for v in range(d.n):
                 assert sorted(minus[v], key=min) == sorted(strong_components(d, (v,)), key=min)
-                assert sorted(cut_vertex_shores(d, v, minus[v]), key=lambda t: min(t[0])) == sorted(
-                    cut_vertex_shores(d, v), key=lambda t: min(t[0])
+                assert sorted(cut_vertex_shores(d._out, v, minus[v]), key=lambda t: min(t[0])) == sorted(
+                    cut_vertex_shores(d._out, v, strong_components(d, (v,))), key=lambda t: min(t[0])
                 ), (sorted(d.edges), v)
                 reordered += minus[v] != strong_components(d, (v,))
         assert reordered >= 500, reordered
@@ -809,7 +839,7 @@ class TestSeparationReference:
             for v in range(d.n):
                 orders = (strong_components(d, (v,)), other_reverse_topological_order(d, {v}))
                 for comps in orders:
-                    got = cut_vertex_shores(d, v, comps)
+                    got = cut_vertex_shores(d._out, v, comps)
                     assert got == edge_scan_cut_vertex_shores(d, v, comps), (sorted(d.edges), v)
                     assert cut_vertex_shores(adjacency, v, comps) == got, (sorted(d.edges), v)
                     entries += len(got)

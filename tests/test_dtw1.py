@@ -18,6 +18,7 @@ from dtwone.digraph import (
     bicycle,
     bidirect,
     cut_vertex_shores,
+    dense_digraph,
     digraph_from_edges,
     directed_cycle_digraph,
     is_strongly_2_connected,
@@ -53,6 +54,7 @@ from dtwone.formats import (
 from dtwone.games import solve_game
 from test_digraph import (
     reference_is_directed_separation,
+    reference_quotient,
     reference_separations_cross,
     random_strongly_connected,
     random_tree_edges,
@@ -241,7 +243,7 @@ class TestReplayDifferential:
             assert new.rep_of == ref.rep_of
             assert new.edges == ref.edges
             assert new.steps == ref.steps
-            assert new.dense() == ref.dense()
+            assert dense_digraph(new.out) == ref.dense()
             check_roots(new, ref.alive)
         return new
 
@@ -506,7 +508,7 @@ def reference_no_step(d):
     for (a, b) in d.sorted_edges():
         for kind in ("del", "contract"):
             try:
-                trial, _ = replay_script(d, [(kind, a, b)]).dense()
+                trial, _ = dense_digraph(replay_script(d, [(kind, a, b)]).out)
             except ValueError:
                 continue
             if (trial.n >= 3 and is_strongly_connected(trial)
@@ -551,7 +553,7 @@ class TestNoStepReference:
             assert is_strongly_2_connected(d), sorted(d.edges)
             edge, trial, sdec = dtw1._no_step(d)
             assert ("del", *edge) == reference_no_step(d), sorted(d.edges)
-            assert trial == replay_script(d, [("del", *edge)]).dense()[0]
+            assert trial == dense_digraph(replay_script(d, [("del", *edge)]).out)[0]
             assert sdec == s_decomposition(trial)
             steps += 1
         return steps
@@ -572,13 +574,13 @@ def reference_collapse(state, sdec, whole, labels):
     densely for every far shore, each shore is scripted on a fresh replay
     of that rebuild, and its steps are mapped back to representatives.
     The digraph the loop hands over must be the state's own."""
-    assert (whole, labels) == state.dense()
+    assert (whole, labels) == dense_digraph(state.out)
     node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
-    attachments = dtw1._attachments(sdec.tree_edges, node)
-    expected, expect_labels = dtw1._collapse_piece(whole, sdec.territories[node], attachments)
+    attachments = sorted_attachments(dtw1._attachments(sdec.tree_edges, node))
+    expected, expect_labels = reference_collapse_piece(whole, sdec.territories[node], attachments)
     start = labels
     for (cut, far, _) in attachments:
-        dense, labels = state.dense()
+        dense, labels = dense_digraph(state.out)
         back = {v: i for i, v in enumerate(labels)}
         shore = frozenset(back[state.rep(start[u])] for u in far)
         steps = shore_script(dense, shore, back[state.rep(start[cut])])
@@ -588,7 +590,7 @@ def reference_collapse(state, sdec, whole, labels):
         for (a, b) in expected.edges
     )
     assert projected == state.edges and len(state.members) == expected.n
-    return state.dense()
+    return dense_digraph(state.out)
 
 
 class TestCollapseReference:
@@ -614,26 +616,58 @@ class TestCollapseReference:
 
     @pytest.mark.parametrize("which, expected", [("bicycle", 0), ("dense", 32)])
     def test_dense_calls_of_a_recognition(self, monkeypatch, which, expected):
-        # Bicycle(22) is one piece and a pattern: no far shore, no rebuild.
-        # The 40-vertex dense draw rebuilds once per round that contracts a
-        # far shore; it took 345 when every far shore and every round
-        # rebuilt the digraph.
+        # The `dense_digraph` calls `_collapse` makes.  Bicycle(22) is one
+        # piece and a pattern: no far shore, no rebuild.  The 40-vertex dense
+        # draw rebuilds once per round that contracts a far shore; it took
+        # 345 when every far shore and every round rebuilt the digraph.
         if which == "bicycle":
             d = bicycle(22)
         else:
             rng = random.Random(5)
             d = [suite.random_strongly_connected(rng, n, 0.15) for n in (20, 30, 40)][-1]
         calls = 0
-        original = check._ReplayState.dense
+        collapsing = False
+        original_collapse, original_dense = dtw1._collapse, dtw1.dense_digraph
 
-        def counted(state):
+        def collapse(*args):
+            nonlocal collapsing
+            collapsing = True
+            try:
+                return original_collapse(*args)
+            finally:
+                collapsing = False
+
+        def counted(out):
             nonlocal calls
-            calls += 1
-            return original(state)
+            if collapsing:
+                calls += 1
+            return original_dense(out)
 
-        monkeypatch.setattr(check._ReplayState, "dense", counted)
+        monkeypatch.setattr(dtw1, "_collapse", collapse)
+        monkeypatch.setattr(dtw1, "dense_digraph", counted)
         assert recognize_dtw1(d).verdict == "NO"
         assert calls == expected
+
+    def test_a_tree_plus_a_triangle_builds_three_digraphs(self, monkeypatch):
+        # The triangle is the one piece of three vertices.  Its s-decomposition
+        # builds it once, the NO loop numbers the state densely once after
+        # contracting its far shores, and the checker builds the pattern.
+        # It took 5 when the loop rebuilt the piece from the whole digraph
+        # to check the state against, and rebuilt the state through a
+        # digraph of every input vertex.
+        d = tree_plus_triangle(random.Random(7), 12)
+        calls = 0
+        original = Digraph.__post_init__
+
+        def counted(self):
+            nonlocal calls
+            calls += 1
+            original(self)
+
+        monkeypatch.setattr(Digraph, "__post_init__", counted)
+        cert = recognize_dtw1(d)
+        assert (cert.verdict, cert.witness.kind, cert.witness.length) == ("NO", "bicycle", 3)
+        assert calls == 3
 
 
 def brute_tight_separations(d):
@@ -656,10 +690,31 @@ def brute_tight_separations(d):
     return found
 
 
+def sorted_attachments(attachments):
+    """Far shores in the order the NO loop contracts them: by cut vertex,
+    then by sorted far shore."""
+    return sorted(attachments, key=lambda t: (t[0], tuple(sorted(t[1]))))
+
+
+def reference_collapse_piece(d, territory, attachments):
+    """A piece with every far shore contracted onto its cut vertex, as
+    (`reference_quotient`, labels), after checking that the far shores
+    meet the piece only in their cuts, overlap nowhere else and, with the
+    piece, cover d."""
+    label_of = {v: v for v in territory}
+    for (cut, far, _) in attachments:
+        assert far & territory == {cut}, "far shore must meet the piece in its cut"
+        for u in far - {cut}:
+            assert label_of.get(u, cut) == cut, "far shores overlap beyond their cuts"
+            label_of[u] = cut
+    assert len(label_of) == d.n, "piece and far shores must cover the digraph"
+    return reference_quotient(d, label_of)
+
+
 def collapsed_pieces(d, s):
     """Each node's piece with every far shore contracted onto its cut vertex."""
     return [
-        dtw1._collapse_piece(d, territory, dtw1._attachments(s.tree_edges, t))[0]
+        reference_collapse_piece(d, territory, dtw1._attachments(s.tree_edges, t))[0]
         for t, territory in enumerate(s.territories)
     ]
 
@@ -745,6 +800,37 @@ class TestSDecomposition:
             for territory, piece in zip(s.territories, collapsed_pieces(d, s)):
                 assert is_strongly_2_connected(piece)
                 assert len(territory) >= 2
+
+    def test_each_node_keeps_its_reference_collapsed_piece(self):
+        # Every node of three or more vertices keeps the collapsed piece its
+        # search built, numbered by sorted territory; a strongly 2-connected
+        # digraph keeps itself, and a two-vertex node keeps None.
+        rng = random.Random(96)
+        corpus = [d for d in separation_corpus() if d.n >= 2]
+        corpus += [
+            random_strongly_connected(rng, rng.randint(3, 12), rng.choice([0.05, 0.1, 0.2, 0.4]))
+            for _ in range(200)
+        ]
+        kept = whole = digons = 0
+        for d in corpus:
+            s = s_decomposition(d)
+            assert len(s.collapsed) == len(s.territories)
+            if len(s.territories) == 1 and d.n >= 3:
+                assert s.collapsed[0] is d
+                whole += 1
+            for t, territory in enumerate(s.territories):
+                if len(territory) == 2:
+                    assert s.collapsed[t] is None, (sorted(d.edges), t)
+                    digons += 1
+                    continue
+                attachments = dtw1._attachments(s.tree_edges, t)
+                expected, labels = reference_collapse_piece(d, territory, attachments)
+                assert labels == tuple(sorted(territory))
+                assert s.collapsed[t] == expected, (sorted(d.edges), t)
+                kept += 1
+        # Recorded: 618 pieces of three or more vertices, 146 of them a whole
+        # strongly 2-connected digraph, and 6,272 two-vertex nodes.
+        assert kept >= 600 and whole >= 140 and digons >= 6_000, (kept, whole, digons)
 
     def test_each_finished_piece_is_checked_where_it_was_collapsed(self, monkeypatch):
         # The strong 2-connectivity test sees the root digraph once, where
@@ -846,6 +932,24 @@ class TestSDecomposition:
             dtw1._collapse(dtw1._ReplayState(d), sdec, d, tuple(range(d.n)))
         assert named_digraph(err.value) == d
 
+    @pytest.mark.parametrize("attachments, message", [
+        ([(0, frozenset({0, 1, 4}), True)], "meet the piece in its cut"),
+        ([(0, frozenset({0, 4}), True), (1, frozenset({1, 4}), True)], "overlap beyond their cuts"),
+        ([], "must cover the digraph"),
+    ])
+    def test_far_shores_that_do_not_fit_the_piece_name_the_digraph(
+        self, monkeypatch, attachments, message
+    ):
+        # The bidirected 4-cycle with a pendant digon at 0, its one far shore
+        # {0, 4} replaced by shores that reach into the piece, overlap, or
+        # leave vertex 4 out.
+        d = bidirect(5, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 4)])
+        sdec = s_decomposition(d)
+        monkeypatch.setattr(dtw1, "_attachments", lambda *args: attachments)
+        with pytest.raises(AssertionError, match=message) as err:
+            dtw1._collapse(dtw1._ReplayState(d), sdec, d, tuple(range(d.n)))
+        assert named_digraph(err.value) == d
+
     def test_a_step_that_misses_its_trial_names_the_digraph(self, monkeypatch):
         # The bidirected K4 with a pendant digon at 0, whose first round
         # contracts that digon.  Told that each deletion leaves the digraph
@@ -943,13 +1047,14 @@ def reference_lift_separation(d, attachments, local_sep, labels):
 def reference_s_decomposition(d):
     """`s_decomposition` as it was when every round searched every piece and
     each piece carried its own attachments; returns the record plus those
-    attachments, by node."""
+    attachments, by node.  The record keeps the collapsed piece of each
+    node of three or more vertices, and None for a node of two."""
     pieces = [_PieceState(range(d.n), [])]
     tree_edges = []
     while True:
         best = None
         for pi, piece in enumerate(pieces):
-            collapsed, labels = dtw1._collapse_piece(d, piece.territory, piece.attachments)
+            collapsed, labels = reference_collapse_piece(d, piece.territory, piece.attachments)
             for local in reference_tight_separations(collapsed):
                 lifted = reference_lift_separation(d, piece.attachments, local, labels)
                 local_a = {labels[i] for i in local.shoreA}
@@ -996,6 +1101,11 @@ def reference_s_decomposition(d):
     record = dtw1.SDecomposition(
         territories=tuple(pieces[i].territory for i in order),
         tree_edges=tuple(sorted(ranked, key=lambda e: sorted(e[:2]))),
+        collapsed=tuple(
+            reference_collapse_piece(d, pieces[i].territory, pieces[i].attachments)[0]
+            if len(pieces[i].territory) >= 3 else None
+            for i in order
+        ),
     )
     return record, [pieces[i].attachments for i in order]
 
@@ -1127,7 +1237,7 @@ def reference_entries(d, territory, attachments):
     collapsed piece with a fresh Tarjan pass, as (X-shore, x_first, key)
     triples in label sets, key the `reference_lift_separation` of the
     shores in the orientation the edge scan finds valid."""
-    collapsed, labels = dtw1._collapse_piece(d, territory, attachments)
+    collapsed, labels = reference_collapse_piece(d, territory, attachments)
     index = {label: j for j, label in enumerate(labels)}
 
     def local(shore):
@@ -1136,7 +1246,9 @@ def reference_entries(d, territory, attachments):
     out = {}
     for i, v in enumerate(labels):
         triples = []
-        for _, x, x_first in cut_vertex_shores(collapsed, i):
+        for _, x, x_first in cut_vertex_shores(
+            collapsed._out, i, strong_components(collapsed, (i,))
+        ):
             x = frozenset(labels[j] for j in x)
             p, q = frozenset(labels) - x, x | {v}
             key = None
@@ -1178,9 +1290,8 @@ class TestSDecompositionCache:
                 assert getattr(got, f.name) == getattr(expected, f.name), (f.name, sorted(d.edges))
             assert got.edges == expected.edges
             for t in range(len(got.territories)):
-                assert dtw1._attachments(got.tree_edges, t) == attachments[t], (
-                    t, sorted(d.edges)
-                )
+                got_attachments = sorted_attachments(dtw1._attachments(got.tree_edges, t))
+                assert got_attachments == attachments[t], (t, sorted(d.edges))
             split += len(got.edges) >= 2
         assert split >= 100, split
         floors = {"carried": 30_000, "re-keyed": 350, "recomputed vertices": 6_500,
@@ -1247,14 +1358,14 @@ class TestSDecompositionCache:
         assert counts["re-keyed"] == 0
 
     def test_splits_build_no_digraph_and_key_only_new_entries(self, monkeypatch):
-        # A split edits its piece in place: no `quotient` and no `Digraph`
+        # A split edits its piece in place: no `dense_digraph` and no `Digraph`
         # after the root, whose finished pieces all have two vertices.  Every
         # `_entry` call keys a fresh or re-keyed entry: 58 at the root, whose
         # 20 non-leaf vertices have as many entries as neighbours, and 41 at
         # the 37 recomputed cuts.
         d = bidirect(40, random_tree_edges(random.Random(40), 40))
         counts = count_paths(monkeypatch)
-        calls = {"quotient": 0, "Digraph": 0, "_entry": 0}
+        calls = {"dense_digraph": 0, "Digraph": 0, "_entry": 0}
 
         def counted(name, original):
             def call(*args):
@@ -1262,13 +1373,13 @@ class TestSDecompositionCache:
                 return original(*args)
             return call
 
-        monkeypatch.setattr(dtw1, "quotient", counted("quotient", dtw1.quotient))
-        monkeypatch.setattr(digraph, "quotient", counted("quotient", digraph.quotient))
+        monkeypatch.setattr(dtw1, "dense_digraph", counted("dense_digraph", dtw1.dense_digraph))
+        monkeypatch.setattr(digraph, "dense_digraph", counted("dense_digraph", digraph.dense_digraph))
         monkeypatch.setattr(Digraph, "__post_init__", counted("Digraph", Digraph.__post_init__))
         monkeypatch.setattr(dtw1, "_entry", counted("_entry", dtw1._entry))
         sdec = s_decomposition(d)
         assert len(sdec.edges) == 38
-        assert calls == {"quotient": 0, "Digraph": 0, "_entry": 99}
+        assert calls == {"dense_digraph": 0, "Digraph": 0, "_entry": 99}
         assert counts["recomputed entries"] == 41 and counts["re-keyed"] == 0
 
     def test_only_each_split_is_lifted(self, monkeypatch):
@@ -1301,7 +1412,7 @@ class TestSDecompositionCache:
             searched.clear()
             s_decomposition(d)
             for piece, best in searched:
-                collapsed, labels = dtw1._collapse_piece(d, piece.territory, piece.attachments)
+                collapsed, labels = reference_collapse_piece(d, piece.territory, piece.attachments)
                 lifts = [
                     reference_lift_separation(d, piece.attachments, local, labels)
                     for local in tight_separations(collapsed)
