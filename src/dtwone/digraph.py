@@ -14,7 +14,10 @@ s-decomposition keeps them per piece.
 `immediate_dominators` is Lengauer and Tarjan's algorithm.
 `is_strongly_2_connected` filters by degree, then runs it from one vertex
 in d and in d reversed and adds one Tarjan pass, so no vertex takes a pass
-of its own.  The recogniser's s-decomposition and the replay state
+of its own; `strong_components_minus_each` reads the strong components of
+d minus each vertex off the same two trees, with one Tarjan pass of d - 0
+and one of the region each strong articulation point dominates.  The
+recogniser's s-decomposition and the replay state
 contract in place on adjacency sets, one `merge_into` per vertex, and
 `dense_digraph` is the one place such a mapping becomes a `Digraph`,
 numbered densely by sorted label.  All enumeration orders are
@@ -61,6 +64,14 @@ class Digraph:
             for v in vs:
                 adj[v].append(u)
         return {u: tuple(vs) for u, vs in enumerate(adj)}
+
+    @cached_property
+    def dominators(self):
+        """The immediate dominators from vertex 0 in d and in d reversed, as
+        `immediate_dominators` gives them, built once per digraph:
+        `is_strongly_2_connected` and `strong_components_minus_each` share
+        them.  Needs a vertex 0."""
+        return immediate_dominators(self, 0), immediate_dominators(self, 0, reverse=True)
 
     def out_neighbours(self, u):
         """Sorted tuple of heads of edges leaving u."""
@@ -127,22 +138,33 @@ def strong_components(d, removed=()):
     vertices are marked visited before the first root, so the result is the
     list the induced subgraph on the other vertices would give, renumbered
     densely, in the same order, in the original names.
+    """
+    index = [None] * d.n
+    for x in removed:
+        index[x] = d.n
+    return _tarjan(d._out, range(d.n), index)
+
+
+def _tarjan(out, roots, index):
+    """Tarjan's loop: the strong components of the subgraph on the live
+    vertices, those whose `index` entry is None, in reverse topological
+    order of its condensation, with a walk started from each vertex of
+    `roots` in turn, which must hold every live vertex.  Every other entry
+    must be len(index): such a vertex counts as removed, and its edges are
+    never followed.
 
     A removed or finished vertex has index n, above every live index, so it
     never lowers a low link and no on-stack flag is needed.  Each frame
     keeps its vertex's place on the stack, and a finished component leaves
-    the stack as one slice.
+    the stack as one slice.  The work is the live vertices' out-degrees,
+    plus a list of n low links.
     """
-    n = d.n
-    out = d._out
-    index = [None] * n
-    for x in removed:
-        index[x] = n
+    n = len(index)
     low = [0] * n
     stack = []
     comps = []
     counter = 0
-    for root in range(n):
+    for root in roots:
         if index[root] is not None:
             continue
         index[root] = low[root] = counter
@@ -289,7 +311,7 @@ def separations_cross(s, t):
     return bool(a & c) and bool(b & dd) and bool(ad & ~bc) and bool(bc & ~ad)
 
 
-def cut_vertex_shores(d, v, comps):
+def cut_vertex_shores(out, inn, v, comps):
     """The strong components of d - v, each with its X-shore and orientation.
 
     The X-shore X of a component K is K alone when no other component has an
@@ -304,36 +326,43 @@ def cut_vertex_shores(d, v, comps):
     - K is not entered and an edge leaves it: only (X+v, Y+v) is valid;
       x_first is True.
 
-    Each entry is (K, X, x_first).  d is given as a mapping from each
-    vertex to its out-neighbours: a `Digraph`'s `_out`, or the adjacency of
-    a piece the recogniser edits in place.  `comps` is the list of strong
-    components of d - v in any reverse topological order of the
-    condensation (no edge runs from an earlier component to a later one),
-    such as `strong_components` gives.  Entries come in that order; the
-    list is empty when d - v has at most one component, that is when v is
-    no cut vertex.  The condensation's edges come from the out-lists of
-    each component's members, so the work is the out-degrees of d - v, not
-    a scan of every edge of d.
+    Each entry is (K, X, x_first).  d is given as two mappings from each
+    vertex to its out-neighbours and its in-neighbours: a `Digraph`'s `_out`
+    and `_in`, or the adjacency of a piece the recogniser edits in place.
+    `comps` is the list of strong components of d - v in any reverse
+    topological order of the condensation (no edge runs from an earlier
+    component to a later one), such as `strong_components` gives.  Entries
+    come in that order; the list is empty when d - v has at most one
+    component, that is when v is no cut vertex.  The condensation's edges
+    come from the out-lists and in-lists of every component but the
+    largest: an edge of the largest component's leaves it into another
+    component, whose in-lists show it.  So the work is the degrees of d - v
+    outside its largest component, one pass over the component list, and
+    the set unions that build the X-shores.
     """
     if len(comps) <= 1:
         return []
-    comp_of = {u: ci for ci, comp in enumerate(comps) for u in comp}
-    succ = []
-    entered = set()
+    big = max(range(len(comps)), key=lambda ci: len(comps[ci]))
+    comp_of = {u: ci for ci, comp in enumerate(comps) if ci != big for u in comp}
+    succ = [set() for _ in comps]
     for ci, comp in enumerate(comps):
-        heads = {comp_of[b] for a in comp for b in d[a] if b != v}
+        if ci == big:
+            continue
+        heads = succ[ci]
+        heads.update(comp_of.get(b, big) for a in comp for b in out[a] if b != v)
         heads.discard(ci)
-        succ.append(heads)
-        entered |= heads
+        if any(b != v and b not in comp_of for a in comp for b in inn[a]):
+            succ[big].add(ci)
+    entered = set().union(*succ)
     # Reverse topological order: every successor of a component comes before
     # it and is entered, so its shore is already everything it reaches.
-    out = []
+    shores = []
     for ci, comp in enumerate(comps):
         if ci in entered:
-            out.append((comp, comp.union(*(out[cj][1] for cj in succ[ci])), False))
+            shores.append((comp, comp.union(*(shores[cj][1] for cj in succ[ci])), False))
         else:
-            out.append((comp, comp, True if succ[ci] else None))
-    return out
+            shores.append((comp, comp, True if succ[ci] else None))
+    return shores
 
 
 def orient_cut_separation(p, q, v, x, x_first):
@@ -379,7 +408,7 @@ def tight_separations(d):
     """
     found = {}
     for v in range(d.n):
-        for _, x, x_first in cut_vertex_shores(d._out, v, strong_components(d, (v,))):
+        for _, x, x_first in cut_vertex_shores(d._out, d._in, v, strong_components(d, (v,))):
             p = d.vertex_set - x
             if len(p) < 2:
                 continue
@@ -482,19 +511,92 @@ def is_strongly_2_connected(d):
     Santaroni, *Finding strong bridges and strong articulation points in
     linear time*, TCS 447, 2012).  So d is strongly 2-connected exactly
     when every immediate dominator from 0 is 0 in both, which also says
-    that d is strongly connected, and d - 0 is strongly connected: two
-    dominator trees and one Tarjan pass.
+    that d is strongly connected, and d - 0 is strongly connected: the
+    two dominator trees of `Digraph.dominators` and one Tarjan pass.
     """
     if d.n <= 2:
         return True
     out, into = d._out, d._in
     if any(len(out[v]) < 2 or len(into[v]) < 2 for v in range(d.n)):
         return False
+    forward, backward = d.dominators
     return (
-        all(x == 0 for x in immediate_dominators(d, 0))
-        and all(x == 0 for x in immediate_dominators(d, 0, reverse=True))
+        all(x == 0 for x in forward)
+        and all(x == 0 for x in backward)
         and len(strong_components(d, (0,))) == 1
     )
+
+
+def strong_components_minus_each(d):
+    """The strong components of d - v for every vertex v of a strongly
+    connected d on two or more vertices, a list by v: each the components
+    `strong_components(d, (v,))` gives, in a reverse topological order of
+    the condensation that may differ from that call's.
+
+    Vertex 0 takes one Tarjan pass.  For v other than 0, let F and R be the
+    vertices v dominates from 0 in d and in d reversed (`Digraph.dominators`,
+    as in `is_strongly_2_connected`).  A vertex of d - v is reached from 0
+    there exactly when it is not in F, and reaches 0 exactly when it is not
+    in R, so 0's component is V - v - F - R.  Every other component lies in
+    F | R, and is a strong component of the subgraph d induces there, since
+    a cycle of d - v through a vertex outside F | R lies in 0's component.
+    So v takes one Tarjan pass of F | R alone, and a v that dominates
+    nothing takes none: its list is [V - v].
+
+    The components come in four groups: those in R - F (reached from 0 and
+    not reaching it), those in F & R (neither), 0's (both), and those in
+    F - R (reaching 0 and not reached), each group in the pass's order.  No
+    edge runs from an earlier group to a later one: an edge into a vertex
+    that reaches 0 makes its tail reach 0, and an edge out of a vertex
+    reached from 0 makes its head reached, so the tail of such an edge
+    would be in a later group than it is, or its head in an earlier one.
+    F and R are slices of the trees' preorders, so beyond the passes the
+    work is the sizes of F and R, which add up to the trees' depth sums,
+    and for each v a few list and set operations on n elements.
+    """
+    n = d.n
+    forward, backward = (_dominated(tree) for tree in d.dominators)
+    minus = [strong_components(d, (0,))]
+    for v in range(1, n):
+        f, r = forward[v], backward[v]
+        if not f and not r:
+            minus.append([d.vertex_set - {v}])
+            continue
+        region = set(f).union(r)
+        index = [n] * n
+        for u in region:
+            index[u] = None
+        f, r = set(f), set(r)
+        reached, neither, reaching = [], [], []
+        for k in _tarjan(d._out, region, index):
+            u = next(iter(k))
+            (reaching if u not in r else neither if u in f else reached).append(k)
+        minus.append(reached + neither + [d.vertex_set - region - {v}] + reaching)
+    return minus
+
+
+def _dominated(idom):
+    """For each vertex, the list of the vertices it properly dominates, from
+    the immediate dominators of a dominator tree rooted at 0 that reaches
+    every vertex: its proper descendants in the tree, a slice of the tree's
+    preorder."""
+    n = len(idom)
+    children = [[] for _ in range(n)]
+    for v in range(1, n):
+        children[idom[v]].append(v)
+    order = []
+    stack = [0]
+    while stack:
+        v = stack.pop()
+        order.append(v)
+        stack.extend(children[v])
+    size = [1] * n
+    for v in reversed(order[1:]):
+        size[idom[v]] += size[v]
+    at = [0] * n
+    for i, v in enumerate(order):
+        at[v] = i
+    return [order[at[v] + 1:at[v] + size[v]] for v in range(n)]
 
 
 def _bfs_arcs(root, neighbours):

@@ -3,10 +3,12 @@
 The positive route splits the digraph along a maximal laminar family of
 one-vertex separations; when every resulting piece is a digon the width-one
 decomposition can be read off.  A strongly 2-connected digraph is one
-piece, found by two dominator trees and one Tarjan pass.  Only any other
-whole digraph takes a Tarjan pass per vertex: a split piece carries its
-parent's candidate separations over, and recomputes only its new cut
-vertex and the vertices where the split drops a strong component.  A
+piece, found by two dominator trees and one Tarjan pass.  Any other whole
+digraph reads the strong components of d - v for every v off the same two
+trees, with one Tarjan pass of d - 0 and one of the region each strong
+articulation point dominates: a split piece carries its parent's
+candidate separations over, and recomputes only its new cut vertex and
+the vertices where the split drops a strong component.  A
 split edits its piece in place, contracting the dropped vertices into the
 cut and touching only the entries it drops or gives anew, and a heap per
 piece keeps its least candidate; only a split that leaves two pieces of
@@ -66,8 +68,7 @@ from .digraph import (
     is_strongly_connected,
     merge_into,
     orient_cut_separation,
-    separations_cross,
-    strong_components,
+    strong_components_minus_each,
 )
 from .games import Haven, haven_from_minor
 from .games import verify_haven  # noqa: F401  (bench/tracer.py wraps this binding)
@@ -215,7 +216,7 @@ def _minor_witness(d: Digraph, sdec: SDecomposition) -> MinorWitness:
             break
         (a, b), dense, sdec = _no_step(dense)
         state.apply([("del", labels[a], labels[b])])
-        assert state.edges == {(labels[u], labels[v]) for (u, v) in dense.edges}, (
+        assert _holds(state, dense, labels), (
             f"a step must leave the digraph it was tried on: {_edge_list(state.base)}"
         )
     kind, length, embedding = found
@@ -262,13 +263,24 @@ def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels:
     assert len(territory) + len(far_cut) == whole.n, (
         f"piece and far shores must cover the digraph: {_edge_list(state.base)}"
     )
-    expected = sdec.collapsed[node]
     rep = [state.rep(labels[v]) for v in sorted(territory)]
-    projected = frozenset((rep[a], rep[b]) for (a, b) in expected.edges)
-    assert projected == state.edges and len(state.members) == expected.n, (
+    assert _holds(state, sdec.collapsed[node], rep), (
         f"collapsing the far shores must reproduce the collapsed piece: {_edge_list(state.base)}"
     )
     return dense_digraph(state.out) if attachments else (whole, labels)
+
+
+def _holds(state: _ReplayState, d: Digraph, labels) -> bool:
+    """True if the state's current digraph is d, its vertex i standing for
+    the representative labels[i]: the state's classes are the labels, one
+    for each vertex of d, and each labels[i]'s out-set is i's
+    out-neighbours in d, relabelled.  The state's adjacency is compared in
+    place, one out-set at a time, and no set of its edges is built."""
+    out = state.out
+    return len(labels) == d.n and out.keys() == set(labels) and all(
+        out[label] == set(map(labels.__getitem__, d.out_neighbours(i)))
+        for i, label in enumerate(labels)
+    )
 
 
 def _no_step(d: Digraph):
@@ -447,7 +459,7 @@ def _fresh_entries(piece: _Piece, v, comps) -> list:
     collapsed piece minus v, in a reverse topological order."""
     return [
         _entry(piece, v, x, x_first)
-        for _, x, x_first in cut_vertex_shores(piece.out, v, comps)
+        for _, x, x_first in cut_vertex_shores(piece.out, piece.inn, v, comps)
     ]
 
 
@@ -514,6 +526,82 @@ def _split_off(piece: _Piece, territory, cut, attachments, minus, where) -> _Pie
     return piece
 
 
+def _laminar(territories, tree_edges) -> bool:
+    """True if no two separations of a split tree cross (`separations_cross`),
+    by one walk of the tree.  `territories` lists each node's territory,
+    every one of two or more vertices, and `tree_edges` holds (A-side node,
+    B-side node, separation) triples.  The walk checks two things:
+
+    1. each tree edge's shores are the unions of the territories on its two
+       sides, shoreA the union on its A-side node's side;
+    2. for each cut vertex u, the tree edges with cut u form a directed
+       path, an edge pointing from its A-side node to its B-side node: no
+       node has two of them pointing at it or two pointing away from it.
+
+    Given 1, 2 holds exactly when no two separations cross.  Take tree edges
+    e and f.  Without them the tree falls into the part P beyond e, the
+    part M between them and the part Q beyond f; write U(X) for the union
+    of the territories in X.  By 1 e's shores are U(P) and U(M | Q), and
+    f's are U(Q) and U(P | M).  A vertex of U(P) & U(Q) lies on both shores
+    of e and of f, so it is the cut of both; and if e and f both have cut u,
+    u lies in U(P) and in U(Q).  So U(P) & U(Q) is empty, or it is {u} when
+    e and f share the cut u.  In `separations_cross`'s terms, with (A, B)
+    the shores of e and (C, D) those of f:
+
+    - e points at f and f away from e: A = U(P), D = U(Q), so A & D is
+      U(P) & U(Q), which lies in B & C; they do not cross.  The same holds
+      with both reversed, with B & C inside A & D.
+    - e and f point at each other: A & C = U(P) & U(Q), B & D holds U(M),
+      A & D = U(P) and B & C = U(Q).  Each of U(P) and U(Q) holds a
+      territory, of two or more vertices, so neither lies in the other, and
+      e and f cross exactly when they share a cut.  When they point away
+      from each other, the same holds with the roles of A & C and B & D
+      swapped.
+
+    So e and f cross exactly when they share a cut and point at or away
+    from each other.  When they share the cut u, every edge between them
+    has u on both shores, so the edges with cut u form a subtree.  If that
+    subtree is a directed path, any two of its edges point the same way
+    along it, and none cross.  Otherwise some node meets two of them that
+    point at it or away from it, and those two cross; a subtree in which no
+    node has two is a path, and a directed one.  The work is O(1) set
+    operations of at most n elements per tree edge.
+    """
+    nodes = len(territories)
+    nbrs = [[] for _ in range(nodes)]
+    shores = {}  # (node, neighbour): the edge's shore on node's side, the other
+    pointing_at, pointing_away = set(), set()
+    for (ai, bi, sep) in tree_edges:
+        c = sep.cut_vertex
+        if (c, bi) in pointing_at or (c, ai) in pointing_away:
+            return False
+        pointing_at.add((c, bi))
+        pointing_away.add((c, ai))
+        nbrs[ai].append(bi)
+        nbrs[bi].append(ai)
+        shores[ai, bi] = sep.shoreA, sep.shoreB
+        shores[bi, ai] = sep.shoreB, sep.shoreA
+    order, arcs = _bfs_arcs(0, nbrs.__getitem__)
+    if len(tree_edges) != nodes - 1 or len(order) != nodes:
+        return False
+    children = [[] for _ in range(nodes)]
+    below = list(territories)  # the union over each node's subtree
+    for (t, u) in reversed(arcs):  # a node's arcs out come after its arc in
+        children[t].append(u)
+        below[t] = below[t] | below[u]
+    above = [frozenset()] * nodes  # the union outside each node's subtree
+    for t in order:
+        acc = above[t] | territories[t]
+        for u in children[t]:
+            above[u] = acc
+            acc = acc | below[u]
+        acc = frozenset()
+        for u in reversed(children[t]):
+            above[u] = above[u] | acc
+            acc = acc | below[u]
+    return all(shores[u, t] == (below[u], above[u]) for (t, u) in arcs)
+
+
 def s_decomposition(d: Digraph) -> SDecomposition:
     """Split d along a maximal laminar family of one-cut-vertex separations.
 
@@ -522,11 +610,12 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     trees and one Tarjan pass) comes first, before any other work.  It is
     the result the search below would reach, since no vertex of d would
     have a second component and so no entry a candidate.  It also says
-    that d is strongly connected, so only a d that fails it takes the
-    strong connectivity pass.  That test holds on every two-vertex
-    digraph, so it is not asked there: a strongly connected one is a
-    digon, one piece, and the search only ever starts on three or more
-    vertices.  A root with a cut vertex always has a candidate (the
+    that d is strongly connected; a d that fails it is strongly connected
+    exactly when vertex 0 reaches every vertex in d and in d reversed,
+    which the same two dominator trees (`Digraph.dominators`) tell without
+    a Tarjan pass.  That test holds on every two-vertex digraph, so it is
+    not asked there: a strongly connected one is a digon, one piece, and
+    the search only ever starts on three or more vertices.  A root with a cut vertex always has a candidate (the
     X-shore of the sink component of d - v is that component alone), so
     the root is never a finished piece.
 
@@ -542,8 +631,9 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     Each finished piece of three or more vertices is checked to be strongly
     2-connected when its search comes up empty, which is final because its
     attachments never change afterwards, and is kept; the family is checked
-    to be laminar before it is returned.  These assertions, and the lift, key
-    and straddle checks of each split, name d by `_edge_list`.
+    to be laminar (`_laminar`, one walk of the tree) before it is returned.
+    These assertions, and the lift, key and straddle checks of each split,
+    name d by `_edge_list`.
 
     A piece with two vertices is final as it stands, and is neither built
     nor searched.  Its collapsed piece is a contraction of a strongly
@@ -567,7 +657,11 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     lifted separation.  Only the winner is lifted as a separation and
     asserted, and its key is asserted to be that lift.  The root piece,
     which is searched only when d fails the test above, computes its
-    entries with one Tarjan pass per vertex.  A split piece
+    entries from the strong components of d - v for every v, which
+    `strong_components_minus_each` reads off the test's two dominator
+    trees: one Tarjan pass of d - 0, one pass for each strong articulation
+    point over the vertices it dominates, and none for any other vertex,
+    whose d - v is one component.  A split piece
     takes most of its entries over from its parent, unchanged.  Let Q be
     the parent's collapsed piece, split along (A, B) at c, and take the A
     side, with territory T' = T_A, which drops D, the B-only vertices; the
@@ -583,8 +677,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
       reachability within T' is unchanged, and each edge into c that the
       child gains stands for a path of Q - v.  No component of Q - c meets
       both D and the rest, since a path from D to A-only passes through c,
-      and the child minus c is Q - c without D.  So the root's Tarjan
-      passes, restricted to T', give every piece's components.
+      and the child minus c is Q - c without D.  So the root's components,
+      restricted to T', give every piece's components.
     - Carry-over.  For v in T' other than c, every component of Q - v that
       meets D and is not inside it holds c, since a path out of D leaves it
       through c.  When no component of Q - v lies inside D, D lies in c's
@@ -613,6 +707,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
       restricted to T'.  `where[u][v]`, the index of u's root component of
       d - v, tells which: a component of Q - v lies inside D exactly when
       a vertex u of D is not in c's, that is where[u][v] != where[c][v].
+      The table is written only for the components other than the largest
+      of each d - v, and reads -1 elsewhere, which compares the same way.
       A vertex whose entries are recomputed or re-keyed gets a new stamp,
       which kills its old heap items, and pushes one item per candidate;
       the heap drops dead items only when they reach its top.
@@ -620,17 +716,19 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     if d.n < 2:
         raise ValueError("need at least two vertices")
     one_piece = d.n >= 3 and is_strongly_2_connected(d)
-    if not one_piece and not is_strongly_connected(d):
+    if not one_piece and None in itertools.chain(*d.dominators):
         raise ValueError("need a strongly connected digraph")
     if one_piece or d.n == 2:
         return SDecomposition((d.vertex_set,), (), (d if one_piece else None,))
 
-    minus = [strong_components(d, (v,)) for v in range(d.n)]
+    minus = strong_components_minus_each(d)
     where = [[-1] * d.n for _ in range(d.n)]
     for v, comps in enumerate(minus):
+        big = max(comps, key=len)
         for i, k in enumerate(comps):
-            for u in k:
-                where[u][v] = i
+            if k is not big:
+                for u in k:
+                    where[u][v] = i
     root = _Piece(
         d.vertex_set,
         {v: set(d.out_neighbours(v)) for v in range(d.n)},
@@ -688,8 +786,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             source = piece if i == built[-1] else piece.copy()
             work.append((i, _split_off(source, pieces[i], v, attachments, minus, where)))
 
-    for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2):
-        assert not separations_cross(s, t), f"family must be pairwise laminar: {_edge_list(d)}"
+    assert _laminar(pieces, tree_edges), f"family must be pairwise laminar: {_edge_list(d)}"
     order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i])))
     rank = {old: new for new, old in enumerate(order)}
     ranked = [(rank[ai], rank[bi], sep) for (ai, bi, sep) in tree_edges]

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dtwone import digraph
+from dtwone import digraph, suite
 from dtwone.digraph import (
     Digraph,
     TightSeparation,
@@ -28,6 +28,7 @@ from dtwone.digraph import (
     separations_cross,
     strong_component_of,
     strong_components,
+    strong_components_minus_each,
     tight_separations,
 )
 from dtwone.check import _ReplayState, replay_script
@@ -206,13 +207,13 @@ class TestReachability:
         # d - 0 is the path 1 -> 2 -> 3; only the source keeps its component.
         # {3} and {2} are entered, so their shores go second; {1} is not
         # entered and has an edge leaving it, so its shore goes first.
-        assert cut_vertex_shores(d._out, 0, strong_components(d, (0,))) == [
+        assert cut_vertex_shores(d._out, d._in, 0, strong_components(d, (0,))) == [
             ({3}, {3}, False),
             ({2}, {2, 3}, False),
             ({1}, {1}, True),
         ]
         for d in (bicycle(3), Digraph(1, ())):
-            assert cut_vertex_shores(d._out, 0, strong_components(d, (0,))) == []
+            assert cut_vertex_shores(d._out, d._in, 0, strong_components(d, (0,))) == []
 
     def test_induced_subgraph_mapping(self):
         d = digraph_from_edges(4, [(0, 2), (2, 3), (3, 0)])
@@ -435,6 +436,58 @@ class TestImmediateDominators:
         assert reached >= 10_000 and deep >= 2_800 and unreached >= 6_000, (
             reached, deep, unreached
         )
+
+
+class TestComponentsMinusEach:
+    def test_matches_a_pass_per_vertex(self, monkeypatch):
+        # Every (d, v) over `separation_corpus()`, the seeded dense draws on
+        # 20, 30 and 40 vertices and digraphs glued at a vertex: the
+        # components of the n-pass form, in an order in which no edge of
+        # d - v runs from an earlier component to a later one.  Only vertex
+        # 0 and the strong articulation points take a Tarjan pass.
+        # The groups come in the documented order.  Recorded: 9,763 pairs;
+        # 2,574 components reached from 0 but not reaching it, 983 neither
+        # and 2,526 reaching 0 but not reached.
+        rng = random.Random(5)
+        corpus = [d for d in separation_corpus() if d.n >= 2]
+        corpus += [suite.random_strongly_connected(rng, n, 0.15) for n in (20, 30, 40)]
+        corpus += [glued_at_a_vertex(rng) for _ in range(100)]
+        passes = []
+        tarjan = digraph._tarjan
+
+        def counted(*args):
+            passes.append(None)
+            return tarjan(*args)
+
+        monkeypatch.setattr(digraph, "_tarjan", counted)
+        pairs = 0
+        groups = dict.fromkeys(["reached", "neither", "reaching"], 0)
+        for d in corpus:
+            expected = reference_minus_each(d)
+            passes.clear()
+            got = strong_components_minus_each(d)
+            assert len(passes) == 1 + sum(len(comps) > 1 for comps in expected[1:])
+            for v in range(d.n):
+                assert sorted(got[v], key=min) == sorted(expected[v], key=min), (sorted(d.edges), v)
+                at = {u: i for i, comp in enumerate(got[v]) for u in comp}
+                assert all(at[a] >= at[b] for (a, b) in d.edges if v not in (a, b)), (
+                    sorted(d.edges), v
+                )
+                if v:
+                    reached = reference_reach(d, {0}, {v})
+                    reaching = reference_reach(d, {0}, {v}, backwards=True)
+                    ranks = [(u in reaching) * 2 + (u in reached) for u in map(min, got[v])]
+                    assert ranks == sorted(ranks, key=[1, 0, 3, 2].index), (sorted(d.edges), v)
+                    for rank, group in ((1, "reached"), (0, "neither"), (2, "reaching")):
+                        groups[group] += ranks.count(rank)
+                pairs += 1
+        assert pairs >= 9_500 and min(groups.values()) >= 900, (pairs, groups)
+
+
+def reference_minus_each(d):
+    """`strong_components_minus_each` as it was: one Tarjan pass of d - v
+    for every vertex v."""
+    return [strong_components(d, (v,)) for v in range(d.n)]
 
 
 class TestTightSeparations:
@@ -825,23 +878,27 @@ class TestSeparationReference:
             minus = [other_reverse_topological_order(d, {v}) for v in range(d.n)]
             for v in range(d.n):
                 assert sorted(minus[v], key=min) == sorted(strong_components(d, (v,)), key=min)
-                assert sorted(cut_vertex_shores(d._out, v, minus[v]), key=lambda t: min(t[0])) == sorted(
-                    cut_vertex_shores(d._out, v, strong_components(d, (v,))), key=lambda t: min(t[0])
+                assert sorted(
+                    cut_vertex_shores(d._out, d._in, v, minus[v]), key=lambda t: min(t[0])
+                ) == sorted(
+                    cut_vertex_shores(d._out, d._in, v, strong_components(d, (v,))),
+                    key=lambda t: min(t[0]),
                 ), (sorted(d.edges), v)
                 reordered += minus[v] != strong_components(d, (v,))
         assert reordered >= 500, reordered
 
     def test_cut_vertex_shores_match_the_edge_scan(self):
-        # Also read off an out-adjacency mapping of sets, as a piece keeps it.
+        # Also read off adjacency mappings of sets, as a piece keeps them.
         entries = entered = 0
         for d in separation_corpus():
-            adjacency = {u: set(d.out_neighbours(u)) for u in range(d.n)}
+            heads = {u: set(d.out_neighbours(u)) for u in range(d.n)}
+            tails = {u: set(d.in_neighbours(u)) for u in range(d.n)}
             for v in range(d.n):
                 orders = (strong_components(d, (v,)), other_reverse_topological_order(d, {v}))
                 for comps in orders:
-                    got = cut_vertex_shores(d._out, v, comps)
+                    got = cut_vertex_shores(d._out, d._in, v, comps)
                     assert got == edge_scan_cut_vertex_shores(d, v, comps), (sorted(d.edges), v)
-                    assert cut_vertex_shores(adjacency, v, comps) == got, (sorted(d.edges), v)
+                    assert cut_vertex_shores(heads, tails, v, comps) == got, (sorted(d.edges), v)
                     entries += len(got)
                     entered += sum(x_first is False for (_, _, x_first) in got)
         # 23,198 entries, 12,754 of them entered by another component.

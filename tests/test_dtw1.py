@@ -878,8 +878,19 @@ class TestSDecomposition:
         assert named_digraph(err.value) == bicycle(4)
 
     def test_a_crossing_family_names_the_digraph(self, monkeypatch):
-        d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
-        monkeypatch.setattr(dtw1, "separations_cross", lambda s, t: True)
+        # The bidirected star on 4 vertices splits into three digons whose
+        # two tree edges share the cut 0.  With the first edge reoriented,
+        # the two point at or away from each other and cross.
+        d = bidirect(4, [(0, 1), (0, 2), (0, 3)])
+        laminar = dtw1._laminar
+
+        def reoriented(territories, tree_edges):
+            ai, bi, sep = tree_edges[0]
+            flipped = [(bi, ai, TightSeparation(sep.shoreB, sep.shoreA)), *tree_edges[1:]]
+            assert not reference_pairwise_laminar(flipped)
+            return laminar(territories, flipped)
+
+        monkeypatch.setattr(dtw1, "_laminar", reoriented)
         with pytest.raises(AssertionError, match="pairwise laminar") as err:
             s_decomposition(d)
         assert named_digraph(err.value) == d
@@ -976,6 +987,53 @@ class TestSDecomposition:
                 assert not separations_cross(s, t)
                 assert not separations_cross(t, s)
 
+    def test_laminarity_walk_matches_the_pairwise_reference(self):
+        # Every s-decomposition of the corpus is laminar by both checks, and
+        # so is each family with one tree edge reoriented, its shores and
+        # its nodes swapped, exactly when no two of its separations cross.
+        # Recorded: 1,866 families and 4,142 reorientations, 1,929 of them
+        # crossing.
+        families = reoriented = crossing = 0
+        for d in carry_over_corpus():
+            if d.n < 2:
+                continue
+            sdec = s_decomposition(d)
+            tree_edges = list(sdec.tree_edges)
+            assert dtw1._laminar(sdec.territories, tree_edges)
+            assert reference_pairwise_laminar(tree_edges)
+            families += 1
+            for i, (ai, bi, sep) in enumerate(tree_edges):
+                flipped = tree_edges.copy()
+                flipped[i] = (bi, ai, TightSeparation(sep.shoreB, sep.shoreA))
+                expected = reference_pairwise_laminar(flipped)
+                assert dtw1._laminar(sdec.territories, flipped) == expected, (sorted(d.edges), i)
+                reoriented += 1
+                crossing += not expected
+        assert families >= 1_800 and reoriented >= 4_000 and crossing >= 1_800, (
+            families, reoriented, crossing
+        )
+
+    def test_laminarity_walk_checks_the_shores(self):
+        # A tree edge whose shores are swapped but whose nodes are not, a
+        # shore that misses a territory vertex, and a tree that is not
+        # connected all fail the walk, although the first keeps every
+        # separation of the family as it was.
+        d = bidirect(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+        sdec = s_decomposition(d)
+        tree_edges = list(sdec.tree_edges)
+        assert len(tree_edges) == 3 and dtw1._laminar(sdec.territories, tree_edges)
+        ai, bi, sep = tree_edges[1]
+        swapped = tree_edges.copy()
+        swapped[1] = (ai, bi, TightSeparation(sep.shoreB, sep.shoreA))
+        assert reference_pairwise_laminar(swapped)
+        assert not dtw1._laminar(sdec.territories, swapped)
+        short = tree_edges.copy()
+        far = max(sep.shoreA | sep.shoreB)
+        short[1] = (ai, bi, TightSeparation(sep.shoreA - {far}, sep.shoreB - {far}))
+        assert not dtw1._laminar(sdec.territories, short)
+        _, _, last = tree_edges[2]
+        assert not dtw1._laminar(sdec.territories, [*tree_edges[:2], (ai, bi, last)])
+
     def test_crossing_test_matches_the_frozenset_reference(self):
         # Every ordered pair of each decomposition's family, and of each
         # digraph's tight separations, on the bitmask test and on the
@@ -1009,6 +1067,15 @@ class TestSDecomposition:
                     for f in family
                 )
                 assert laminar == (cand in family), (sorted(d.edges), cand)
+
+
+def reference_pairwise_laminar(tree_edges) -> bool:
+    """The laminarity check as `s_decomposition` made it before the tree
+    walk: no two separations of the tree edges cross, by
+    `separations_cross` on every pair."""
+    return not any(
+        separations_cross(s, t) for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2)
+    )
 
 
 class _PieceState:
@@ -1247,7 +1314,7 @@ def reference_entries(d, territory, attachments):
     for i, v in enumerate(labels):
         triples = []
         for _, x, x_first in cut_vertex_shores(
-            collapsed._out, i, strong_components(collapsed, (i,))
+            collapsed._out, collapsed._in, i, strong_components(collapsed, (i,))
         ):
             x = frozenset(labels[j] for j in x)
             p, q = frozenset(labels) - x, x | {v}
@@ -1300,31 +1367,52 @@ class TestSDecompositionCache:
 
     # Work counts on one 40-vertex tree: a per-piece Tarjan pass, a lift
     # per candidate or a recomputed vertex beyond each new cut coming back
-    # fails one of the next three tests.
-    def test_one_tarjan_pass_per_root_vertex(self, monkeypatch):
-        removed_counts = []
+    # fails one of the next four tests.
+    @pytest.mark.parametrize("n, passes, walked", [(40, 20, 128), (384, 187, 1_993)])
+    def test_tarjan_passes_of_the_root_stage(self, monkeypatch, n, passes, walked):
+        # Vertex 0 takes one pass of d - 0, and each other inner vertex of
+        # the tree one pass of the subtree it cuts off, which it dominates
+        # in both trees; a leaf dominates nothing and takes none.  The
+        # walks visit 39 + 89 vertices on the 40-vertex tree and 383 + 1,610
+        # on the 384-vertex one, where a pass per vertex made 40 passes
+        # and visited n(n - 1): 1,560 and 147,072 vertices.
+        calls = {"strong_components": 0, "passes": 0, "walked": 0}
+        components, tarjan = strong_components, digraph._tarjan
 
         def counted(d, removed=()):
-            removed_counts.append(len(removed))
-            return strong_components(d, removed)
+            calls["strong_components"] += 1
+            return components(d, removed)
 
-        monkeypatch.setattr(dtw1, "strong_components", counted)
+        def walking(*args):
+            comps = tarjan(*args)
+            calls["passes"] += 1
+            calls["walked"] += sum(map(len, comps))
+            return comps
+
         monkeypatch.setattr(digraph, "strong_components", counted)
-        sdec = s_decomposition(bidirect(40, random_tree_edges(random.Random(40), 40)))
-        assert len(sdec.edges) == 38
-        assert removed_counts.count(1) == 40
+        monkeypatch.setattr(digraph, "_tarjan", walking)
+        d = bidirect(n, random_tree_edges(random.Random(n), n))
+        if n == 40:
+            assert len(s_decomposition(d).edges) == 38
+        else:
+            digraph.strong_components_minus_each(d)
+        assert calls == {"strong_components": 1, "passes": passes, "walked": walked}
 
-    @pytest.mark.parametrize("which, expected", [("bicycle", 1), ("dense", 880)])
+    @pytest.mark.parametrize("which, expected", [("bicycle", 1), ("dense", 138)])
     def test_strong_components_calls_of_a_recognition(self, monkeypatch, which, expected):
         # Bicycle(22) is strongly 2-connected: the test's pass of d - 0 is
         # its only pass, since the test also says that d is strongly
         # connected, and no vertex takes a pass of its own.  The 40-vertex
         # dense draw (269 edges) takes 103 NO rounds and 105 trial
         # s-decompositions, and a strongly 2-connected trial costs one
-        # pass.  The two took 2 and 952 with a strong connectivity pass
-        # before the test, and 46 and 5,909 when every s-decomposition built
-        # its table with a pass per vertex and asserted each finished piece
-        # with one more per vertex.
+        # pass.  A trial that is not takes one call, for d - 0; its strong
+        # articulation points take passes of the regions they dominate,
+        # which are not `strong_components` calls.  The dense draw took 880
+        # calls when such a trial took a pass per vertex, 952 with a strong
+        # connectivity pass before the test, and 5,909 when every
+        # s-decomposition built its table with a pass per vertex and
+        # asserted each finished piece with one more per vertex; Bicycle(22)
+        # took 2 and 46 in the last two.
         if which == "bicycle":
             d = bicycle(22)
         else:
@@ -1337,7 +1425,6 @@ class TestSDecompositionCache:
             calls += 1
             return strong_components(d, removed)
 
-        monkeypatch.setattr(dtw1, "strong_components", counted)
         monkeypatch.setattr(digraph, "strong_components", counted)
         assert recognize_dtw1(d).verdict == "NO"
         assert calls == expected
