@@ -1,11 +1,12 @@
-"""Directed cycles of a digraph, the cycle hypergraph, cuts and hitting sets,
-and chains of cycles."""
+"""Directed cycles of a digraph (Johnson's algorithm, on the digraph's own
+out-lists), the cycle hypergraph, cuts and hitting sets, and chains of
+cycles."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .digraph import Digraph, all_subsets
+from .digraph import Digraph, all_subsets, round_trips
 from .errors import CapExceeded
 from .hypergraph import Hypergraph, _vertex_components, line_graph
 
@@ -35,32 +36,58 @@ class DirectedCycle:
         return frozenset(self.sequence)
 
 
-def canonical_rotation(seq):
-    """Rotate a cyclic vertex sequence to start at its minimum member."""
-    seq = tuple(seq)
-    i = seq.index(min(seq))
-    return seq[i:] + seq[:i]
-
-
 def enumerate_cycles(d: Digraph, cap: int = DEFAULT_CYCLE_CAP):
-    """All simple directed cycles of d, deduplicated up to rotation and sorted
-    lexicographically on their canonical sequences.
+    """All simple directed cycles of d, each starting at its least vertex,
+    sorted lexicographically on their sequences.
 
-    Raises CapExceeded as soon as more than `cap` cycles have been seen.
+    Johnson's algorithm (SIAM J. Comput. 4(1), 1975): for each start s in
+    increasing order, a depth-first search from s inside s's strong
+    component of d minus the vertices below s finds the cycles whose least
+    vertex is s, each once.  A vertex on the path, or one that closed no
+    cycle since it last left the path, is blocked; `waiting[w]` holds the
+    blocked vertices to unblock once w is.  Raises CapExceeded as soon as
+    more than `cap` cycles have been found.
     """
-    import networkx as nx
-
     assert cap >= 1, "cap must be positive"
-    g = nx.DiGraph()
-    g.add_nodes_from(range(d.n))
-    g.add_edges_from(d.sorted_edges())
-    found = set()
-    for cyc in nx.simple_cycles(g):
-        assert len(cyc) >= 2, "loop-free digraphs have no shorter cycles"
-        found.add(canonical_rotation(cyc))
-        if len(found) > cap:
-            raise CapExceeded(cap, len(found))
-    return [DirectedCycle(s) for s in sorted(found)]
+    found = []
+    for s in range(d.n):
+        comp = round_trips(d, (s,), range(s))
+        if len(comp) < 2:
+            continue
+        blocked = {s}
+        waiting = {v: set() for v in comp}
+        path, walks, closed = [s], [iter(d.out_neighbours(s))], [False]
+        while walks:
+            for w in walks[-1]:
+                if w == s:
+                    found.append(tuple(path))
+                    if len(found) > cap:
+                        raise CapExceeded(cap, len(found))
+                    closed[-1] = True
+                elif w in comp and w not in blocked:
+                    blocked.add(w)
+                    path.append(w)
+                    walks.append(iter(d.out_neighbours(w)))
+                    closed.append(False)
+                    break
+            else:
+                v = path.pop()
+                walks.pop()
+                if closed.pop():
+                    unblock = [v]
+                    while unblock:
+                        u = unblock.pop()
+                        if u in blocked:
+                            blocked.remove(u)
+                            unblock.extend(waiting[u])
+                            waiting[u].clear()
+                    if closed:
+                        closed[-1] = True
+                else:
+                    for w in d.out_neighbours(v):
+                        if w in comp:
+                            waiting[w].add(v)
+    return [DirectedCycle(c) for c in sorted(found)]
 
 
 @dataclass(frozen=True)

@@ -434,22 +434,15 @@ def dbd_to_hbd(
     d: Digraph, dec: BranchDecomposition, cap: int = DEFAULT_CYCLE_CAP
 ) -> BranchDecomposition:
     """Check a branch decomposition of the digraph as one of its dual cycle
-    hypergraph, edge for edge, and return it unchanged.  Leaf vertex v is
-    dual hyperedge v.  Each cached hitting set must cover its edge's
-    boundary and have the size of a minimum hitting set of the crossing
-    cycles; both are asserted."""
+    hypergraph, and return it unchanged.  Leaf vertex v is dual hyperedge v.
+    `validate_hbd` must accept it there: the shape, and on every edge a
+    cached hitting set that covers the boundary with the fewest vertices."""
     ch = cycle_hypergraph(d, cap)
     assert len(ch.vertices) == d.n, (
         "conversion needs every vertex on a directed cycle"
     )
-    ground = dual(ch.as_hypergraph())
-    for e in dec.edges:
-        cached = dec.edge_sets[e]
-        assert _boundary(ground, dec, e) <= _union(ground, cached), (
-            "hitting set fails to cover its boundary"
-        )
-        best = min_hitting_set(ch, cut(ch, dec.side(e, e[0])))
-        assert len(best) == len(cached), "widths must agree edge for edge"
+    report = validate_hbd(dual(ch.as_hypergraph()), dec)
+    assert report.valid, "; ".join(report.violations)
     return dec
 
 

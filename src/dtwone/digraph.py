@@ -283,11 +283,6 @@ class TightSeparation:
     def sort_key(self):
         return (tuple(sorted(self.shoreA)), tuple(sorted(self.shoreB)))
 
-    @cached_property
-    def masks(self):
-        """shoreA and shoreB as int bitmasks, bit v for vertex v."""
-        return sum(1 << v for v in self.shoreA), sum(1 << v for v in self.shoreB)
-
 
 def is_directed_separation(d, shore_a, shore_b):
     """True if (shore_a, shore_b) covers V and no edge runs from B-only to A-only."""
@@ -299,16 +294,6 @@ def is_directed_separation(d, shore_a, shore_b):
     return a_only.isdisjoint(
         itertools.chain.from_iterable(map(d._out.__getitem__, shore_b - shore_a))
     )
-
-
-def separations_cross(s, t):
-    """Crossing test on stored orientations: (A,B) and (C,D) cross when A∩C,
-    B∩D, (A∩D)∖(B∩C) and (B∩C)∖(A∩D) are all non-empty.  The sets are the
-    separations' cached `masks`, so each test is a few int operations."""
-    a, b = s.masks
-    c, dd = t.masks
-    ad, bc = a & dd, b & c
-    return bool(a & c) and bool(b & dd) and bool(ad & ~bc) and bool(bc & ~ad)
 
 
 def cut_vertex_shores(out, inn, v, comps):

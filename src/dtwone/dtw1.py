@@ -527,10 +527,12 @@ def _split_off(piece: _Piece, territory, cut, attachments, minus, where) -> _Pie
 
 
 def _laminar(territories, tree_edges) -> bool:
-    """True if no two separations of a split tree cross (`separations_cross`),
-    by one walk of the tree.  `territories` lists each node's territory,
-    every one of two or more vertices, and `tree_edges` holds (A-side node,
-    B-side node, separation) triples.  The walk checks two things:
+    """True if no two separations of a split tree cross, by one walk of the
+    tree.  Oriented separations (A, B) and (C, D) cross when A & C, B & D,
+    (A & D) - (B & C) and (B & C) - (A & D) are all non-empty.
+    `territories` lists each node's territory, every one of two or more
+    vertices, and `tree_edges` holds (A-side node, B-side node, separation)
+    triples.  The walk checks two things:
 
     1. each tree edge's shores are the unions of the territories on its two
        sides, shoreA the union on its A-side node's side;
@@ -545,8 +547,8 @@ def _laminar(territories, tree_edges) -> bool:
     f's are U(Q) and U(P | M).  A vertex of U(P) & U(Q) lies on both shores
     of e and of f, so it is the cut of both; and if e and f both have cut u,
     u lies in U(P) and in U(Q).  So U(P) & U(Q) is empty, or it is {u} when
-    e and f share the cut u.  In `separations_cross`'s terms, with (A, B)
-    the shores of e and (C, D) those of f:
+    e and f share the cut u.  With (A, B) the shores of e and (C, D) those
+    of f:
 
     - e points at f and f away from e: A = U(P), D = U(Q), so A & D is
       U(P) & U(Q), which lies in B & C; they do not cross.  The same holds

@@ -425,10 +425,26 @@ class TestSuiteCommand:
         assert "suite=fail" in res.output
 
 
+def source_env():
+    """The environment with this checkout's package first on PYTHONPATH."""
+    src = str(Path(dtwone.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p
+    )}
+
+
 LAUNCH = """
 import sys
 from click.testing import CliRunner
+import dtwone.cycles
 from dtwone.cli import main
+
+calls = []
+enumerate_cycles = dtwone.cycles.enumerate_cycles
+def recording(*args, **kwargs):
+    calls.append(args)
+    return enumerate_cycles(*args, **kwargs)
+dtwone.cycles.enumerate_cycles = recording
 
 graph, cert, code = sys.argv[1:]
 runner = CliRunner()
@@ -438,30 +454,30 @@ with open(cert, "w") as fh:
     fh.write(res.output)
 res = runner.invoke(main, ["verify-cert", graph, cert])
 assert res.exit_code == 0, res.output
-print("networkx" in sys.modules)
+print(len(calls))
+res = runner.invoke(main, ["cycles", graph])
+assert res.exit_code == 0, res.output
+print(len(calls))
 """
 
 
-def launch_loads_networkx(edges, code, tmp_path) -> bool:
-    """Recognise and verify `edges` in a fresh interpreter; whether that
-    imported networkx."""
+def launch_enumerations(edges, code, tmp_path) -> str:
+    """Recognise and verify `edges` in a fresh interpreter whose
+    `enumerate_cycles` counts its calls, then run `cycles` on it: the count
+    after the first two commands, and after the third."""
     graph = tmp_path / "d.txt"
     graph.write_text(edges)
-    src = str(Path(dtwone.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p
-    )}
     out = subprocess.run(
         [sys.executable, "-c", LAUNCH, str(graph), str(tmp_path / "cert"), str(code)],
-        env=env, capture_output=True, text=True, check=True,
+        env=source_env(), capture_output=True, text=True, check=True,
     )
-    return out.stdout == "True\n"
+    return out.stdout
 
 
-def test_yes_answers_never_load_networkx(tmp_path):
-    """networkx only enumerates cycles, so a launch that recognises and
-    verifies a YES digraph does not pay for importing it."""
-    assert not launch_loads_networkx(DIGON, 0, tmp_path)
+def test_yes_launch_never_enumerates_cycles(tmp_path):
+    """Recognising and verifying a YES digraph enumerates no cycles; the
+    `cycles` command after them shows that the count sees a call."""
+    assert launch_enumerations(DIGON, 0, tmp_path) == "0\n1\n"
 
 
 @pytest.mark.parametrize(
@@ -469,7 +485,32 @@ def test_yes_answers_never_load_networkx(tmp_path):
     [B3, "".join(f"{u} {v}\n" for (u, v) in a4_digraph().sorted_edges())],
     ids=["b3", "a4"],
 )
-def test_no_answers_never_load_networkx(edges, tmp_path):
+def test_no_launch_never_enumerates_cycles(edges, tmp_path):
     """A NO certificate is the minor witness alone, so a NO launch
     enumerates no cycles either."""
-    assert not launch_loads_networkx(edges, 1, tmp_path)
+    assert launch_enumerations(edges, 1, tmp_path) == "0\n1\n"
+
+
+BLOCK_NETWORKX = 'import sys; sys.modules["networkx"] = None; from dtwone.cli import main; main()'
+
+
+def test_cycle_commands_run_without_networkx(runner, tmp_path):
+    """`cycles`, `validate-dbd` and `convert ... hbd` give the same exit
+    code and output in an interpreter where networkx cannot be imported."""
+    graph, cert, dbd = (str(tmp_path / name) for name in ("path.txt", "cert", "dbd"))
+    Path(graph).write_text("a b\nb a\nb c\nc b\n")
+    Path(cert).write_text(runner.invoke(main, ["recognize", graph]).output)
+    Path(dbd).write_text(runner.invoke(main, ["convert", graph, cert, "dbd"]).output)
+    commands = {
+        ("cycles", graph): "c a b\nc b c\n",
+        ("validate-dbd", graph, dbd): "result=valid\n",
+        ("convert", graph, dbd, "hbd"): "convert=hbd\nwidth=1\n",
+    }
+    for args, expected in commands.items():
+        here = runner.invoke(main, list(args))
+        assert here.exit_code == 0 and expected in here.output, here.output
+        out = subprocess.run(
+            [sys.executable, "-c", BLOCK_NETWORKX, *args],
+            env=source_env(), capture_output=True, text=True,
+        )
+        assert (out.returncode, out.stdout) == (0, here.output), out.stderr

@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 from dataclasses import replace
 
+import pytest
+
 from dtwone.check import DirectedTreeDecomposition, Report, validate_dtd
 from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import (
@@ -475,6 +477,17 @@ class TestDbdHbdRoundTrip:
             assert dbd_to_hbd(d, dbd) is dbd
             report = validate_hbd(dual(cycle_hypergraph(d).as_hypergraph()), dbd)
             assert report.valid and report.width == dbd.width()
+
+    def test_a_set_that_is_not_minimum_fails_the_check(self):
+        # On the digon each tree edge's boundary is the single cycle, so
+        # its hitting set needs one vertex; both is too many, and a set
+        # naming no digon vertex is unknown to the dual.
+        d, dbd = next(self.cases())
+        e = dbd.edges[0]
+        for cached, violation in (({0, 1}, "is not minimum"), ({5}, "names unknown hyperedges")):
+            fat = replace(dbd, edge_sets={**dbd.edge_sets, e: frozenset(cached)})
+            with pytest.raises(AssertionError, match=violation):
+                dbd_to_hbd(d, fat)
 
     def test_one_type_reads_both_ways(self):
         # Small strongly connected digraphs, one per isomorphism class: an

@@ -23,7 +23,6 @@ from dtwone.digraph import (
     directed_cycle_digraph,
     is_strongly_2_connected,
     is_strongly_connected,
-    separations_cross,
     strong_components,
     tight_separations,
 )
@@ -984,8 +983,8 @@ class TestSDecomposition:
             d = random_strongly_connected(rng, rng.choice([4, 5, 6]), 0.5)
             family = [sep for (_, _, sep) in s_decomposition(d).tree_edges]
             for s, t in itertools.combinations(family, 2):
-                assert not separations_cross(s, t)
-                assert not separations_cross(t, s)
+                assert not reference_separations_cross(s, t)
+                assert not reference_separations_cross(t, s)
 
     def test_laminarity_walk_matches_the_pairwise_reference(self):
         # Every s-decomposition of the corpus is laminar by both checks, and
@@ -1034,24 +1033,6 @@ class TestSDecomposition:
         _, _, last = tree_edges[2]
         assert not dtw1._laminar(sdec.territories, [*tree_edges[:2], (ai, bi, last)])
 
-    def test_crossing_test_matches_the_frozenset_reference(self):
-        # Every ordered pair of each decomposition's family, and of each
-        # digraph's tight separations, on the bitmask test and on the
-        # frozenset one.  Recorded: 171,355 pairs, 29,078 of them crossing.
-        families = [
-            [sep for (_, _, sep) in s_decomposition(d).tree_edges]
-            for d in carry_over_corpus() if d.n >= 2
-        ]
-        families += [tight_separations(d) for d in separation_corpus()]
-        pairs = crossing = 0
-        for family in families:
-            for s, t in itertools.product(family, repeat=2):
-                got = separations_cross(s, t)
-                assert got == reference_separations_cross(s, t), (s, t)
-                pairs += 1
-                crossing += got
-        assert pairs >= 170_000 and crossing >= 25_000, (pairs, crossing)
-
     def test_family_is_maximal_among_all_tight_separations(self):
         corpus = list(labeled_strongly_connected(3))
         rng = random.Random(94)
@@ -1063,7 +1044,8 @@ class TestSDecomposition:
             family = {sep for (_, _, sep) in s_decomposition(d).tree_edges}
             for cand in brute_tight_separations(d):
                 laminar = all(
-                    not separations_cross(cand, f) and not separations_cross(f, cand)
+                    not reference_separations_cross(cand, f)
+                    and not reference_separations_cross(f, cand)
                     for f in family
                 )
                 assert laminar == (cand in family), (sorted(d.edges), cand)
@@ -1072,9 +1054,10 @@ class TestSDecomposition:
 def reference_pairwise_laminar(tree_edges) -> bool:
     """The laminarity check as `s_decomposition` made it before the tree
     walk: no two separations of the tree edges cross, by
-    `separations_cross` on every pair."""
+    `reference_separations_cross` on every pair."""
     return not any(
-        separations_cross(s, t) for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2)
+        reference_separations_cross(s, t)
+        for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2)
     )
 
 
