@@ -174,69 +174,34 @@ def read_document(text: str) -> tuple[dict, list]:
 # ----------------------------------------------------- decomposition records
 
 
-def _scan_node_arc_records(records, name_to_id, node_fields, arc_fields):
-    """Shared reader for `node <id> ...` / `arc <from> <to> ...` records.
+_RECORDS = {"node": ("node <id>", 1, "bag"), "arc": ("arc <from> <to>", 2, "guard")}
 
-    Field specs map a `name=` prefix to True (resolve through the name
-    table) or False (integer set).  Returns nodes in file order, their
-    field dicts, arcs in file order, and the arcs' field dicts.
-    """
-    nodes, node_data, arcs, arc_data = [], {}, [], {}
+
+def _scan_node_arc_records(records, name_to_id):
+    """Shared reader for `node <id> bag=<set>` / `arc <from> <to>
+    guard=<set>` records, sets resolved through the name table.  Returns
+    each node's bag and each arc's guard, both in file order."""
+    found = {"node": {}, "arc": {}}
     for line_no, line in records:
-        tokens = line.split()
-        if tokens[0] == "node":
-            if len(tokens) != 2 + len(node_fields) or not _NUMBER.fullmatch(tokens[1]):
-                raise ParseError(
-                    line_no,
-                    "expected `node <id>"
-                    + "".join(f" {f}=<set>" for f in node_fields)
-                    + "`",
-                )
-            t = int(tokens[1])
-            if t in node_data:
-                raise ParseError(line_no, f"node {t} repeats")
-            fields = {}
-            for tok, (field, named) in zip(tokens[2:], node_fields.items()):
-                if not tok.startswith(f"{field}="):
-                    raise ParseError(line_no, f"expected `{field}=<set>`")
-                fields[field] = parse_set(
-                    tok[len(field) + 1 :], line_no, name_to_id if named else None
-                )
-            nodes.append(t)
-            node_data[t] = fields
-        elif tokens[0] == "arc":
-            if (
-                len(tokens) != 3 + len(arc_fields)
-                or not _NUMBER.fullmatch(tokens[1])
-                or not _NUMBER.fullmatch(tokens[2])
-            ):
-                raise ParseError(
-                    line_no,
-                    "expected `arc <from> <to>"
-                    + "".join(f" {f}=<set>" for f in arc_fields)
-                    + "`",
-                )
-            a = (int(tokens[1]), int(tokens[2]))
-            if a in arc_data:
-                raise ParseError(line_no, f"arc {a} repeats")
-            fields = {}
-            for tok, (field, named) in zip(tokens[3:], arc_fields.items()):
-                if not tok.startswith(f"{field}="):
-                    raise ParseError(line_no, f"expected `{field}=<set>`")
-                fields[field] = parse_set(
-                    tok[len(field) + 1 :], line_no, name_to_id if named else None
-                )
-            arcs.append(a)
-            arc_data[a] = fields
-        else:
-            raise ParseError(line_no, f"unexpected record {tokens[0]!r}")
-    if not nodes:
+        kind, *tokens = line.split()
+        if kind not in _RECORDS:
+            raise ParseError(line_no, f"unexpected record {kind!r}")
+        form, ids, field = _RECORDS[kind]
+        if len(tokens) != ids + 1 or not all(map(_NUMBER.fullmatch, tokens[:ids])):
+            raise ParseError(line_no, f"expected `{form} {field}=<set>`")
+        key = int(tokens[0]) if ids == 1 else (int(tokens[0]), int(tokens[1]))
+        if key in found[kind]:
+            raise ParseError(line_no, f"{kind} {key} repeats")
+        if not tokens[ids].startswith(f"{field}="):
+            raise ParseError(line_no, f"expected `{field}=<set>`")
+        found[kind][key] = parse_set(tokens[ids][len(field) + 1 :], line_no, name_to_id)
+    bags, guards = found["node"], found["arc"]
+    if not bags:
         raise ParseError(None, "decomposition has no nodes")
-    known = set(nodes)
-    for (p, c) in arcs:
-        if p not in known or c not in known:
+    for (p, c) in guards:
+        if p not in bags or c not in bags:
             raise ParseError(None, f"arc ({p},{c}) names an unknown node")
-    return nodes, node_data, arcs, arc_data
+    return bags, guards
 
 
 def format_dtd(dec: DirectedTreeDecomposition, names) -> list:
@@ -251,14 +216,9 @@ def format_dtd(dec: DirectedTreeDecomposition, names) -> list:
 
 
 def parse_dtd(records, name_to_id) -> DirectedTreeDecomposition:
-    nodes, node_data, arcs, arc_data = _scan_node_arc_records(
-        records, name_to_id, {"bag": True}, {"guard": True}
-    )
+    bags, guards = _scan_node_arc_records(records, name_to_id)
     return DirectedTreeDecomposition(
-        nodes=tuple(nodes),
-        arcs=tuple(arcs),
-        bags={t: node_data[t]["bag"] for t in nodes},
-        guards={a: arc_data[a]["guard"] for a in arcs},
+        nodes=tuple(bags), arcs=tuple(guards), bags=bags, guards=guards
     )
 
 
@@ -283,16 +243,13 @@ def format_dbd(dec: BranchDecomposition, names=None) -> list:
 
 
 def parse_dbd(records, name_to_id) -> BranchDecomposition:
-    nodes, node_data, arcs, arc_data = _scan_node_arc_records(
-        records, name_to_id, {"bag": True}, {"guard": True}
-    )
+    bags, guards = _scan_node_arc_records(records, name_to_id)
     degree: dict = {}
-    for (a, b) in arcs:
+    for (a, b) in guards:
         degree[a] = degree.get(a, 0) + 1
         degree[b] = degree.get(b, 0) + 1
     leaf_label = {}
-    for t in nodes:
-        bag = node_data[t]["bag"]
+    for t, bag in bags.items():
         if len(bag) == 1 and degree.get(t, 0) <= 1:
             leaf_label[t] = next(iter(bag))
         elif bag:
@@ -300,10 +257,10 @@ def parse_dbd(records, name_to_id) -> BranchDecomposition:
                 None, f"node {t} is internal but its bag is not empty"
             )
     return BranchDecomposition(
-        nodes=tuple(nodes),
-        edges=tuple(arcs),
+        nodes=tuple(bags),
+        edges=tuple(guards),
         leaf_label=leaf_label,
-        edge_sets={tuple(sorted(a)): arc_data[a]["guard"] for a in arcs},
+        edge_sets={tuple(sorted(a)): g for a, g in guards.items()},
     )
 
 

@@ -158,38 +158,32 @@ _ISO_CLASS_COUNTS = {1: 1, 2: 1, 3: 5, 4: 83, 5: 5048}
 
 
 def strongly_connected_up_to_iso(n):
-    """Canonical representatives of the strongly connected digraphs on n
-    vertices, one per isomorphism class (n ≤ 5), via a vectorised scan of
-    all labeled digraphs followed by minimisation over relabelings."""
-    assert 1 <= n <= 5, "isomorphism-class enumeration is sized for n <= 5"
-    if n == 1:
-        return [digraph_from_edges(1, [])]
-    import numpy as np
+    """The strongly connected digraphs on n vertices (n ≤ 5), one per
+    isomorphism class, in increasing order of edge code.
 
+    Bit k of a digraph's edge code is its k-th ordered pair. The codes are
+    walked in increasing order, so the first one not yet seen is the least
+    of its orbit, the class's canonical form (Read's orderly generation);
+    its n! relabellings are then marked seen, and it is kept if strongly
+    connected. That is one connectivity test per class, not per labelled
+    digraph."""
+    assert 1 <= n <= 5, "isomorphism-class enumeration is sized for n <= 5"
     pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
-    m = len(pairs)
-    shifts = np.arange(m, dtype=np.uint64)
-    codes = np.arange(1 << m, dtype=np.uint64)
-    bits = ((codes[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
-    adjacency = np.zeros((len(codes), n, n), dtype=np.uint8)
-    for index, (i, j) in enumerate(pairs):
-        adjacency[:, i, j] = bits[:, index]
-    reach = adjacency | np.eye(n, dtype=np.uint8)[None, :, :]
-    for _ in range(3):  # (A ∨ I)^8 covers all paths on ≤ 5 vertices
-        reach = np.minimum(np.matmul(reach, reach), 1)
-    strongly = reach.reshape(len(codes), -1).min(axis=1) == 1
-    sc_bits = bits[strongly]
-    position = {p: i for i, p in enumerate(pairs)}
-    weights = np.uint64(1) << shifts
-    best = None
-    for perm in itertools.permutations(range(n)):
-        columns = np.array([position[(perm[i], perm[j])] for (i, j) in pairs])
-        relabeled = sc_bits[:, columns].astype(np.uint64) @ weights
-        best = relabeled if best is None else np.minimum(best, relabeled)
+    position = {p: k for k, p in enumerate(pairs)}
+    relabellings = [
+        [1 << position[(perm[i], perm[j])] for (i, j) in pairs]
+        for perm in itertools.permutations(range(n))
+    ]
+    seen = bytearray(1 << len(pairs))
     out = []
-    for code in sorted(int(c) for c in np.unique(best)):
-        edges = [pairs[i] for i in range(m) if (code >> i) & 1]
-        out.append(digraph_from_edges(n, edges))
+    for code in range(1 << len(pairs)):
+        if not seen[code]:
+            bits = [k for k in range(len(pairs)) if code >> k & 1]
+            for weights in relabellings:
+                seen[sum(weights[k] for k in bits)] = 1
+            d = digraph_from_edges(n, [pairs[k] for k in bits])
+            if is_strongly_connected(d):
+                out.append(d)
     assert len(out) == _ISO_CLASS_COUNTS[n], "unexpected isomorphism-class count"
     return out
 

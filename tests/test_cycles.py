@@ -27,10 +27,9 @@ from dtwone.digraph import (
     is_strongly_connected,
 )
 from dtwone.errors import CapExceeded
-from dtwone.suite import random_digraph
+from dtwone.suite import labeled_strongly_connected, random_digraph
 
 from test_digraph import random_strongly_connected
-from test_dtw1 import labeled_strongly_connected
 
 
 def reference_cycles(d):

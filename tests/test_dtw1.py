@@ -51,6 +51,7 @@ from dtwone.formats import (
     read_document,
 )
 from dtwone.games import solve_game
+from dtwone.suite import labeled_strongly_connected
 from test_digraph import (
     reference_is_directed_separation,
     reference_quotient,
@@ -70,14 +71,6 @@ def digon():
 
 def bidirected_path(n):
     return bidirect(n, [(i, i + 1) for i in range(n - 1)])
-
-
-def labeled_strongly_connected(n):
-    pairs = [(a, b) for a in range(n) for b in range(n) if a != b]
-    for bits in itertools.product((0, 1), repeat=len(pairs)):
-        d = Digraph(n, frozenset(p for p, b in zip(pairs, bits) if b))
-        if is_strongly_connected(d):
-            yield d
 
 
 class TestReplay:

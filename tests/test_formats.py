@@ -290,6 +290,14 @@ class TestCertificates:
             parse_certificate(read_document(text), {"0": 0})
         assert err.value.line == 4
 
+    @pytest.mark.parametrize("record,field", [("node 1 bog={0}", "bag"),
+                                              ("arc 0 1 gaurd={}", "guard")])
+    def test_a_misnamed_field_is_named(self, record, field):
+        text = doc("verdict=YES", "node 0 bag={0}", record)
+        with pytest.raises(ParseError) as err:
+            parse_certificate(read_document(text), {"0": 0})
+        assert str(err.value) == f"line 4: expected `{field}=<set>`"
+
     @pytest.mark.parametrize("digit", ["\u00b3", "\uff13"], ids=["superscript", "fullwidth"])
     def test_integer_sets_take_ascii_digits_only(self, digit):
         with pytest.raises(ParseError, match="line 7: expected an integer"):
