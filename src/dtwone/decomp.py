@@ -1,4 +1,5 @@
-"""Branch and hypertree decompositions with their validators, plus the
+"""Branch and hypertree decompositions with their validators, the one
+exhaustive search for an optimal branch decomposition, and the
 conversions from directed tree decompositions, whose type and validator
 (`validate_dtd`) live in the certificate checker, `check`.
 
@@ -11,19 +12,23 @@ a dbd checked as a decomposition of the dual (`dbd_to_hbd`), and dtd → ghd
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 from .check import DirectedTreeDecomposition, Report, validate_dtd
 from .cycles import DEFAULT_CYCLE_CAP, cut, cycle_hypergraph, min_hitting_set
 from .digraph import Digraph, _bfs_arcs
+from .errors import InstanceTooLarge
 from .hypergraph import (
     Hypergraph,
     HypertreeDecomposition,
     _tree_sides,
     _vertex_components,
     dual,
+    leaf_labeled_subcubic_trees,
     min_cover,
 )
+
+EXACT_HBW_MAX_EDGES = 7  # leaf limit of the exhaustive branch-width search
 
 
 @dataclass(frozen=True)
@@ -79,6 +84,47 @@ class BranchDecomposition:
 
     def width(self):
         return max((len(s) for s in self.edge_sets.values()), default=0)
+
+
+@cache
+def _shapes(m):
+    """Each tree of `leaf_labeled_subcubic_trees(m)` with the leaves on
+    the first node's side of each of its edges.  The trees depend only on
+    m, so their sides are read off `_tree_sides` once per process."""
+    leaves = frozenset(range(m))
+    return tuple(
+        (edges, tuple((e, near & leaves) for e, near in _tree_sides(edges).items()))
+        for edges in leaf_labeled_subcubic_trees(m)
+    )
+
+
+def optimal_branch_decomposition(m, edge_set) -> BranchDecomposition:
+    """The exhaustive branch-width search: over every tree of
+    `leaf_labeled_subcubic_trees(m)`, leaf i labelled i (with m ≤ 1 the
+    leaves are the whole tree), the first whose largest edge set is
+    smallest.  A tree edge's set is `edge_set(side)` for
+    the leaves on its first node's side, asked once per side.  Both exact
+    oracles, `hypergraph.exact_hbw` and `suite.exhaustive_optimal_dbd`, are
+    this search with their own edge sets."""
+    if m > EXACT_HBW_MAX_EDGES:
+        raise InstanceTooLarge(
+            f"exhaustive branch width limited to {EXACT_HBW_MAX_EDGES} leaves, got {m}"
+        )
+    memo = {}
+    best = None
+    for edges, sides in _shapes(m):
+        sets = {}
+        for e, side in sides:
+            if side not in memo:
+                memo[side] = edge_set(side)
+            sets[e] = memo[side]
+        width = max(map(len, sets.values()), default=0)
+        if best is None or width < best[0]:
+            best = width, edges, sets
+    _, edges, sets = best
+    return BranchDecomposition(
+        tuple(range(max(2 * m - 2, m))), edges, {i: i for i in range(m)}, sets
+    )
 
 
 def _tree_report(nodes, edges, max_degree=3):

@@ -17,7 +17,6 @@ from .digraph import all_subsets
 from .errors import InstanceTooLarge
 
 EXACT_HW_SIZE_GUARD = 12  # |V| + |E| limit for the exact hypertree-width oracle
-EXACT_HBW_MAX_EDGES = 7  # hyperedge (= leaf) limit for the exact hbw oracle
 
 
 @dataclass(frozen=True)
@@ -497,36 +496,15 @@ def exact_hbw(h, k_max):
     """Minimum hyperbranch width with an optimal decomposition, as a pair
     (width, decomposition); None if the width exceeds k_max.
 
-    Exhaustive over all leaf-labelled subcubic trees on the hyperedges; the
-    thickness of a tree edge is the least number of hyperedges covering the
-    boundary between the two sides, memoised per leaf side.
+    The exhaustive search `decomp.optimal_branch_decomposition` over the
+    hyperedges, where a tree edge's set is the least cover of the boundary
+    between its side and the rest.
     """
-    from .decomp import BranchDecomposition, _boundary
+    from .decomp import _union, optimal_branch_decomposition
 
-    m = len(h.edges)
-    if m > EXACT_HBW_MAX_EDGES:
-        raise InstanceTooLarge(
-            f"exact hyperbranch width limited to {EXACT_HBW_MAX_EDGES} hyperedges, got {m}"
-        )
-    labels = {i: i for i in range(m)}
-    if m <= 1:
-        return 0, BranchDecomposition(tuple(range(m)), (), labels, {})
-    nodes = tuple(range(2 * m - 2))
-    cover_memo = {}
-
-    best = None
-    for edges in leaf_labeled_subcubic_trees(m):
-        dec = BranchDecomposition(nodes, edges, labels, {})
-        covers = {}
-        for e in edges:
-            side = dec.side(e, e[0])
-            if side not in cover_memo:
-                cover_memo[side] = min_cover(h, _boundary(h, dec, e))
-            covers[e] = cover_memo[side]
-        width = max(len(c) for c in covers.values())
-        if best is None or width < best[0]:
-            best = (width, edges, covers)
-    width, edges, covers = best
-    if width > k_max:
-        return None
-    return width, BranchDecomposition(nodes, edges, labels, covers)
+    every = frozenset(range(len(h.edges)))
+    dec = optimal_branch_decomposition(
+        len(h.edges), lambda side: min_cover(h, _union(h, side) & _union(h, every - side))
+    )
+    width = dec.width()
+    return None if width > k_max else (width, dec)

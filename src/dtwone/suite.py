@@ -25,6 +25,7 @@ from .decomp import (
     BranchDecomposition,
     dtd_to_dbd,
     dtd_to_ghd,
+    optimal_branch_decomposition,
     validate_dbd,
     validate_ghd,
 )
@@ -50,7 +51,6 @@ from .games import (
     verify_haven,
 )
 from .hypergraph import (
-    _tree_sides,
     dual,
     exact_hbw,
     exact_hw,
@@ -60,7 +60,6 @@ from .hypergraph import (
     is_alpha_acyclic,
     is_chordal,
     is_conformal,
-    leaf_labeled_subcubic_trees,
     line_graph,
     two_section,
 )
@@ -218,41 +217,14 @@ def _recognized(shared, d):
 
 
 def exhaustive_optimal_dbd(d, ch) -> BranchDecomposition:
-    """An optimal directed branch decomposition found by scanning every
-    leaf-labeled subcubic tree shape, with true minimum hitting sets cached
-    on the edges and memoised per leaf side."""
-    n = d.n
-    assert n >= 2, "branch decompositions need at least two leaves"
-    memo = {}
-
-    def hitting(side):
-        if side not in memo:
-            memo[side] = min_hitting_set(ch, cut(ch, side))
-        return memo[side]
-
-    best = None
-    for tree in leaf_labeled_subcubic_trees(n):
-        sides = _tree_sides(tree)
-        width = 0
-        for e in tree:
-            width = max(width, len(hitting(frozenset(x for x in sides[e] if x < n))))
-        if best is None or width < best[0]:
-            best = (width, tree, sides)
-    _, tree, sides = best
-    return BranchDecomposition(
-        nodes=tuple(sorted({x for e in tree for x in e})),
-        edges=tree,
-        leaf_label={i: i for i in range(n)},
-        edge_sets={
-            e: hitting(frozenset(x for x in sides[e] if x < n)) for e in tree
-        },
-    )
+    """An optimal directed branch decomposition: the exhaustive search
+    `decomp.optimal_branch_decomposition` over d's vertices, where a tree
+    edge's set is a minimum hitting set of the cycles crossing it."""
+    return optimal_branch_decomposition(d.n, lambda side: min_hitting_set(ch, cut(ch, side)))
 
 
 def exhaustive_dbw(d, ch) -> int:
     """Exact directed branch width over all subcubic tree shapes."""
-    if d.n <= 1:
-        return 0
     return exhaustive_optimal_dbd(d, ch).width()
 
 

@@ -8,10 +8,12 @@ from dataclasses import replace
 
 import pytest
 
+from dtwone import decomp
 from dtwone.check import DirectedTreeDecomposition, Report, validate_dtd
-from dtwone.cycles import cycle_hypergraph
+from dtwone.cycles import cut, cycle_hypergraph, min_hitting_set
 from dtwone.decomp import (
     BranchDecomposition,
+    _boundary,
     dbd_to_hbd,
     dtd_to_dbd,
     dtd_to_ghd,
@@ -32,11 +34,14 @@ from dtwone.dtw1 import recognize_dtw1
 from dtwone.hypergraph import (
     Hypergraph,
     HypertreeDecomposition,
+    _tree_sides,
     dual,
     exact_hbw,
     hypergraph_from_edges,
+    leaf_labeled_subcubic_trees,
+    min_cover,
 )
-from dtwone.suite import exhaustive_optimal_dbd, strongly_connected_up_to_iso
+from dtwone.suite import exhaustive_optimal_dbd, random_hypergraph, strongly_connected_up_to_iso
 from test_digraph import random_strongly_connected, random_tree_edges, reference_reach
 
 
@@ -505,8 +510,87 @@ class TestDbdHbdRoundTrip:
                 dbd = exhaustive_optimal_dbd(d, ch)
                 report = validate_hbd(ground, dbd)
                 assert report.valid and report.width == dbd.width(), sorted(d.edges)
+                # and the two oracles return the same decomposition
+                assert (dbd.nodes, dbd.edges, dbd.leaf_label, dbd.edge_sets) == (
+                    hbd.nodes, hbd.edges, hbd.leaf_label, hbd.edge_sets
+                ), sorted(d.edges)
                 checked += 1
         assert checked == 1 + 5 + 83
+
+
+def reference_optimal_branch_decomposition(m, edge_set):
+    """The exhaustive branch-width search with no cache: every tree of
+    `leaf_labeled_subcubic_trees(m)` becomes a `BranchDecomposition`, and
+    `edge_set(dec, e)` gives each edge's set, read through
+    `BranchDecomposition.side`.  The first tree of least width wins."""
+    labels = {i: i for i in range(m)}
+    if m <= 1:
+        return BranchDecomposition(tuple(range(m)), (), labels, {})
+    nodes = tuple(range(2 * m - 2))
+    best = None
+    for edges in leaf_labeled_subcubic_trees(m):
+        dec = BranchDecomposition(nodes, edges, labels, {})
+        sets = {e: edge_set(dec, e) for e in edges}
+        width = max(len(s) for s in sets.values())
+        if best is None or width < best[0]:
+            best = (width, edges, sets)
+    _, edges, sets = best
+    return BranchDecomposition(nodes, edges, labels, sets)
+
+
+def reference_dbd(d, ch):
+    return reference_optimal_branch_decomposition(
+        d.n, lambda dec, e: min_hitting_set(ch, cut(ch, dec.side(e, e[0])))
+    )
+
+
+def reference_hbd(h):
+    return reference_optimal_branch_decomposition(
+        len(h.edges), lambda dec, e: min_cover(h, _boundary(h, dec, e))
+    )
+
+
+class TestOptimalBranchDecomposition:
+    def test_both_oracles_match_the_reference_on_small_classes(self):
+        checked = 0
+        for n in (1, 2, 3, 4):
+            for d in strongly_connected_up_to_iso(n):
+                ch = cycle_hypergraph(d)
+                ground = dual(ch.as_hypergraph())
+                assert exhaustive_optimal_dbd(d, ch) == reference_dbd(d, ch), sorted(d.edges)
+                ref = reference_hbd(ground)
+                assert exact_hbw(ground, n) == (ref.width(), ref), sorted(d.edges)
+                checked += 1
+        assert checked == 1 + 1 + 5 + 83
+
+    def test_exact_hbw_matches_the_reference_on_random_hypergraphs(self):
+        rng = random.Random(83)
+        sizes = set()
+        for _ in range(200):
+            h = random_hypergraph(rng, 6, 6)
+            ref = reference_hbd(h)
+            assert exact_hbw(h, 6) == (ref.width(), ref), h.edges
+            sizes.add(len(h.edges))
+        assert sizes == {1, 2, 3, 4, 5, 6}
+
+    def test_tree_sides_are_read_once_per_shape(self, monkeypatch):
+        # The 83 four-vertex classes through both oracles read the sides of
+        # the three 4-leaf trees once each.  When each oracle scanned the
+        # trees itself, every digraph read them again in both: 498 calls.
+        calls = 0
+
+        def counted(edges):
+            nonlocal calls
+            calls += 1
+            return _tree_sides(edges)
+
+        monkeypatch.setattr(decomp, "_tree_sides", counted)
+        decomp._shapes.cache_clear()
+        for d in strongly_connected_up_to_iso(4):
+            ch = cycle_hypergraph(d)
+            exhaustive_optimal_dbd(d, ch)
+            exact_hbw(dual(ch.as_hypergraph()), 4)
+        assert calls == 3
 
 
 class TestDtdToGhd:

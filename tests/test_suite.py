@@ -13,8 +13,14 @@ import pytest
 from dtwone import suite
 from dtwone.check import Report, verify_certificate
 from dtwone.cycles import cycle_hypergraph
-from dtwone.digraph import bicycle, digraph_from_edges, is_strongly_connected
+from dtwone.digraph import (
+    bicycle,
+    digraph_from_edges,
+    directed_cycle_digraph,
+    is_strongly_connected,
+)
 from dtwone.dtw1 import hypertree_route, recognize_dtw1
+from dtwone.errors import InstanceTooLarge
 from dtwone.hypergraph import _tree_sides
 from dtwone.suite import (
     exhaustive_dbw,
@@ -145,6 +151,12 @@ class TestExhaustiveBranchWidth:
     def test_directed_triangle_width_one(self):
         d = digraph_from_edges(3, [(0, 1), (1, 2), (2, 0)])
         assert exhaustive_dbw(d, cycle_hypergraph(d, 100)) == 1
+
+    def test_eight_vertices_are_too_many(self):
+        # 8 leaves would mean scanning 10,395 tree shapes
+        d = directed_cycle_digraph(8)
+        with pytest.raises(InstanceTooLarge, match="limited to 7 leaves, got 8"):
+            exhaustive_optimal_dbd(d, cycle_hypergraph(d, 100))
 
 
 class TestThreeWayCheck:
