@@ -1,13 +1,15 @@
-"""Branch and hypertree decompositions with their validators, the one
-exhaustive search for an optimal branch decomposition, and the
-conversions from directed tree decompositions, whose type and validator
-(`validate_dtd`) live in the certificate checker, `check`.
+"""Branch and hypertree decompositions: their types and validators, the
+leaf-labelled subcubic trees, the exact-width oracles for small instances
+(`exact_hbw` and `exact_hw`), and the conversions from directed tree
+decompositions, whose type and validator (`validate_dtd`) live in the
+certificate checker, `check`.
 
 One `BranchDecomposition` type serves a digraph and its dual cycle
 hypergraph, whose leaf labels are the digraph's vertices or the
-hypergraph's edge indices.  The conversions are dtd → dbd (`dtd_to_dbd`),
-a dbd checked as a decomposition of the dual (`dbd_to_hbd`), and dtd → ghd
-(`dtd_to_ghd`)."""
+hypergraph's edge indices.  One exhaustive search over the tree shapes,
+`optimal_branch_decomposition`, serves both branch-width oracles.  The
+conversions are dtd → dbd (`dtd_to_dbd`), a dbd checked as a
+decomposition of the dual (`dbd_to_hbd`), and dtd → ghd (`dtd_to_ghd`)."""
 
 from __future__ import annotations
 
@@ -16,19 +18,67 @@ from functools import cache, cached_property
 
 from .check import DirectedTreeDecomposition, Report, validate_dtd
 from .cycles import DEFAULT_CYCLE_CAP, cut, cycle_hypergraph, min_hitting_set
-from .digraph import Digraph, _bfs_arcs
+from .digraph import Digraph, _bfs_arcs, all_subsets
 from .errors import InstanceTooLarge
-from .hypergraph import (
-    Hypergraph,
-    HypertreeDecomposition,
-    _tree_sides,
-    _vertex_components,
-    dual,
-    leaf_labeled_subcubic_trees,
-    min_cover,
-)
+from .hypergraph import Hypergraph, _vertex_components, dual, two_section
 
 EXACT_HBW_MAX_EDGES = 7  # leaf limit of the exhaustive branch-width search
+EXACT_HW_SIZE_GUARD = 12  # |V| + |E| limit for the exact hypertree-width oracle
+
+
+def leaf_labeled_subcubic_trees(m):
+    """All leaf-labelled subcubic trees with leaves 0..m−1, as sorted edge
+    tuples; internal nodes are m..2m−3.
+
+    Generated by iterated leaf insertion (subdivide an edge, hang the new
+    leaf), which yields each tree exactly once: (2m−5)!! trees for m ≥ 3.
+    """
+    if m <= 1:
+        yield ()
+        return
+    trees = [((0, 1),)]
+    for leaf in range(2, m):
+        new = m + leaf - 2
+        grown = []
+        for t in trees:
+            for i in range(len(t)):
+                a, b = t[i]
+                rest = t[:i] + t[i + 1 :]
+                grown.append(
+                    tuple(
+                        sorted(
+                            rest
+                            + (
+                                tuple(sorted((a, new))),
+                                tuple(sorted((b, new))),
+                                (leaf, new),
+                            )
+                        )
+                    )
+                )
+        trees = grown
+    yield from trees
+
+
+def _tree_sides(edges):
+    """For each edge (a, b) of a tree, the set of nodes on the a-side after
+    removing that edge, as a dict edge -> frozenset of nodes."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    sides = {}
+    for a, b in edges:
+        seen = {a}
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen and {u, w} != {a, b}:
+                    seen.add(w)
+                    stack.append(w)
+        sides[(a, b)] = frozenset(seen)
+    return sides
 
 
 @dataclass(frozen=True)
@@ -104,7 +154,7 @@ def optimal_branch_decomposition(m, edge_set) -> BranchDecomposition:
     leaves are the whole tree), the first whose largest edge set is
     smallest.  A tree edge's set is `edge_set(side)` for
     the leaves on its first node's side, asked once per side.  Both exact
-    oracles, `hypergraph.exact_hbw` and `suite.exhaustive_optimal_dbd`, are
+    oracles, `exact_hbw` and `suite.exhaustive_optimal_dbd`, are
     this search with their own edge sets."""
     if m > EXACT_HBW_MAX_EDGES:
         raise InstanceTooLarge(
@@ -242,6 +292,51 @@ def validate_hbd(h: Hypergraph, dec: BranchDecomposition) -> Report:
     return Report(True, width, ())
 
 
+def min_cover(h, boundary):
+    """The first of the smallest sets of hyperedge indices whose union covers
+    `boundary`, in the order `all_subsets` lists them."""
+    for s in all_subsets(range(len(h.edges)), len(h.edges)):
+        if boundary <= frozenset().union(*(h.edges[i] for i in s)):
+            return s
+    raise AssertionError("the full edge set always covers")
+
+
+def exact_hbw(h, k_max):
+    """Minimum hyperbranch width with an optimal decomposition, as a pair
+    (width, decomposition); None if the width exceeds k_max.
+
+    The exhaustive search `decomp.optimal_branch_decomposition` over the
+    hyperedges, where a tree edge's set is the least cover of the boundary
+    between its side and the rest.
+    """
+    every = frozenset(range(len(h.edges)))
+    dec = optimal_branch_decomposition(
+        len(h.edges), lambda side: min_cover(h, _union(h, side) & _union(h, every - side))
+    )
+    width = dec.width()
+    return None if width > k_max else (width, dec)
+
+
+@dataclass(frozen=True)
+class HypertreeDecomposition:
+    """A (generalised) hypertree decomposition: a rooted tree with a vertex bag
+    and a guard set of hyperedge indices per node.
+
+    Arcs run (parent, child).  The generalised reading ignores the rooting;
+    the stricter reading additionally requires the descendant condition — see
+    `validate_ghd` and `validate_hd`.
+    """
+
+    nodes: tuple
+    arcs: tuple
+    bags: dict
+    guards: dict
+
+    @property
+    def width(self):
+        return max((len(self.guards[t]) for t in self.nodes), default=0)
+
+
 def _validate_hyper_decomposition(h, dec, descendant):
     violations = []
     nodes = dec.nodes
@@ -342,6 +437,101 @@ def validate_hd(h: Hypergraph, dec: HypertreeDecomposition) -> Report:
     """validate_ghd plus the arborescence shape and the descendant condition:
     below a node, its guard edges may only touch the node's own bag."""
     return _validate_hyper_decomposition(h, dec, descendant=True)
+
+
+def _bounded_width_decomposition(h, k):
+    """A guard-first exhaustive search for a hypertree decomposition of width
+    at most k, as nested (bag, guard, children) templates; None if impossible.
+
+    Subproblems are (component, connector) pairs: the component still to be
+    covered and the bag vertices of the parent it attaches to.  Guards are
+    tried by increasing size, then lexicographically.
+    """
+    adj = two_section(h).adjacency
+    m = len(h.edges)
+    candidates = [g for g in all_subsets(range(m), k) if g]
+    memo = {}
+
+    def solve(comp, conn):
+        key = (comp, conn)
+        if key in memo:
+            return memo[key]
+        result = None
+        for gamma in candidates:
+            union = frozenset().union(*(h.edges[i] for i in gamma))
+            if not conn <= union:
+                continue
+            bag = union & (comp | conn)
+            if not bag & comp:
+                continue
+            children = []
+            for sub in _vertex_components(adj, comp - bag):
+                reach = frozenset().union(*(adj[v] for v in sub))
+                child = solve(sub, frozenset(bag & reach))
+                if child is None:
+                    break
+                children.append(child)
+            else:
+                result = (bag, gamma, tuple(children))
+                break
+        memo[key] = result
+        return result
+
+    top = []
+    for comp in _vertex_components(adj, h.vertices):
+        t = solve(comp, frozenset())
+        if t is None:
+            return None
+        top.append(t)
+
+    nodes = []
+    arcs = []
+    bags = {}
+    guards = {}
+
+    def build(template, parent):
+        bag, gamma, children = template
+        t = len(nodes)
+        nodes.append(t)
+        bags[t] = frozenset(bag)
+        guards[t] = frozenset(gamma)
+        if parent is not None:
+            arcs.append((parent, t))
+        for c in children:
+            build(c, t)
+        return t
+
+    root = build(top[0], None)
+    for extra in top[1:]:
+        build(extra, root)
+    return HypertreeDecomposition(
+        nodes=tuple(nodes), arcs=tuple(arcs), bags=bags, guards=guards
+    )
+
+
+def exact_hw(h, k_max):
+    """Minimum hypertree width with a witnessing decomposition, as a pair
+    (width, decomposition); None if the width exceeds k_max.
+
+    Every width from 1 up is tried with the guard-first search, and the
+    first decomposition found must pass `validate_hd`.  Guarded to small
+    instances.
+    """
+    if len(h.vertices) + len(h.edges) > EXACT_HW_SIZE_GUARD:
+        raise InstanceTooLarge(
+            f"exact hypertree width limited to |V|+|E| <= {EXACT_HW_SIZE_GUARD}, "
+            f"got {len(h.vertices)}+{len(h.edges)}"
+        )
+    if not h.edges:
+        return 0, HypertreeDecomposition((), (), {}, {})
+    for k in range(1, k_max + 1):
+        dec = _bounded_width_decomposition(h, k)
+        if dec is not None:
+            report = validate_hd(h, dec)
+            assert report.valid, f"search produced an invalid decomposition: {report.violations}"
+            assert dec.width == k
+            return k, dec
+    return None
 
 
 def dtd_to_leaf_dtd(
@@ -482,11 +672,11 @@ def dbd_to_hbd(
     """Check a branch decomposition of the digraph as one of its dual cycle
     hypergraph, and return it unchanged.  Leaf vertex v is dual hyperedge v.
     `validate_hbd` must accept it there: the shape, and on every edge a
-    cached hitting set that covers the boundary with the fewest vertices."""
+    cached hitting set that covers the boundary with the fewest vertices.
+    A vertex on no directed cycle has no dual hyperedge: ValueError."""
     ch = cycle_hypergraph(d, cap)
-    assert len(ch.vertices) == d.n, (
-        "conversion needs every vertex on a directed cycle"
-    )
+    if len(ch.vertices) != d.n:
+        raise ValueError("conversion needs every vertex on a directed cycle")
     report = validate_hbd(dual(ch.as_hypergraph()), dec)
     assert report.valid, "; ".join(report.violations)
     return dec

@@ -125,18 +125,13 @@ def shore_contraction_script(state: _ReplayState, shore, cut: int) -> list:
             if (a, b) not in branching:
                 steps.append(("del", a, b))
 
-    children = {u: set() for u in shore}
-    for u in inner:
-        children[parent[u]].add(u)
-    remaining = set(inner)
-    while remaining:
-        leaves = [u for u in remaining if not (children[u] & remaining)]
-        u = max(leaves, key=lambda w: (depth[w], -w))
+    # Deepest first, least label among equals: a vertex's children are
+    # deeper, so each vertex is a leaf of what is left when its turn comes.
+    for u in sorted(inner, key=lambda w: (-depth[w], w)):
         if toward_cut:
             steps.append(("contract", u, parent[u]))
         else:
             steps.append(("contract", parent[u], u))
-        remaining.discard(u)
     return steps
 
 

@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from typing import Optional
 
 from .cycles import CycleChain, CycleHypergraph, cut, cycle_hypergraph, min_hitting_set
+from .decomp import validate_dbd
 from .digraph import (
     Digraph,
     _bfs_arcs,
@@ -35,21 +37,24 @@ def _components_avoiding(d: Digraph, removed) -> tuple[frozenset, ...]:
     return tuple(sorted(strong_components(d, removed), key=min))
 
 
-def _robber_options(d: Digraph, old_cops, old_robber, new_cops) -> tuple[frozenset, ...]:
+def _robber_options(
+    d: Digraph, old_cops, old_robber, new_cops, comps=_components_avoiding
+) -> tuple[frozenset, ...]:
     """Components the robber may occupy after the cops move from old_cops to new_cops.
 
     The robber runs while only the cops in old_cops ∩ new_cops are on the
     ground, so the reachable region is the strong component of
-    d - (old_cops ∩ new_cops) containing the current component.
+    d - (old_cops ∩ new_cops) containing the current component.  A play
+    hands in `comps`, one memo of `_components_avoiding` for all its moves.
     """
     ground = old_cops & new_cops
     region = None
-    for comp in _components_avoiding(d, ground):
+    for comp in comps(d, ground):
         if old_robber <= comp:
             region = comp
             break
     assert region is not None, "robber component must survive removal of fewer cops"
-    return tuple(c for c in _components_avoiding(d, new_cops) if c <= region)
+    return tuple(c for c in comps(d, new_cops) if c <= region)
 
 
 @dataclass(frozen=True)
@@ -93,16 +98,11 @@ def solve_game(d: Digraph, k: int) -> GameResult:
     """
     _check_game_size(d, k)
     cop_sets = list(all_subsets(range(d.n), min(k, d.n)))
-    comps_of = {}
-
-    def comps(removed):
-        if removed not in comps_of:
-            comps_of[removed] = _components_avoiding(d, removed)
-        return comps_of[removed]
+    comps = cache(_components_avoiding)
 
     positions = []
     for x in cop_sets:
-        for r in comps(x):
+        for r in comps(d, x):
             positions.append((x, r))
 
     win: dict = {}
@@ -114,23 +114,23 @@ def solve_game(d: Digraph, k: int) -> GameResult:
                 continue
             x, r = pos
             for x2 in cop_sets:
-                replies = _robber_options(d, x, r, x2)
+                replies = _robber_options(d, x, r, x2, comps)
                 if all((x2, r2) in win for r2 in replies):
                     win[pos] = x2
                     changed = True
                     break
 
     for x0 in cop_sets:
-        if all((x0, r0) in win for r0 in comps(x0)):
+        if all((x0, r0) in win for r0 in comps(d, x0)):
             table = {}
-            stack = [(x0, r0) for r0 in comps(x0)]
+            stack = [(x0, r0) for r0 in comps(d, x0)]
             while stack:
                 pos = stack.pop()
                 if pos in table:
                     continue
                 x2 = win[pos]
                 table[pos] = x2
-                for r2 in _robber_options(d, pos[0], pos[1], x2):
+                for r2 in _robber_options(d, pos[0], pos[1], x2, comps):
                     stack.append((x2, r2))
             return GameResult(True, CopStrategy(budget=k, initial=x0, table=table))
     return GameResult(False, None)
@@ -155,6 +155,7 @@ def strategy_beats_all_robbers(d: Digraph, strategy: CopStrategy) -> bool:
         return False
     start = strategy.initial
     status: dict = {}
+    comps = cache(_components_avoiding)
 
     def chase(x, r, trail) -> bool:
         pos = (x, r)
@@ -167,12 +168,12 @@ def strategy_beats_all_robbers(d: Digraph, strategy: CopStrategy) -> bool:
             status[pos] = False
             return False
         trail.add(pos)
-        ok = all(chase(x2, r2, trail) for r2 in _robber_options(d, x, r, x2))
+        ok = all(chase(x2, r2, trail) for r2 in _robber_options(d, x, r, x2, comps))
         trail.discard(pos)
         status[pos] = ok
         return ok
 
-    return all(chase(start, r0, set()) for r0 in _components_avoiding(d, start))
+    return all(chase(start, r0, set()) for r0 in comps(d, start))
 
 
 def play_transcript(d: Digraph, strategy: CopStrategy) -> list:
@@ -184,7 +185,8 @@ def play_transcript(d: Digraph, strategy: CopStrategy) -> list:
     position raises, since a sound strategy admits neither.
     """
     cops = strategy.initial
-    first = _components_avoiding(d, cops)
+    comps = cache(_components_avoiding)
+    first = comps(d, cops)
     robber = min(first, key=sorted) if first else frozenset()
     moves = [(cops, robber)]
     seen = {(cops, robber)}
@@ -192,7 +194,7 @@ def play_transcript(d: Digraph, strategy: CopStrategy) -> list:
         nxt = strategy.next_cops(cops, robber)
         if nxt is None:
             raise ValueError("strategy table has no move for a reachable position")
-        options = _robber_options(d, cops, robber, nxt)
+        options = _robber_options(d, cops, robber, nxt, comps)
         cops = nxt
         robber = min(options, key=sorted) if options else frozenset()
         if (cops, robber) in seen:
@@ -210,8 +212,6 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
     confined to one subtree because no strong component survives across a
     hit edge, and shrinking subtrees end the chase at a leaf.
     """
-    from .decomp import validate_dbd
-
     if not is_strongly_connected(d):
         raise ValueError("the tree-walking strategy needs a strongly connected digraph")
     report = validate_dbd(d, dec)
@@ -264,7 +264,8 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
     # only the deepest cursor's move makes enough progress to avoid loops,
     # so it is the one the positional table keeps.
     best: dict = {}
-    queue = [(x0, r, ell, t0) for r in _components_avoiding(d, x0)]
+    comps = cache(_components_avoiding)
+    queue = [(x0, r, ell, t0) for r in comps(d, x0)]
     seen = set(queue)
     head = 0
     while head < len(queue):
@@ -290,7 +291,7 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
         assert len(x2) <= budget, "cop set over budget during the walk"
         if (x, r) not in best or best[(x, r)][0] < depth[curr]:
             best[(x, r)] = (depth[curr], x2)
-        replies = _robber_options(d, x, r, x2)
+        replies = _robber_options(d, x, r, x2, comps)
         if nxt is curr or len(adj[nxt]) == 1:
             assert not replies, "robber must be caught at a leaf"
         for r2 in replies:

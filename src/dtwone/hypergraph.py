@@ -1,6 +1,8 @@
-"""Hypergraphs and the machinery around them: dual, 2-section, line graph,
-acyclicity, the Helly property, host-tree witnesses, and exact small-instance
-oracles for hypertree width and hyperbranch width.
+"""Hypergraphs and what describes them: dual, 2-section, line graph,
+α-acyclicity, the Helly property, chordality, conformality and host-tree
+witnesses.  The module imports nothing from the rest of the package; the
+decompositions of a hypergraph and the exact width oracles live in
+`decomp`.
 
 Vertex ids must be pairwise sortable (all ints or all strings); hyperedges are
 frozensets and may repeat — a repeated vertex set counts as a distinct
@@ -13,23 +15,13 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
-from .digraph import all_subsets
-from .errors import InstanceTooLarge
-
-EXACT_HW_SIZE_GUARD = 12  # |V| + |E| limit for the exact hypertree-width oracle
-
 
 @dataclass(frozen=True)
 class Hypergraph:
-    """A finite hypergraph with ordered vertices and an ordered edge multiset.
-
-    `labels`, when present, carries one provenance tag per hyperedge (such as
-    the originating vertex of a dual edge).
-    """
+    """A finite hypergraph with ordered vertices and an ordered edge multiset."""
 
     vertices: tuple
     edges: tuple
-    labels: tuple | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "vertices", tuple(self.vertices))
@@ -42,16 +34,13 @@ class Hypergraph:
             assert e <= vs, f"hyperedge {sorted(e)} uses undeclared vertices"
             covered |= e
         assert covered == vs, "isolated vertices are not allowed"
-        if self.labels is not None:
-            object.__setattr__(self, "labels", tuple(self.labels))
-            assert len(self.labels) == len(self.edges), "one label per hyperedge"
 
 
-def hypergraph_from_edges(edges, labels=None):
+def hypergraph_from_edges(edges):
     """Hypergraph on the sorted union of the given hyperedges."""
     es = tuple(frozenset(e) for e in edges)
     vs = tuple(sorted(set().union(*es))) if es else ()
-    return Hypergraph(vs, es, labels)
+    return Hypergraph(vs, es)
 
 
 @dataclass(frozen=True)
@@ -91,11 +80,11 @@ class UGraph:
 def dual(h):
     """The dual hypergraph: one vertex per hyperedge index of h, and for every
     vertex v of h one hyperedge e_v collecting the indices of the hyperedges
-    containing v.  Labels record the originating vertices."""
+    containing v.  Hyperedge i of the dual is e_v for v = h.vertices[i]."""
     es = tuple(
         frozenset(i for i, e in enumerate(h.edges) if v in e) for v in h.vertices
     )
-    return Hypergraph(tuple(range(len(h.edges))), es, labels=tuple(h.vertices))
+    return Hypergraph(tuple(range(len(h.edges))), es)
 
 
 def two_section(h):
@@ -309,202 +298,3 @@ def hypertree_witness(h):
         if len(_vertex_components(tree.adjacency, e)) > 1:
             return None
     return JoinTreeWitness(tree, tuple(h.edges))
-
-
-@dataclass(frozen=True)
-class HypertreeDecomposition:
-    """A (generalised) hypertree decomposition: a rooted tree with a vertex bag
-    and a guard set of hyperedge indices per node.
-
-    Arcs run (parent, child).  The generalised reading ignores the rooting;
-    the stricter reading additionally requires the descendant condition — see
-    the validators in the decomp module.
-    """
-
-    nodes: tuple
-    arcs: tuple
-    bags: dict
-    guards: dict
-
-    @property
-    def width(self):
-        return max((len(self.guards[t]) for t in self.nodes), default=0)
-
-
-def _bounded_width_decomposition(h, k):
-    """A guard-first exhaustive search for a hypertree decomposition of width
-    at most k, as nested (bag, guard, children) templates; None if impossible.
-
-    Subproblems are (component, connector) pairs: the component still to be
-    covered and the bag vertices of the parent it attaches to.  Guards are
-    tried by increasing size, then lexicographically.
-    """
-    adj = two_section(h).adjacency
-    m = len(h.edges)
-    candidates = [g for g in all_subsets(range(m), k) if g]
-    memo = {}
-
-    def solve(comp, conn):
-        key = (comp, conn)
-        if key in memo:
-            return memo[key]
-        result = None
-        for gamma in candidates:
-            union = frozenset().union(*(h.edges[i] for i in gamma))
-            if not conn <= union:
-                continue
-            bag = union & (comp | conn)
-            if not bag & comp:
-                continue
-            children = []
-            for sub in _vertex_components(adj, comp - bag):
-                reach = frozenset().union(*(adj[v] for v in sub))
-                child = solve(sub, frozenset(bag & reach))
-                if child is None:
-                    break
-                children.append(child)
-            else:
-                result = (bag, gamma, tuple(children))
-                break
-        memo[key] = result
-        return result
-
-    top = []
-    for comp in _vertex_components(adj, h.vertices):
-        t = solve(comp, frozenset())
-        if t is None:
-            return None
-        top.append(t)
-
-    nodes = []
-    arcs = []
-    bags = {}
-    guards = {}
-
-    def build(template, parent):
-        bag, gamma, children = template
-        t = len(nodes)
-        nodes.append(t)
-        bags[t] = frozenset(bag)
-        guards[t] = frozenset(gamma)
-        if parent is not None:
-            arcs.append((parent, t))
-        for c in children:
-            build(c, t)
-        return t
-
-    root = build(top[0], None)
-    for extra in top[1:]:
-        build(extra, root)
-    return HypertreeDecomposition(
-        nodes=tuple(nodes), arcs=tuple(arcs), bags=bags, guards=guards
-    )
-
-
-def exact_hw(h, k_max):
-    """Minimum hypertree width with a witnessing decomposition, as a pair
-    (width, decomposition); None if the width exceeds k_max.
-
-    Every width from 1 up is tried with the guard-first search, and the
-    first decomposition found must pass `validate_hd`.  Guarded to small
-    instances.
-    """
-    if len(h.vertices) + len(h.edges) > EXACT_HW_SIZE_GUARD:
-        raise InstanceTooLarge(
-            f"exact hypertree width limited to |V|+|E| <= {EXACT_HW_SIZE_GUARD}, "
-            f"got {len(h.vertices)}+{len(h.edges)}"
-        )
-    if not h.edges:
-        return 0, HypertreeDecomposition((), (), {}, {})
-    for k in range(1, k_max + 1):
-        dec = _bounded_width_decomposition(h, k)
-        if dec is not None:
-            from .decomp import validate_hd
-
-            report = validate_hd(h, dec)
-            assert report.valid, f"search produced an invalid decomposition: {report.violations}"
-            assert dec.width == k
-            return k, dec
-    return None
-
-
-def leaf_labeled_subcubic_trees(m):
-    """All leaf-labelled subcubic trees with leaves 0..m−1, as sorted edge
-    tuples; internal nodes are m..2m−3.
-
-    Generated by iterated leaf insertion (subdivide an edge, hang the new
-    leaf), which yields each tree exactly once: (2m−5)!! trees for m ≥ 3.
-    """
-    if m <= 1:
-        yield ()
-        return
-    trees = [((0, 1),)]
-    for leaf in range(2, m):
-        new = m + leaf - 2
-        grown = []
-        for t in trees:
-            for i in range(len(t)):
-                a, b = t[i]
-                rest = t[:i] + t[i + 1 :]
-                grown.append(
-                    tuple(
-                        sorted(
-                            rest
-                            + (
-                                tuple(sorted((a, new))),
-                                tuple(sorted((b, new))),
-                                (leaf, new),
-                            )
-                        )
-                    )
-                )
-        trees = grown
-    yield from trees
-
-
-def _tree_sides(edges):
-    """For each edge (a, b) of a tree, the set of nodes on the a-side after
-    removing that edge, as a dict edge -> frozenset of nodes."""
-    adj = {}
-    for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    sides = {}
-    for a, b in edges:
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen and {u, w} != {a, b}:
-                    seen.add(w)
-                    stack.append(w)
-        sides[(a, b)] = frozenset(seen)
-    return sides
-
-
-def min_cover(h, boundary):
-    """The first of the smallest sets of hyperedge indices whose union covers
-    `boundary`, in the order `all_subsets` lists them."""
-    for s in all_subsets(range(len(h.edges)), len(h.edges)):
-        if boundary <= frozenset().union(*(h.edges[i] for i in s)):
-            return s
-    raise AssertionError("the full edge set always covers")
-
-
-def exact_hbw(h, k_max):
-    """Minimum hyperbranch width with an optimal decomposition, as a pair
-    (width, decomposition); None if the width exceeds k_max.
-
-    The exhaustive search `decomp.optimal_branch_decomposition` over the
-    hyperedges, where a tree edge's set is the least cover of the boundary
-    between its side and the rest.
-    """
-    from .decomp import _union, optimal_branch_decomposition
-
-    every = frozenset(range(len(h.edges)))
-    dec = optimal_branch_decomposition(
-        len(h.edges), lambda side: min_cover(h, _union(h, side) & _union(h, every - side))
-    )
-    width = dec.width()
-    return None if width > k_max else (width, dec)

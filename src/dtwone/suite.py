@@ -25,6 +25,8 @@ from .decomp import (
     BranchDecomposition,
     dtd_to_dbd,
     dtd_to_ghd,
+    exact_hbw,
+    exact_hw,
     optimal_branch_decomposition,
     validate_dbd,
     validate_ghd,
@@ -52,8 +54,6 @@ from .games import (
 )
 from .hypergraph import (
     dual,
-    exact_hbw,
-    exact_hw,
     has_helly,
     hypergraph_from_edges,
     hypertree_witness,

@@ -256,6 +256,22 @@ class TestConvert:
         res = runner.invoke(main, ["convert", digon_file, str(cert), "tree"])
         assert res.exit_code == 2
 
+    def test_hbd_of_a_vertex_on_no_cycle_exit_two(self, runner, tmp_path):
+        # a lies on no directed cycle, so it names no dual hyperedge; the
+        # one-bag dtd and its dbd are valid all the same.
+        graph = tmp_path / "g"
+        graph.write_text("a b\nb c\nc b\n")
+        dtd = tmp_path / "dtd"
+        dtd.write_text("dtwone v1\nnode 0 bag={a,b,c}\n")
+        dbd_res = runner.invoke(main, ["convert", str(graph), str(dtd), "dbd"])
+        assert dbd_res.exit_code == 0
+        dbd = tmp_path / "dbd"
+        dbd.write_text(dbd_res.output)
+        assert runner.invoke(main, ["validate-dbd", str(graph), str(dbd)]).exit_code == 0
+        res = runner.invoke(main, ["convert", str(graph), str(dbd), "hbd"])
+        assert res.exit_code == 2
+        assert "error: conversion needs every vertex on a directed cycle" in res.output
+
 
 class TestCyclesAndHypergraph:
     def test_cycles_named(self, runner, b3_file):

@@ -13,11 +13,16 @@ from dtwone.check import DirectedTreeDecomposition, Report, validate_dtd
 from dtwone.cycles import cut, cycle_hypergraph, min_hitting_set
 from dtwone.decomp import (
     BranchDecomposition,
+    HypertreeDecomposition,
     _boundary,
+    _tree_sides,
     dbd_to_hbd,
     dtd_to_dbd,
     dtd_to_ghd,
     dtd_to_leaf_dtd,
+    exact_hbw,
+    leaf_labeled_subcubic_trees,
+    min_cover,
     validate_dbd,
     validate_ghd,
     validate_hbd,
@@ -31,16 +36,7 @@ from dtwone.digraph import (
     directed_cycle_digraph,
 )
 from dtwone.dtw1 import recognize_dtw1
-from dtwone.hypergraph import (
-    Hypergraph,
-    HypertreeDecomposition,
-    _tree_sides,
-    dual,
-    exact_hbw,
-    hypergraph_from_edges,
-    leaf_labeled_subcubic_trees,
-    min_cover,
-)
+from dtwone.hypergraph import Hypergraph, dual, hypergraph_from_edges
 from dtwone.suite import exhaustive_optimal_dbd, random_hypergraph, strongly_connected_up_to_iso
 from test_digraph import random_strongly_connected, random_tree_edges, reference_reach
 

@@ -13,6 +13,7 @@ import pytest
 from dtwone import suite
 from dtwone.check import Report, verify_certificate
 from dtwone.cycles import cycle_hypergraph
+from dtwone.decomp import _tree_sides
 from dtwone.digraph import (
     bicycle,
     digraph_from_edges,
@@ -21,7 +22,6 @@ from dtwone.digraph import (
 )
 from dtwone.dtw1 import hypertree_route, recognize_dtw1
 from dtwone.errors import InstanceTooLarge
-from dtwone.hypergraph import _tree_sides
 from dtwone.suite import (
     exhaustive_dbw,
     exhaustive_optimal_dbd,
