@@ -3,8 +3,9 @@
 YES is a width-one directed tree decomposition (`validate_dtd`).  NO is a
 butterfly minor `Bicycle(k)` or A4: its script is replayed once by
 `_ReplayState`, which the recogniser also shrinks with, and the roots of its
-branch sets give the order-3 haven (`minor_haven_is_monotone`).  One walk,
-`round_trips`, serves the YES guards and the NO haven.
+branch sets give the order-3 haven (`minor_haven_is_monotone`).  Plain walks
+check both: `round_trips` checks the YES guards, and the NO haven takes six
+`on_every_path` sweeps, O(n + m) in all.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from .digraph import (
     bicycle,
     merge_into,
     round_trips,
-    strong_component_of,
 )
 
 
@@ -327,37 +327,103 @@ def _replay_witness(d: Digraph, witness: MinorWitness):
     return Report(not violations, 0, tuple(violations)), state
 
 
+def on_every_path(d: Digraph, r: int, s: int):
+    """The vertices other than r and s that lie on every r -> s path of d,
+    or None when r does not reach s: one walk and one growing search, each
+    vertex and edge read at most once by each.
+
+    The walk finds a path P = P[0..k] from r to s.  A vertex off P is not on
+    every path, so only P[c] with 0 < c < k can be.  Let R_c be the set r
+    reaches without entering any of P[c..k].  P[0..c-1] is such a walk, so
+    it lies in R_c; and R_c grows with c, since it avoids fewer vertices.
+    P[c] lies on every r -> s path exactly when no edge leaves R_c for some
+    P[j] with j > c:
+    - such an edge u -> P[j] gives the path r ~> u -> P[j..k], which avoids
+      P[c];
+    - conversely, an r -> s path Q that avoids P[c] enters P[c+1..k] at some
+      first vertex P[j]; Q before it avoids P[c..k], so it stays in R_c, and
+      its edge into P[j] leaves R_c.
+    So the search grows R_c into R_{c+1} by entering P[c], and keeps `far`,
+    the largest j of a P[j] that an edge out of the search's set enters.
+    A growing search that avoids only P[c] gets this wrong: on
+    r -> a -> b -> s plus r -> b, were P = r a b s, it would enter b through
+    the edge r -> b while deciding a, and so miss that b is on every path.
+    """
+    parent = {r: None}
+    stack = [r]
+    while stack and s not in parent:
+        u = stack.pop()
+        for w in d.out_neighbours(u):
+            if w not in parent:
+                parent[w] = u
+                stack.append(w)
+    if s not in parent:
+        return None
+    path = [s]
+    while path[-1] != r:
+        path.append(parent[path[-1]])
+    path.reverse()
+    pos = {v: j for j, v in enumerate(path)}
+    cut = set()
+    reach = {r}
+    stack = [r]
+    far = 0
+    for c in range(1, len(path) - 1):
+        while stack:
+            for w in d.out_neighbours(stack.pop()):
+                j = pos.get(w)
+                if j is not None and j >= c:
+                    far = max(far, j)
+                elif w not in reach:
+                    reach.add(w)
+                    stack.append(w)
+        if far <= c:
+            cut.add(path[c])
+        reach.add(path[c])
+        stack.append(path[c])
+    return cut
+
+
 def minor_haven_is_monotone(d: Digraph, branch_sets: dict, roots: dict) -> bool:
     """Whether the order-3 haven lifted through the roots of a minor
-    (`games.haven_from_minor`) is monotone, by one walk of d and one of
-    d - y for each vertex y, with no table.
+    (`games.haven_from_minor`) is monotone, by six `on_every_path` sweeps of
+    d, O(n + m) in all, with no table.
+
+    Precondition: the branch sets are disjoint and nonempty, at least three
+    of them, with roots[p] in branch_sets[p].  A replayed witness gives this,
+    and `verify_certificate` checks the roots before it calls this.
 
     Write r(X) for the root of the least branch set missing X, so h(X) is
     the strong component of d - X holding r(X).  For Y ⊆ X, h(X) ⊆ h(Y)
     exactly when r(X) ∈ h(Y): h(X) is strongly connected in d - Y and holds
-    r(X).  By transitivity only Y = X minus one vertex needs checking.
+    r(X).  By transitivity only Y = X minus one vertex needs checking, for
+    |X| ≤ 2.  Let r0, r1, r2 be the roots of the three least sets.  By the
+    precondition r(X) for |X| ≤ 2 is one of them.  If y lies in the i-th of
+    those sets (or in none), r({y, z}) is the least of the three other than
+    the i-th and z's, and each of those sets has a vertex z; where z's set
+    is y's or none of the three, r({y, z}) = r({y}), which h({y}) holds.  So
+    h({y, z}) ⊆ h({y}) for every z exactly when a pair of roots fixed by y's
+    slot lies in one strong component of d - y:
+    - y in the least set: r1 and r2;
+    - y in the second: r0 and r2;
+    - y in the third or in none: r0 and r1.
+    That r({y}), which is r0 or r1, lies in h(∅) follows: the third set has
+    a vertex, so r0 and r1 lie in one strong component of d minus it, and so
+    of d.
 
-    The branch sets must be disjoint and nonempty, at least three of them,
-    with roots[p] in branch_sets[p], as a replayed witness guarantees.  Then
-    r(X) for |X| ≤ 2 is the root of one of the three least sets.  If y lies
-    in the i-th of them (or in none), r({y, z}) is the root of the least of
-    the three other than the i-th and z's, and each of those sets has a
-    vertex z; where z's set is y's or none of the three, r({y, z}) = r({y}),
-    which h({y}) holds.
+    No root of y's pair is y, since the sets are disjoint.  So y splits the
+    pair r, s exactly when r does not reach s or s does not reach r in d, or
+    y lies on every r -> s path or on every s -> r path: three pairs, two
+    sweeps each.
     """
     least = sorted(branch_sets)[:3]
     slot = {v: i for i, p in enumerate(least) for v in branch_sets[p]}
-
-    def root_missing(*slots):
-        return roots[least[min({0, 1, 2}.difference(slots))]]
-
-    whole = strong_component_of(d, root_missing(), ())
-    for y in range(d.n):
-        i = slot.get(y)
-        if root_missing(i) not in whole:
+    r0, r1, r2 = (roots[p] for p in least)
+    for i, (r, s) in enumerate(((r1, r2), (r0, r2), (r0, r1))):
+        there, back = on_every_path(d, r, s), on_every_path(d, s, r)
+        if there is None or back is None:
             return False
-        h = strong_component_of(d, root_missing(i), {y})
-        if any(root_missing(i, j) not in h for j in range(3)):
+        if any(slot.get(y, 2) == i for y in there | back):
             return False
     return True
 
@@ -367,12 +433,13 @@ def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
 
     YES certificates are validated as width-one decompositions.  A NO
     certificate's script is replayed once, for the witness checks and for
-    the roots of its branch sets.  The order-3 haven those roots give is
-    then checked to be monotone by `minor_haven_is_monotone`: one walk of d
-    and one of d - y for each vertex y, n + 1 walks in all, with no table.
-    Each entry is by construction the strong component of d - X holding a
-    root outside X, so monotonicity is the only haven condition left to
-    check.
+    the roots of its branch sets.  The replay makes the branch sets
+    disjoint, and each root is checked to lie in its own set, which is
+    `minor_haven_is_monotone`'s precondition.  The order-3 haven those
+    roots give is then checked to be monotone by it: six sweeps of d, O(n +
+    m) in all, with no table.  Each entry is by construction the strong
+    component of d - X holding a root outside X, so monotonicity is the
+    only haven condition left to check.
     """
     if cert.verdict == "YES":
         if cert.decomposition is None:

@@ -152,11 +152,12 @@ def cmd_verify_cert(digraph_file, certificate_file, output_format):
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
     kv, records = _guarded(read_document, _read_file(certificate_file))
-    if kv.get("digraph") != digraph_hash(d):
+    digest = digraph_hash(d)
+    if kv.get("digraph") != digest:
         _die("certificate was issued for a different digraph")
     cert = _guarded(parse_certificate, (kv, records), name_to_id)
     report = _guarded(verify_certificate, d, cert)
-    lines = header_lines("verify-cert", digraph=d)
+    lines = header_lines("verify-cert", digest=digest)
     lines.append(f"verdict={cert.verdict}")
     lines.append(f"result={'valid' if report.valid else 'invalid'}")
     if cert.verdict == "YES" and report.valid and report.width is not None:

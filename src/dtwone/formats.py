@@ -126,16 +126,20 @@ class _KeyValues(dict):
         self.line = {}
 
 
-def header_lines(command: str, seed=None, cap=None, digraph=None) -> list:
+def header_lines(command: str, seed=None, cap=None, digraph=None, digest=None) -> list:
     """The versioned header opening every emitted document; `seed` and `cap`
-    appear only when given, for the commands that read them."""
+    appear only when given, for the commands that read them.  The digraph's
+    line holds `digest`, the `digraph_hash` a caller already took, or else
+    the hash of `digraph`."""
     out = [FORMAT_VERSION, f"command={command}"]
     if seed is not None:
         out.append(f"seed={seed}")
     if cap is not None:
         out.append(f"cap={cap}")
-    if digraph is not None:
-        out.append(f"digraph={digraph_hash(digraph)}")
+    if digest is None and digraph is not None:
+        digest = digraph_hash(digraph)
+    if digest is not None:
+        out.append(f"digraph={digest}")
     return out
 
 

@@ -6,7 +6,8 @@ When the cops announce a new set X', the robber may move to any strong
 component of D - X' inside the strong component of D - (X ∩ X') that
 contains their current component.  The robber is caught when no such
 component exists.  The havens here are the reference: a NO certificate's
-haven is checked without its table by `check.minor_haven_is_monotone`.
+haven is checked without its table, in six linear sweeps, by
+`check.minor_haven_is_monotone`.
 """
 
 from __future__ import annotations
@@ -419,7 +420,8 @@ def haven_from_minor(d: Digraph, branch_sets: dict, roots: dict) -> Haven:
     Nothing is checked here: each entry is a strong component of d - X by
     construction, and `haven_is_monotone` or `verify_haven` checks the rest.
     `check.minor_haven_is_monotone` gives `haven_is_monotone`'s verdict on
-    this table without building it.
+    this table without building it, in six linear sweeps of d where this
+    takes one walk per cop set.
     """
     order = sorted(branch_sets)
     assignment = {}

@@ -1,10 +1,13 @@
 """Tests for the certificate checker on its own: what importing it loads,
-and malformed NO witnesses, which get a report rather than an exception."""
+malformed NO witnesses, which get a report rather than an exception, and
+the NO haven's sweeps against the walks they replaced."""
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -12,9 +15,23 @@ from pathlib import Path
 import pytest
 
 import dtwone
-from dtwone.check import Dtw1Certificate, verify_certificate, verify_witness
-from dtwone.digraph import bicycle
+from dtwone.check import (
+    Dtw1Certificate,
+    _roots,
+    minor_haven_is_monotone,
+    on_every_path,
+    replay_script,
+    verify_certificate,
+    verify_witness,
+)
+from dtwone.digraph import (
+    a4_digraph,
+    bicycle,
+    digraph_from_edges,
+    strong_component_of,
+)
 from dtwone.dtw1 import recognize_dtw1
+from test_digraph import random_strongly_connected, tree_plus_triangle
 
 LOADED = """
 import sys
@@ -111,3 +128,133 @@ class TestMalformedWitnesses:
         for report in self.reports(script=script):
             assert report.violations == (f"script {script!r} is not a sequence of steps",)
             assert not report.valid
+
+
+def reference_minor_haven_is_monotone(d, branch_sets, roots):
+    """`minor_haven_is_monotone` as it was before its sweeps: one walk of d
+    and one of d - y for each vertex y, n + 1 walks."""
+    least = sorted(branch_sets)[:3]
+    slot = {v: i for i, p in enumerate(least) for v in branch_sets[p]}
+
+    def root_missing(*slots):
+        return roots[least[min({0, 1, 2}.difference(slots))]]
+
+    whole = strong_component_of(d, root_missing(), ())
+    for y in range(d.n):
+        i = slot.get(y)
+        if root_missing(i) not in whole:
+            return False
+        h = strong_component_of(d, root_missing(i), {y})
+        if any(root_missing(i, j) not in h for j in range(3)):
+            return False
+    return True
+
+
+def _reach(d, r, removed=()):
+    seen, stack = {r}, [r]
+    while stack:
+        for w in d.out_neighbours(stack.pop()):
+            if w not in seen and w not in removed:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def witness_roots(d, witness):
+    return _roots(replay_script(d, witness.script), witness.branch_sets)
+
+
+class TestOnEveryPath:
+    @staticmethod
+    def brute_force(d, r, s):
+        if s not in _reach(d, r):
+            return None
+        return {y for y in range(d.n) if y not in (r, s) and s not in _reach(d, r, {y})}
+
+    @pytest.mark.parametrize(
+        "n, edges, r, s, want",
+        [
+            (2, [], 0, 1, None),
+            (3, [(0, 1), (2, 0)], 0, 2, None),
+            (2, [(0, 1)], 0, 1, set()),
+            (2, [(0, 1)], 1, 0, None),
+            (4, [(0, 1), (1, 2), (2, 3), (0, 2)], 0, 3, {2}),
+            (5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 2), (1, 3)], 0, 4, {3}),
+            (4, [(0, 1), (1, 3), (0, 2), (2, 3)], 0, 3, set()),
+        ],
+        ids=["no-edge", "s-unreachable", "one-edge", "one-edge-backwards",
+             "chord-to-the-cut", "overlapping-chords", "two-routes"],
+    )
+    def test_small_cases(self, n, edges, r, s, want):
+        """On 0 -> 1 -> 2 -> 3 -> 4 with the chords 0 -> 2 and 1 -> 3, the
+        walk finds P = 0 2 3 4.  A search that avoids only the vertex it
+        decides enters 3 through 1 while deciding 2, and so misses that 3 is
+        on every path."""
+        d = digraph_from_edges(n, edges)
+        assert on_every_path(d, r, s) == want == self.brute_force(d, r, s)
+
+    def test_agrees_with_brute_force(self):
+        rng = random.Random(19)
+        unreachable = 0
+        for _ in range(1500):
+            n = rng.randint(2, 9)
+            p = rng.choice((0.15, 0.3, 0.5))
+            d = digraph_from_edges(n, [(u, v) for u in range(n) for v in range(n)
+                                       if u != v and rng.random() < p])
+            r, s = rng.sample(range(n), 2)
+            want = self.brute_force(d, r, s)
+            assert on_every_path(d, r, s) == want, (sorted(d.edges), r, s)
+            unreachable += want is None
+        assert 100 <= unreachable <= 1400, unreachable
+
+
+class TestMinorHavenAgreesWithTheWalks:
+    """The six sweeps give the n + 1 walks' verdict on NO witnesses, as the
+    recogniser gives them and with roots moved inside their branch sets.
+    The 6,000-case corpus of `tests/test_games.py` checks both against the
+    haven's table."""
+
+    def test_random_no_witnesses(self):
+        rng = random.Random(30)
+        checked = moved_checked = moved_false = 0
+        for _ in range(1000):
+            n = rng.randint(3, 14)
+            d = random_strongly_connected(rng, n, rng.choice((0.1, 0.2, 0.35)))
+            cert = recognize_dtw1(d)
+            if cert.verdict != "NO":
+                continue
+            branch = cert.witness.branch_sets
+            roots = witness_roots(d, cert.witness)
+            assert minor_haven_is_monotone(d, branch, roots)
+            assert reference_minor_haven_is_monotone(d, branch, roots)
+            checked += 1
+            movable = [p for p in sorted(branch)[:3] if len(branch[p]) >= 2]
+            if not movable:
+                continue
+            p = rng.choice(movable)
+            moved = {**roots, p: rng.choice(sorted(branch[p] - {roots[p]}))}
+            want = reference_minor_haven_is_monotone(d, branch, moved)
+            assert minor_haven_is_monotone(d, branch, moved) == want, (
+                sorted(d.edges), branch, moved)
+            moved_checked += 1
+            moved_false += not want
+        # 649 NO answers, 648 with a root to move, 22 of them not monotone.
+        assert checked >= 600 and moved_checked >= 600 and moved_false >= 10, (
+            checked, moved_checked, moved_false)
+
+    @pytest.mark.parametrize(
+        "d",
+        [*(bicycle(k) for k in range(3, 9)), a4_digraph(),
+         *(tree_plus_triangle(random.Random(n), n) for n in (6, 9, 12))],
+        ids=[*(f"bicycle{k}" for k in range(3, 9)), "a4",
+             *(f"tree-plus-triangle{n}" for n in (6, 9, 12))],
+    )
+    def test_every_choice_of_the_three_least_roots(self, d):
+        witness = recognize_dtw1(d).witness
+        branch = witness.branch_sets
+        roots = witness_roots(d, witness)
+        least = sorted(branch)[:3]
+        for chosen in itertools.product(*(sorted(branch[p]) for p in least)):
+            moved = {**roots, **dict(zip(least, chosen))}
+            assert minor_haven_is_monotone(d, branch, moved) == (
+                reference_minor_haven_is_monotone(d, branch, moved)), moved

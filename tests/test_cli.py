@@ -14,7 +14,7 @@ from click.testing import CliRunner
 import dtwone
 from dtwone.cli import main
 from dtwone.digraph import a4_digraph
-from dtwone.formats import read_document
+from dtwone.formats import digraph_hash, read_document
 from dtwone.suite import CriterionResult
 
 DIGON = "0 1\n1 0\n"
@@ -132,6 +132,23 @@ class TestVerifyCert:
         res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
         assert res.exit_code == 0 and "result=valid" in res.output
         assert len(calls) == 1
+
+    def test_hashes_the_digraph_once(self, runner, b3_file, tmp_path, monkeypatch):
+        """The digest that matched the certificate's is the one written."""
+        cert = tmp_path / "b3.cert"
+        cert.write_text(self.cert(runner, b3_file))
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return digraph_hash(d)
+
+        monkeypatch.setattr("dtwone.cli.digraph_hash", counting)
+        monkeypatch.setattr("dtwone.formats.digraph_hash", counting)
+        res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
+        assert res.exit_code == 0 and "result=valid" in res.output
+        assert len(calls) == 1
+        assert f"digraph={digraph_hash(calls[0])}" in res.output.splitlines()
 
     def test_tampered_witness_fails(self, runner, b3_file, tmp_path):
         text = self.cert(runner, b3_file)

@@ -6,6 +6,7 @@ import dataclasses
 import itertools
 import random
 import types
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -1620,7 +1621,7 @@ class TestRecognize:
 
         for module, name in ((dtw1, "haven_from_minor"), (games, "haven_from_minor"),
                              (games, "strong_component_of"),
-                             (check, "strong_component_of"),
+                             (check, "on_every_path"),
                              (digraph, "strong_component_of"), (digraph, "round_trips")):
             monkeypatch.setattr(module, name, refuse)
         tree_and_triangle = bidirect(6, [(0, 1), (1, 2), (1, 3), (3, 4), (3, 5), (4, 5)])
@@ -1874,25 +1875,30 @@ class TestVerifyCertificate:
         with pytest.raises(ParseError, match="haven_order=3"):
             self.parse(d, lines)
 
-    def test_one_walk_per_vertex(self, monkeypatch):
-        """Checking a NO certificate's haven walks d once and d - y once for
-        each vertex y: n + 1 walks on Bicycle(k), not one per cop set."""
-        calls = []
+    def test_adjacency_reads_stay_linear(self, monkeypatch):
+        """Checking a NO certificate reads each vertex's adjacency a bounded
+        number of times, whatever k: `Bicycle(k)` with and without the chord
+        0 -> k/2, for k = 8, 64 and 512.  The replay reads each out- and
+        in-list once, and each of the six sweeps reads an out-list at most
+        twice, once to find its path and once to grow its search; a walk of
+        d - y for each vertex y would read each about 2n times."""
+        reads = Counter()
 
-        def counted(*args):
-            calls.append(args)
-            return digraph.strong_component_of(*args)
+        def counted(read):
+            def counting(self, u):
+                reads[u] += 1
+                return read(self, u)
+            return counting
 
-        monkeypatch.setattr(check, "strong_component_of", counted)
-        for k in (8, 256):
-            d = bicycle(k)
-            cert = recognize_dtw1(d)
-            calls.clear()
-            assert verify_certificate(d, cert).valid
-            assert len(calls) == k + 1
-            removed_sets = {frozenset(removed) for (_, _, removed) in calls}
-            assert len(removed_sets) == len(calls)
-            assert all(len(removed) <= 1 for removed in removed_sets)
+        for name in ("out_neighbours", "in_neighbours"):
+            monkeypatch.setattr(Digraph, name, counted(getattr(Digraph, name)))
+        for k in (8, 64, 512):
+            for d in (bicycle(k), Digraph(k, bicycle(k).edges | {(0, k // 2)})):
+                cert = recognize_dtw1(d)
+                reads.clear()
+                assert verify_certificate(d, cert).valid
+                assert max(reads.values()) <= 2 + 6 * 2, (k, reads.most_common(3))
+                assert sum(reads.values()) <= 8 * k, (k, sum(reads.values()))
 
     def test_unknown_verdict_is_rejected(self):
         assert not verify_certificate(

@@ -116,6 +116,9 @@ class TestSetsAndDocuments:
         assert header_lines("x", **options, digraph=d) == [
             FORMAT_VERSION, "command=x", *middle, f"digraph={digraph_hash(d)}"
         ]
+        assert header_lines("x", **options, digest="abc") == [
+            FORMAT_VERSION, "command=x", *middle, "digraph=abc"
+        ]
 
     def test_version_line_required(self):
         with pytest.raises(ParseError):

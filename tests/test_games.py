@@ -40,6 +40,7 @@ from dtwone.games import (
     verify_haven,
 )
 from dtwone.hypergraph import dual
+from test_check import reference_minor_haven_is_monotone
 from test_digraph import random_strongly_connected, tree_plus_triangle
 
 
@@ -350,10 +351,11 @@ class TestHavens:
         assert calls == []
 
     def test_monotone_without_the_table_agrees_with_the_table(self):
-        """`minor_haven_is_monotone` gives `haven_is_monotone`'s verdict on
-        the table `haven_from_minor` builds.  The corpus has 3-9 vertices,
-        digraphs that are not strongly connected, branch sets that leave
-        vertices out and roots drawn anywhere in their branch sets."""
+        """`minor_haven_is_monotone` and its n + 1-walk reference give
+        `haven_is_monotone`'s verdict on the table `haven_from_minor` builds.
+        The corpus has 3-9 vertices, digraphs that are not strongly
+        connected, branch sets that leave vertices out and roots drawn
+        anywhere in their branch sets."""
         rng = random.Random(2026)
         verdicts = []
         for _ in range(6000):
@@ -370,6 +372,7 @@ class TestHavens:
             want = haven_is_monotone(d, haven_from_minor(d, branch, roots))
             assert minor_haven_is_monotone(d, branch, roots) == want, (
                 sorted(d.edges), branch, roots)
+            assert reference_minor_haven_is_monotone(d, branch, roots) == want
             verdicts.append(want)
         assert 1000 <= sum(verdicts) <= 5000, sum(verdicts)
 

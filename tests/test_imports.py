@@ -43,3 +43,25 @@ def test_hypergraph_loads_no_other_module_of_the_package():
         capture_output=True, text=True, check=True, env=source_env(),
     )
     assert out.stdout.strip() == "['dtwone.hypergraph']"
+
+
+def names_used(path):
+    """Every name, attribute and imported name in the module at path."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.name)
+    return found
+
+
+def test_the_checker_uses_only_plain_walks():
+    # The NO checker's sweeps keep dominator trees and per-vertex strong
+    # components out of what a reader of `check` has to trust.
+    check = Path(dtwone.__file__).parent / "check.py"
+    assert names_used(check).isdisjoint(
+        {"immediate_dominators", "dominators", "strong_component_of"}
+    )
