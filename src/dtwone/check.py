@@ -3,13 +3,21 @@
 YES is a width-one directed tree decomposition (`validate_dtd`).  NO is a
 butterfly minor `Bicycle(k)` or A4: its script is replayed once by
 `_ReplayState`, which the recogniser also shrinks with, and the roots of its
-branch sets give the order-3 haven (`minor_haven_is_monotone`).  Plain walks
-check both: `round_trips` checks the YES guards, and the NO haven takes six
-`on_every_path` sweeps, O(n + m) in all.
+branch sets give the order-3 haven (`minor_haven_is_monotone`).  A check
+costs O(n + m), plus O(n log n) for the replay's class merges and a walk for
+each YES arc that fails the one-way test:
+- A YES guard g of an arc with the vertices s below it holds when the edges
+  leaving s all end in one vertex of g, since a walk that leaves s then
+  steps onto g first; or when the edges entering s all start in one vertex
+  of g, since a walk that comes back to s then comes from g.  One
+  bottom-up pass tests every arc so; an arc that fails takes a
+  `round_trips` walk.
+- The NO haven takes six `on_every_path` sweeps.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -97,7 +105,20 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
     arborescence, the bags must partition the vertex set, and every arc's
     guard must block all walks returning to the bags below it: with s the
     vertices below the arc and g its guard, `round_trips(d, s - g, g)` may
-    not leave s."""
+    not leave s.
+
+    Most arcs pass a one-way test, O(n + m) for all arcs together:
+    - if the edges leaving s all end in one vertex, and it lies in g, a
+      walk that leaves s steps onto g first;
+    - if the edges entering s all start in one vertex, and it lies in g, a
+      walk that comes back to s comes from g.
+    Either way no walk from s - g that avoids g leaves s and returns, so
+    the guard holds.  An arc that fails the test, and every arc when the
+    bags do not partition the vertices, gets the `round_trips` walk.  The
+    test passes only arcs that the walk passes, so it changes no report,
+    only its cost.  `_outside` finds those edges for every subtree at once;
+    the edges entering are found only once an arc needs them.
+    """
     violations = []
     nodes = dec.nodes
     if not nodes or len(set(nodes)) != len(nodes):
@@ -125,26 +146,54 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
         violations.append("expected exactly one root")
     if violations:
         return Report(False, None, tuple(violations))
-    order = dec.subtree_nodes(roots[0])
+    # Every node has one parent at most, so a depth-first walk from the
+    # root meets each node it reaches once; a node it misses lies on a
+    # cycle of arcs.  up[i] is the place in `order` of order[i]'s parent.
+    order, up = [], []
+    stack = [(roots[0], None)]
+    while stack:
+        t, p = stack.pop()
+        stack.extend((c, len(order)) for c in reversed(dec.children(t)))
+        order.append(t)
+        up.append(p)
     if len(order) != len(nodes):
         violations.append("not every node is reachable from the root")
         return Report(False, None, tuple(violations))
-    # The arcs form an arborescence now, so each node's children come after
-    # it in the walk's order, and every subtree's vertices build bottom-up.
-    below = {}
-    for t in reversed(order):
-        below[t] = dec.bags[t].union(*map(below.__getitem__, dec.children(t)))
+    # The bags in preorder: the vertices below order[i] are
+    # placed[start[i]:start[i] + span[i]].
+    bags = [dec.bags[t] for t in order]
+    start, placed = [], []
+    for bag in bags:
+        start.append(len(placed))
+        placed.extend(bag)
+    span = list(map(len, bags))
+    for i in range(len(order) - 1, 0, -1):
+        span[up[i]] += span[i]
 
-    placed = [v for t in nodes for v in dec.bags[t]]
-    if len(placed) != d.n or set(placed) != d.vertex_set:
+    pos = dict(zip(placed, range(len(placed))))
+    partition = len(placed) == d.n == len(pos) and pos.keys() <= d.vertex_set
+    if partition:
+        heads = _outside(bags, up, start, span, pos, d.out_neighbours)
+        tails = None  # built when an arc first needs it
+    else:
         violations.append("bags must partition the vertex set of the digraph")
 
+    place = dict(zip(order, range(len(order))))
     for a in dec.arcs:
-        s = below[a[1]]
         g = dec.guards[a]
         if not g <= d.vertex_set:
             violations.append(f"guard of arc {a!r} mentions unknown vertices")
             continue
+        c = place[a[1]]
+        if partition:
+            at = {pos[v] for v in g}
+            if len(heads[c]) <= 1 and at.issuperset(heads[c]):
+                continue
+            if tails is None:
+                tails = _outside(bags, up, start, span, pos, d.in_neighbours)
+            if len(tails[c]) <= 1 and at.issuperset(tails[c]):
+                continue
+        s = frozenset(placed[start[c]:start[c] + span[c]])
         bad = round_trips(d, s - g, g) - s
         if bad:
             violations.append(
@@ -154,6 +203,37 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
     if violations:
         return Report(False, None, tuple(violations))
     return Report(True, dec.width(), ())
+
+
+def _outside(bags, up, start, span, pos, neighbours) -> list:
+    """For the i-th node of a preorder, with bag bags[i] and parent
+    up[i], the positions of the vertices outside its subtree that
+    `neighbours` gives for a vertex inside it: all of them when there is at
+    most one, else two or more of them.  The vertices are placed bag by bag
+    in that preorder, so those of the i-th subtree hold the positions
+    [start[i], start[i] + span[i]).
+
+    Bottom-up, each node keeps the two least positions below its interval
+    and the two greatest above it, and hands them to its parent.  A
+    parent's interval holds its children's, so a child's least positions
+    below its own interval are the ones that can still lie below the
+    parent's, and likewise above.  Each vertex's neighbours are read once,
+    and each node hands up at most four positions, so the pass is O(n + m).
+    """
+    ends = [[pos[w] for u in bag for w in neighbours(u)] for bag in bags]
+    for i in range(len(bags) - 1, -1, -1):
+        lo = start[i]
+        hi = lo + span[i]
+        low = {p for p in ends[i] if p < lo}
+        if len(low) > 2:
+            low = heapq.nsmallest(2, low)
+        high = {p for p in ends[i] if p >= hi}
+        if len(high) > 2:
+            high = heapq.nlargest(2, high)
+        ends[i] = [*low, *high]
+        if i:
+            ends[up[i]] += ends[i]
+    return ends
 
 
 @dataclass(frozen=True)
@@ -189,7 +269,11 @@ class _ReplayState:
 
     Vertices never disappear: contractions merge them into classes, and every
     script step may name any member of a class.  The representative of a class
-    is its smallest label.  The current digraph lives on the representatives
+    is its smallest label, and `members` maps it to the class, a set that
+    later merges change in place.  A contraction moves the members of the
+    smaller class into the larger one's set and slot, and only the slot
+    notes the least label, so each vertex moves O(log n) times and `rep()`
+    reads two lists.  The current digraph lives on the representatives
     as an adjacency index: `out[r]` and `inn[r]` hold the representatives
     joined to r by an edge leaving or entering r.  A contraction moves only
     the edges of the class that stops being represented, so a step costs
@@ -203,8 +287,9 @@ class _ReplayState:
 
     def __init__(self, d: Digraph):
         self.base = d
-        self.rep_of = list(range(d.n))
-        self.members = {v: frozenset({v}) for v in range(d.n)}
+        self.slot = list(range(d.n))
+        self.least = list(range(d.n))
+        self.members = {v: {v} for v in range(d.n)}
         self.out = {v: set(d.out_neighbours(v)) for v in range(d.n)}
         self.inn = {v: set(d.in_neighbours(v)) for v in range(d.n)}
         self.root = list(range(d.n))
@@ -216,7 +301,7 @@ class _ReplayState:
         return frozenset((a, b) for a, heads in self.out.items() for b in heads)
 
     def rep(self, v: int) -> int:
-        return self.rep_of[v]
+        return self.least[self.slot[v]]
 
     def apply(self, steps) -> None:
         n = self.base.n
@@ -231,7 +316,7 @@ class _ReplayState:
                 raise ValueError(f"step {step!r} is not a (kind, tail, head) triple") from None
             if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
                 raise ValueError(f"step {step} names an unknown vertex")
-            ra, rb = self.rep_of[a], self.rep_of[b]
+            ra, rb = self.rep(a), self.rep(b)
             if ra == rb:
                 raise ValueError(f"step {step} joins a vertex with itself")
             if rb not in self.out[ra]:
@@ -253,10 +338,16 @@ class _ReplayState:
             self.steps.append(step)
 
     def _merge(self, keep: int, gone: int) -> None:
-        merged = self.members.pop(gone) | self.members[keep]
-        self.members[keep] = merged
-        for v in merged:
-            self.rep_of[v] = keep
+        into, moved = self.members[keep], self.members.pop(gone)
+        slot = self.slot[keep]
+        if len(into) < len(moved):
+            into, moved = moved, into
+            slot = self.slot[gone]
+        for v in moved:
+            self.slot[v] = slot
+        into |= moved
+        self.members[keep] = into
+        self.least[slot] = keep
         merge_into(self.out, self.inn, keep, gone)
 
 

@@ -111,10 +111,12 @@ def _report_lines(lines, verdict_key, verdict, report):
 
 
 def _load_decomposition_document(path: str, d):
+    """The document's records, and d's digest for the output header."""
     kv, records = _guarded(read_document, _read_file(path))
-    if "digraph" in kv and kv["digraph"] != digraph_hash(d):
+    digest = digraph_hash(d)
+    if "digraph" in kv and kv["digraph"] != digest:
         _die("decomposition was produced for a different digraph")
-    return kv, records
+    return records, digest
 
 
 @click.group()
@@ -221,10 +223,10 @@ def cmd_validate_dtd(digraph_file, decomposition_file, output_format):
     """Validate a directed tree decomposition against its digraph."""
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
-    _, records = _load_decomposition_document(decomposition_file, d)
+    records, digest = _load_decomposition_document(decomposition_file, d)
     dec = _guarded(parse_dtd, records, name_to_id)
     report = _guarded(decomp.validate_dtd, d, dec)
-    lines = header_lines("validate-dtd", digraph=d)
+    lines = header_lines("validate-dtd", digest=digest)
     _report_lines(lines, "kind", "dtd", report)
     _emit(lines)
     sys.exit(0 if report.valid else 1)
@@ -239,10 +241,10 @@ def cmd_validate_dbd(digraph_file, decomposition_file, cap, output_format):
     """Validate a directed branch decomposition against its digraph."""
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
-    _, records = _load_decomposition_document(decomposition_file, d)
+    records, digest = _load_decomposition_document(decomposition_file, d)
     dec = _guarded(parse_dbd, records, name_to_id)
     report = _guarded(decomp.validate_dbd, d, dec, cap=cap)
-    lines = header_lines("validate-dbd", cap=cap, digraph=d)
+    lines = header_lines("validate-dbd", cap=cap, digest=digest)
     _report_lines(lines, "kind", "dbd", report)
     _emit(lines)
     sys.exit(0 if report.valid else 1)
@@ -258,7 +260,7 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, output_format):
     """Convert decompositions: dtd to dbd, dbd to hbd, dtd to ghd."""
     d, names = _load_digraph(digraph_file)
     name_to_id = {name: i for i, name in enumerate(names)}
-    _, records = _load_decomposition_document(decomposition_file, d)
+    records, digest = _load_decomposition_document(decomposition_file, d)
     dec = _guarded(parse_dbd if target == "hbd" else parse_dtd, records, name_to_id)
     if target == "hbd":
         report = _guarded(decomp.validate_dbd, d, dec, cap=cap)
@@ -275,7 +277,7 @@ def cmd_convert(digraph_file, decomposition_file, target, cap, output_format):
     else:
         out = _guarded(decomp.dtd_to_ghd, d, dec, cap)
         body, width = format_ghd(out), out.width
-    lines = header_lines("convert", cap=cap, digraph=d)
+    lines = header_lines("convert", cap=cap, digest=digest)
     lines.append(f"convert={target}")
     lines.append(f"width={width}")
     _note(output_format, lines, f"converted to a {target} of width {width}")

@@ -215,7 +215,7 @@ def _minor_witness(d: Digraph, sdec: SDecomposition) -> MinorWitness:
             f"a step must leave the digraph it was tried on: {_edge_list(state.base)}"
         )
     kind, length, embedding = found
-    branch = {p: state.members[labels[v]] for p, v in enumerate(embedding)}
+    branch = {p: frozenset(state.members[labels[v]]) for p, v in enumerate(embedding)}
     return MinorWitness(
         kind=kind,
         length=length,

@@ -37,8 +37,9 @@ def parse_digraph(text: str) -> tuple[Digraph, tuple]:
     """Read an edge list, one `u v` pair per line with `#` comments.
 
     Vertex ids may be non-negative integers or bare identifiers; both are
-    mapped to dense ids in first-seen order.  Returns the digraph together
-    with the original names indexed by dense id.
+    mapped to dense ids in first-seen order, and checked against the id
+    pattern when first seen.  Returns the digraph together with the
+    original names indexed by dense id.
     """
     ids: dict = {}
     names: list = []
@@ -54,9 +55,9 @@ def parse_digraph(text: str) -> tuple[Digraph, tuple]:
             )
         pair = []
         for tok in tokens:
-            if not _TOKEN.fullmatch(tok):
-                raise ParseError(line_no, f"bad vertex id {tok!r}")
             if tok not in ids:
+                if not _TOKEN.fullmatch(tok):
+                    raise ParseError(line_no, f"bad vertex id {tok!r}")
                 ids[tok] = len(names)
                 names.append(tok)
             pair.append(ids[tok])

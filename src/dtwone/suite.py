@@ -153,6 +153,71 @@ def random_hypergraph(rng, max_vertices, max_edges):
     return hypergraph_from_edges(edges)
 
 
+def bidirected_path(n):
+    """The path 0 - 1 - ... - n-1, every edge a digon."""
+    return bidirect(n, [(v - 1, v) for v in range(1, n)])
+
+
+def bidirected_star(n):
+    """The star with centre 0, every edge a digon."""
+    return bidirect(n, [(0, v) for v in range(1, n)])
+
+
+def bidirected_caterpillar(n):
+    """A spine 0 - 1 - ... of (n + 1) // 2 vertices, and the other vertices
+    each a leaf on its own spine vertex, every edge a digon."""
+    spine = (n + 1) // 2
+    legs = [(v - spine, v) for v in range(spine, n)]
+    return bidirect(n, [(v - 1, v) for v in range(1, spine)] + legs)
+
+
+def bidirected_spider(n):
+    """Three legs from centre 0, vertex v joining v - 3 (or 0), every edge a
+    digon."""
+    return bidirect(n, [(max(v - 3, 0), v) for v in range(1, n)])
+
+
+def plus_triangle(d):
+    """d plus the digon between the two least neighbours of its least
+    vertex with two: on a bidirected tree, NO by a bidirected triangle."""
+    v = next(v for v in range(d.n) if len(d.out_neighbours(v)) >= 2)
+    a, c = d.out_neighbours(v)[:2]
+    return digraph_from_edges(d.n, d.edges | {(a, c), (c, a)})
+
+
+def bicycle_with_chord(k):
+    """`Bicycle(k)` plus the chord 0 -> k // 2, for k >= 4: NO."""
+    return digraph_from_edges(k, bicycle(k).edges | {(0, k // 2)})
+
+
+def tournament_with_back_path(n):
+    """The transitive tournament i -> j for i < j, plus the back path
+    i + 1 -> i: YES, with about n^2 / 2 edges."""
+    edges = [(i, j) for j in range(n) for i in range(j)]
+    return digraph_from_edges(n, edges + [(v, v - 1) for v in range(1, n)])
+
+
+TREE_SHAPES = {
+    "path": bidirected_path,
+    "star": bidirected_star,
+    "caterpillar": bidirected_caterpillar,
+    "spider": bidirected_spider,
+}
+
+
+def shape_families(n):
+    """The fixed shape families at n >= 4 vertices, as (label, digraph,
+    verdict): each bidirected tree shape (YES) and the same plus a triangle
+    (NO), `Bicycle(n)` with its chord (NO), and the transitive tournament
+    plus its back path (YES)."""
+    for shape, build in TREE_SHAPES.items():
+        tree = build(n)
+        yield shape, tree, "YES"
+        yield f"{shape}+triangle", plus_triangle(tree), "NO"
+    yield "bicycle+chord", bicycle_with_chord(n), "NO"
+    yield "tournament+back-path", tournament_with_back_path(n), "YES"
+
+
 _ISO_CLASS_COUNTS = {1: 1, 2: 1, 3: 5, 4: 83, 5: 5048}
 
 

@@ -10,6 +10,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 import dtwone
 from dtwone.check import (
     Dtw1Certificate,
+    _ReplayState,
     _roots,
     minor_haven_is_monotone,
     on_every_path,
@@ -25,13 +27,17 @@ from dtwone.check import (
     verify_witness,
 )
 from dtwone.digraph import (
+    Digraph,
     a4_digraph,
     bicycle,
+    bidirect,
     digraph_from_edges,
     strong_component_of,
 )
-from dtwone.dtw1 import recognize_dtw1
-from test_digraph import random_strongly_connected, tree_plus_triangle
+from dtwone.dtw1 import recognize_dtw1, shore_contraction_script
+from dtwone.suite import TREE_SHAPES, bidirected_path, tournament_with_back_path
+from test_decomp import tree_dtd
+from test_digraph import random_strongly_connected, random_tree_edges, tree_plus_triangle
 
 LOADED = """
 import sys
@@ -258,3 +264,72 @@ class TestMinorHavenAgreesWithTheWalks:
             moved = {**roots, **dict(zip(least, chosen))}
             assert minor_haven_is_monotone(d, branch, moved) == (
                 reference_minor_haven_is_monotone(d, branch, moved)), moved
+
+
+class BoundedWrites(list):
+    """A list that fails its test on the write after the last of `budget`."""
+
+    def __init__(self, items, budget):
+        super().__init__(items)
+        self.budget = budget
+
+    def __setitem__(self, index, value):
+        self.budget -= 1
+        assert self.budget >= 0, "more writes than the budget"
+        super().__setitem__(index, value)
+
+
+class TestLinearChecks:
+    """Checking a certificate costs no more than reading it, on shapes whose
+    decompositions or scripts are as deep as the digraph."""
+
+    def test_yes_adjacency_reads_stay_linear(self, monkeypatch):
+        """A YES check reads each vertex's out- and in-list once at most,
+        whatever the depth of the decomposition, for n = 8, 64 and 512: the
+        tree shapes and a random tree (v joins a random earlier vertex),
+        with one node per vertex and, up to 64, the recogniser's
+        decomposition; and the tournament with its back path on the chain
+        from n - 1 down to 0, whose arcs pass only on the edges entering
+        each subtree.  A walk of each arc's subtree would read a path's
+        vertices about n / 2 times each."""
+        cases = []
+        for n in (8, 64, 512):
+            trees = [build(n) for build in TREE_SHAPES.values()]
+            trees.append(bidirect(n, random_tree_edges(random.Random(n), n)))
+            for d in trees:
+                cases.append((d, tree_dtd(d)))
+                if n <= 64:
+                    cases.append((d, recognize_dtw1(d).decomposition))
+            cases.append((tournament_with_back_path(n), tree_dtd(bidirected_path(n), n - 1)))
+        reads = Counter()
+
+        def counted(read):
+            def counting(self, u):
+                reads[u] += 1
+                return read(self, u)
+            return counting
+
+        for name in ("out_neighbours", "in_neighbours"):
+            monkeypatch.setattr(Digraph, name, counted(getattr(Digraph, name)))
+        for d, dec in cases:
+            reads.clear()
+            report = verify_certificate(d, Dtw1Certificate("YES", dec, None))
+            assert report.valid and report.width == 1
+            assert max(reads.values()) <= 2, (d.n, reads.most_common(3))
+            assert sum(reads.values()) <= 2 * d.n, (d.n, sum(reads.values()))
+
+    def test_a_chain_of_contractions_relabels_one_vertex_per_merge(self):
+        """Contracting a 16,384-vertex path onto either end merges a single
+        vertex into the growing class at each step, so a smaller-into-larger
+        merge relabels one vertex per contraction; relabelling the whole
+        merged class would take about n^2 / 2 writes."""
+        n = 16_384
+        d = bidirected_path(n)
+        for cut in (0, n - 1):
+            steps = shore_contraction_script(_ReplayState(d), range(n), cut)
+            state = _ReplayState(d)
+            contractions = sum(kind == "contract" for kind, _, _ in steps)
+            state.slot = BoundedWrites(state.slot, contractions)
+            state.apply(steps)
+            assert state.members == {0: set(range(n))}
+            assert state.slot.budget == 0

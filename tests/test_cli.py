@@ -235,6 +235,38 @@ class TestValidateCommands:
         assert res.exit_code == 0
         assert "result=valid" in res.output
 
+    @pytest.mark.parametrize(
+        "command, source, extra",
+        [
+            ("validate-dtd", "dtd", []),
+            ("validate-dbd", "dbd", []),
+            ("convert", "dtd", ["dbd"]),
+            ("convert", "dtd", ["ghd"]),
+            ("convert", "dbd", ["hbd"]),
+        ],
+        ids=["validate-dtd", "validate-dbd", "convert-dbd", "convert-ghd", "convert-hbd"],
+    )
+    def test_hashes_the_digraph_once(
+        self, runner, digon_file, tmp_path, monkeypatch, command, source, extra
+    ):
+        """The digest that matched the document's is the one written."""
+        doc = tmp_path / "digon.doc"
+        doc.write_text(runner.invoke(main, ["recognize", digon_file]).output)
+        if source == "dbd":
+            doc.write_text(runner.invoke(main, ["convert", digon_file, str(doc), "dbd"]).output)
+        calls = []
+
+        def counting(d):
+            calls.append(d)
+            return digraph_hash(d)
+
+        monkeypatch.setattr("dtwone.cli.digraph_hash", counting)
+        monkeypatch.setattr("dtwone.formats.digraph_hash", counting)
+        res = runner.invoke(main, [command, digon_file, str(doc), *extra])
+        assert res.exit_code == 0, res.output
+        assert len(calls) == 1
+        assert f"digraph={digraph_hash(calls[0])}" in res.output.splitlines()
+
     def test_hash_mismatch_exit_two(self, runner, digon_file, b3_file, tmp_path):
         cert = tmp_path / "digon.cert"
         cert.write_text(runner.invoke(main, ["recognize", digon_file]).output)

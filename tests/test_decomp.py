@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from dtwone import decomp
+from dtwone import check, decomp
 from dtwone.check import DirectedTreeDecomposition, Report, validate_dtd
 from dtwone.cycles import cut, cycle_hypergraph, min_hitting_set
 from dtwone.decomp import (
@@ -29,15 +29,22 @@ from dtwone.decomp import (
     validate_hd,
 )
 from dtwone.digraph import (
+    _bfs_arcs,
     a4_digraph,
     bicycle,
     bidirect,
     digraph_from_edges,
     directed_cycle_digraph,
 )
-from dtwone.dtw1 import recognize_dtw1
+from dtwone.dtw1 import hypertree_route, recognize_dtw1
 from dtwone.hypergraph import Hypergraph, dual, hypergraph_from_edges
-from dtwone.suite import exhaustive_optimal_dbd, random_hypergraph, strongly_connected_up_to_iso
+from dtwone.suite import (
+    bidirected_path,
+    exhaustive_optimal_dbd,
+    random_hypergraph,
+    shape_families,
+    strongly_connected_up_to_iso,
+)
 from test_digraph import random_strongly_connected, random_tree_edges, reference_reach
 
 
@@ -48,6 +55,18 @@ def digon():
 def single_node_dtd(d):
     return DirectedTreeDecomposition(
         nodes=(0,), arcs=(), bags={0: frozenset(range(d.n))}, guards={}
+    )
+
+
+def tree_dtd(d, root=0):
+    """One node per vertex, hung on d's breadth-first tree from root, each
+    arc guarded by its parent: width one when d is a bidirected tree."""
+    order, arcs = _bfs_arcs(root, d.out_neighbours)
+    return DirectedTreeDecomposition(
+        nodes=tuple(order),
+        arcs=tuple(arcs),
+        bags={v: frozenset({v}) for v in order},
+        guards={(p, c): frozenset({p}) for (p, c) in arcs},
     )
 
 
@@ -275,6 +294,36 @@ class TestValidateDtdReference:
                 missed += any("misses a walk" in v for v in got.violations)
                 wider += got.valid and got.width > 1
         assert valid >= 1_000 and missed >= 500 and wider >= 500, (valid, missed, wider)
+
+    def test_shape_families_match_the_per_arc_walks(self, monkeypatch):
+        """The one-way test changes no report: the shape families with the
+        recogniser's and the host tree's decompositions, their leaf shapes,
+        one node per vertex on a chain and on a breadth-first tree, and the
+        mutants of each.  Both the test and the walks that settle the
+        other arcs run on many arcs."""
+        rng = random.Random(432)
+        cases = []
+        for n in (4, 6, 9):
+            chain = tree_dtd(bidirected_path(n))
+            for _, d, verdict in shape_families(n):
+                decs = [single_node_dtd(d), chain, tree_dtd(d)]
+                if verdict == "YES":
+                    own = recognize_dtw1(d).decomposition
+                    route = hypertree_route(d).decomposition
+                    decs += [own, route, dtd_to_leaf_dtd(d, own), dtd_to_leaf_dtd(d, route)]
+                cases += [(d, m) for dec in decs for m in mutated_dtds(rng, dec, d)]
+        walks = []
+        walk = check.round_trips
+        monkeypatch.setattr(
+            check, "round_trips", lambda *args: walks.append(args) or walk(*args)
+        )
+        arcs = missed = 0
+        for d, dec in cases:
+            got = validate_dtd(d, dec)
+            assert got == reference_validate_dtd(d, dec), (sorted(d.edges), dec)
+            arcs += len(dec.arcs)
+            missed += any("misses a walk" in v for v in got.violations)
+        assert missed >= 1_000 and 1_000 <= len(walks) <= arcs * 3 // 4, (missed, len(walks), arcs)
 
     def test_gammas_are_the_arc_scan(self):
         rng = random.Random(431)
