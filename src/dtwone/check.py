@@ -23,7 +23,6 @@ from functools import cached_property
 
 from .digraph import (
     Digraph,
-    _bfs_arcs,
     a4_digraph,
     bicycle,
     merge_into,
@@ -76,12 +75,6 @@ class DirectedTreeDecomposition:
 
     def children(self, t):
         return self._children.get(t, ())
-
-    def subtree_nodes(self, t):
-        return tuple(_bfs_arcs(t, self.children)[0])
-
-    def subtree_vertices(self, t):
-        return frozenset().union(*(self.bags[s] for s in self.subtree_nodes(t)))
 
     @cached_property
     def _gammas(self):

@@ -132,7 +132,7 @@ def cmd_recognize(digraph_file, output_format):
     """Decide directed treewidth one; print a certificate either way."""
     d, names = _load_digraph(digraph_file)
     cert = _guarded(recognize_dtw1, d)
-    lines = header_lines("recognize", digraph=d)
+    lines = header_lines("recognize", digest=digraph_hash(d))
     if cert.verdict == "YES":
         _note(output_format, lines, "directed treewidth one: the decomposition below "
                                     "has width 1")
@@ -180,7 +180,7 @@ def cmd_cycles(digraph_file, cap, output_format):
     """Enumerate the simple directed cycles, one `c ...` line each."""
     d, names = _load_digraph(digraph_file)
     ch = _guarded(cycle_hypergraph, d, cap)
-    lines = header_lines("cycles", cap=cap, digraph=d)
+    lines = header_lines("cycles", cap=cap, digest=digraph_hash(d))
     lines.append(f"count={len(ch.cycles)}")
     _note(output_format, lines, f"{len(ch.cycles)} simple directed cycle(s) in "
                                 f"canonical rotation")
@@ -294,7 +294,7 @@ def cmd_game(digraph_file, cops, output_format):
     """Solve the robber game with the given cop budget; print one play."""
     d, names = _load_digraph(digraph_file)
     result = _guarded(solve_game, d, cops)
-    lines = header_lines("game", digraph=d)
+    lines = header_lines("game", digest=digraph_hash(d))
     lines.append(f"cops={cops}")
     lines.append(f"cops_win={'true' if result.cops_win else 'false'}")
     if result.cops_win:

@@ -13,6 +13,7 @@ decomposition of the dual (`dbd_to_hbd`), and dtd → ghd (`dtd_to_ghd`)."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import cache, cached_property
 
@@ -109,11 +110,9 @@ class BranchDecomposition:
             {tuple(sorted(e)): frozenset(s) for e, s in self.edge_sets.items()},
         )
 
-    def degree(self, t):
-        return sum(1 for e in self.edges if t in e)
-
     def leaves(self):
-        return tuple(t for t in self.nodes if self.degree(t) <= 1)
+        degree = Counter(t for e in self.edges for t in e)
+        return tuple(t for t in self.nodes if degree[t] <= 1)
 
     @cached_property
     def _sides(self):
@@ -551,22 +550,24 @@ def dtd_to_leaf_dtd(
     assert report.valid, f"input decomposition invalid: {report.violations}"
     (root,) = set(dec.nodes).difference(c for (_, c) in dec.arcs)
     orig_gamma = {t: dec.gamma_at(t) for t in dec.nodes}
+    least = {}  # node -> the least vertex below it, if there is one
+    for t in reversed(_bfs_arcs(root, dec.children)[0]):
+        below = [*dec.bags[t], *(least[c] for c in dec.children(t) if c in least)]
+        if below:
+            least[t] = min(below)
 
     bags = {}
     arcs = []
     guards = {}
     spine_count = {}
-    for t in dec.nodes:
-        keep = not dec.children(t) and len(dec.bags[t]) == 1
-        bags[("node", t)] = dec.bags[t] if keep else frozenset()
 
     def child_key(token):
         """Leaves and child subtrees by their least vertex; children whose
         subtrees hold no vertex last, by name."""
         if token[0] == "leaf":
             return (0, token[2], "")
-        vs = dec.subtree_vertices(token[1])
-        return (0, min(vs), "") if vs else (1, 0, str(token[1]))
+        t = token[1]
+        return (0, least[t], "") if t in least else (1, 0, str(t))
 
     def attach(parent, source, tokens, allowed):
         while len(tokens) > allowed:
@@ -592,9 +593,11 @@ def dtd_to_leaf_dtd(
             guards[(parent, child)] = dec.guards[(source, child[1])]
 
     for t in dec.nodes:
-        keep = not dec.children(t) and len(dec.bags[t]) == 1
         tokens = [("node", c) for c in dec.children(t)]
-        if not keep:
+        if not tokens and len(dec.bags[t]) == 1:
+            bags[("node", t)] = dec.bags[t]
+        else:
+            bags[("node", t)] = frozenset()
             for v in sorted(dec.bags[t]):
                 leaf = ("leaf", t, v)
                 bags[leaf] = frozenset({v})
@@ -602,29 +605,23 @@ def dtd_to_leaf_dtd(
         tokens.sort(key=child_key)
         attach(("node", t), t, tokens, 3 if t == root else 2)
 
-    # prune childless empty nodes and empty single-child roots
+    # keep the nodes with a vertex below them; descend past empty
+    # single-child roots
     children = {}
     for (p, c) in arcs:
         children.setdefault(p, []).append(c)
-    alive = set(bags)
     root_token = ("node", root)
-    changed = True
-    while changed:
-        changed = False
-        for t in sorted(alive, key=str):
-            live_kids = [c for c in children.get(t, ()) if c in alive]
-            if t != root_token and not live_kids and not bags[t]:
-                alive.remove(t)
-                changed = True
-        live_kids = [c for c in children.get(root_token, ()) if c in alive]
-        if not bags[root_token] and len(live_kids) == 1:
-            alive.remove(root_token)
-            root_token = live_kids[0]
-            changed = True
+    holds = set()
+    for t in reversed(_bfs_arcs(root_token, lambda u: children.get(u, ()))[0]):
+        if bags[t] or any(c in holds for c in children.get(t, ())):
+            holds.add(t)
 
-    order, kept = _bfs_arcs(
-        root_token, lambda t: [c for c in children.get(t, ()) if c in alive]
-    )
+    def live(t):
+        return [c for c in children.get(t, ()) if c in holds]
+
+    while not bags[root_token] and len(live(root_token)) == 1:
+        (root_token,) = live(root_token)
+    order, kept = _bfs_arcs(root_token, live)
     rename = {t: i for i, t in enumerate(order)}
     out = DirectedTreeDecomposition(
         nodes=tuple(range(len(order))),

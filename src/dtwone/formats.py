@@ -127,18 +127,15 @@ class _KeyValues(dict):
         self.line = {}
 
 
-def header_lines(command: str, seed=None, cap=None, digraph=None, digest=None) -> list:
-    """The versioned header opening every emitted document; `seed` and `cap`
-    appear only when given, for the commands that read them.  The digraph's
-    line holds `digest`, the `digraph_hash` a caller already took, or else
-    the hash of `digraph`."""
+def header_lines(command: str, seed=None, cap=None, digest=None) -> list:
+    """The versioned header opening every emitted document; `seed`, `cap`
+    and the input digraph's `digest` (its `digraph_hash`) appear only when
+    given, for the commands that read them."""
     out = [FORMAT_VERSION, f"command={command}"]
     if seed is not None:
         out.append(f"seed={seed}")
     if cap is not None:
         out.append(f"cap={cap}")
-    if digest is None and digraph is not None:
-        digest = digraph_hash(digraph)
     if digest is not None:
         out.append(f"digraph={digest}")
     return out
@@ -321,14 +318,6 @@ def parse_hypergraph(text: str) -> Hypergraph:
         if v not in covered:
             raise ParseError(None, f"vertex {v!r} lies in no hyperedge")
     return Hypergraph(tuple(vertices), tuple(edges))
-
-
-def format_hypergraph(h: Hypergraph) -> list:
-    pos = {v: i for i, v in enumerate(h.vertices)}
-    out = ["v " + " ".join(str(v) for v in h.vertices)] if h.vertices else []
-    for e in h.edges:
-        out.append("e " + " ".join(str(v) for v in sorted(e, key=pos.get)))
-    return out
 
 
 # ------------------------------------------------------------------ cycles

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional
 
-from .cycles import CycleChain, CycleHypergraph, cut, cycle_hypergraph, min_hitting_set
+from .cycles import CycleChain, CycleHypergraph
+from .cycles import cycle_hypergraph  # noqa: F401  (bench/tracer.py wraps this binding)
 from .decomp import validate_dbd
 from .digraph import (
     Digraph,
@@ -223,12 +224,10 @@ def strategy_from_dbd(d: Digraph, dec) -> CopStrategy:
         only = dec.nodes[0]
         return CopStrategy(budget=1, initial=frozenset({dec.leaf_label[only]}), table={})
 
-    ch = cycle_hypergraph(d)
-    hits = {}
-    for e in dec.edges:
-        hits[e] = min_hitting_set(ch, cut(ch, dec.side(e, e[0])))
-    k = max(len(s) for s in hits.values())
-    budget = max(3 * k, 1)
+    # validate_dbd accepted each edge set as a minimum hitting set of the
+    # cycles crossing its edge, which is all the walk needs.
+    hits = dec.edge_sets
+    budget = max(3 * dec.width(), 1)
 
     adj = {t: [] for t in dec.nodes}
     for u, v in dec.edges:

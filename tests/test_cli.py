@@ -395,6 +395,24 @@ OPTIONS = {
 }
 
 
+@pytest.mark.parametrize("command, extra", [("recognize", []), ("cycles", []), ("game", ["2"])])
+def test_digraph_commands_hash_once(runner, b3_file, monkeypatch, command, extra):
+    """`recognize`, `cycles` and `game` hash their digraph once, in the
+    command, and write that digest."""
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return digraph_hash(d)
+
+    monkeypatch.setattr("dtwone.cli.digraph_hash", counting)
+    monkeypatch.setattr("dtwone.formats.digraph_hash", counting)
+    res = runner.invoke(main, [command, b3_file, *extra])
+    assert res.exit_code in (0, 1), res.output
+    assert len(calls) == 1
+    assert f"digraph={digraph_hash(calls[0])}" in res.output.splitlines()
+
+
 class TestOptionTable:
     def test_each_command_takes_only_the_options_it_reads(self):
         assert set(main.commands) == set(OPTIONS)

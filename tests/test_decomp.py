@@ -181,6 +181,14 @@ class TestValidateDtd:
         assert not validate_dtd(d, mutated).valid
 
 
+def subtree_nodes(dec, t):
+    return _bfs_arcs(t, dec.children)[0]
+
+
+def subtree_vertices(dec, t):
+    return frozenset().union(*(dec.bags[s] for s in subtree_nodes(dec, t)))
+
+
 def reference_validate_dtd(d, dec):
     """`validate_dtd` as it was when each arc walked its own subtree and
     each node's Γ scanned every arc."""
@@ -210,7 +218,7 @@ def reference_validate_dtd(d, dec):
         violations.append("expected exactly one root")
     if violations:
         return Report(False, None, tuple(violations))
-    if len(dec.subtree_nodes(roots[0])) != len(nodes):
+    if len(subtree_nodes(dec, roots[0])) != len(nodes):
         violations.append("not every node is reachable from the root")
         return Report(False, None, tuple(violations))
     union = set()
@@ -221,7 +229,7 @@ def reference_validate_dtd(d, dec):
     if union != set(range(d.n)) or total != d.n:
         violations.append("bags must partition the vertex set of the digraph")
     for a in dec.arcs:
-        s = dec.subtree_vertices(a[1])
+        s = subtree_vertices(dec, a[1])
         g = dec.guards[a]
         if not g <= set(range(d.n)):
             violations.append(f"guard of arc {a!r} mentions unknown vertices")
@@ -425,6 +433,110 @@ class TestDtdChildren:
             assert dec.children("absent") == ()
 
 
+def reference_dtd_to_leaf_dtd(d, dec):
+    """`dtd_to_leaf_dtd` as it was when each child token walked its whole
+    subtree for its least vertex and a fixpoint loop pruned the new tree."""
+    report = validate_dtd(d, dec)
+    assert report.valid, f"input decomposition invalid: {report.violations}"
+    (root,) = set(dec.nodes).difference(c for (_, c) in dec.arcs)
+    orig_gamma = {t: dec.gamma_at(t) for t in dec.nodes}
+
+    bags = {}
+    arcs = []
+    guards = {}
+    spine_count = {}
+    for t in dec.nodes:
+        keep = not dec.children(t) and len(dec.bags[t]) == 1
+        bags[("node", t)] = dec.bags[t] if keep else frozenset()
+
+    def child_key(token):
+        """Leaves and child subtrees by their least vertex; children whose
+        subtrees hold no vertex last, by name."""
+        if token[0] == "leaf":
+            return (0, token[2], "")
+        vs = subtree_vertices(dec, token[1])
+        return (0, min(vs), "") if vs else (1, 0, str(token[1]))
+
+    def attach(parent, source, tokens, allowed):
+        while len(tokens) > allowed:
+            head, tokens = tokens[: allowed - 1], tokens[allowed - 1 :]
+            for c in head:
+                link(parent, source, c)
+            i = spine_count.get(source, 0)
+            spine_count[source] = i + 1
+            s = ("spine", source, i)
+            bags[s] = frozenset()
+            arcs.append((parent, s))
+            guards[(parent, s)] = orig_gamma[source]
+            parent = s
+            allowed = 2
+        for c in tokens:
+            link(parent, source, c)
+
+    def link(parent, source, child):
+        arcs.append((parent, child))
+        if child[0] == "leaf":
+            guards[(parent, child)] = dec.bags[source]
+        else:
+            guards[(parent, child)] = dec.guards[(source, child[1])]
+
+    for t in dec.nodes:
+        keep = not dec.children(t) and len(dec.bags[t]) == 1
+        tokens = [("node", c) for c in dec.children(t)]
+        if not keep:
+            for v in sorted(dec.bags[t]):
+                leaf = ("leaf", t, v)
+                bags[leaf] = frozenset({v})
+                tokens.append(leaf)
+        tokens.sort(key=child_key)
+        attach(("node", t), t, tokens, 3 if t == root else 2)
+
+    # prune childless empty nodes and empty single-child roots
+    children = {}
+    for (p, c) in arcs:
+        children.setdefault(p, []).append(c)
+    alive = set(bags)
+    root_token = ("node", root)
+    changed = True
+    while changed:
+        changed = False
+        for t in sorted(alive, key=str):
+            live_kids = [c for c in children.get(t, ()) if c in alive]
+            if t != root_token and not live_kids and not bags[t]:
+                alive.remove(t)
+                changed = True
+        live_kids = [c for c in children.get(root_token, ()) if c in alive]
+        if not bags[root_token] and len(live_kids) == 1:
+            alive.remove(root_token)
+            root_token = live_kids[0]
+            changed = True
+
+    order, kept = _bfs_arcs(
+        root_token, lambda t: [c for c in children.get(t, ()) if c in alive]
+    )
+    rename = {t: i for i, t in enumerate(order)}
+    out = DirectedTreeDecomposition(
+        nodes=tuple(range(len(order))),
+        arcs=tuple((rename[p], rename[c]) for (p, c) in kept),
+        bags={rename[t]: bags[t] for t in order},
+        guards={(rename[p], rename[c]): guards[(p, c)] for (p, c) in kept},
+    )
+    check = validate_dtd(d, out)
+    assert check.valid, f"leaf construction went invalid: {check.violations}"
+    assert check.width <= report.width, "leaf construction may not widen"
+    leaf_nodes = [t for t in out.nodes if not out.children(t)]
+    assert all(len(out.bags[t]) == 1 for t in leaf_nodes)
+    assert all(
+        not out.bags[t] for t in out.nodes if out.children(t)
+    ), "internal bags must be empty"
+    degree = {t: 0 for t in out.nodes}
+    for (p, c) in out.arcs:
+        degree[p] += 1
+        degree[c] += 1
+    assert all(degree[t] <= 3 for t in out.nodes), "tree must be subcubic"
+    return out
+
+
 class TestLeafDtd:
     def test_digon_becomes_three_node_path(self):
         d = digon()
@@ -478,6 +590,79 @@ class TestLeafDtd:
         out = dtd_to_leaf_dtd(d, dec)
         report = validate_dtd(d, out)
         assert report.valid and report.width <= 2
+
+
+def empty_children_dtd(root_bag, child_bags, guard=()):
+    """A root over one child per entry of child_bags, numbered from 1; every
+    arc has the same guard."""
+    kids = range(1, len(child_bags) + 1)
+    return DirectedTreeDecomposition(
+        nodes=(0, *kids),
+        arcs=tuple((0, c) for c in kids),
+        bags={0: frozenset(root_bag), **{c: frozenset(b) for c, b in zip(kids, child_bags)}},
+        guards={(0, c): frozenset(guard) for c in kids},
+    )
+
+
+class TestLeafDtdReference:
+    def assert_matches(self, d, dec):
+        got, ref = dtd_to_leaf_dtd(d, dec), reference_dtd_to_leaf_dtd(d, dec)
+        assert (got.nodes, got.arcs, got.bags, got.guards) == (
+            ref.nodes, ref.arcs, ref.bags, ref.guards
+        ), (sorted(d.edges), dec)
+
+    def test_shape_families_and_their_valid_mutants_match(self):
+        rng = random.Random(433)
+        compared = mutants = 0
+        for n in (4, 6, 9):
+            chain = tree_dtd(bidirected_path(n))
+            for _, d, verdict in shape_families(n):
+                decs = [single_node_dtd(d), chain, tree_dtd(d)]
+                if verdict == "YES":
+                    decs += [recognize_dtw1(d).decomposition, hypertree_route(d).decomposition]
+                for dec in decs:
+                    for i, m in enumerate(mutated_dtds(rng, dec, d)):
+                        if validate_dtd(d, m).valid:
+                            self.assert_matches(d, m)
+                            compared += 1
+                            mutants += i > 0
+        assert compared >= 450 and mutants >= 350, (compared, mutants)
+
+    def test_vertex_free_subtrees_match(self):
+        c3 = directed_cycle_digraph(3)
+        cases = [
+            # a root with three vertices over three empty children: the
+            # root's six tokens need a spine
+            (c3, empty_children_dtd({0, 1, 2}, [(), (), ()])),
+            # the spine below the first two tokens holds only empty children
+            (c3, empty_children_dtd({0}, [{1, 2}, (), (), (), ()], guard={0})),
+            # pruning the empty children leaves an empty root with one child
+            (c3, empty_children_dtd((), [{0, 1, 2}, (), ()])),
+        ]
+        for d, dec in cases:
+            self.assert_matches(d, dec)
+        out = dtd_to_leaf_dtd(*cases[1])
+        assert sorted(map(sorted, out.bags.values())) == [[], [], [0], [1], [2]]
+
+    def test_children_reads_stay_linear(self, monkeypatch):
+        """On the chain decomposition of P_n the conversion reads each
+        node's children a bounded number of times; walking every child's
+        subtree again for its least vertex read them Θ(n²) times."""
+        reads = 0
+        children = DirectedTreeDecomposition.children
+
+        def counted(dec, t):
+            nonlocal reads
+            reads += 1
+            return children(dec, t)
+
+        monkeypatch.setattr(DirectedTreeDecomposition, "children", counted)
+        for n in (64, 512):
+            d = bidirected_path(n)
+            dec = tree_dtd(d)
+            reads = 0
+            dtd_to_leaf_dtd(d, dec)
+            assert reads <= 12 * n, (n, reads)
 
 
 class TestDtdToDbd:

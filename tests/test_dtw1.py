@@ -46,6 +46,7 @@ from dtwone.dtw1 import (
 )
 from dtwone.formats import (
     ParseError,
+    digraph_hash,
     format_certificate,
     header_lines,
     parse_certificate,
@@ -1849,7 +1850,8 @@ class TestVerifyCertificate:
     def certificate_lines(self, d):
         names = tuple(str(v) for v in range(d.n))
         cert = recognize_dtw1(d)
-        return format_certificate(cert, names, header_lines("recognize", digraph=d))
+        header = header_lines("recognize", digest=digraph_hash(d))
+        return format_certificate(cert, names, header)
 
     def parse(self, d, lines):
         return parse_certificate(read_document("\n".join(lines) + "\n"),

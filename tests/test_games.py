@@ -3,20 +3,23 @@
 from __future__ import annotations
 
 import random
+from functools import cache
 
 import pytest
 
-from dtwone import digraph, games
+from dtwone import cycles, digraph, games
 from dtwone.check import minor_haven_is_monotone
-from dtwone.cycles import CycleChain, cycle_hypergraph, find_closed_chain
-from dtwone.decomp import BranchDecomposition, validate_dbd
+from dtwone.cycles import CycleChain, cut, cycle_hypergraph, find_closed_chain, min_hitting_set
+from dtwone.decomp import BranchDecomposition, dtd_to_dbd, validate_dbd
 from dtwone.digraph import (
+    _bfs_arcs,
     a4_digraph,
     all_subsets,
     bicycle,
     bidirect,
     digraph_from_edges,
     directed_cycle_digraph,
+    is_strongly_connected,
     strong_components,
 )
 from dtwone.dtw1 import minor_haven, recognize_dtw1
@@ -40,7 +43,9 @@ from dtwone.games import (
     verify_haven,
 )
 from dtwone.hypergraph import dual
+from dtwone.suite import labeled_strongly_connected
 from test_check import reference_minor_haven_is_monotone
+from test_decomp import single_node_dtd
 from test_digraph import random_strongly_connected, tree_plus_triangle
 
 
@@ -181,6 +186,100 @@ class TestDcnExact:
         assert dcn_exact(bicycle(3), 2) is None
 
 
+def reference_strategy_from_dbd(d, dec):
+    """`strategy_from_dbd` as it was when it enumerated the cycles again
+    and took a fresh minimum hitting set for every tree edge."""
+    if not is_strongly_connected(d):
+        raise ValueError("the tree-walking strategy needs a strongly connected digraph")
+    report = validate_dbd(d, dec)
+    if not report.valid:
+        raise ValueError("invalid branch decomposition: " + "; ".join(report.violations))
+
+    if len(dec.nodes) == 1:
+        only = dec.nodes[0]
+        return CopStrategy(budget=1, initial=frozenset({dec.leaf_label[only]}), table={})
+
+    ch = cycle_hypergraph(d)
+    hits = {}
+    for e in dec.edges:
+        hits[e] = min_hitting_set(ch, cut(ch, dec.side(e, e[0])))
+    k = max(len(s) for s in hits.values())
+    budget = max(3 * k, 1)
+
+    adj = {t: [] for t in dec.nodes}
+    for u, v in dec.edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    for t in adj:
+        adj[t].sort()
+
+    def tree_edge(u, v):
+        return (u, v) if u <= v else (v, u)
+
+    def guards_around(t, skip=None):
+        out = frozenset()
+        for u in adj[t]:
+            if u != skip:
+                out |= hits[tree_edge(t, u)]
+        return out
+
+    def side(t, u):
+        """Leaf vertices in the subtree hanging off u when the edge (t, u) is cut."""
+        return dec.side(tree_edge(t, u), u)
+
+    ell = min(dec.leaves(), key=lambda t: dec.leaf_label[t])
+    t0 = adj[ell][0]
+    x0 = frozenset({dec.leaf_label[ell]}) | guards_around(t0, skip=ell)
+    assert len(x0) <= budget, "opening cop set over budget"
+
+    depth = {ell: 0}
+    for t, u in _bfs_arcs(ell, adj.__getitem__)[1]:
+        depth[u] = depth[t] + 1
+
+    # The walk state is (cop set, robber component, tree cursor).  One game
+    # position can occur at several cursors with different prescribed moves;
+    # only the deepest cursor's move makes enough progress to avoid loops,
+    # so it is the one the positional table keeps.
+    best: dict = {}
+    comps = cache(_components_avoiding)
+    queue = [(x0, r, ell, t0) for r in comps(d, x0)]
+    seen = set(queue)
+    head = 0
+    while head < len(queue):
+        x, r, prev, curr = queue[head]
+        head += 1
+        while True:
+            if len(adj[curr]) == 1:
+                x2 = hits[tree_edge(prev, curr)] | frozenset({dec.leaf_label[curr]})
+                nxt = curr
+            else:
+                cands = [u for u in adj[curr] if u != prev and r <= side(curr, u)]
+                assert len(cands) == 1, "robber component must sit inside exactly one subtree"
+                nxt = cands[0]
+                if len(adj[nxt]) == 1:
+                    x2 = hits[tree_edge(curr, nxt)] | frozenset({dec.leaf_label[nxt]})
+                else:
+                    x2 = guards_around(nxt)
+            if x2 != x:
+                break
+            # identical guards on consecutive edges: the robber cannot move
+            # either, so slide down the tree without emitting a cop move
+            prev, curr = curr, nxt
+        assert len(x2) <= budget, "cop set over budget during the walk"
+        if (x, r) not in best or best[(x, r)][0] < depth[curr]:
+            best[(x, r)] = (depth[curr], x2)
+        replies = _robber_options(d, x, r, x2, comps)
+        if nxt is curr or len(adj[nxt]) == 1:
+            assert not replies, "robber must be caught at a leaf"
+        for r2 in replies:
+            state = (x2, r2, curr, nxt)
+            if state not in seen:
+                seen.add(state)
+                queue.append(state)
+    table = {pos: move for pos, (_, move) in best.items()}
+    return CopStrategy(budget=budget, initial=x0, table=table)
+
+
 class TestStrategyFromDbd:
     def test_digon_two_node_tree(self):
         d = digon()
@@ -268,6 +367,36 @@ class TestStrategyFromDbd:
         s = strategy_from_dbd(d, dec)
         assert s.budget == 3
         assert strategy_beats_all_robbers(d, s)
+
+    def test_small_corpus_matches_the_reference_with_one_enumeration(self, monkeypatch):
+        """On the `dtd_to_dbd` decompositions of every labelled strongly
+        connected digraph on at most four vertices, from one bag and from
+        the recogniser, the walk over the accepted edge sets gives the
+        reference's strategy and enumerates the cycles once, inside
+        `validate_dbd`."""
+        cases = []
+        for n in range(1, 5):
+            for d in labeled_strongly_connected(n):
+                decs = [single_node_dtd(d)]
+                if n > 1:
+                    decs.append(recognize_dtw1(d).decomposition)
+                cases += [(d, dtd_to_dbd(d, dec)) for dec in decs if dec is not None]
+        calls = 0
+        enumerate_cycles = cycles.enumerate_cycles
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return enumerate_cycles(*args)
+
+        monkeypatch.setattr(cycles, "enumerate_cycles", counted)
+        for d, dbd in cases:
+            calls = 0
+            got = strategy_from_dbd(d, dbd)
+            assert calls == 1, sorted(d.edges)
+            assert got == reference_strategy_from_dbd(d, dbd), sorted(d.edges)
+        # 1,626 digraphs from one bag, and 1,192 of them YES
+        assert len(cases) == 1_626 + 1_192, len(cases)
 
 
 class TestHavens:

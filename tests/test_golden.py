@@ -39,7 +39,6 @@ from dtwone.formats import (
     FORMAT_VERSION,
     format_certificate,
     format_dtd,
-    format_hypergraph,
     format_set,
     parse_certificate,
     parse_digraph,
@@ -53,6 +52,7 @@ from dtwone.suite import (
     random_hypergraph,
     random_strongly_connected,
 )
+from test_formats import hypergraph_lines
 
 GOLDEN_SHA256 = "7f80bf9bed6ad22e62fadc5934f2eda06542d0ef1ed129a708fa5893dde3568c"
 RANDOM_SHA256 = "72a4dc5415847161a90483691aafa8e2749fbb5ccb12e425f453cd64b9133d1a"
@@ -211,7 +211,7 @@ def test_commands_match_the_golden_digest(tmp_path):
         return res
 
     def hypergraph(h):
-        run("hypergraph", write("h.txt", format_hypergraph(h)))
+        run("hypergraph", write("h.txt", hypergraph_lines(h)))
 
     for d in command_corpus():
         text = [f"{u} {v}" for (u, v) in d.sorted_edges()]

@@ -45,10 +45,14 @@ def test_hypergraph_loads_no_other_module_of_the_package():
     assert out.stdout.strip() == "['dtwone.hypergraph']"
 
 
-def names_used(path):
-    """Every name, attribute and imported name in the module at path."""
+def names_used(path, function=None):
+    """Every name, attribute and imported name in the module at path, or in
+    its top-level function of the given name."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if function is not None:
+        (tree,) = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == function]
     found = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
@@ -65,3 +69,13 @@ def test_the_checker_uses_only_plain_walks():
     assert names_used(check).isdisjoint(
         {"immediate_dominators", "dominators", "strong_component_of"}
     )
+
+
+def test_the_conversions_take_what_came_before():
+    # `strategy_from_dbd` walks the edge sets that `validate_dbd` accepted,
+    # and `dtd_to_leaf_dtd` reads every subtree's least vertex off one pass.
+    package = Path(dtwone.__file__).parent
+    assert names_used(package / "games.py", "strategy_from_dbd").isdisjoint(
+        {"min_hitting_set", "cut"}
+    )
+    assert "subtree_vertices" not in names_used(package / "decomp.py", "dtd_to_leaf_dtd")
