@@ -25,6 +25,7 @@ from .hypergraph import Hypergraph, _vertex_components, dual, two_section
 
 EXACT_HBW_MAX_EDGES = 7  # leaf limit of the exhaustive branch-width search
 EXACT_HW_SIZE_GUARD = 12  # |V| + |E| limit for the exact hypertree-width oracle
+MAX_DEGREE = 3  # a branch decomposition's tree is subcubic
 
 
 def leaf_labeled_subcubic_trees(m):
@@ -63,23 +64,22 @@ def leaf_labeled_subcubic_trees(m):
 
 def _tree_sides(edges):
     """For each edge (a, b) of a tree, the set of nodes on the a-side after
-    removing that edge, as a dict edge -> frozenset of nodes."""
+    removing that edge, as a dict edge -> frozenset of nodes.  One walk roots
+    the tree, and each node's subtree is read bottom up: an edge's a-side is
+    a's subtree when a is the child, and the rest of the tree otherwise."""
+    if not edges:
+        return {}
     adj = {}
     for a, b in edges:
-        adj.setdefault(a, set()).add(b)
-        adj.setdefault(b, set()).add(a)
-    sides = {}
-    for a, b in edges:
-        seen = {a}
-        stack = [a]
-        while stack:
-            u = stack.pop()
-            for w in adj[u]:
-                if w not in seen and {u, w} != {a, b}:
-                    seen.add(w)
-                    stack.append(w)
-        sides[(a, b)] = frozenset(seen)
-    return sides
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    order, arcs = _bfs_arcs(edges[0][0], adj.__getitem__)
+    parent = {u: t for (t, u) in arcs}
+    below = {t: frozenset({t}) for t in order}
+    for (t, u) in reversed(arcs):  # a node's arcs out come after its arc in
+        below[t] |= below[u]
+    every = below[order[0]]
+    return {(a, b): below[a] if parent.get(a) == b else every - below[b] for a, b in edges}
 
 
 @dataclass(frozen=True)
@@ -176,8 +176,8 @@ def optimal_branch_decomposition(m, edge_set) -> BranchDecomposition:
     )
 
 
-def _tree_report(nodes, edges, max_degree=3):
-    """Structural violations for an undirected tree given by nodes/edges."""
+def _tree_report(nodes, edges):
+    """Structural violations for an undirected subcubic tree given by nodes/edges."""
     violations = []
     if not nodes or len(set(nodes)) != len(nodes):
         violations.append("nodes must be non-empty and pairwise distinct")
@@ -200,8 +200,8 @@ def _tree_report(nodes, edges, max_degree=3):
     if len(_vertex_components(adj, nodes)) != 1:
         violations.append("the edges do not connect all nodes")
     for t in nodes:
-        if len(adj[t]) > max_degree:
-            violations.append(f"node {t!r} has degree above {max_degree}")
+        if len(adj[t]) > MAX_DEGREE:
+            violations.append(f"node {t!r} has degree above {MAX_DEGREE}")
     return violations
 
 

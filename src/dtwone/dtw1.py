@@ -1,9 +1,10 @@
 """Recognising directed treewidth one, with checkable certificates.
 
 The positive route splits the digraph along a maximal laminar family of
-one-vertex separations; when every resulting piece is a digon the width-one
-decomposition can be read off.  A strongly 2-connected digraph is one
-piece, found by two dominator trees and one Tarjan pass.  Any other whole
+one-vertex separations, each kept once as a tree edge and its cut vertex;
+when every resulting piece is a digon the width-one decomposition can be
+read off.  A strongly 2-connected digraph is one piece, found by two
+dominator trees and one Tarjan pass.  Any other whole
 digraph reads the strong components of d - v for every v off the same two
 trees, with one Tarjan pass of d - 0 and one of the region each strong
 articulation point dominates: a split piece carries its parent's
@@ -58,7 +59,6 @@ from .check import verify_certificate  # noqa: F401  (bench/tracer.py wraps this
 from .cycles import DEFAULT_CYCLE_CAP, cycle_hypergraph
 from .digraph import (
     Digraph,
-    TightSeparation,
     _bfs_arcs,
     a4_digraph,
     cut_vertex_shores,
@@ -241,11 +241,9 @@ def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels:
     """
     node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
     territory = sdec.territories[node]
-    attachments = sorted(
-        _attachments(sdec.tree_edges, node), key=lambda t: (t[0], tuple(sorted(t[1])))
-    )
+    attachments = sorted(_attachments(sdec, node), key=lambda t: (t[0], tuple(sorted(t[1]))))
     far_cut = {}
-    for (cut, far, _) in attachments:
+    for (cut, far, _, _) in attachments:
         assert far & territory == {cut}, (
             f"far shore must meet the piece in its cut: {_edge_list(state.base)}"
         )
@@ -315,15 +313,15 @@ def _edge_list(d: Digraph) -> str:
 class SDecomposition:
     """A tree of one-cut-vertex splits and the territory each node keeps.
 
-    Nodes are numbered by sorted territory.  Each tree edge is a triple
-    (A-side node, B-side node, separation): the node on the separation's
-    A side keeps its territory inside shoreA, the other inside shoreB.  A
-    node's far shores are `_attachments(tree_edges, node)`.  `collapsed`
-    stores each node's collapsed piece, every far shore contracted onto its
-    cut vertex, as the `s_decomposition` built it: a `Digraph` whose vertex
-    i stands for the i-th territory vertex in sorted order, d itself when d
-    is one strongly 2-connected piece, and None for a node of two vertices,
-    whose piece is a digon and never built.
+    Nodes are numbered by sorted territory.  A tree edge (A-side node,
+    B-side node, cut vertex) is a separation whose shores are the unions
+    of the territories on its two sides, the A-shore on its A-side node's
+    side; a node's far shores are `_attachments`.  `collapsed` stores each
+    node's collapsed piece, every far shore contracted onto its cut
+    vertex, as the `s_decomposition` built it: a `Digraph` whose vertex i
+    stands for the i-th territory vertex in sorted order, d itself when d
+    is one strongly 2-connected piece, and None for a node of two
+    vertices, whose piece is a digon and never built.
     """
 
     territories: tuple
@@ -336,17 +334,20 @@ class SDecomposition:
         return tuple(sorted(tuple(sorted((a, b))) for (a, b, _) in self.tree_edges))
 
 
-def _attachments(tree_edges, p) -> list:
-    """The far shores of piece p as (cut vertex, far shore, far is an
-    A-shore), one per tree edge (A-side piece, B-side piece, separation) at
-    p, in the order of the edges.  Edges not at p are skipped, so
-    `tree_edges` may be the whole tree or only p's incident edges."""
+def _attachments(sdec: SDecomposition, p) -> list:
+    """The far shores of node p as (cut vertex, far shore, far is an
+    A-shore, tree-edge index), one per tree edge at p, in the order of the
+    edges; a far shore is the union of the territories beyond its edge."""
+    nbrs = [[] for _ in sdec.territories]
+    for (ai, bi, _) in sdec.tree_edges:
+        nbrs[ai].append(bi)
+        nbrs[bi].append(ai)
     out = []
-    for (ai, bi, sep) in tree_edges:
-        if ai == p:
-            out.append((sep.cut_vertex, sep.shoreB, False))
-        elif bi == p:
-            out.append((sep.cut_vertex, sep.shoreA, True))
+    for e, (ai, bi, cut) in enumerate(sdec.tree_edges):
+        if p in (ai, bi):
+            beyond, _ = _bfs_arcs(ai if bi == p else bi, lambda t: (u for u in nbrs[t] if u != p))
+            far = frozenset().union(*map(sdec.territories.__getitem__, beyond))
+            out.append((cut, far, bi == p, e))
     return out
 
 
@@ -362,7 +363,7 @@ def _lifted_shores(attachments, shore_a, shore_b) -> tuple[set, set]:
     """
     shore_a = set(shore_a)
     shore_b = set(shore_b)
-    for (cut, far, far_is_a) in attachments:
+    for (cut, far, far_is_a, _) in attachments:
         if cut in shore_a and (far_is_a or cut not in shore_b):
             shore_a |= far
         else:
@@ -370,15 +371,14 @@ def _lifted_shores(attachments, shore_a, shore_b) -> tuple[set, set]:
     return shore_a, shore_b
 
 
-def _lift_separation(d, attachments, shore_a, shore_b) -> TightSeparation:
-    """The lifted separation (see `_lifted_shores`), asserted to be a
-    directed separation of d."""
-    shore_a, shore_b = _lifted_shores(attachments, shore_a, shore_b)
-    lifted = TightSeparation(frozenset(shore_a), frozenset(shore_b))
-    assert is_directed_separation(d, lifted.shoreA, lifted.shoreB), (
+def _lift_separation(d, attachments, shore_a, shore_b) -> tuple[frozenset, frozenset]:
+    """The lifted shores (see `_lifted_shores`), asserted to be a directed
+    separation of d."""
+    shore_a, shore_b = map(frozenset, _lifted_shores(attachments, shore_a, shore_b))
+    assert is_directed_separation(d, shore_a, shore_b), (
         f"lifted shores stopped being a directed separation: {_edge_list(d)}"
     )
-    return lifted
+    return shore_a, shore_b
 
 
 class _Entry(NamedTuple):
@@ -412,8 +412,9 @@ class _Piece:
     live while `stamps[v]` is stamp, and a dead one is popped when it
     reaches the top.  `pivoted[u]` holds every vertex that was given an
     entry with u among its pivots, and may hold vertices that no longer
-    have one.  A split builds a piece only when its territory has three or
-    more vertices: a two-vertex piece is final (see `s_decomposition`).
+    have one.  `attachments` are its far shores, as `_attachments` reads
+    them off the tree being built.  A split builds a piece only when its
+    territory has three or more vertices: a two-vertex piece is final.
     """
 
     territory: frozenset
@@ -521,29 +522,29 @@ def _split_off(piece: _Piece, territory, cut, attachments, minus, where) -> _Pie
     return piece
 
 
-def _laminar(territories, tree_edges) -> bool:
-    """True if no two separations of a split tree cross, by one walk of the
+def _laminar(d, territories, tree_edges) -> bool:
+    """True if a split tree's separations (see `SDecomposition`) are
+    directed separations of d and no two of them cross, by one walk of the
     tree.  Oriented separations (A, B) and (C, D) cross when A & C, B & D,
     (A & D) - (B & C) and (B & C) - (A & D) are all non-empty.
     `territories` lists each node's territory, every one of two or more
-    vertices, and `tree_edges` holds (A-side node, B-side node, separation)
-    triples.  The walk checks two things:
+    vertices.  The walk checks two things:
 
-    1. each tree edge's shores are the unions of the territories on its two
-       sides, shoreA the union on its A-side node's side;
-    2. for each cut vertex u, the tree edges with cut u form a directed
+    1. for each cut vertex u, the tree edges with cut u form a directed
        path, an edge pointing from its A-side node to its B-side node: no
-       node has two of them pointing at it or two pointing away from it.
+       node has two of them pointing at it or two pointing away from it;
+    2. each tree edge's shores meet in exactly its cut and form a directed
+       separation of d.
 
-    Given 1, 2 holds exactly when no two separations cross.  Take tree edges
+    Given 2, 1 holds exactly when no two separations cross.  Take tree edges
     e and f.  Without them the tree falls into the part P beyond e, the
     part M between them and the part Q beyond f; write U(X) for the union
-    of the territories in X.  By 1 e's shores are U(P) and U(M | Q), and
+    of the territories in X.  So e's shores are U(P) and U(M | Q), and
     f's are U(Q) and U(P | M).  A vertex of U(P) & U(Q) lies on both shores
-    of e and of f, so it is the cut of both; and if e and f both have cut u,
-    u lies in U(P) and in U(Q).  So U(P) & U(Q) is empty, or it is {u} when
-    e and f share the cut u.  With (A, B) the shores of e and (C, D) those
-    of f:
+    of e and of f, so by 2 it is the cut of both; and if e and f both have
+    cut u, u lies in U(P) and in U(Q).  So U(P) & U(Q) is empty, or it is
+    {u} when e and f share the cut u.  With (A, B) the shores of e and
+    (C, D) those of f:
 
     - e points at f and f away from e: A = U(P), D = U(Q), so A & D is
       U(P) & U(Q), which lies in B & C; they do not cross.  The same holds
@@ -561,23 +562,22 @@ def _laminar(territories, tree_edges) -> bool:
     subtree is a directed path, any two of its edges point the same way
     along it, and none cross.  Otherwise some node meets two of them that
     point at it or away from it, and those two cross; a subtree in which no
-    node has two is a path, and a directed one.  The work is O(1) set
-    operations of at most n elements per tree edge.
+    node has two is a path, and a directed one.  The work per tree edge is
+    O(1) set operations of at most n elements and one scan of out-sets.
     """
     nodes = len(territories)
     nbrs = [[] for _ in range(nodes)]
-    shores = {}  # (node, neighbour): the edge's shore on node's side, the other
+    ends = {}  # (node, neighbour): the edge's cut, and whether node is its A side
     pointing_at, pointing_away = set(), set()
-    for (ai, bi, sep) in tree_edges:
-        c = sep.cut_vertex
+    for (ai, bi, c) in tree_edges:
         if (c, bi) in pointing_at or (c, ai) in pointing_away:
             return False
         pointing_at.add((c, bi))
         pointing_away.add((c, ai))
         nbrs[ai].append(bi)
         nbrs[bi].append(ai)
-        shores[ai, bi] = sep.shoreA, sep.shoreB
-        shores[bi, ai] = sep.shoreB, sep.shoreA
+        ends[ai, bi] = c, True
+        ends[bi, ai] = c, False
     order, arcs = _bfs_arcs(0, nbrs.__getitem__)
     if len(tree_edges) != nodes - 1 or len(order) != nodes:
         return False
@@ -596,39 +596,45 @@ def _laminar(territories, tree_edges) -> bool:
         for u in reversed(children[t]):
             above[u] = above[u] | acc
             acc = acc | below[u]
-    return all(shores[u, t] == (below[u], above[u]) for (t, u) in arcs)
+    for (t, u) in arcs:
+        c, t_is_a = ends[t, u]
+        shore_a, shore_b = (above[u], below[u]) if t_is_a else (below[u], above[u])
+        if shore_a & shore_b != {c} or not is_directed_separation(d, shore_a, shore_b):
+            return False
+    return True
 
 
 def s_decomposition(d: Digraph) -> SDecomposition:
     """Split d along a maximal laminar family of one-cut-vertex separations.
 
-    A strongly 2-connected d on three or more vertices is one piece, and
-    its test (`is_strongly_2_connected`: a degree filter, two dominator
-    trees and one Tarjan pass) comes first, before any other work.  It is
-    the result the search below would reach, since no vertex of d would
-    have a second component and so no entry a candidate.  It also says
-    that d is strongly connected; a d that fails it is strongly connected
-    exactly when vertex 0 reaches every vertex in d and in d reversed,
-    which the same two dominator trees (`Digraph.dominators`) tell without
-    a Tarjan pass.  That test holds on every two-vertex digraph, so it is
-    not asked there: a strongly connected one is a digon, one piece, and
-    the search only ever starts on three or more vertices.  A root with a cut vertex always has a candidate (the
-    X-shore of the sink component of d - v is that component alone), so
-    the root is never a finished piece.
+    A strongly 2-connected d on three or more vertices is one piece, and its
+    test (`is_strongly_2_connected`: a degree filter, two dominator trees
+    and one Tarjan pass) comes first, before any other work.  It is the
+    result the search below would reach, since no vertex of d would have a
+    second component and so no entry a candidate.  It also says that d is
+    strongly connected; a d that fails it is strongly connected exactly when
+    vertex 0 reaches every vertex in d and in d reversed, which the same two
+    dominator trees (`Digraph.dominators`) tell without a Tarjan pass.  That
+    test holds on every two-vertex digraph, so it is not asked there: a
+    strongly connected one is a digon, one piece, and the search only ever
+    starts on three or more vertices.  A root with a cut vertex always has a
+    candidate (the X-shore of the sink component of d - v is that component
+    alone), so the root is never a finished piece.
 
     Pieces are taken from a worklist: each is searched once, and split in two
     along its lexicographically least lifted separation if it has one.  The
     order of the splits does not matter.  A piece's least candidate depends
     only on its territory and its attachments, and a split of another piece
-    changes neither: a tree edge it rewires keeps its separation and its end
-    at this piece.  So every order makes the same splits as the greedy one
-    that always splits the least candidate of all pieces, and numbering the
-    nodes by sorted territory gives the same result.  The result keeps only
-    each node's territory and the oriented tree edges, sorted by node pair.
+    changes neither: a tree edge it rewires keeps its cut, its end at this
+    piece and the union of the territories beyond it.  So every order makes
+    the same splits as the greedy one that always splits the least
+    candidate of all pieces, and numbering the nodes by sorted territory
+    gives the same result.  The result keeps only each node's territory and
+    the oriented tree edges with their cuts, sorted by node pair.
     Each finished piece of three or more vertices is checked to be strongly
     2-connected when its search comes up empty, which is final because its
     attachments never change afterwards, and is kept; the family is checked
-    to be laminar (`_laminar`, one walk of the tree) before it is returned.
+    by `_laminar`, one walk of the tree, before it is returned.
     These assertions, and the lift, key and straddle checks of each split,
     name d by `_edge_list`.
 
@@ -636,9 +642,9 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     nor searched.  Its collapsed piece is a contraction of a strongly
     connected digraph, so a digon: every entry's other shore would be v
     alone, which makes no candidate, and `is_strongly_2_connected` holds on
-    two vertices by definition.  Each piece keeps the indices of its
-    incident tree edges, so a split rewires, and reads its children's
-    attachments from, the split piece's edges alone.
+    two vertices by definition.  A split hands the attachments whose far
+    shore lands on its A-shore to its A child and the rest to its B child,
+    and rewires only the latter's tree edges.
 
     A split builds its children by editing the split piece (`_split_off`):
     the piece becomes its last child of three or more vertices, and when
@@ -653,18 +659,17 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     strong component of the collapsed piece minus a vertex, keyed by its
     lifted separation.  Only the winner is lifted as a separation and
     asserted, and its key is asserted to be that lift.  The root piece,
-    which is searched only when d fails the test above, computes its
-    entries from the strong components of d - v for every v, which
-    `strong_components_minus_each` reads off the test's two dominator
-    trees: one Tarjan pass of d - 0, one pass for each strong articulation
-    point over the vertices it dominates, and none for any other vertex,
-    whose d - v is one component.  A split piece
-    takes most of its entries over from its parent, unchanged.  Let Q be
-    the parent's collapsed piece, split along (A, B) at c, and take the A
-    side, with territory T' = T_A, which drops D, the B-only vertices; the
-    B side is the same with every edge reversed.  Q is strongly connected
-    and no edge runs from B-only to A-only, so every vertex of D reaches c
-    inside B.
+    which is searched only when d fails the test above, computes its entries
+    from the strong components of d - v for every v, which
+    `strong_components_minus_each` reads off the test's two dominator trees:
+    one Tarjan pass of d - 0, one pass for each strong articulation point
+    over the vertices it dominates, and none for any other vertex, whose d -
+    v is one component.  A split piece takes most of its entries over from
+    its parent, unchanged.  Let Q be the parent's collapsed piece, split
+    along (A, B) at c, and take the A side, with territory T' = T_A, which
+    drops D, the B-only vertices; the B side is the same with every edge
+    reversed.  Q is strongly connected and no edge runs from B-only to
+    A-only, so every vertex of D reaches c inside B.
 
     - Components.  For every v in T', the strong components of the child's
       collapsed piece minus v are the non-empty K & T' over the components
@@ -737,8 +742,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
 
     pieces = [root.territory]  # the territory of each piece, by index
     collapsed = {}  # the collapsed piece of each finished piece of 3+ vertices
-    tree_edges = []  # (piece index on A side, piece index on B side, separation)
-    incident = [[]]  # the indices in tree_edges of each piece's edges
+    tree_edges = []  # (piece index on A side, piece index on B side, cut vertex)
     work = [(0, root)]
 
     while work:
@@ -753,40 +757,37 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         v, (x, x_first, key, _) = best
         x = x & piece.territory
         first, second, _ = orient_cut_separation(piece.territory - x, x | {v}, v, x, x_first)
-        sep = _lift_separation(d, piece.attachments, first, second)
-        assert sep.sort_key() == key, (
+        shore_a, shore_b = _lift_separation(d, piece.attachments, first, second)
+        assert (tuple(sorted(shore_a)), tuple(sorted(shore_b))) == key, (
             f"an entry's key must be its lifted separation: {_edge_list(d)}"
         )
+        assert shore_a & shore_b == {v}, (
+            f"an old tree edge straddles the new separation: {_edge_list(d)}"
+        )
         old = pieces[pi]
-        pieces[pi] = old & sep.shoreA
+        pieces[pi] = old & shore_a
         new_index = len(pieces)
-        pieces.append(old & sep.shoreB)
-        kept, moved = [], []
-        for e in incident[pi]:
-            ai, bi, s = tree_edges[e]
-            far = s.shoreB if ai == pi else s.shoreA
-            inner = far - {s.cut_vertex}
-            if inner.isdisjoint(sep.shoreB):
-                kept.append(e)
-                continue
-            assert inner.isdisjoint(sep.shoreA), (
-                f"an old tree edge straddles the new separation: {_edge_list(d)}"
-            )
-            moved.append(e)
-            tree_edges[e] = (new_index, bi, s) if ai == pi else (ai, new_index, s)
-        incident[pi] = kept + [len(tree_edges)]
-        incident.append(moved + [len(tree_edges)])
-        tree_edges.append((pi, new_index, sep))
-        built = [i for i in (pi, new_index) if len(pieces[i]) > 2]
-        for i in built:
-            attachments = _attachments([tree_edges[e] for e in incident[i]], i)
-            source = piece if i == built[-1] else piece.copy()
+        pieces.append(old & shore_b)
+        e = len(tree_edges)
+        tree_edges.append((pi, new_index, v))
+        kept, moved = [(v, shore_b, False, e)], [(v, shore_a, True, e)]
+        for attachment in piece.attachments:
+            _, far, _, f = attachment
+            if far <= shore_a:
+                kept.append(attachment)
+            else:
+                moved.append(attachment)
+                ai, bi, c = tree_edges[f]
+                tree_edges[f] = (new_index, bi, c) if ai == pi else (ai, new_index, c)
+        built = [(i, at) for (i, at) in ((pi, kept), (new_index, moved)) if len(pieces[i]) > 2]
+        for i, attachments in built:
+            source = piece if i == built[-1][0] else piece.copy()
             work.append((i, _split_off(source, pieces[i], v, attachments, minus, where)))
 
-    assert _laminar(pieces, tree_edges), f"family must be pairwise laminar: {_edge_list(d)}"
+    assert _laminar(d, pieces, tree_edges), f"family must be pairwise laminar: {_edge_list(d)}"
     order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i])))
     rank = {old: new for new, old in enumerate(order)}
-    ranked = [(rank[ai], rank[bi], sep) for (ai, bi, sep) in tree_edges]
+    ranked = [(rank[ai], rank[bi], c) for (ai, bi, c) in tree_edges]
     return SDecomposition(
         territories=tuple(pieces[i] for i in order),
         tree_edges=tuple(sorted(ranked, key=lambda e: sorted(e[:2]))),
@@ -804,17 +805,17 @@ def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomp
     The root is the least leaf node, which has the least territory of all
     leaves; walking away from it, nodes in index order, each node's bag keeps
     the territory vertices not yet placed, and each tree arc is guarded by
-    the cut vertex of its tree edge's separation.
+    the cut vertex of its tree edge.
     """
     assert all(len(t) == 2 for t in sdec.territories), (
         "every piece must have exactly two vertices"
     )
     adj = {t: [] for t in range(len(sdec.territories))}
     cut = {}
-    for (a, b, sep) in sdec.tree_edges:
+    for (a, b, c) in sdec.tree_edges:
         adj[a].append(b)
         adj[b].append(a)
-        cut[(a, b)] = cut[(b, a)] = frozenset({sep.cut_vertex})
+        cut[(a, b)] = cut[(b, a)] = frozenset({c})
     root = min(t for t in adj if len(adj[t]) <= 1)
     order, arcs = _bfs_arcs(root, lambda t: sorted(adj[t]))
     bags = {}

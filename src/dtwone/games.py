@@ -39,15 +39,14 @@ def _components_avoiding(d: Digraph, removed) -> tuple[frozenset, ...]:
     return tuple(sorted(strong_components(d, removed), key=min))
 
 
-def _robber_options(
-    d: Digraph, old_cops, old_robber, new_cops, comps=_components_avoiding
-) -> tuple[frozenset, ...]:
+def _robber_options(d: Digraph, old_cops, old_robber, new_cops, comps) -> tuple[frozenset, ...]:
     """Components the robber may occupy after the cops move from old_cops to new_cops.
 
     The robber runs while only the cops in old_cops ∩ new_cops are on the
     ground, so the reachable region is the strong component of
-    d - (old_cops ∩ new_cops) containing the current component.  A play
-    hands in `comps`, one memo of `_components_avoiding` for all its moves.
+    d - (old_cops ∩ new_cops) containing the current component.  `comps` is
+    `_components_avoiding` or a memo of it; a play hands in one memo for all
+    its moves.
     """
     ground = old_cops & new_cops
     region = None

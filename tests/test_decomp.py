@@ -748,6 +748,88 @@ class TestDbdHbdRoundTrip:
         assert checked == 1 + 5 + 83
 
 
+def reference_tree_sides(edges):
+    """`_tree_sides` as it was when it walked the whole tree once per edge:
+    for each edge (a, b) of a tree, the set of nodes on the a-side after
+    removing that edge, as a dict edge -> frozenset of nodes."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, set()).add(b)
+        adj.setdefault(b, set()).add(a)
+    sides = {}
+    for a, b in edges:
+        seen = {a}
+        stack = [a]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in seen and {u, w} != {a, b}:
+                    seen.add(w)
+                    stack.append(w)
+        sides[(a, b)] = frozenset(seen)
+    return sides
+
+
+def leaf_shape_edges(d, dec):
+    """The tree edges of dec's leaf shape, as `dtd_to_leaf_dtd` gives its
+    arcs and as `dtd_to_dbd` sorts them."""
+    arcs = dtd_to_leaf_dtd(d, dec).arcs
+    return [arcs, tuple(sorted(tuple(sorted(a)) for a in arcs))]
+
+
+class TestTreeSides:
+    def test_matches_the_per_edge_walks(self):
+        # Every shape of the exhaustive search up to 7 leaves (1,072
+        # trees), and the leaf shapes of the shape families' decompositions
+        # and their valid mutants, both as arcs and as sorted edges.
+        trees = [edges for m in range(8) for edges, _ in decomp._shapes(m)]
+        assert len(trees) == 1 + 1 + 1 + 1 + 3 + 15 + 105 + 945
+        rng = random.Random(433)
+        for n in (4, 6, 9):
+            chain = tree_dtd(bidirected_path(n))
+            for _, d, verdict in shape_families(n):
+                decs = [single_node_dtd(d), chain, tree_dtd(d)]
+                if verdict == "YES":
+                    decs.append(recognize_dtw1(d).decomposition)
+                for dec in decs:
+                    for m in mutated_dtds(rng, dec, d):
+                        if validate_dtd(d, m).valid:
+                            trees += leaf_shape_edges(d, m)
+        for edges in trees:
+            assert _tree_sides(edges) == reference_tree_sides(edges), edges
+        assert len(trees) >= 1_750, len(trees)  # recorded: 1,760
+
+    def test_adjacency_reads_stay_linear(self, monkeypatch):
+        """On the leaf shape of P_n's chain decomposition, one walk of the
+        tree reads each node's neighbours once: at most 2N reads for N
+        nodes.  Walking the tree again for every edge read them Θ(N²)
+        times."""
+        walks = reads = 0
+        bfs_arcs = decomp._bfs_arcs
+
+        def counted(root, neighbours):
+            nonlocal walks
+            walks += 1
+
+            def listed(t):
+                nonlocal reads
+                nbrs = list(neighbours(t))
+                reads += len(nbrs)
+                return nbrs
+
+            return bfs_arcs(root, listed)
+
+        for n in (64, 512):
+            d = bidirected_path(n)
+            _, edges = leaf_shape_edges(d, tree_dtd(d))
+            monkeypatch.setattr(decomp, "_bfs_arcs", counted)
+            walks = reads = 0
+            _tree_sides(edges)
+            monkeypatch.undo()
+            nodes = len(edges) + 1
+            assert walks == 1 and reads <= 2 * nodes, (n, walks, reads)
+
+
 def reference_optimal_branch_decomposition(m, edge_set):
     """The exhaustive branch-width search with no cache: every tree of
     `leaf_labeled_subcubic_trees(m)` becomes a `BranchDecomposition`, and

@@ -53,7 +53,12 @@ from dtwone.formats import (
     read_document,
 )
 from dtwone.games import solve_game
-from dtwone.suite import bicycle_with_chord, bidirected_path, labeled_strongly_connected
+from dtwone.suite import (
+    bicycle_with_chord,
+    bidirected_path,
+    bidirected_star,
+    labeled_strongly_connected,
+)
 from test_digraph import (
     reference_is_directed_separation,
     reference_quotient,
@@ -566,7 +571,7 @@ def reference_collapse(state, sdec, whole, labels):
     The digraph the loop hands over must be the state's own."""
     assert (whole, labels) == dense_digraph(state.out)
     node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
-    attachments = sorted_attachments(dtw1._attachments(sdec.tree_edges, node))
+    attachments = sorted_attachments(node_attachments(sdec, node))
     expected, expect_labels = reference_collapse_piece(whole, sdec.territories[node], attachments)
     start = labels
     for (cut, far, _) in attachments:
@@ -686,6 +691,39 @@ def sorted_attachments(attachments):
     return sorted(attachments, key=lambda t: (t[0], tuple(sorted(t[1]))))
 
 
+def without_edges(attachments):
+    """(cut vertex, far shore, far is an A-shore) triples: attachments in
+    the form `_attachments` gives, without their tree-edge indices."""
+    return [(cut, far, far_is_a) for (cut, far, far_is_a, _) in attachments]
+
+
+def node_attachments(s, t):
+    """Node t's far shores in s, as `without_edges` triples."""
+    return without_edges(dtw1._attachments(s, t))
+
+
+def tree_separations(territories, tree_edges):
+    """Each tree edge's separation, in the order of the edges: its shores
+    are the unions of the territories on the two sides of the edge, the
+    A-shore on its A-side node's side, each read by its own walk of the
+    tree."""
+    nbrs = [[] for _ in territories]
+    for (a, b, _) in tree_edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+
+    def side(start, beyond):
+        seen, stack = {start}, [start]
+        while stack:
+            for u in nbrs[stack.pop()]:
+                if u not in seen and u != beyond:
+                    seen.add(u)
+                    stack.append(u)
+        return frozenset().union(*(territories[t] for t in seen))
+
+    return [TightSeparation(side(a, b), side(b, a)) for (a, b, _) in tree_edges]
+
+
 def reference_collapse_piece(d, territory, attachments):
     """A piece with every far shore contracted onto its cut vertex, as
     (`reference_quotient`, labels), after checking that the far shores
@@ -704,7 +742,7 @@ def reference_collapse_piece(d, territory, attachments):
 def collapsed_pieces(d, s):
     """Each node's piece with every far shore contracted onto its cut vertex."""
     return [
-        reference_collapse_piece(d, territory, dtw1._attachments(s.tree_edges, t))[0]
+        reference_collapse_piece(d, territory, node_attachments(s, t))[0]
         for t, territory in enumerate(s.territories)
     ]
 
@@ -719,8 +757,9 @@ class TestSDecomposition:
     def test_bidirected_path_splits_at_its_middle_vertex(self):
         s = s_decomposition(bidirected_path(3))
         assert sorted(sorted(t) for t in s.territories) == [[0, 1], [1, 2]]
-        ((a, b, sep),) = s.tree_edges
-        assert sep.cut_vertex == 1
+        ((a, b, cut),) = s.tree_edges
+        (sep,) = tree_separations(s.territories, s.tree_edges)
+        assert cut == 1
         assert {sep.shoreA, sep.shoreB} == {frozenset({0, 1}), frozenset({1, 2})}
         assert s.territories[a] <= sep.shoreA and s.territories[b] <= sep.shoreB
         assert s.edges == ((0, 1),)
@@ -769,18 +808,46 @@ class TestSDecomposition:
             assert len(s.edges) == len(s.territories) - 1
             assert len(s.edges) == len(set(s.edges))
             assert frozenset().union(*s.territories) == everything
-            for (a, b, sep) in s.tree_edges:
+            seps = tree_separations(s.territories, s.tree_edges)
+            for (a, b, cut), sep in zip(s.tree_edges, seps):
                 assert sep.shoreA | sep.shoreB == everything
-                assert sep.shoreA & sep.shoreB == {sep.cut_vertex}
+                assert sep.shoreA & sep.shoreB == {cut}
                 assert s.territories[a] <= sep.shoreA and s.territories[b] <= sep.shoreB
             for t, territory in enumerate(s.territories):
                 covered = set(territory)
-                for (cut, far, _) in dtw1._attachments(s.tree_edges, t):
+                for (cut, far, far_is_a, e) in dtw1._attachments(s, t):
                     assert far & territory == {cut}
+                    assert far == (seps[e].shoreA if far_is_a else seps[e].shoreB)
                     covered |= far
                 assert covered == everything
             split += len(s.edges) >= 2
         assert split >= 5, split
+
+    @pytest.mark.parametrize("which", ["path", "star", "random tree"])
+    def test_tree_edges_are_cut_triples_of_linear_size(self, which):
+        # Each split is kept once, as its two nodes and its cut vertex, and
+        # the cut lies in both end territories.  Each split adds one vertex
+        # to the territories, so they hold n + E vertices for E tree edges,
+        # and with three ints per edge the record holds n + 4E < 5n: on the
+        # path and the star, E = n - 2 and it is 5n - 8.  Both lifted shores
+        # of every edge, which the tree edges once kept, held n + 1.  The
+        # path and the star run at n = 128: their splits re-key about n^2
+        # entries (ROADMAP item 20), and n = 512 takes 40 s.
+        if which == "random tree":
+            n = 512
+            d = bidirect(n, random_tree_edges(random.Random(n), n))
+        else:
+            n = 128
+            d = {"path": bidirected_path, "star": bidirected_star}[which](n)
+        s = s_decomposition(d)
+        assert len(s.tree_edges) == n - 2
+        for edge in s.tree_edges:
+            assert len(edge) == 3 and all(type(x) is int for x in edge), edge
+            a, b, cut = edge
+            assert cut in s.territories[a] and cut in s.territories[b], edge
+        sizes = sum(map(len, s.territories))
+        assert sizes == n + len(s.tree_edges)
+        assert sizes + 3 * len(s.tree_edges) <= 5 * n
 
     def test_every_piece_is_strongly_2_connected(self):
         rng = random.Random(92)
@@ -813,8 +880,7 @@ class TestSDecomposition:
                     assert s.collapsed[t] is None, (sorted(d.edges), t)
                     digons += 1
                     continue
-                attachments = dtw1._attachments(s.tree_edges, t)
-                expected, labels = reference_collapse_piece(d, territory, attachments)
+                expected, labels = reference_collapse_piece(d, territory, node_attachments(s, t))
                 assert labels == tuple(sorted(territory))
                 assert s.collapsed[t] == expected, (sorted(d.edges), t)
                 kept += 1
@@ -874,11 +940,11 @@ class TestSDecomposition:
         d = bidirect(4, [(0, 1), (0, 2), (0, 3)])
         laminar = dtw1._laminar
 
-        def reoriented(territories, tree_edges):
-            ai, bi, sep = tree_edges[0]
-            flipped = [(bi, ai, TightSeparation(sep.shoreB, sep.shoreA)), *tree_edges[1:]]
-            assert not reference_pairwise_laminar(flipped)
-            return laminar(territories, flipped)
+        def reoriented(d, territories, tree_edges):
+            ai, bi, cut = tree_edges[0]
+            flipped = [(bi, ai, cut), *tree_edges[1:]]
+            assert not reference_pairwise_laminar(territories, flipped)
+            return laminar(d, territories, flipped)
 
         monkeypatch.setattr(dtw1, "_laminar", reoriented)
         with pytest.raises(AssertionError, match="pairwise laminar") as err:
@@ -914,7 +980,7 @@ class TestSDecomposition:
         original = dtw1._lifted_shores
 
         def both_sides(attachments, shore_a, shore_b):
-            far = set().union(*(far for (_, far, _) in attachments))
+            far = set().union(*(far for (_, far, _, _) in attachments))
             return tuple(side | far for side in original(attachments, shore_a, shore_b))
 
         monkeypatch.setattr(dtw1, "_lifted_shores", both_sides)
@@ -934,8 +1000,9 @@ class TestSDecomposition:
         assert named_digraph(err.value) == d
 
     @pytest.mark.parametrize("attachments, message", [
-        ([(0, frozenset({0, 1, 4}), True)], "meet the piece in its cut"),
-        ([(0, frozenset({0, 4}), True), (1, frozenset({1, 4}), True)], "overlap beyond their cuts"),
+        ([(0, frozenset({0, 1, 4}), True, 0)], "meet the piece in its cut"),
+        ([(0, frozenset({0, 4}), True, 0), (1, frozenset({1, 4}), True, 1)],
+         "overlap beyond their cuts"),
         ([], "must cover the digraph"),
     ])
     def test_far_shores_that_do_not_fit_the_piece_name_the_digraph(
@@ -972,57 +1039,68 @@ class TestSDecomposition:
         rng = random.Random(93)
         for _ in range(40):
             d = random_strongly_connected(rng, rng.choice([4, 5, 6]), 0.5)
-            family = [sep for (_, _, sep) in s_decomposition(d).tree_edges]
+            s = s_decomposition(d)
+            family = tree_separations(s.territories, s.tree_edges)
             for s, t in itertools.combinations(family, 2):
                 assert not reference_separations_cross(s, t)
                 assert not reference_separations_cross(t, s)
 
     def test_laminarity_walk_matches_the_pairwise_reference(self):
         # Every s-decomposition of the corpus is laminar by both checks, and
-        # so is each family with one tree edge reoriented, its shores and
-        # its nodes swapped, exactly when no two of its separations cross.
-        # Recorded: 1,866 families and 4,142 reorientations, 1,929 of them
-        # crossing.
-        families = reoriented = crossing = 0
+        # so is each family with one tree edge reoriented, its nodes
+        # swapped, exactly when each edge's union shores are still a
+        # directed separation and no two of its separations cross.
+        # Recorded: 2,107 families and 5,842 reorientations, 3,215 of them
+        # crossing and 545 still laminar.
+        families = reoriented = crossing = accepted = 0
         for d in carry_over_corpus():
             if d.n < 2:
                 continue
             sdec = s_decomposition(d)
             tree_edges = list(sdec.tree_edges)
-            assert dtw1._laminar(sdec.territories, tree_edges)
-            assert reference_pairwise_laminar(tree_edges)
+            assert dtw1._laminar(d, sdec.territories, tree_edges)
+            assert reference_laminar(d, sdec.territories, tree_edges)
             families += 1
-            for i, (ai, bi, sep) in enumerate(tree_edges):
+            for i, (ai, bi, cut) in enumerate(tree_edges):
                 flipped = tree_edges.copy()
-                flipped[i] = (bi, ai, TightSeparation(sep.shoreB, sep.shoreA))
-                expected = reference_pairwise_laminar(flipped)
-                assert dtw1._laminar(sdec.territories, flipped) == expected, (sorted(d.edges), i)
+                flipped[i] = (bi, ai, cut)
+                expected = reference_laminar(d, sdec.territories, flipped)
+                got = dtw1._laminar(d, sdec.territories, flipped)
+                assert got == expected, (sorted(d.edges), i)
                 reoriented += 1
-                crossing += not expected
+                crossing += not reference_pairwise_laminar(sdec.territories, flipped)
+                accepted += expected
         assert families >= 1_800 and reoriented >= 4_000 and crossing >= 1_800, (
             families, reoriented, crossing
         )
+        assert accepted >= 500, accepted
 
     def test_laminarity_walk_checks_the_shores(self):
-        # A tree edge whose shores are swapped but whose nodes are not, a
-        # shore that misses a territory vertex, and a tree that is not
-        # connected all fail the walk, although the first keeps every
-        # separation of the family as it was.
+        # A tree that is not connected has no union shores, and fails the
+        # walk.  A tree edge cannot name shores other than its unions.
         d = bidirect(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         sdec = s_decomposition(d)
         tree_edges = list(sdec.tree_edges)
-        assert len(tree_edges) == 3 and dtw1._laminar(sdec.territories, tree_edges)
-        ai, bi, sep = tree_edges[1]
-        swapped = tree_edges.copy()
-        swapped[1] = (ai, bi, TightSeparation(sep.shoreB, sep.shoreA))
-        assert reference_pairwise_laminar(swapped)
-        assert not dtw1._laminar(sdec.territories, swapped)
-        short = tree_edges.copy()
-        far = max(sep.shoreA | sep.shoreB)
-        short[1] = (ai, bi, TightSeparation(sep.shoreA - {far}, sep.shoreB - {far}))
-        assert not dtw1._laminar(sdec.territories, short)
+        assert len(tree_edges) == 3 and dtw1._laminar(d, sdec.territories, tree_edges)
+        ai, bi, _ = tree_edges[1]
         _, _, last = tree_edges[2]
-        assert not dtw1._laminar(sdec.territories, [*tree_edges[:2], (ai, bi, last)])
+        assert not dtw1._laminar(d, sdec.territories, [*tree_edges[:2], (ai, bi, last)])
+
+    def test_laminarity_walk_checks_each_edge_is_a_directed_separation(self):
+        # The directed triangle splits into two digons.  With its one tree
+        # edge reversed, the union shores still meet in the cut and nothing
+        # crosses, but the edge between the two other vertices runs from
+        # the B-only one to the A-only one.
+        d = directed_cycle_digraph(3)
+        sdec = s_decomposition(d)
+        ((ai, bi, cut),) = sdec.tree_edges
+        assert dtw1._laminar(d, sdec.territories, sdec.tree_edges)
+        reversed_edge = [(bi, ai, cut)]
+        (sep,) = tree_separations(sdec.territories, reversed_edge)
+        assert sep.shoreA & sep.shoreB == {cut}
+        assert reference_pairwise_laminar(sdec.territories, reversed_edge)
+        assert not reference_is_directed_separation(d, sep.shoreA, sep.shoreB)
+        assert not dtw1._laminar(d, sdec.territories, reversed_edge)
 
     def test_family_is_maximal_among_all_tight_separations(self):
         corpus = list(labeled_strongly_connected(3))
@@ -1032,7 +1110,8 @@ class TestSDecomposition:
             for _ in range(40)
         ]
         for d in corpus:
-            family = {sep for (_, _, sep) in s_decomposition(d).tree_edges}
+            s = s_decomposition(d)
+            family = set(tree_separations(s.territories, s.tree_edges))
             for cand in brute_tight_separations(d):
                 laminar = all(
                     not reference_separations_cross(cand, f)
@@ -1042,13 +1121,25 @@ class TestSDecomposition:
                 assert laminar == (cand in family), (sorted(d.edges), cand)
 
 
-def reference_pairwise_laminar(tree_edges) -> bool:
+def reference_pairwise_laminar(territories, tree_edges) -> bool:
     """The laminarity check as `s_decomposition` made it before the tree
-    walk: no two separations of the tree edges cross, by
-    `reference_separations_cross` on every pair."""
+    walk: no two separations of the tree edges (`tree_separations`) cross,
+    by `reference_separations_cross` on every pair."""
     return not any(
         reference_separations_cross(s, t)
-        for (_, _, s), (_, _, t) in itertools.combinations(tree_edges, 2)
+        for s, t in itertools.combinations(tree_separations(territories, tree_edges), 2)
+    )
+
+
+def reference_laminar(d, territories, tree_edges) -> bool:
+    """`reference_pairwise_laminar`, with each tree edge's separation checked
+    to meet in exactly its cut and to be a directed separation of d by the
+    edge scan."""
+    seps = tree_separations(territories, tree_edges)
+    return reference_pairwise_laminar(territories, tree_edges) and all(
+        sep.shoreA & sep.shoreB == {cut}
+        and reference_is_directed_separation(d, sep.shoreA, sep.shoreB)
+        for (_, _, cut), sep in zip(tree_edges, seps)
     )
 
 
@@ -1100,7 +1191,9 @@ def reference_s_decomposition(d):
                 lifted = reference_lift_separation(d, piece.attachments, local, labels)
                 local_a = {labels[i] for i in local.shoreA}
                 local_b = {labels[i] for i in local.shoreB}
-                assert lifted == dtw1._lift_separation(d, piece.attachments, local_a, local_b)
+                with_edges = [(*attachment, None) for attachment in piece.attachments]
+                shores = dtw1._lift_separation(d, with_edges, local_a, local_b)
+                assert (lifted.shoreA, lifted.shoreB) == shores
                 key = lifted.sort_key()
                 if best is None or key < best[0]:
                     best = (key, pi, lifted)
@@ -1138,7 +1231,7 @@ def reference_s_decomposition(d):
 
     order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i].territory)))
     rank = {old: new for new, old in enumerate(order)}
-    ranked = [(rank[ai], rank[bi], sep) for (ai, bi, sep) in tree_edges]
+    ranked = [(rank[ai], rank[bi], sep.cut_vertex) for (ai, bi, sep) in tree_edges]
     record = dtw1.SDecomposition(
         territories=tuple(pieces[i].territory for i in order),
         tree_edges=tuple(sorted(ranked, key=lambda e: sorted(e[:2]))),
@@ -1209,15 +1302,16 @@ def carry_over_corpus():
 
 def record_searches(monkeypatch):
     """A list that gets (piece, least entry) for every searched piece, the
-    piece a snapshot of its territory, attachments and entries taken when
-    it was searched: a split edits the piece in place afterwards."""
+    piece a snapshot of its territory, attachments (as `without_edges`
+    triples) and entries taken when it was searched: a split edits the
+    piece in place afterwards."""
     searched = []
     least_entry = dtw1._least_entry
 
     def recording(piece):
         snapshot = types.SimpleNamespace(
             territory=piece.territory,
-            attachments=list(piece.attachments),
+            attachments=without_edges(piece.attachments),
             entries=dict(piece.entries),
         )
         searched.append((snapshot, least_entry(piece)))
@@ -1331,7 +1425,7 @@ class TestSDecompositionCache:
                 assert getattr(got, f.name) == getattr(expected, f.name), (f.name, sorted(d.edges))
             assert got.edges == expected.edges
             for t in range(len(got.territories)):
-                got_attachments = sorted_attachments(dtw1._attachments(got.tree_edges, t))
+                got_attachments = sorted_attachments(node_attachments(got, t))
                 assert got_attachments == attachments[t], (t, sorted(d.edges))
             split += len(got.edges) >= 2
         assert split >= 100, split
@@ -1455,8 +1549,9 @@ class TestSDecompositionCache:
         sdec = s_decomposition(bidirect(40, random_tree_edges(random.Random(40), 40)))
         assert len(sdec.edges) == 38
         assert len(lifted) == len(sdec.edges)
-        assert sorted(lifted, key=TightSeparation.sort_key) == sorted(
-            (sep for (_, _, sep) in sdec.tree_edges), key=TightSeparation.sort_key
+        seps = tree_separations(sdec.territories, sdec.tree_edges)
+        assert sorted(TightSeparation(*shores).sort_key() for shores in lifted) == sorted(
+            sep.sort_key() for sep in seps
         )
 
     def test_each_piece_keeps_the_least_reference_lift(self, monkeypatch):

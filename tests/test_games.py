@@ -87,19 +87,25 @@ class TestRobberMoves:
 
     def test_landing_inside_new_cop_free_components(self):
         d = digon()
-        opts = _robber_options(d, frozenset(), frozenset({0, 1}), frozenset({0}))
+        opts = _robber_options(
+            d, frozenset(), frozenset({0, 1}), frozenset({0}), _components_avoiding
+        )
         assert opts == (frozenset({1}),)
 
     def test_lifted_cop_frees_the_whole_component(self):
         # While the cops fly from {0} to {1} nobody blocks vertex 0, so the
         # robber runs through it and survives on the other side.
         d = digon()
-        opts = _robber_options(d, frozenset({0}), frozenset({1}), frozenset({1}))
+        opts = _robber_options(
+            d, frozenset({0}), frozenset({1}), frozenset({1}), _components_avoiding
+        )
         assert opts == (frozenset({0}),)
 
     def test_standing_cops_keep_blocking(self):
         d = bicycle(3)
-        opts = _robber_options(d, frozenset({0}), frozenset({1, 2}), frozenset({0, 1}))
+        opts = _robber_options(
+            d, frozenset({0}), frozenset({1, 2}), frozenset({0, 1}), _components_avoiding
+        )
         assert opts == (frozenset({2}),)
 
 

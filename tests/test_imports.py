@@ -79,3 +79,11 @@ def test_the_conversions_take_what_came_before():
         {"min_hitting_set", "cut"}
     )
     assert "subtree_vertices" not in names_used(package / "decomp.py", "dtd_to_leaf_dtd")
+
+
+def test_the_split_tree_keeps_each_split_by_its_cut():
+    # A tree edge is (A-side node, B-side node, cut vertex): `dtw1` builds no
+    # separation object, and a split hands its attachments to its children
+    # rather than reading a list of each piece's incident edges.
+    dtw1 = Path(dtwone.__file__).parent / "dtw1.py"
+    assert names_used(dtw1).isdisjoint({"TightSeparation", "incident"})
