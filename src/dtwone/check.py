@@ -107,10 +107,13 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
       walk that comes back to s comes from g.
     Either way no walk from s - g that avoids g leaves s and returns, so
     the guard holds.  An arc that fails the test, and every arc when the
-    bags do not partition the vertices, gets the `round_trips` walk.  The
-    test passes only arcs that the walk passes, so it changes no report,
-    only its cost.  `_outside` finds those edges for every subtree at once;
-    the edges entering are found only once an arc needs them.
+    bags do not partition the vertices, gets the `round_trips` walk, which
+    starts only from the vertices of s that d has: a bag may name one it
+    lacks, and the partition check reports that.  The test passes only
+    arcs that the walk passes, so it changes no report, only its cost.
+    `_place` numbers the bags in preorder, and `_outside` finds those edges
+    for every subtree at once; the edges entering are found only once an
+    arc needs them.
     """
     violations = []
     nodes = dec.nodes
@@ -152,19 +155,9 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
     if len(order) != len(nodes):
         violations.append("not every node is reachable from the root")
         return Report(False, None, tuple(violations))
-    # The bags in preorder: the vertices below order[i] are
-    # placed[start[i]:start[i] + span[i]].
     bags = [dec.bags[t] for t in order]
-    start, placed = [], []
-    for bag in bags:
-        start.append(len(placed))
-        placed.extend(bag)
-    span = list(map(len, bags))
-    for i in range(len(order) - 1, 0, -1):
-        span[up[i]] += span[i]
-
-    pos = dict(zip(placed, range(len(placed))))
-    partition = len(placed) == d.n == len(pos) and pos.keys() <= d.vertex_set
+    placed, start, span, pos = _place(d, bags, up)
+    partition = pos is not None
     if partition:
         heads = _outside(bags, up, start, span, pos, d.out_neighbours)
         tails = None  # built when an arc first needs it
@@ -187,7 +180,7 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
             if len(tails[c]) <= 1 and at.issuperset(tails[c]):
                 continue
         s = frozenset(placed[start[c]:start[c] + span[c]])
-        bad = round_trips(d, s - g, g) - s
+        bad = round_trips(d, (s - g) & d.vertex_set, g) - s
         if bad:
             violations.append(
                 f"guard {sorted(g)} of arc {a!r} misses a walk returning to "
@@ -196,6 +189,25 @@ def validate_dtd(d: Digraph, dec: DirectedTreeDecomposition) -> Report:
     if violations:
         return Report(False, None, tuple(violations))
     return Report(True, dec.width(), ())
+
+
+def _place(d: Digraph, bags, up) -> tuple:
+    """The bags of a depth-first preorder of a tree, up[i] the place of the
+    i-th node's parent, laid out one after another: (placed, start, span,
+    pos), where the vertices below the i-th node are placed[start[i]:start[i]
+    + span[i]] and pos[v] is v's place in placed.  pos is None unless the
+    bags partition the vertex set of d.  `validate_dtd` places its bags so,
+    and `dtw1._laminar` the territories of a split tree."""
+    start, placed = [], []
+    for bag in bags:
+        start.append(len(placed))
+        placed.extend(bag)
+    span = list(map(len, bags))
+    for i in range(len(bags) - 1, 0, -1):
+        span[up[i]] += span[i]
+    pos = dict(zip(placed, range(len(placed))))
+    partition = len(placed) == d.n == len(pos) and pos.keys() <= d.vertex_set
+    return placed, start, span, pos if partition else None
 
 
 def _outside(bags, up, start, span, pos, neighbours) -> list:

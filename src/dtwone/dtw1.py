@@ -50,6 +50,8 @@ from .check import (
     Dtw1Certificate,
     MinorWitness,
     _ReplayState,
+    _outside,
+    _place,
     _roots,
     replay_script,
     validate_dtd,
@@ -235,9 +237,12 @@ def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels:
     beyond it, and together with the piece they must cover whole.  Each is
     mapped to representatives and scripted on the state itself, in order of
     cut vertex and sorted far shore; only this order reaches the output.
-    The state must then hold the collapsed piece sdec kept for the node
-    (`SDecomposition.collapsed`), and it is numbered by `dense_digraph`
-    only when a far shore was contracted; otherwise it is whole itself.
+    When a far shore was contracted, the state must then hold the
+    collapsed piece sdec kept for the node (`SDecomposition.collapsed`),
+    and it is numbered by `dense_digraph`.  Otherwise the node is sdec's
+    only one, whose collapsed piece is whole itself, and whole is returned
+    unchecked: the state held whole before the call, as `_minor_witness`
+    asserts after each step, and nothing was applied to it.
     """
     node = min(t for t, territory in enumerate(sdec.territories) if len(territory) >= 3)
     territory = sdec.territories[node]
@@ -256,11 +261,13 @@ def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels:
     assert len(territory) + len(far_cut) == whole.n, (
         f"piece and far shores must cover the digraph: {_edge_list(state.base)}"
     )
+    if not attachments:
+        return whole, labels
     rep = [state.rep(labels[v]) for v in sorted(territory)]
     assert _holds(state, sdec.collapsed[node], rep), (
         f"collapsing the far shores must reproduce the collapsed piece: {_edge_list(state.base)}"
     )
-    return dense_digraph(state.out) if attachments else (whole, labels)
+    return dense_digraph(state.out)
 
 
 def _holds(state: _ReplayState, d: Digraph, labels) -> bool:
@@ -386,10 +393,14 @@ class _Entry(NamedTuple):
 
     The X-shore is x's trace on the piece's territory: x may still hold
     vertices an ancestor piece dropped.  key is the entry's separation,
-    oriented by `orient_cut_separation` and lifted to d, as its pair of
-    sorted shores; it is None when the other shore is v alone, which makes
-    no candidate.  pivots is the pair of vertices whose comparison chose the
-    orientation when x_first is None, and () otherwise.
+    oriented by `orient_cut_separation` and lifted to d, as its sorted
+    A-shore; it is None when the other shore is v alone, which makes no
+    candidate.  A lifted separation's shores cover V and meet in v alone,
+    so its B-shore is the rest of V and v, and with the A-shore fixed it
+    sorts as v does: the heap, which breaks ties by v next (`_Piece`),
+    orders the candidates as their pairs of sorted shores would.  pivots is
+    the pair of vertices whose comparison chose the orientation when
+    x_first is None, and () otherwise.
     """
 
     x: frozenset
@@ -446,8 +457,8 @@ def _entry(piece: _Piece, v, x, x_first) -> _Entry:
     if len(p) < 2:
         return _Entry(x, x_first, None, ())
     first, second, pivots = orient_cut_separation(p, x | {v}, v, x, x_first)
-    shore_a, shore_b = _lifted_shores(piece.attachments, first, second)
-    return _Entry(x, x_first, (tuple(sorted(shore_a)), tuple(sorted(shore_b))), pivots)
+    shore_a, _ = _lifted_shores(piece.attachments, first, second)
+    return _Entry(x, x_first, tuple(sorted(shore_a)), pivots)
 
 
 def _fresh_entries(piece: _Piece, v, comps) -> list:
@@ -524,27 +535,50 @@ def _split_off(piece: _Piece, territory, cut, attachments, minus, where) -> _Pie
 
 def _laminar(d, territories, tree_edges) -> bool:
     """True if a split tree's separations (see `SDecomposition`) are
-    directed separations of d and no two of them cross, by one walk of the
-    tree.  Oriented separations (A, B) and (C, D) cross when A & C, B & D,
-    (A & D) - (B & C) and (B & C) - (A & D) are all non-empty.
-    `territories` lists each node's territory, every one of two or more
-    vertices.  The walk checks two things:
+    directed separations of d and no two of them cross, in time linear in
+    the sizes of d and of the tree.  Oriented separations (A, B) and (C, D)
+    cross when A & C, B & D, (A & D) - (B & C) and (B & C) - (A & D) are all
+    non-empty.  `territories` lists each node's territory, every one of two
+    or more vertices.  Four things are checked:
 
     1. for each cut vertex u, the tree edges with cut u form a directed
        path, an edge pointing from its A-side node to its B-side node: no
        node has two of them pointing at it or two pointing away from it;
-    2. each tree edge's shores meet in exactly its cut and form a directed
-       separation of d.
+    2. each tree edge's cut lies in both its end territories;
+    3. the tree edges form a tree, and in a depth-first preorder of it the
+       bags, each node's territory less the cut of the edge to its parent,
+       partition V (`_place`, as for `validate_dtd`);
+    4. by one `_outside` pass each way: the edges leaving the bags below
+       each tree edge (its B side below) or entering them (its A side
+       below) meet nothing outside them but its cut.
 
-    Given 2, 1 holds exactly when no two separations cross.  Take tree edges
-    e and f.  Without them the tree falls into the part P beyond e, the
-    part M between them and the part Q beyond f; write U(X) for the union
-    of the territories in X.  So e's shores are U(P) and U(M | Q), and
-    f's are U(Q) and U(P | M).  A vertex of U(P) & U(Q) lies on both shores
-    of e and of f, so by 2 it is the cut of both; and if e and f both have
-    cut u, u lies in U(P) and in U(Q).  So U(P) & U(Q) is empty, or it is
-    {u} when e and f share the cut u.  With (A, B) the shores of e and
-    (C, D) those of f:
+    Count.  Write N(v) for the nodes whose territories hold v and E(v) for
+    the tree edges with cut v; by 2, E(v) is a forest on N(v), of at most
+    |N(v)| - 1 edges.  By 2 a vertex of a territory is in the bag of the
+    first node that holds it, and every bag but the root's is its
+    territory less one vertex, so by 3 the territories cover V, lie in it,
+    and hold n + E vertices for E tree edges.  So every bound is met: each
+    N(v) is a subtree whose tree edges are E(v), and v lies on both sides
+    of a tree edge exactly when it is the edge's cut.  Each edge's shores,
+    the unions of the territories on its two sides, cover V and meet in
+    exactly its cut.
+
+    Interval.  The bags below the i-th node of the preorder are an interval
+    I of the placement.  Only the cut c of the edge into it lies on both
+    sides of that edge, and c is placed above, so the shore below is
+    I | {c} and the shore above V - I: the separation is directed when no
+    edge runs from I to V - I - {c} (B side below) or from there into I
+    (A side below), which is 4.
+
+    Crossing.  Given this, 1 holds exactly when no two separations cross.
+    Take tree edges e and f.  Without them the tree falls into the part P
+    beyond e, the part M between them and the part Q beyond f; write U(X)
+    for the union of the territories in X.  So e's shores are U(P) and
+    U(M | Q), and f's are U(Q) and U(P | M).  A vertex of U(P) & U(Q) lies
+    on both shores of e and of f, so it is the cut of both; and if e and f
+    both have cut u, u lies in U(P) and in U(Q).  So U(P) & U(Q) is empty,
+    or it is {u} when e and f share the cut u.  With (A, B) the shores of e
+    and (C, D) those of f:
 
     - e points at f and f away from e: A = U(P), D = U(Q), so A & D is
       U(P) & U(Q), which lies in B & C; they do not cross.  The same holds
@@ -557,49 +591,47 @@ def _laminar(d, territories, tree_edges) -> bool:
       swapped.
 
     So e and f cross exactly when they share a cut and point at or away
-    from each other.  When they share the cut u, every edge between them
-    has u on both shores, so the edges with cut u form a subtree.  If that
+    from each other.  The edges with cut u form a subtree.  If that
     subtree is a directed path, any two of its edges point the same way
     along it, and none cross.  Otherwise some node meets two of them that
     point at it or away from it, and those two cross; a subtree in which no
-    node has two is a path, and a directed one.  The work per tree edge is
-    O(1) set operations of at most n elements and one scan of out-sets.
+    node has two is a path, and a directed one.
     """
     nodes = len(territories)
-    nbrs = [[] for _ in range(nodes)]
-    ends = {}  # (node, neighbour): the edge's cut, and whether node is its A side
-    pointing_at, pointing_away = set(), set()
-    for (ai, bi, c) in tree_edges:
-        if (c, bi) in pointing_at or (c, ai) in pointing_away:
+    nbrs = [[] for _ in range(nodes)]  # the tree edges at each node
+    for edge in tree_edges:
+        ai, bi, c = edge
+        if c not in territories[ai] or c not in territories[bi]:
             return False
-        pointing_at.add((c, bi))
-        pointing_away.add((c, ai))
-        nbrs[ai].append(bi)
-        nbrs[bi].append(ai)
-        ends[ai, bi] = c, True
-        ends[bi, ai] = c, False
-    order, arcs = _bfs_arcs(0, nbrs.__getitem__)
-    if len(tree_edges) != nodes - 1 or len(order) != nodes:
+        nbrs[ai].append(edge)
+        nbrs[bi].append(edge)
+    # The preorder: the i-th node's parent is the up[i]-th, the edge between
+    # them has cut cuts[i], and a_below[i] if the i-th node is its A side.
+    bags, up, cuts, a_below = [], [], [], []
+    stack, seen = [(0, None, None, None)], {0}
+    while stack:
+        t, p, c, is_a = stack.pop()
+        if len({(cut, bi == t) for (_, bi, cut) in nbrs[t]}) < len(nbrs[t]):
+            return False  # two edges with one cut point at t, or away from it
+        for (ai, bi, cut) in nbrs[t]:
+            u = bi if ai == t else ai
+            if u not in seen:
+                seen.add(u)
+                stack.append((u, len(bags), cut, u == ai))
+        bags.append(territories[t] - {c})
+        up.append(p)
+        cuts.append(c)
+        a_below.append(is_a)
+    if len(tree_edges) != nodes - 1 or len(bags) != nodes:
         return False
-    children = [[] for _ in range(nodes)]
-    below = list(territories)  # the union over each node's subtree
-    for (t, u) in reversed(arcs):  # a node's arcs out come after its arc in
-        children[t].append(u)
-        below[t] = below[t] | below[u]
-    above = [frozenset()] * nodes  # the union outside each node's subtree
-    for t in order:
-        acc = above[t] | territories[t]
-        for u in children[t]:
-            above[u] = acc
-            acc = acc | below[u]
-        acc = frozenset()
-        for u in reversed(children[t]):
-            above[u] = above[u] | acc
-            acc = acc | below[u]
-    for (t, u) in arcs:
-        c, t_is_a = ends[t, u]
-        shore_a, shore_b = (above[u], below[u]) if t_is_a else (below[u], above[u])
-        if shore_a & shore_b != {c} or not is_directed_separation(d, shore_a, shore_b):
+    _, start, span, pos = _place(d, bags, up)
+    if pos is None:
+        return False
+    heads = _outside(bags, up, start, span, pos, d.out_neighbours)
+    tails = _outside(bags, up, start, span, pos, d.in_neighbours)
+    for i in range(1, nodes):
+        ends = tails[i] if a_below[i] else heads[i]
+        if len(ends) > 1 or not {pos[cuts[i]]}.issuperset(ends):
             return False
     return True
 
@@ -634,7 +666,8 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     Each finished piece of three or more vertices is checked to be strongly
     2-connected when its search comes up empty, which is final because its
     attachments never change afterwards, and is kept; the family is checked
-    by `_laminar`, one walk of the tree, before it is returned.
+    by `_laminar`, one walk of the tree and the checker's subtree-boundary
+    passes, before it is returned.
     These assertions, and the lift, key and straddle checks of each split,
     name d by `_edge_list`.
 
@@ -657,8 +690,10 @@ def s_decomposition(d: Digraph) -> SDecomposition:
 
     A piece's candidates are its entries (see `_Piece`): every X-shore of a
     strong component of the collapsed piece minus a vertex, keyed by its
-    lifted separation.  Only the winner is lifted as a separation and
-    asserted, and its key is asserted to be that lift.  The root piece,
+    lifted A-shore (see `_Entry`).  Only the winner is lifted as a
+    separation and asserted, and its key is asserted to be that lift's
+    A-shore; with the straddle check, which says that the shores meet in
+    its vertex alone, that fixes the whole lift.  The root piece,
     which is searched only when d fails the test above, computes its entries
     from the strong components of d - v for every v, which
     `strong_components_minus_each` reads off the test's two dominator trees:
@@ -758,7 +793,7 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         x = x & piece.territory
         first, second, _ = orient_cut_separation(piece.territory - x, x | {v}, v, x, x_first)
         shore_a, shore_b = _lift_separation(d, piece.attachments, first, second)
-        assert (tuple(sorted(shore_a)), tuple(sorted(shore_b))) == key, (
+        assert tuple(sorted(shore_a)) == key, (
             f"an entry's key must be its lifted separation: {_edge_list(d)}"
         )
         assert shore_a & shore_b == {v}, (

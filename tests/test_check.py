@@ -17,12 +17,14 @@ import pytest
 
 import dtwone
 from dtwone.check import (
+    DirectedTreeDecomposition,
     Dtw1Certificate,
     _ReplayState,
     _roots,
     minor_haven_is_monotone,
     on_every_path,
     replay_script,
+    validate_dtd,
     verify_certificate,
     verify_witness,
 )
@@ -72,6 +74,23 @@ def test_the_formats_load_neither_the_recogniser_nor_the_game():
     ours, _ = fresh_import("dtwone.formats")
     assert "dtwone.check" in ours
     assert "dtwone.dtw1" not in ours and "dtwone.games" not in ours
+
+
+@pytest.mark.parametrize("bags, guard, walk", [
+    ({0: {0, 1}, 1: {2, 7}}, {1}, ()),
+    ({0: {1}, 1: {0, 2, 7}}, {2},
+     ("guard [2] of arc (0, 1) misses a walk returning to [0, 2, 7] through vertex 1",)),
+])
+def test_a_bag_naming_an_unknown_vertex_gets_a_report(bags, guard, walk):
+    # The bidirected path 0 1 2, with a vertex 7 it does not have below the
+    # arc: the partition check reports it, and the guard's walk starts from
+    # the vertices below the arc that the path has.
+    d = bidirect(3, [(0, 1), (1, 2)])
+    dec = DirectedTreeDecomposition((0, 1), ((0, 1),), bags, {(0, 1): guard})
+    expected = ("bags must partition the vertex set of the digraph", *walk)
+    assert validate_dtd(d, dec).violations == expected
+    report = verify_certificate(d, Dtw1Certificate("YES", dec, None))
+    assert (report.valid, report.violations) == (False, expected)
 
 
 class TestMalformedWitnesses:

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import random
+import tracemalloc
 import types
 from collections import Counter
 
@@ -643,6 +645,26 @@ class TestCollapseReference:
         assert recognize_dtw1(d).verdict == "NO"
         assert calls == expected
 
+    def test_a_round_that_contracts_nothing_is_not_checked_again(self, monkeypatch):
+        # `_holds` checks the state after each step, and in `_collapse` only
+        # after a far shore was contracted: a round with nothing to contract
+        # holds the digraph the step's check has just compared, and the
+        # first round holds the input.  The 20-vertex dense draw makes 29
+        # calls; it made 35 when `_collapse` checked every round.
+        rng = random.Random(5)
+        d = [suite.random_strongly_connected(rng, n, 0.15) for n in (12, 20)][-1]
+        calls = 0
+        original = dtw1._holds
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return original(*args)
+
+        monkeypatch.setattr(dtw1, "_holds", counted)
+        assert recognize_dtw1(d).verdict == "NO"
+        assert calls == 29
+
     def test_a_tree_plus_a_triangle_builds_three_digraphs(self, monkeypatch):
         # The triangle is the one piece of three vertices.  Its s-decomposition
         # builds it once, the NO loop numbers the state densely once after
@@ -959,8 +981,8 @@ class TestSDecomposition:
         assert named_digraph(err.value) == d
 
     def test_a_key_that_is_not_its_lift_names_the_digraph(self, monkeypatch):
-        # Every candidate keyed by its shores swapped: the least key is
-        # not the winner's lifted separation.
+        # Every candidate keyed by its A-shore reversed: the least key is
+        # not the winner's lifted A-shore.
         original = dtw1._entry
 
         def swapped(*args):
@@ -1102,6 +1124,74 @@ class TestSDecomposition:
         assert not reference_is_directed_separation(d, sep.shoreA, sep.shoreB)
         assert not dtw1._laminar(d, sdec.territories, reversed_edge)
 
+    def test_laminarity_walk_matches_the_reference_on_changed_families(self):
+        # Every s-decomposition of the corpus changed once (`changed_families`).
+        # Where every cut lies in both its end territories and the
+        # territories hold n + E vertices for E tree edges, the walk agrees
+        # with the reference; every other family it rejects.  The
+        # reference accepts 319 of those: 184 single nodes whose territory
+        # misses a vertex, where it has no tree edge to check, and 135
+        # families where a cut left one end territory but still lies on
+        # both sides of its edge.  Recorded: 10,529 changes of 2,107
+        # families, 7,161 off the invariant and 3,368 on it, 3,250 of
+        # those rejected by both and 118 accepted by both.
+        on = off = both_reject = reference_accepts = 0
+        for d in carry_over_corpus():
+            if d.n < 2:
+                continue
+            sdec = s_decomposition(d)
+            for territories, tree_edges in changed_families(random.Random(d.n), d, sdec):
+                got = dtw1._laminar(d, territories, tree_edges)
+                if not all(c in territories[a] and c in territories[b] for (a, b, c) in tree_edges) or (
+                    sum(map(len, territories)) != d.n + len(tree_edges)
+                ):
+                    assert not got, (sorted(d.edges), territories, tree_edges)
+                    off += 1
+                    reference_accepts += reference_laminar(d, territories, tree_edges)
+                    continue
+                assert got == reference_laminar(d, territories, tree_edges), (
+                    sorted(d.edges), territories, tree_edges
+                )
+                on += 1
+                both_reject += not got
+        assert on >= 3_000 and off >= 6_500 and reference_accepts >= 250, (
+            on, off, reference_accepts
+        )
+        assert both_reject >= 3_000 and on - both_reject >= 100, (both_reject, on)
+
+    def test_laminarity_walk_checks_that_the_territories_cover_the_digraph(self):
+        # One node has no tree edge to hold a separation, so only its
+        # territory tells that it misses a vertex.
+        d = bicycle(4)
+        assert dtw1._laminar(d, [frozenset(range(4))], [])
+        assert not dtw1._laminar(d, [frozenset(range(3))], [])
+        assert not dtw1._laminar(d, [frozenset({0, 1, 2, 5})], [])
+
+    @pytest.mark.parametrize("which, sizes", [
+        ("random tree", (192, 768)), ("path", (48, 192)), ("star", (48, 192)),
+    ])
+    def test_laminarity_walk_memory_grows_linearly(self, which, sizes):
+        # The `tracemalloc` peak of one walk over the split tree that
+        # `s_decomposition` returned, at two sizes four times apart.
+        # Recorded slopes: 1.08 on the tree, 1.05 on the path and the star,
+        # and 0.51 MiB on the 768-vertex tree; unions of the territories
+        # below and above every node gave 1.94, 1.83 and 1.83, and 25 MiB.
+        peaks = []
+        for n in sizes:
+            if which == "random tree":
+                d = bidirect(n, random_tree_edges(random.Random(n), n))
+            else:
+                d = {"path": bidirected_path, "star": bidirected_star}[which](n)
+            sdec = s_decomposition(d)
+            tracemalloc.start()
+            try:
+                assert dtw1._laminar(d, sdec.territories, sdec.tree_edges)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slope = math.log(peaks[1] / peaks[0]) / math.log(sizes[1] / sizes[0])
+        assert slope <= 1.3 and peaks[1] < 2 * 2**20, (peaks, slope)
+
     def test_family_is_maximal_among_all_tight_separations(self):
         corpus = list(labeled_strongly_connected(3))
         rng = random.Random(94)
@@ -1141,6 +1231,42 @@ def reference_laminar(d, territories, tree_edges) -> bool:
         and reference_is_directed_separation(d, sep.shoreA, sep.shoreB)
         for (_, _, cut), sep in zip(tree_edges, seps)
     )
+
+
+def changed_families(rng, d, sdec):
+    """(territories, tree edges) for sdec's family changed once in each of
+    these ways, each a seeded choice: a territory loses a vertex, gains
+    one, or swaps one for another; a tree edge takes another cut, is
+    reversed, or has one end moved to another node that holds its cut."""
+    territories, tree_edges = list(sdec.territories), list(sdec.tree_edges)
+
+    def with_territory(t, territory):
+        return [*territories[:t], frozenset(territory), *territories[t + 1:]], tree_edges
+
+    def with_edge(i, edge):
+        return territories, [*tree_edges[:i], edge, *tree_edges[i + 1:]]
+
+    t = rng.randrange(len(territories))
+    lost = rng.choice(sorted(territories[t]))
+    yield with_territory(t, territories[t] - {lost})
+    gained = [v for v in range(d.n) if v not in territories[t]]
+    if gained:
+        new = rng.choice(gained)
+        yield with_territory(t, territories[t] | {new})
+        yield with_territory(t, (territories[t] - {lost}) | {new})
+    if not tree_edges:
+        return
+    i = rng.randrange(len(tree_edges))
+    a, b, c = tree_edges[i]
+    yield with_edge(i, (a, b, rng.choice([v for v in range(d.n) if v != c])))
+    yield with_edge(i, (b, a, c))
+    moves = [
+        edge
+        for x, territory in enumerate(territories) if c in territory and x not in (a, b)
+        for edge in ((x, b, c), (a, x, c))
+    ]
+    if moves:
+        yield with_edge(i, rng.choice(moves))
 
 
 class _PieceState:
@@ -1370,8 +1496,9 @@ def count_paths(monkeypatch):
 def reference_entries(d, territory, attachments):
     """Each territory vertex's entries, from `cut_vertex_shores` on the freshly
     collapsed piece with a fresh Tarjan pass, as (X-shore, x_first, key)
-    triples in label sets, key the `reference_lift_separation` of the
-    shores in the orientation the edge scan finds valid."""
+    triples in label sets, key the A-shore of the `reference_lift_separation`
+    of the shores in the orientation the edge scan finds valid, whose
+    B-shore is checked to be the rest of d's vertices and v."""
     collapsed, labels = reference_collapse_piece(d, territory, attachments)
     index = {label: j for j, label in enumerate(labels)}
 
@@ -1395,7 +1522,9 @@ def reference_entries(d, territory, attachments):
                 else:
                     first, second = (p, q) if pq else (q, p)
                 local_sep = TightSeparation(local(first), local(second))
-                key = reference_lift_separation(d, attachments, local_sep, labels).sort_key()
+                lifted = reference_lift_separation(d, attachments, local_sep, labels)
+                assert lifted.shoreB == (frozenset(range(d.n)) - lifted.shoreA) | {v}
+                key = lifted.sort_key()[0]
             triples.append((x, x_first, key))
         out[v] = triples
     return out
@@ -1556,7 +1685,9 @@ class TestSDecompositionCache:
 
     def test_each_piece_keeps_the_least_reference_lift(self, monkeypatch):
         # Only the winner is lifted as a separation; it must still be the
-        # least of every candidate's full lift.
+        # least of every candidate's full lift.  A key is the lift's
+        # A-shore, and the winner's vertex is the lift's cut: every lift's
+        # B-shore is the rest of V and its cut, so the two name the lift.
         searched = record_searches(monkeypatch)
         rng = random.Random(420)
         corpus = [d for d in carry_over_corpus() if d.n >= 2]
@@ -1567,16 +1698,19 @@ class TestSDecompositionCache:
         for d in corpus:
             searched.clear()
             s_decomposition(d)
+            everything = frozenset(range(d.n))
             for piece, best in searched:
                 collapsed, labels = reference_collapse_piece(d, piece.territory, piece.attachments)
                 lifts = [
                     reference_lift_separation(d, piece.attachments, local, labels)
                     for local in tight_separations(collapsed)
                 ]
+                for lift in lifts:
+                    assert lift.shoreB == (everything - lift.shoreA) | {lift.cut_vertex}
                 least = min(lifts, key=TightSeparation.sort_key, default=None)
-                assert (best and best[1].key) == (least and least.sort_key()), (
-                    sorted(d.edges), sorted(piece.territory)
-                )
+                assert (best and (best[1].key, best[0])) == (
+                    least and (least.sort_key()[0], least.cut_vertex)
+                ), (sorted(d.edges), sorted(piece.territory))
                 chosen += len(lifts) >= 2
         assert chosen >= 3_000, chosen
 

@@ -87,3 +87,11 @@ def test_the_split_tree_keeps_each_split_by_its_cut():
     # rather than reading a list of each piece's incident edges.
     dtw1 = Path(dtwone.__file__).parent / "dtw1.py"
     assert names_used(dtw1).isdisjoint({"TightSeparation", "incident"})
+
+
+def test_the_split_tree_is_checked_by_the_checker_s_boundary_pass():
+    # `_laminar` asks the checker's `_outside` which edges leave or enter
+    # each subtree's interval, rather than scanning union shores.
+    dtw1 = Path(dtwone.__file__).parent / "dtw1.py"
+    used = names_used(dtw1, "_laminar")
+    assert "_outside" in used and "is_directed_separation" not in used
