@@ -155,7 +155,9 @@ def cmd_verify_cert(digraph_file, certificate_file, output_format):
     name_to_id = {name: i for i, name in enumerate(names)}
     kv, records = _guarded(read_document, _read_file(certificate_file))
     digest = digraph_hash(d)
-    if kv.get("digraph") != digest:
+    if "digraph" not in kv:
+        _die("certificate names no digraph")
+    if kv["digraph"] != digest:
         _die("certificate was issued for a different digraph")
     cert = _guarded(parse_certificate, (kv, records), name_to_id)
     report = _guarded(verify_certificate, d, cert)

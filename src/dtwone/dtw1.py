@@ -65,7 +65,6 @@ from .digraph import (
     a4_digraph,
     cut_vertex_shores,
     dense_digraph,
-    is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
     merge_into,
@@ -358,34 +357,25 @@ def _attachments(sdec: SDecomposition, p) -> list:
     return out
 
 
-def _lifted_shores(attachments, shore_a, shore_b) -> tuple[set, set]:
-    """The shores of a separation of a collapsed piece, given as label sets,
-    expanded back to the whole digraph.
+def _lifts_onto_a(attachment, first, v) -> bool:
+    """True if a separation (first, second) at v of the attachment's piece,
+    given as label sets, lifts the attachment's far shore onto its A-shore.
 
-    Collapsed far shores re-enter on the side their cut vertex lies on; a cut
-    vertex on the separator sends its shore to the side matching the shore's
-    role in its own separation, which keeps the family laminar.  A far shore
-    meets the territory only in its cut, so adding it to a side never moves
-    another cut vertex.
+    A far shore re-enters on the side its cut vertex lies on; one at v,
+    which lies on both, goes to the side matching its role in its own
+    separation, which keeps the family laminar.  first and second meet in
+    v alone, so a cut in first lies in second only when it is v.
     """
-    shore_a = set(shore_a)
-    shore_b = set(shore_b)
-    for (cut, far, far_is_a, _) in attachments:
-        if cut in shore_a and (far_is_a or cut not in shore_b):
-            shore_a |= far
-        else:
-            shore_b |= far
-    return shore_a, shore_b
+    cut, _, far_is_a, _ = attachment
+    return cut in first and (far_is_a or cut != v)
 
 
-def _lift_separation(d, attachments, shore_a, shore_b) -> tuple[frozenset, frozenset]:
-    """The lifted shores (see `_lifted_shores`), asserted to be a directed
-    separation of d."""
-    shore_a, shore_b = map(frozenset, _lifted_shores(attachments, shore_a, shore_b))
-    assert is_directed_separation(d, shore_a, shore_b), (
-        f"lifted shores stopped being a directed separation: {_edge_list(d)}"
-    )
-    return shore_a, shore_b
+def _lifted_a_shore(attachments, first, v) -> frozenset:
+    """The A-shore of a separation (first, second) at v of a collapsed
+    piece, expanded back to the whole digraph: first and the far shores
+    `_lifts_onto_a` sends there.  A far shore meets the territory only in
+    its cut, so the lifted B-shore is the rest of V and v."""
+    return frozenset(first).union(*(a[1] for a in attachments if _lifts_onto_a(a, first, v)))
 
 
 class _Entry(NamedTuple):
@@ -393,14 +383,14 @@ class _Entry(NamedTuple):
 
     The X-shore is x's trace on the piece's territory: x may still hold
     vertices an ancestor piece dropped.  key is the entry's separation,
-    oriented by `orient_cut_separation` and lifted to d, as its sorted
-    A-shore; it is None when the other shore is v alone, which makes no
-    candidate.  A lifted separation's shores cover V and meet in v alone,
-    so its B-shore is the rest of V and v, and with the A-shore fixed it
-    sorts as v does: the heap, which breaks ties by v next (`_Piece`),
-    orders the candidates as their pairs of sorted shores would.  pivots is
-    the pair of vertices whose comparison chose the orientation when
-    x_first is None, and () otherwise.
+    oriented by `orient_cut_separation`, as its A-shore lifted to d by
+    `_lifted_a_shore` and sorted; it is None when the other shore is v
+    alone, which makes no candidate.  The lifted B-shore is not built: the
+    shores cover V and meet in v alone, so it is the rest of V and v, and
+    with the A-shore fixed it sorts as v does.  So the heap, which breaks
+    ties by v next (`_Piece`), orders the candidates as their pairs of
+    sorted shores would.  pivots is the pair of vertices whose comparison
+    chose the orientation when x_first is None, and () otherwise.
     """
 
     x: frozenset
@@ -456,9 +446,8 @@ def _entry(piece: _Piece, v, x, x_first) -> _Entry:
     p = piece.territory - x
     if len(p) < 2:
         return _Entry(x, x_first, None, ())
-    first, second, pivots = orient_cut_separation(p, x | {v}, v, x, x_first)
-    shore_a, _ = _lifted_shores(piece.attachments, first, second)
-    return _Entry(x, x_first, tuple(sorted(shore_a)), pivots)
+    first, _, pivots = orient_cut_separation(p, x | {v}, v, x, x_first)
+    return _Entry(x, x_first, tuple(sorted(_lifted_a_shore(piece.attachments, first, v))), pivots)
 
 
 def _fresh_entries(piece: _Piece, v, comps) -> list:
@@ -667,17 +656,23 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     2-connected when its search comes up empty, which is final because its
     attachments never change afterwards, and is kept; the family is checked
     by `_laminar`, one walk of the tree and the checker's subtree-boundary
-    passes, before it is returned.
-    These assertions, and the lift, key and straddle checks of each split,
-    name d by `_edge_list`.
+    passes, before it is returned.  No split checks its own separation:
+    its lifted shores are the union shores of its tree edge, which later
+    splits do not change (see above), so `_laminar` asks of the same
+    separations whether each is a directed separation, and its count
+    argument says that the two shores of each meet in exactly its cut.
+    These assertions, and the key check of each split, name d by
+    `_edge_list`.
 
     A piece with two vertices is final as it stands, and is neither built
     nor searched.  Its collapsed piece is a contraction of a strongly
     connected digraph, so a digon: every entry's other shore would be v
     alone, which makes no candidate, and `is_strongly_2_connected` holds on
-    two vertices by definition.  A split hands the attachments whose far
-    shore lands on its A-shore to its A child and the rest to its B child,
-    and rewires only the latter's tree edges.
+    two vertices by definition.  A split at v along (first, second) gives
+    its A child the territory first and its B child second.  It hands the
+    attachments whose far shore `_lifts_onto_a` sends to the A-shore to
+    its A child and the rest to its B child, and rewires only the latter's
+    tree edges.
 
     A split builds its children by editing the split piece (`_split_off`):
     the piece becomes its last child of three or more vertices, and when
@@ -690,12 +685,11 @@ def s_decomposition(d: Digraph) -> SDecomposition:
 
     A piece's candidates are its entries (see `_Piece`): every X-shore of a
     strong component of the collapsed piece minus a vertex, keyed by its
-    lifted A-shore (see `_Entry`).  Only the winner is lifted as a
-    separation and asserted, and its key is asserted to be that lift's
-    A-shore; with the straddle check, which says that the shores meet in
-    its vertex alone, that fixes the whole lift.  The root piece,
-    which is searched only when d fails the test above, computes its entries
-    from the strong components of d - v for every v, which
+    lifted A-shore (see `_Entry`).  The split lifts the winner's A-shore
+    once more and asserts that it is the key; the B-shore, the far shore
+    its A child keeps at the cut, is the rest of V and the cut.  The root
+    piece, which is searched only when d fails the test above, computes its
+    entries from the strong components of d - v for every v, which
     `strong_components_minus_each` reads off the test's two dominator trees:
     one Tarjan pass of d - 0, one pass for each strong articulation point
     over the vertices it dominates, and none for any other vertex, whose d -
@@ -792,26 +786,22 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         v, (x, x_first, key, _) = best
         x = x & piece.territory
         first, second, _ = orient_cut_separation(piece.territory - x, x | {v}, v, x, x_first)
-        shore_a, shore_b = _lift_separation(d, piece.attachments, first, second)
+        shore_a = _lifted_a_shore(piece.attachments, first, v)
         assert tuple(sorted(shore_a)) == key, (
             f"an entry's key must be its lifted separation: {_edge_list(d)}"
         )
-        assert shore_a & shore_b == {v}, (
-            f"an old tree edge straddles the new separation: {_edge_list(d)}"
-        )
-        old = pieces[pi]
-        pieces[pi] = old & shore_a
+        pieces[pi] = first
         new_index = len(pieces)
-        pieces.append(old & shore_b)
+        pieces.append(second)
         e = len(tree_edges)
         tree_edges.append((pi, new_index, v))
-        kept, moved = [(v, shore_b, False, e)], [(v, shore_a, True, e)]
+        kept, moved = [(v, (d.vertex_set - shore_a) | {v}, False, e)], [(v, shore_a, True, e)]
         for attachment in piece.attachments:
-            _, far, _, f = attachment
-            if far <= shore_a:
+            if _lifts_onto_a(attachment, first, v):
                 kept.append(attachment)
             else:
                 moved.append(attachment)
+                f = attachment[3]
                 ai, bi, c = tree_edges[f]
                 tree_edges[f] = (new_index, bi, c) if ai == pi else (ai, new_index, c)
         built = [(i, at) for (i, at) in ((pi, kept), (new_index, moved)) if len(pieces[i]) > 2]

@@ -206,6 +206,15 @@ class TestVerifyCert:
         assert res.exit_code == 2
         assert "different digraph" in res.output
 
+    def test_certificate_without_digraph_line_exit_two(self, runner, b3_file, tmp_path):
+        lines = self.cert(runner, b3_file).splitlines()
+        cert = tmp_path / "anonymous.cert"
+        cert.write_text("\n".join(line for line in lines if not line.startswith("digraph=")) + "\n")
+        res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
+        assert res.exit_code == 2 and res.stdout == ""
+        assert "certificate names no digraph" in res.output
+        assert "different digraph" not in res.output
+
 
 class TestValidateCommands:
     def test_validate_dtd_accepts_yes_certificate(self, runner, digon_file, tmp_path):

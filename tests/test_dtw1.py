@@ -973,12 +973,65 @@ class TestSDecomposition:
             s_decomposition(d)
         assert named_digraph(err.value) == d
 
-    def test_a_lift_that_is_no_separation_names_the_digraph(self, monkeypatch):
-        d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
-        monkeypatch.setattr(dtw1, "is_directed_separation", lambda *args: False)
-        with pytest.raises(AssertionError, match="stopped being a directed separation") as err:
+    @pytest.mark.parametrize("edges, rule", [
+        # Every far shore whose cut lies in the first shore lifted onto the
+        # A-shore, also one at the separation's vertex that its own split
+        # made a B-shore: the 4-cycle with a chord.
+        ([(0, 1), (1, 2), (2, 3), (3, 0), (3, 1)],
+         lambda cut, far_is_a, first, v: cut in first),
+        # A far shore at the separation's vertex lifted onto the side of the
+        # other role than its own split gave it: the bidirected K_{1,3}.
+        ([(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)],
+         lambda cut, far_is_a, first, v: cut in first and (not far_is_a or cut != v)),
+    ], ids=["every-cut-in-first", "role-flipped-at-the-cut"])
+    def test_a_far_shore_lifted_onto_the_wrong_side_names_the_digraph(
+        self, monkeypatch, edges, rule
+    ):
+        # Keys and lifts agree, so only the end check of the family sees it.
+        def wrong_side(attachment, first, v):
+            cut, _, far_is_a, _ = attachment
+            return rule(cut, far_is_a, first, v)
+
+        monkeypatch.setattr(dtw1, "_lifts_onto_a", wrong_side)
+        d = digraph_from_edges(4, edges)
+        with pytest.raises(AssertionError, match="pairwise laminar") as err:
             s_decomposition(d)
         assert named_digraph(err.value) == d
+
+    def test_wrong_side_lifts_of_a_corpus_are_caught_by_the_end_check(self, monkeypatch):
+        # Three rules that lift some far shore onto the wrong side, on 270
+        # seeded inputs.  The end check is the only check of the family:
+        # each input it catches must end in its assertion, naming d, and
+        # the number caught per rule is pinned.
+        rng = random.Random(35)
+        corpus = []
+        for _ in range(90):
+            n = rng.randint(4, 30)
+            corpus.append(bidirect(n, random_tree_edges(rng, n)))
+        corpus += [tree_plus_triangle(rng, rng.randint(4, 30)) for _ in range(90)]
+        for _ in range(90):
+            n = rng.randint(4, 12)
+            corpus.append(suite.random_strongly_connected(rng, n, rng.choice([0.2, 0.3])))
+        rules = [
+            (lambda cut, far_is_a, first, v: cut in first, 180),
+            (lambda cut, far_is_a, first, v: cut in first and cut != v, 35),
+            (lambda cut, far_is_a, first, v: cut in first and (not far_is_a or cut != v), 191),
+        ]
+        for rule, recorded in rules:
+            monkeypatch.setattr(
+                dtw1, "_lifts_onto_a",
+                lambda attachment, first, v, rule=rule: rule(
+                    attachment[0], attachment[2], first, v
+                ),
+            )
+            caught = 0
+            for d in corpus:
+                try:
+                    s_decomposition(d)
+                except AssertionError as err:
+                    assert "pairwise laminar" in str(err) and named_digraph(err) == d
+                    caught += 1
+            assert caught == recorded
 
     def test_a_key_that_is_not_its_lift_names_the_digraph(self, monkeypatch):
         # Every candidate keyed by its A-shore reversed: the least key is
@@ -992,22 +1045,6 @@ class TestSDecomposition:
         monkeypatch.setattr(dtw1, "_entry", swapped)
         d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(AssertionError, match="key must be its lifted separation") as err:
-            s_decomposition(d)
-        assert named_digraph(err.value) == d
-
-    def test_a_straddling_tree_edge_names_the_digraph(self, monkeypatch):
-        # Every far shore lifted onto both sides: the path's second split
-        # puts the far shore of its first on both of its shores.  The
-        # lift stays a directed separation, and keys and lifts agree.
-        original = dtw1._lifted_shores
-
-        def both_sides(attachments, shore_a, shore_b):
-            far = set().union(*(far for (_, far, _, _) in attachments))
-            return tuple(side | far for side in original(attachments, shore_a, shore_b))
-
-        monkeypatch.setattr(dtw1, "_lifted_shores", both_sides)
-        d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
-        with pytest.raises(AssertionError, match="straddles the new separation") as err:
             s_decomposition(d)
         assert named_digraph(err.value) == d
 
@@ -1315,11 +1352,11 @@ def reference_s_decomposition(d):
             collapsed, labels = reference_collapse_piece(d, piece.territory, piece.attachments)
             for local in reference_tight_separations(collapsed):
                 lifted = reference_lift_separation(d, piece.attachments, local, labels)
-                local_a = {labels[i] for i in local.shoreA}
-                local_b = {labels[i] for i in local.shoreB}
+                v = lifted.cut_vertex
                 with_edges = [(*attachment, None) for attachment in piece.attachments]
-                shores = dtw1._lift_separation(d, with_edges, local_a, local_b)
-                assert (lifted.shoreA, lifted.shoreB) == shores
+                first = {labels[i] for i in local.shoreA}
+                assert dtw1._lifted_a_shore(with_edges, first, v) == lifted.shoreA
+                assert lifted.shoreB == (frozenset(range(d.n)) - lifted.shoreA) | {v}
                 key = lifted.sort_key()
                 if best is None or key < best[0]:
                     best = (key, pi, lifted)
@@ -1667,21 +1704,32 @@ class TestSDecompositionCache:
         assert counts["recomputed entries"] == 41 and counts["re-keyed"] == 0
 
     def test_only_each_split_is_lifted(self, monkeypatch):
-        lifted = []
-        lift = dtw1._lift_separation
+        # Every entry lifts its A-shore for its key; beyond those, each
+        # split lifts its winner's A-shore once, and the B-shore it takes
+        # as the rest of V and the cut is that tree edge's other shore.
+        lifted, keying = [], []
+        lift, entry = dtw1._lifted_a_shore, dtw1._entry
 
-        def counted(*args):
-            lifted.append(lift(*args))
-            return lifted[-1]
+        def counted(attachments, first, v):
+            shore = lift(attachments, first, v)
+            if not keying:
+                lifted.append(TightSeparation(shore, (frozenset(range(40)) - shore) | {v}))
+            return shore
 
-        monkeypatch.setattr(dtw1, "_lift_separation", counted)
+        def keyed(*args):
+            keying.append(True)
+            try:
+                return entry(*args)
+            finally:
+                keying.pop()
+
+        monkeypatch.setattr(dtw1, "_lifted_a_shore", counted)
+        monkeypatch.setattr(dtw1, "_entry", keyed)
         sdec = s_decomposition(bidirect(40, random_tree_edges(random.Random(40), 40)))
         assert len(sdec.edges) == 38
         assert len(lifted) == len(sdec.edges)
         seps = tree_separations(sdec.territories, sdec.tree_edges)
-        assert sorted(TightSeparation(*shores).sort_key() for shores in lifted) == sorted(
-            sep.sort_key() for sep in seps
-        )
+        assert sorted(sep.sort_key() for sep in lifted) == sorted(sep.sort_key() for sep in seps)
 
     def test_each_piece_keeps_the_least_reference_lift(self, monkeypatch):
         # Only the winner is lifted as a separation; it must still be the

@@ -91,7 +91,11 @@ def test_the_split_tree_keeps_each_split_by_its_cut():
 
 def test_the_split_tree_is_checked_by_the_checker_s_boundary_pass():
     # `_laminar` asks the checker's `_outside` which edges leave or enter
-    # each subtree's interval, rather than scanning union shores.
+    # each subtree's interval, rather than scanning union shores, and it
+    # is the only check of the family: no split tests its own separation
+    # or lifts both of its shores.
     dtw1 = Path(dtwone.__file__).parent / "dtw1.py"
-    used = names_used(dtw1, "_laminar")
-    assert "_outside" in used and "is_directed_separation" not in used
+    assert "_outside" in names_used(dtw1, "_laminar")
+    assert names_used(dtw1).isdisjoint(
+        {"is_directed_separation", "_lifted_shores", "_lift_separation"}
+    )
