@@ -1,18 +1,19 @@
 """The certificate checker, which imports nothing but `digraph`.
 
-YES is a width-one directed tree decomposition (`validate_dtd`).  NO is a
-butterfly minor `Bicycle(k)` or A4: its script is replayed once by
-`_ReplayState`, which the recogniser also shrinks with, and the roots of its
-branch sets give the order-3 haven (`minor_haven_is_monotone`).  A check
-costs O(n + m), plus O(n log n) for the replay's class merges and a walk for
-each YES arc that fails the one-way test:
+YES is a width-one directed tree decomposition (`validate_dtd`).  NO is
+three rooted sets, the three least branch sets of a butterfly minor
+`Bicycle(k)` or A4 with their roots, which give an order-3 haven
+(`verify_certificate`, `minor_haven_is_monotone`); the checker replays no
+script.  A check costs O(n + m), plus a walk for each YES arc that fails
+the one-way test:
 - A YES guard g of an arc with the vertices s below it holds when the edges
   leaving s all end in one vertex of g, since a walk that leaves s then
   steps onto g first; or when the edges entering s all start in one vertex
   of g, since a walk that comes back to s then comes from g.  One
   bottom-up pass tests every arc so; an arc that fails takes a
   `round_trips` walk.
-- The NO haven takes six `on_every_path` sweeps.
+- The NO sets are read once each, and the haven takes six `on_every_path`
+  sweeps.
 """
 
 from __future__ import annotations
@@ -21,13 +22,7 @@ import heapq
 from dataclasses import dataclass
 from functools import cached_property
 
-from .digraph import (
-    Digraph,
-    a4_digraph,
-    bicycle,
-    merge_into,
-    round_trips,
-)
+from .digraph import Digraph, round_trips
 
 
 @dataclass(frozen=True)
@@ -242,185 +237,32 @@ def _outside(bags, up, start, span, pos, neighbours) -> list:
 
 
 @dataclass(frozen=True)
-class MinorWitness:
-    """A butterfly-minor embedding of a bidirected cycle or A4.
+class RootedSets:
+    """The NO half of a certificate: the pattern of a butterfly minor of the
+    digraph, `Bicycle(length)` or A4, and three of the minor's branch sets,
+    each with a root in it: `sets[p]` and `roots[p]` for p = 0, 1 and 2.
 
-    The script lists deletions and contractions over the labels of the
-    original digraph; replaying it yields the pattern, and branch_sets maps
-    each pattern vertex to the class of original vertices merged into it.
+    The recogniser gives the branch sets of the pattern's vertices 0, 1 and
+    2, each rooted at a vertex that, inside the set, every vertex with an
+    edge entering the set reaches and that reaches every vertex with an
+    edge leaving it.  The pattern only names what was found; the proof is
+    the order-3 haven the rooted sets give (`verify_certificate`).
     """
 
     kind: str
     length: int | None
-    script: tuple
-    branch_sets: dict
+    sets: dict
+    roots: dict
 
 
 @dataclass(frozen=True)
 class Dtw1Certificate:
-    """The recogniser's answer with its proof.
-
-    YES carries a width-one decomposition; NO carries a minor embedding whose
-    script replays from the input digraph, which implies an order-3 haven.
-    """
+    """The recogniser's answer with its proof: a width-one decomposition for
+    YES, three rooted sets for NO."""
 
     verdict: str
     decomposition: DirectedTreeDecomposition | None
-    witness: MinorWitness | None
-
-
-class _ReplayState:
-    """Tracks a digraph being shrunk by deletions and butterfly contractions.
-
-    Vertices never disappear: contractions merge them into classes, and every
-    script step may name any member of a class.  The representative of a class
-    is its smallest label, and `members` maps it to the class, a set that
-    later merges change in place.  A contraction moves the members of the
-    smaller class into the larger one's set and slot, and only the slot
-    notes the least label, so each vertex moves O(log n) times and `rep()`
-    reads two lists.  The current digraph lives on the representatives
-    as an adjacency index: `out[r]` and `inn[r]` hold the representatives
-    joined to r by an edge leaving or entering r.  A contraction moves only
-    the edges of the class that stops being represented, so a step costs
-    that class's degree, not the size of the digraph; `dense_digraph(out)`
-    numbers the current digraph densely, by sorted representative.
-
-    Each class keeps a root `root[r]`, reached inside the class from every
-    vertex with a surviving edge entering it and reaching every vertex with
-    one leaving it; so root(P) reaches root(Q) inside P ∪ Q for each edge P -> Q.
-    """
-
-    def __init__(self, d: Digraph):
-        self.base = d
-        self.slot = list(range(d.n))
-        self.least = list(range(d.n))
-        self.members = {v: {v} for v in range(d.n)}
-        self.out = {v: set(d.out_neighbours(v)) for v in range(d.n)}
-        self.inn = {v: set(d.in_neighbours(v)) for v in range(d.n)}
-        self.root = list(range(d.n))
-        self.steps: list = []
-
-    @property
-    def edges(self) -> frozenset:
-        """The current edges, as pairs of representatives."""
-        return frozenset((a, b) for a, heads in self.out.items() for b in heads)
-
-    def rep(self, v: int) -> int:
-        return self.least[self.slot[v]]
-
-    def apply(self, steps) -> None:
-        n = self.base.n
-        try:
-            steps = iter(steps)
-        except TypeError:
-            raise ValueError(f"script {steps!r} is not a sequence of steps") from None
-        for step in steps:
-            try:
-                kind, a, b = step
-            except (TypeError, ValueError):
-                raise ValueError(f"step {step!r} is not a (kind, tail, head) triple") from None
-            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
-                raise ValueError(f"step {step} names an unknown vertex")
-            ra, rb = self.rep(a), self.rep(b)
-            if ra == rb:
-                raise ValueError(f"step {step} joins a vertex with itself")
-            if rb not in self.out[ra]:
-                raise ValueError(f"step {step} needs the missing edge ({ra}, {rb})")
-            if kind == "del":
-                self.out[ra].discard(rb)
-                self.inn[rb].discard(ra)
-            elif kind == "contract":
-                tail_only_out = len(self.out[ra]) == 1
-                if not tail_only_out and len(self.inn[rb]) != 1:
-                    raise ValueError(
-                        f"step {step}: edge ({ra}, {rb}) is not butterfly contractible"
-                    )
-                root = self.root[rb] if tail_only_out else self.root[ra]
-                self._merge(min(ra, rb), max(ra, rb))
-                self.root[min(ra, rb)] = root
-            else:
-                raise ValueError(f"unknown step kind {kind!r}")
-            self.steps.append(step)
-
-    def _merge(self, keep: int, gone: int) -> None:
-        into, moved = self.members[keep], self.members.pop(gone)
-        slot = self.slot[keep]
-        if len(into) < len(moved):
-            into, moved = moved, into
-            slot = self.slot[gone]
-        for v in moved:
-            self.slot[v] = slot
-        into |= moved
-        self.members[keep] = into
-        self.least[slot] = keep
-        merge_into(self.out, self.inn, keep, gone)
-
-
-def replay_script(d: Digraph, script) -> _ReplayState:
-    """Replay a witness script from scratch; ValueError on any illegal step."""
-    state = _ReplayState(d)
-    state.apply(script)
-    return state
-
-
-def _roots(state: _ReplayState, branch_sets) -> dict:
-    """The root of each branch set's class in a replayed state."""
-    return {p: state.root[state.rep(min(cls))] for p, cls in branch_sets.items()}
-
-
-def verify_witness(d: Digraph, witness: MinorWitness) -> Report:
-    """Replay a minor witness against its digraph and check every claim."""
-    return _replay_witness(d, witness)[0]
-
-
-def _replay_witness(d: Digraph, witness: MinorWitness):
-    """`verify_witness`'s report, with the replay state when the script
-    replays (None otherwise)."""
-    violations = []
-    if witness.kind == "bicycle":
-        size = witness.length
-        if size is not None and not isinstance(size, int):
-            return Report(False, 0, (f"bicycle witness length {size!r} is not an integer",)), None
-        if size is None or size < 3:
-            return Report(False, 0, ("bicycle witnesses need a length of at least three",)), None
-    elif witness.kind == "a4":
-        size = 4
-    else:
-        return Report(False, 0, (f"unknown pattern kind {witness.kind!r}",)), None
-    if size > d.n:
-        return Report(False, 0, ("the pattern has more vertices than the digraph",)), None
-    pattern = bicycle(size) if witness.kind == "bicycle" else a4_digraph()
-    if set(witness.branch_sets) != set(range(pattern.n)):
-        return Report(False, 0, ("branch sets must cover the pattern's vertices",)), None
-    try:
-        state = replay_script(d, witness.script)
-    except ValueError as err:
-        return Report(False, 0, (str(err),)), None
-    reps = {}
-    for p in range(pattern.n):
-        try:
-            cls = frozenset(witness.branch_sets[p])
-        except TypeError:
-            violations.append(f"branch set {p} is not a set of vertices")
-            continue
-        if not cls:
-            violations.append(f"branch set {p} is empty")
-            continue
-        if not all(isinstance(v, int) and 0 <= v < d.n for v in cls):
-            violations.append(f"branch set {p} names an unknown vertex")
-            continue
-        r = state.rep(min(cls))
-        if state.members.get(r) != cls:
-            violations.append(f"branch set {p} does not match a merged class")
-        reps[p] = r
-    if not violations:
-        if len(set(reps.values())) != pattern.n or len(state.members) != pattern.n:
-            violations.append("branch sets must partition the remaining classes")
-    if not violations:
-        image = frozenset((reps[a], reps[b]) for (a, b) in pattern.edges)
-        if image != state.edges:
-            violations.append("replayed digraph is not the claimed pattern")
-    return Report(not violations, 0, tuple(violations)), state
+    rooted_sets: RootedSets | None
 
 
 def on_every_path(d: Digraph, r: int, s: int):
@@ -481,36 +323,23 @@ def on_every_path(d: Digraph, r: int, s: int):
 
 
 def minor_haven_is_monotone(d: Digraph, branch_sets: dict, roots: dict) -> bool:
-    """Whether the order-3 haven lifted through the roots of a minor
-    (`games.haven_from_minor`) is monotone, by six `on_every_path` sweeps of
-    d, O(n + m) in all, with no table.
+    """Whether the order-3 haven lifted through the roots of a minor's
+    branch sets (`games.haven_from_minor`) is monotone, by six
+    `on_every_path` sweeps of d, O(n + m) in all, with no table.
 
-    Precondition: the branch sets are disjoint and nonempty, at least three
-    of them, with roots[p] in branch_sets[p].  A replayed witness gives this,
-    and `verify_certificate` checks the roots before it calls this.
-
-    Write r(X) for the root of the least branch set missing X, so h(X) is
-    the strong component of d - X holding r(X).  For Y ⊆ X, h(X) ⊆ h(Y)
-    exactly when r(X) ∈ h(Y): h(X) is strongly connected in d - Y and holds
-    r(X).  By transitivity only Y = X minus one vertex needs checking, for
-    |X| ≤ 2.  Let r0, r1, r2 be the roots of the three least sets.  By the
-    precondition r(X) for |X| ≤ 2 is one of them.  If y lies in the i-th of
-    those sets (or in none), r({y, z}) is the least of the three other than
-    the i-th and z's, and each of those sets has a vertex z; where z's set
-    is y's or none of the three, r({y, z}) = r({y}), which h({y}) holds.  So
-    h({y, z}) ⊆ h({y}) for every z exactly when a pair of roots fixed by y's
-    slot lies in one strong component of d - y:
+    Precondition: the branch sets are disjoint and non-empty, at least three
+    of them, with roots[p] in branch_sets[p].  `verify_certificate` checks
+    it first, and its docstring proves what follows.  With r0, r1 and r2
+    the roots of the three least sets, the haven is monotone exactly when
+    each vertex y leaves a pair of them, fixed by y's set, in one strong
+    component of d - y:
     - y in the least set: r1 and r2;
     - y in the second: r0 and r2;
     - y in the third or in none: r0 and r1.
-    That r({y}), which is r0 or r1, lies in h(∅) follows: the third set has
-    a vertex, so r0 and r1 lie in one strong component of d minus it, and so
-    of d.
-
     No root of y's pair is y, since the sets are disjoint.  So y splits the
-    pair r, s exactly when r does not reach s or s does not reach r in d, or
-    y lies on every r -> s path or on every s -> r path: three pairs, two
-    sweeps each.
+    pair r, s exactly when r does not reach s or s does not reach r in d,
+    or y lies on every r -> s path or on every s -> r path: three pairs,
+    two sweeps each.
     """
     least = sorted(branch_sets)[:3]
     slot = {v: i for i, p in enumerate(least) for v in branch_sets[p]}
@@ -525,17 +354,43 @@ def minor_haven_is_monotone(d: Digraph, branch_sets: dict, roots: dict) -> bool:
 
 
 def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
-    """Check a recogniser certificate end to end.
+    """Check a recogniser certificate end to end, in O(n + m) either way.
 
     YES certificates are validated as width-one decompositions.  A NO
-    certificate's script is replayed once, for the witness checks and for
-    the roots of its branch sets.  The replay makes the branch sets
-    disjoint, and each root is checked to lie in its own set, which is
-    `minor_haven_is_monotone`'s precondition.  The order-3 haven those
-    roots give is then checked to be monotone by it: six sweeps of d, O(n +
-    m) in all, with no table.  Each entry is by construction the strong
-    component of d - X holding a root outside X, so monotonicity is the
-    only haven condition left to check.
+    certificate is three rooted sets, and its check replays nothing and
+    builds no pattern.  The pattern must be well formed: a bicycle of
+    length three or more, or A4, with no more vertices than d.  It names
+    the minor the recogniser found and proves nothing.  Four things are
+    checked:
+    - there are exactly three sets, numbered 0, 1 and 2;
+    - they are non-empty and pairwise disjoint sets of vertices of d;
+    - each root lies in its own set;
+    - `minor_haven_is_monotone`'s six sweeps pass.
+
+    Sound.  Take sets that are disjoint and non-empty, at least three of
+    them, each holding its root; the check reads the three least.  For
+    |X| ≤ 2, let r(X) be the root of the least set that misses X, one of
+    the three least, and h(X) the strong component of d - X holding r(X),
+    which is not in X.  Each h(X) is a non-empty strong component of d - X,
+    so h is a haven of order 3 exactly when it is monotone, and a haven of
+    order 3 gives dtw(d) ≥ 2 (Johnson, Robertson, Seymour and Thomas,
+    *Directed tree-width*, JCTB 82(1), 2001).  For Y ⊆ X, h(X) ⊆ h(Y)
+    exactly when r(X) ∈ h(Y): h(X) is strongly connected in d - Y and holds
+    r(X).  By transitivity only Y = X minus one vertex needs checking, for
+    |X| ≤ 2.  Let r0, r1, r2 be the roots of the three least sets.  If y
+    lies in the i-th of those sets (or in none), r({y, z}) is the least of
+    the three other than the i-th and z's, and each of those sets has a
+    vertex z; where z's set is y's or none of the three, r({y, z}) =
+    r({y}), which h({y}) holds.  So h({y, z}) ⊆ h({y}) for every z exactly
+    when the pair of roots that `minor_haven_is_monotone` fixes by y's set
+    lies in one strong component of d - y.  That r({y}), which is r0 or r1,
+    lies in h(∅) follows: the third set has a vertex, so r0 and r1 lie in
+    one strong component of d minus it, and so of d.
+
+    Complete.  The recogniser roots the branch sets of a butterfly minor
+    Bicycle(k) or A4 so that root(P) reaches root(Q) inside P ∪ Q for every
+    pattern edge P -> Q, and `games.haven_from_minor` shows that the haven
+    such roots give is monotone.
     """
     if cert.verdict == "YES":
         if cert.decomposition is None:
@@ -546,15 +401,55 @@ def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
         return report
     if cert.verdict != "NO":
         return Report(False, 0, (f"unknown verdict {cert.verdict!r}",))
-    if cert.witness is None:
-        return Report(False, 0, ("a NO certificate needs a minor witness",))
-    report, state = _replay_witness(d, cert.witness)
-    if not report.valid:
-        return report
-    branch_sets = cert.witness.branch_sets
-    roots = _roots(state, branch_sets)
-    if any(roots[p] not in cls for p, cls in branch_sets.items()):
-        return Report(False, 0, ("a branch set's root lies outside it",))
-    if not minor_haven_is_monotone(d, branch_sets, roots):
+    rooted = cert.rooted_sets
+    if rooted is None:
+        return Report(False, 0, ("a NO certificate needs three rooted sets",))
+    problem = _pattern_problem(d, rooted) or _rooted_set_problem(d, rooted)
+    if problem:
+        return Report(False, 0, (problem,))
+    if not minor_haven_is_monotone(d, rooted.sets, rooted.roots):
         return Report(False, 0, ("haven verification failed",))
     return Report(True, 0, ())
+
+
+def _pattern_problem(d: Digraph, claim):
+    """What is wrong with the form of the pattern a NO certificate (or any
+    claim with its `kind` and `length`) names, or None."""
+    if claim.kind == "a4":
+        size = 4
+    elif claim.kind != "bicycle":
+        return f"unknown pattern kind {claim.kind!r}"
+    elif claim.length is not None and not isinstance(claim.length, int):
+        return f"bicycle witness length {claim.length!r} is not an integer"
+    elif claim.length is None or claim.length < 3:
+        return "bicycle witnesses need a length of at least three"
+    else:
+        size = claim.length
+    if size > d.n:
+        return "the pattern has more vertices than the digraph"
+    return None
+
+
+def _rooted_set_problem(d: Digraph, rooted: RootedSets):
+    """What keeps a NO certificate's rooted sets from meeting
+    `minor_haven_is_monotone`'s precondition, or None, in time linear in
+    the sizes of the sets."""
+    if set(rooted.sets) != {0, 1, 2} or set(rooted.roots) != {0, 1, 2}:
+        return "a NO certificate needs three rooted sets, numbered 0, 1 and 2"
+    seen = set()
+    for p in range(3):
+        try:
+            members = frozenset(rooted.sets[p])
+        except TypeError:
+            return f"rooted set {p} is not a set of vertices"
+        if not members:
+            return f"rooted set {p} is empty"
+        if not all(isinstance(v, int) and 0 <= v < d.n for v in members):
+            return f"rooted set {p} names an unknown vertex"
+        root = rooted.roots[p]
+        if not (isinstance(root, int) and root in members):
+            return f"rooted set {p} does not hold its root"
+        if not seen.isdisjoint(members):
+            return "rooted sets must be pairwise disjoint"
+        seen |= members
+    return None

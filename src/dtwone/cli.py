@@ -137,7 +137,7 @@ def cmd_recognize(digraph_file, output_format):
         _note(output_format, lines, "directed treewidth one: the decomposition below "
                                     "has width 1")
     else:
-        w = cert.witness
+        w = cert.rooted_sets
         pattern = f"Bicycle({w.length})" if w.kind == "bicycle" else "A4"
         _note(output_format, lines, f"directed treewidth exceeds one: butterfly minor "
                                     f"{pattern}, which implies an order-3 haven")

@@ -27,13 +27,13 @@ shores are scripted on the state's own adjacency, a deletion's trial is the
 next round's digraph as it stands, and the state is checked against the
 collapsed piece the s-decomposition built and kept, then numbered densely
 by `dense_digraph` only after a round that contracted a far shore.  Every
-step is recorded so the embedding can be replayed; no cycle of the digraph
-is enumerated.  The embedding is the whole NO certificate: the order-3
-haven it implies, lifted from the pattern through the roots of the branch
-sets, is built by `minor_haven` on request and never stored.  The
-certificate types and their checker are in `check`, and the script is
-recorded by the checker's own replay state, so recogniser and checker
-cannot disagree on what a step means.
+step is recorded by the replay state, which keeps a root for each class,
+so the embedding can be replayed (`verify_witness`, the oracle of the
+tests and of `dtwone suite`); no cycle of the digraph is enumerated.  The
+NO certificate is three rooted sets read off that state, the branch sets
+of the pattern's vertices 0, 1 and 2 with their roots: the order-3 haven
+they give is what `check.verify_certificate` checks, and it is never
+built.  The certificate types and their checker are in `check`.
 """
 
 from __future__ import annotations
@@ -48,21 +48,20 @@ from typing import NamedTuple, Optional
 from .check import (
     DirectedTreeDecomposition,
     Dtw1Certificate,
-    MinorWitness,
-    _ReplayState,
+    Report,
+    RootedSets,
     _outside,
+    _pattern_problem,
     _place,
-    _roots,
-    replay_script,
     validate_dtd,
-    verify_witness,
+    verify_certificate,
 )
-from .check import verify_certificate  # noqa: F401  (bench/tracer.py wraps this binding)
 from .cycles import DEFAULT_CYCLE_CAP, cycle_hypergraph
 from .digraph import (
     Digraph,
     _bfs_arcs,
     a4_digraph,
+    bicycle,
     cut_vertex_shores,
     dense_digraph,
     is_strongly_2_connected,
@@ -71,13 +70,170 @@ from .digraph import (
     orient_cut_separation,
     strong_components_minus_each,
 )
-from .games import Haven, haven_from_minor
 from .games import verify_haven  # noqa: F401  (bench/tracer.py wraps this binding)
 from .hypergraph import JoinTreeWitness, hypertree_witness
 
 
 # ---------------------------------------------------------------------------
 # contraction scripts and their replay
+
+
+@dataclass(frozen=True)
+class MinorWitness:
+    """A butterfly-minor embedding of a bidirected cycle or A4.
+
+    The script lists deletions and contractions over the labels of the
+    original digraph; replaying it yields the pattern, and branch_sets maps
+    each pattern vertex to the class of original vertices merged into it.
+    """
+
+    kind: str
+    length: int | None
+    script: tuple
+    branch_sets: dict
+
+
+class _ReplayState:
+    """Tracks a digraph being shrunk by deletions and butterfly contractions.
+
+    Vertices never disappear: contractions merge them into classes, and every
+    script step may name any member of a class.  The representative of a class
+    is its smallest label, and `members` maps it to the class, a set that
+    later merges change in place.  A contraction moves the members of the
+    smaller class into the larger one's set and slot, and only the slot
+    notes the least label, so each vertex moves O(log n) times and `rep()`
+    reads two lists.  The current digraph lives on the representatives
+    as an adjacency index: `out[r]` and `inn[r]` hold the representatives
+    joined to r by an edge leaving or entering r.  A contraction moves only
+    the edges of the class that stops being represented, so a step costs
+    that class's degree, not the size of the digraph; `dense_digraph(out)`
+    numbers the current digraph densely, by sorted representative.
+
+    Each class keeps a root `root[r]`, reached inside the class from every
+    vertex with a surviving edge entering it and reaching every vertex with
+    one leaving it; so root(P) reaches root(Q) inside P ∪ Q for each edge P -> Q.
+    """
+
+    def __init__(self, d: Digraph):
+        self.base = d
+        self.slot = list(range(d.n))
+        self.least = list(range(d.n))
+        self.members = {v: {v} for v in range(d.n)}
+        self.out = {v: set(d.out_neighbours(v)) for v in range(d.n)}
+        self.inn = {v: set(d.in_neighbours(v)) for v in range(d.n)}
+        self.root = list(range(d.n))
+        self.steps: list = []
+
+    @property
+    def edges(self) -> frozenset:
+        """The current edges, as pairs of representatives."""
+        return frozenset((a, b) for a, heads in self.out.items() for b in heads)
+
+    def rep(self, v: int) -> int:
+        return self.least[self.slot[v]]
+
+    def apply(self, steps) -> None:
+        n = self.base.n
+        try:
+            steps = iter(steps)
+        except TypeError:
+            raise ValueError(f"script {steps!r} is not a sequence of steps") from None
+        for step in steps:
+            try:
+                kind, a, b = step
+            except (TypeError, ValueError):
+                raise ValueError(f"step {step!r} is not a (kind, tail, head) triple") from None
+            if not (isinstance(a, int) and isinstance(b, int) and 0 <= a < n and 0 <= b < n):
+                raise ValueError(f"step {step} names an unknown vertex")
+            ra, rb = self.rep(a), self.rep(b)
+            if ra == rb:
+                raise ValueError(f"step {step} joins a vertex with itself")
+            if rb not in self.out[ra]:
+                raise ValueError(f"step {step} needs the missing edge ({ra}, {rb})")
+            if kind == "del":
+                self.out[ra].discard(rb)
+                self.inn[rb].discard(ra)
+            elif kind == "contract":
+                tail_only_out = len(self.out[ra]) == 1
+                if not tail_only_out and len(self.inn[rb]) != 1:
+                    raise ValueError(
+                        f"step {step}: edge ({ra}, {rb}) is not butterfly contractible"
+                    )
+                root = self.root[rb] if tail_only_out else self.root[ra]
+                self._merge(min(ra, rb), max(ra, rb))
+                self.root[min(ra, rb)] = root
+            else:
+                raise ValueError(f"unknown step kind {kind!r}")
+            self.steps.append(step)
+
+    def _merge(self, keep: int, gone: int) -> None:
+        into, moved = self.members[keep], self.members.pop(gone)
+        slot = self.slot[keep]
+        if len(into) < len(moved):
+            into, moved = moved, into
+            slot = self.slot[gone]
+        for v in moved:
+            self.slot[v] = slot
+        into |= moved
+        self.members[keep] = into
+        self.least[slot] = keep
+        merge_into(self.out, self.inn, keep, gone)
+
+
+def replay_script(d: Digraph, script) -> _ReplayState:
+    """Replay a witness script from scratch; ValueError on any illegal step."""
+    state = _ReplayState(d)
+    state.apply(script)
+    return state
+
+
+def replay_script(d: Digraph, script) -> _ReplayState:
+    """Replay a witness script from scratch; ValueError on any illegal step."""
+    state = _ReplayState(d)
+    state.apply(script)
+    return state
+
+
+def verify_witness(d: Digraph, witness: MinorWitness) -> Report:
+    """Replay a minor witness against its digraph and check every claim:
+    the oracle that the tests and `dtwone suite` hold the recogniser's
+    minor to.  A certificate carries only three rooted sets of it."""
+    problem = _pattern_problem(d, witness)
+    if problem:
+        return Report(False, 0, (problem,))
+    pattern = bicycle(witness.length) if witness.kind == "bicycle" else a4_digraph()
+    if set(witness.branch_sets) != set(range(pattern.n)):
+        return Report(False, 0, ("branch sets must cover the pattern's vertices",))
+    try:
+        state = replay_script(d, witness.script)
+    except ValueError as err:
+        return Report(False, 0, (str(err),))
+    violations = []
+    reps = {}
+    for p in range(pattern.n):
+        try:
+            cls = frozenset(witness.branch_sets[p])
+        except TypeError:
+            violations.append(f"branch set {p} is not a set of vertices")
+            continue
+        if not cls:
+            violations.append(f"branch set {p} is empty")
+            continue
+        if not all(isinstance(v, int) and 0 <= v < d.n for v in cls):
+            violations.append(f"branch set {p} names an unknown vertex")
+            continue
+        r = state.rep(min(cls))
+        if state.members.get(r) != cls:
+            violations.append(f"branch set {p} does not match a merged class")
+        reps[p] = r
+    if not violations:
+        if len(set(reps.values())) != pattern.n or len(state.members) != pattern.n:
+            violations.append("branch sets must partition the remaining classes")
+    if not violations:
+        image = frozenset((reps[a], reps[b]) for (a, b) in pattern.edges)
+        if image != state.edges:
+            violations.append("replayed digraph is not the claimed pattern")
+    return Report(not violations, 0, tuple(violations))
 
 
 def shore_contraction_script(state: _ReplayState, shore, cut: int) -> list:
@@ -187,12 +343,12 @@ def extract_minor_witness(d: Digraph) -> MinorWitness:
     sdec = s_decomposition(d)
     if all(len(t) == 2 for t in sdec.territories):
         raise ValueError("a digraph of directed treewidth one has no such minor")
-    return _minor_witness(d, sdec)
+    return _minor_witness(d, sdec)[0]
 
 
-def _minor_witness(d: Digraph, sdec: SDecomposition) -> MinorWitness:
+def _minor_witness(d: Digraph, sdec: SDecomposition):
     """The witness for d, given its s-decomposition, which has a piece of
-    three or more vertices.
+    three or more vertices, and the replay state that recorded its script.
 
     The loop holds a strongly connected NO digraph, with the state's
     representative for each of its vertices, and an s-decomposition of it.
@@ -217,12 +373,22 @@ def _minor_witness(d: Digraph, sdec: SDecomposition) -> MinorWitness:
         )
     kind, length, embedding = found
     branch = {p: frozenset(state.members[labels[v]]) for p, v in enumerate(embedding)}
-    return MinorWitness(
+    witness = MinorWitness(
         kind=kind,
         length=length,
         script=tuple(state.steps),
         branch_sets=branch,
     )
+    return witness, state
+
+
+def _rooted_sets(witness: MinorWitness, state: _ReplayState) -> RootedSets:
+    """The rooted sets of a witness: the branch sets of its pattern's
+    vertices 0, 1 and 2, each with the root of its class in the state that
+    replayed the witness's script."""
+    sets = {p: witness.branch_sets[p] for p in range(3)}
+    roots = {p: state.root[state.rep(min(members))] for p, members in sets.items()}
+    return RootedSets(witness.kind, witness.length, sets, roots)
 
 
 def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels: tuple):
@@ -863,29 +1029,21 @@ def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomp
 
 def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
     """Decide directed treewidth one, emitting a checkable certificate: a
-    width-one decomposition for YES, a replayable minor witness for NO.
-    A digraph `s_decomposition` refuses raises its ValueError."""
+    width-one decomposition for YES, three rooted sets of a butterfly minor
+    for NO, read off the replay state that recorded the minor and checked
+    by `verify_certificate`.  A digraph `s_decomposition` refuses raises
+    its ValueError."""
     sdec = s_decomposition(d)
     if all(len(t) == 2 for t in sdec.territories):
         dec = width1_dtd_from_sdec(d, sdec)
         return Dtw1Certificate("YES", dec, None)
 
-    witness = _minor_witness(d, sdec)
-    check = verify_witness(d, witness)
-    assert check.valid, f"constructed witness failed replay: {check.violations}"
-    return Dtw1Certificate("NO", None, witness)
-
-
-def minor_haven(d: Digraph, witness: MinorWitness) -> Haven:
-    """The order-3 haven a minor witness implies, by `haven_from_minor`
-    through the roots of a fresh replay of its script.
-
-    The roots depend only on the script, so this is the haven the recogniser
-    would have built.  The witness must pass `verify_witness`; the result is
-    not checked here.
-    """
-    state = replay_script(d, witness.script)
-    return haven_from_minor(d, witness.branch_sets, _roots(state, witness.branch_sets))
+    cert = Dtw1Certificate("NO", None, _rooted_sets(*_minor_witness(d, sdec)))
+    check = verify_certificate(d, cert)
+    assert check.valid, (
+        f"constructed rooted sets failed their check: {check.violations}: {_edge_list(d)}"
+    )
+    return cert
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import re
 
-from .check import DirectedTreeDecomposition, Dtw1Certificate, MinorWitness
+from .check import DirectedTreeDecomposition, Dtw1Certificate, RootedSets
 from .decomp import BranchDecomposition
 from .digraph import Digraph, digraph_from_edges
 from .hypergraph import Hypergraph
@@ -346,33 +346,34 @@ def format_transcript(moves, names) -> list:
 
 def format_certificate(cert: Dtw1Certificate, names, header) -> list:
     """Serialize a recognition certificate below the given header lines:
-    the decomposition records for YES; for NO the pattern, its replay
-    script, the branch sets and `haven_order=3`, the order of the haven the
-    witness implies.  The haven itself is not written: `verify-cert`
-    derives it from the witness."""
+    the decomposition records for YES; for NO the pattern, one `rootset <p>
+    root=<v> <set>` record for each of the three rooted sets, and
+    `haven_order=3`, the order of the haven they give.  The haven itself is
+    not written: `verify-cert` checks it from the rooted sets."""
     out = list(header)
     out.append(f"verdict={cert.verdict}")
     if cert.verdict == "YES":
         out.extend(format_dtd(cert.decomposition, names))
         return out
-    w = cert.witness
-    out.append(f"pattern={w.kind}")
-    if w.length is not None:
-        out.append(f"length={w.length}")
-    for (op, u, v) in w.script:
-        out.append(f"{op} {names[u]} {names[v]}")
-    for p in sorted(w.branch_sets):
-        out.append(f"branchset {p}: {format_set(w.branch_sets[p], names)}")
+    rooted = cert.rooted_sets
+    out.append(f"pattern={rooted.kind}")
+    if rooted.length is not None:
+        out.append(f"length={rooted.length}")
+    for p in sorted(rooted.sets):
+        out.append(f"rootset {p} root={names[rooted.roots[p]]} "
+                   f"{format_set(rooted.sets[p], names)}")
     out.append("haven_order=3")
     return out
 
 
-_BRANCHSET = re.compile(r"branchset ([0-9]+): (\{[^{}]*\})")
+_ROOTSET = re.compile(r"rootset ([0-9]+) root=(\S+) (\{[^{}]*\})")
 
 
 def parse_certificate(document, name_to_id) -> Dtw1Certificate:
     """Rebuild a certificate from the `(kv, records)` pair that
-    `read_document` returned for its serialized form."""
+    `read_document` returned for its serialized form.  A NO certificate in
+    the older form, a minor's script and branch sets, or one that still
+    carries its haven table, is refused."""
     kv, records = document
     verdict = kv.get("verdict")
     if verdict == "YES":
@@ -391,36 +392,34 @@ def parse_certificate(document, name_to_id) -> Dtw1Certificate:
     elif "length" in kv:
         raise ParseError(kv.line["length"], "only bicycle patterns carry a length")
 
-    script = []
-    branch_sets: dict = {}
+    sets: dict = {}
+    roots: dict = {}
     for line_no, line in records:
         head = line.split(maxsplit=1)[0]
-        if head in ("del", "contract"):
-            tokens = line.split()
-            if len(tokens) != 3:
-                raise ParseError(line_no, f"expected `{head} <u> <v>`")
-            pair = []
-            for tok in tokens[1:]:
-                if tok not in name_to_id:
-                    raise ParseError(line_no, f"unknown vertex {tok!r}")
-                pair.append(name_to_id[tok])
-            script.append((head, pair[0], pair[1]))
-        elif head == "branchset":
-            m = _BRANCHSET.fullmatch(line)
+        if head == "rootset":
+            m = _ROOTSET.fullmatch(line)
             if not m:
-                raise ParseError(line_no, "expected `branchset <p>: <set>`")
+                raise ParseError(line_no, "expected `rootset <p> root=<v> <set>`")
             p = int(m.group(1))
-            if p in branch_sets:
-                raise ParseError(line_no, f"branch set {p} repeats")
-            branch_sets[p] = parse_set(m.group(2), line_no, name_to_id)
+            if p in sets:
+                raise ParseError(line_no, f"rooted set {p} repeats")
+            if m.group(2) not in name_to_id:
+                raise ParseError(line_no, f"unknown vertex {m.group(2)!r}")
+            roots[p] = name_to_id[m.group(2)]
+            sets[p] = parse_set(m.group(3), line_no, name_to_id)
+        elif head in ("del", "contract", "branchset"):
+            raise ParseError(
+                line_no, f"unexpected `{head}` record: a NO certificate in the older "
+                "form, a minor's script and branch sets, is not read; it now gives "
+                "three rooted sets"
+            )
         elif head == "haven":
             raise ParseError(
                 line_no, "unexpected `haven` record: havens are derived from "
-                "the witness, not read"
+                "the rooted sets, not read"
             )
         else:
             raise ParseError(line_no, f"unexpected record {head!r}")
     if kv.get("haven_order") != "3":
         raise ParseError(kv.line.get("haven_order"), "a NO certificate needs `haven_order=3`")
-    witness = MinorWitness(kind, length, tuple(script), branch_sets)
-    return Dtw1Certificate("NO", None, witness)
+    return Dtw1Certificate("NO", None, RootedSets(kind, length, sets, roots))

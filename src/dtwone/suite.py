@@ -13,7 +13,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .check import validate_dtd, verify_certificate, verify_witness
+from .check import validate_dtd, verify_certificate
 from .cycles import (
     DEFAULT_CYCLE_CAP,
     cut,
@@ -40,10 +40,11 @@ from .digraph import (
     is_strongly_connected,
     strong_components,
 )
-from .dtw1 import hypertree_route, minor_haven, recognize_dtw1
+from .dtw1 import extract_minor_witness, hypertree_route, recognize_dtw1, verify_witness
 from .errors import CapExceeded, InstanceTooLarge
 from .games import (
     dcn_exact,
+    haven_from_minor,
     hyper_components,
     is_k_hyperlinked,
     is_k_linked,
@@ -297,17 +298,28 @@ def exhaustive_dbw(d, ch) -> int:
 
 
 def _haven_holds(d, cert) -> bool:
-    """Whether the haven a NO certificate's valid witness implies passes the
-    full `verify_haven`, one walk per entry on top of the walk building it."""
-    return verify_haven(d, minor_haven(d, cert.witness))
+    """Whether the haven a NO certificate's rooted sets give passes the full
+    `verify_haven`, one walk per entry on top of the walk building it."""
+    rooted = cert.rooted_sets
+    return verify_haven(d, haven_from_minor(d, rooted.sets, rooted.roots))
+
+
+def _minor_replays(d, cert) -> bool:
+    """Whether the recogniser's butterfly minor of a NO digraph replays
+    (`verify_witness`), and its branch sets 0, 1 and 2 are the
+    certificate's rooted sets: the certificate does not carry the minor,
+    so it is checked here."""
+    witness = extract_minor_witness(d)
+    sets = {p: witness.branch_sets[p] for p in range(3)}
+    return verify_witness(d, witness).valid and cert.rooted_sets.sets == sets
 
 
 def _three_way_check(d, tally, cap, shared):
     """One equivalence instance: recogniser vs hypertree route, plus the
-    certified dtd, witness replay and the full `verify_haven` check of the
-    haven the witness implies, which `verify_certificate`'s check without a
-    table must match; returns the certificate (or None when the instance
-    was skipped)."""
+    certified dtd, the minor's replay and the full `verify_haven` check of
+    the haven the rooted sets give, which `verify_certificate`'s check
+    without a table must match; returns the certificate (or None when the
+    instance was skipped)."""
     try:
         cert = _recognized(shared, d)
         route = hypertree_route(d, cap)
@@ -326,7 +338,7 @@ def _three_way_check(d, tally, cap, shared):
             if not (back.valid and back.width <= 1):
                 problems.append("hypertree-route decomposition invalid")
     else:
-        if cert.witness is None or not verify_witness(d, cert.witness).valid:
+        if cert.rooted_sets is None or not _minor_replays(d, cert):
             problems.append("NO witness fails replay")
         else:
             holds = _haven_holds(d, cert)
@@ -365,7 +377,7 @@ def criterion_2(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
 
 
 def criterion_3(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
-    """Two cops lose on every exhaustive NO instance, whose witness implies
+    """Two cops lose on every exhaustive NO instance, whose rooted sets give
     an order-3 haven."""
     t0 = time.perf_counter()
     tally = _Tally()
@@ -646,9 +658,9 @@ def criterion_11(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
         cert = _recognized(shared, b3)
         return (
             cert.verdict == "NO"
-            and cert.witness.kind == "bicycle"
-            and cert.witness.length == 3
-            and verify_witness(b3, cert.witness).valid
+            and cert.rooted_sets.kind == "bicycle"
+            and cert.rooted_sets.length == 3
+            and _minor_replays(b3, cert)
         )
 
     expect("bidirected triangle is NO with a Bicycle(3) witness", bicycle_check)
@@ -658,8 +670,8 @@ def criterion_11(seed=0, cycle_cap=DEFAULT_CYCLE_CAP, shared=None):
         cert = _recognized(shared, a4)
         return (
             cert.verdict == "NO"
-            and cert.witness.kind == "a4"
-            and verify_witness(a4, cert.witness).valid
+            and cert.rooted_sets.kind == "a4"
+            and _minor_replays(a4, cert)
         )
 
     expect("A₄ is NO with an A₄ witness", a4_check)

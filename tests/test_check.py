@@ -1,6 +1,7 @@
 """Tests for the certificate checker on its own: what importing it loads,
-malformed NO witnesses, which get a report rather than an exception, and
-the NO haven's sweeps against the walks they replaced."""
+malformed NO certificates, which get a report rather than an exception,
+the NO haven's sweeps against the walks they replaced, and the soundness
+net: no rooted sets pass on a digraph of directed treewidth one."""
 
 from __future__ import annotations
 
@@ -19,14 +20,11 @@ import dtwone
 from dtwone.check import (
     DirectedTreeDecomposition,
     Dtw1Certificate,
-    _ReplayState,
-    _roots,
+    RootedSets,
     minor_haven_is_monotone,
     on_every_path,
-    replay_script,
     validate_dtd,
     verify_certificate,
-    verify_witness,
 )
 from dtwone.digraph import (
     Digraph,
@@ -36,8 +34,17 @@ from dtwone.digraph import (
     digraph_from_edges,
     strong_component_of,
 )
-from dtwone.dtw1 import recognize_dtw1, shore_contraction_script
-from dtwone.suite import TREE_SHAPES, bidirected_path, tournament_with_back_path
+from dtwone.dtw1 import recognize_dtw1
+from dtwone.suite import (
+    TREE_SHAPES,
+    bicycle_with_chord,
+    bidirected_path,
+    bidirected_star,
+    labeled_strongly_connected,
+    plus_triangle,
+    strongly_connected_up_to_iso,
+    tournament_with_back_path,
+)
 from test_decomp import tree_dtd
 from test_digraph import random_strongly_connected, random_tree_edges, tree_plus_triangle
 
@@ -93,66 +100,72 @@ def test_a_bag_naming_an_unknown_vertex_gets_a_report(bags, guard, walk):
     assert (report.valid, report.violations) == (False, expected)
 
 
-class TestMalformedWitnesses:
-    """Each malformed field of `Bicycle(4)`'s witness gives an invalid
-    report that names it, from `verify_certificate` and `verify_witness`."""
+class TestMalformedRootedSets:
+    """Each malformed field of `Bicycle(4)`'s rooted sets gives an invalid
+    report that names it."""
 
     @staticmethod
-    def reports(**changes):
+    def report(**changes):
         d = bicycle(4)
-        witness = dataclasses.replace(recognize_dtw1(d).witness, **changes)
-        return (
-            verify_certificate(d, Dtw1Certificate("NO", None, witness)),
-            verify_witness(d, witness),
-        )
+        rooted = dataclasses.replace(recognize_dtw1(d).rooted_sets, **changes)
+        return verify_certificate(d, Dtw1Certificate("NO", None, rooted))
 
-    @pytest.mark.parametrize("branch_set", [{99}, {-1}, {0, 99}, {"0"}, {1.0}])
-    def test_a_branch_set_naming_an_unknown_vertex(self, branch_set):
-        sets = {**recognize_dtw1(bicycle(4)).witness.branch_sets, 1: frozenset(branch_set)}
-        for report in self.reports(branch_sets=sets):
-            assert report.violations == ("branch set 1 names an unknown vertex",)
-            assert not report.valid
+    @staticmethod
+    def sets(p, members):
+        return {**recognize_dtw1(bicycle(4)).rooted_sets.sets, p: members}
 
-    def test_branch_sets_keyed_by_a_name_that_is_not_a_pattern_vertex(self):
-        sets = recognize_dtw1(bicycle(4)).witness.branch_sets
-        renamed = {("1" if p == 1 else p): cls for p, cls in sets.items()}
-        for report in self.reports(branch_sets=renamed):
-            assert report.violations == ("branch sets must cover the pattern's vertices",)
-            assert not report.valid
+    def expect(self, message, **changes):
+        report = self.report(**changes)
+        assert (report.valid, report.violations) == (False, (message,))
+
+    def test_the_recogniser_s_rooted_sets_pass(self):
+        rooted = recognize_dtw1(bicycle(4)).rooted_sets
+        assert rooted == RootedSets("bicycle", 4, {p: frozenset({p}) for p in range(3)},
+                                    {p: p for p in range(3)})
+        assert self.report().valid
+
+    @pytest.mark.parametrize("members", [{99}, {-1}, {1, 99}, {"1"}, {1.0}])
+    def test_a_set_naming_an_unknown_vertex(self, members):
+        self.expect("rooted set 1 names an unknown vertex", sets=self.sets(1, frozenset(members)))
+
+    @pytest.mark.parametrize("members", [5, None])
+    def test_a_set_that_is_not_a_collection(self, members):
+        self.expect("rooted set 1 is not a set of vertices", sets=self.sets(1, members))
+
+    def test_an_empty_set(self):
+        self.expect("rooted set 2 is empty", sets=self.sets(2, frozenset()))
+
+    @pytest.mark.parametrize("sets", [
+        {0: frozenset({0}), 1: frozenset({1})},
+        {**{p: frozenset({p}) for p in range(3)}, 3: frozenset({3})},
+        {0: frozenset({0}), "1": frozenset({1}), 2: frozenset({2})},
+    ], ids=["two", "four", "a-name-that-is-no-number"])
+    def test_sets_not_numbered_0_1_and_2(self, sets):
+        self.expect("a NO certificate needs three rooted sets, numbered 0, 1 and 2", sets=sets)
+
+    def test_overlapping_sets(self):
+        self.expect("rooted sets must be pairwise disjoint", sets=self.sets(2, frozenset({0, 2})))
+
+    @pytest.mark.parametrize("root", [0, 3, "1", None])
+    def test_a_root_outside_its_set(self, root):
+        self.expect("rooted set 1 does not hold its root", roots={0: 0, 1: root, 2: 2})
 
     @pytest.mark.parametrize("length", ["4", 4.0])
     def test_a_length_that_is_not_an_integer(self, length):
-        for report in self.reports(length=length):
-            assert report.violations == (f"bicycle witness length {length!r} is not an integer",)
-            assert not report.valid
+        self.expect(f"bicycle witness length {length!r} is not an integer", length=length)
 
-    @pytest.mark.parametrize(
-        "step, message",
-        [
-            (("del", 0), "step ('del', 0) is not a (kind, tail, head) triple"),
-            (("del", 0, 1, 2), "step ('del', 0, 1, 2) is not a (kind, tail, head) triple"),
-            (7, "step 7 is not a (kind, tail, head) triple"),
-            (("del", "0", 1), "step ('del', '0', 1) names an unknown vertex"),
-            (("del", 0, 1.5), "step ('del', 0, 1.5) names an unknown vertex"),
-        ],
-    )
-    def test_a_step_that_is_not_a_triple_of_vertices(self, step, message):
-        for report in self.reports(script=(step,)):
-            assert report.violations == (message,)
-            assert not report.valid
+    @pytest.mark.parametrize("kind, length, message", [
+        ("pentagon", None, "unknown pattern kind 'pentagon'"),
+        ("bicycle", 2, "bicycle witnesses need a length of at least three"),
+        ("bicycle", None, "bicycle witnesses need a length of at least three"),
+        ("bicycle", 5, "the pattern has more vertices than the digraph"),
+    ])
+    def test_a_pattern_of_the_wrong_form(self, kind, length, message):
+        self.expect(message, kind=kind, length=length)
 
-    @pytest.mark.parametrize("branch_set", [5, None])
-    def test_a_branch_set_that_is_not_a_collection(self, branch_set):
-        sets = {**recognize_dtw1(bicycle(4)).witness.branch_sets, 1: branch_set}
-        for report in self.reports(branch_sets=sets):
-            assert report.violations == ("branch set 1 is not a set of vertices",)
-            assert not report.valid
-
-    @pytest.mark.parametrize("script", [None, 7])
-    def test_a_script_that_is_not_a_sequence(self, script):
-        for report in self.reports(script=script):
-            assert report.violations == (f"script {script!r} is not a sequence of steps",)
-            assert not report.valid
+    def test_a_missing_payload(self):
+        report = verify_certificate(bicycle(4), Dtw1Certificate("NO", None, None))
+        assert report.violations == ("a NO certificate needs three rooted sets",)
 
 
 def reference_minor_haven_is_monotone(d, branch_sets, roots):
@@ -183,10 +196,6 @@ def _reach(d, r, removed=()):
                 seen.add(w)
                 stack.append(w)
     return seen
-
-
-def witness_roots(d, witness):
-    return _roots(replay_script(d, witness.script), witness.branch_sets)
 
 
 class TestOnEveryPath:
@@ -248,8 +257,7 @@ class TestMinorHavenAgreesWithTheWalks:
             cert = recognize_dtw1(d)
             if cert.verdict != "NO":
                 continue
-            branch = cert.witness.branch_sets
-            roots = witness_roots(d, cert.witness)
+            branch, roots = cert.rooted_sets.sets, cert.rooted_sets.roots
             assert minor_haven_is_monotone(d, branch, roots)
             assert reference_minor_haven_is_monotone(d, branch, roots)
             checked += 1
@@ -275,27 +283,13 @@ class TestMinorHavenAgreesWithTheWalks:
              *(f"tree-plus-triangle{n}" for n in (6, 9, 12))],
     )
     def test_every_choice_of_the_three_least_roots(self, d):
-        witness = recognize_dtw1(d).witness
-        branch = witness.branch_sets
-        roots = witness_roots(d, witness)
+        rooted = recognize_dtw1(d).rooted_sets
+        branch, roots = rooted.sets, rooted.roots
         least = sorted(branch)[:3]
         for chosen in itertools.product(*(sorted(branch[p]) for p in least)):
             moved = {**roots, **dict(zip(least, chosen))}
             assert minor_haven_is_monotone(d, branch, moved) == (
                 reference_minor_haven_is_monotone(d, branch, moved)), moved
-
-
-class BoundedWrites(list):
-    """A list that fails its test on the write after the last of `budget`."""
-
-    def __init__(self, items, budget):
-        super().__init__(items)
-        self.budget = budget
-
-    def __setitem__(self, index, value):
-        self.budget -= 1
-        assert self.budget >= 0, "more writes than the budget"
-        super().__setitem__(index, value)
 
 
 class TestLinearChecks:
@@ -337,18 +331,120 @@ class TestLinearChecks:
             assert max(reads.values()) <= 2, (d.n, reads.most_common(3))
             assert sum(reads.values()) <= 2 * d.n, (d.n, sum(reads.values()))
 
-    def test_a_chain_of_contractions_relabels_one_vertex_per_merge(self):
-        """Contracting a 16,384-vertex path onto either end merges a single
-        vertex into the growing class at each step, so a smaller-into-larger
-        merge relabels one vertex per contraction; relabelling the whole
-        merged class would take about n^2 / 2 writes."""
-        n = 16_384
-        d = bidirected_path(n)
-        for cut in (0, n - 1):
-            steps = shore_contraction_script(_ReplayState(d), range(n), cut)
-            state = _ReplayState(d)
-            contractions = sum(kind == "contract" for kind, _, _ in steps)
-            state.slot = BoundedWrites(state.slot, contractions)
-            state.apply(steps)
-            assert state.members == {0: set(range(n))}
-            assert state.slot.budget == 0
+    def test_no_adjacency_reads_stay_linear(self, monkeypatch):
+        """A NO check reads each vertex's out-list at most 6 times and no
+        in-list, at most 5n reads in all, for n = 8, 64 and 512:
+        `Bicycle(n)` with and without the chord 0 -> n/2, and the bidirected
+        path and star plus a triangle, with the recogniser's rooted sets.  The sets are read
+        without the adjacency, and each of the six sweeps reads an out-list
+        at most twice, once to find its path and once to grow its search;
+        on these shapes the most is 6 (on the bicycle with its chord, 4.5n
+        in all at n = 512).  A walk of d - y for each vertex y would read
+        each about 2n times.  The recogniser is slow on the trees at 512
+        vertices, so there the rooted sets are built as it gives them at 8
+        and 64: the vertices each triangle vertex reaches without the other
+        two."""
+        cases = []
+        for n in (8, 64, 512):
+            for d in (bicycle(n), bicycle_with_chord(n)):
+                cases.append((d, recognize_dtw1(d).rooted_sets))
+            for build in (bidirected_path, bidirected_star):
+                d, rooted = triangle_rooted_sets(build(n))
+                if n <= 64:
+                    assert recognize_dtw1(d).rooted_sets == rooted
+                cases.append((d, rooted))
+        reads = {name: Counter() for name in ("out_neighbours", "in_neighbours")}
+
+        def counted(name):
+            read = getattr(Digraph, name)
+
+            def counting(self, u):
+                reads[name][u] += 1
+                return read(self, u)
+            return counting
+
+        for name in reads:
+            monkeypatch.setattr(Digraph, name, counted(name))
+        for d, rooted in cases:
+            for counter in reads.values():
+                counter.clear()
+            assert verify_certificate(d, Dtw1Certificate("NO", None, rooted)).valid
+            out = reads["out_neighbours"]
+            assert not reads["in_neighbours"]
+            assert max(out.values()) <= 6, (d.n, out.most_common(3))
+            assert sum(out.values()) <= 5 * d.n, (d.n, sum(out.values()))
+
+
+def triangle_rooted_sets(tree):
+    """`suite.plus_triangle(tree)` for a bidirected tree, and its rooted
+    sets: for each vertex t of the triangle, in increasing order, the
+    vertices t reaches in the tree without the other two, rooted at t."""
+    d = plus_triangle(tree)
+    (a, c), _ = sorted(d.edges - tree.edges)
+    (v,) = set(tree.out_neighbours(a)) & set(tree.out_neighbours(c))
+    triangle = sorted((v, a, c))
+    sets = {p: frozenset(_reach(tree, t, set(triangle) - {t})) for p, t in enumerate(triangle)}
+    return d, RootedSets("bicycle", 3, sets, dict(enumerate(triangle)))
+
+
+def rooted_triples(n):
+    """Every choice of three disjoint, non-empty sets of range(n), numbered
+    0, 1 and 2, each with a root in it."""
+    for slots in itertools.product((None, 0, 1, 2), repeat=n):
+        sets = [frozenset(v for v in range(n) if slots[v] == p) for p in range(3)]
+        if all(sets):
+            for roots in itertools.product(*map(sorted, sets)):
+                yield dict(enumerate(sets)), dict(enumerate(roots))
+
+
+def any_triples(n):
+    """Every choice of three non-empty sets of range(n) and three roots in
+    range(n), however they meet."""
+    subsets = [frozenset(c) for k in range(1, n + 1) for c in itertools.combinations(range(n), k)]
+    for sets in itertools.product(subsets, repeat=3):
+        for roots in itertools.product(range(n), repeat=3):
+            yield dict(enumerate(sets)), dict(enumerate(roots))
+
+
+class TestSoundnessNet:
+    """No three rooted sets pass on a digraph of directed treewidth one,
+    since the order-3 haven they give would prove the width two or more.
+    Each YES digraph of the labelled corpus on 2-4 vertices, and 96 of the
+    1,981 YES classes on 5 vertices drawn by `random.Random(36)`, is
+    offered every choice of three disjoint, non-empty sets, each with a
+    root in it.  The YES digraphs on 3 vertices are also offered every
+    choice of three non-empty sets and three roots however they meet, so
+    that a check that left out disjointness or where the roots lie fails
+    here too."""
+
+    @staticmethod
+    def accepted(d, offers):
+        """How many of the offers pass on d, and how many were made."""
+        passed = made = 0
+        for sets, roots in offers:
+            rooted = RootedSets("bicycle", 3, sets, roots)
+            passed += verify_certificate(d, Dtw1Certificate("NO", None, rooted)).valid
+            made += 1
+        return passed, made
+
+    def test_no_rooted_sets_pass_on_a_yes_digraph(self):
+        yes = [d for n in (2, 3, 4) for d in labeled_strongly_connected(n)
+               if recognize_dtw1(d).verdict == "YES"]
+        assert len(yes) == 1 + 17 + 1174
+        classes = strongly_connected_up_to_iso(5)
+        drawn = (d for d in random.Random(36).sample(classes, len(classes))
+                 if recognize_dtw1(d).verdict == "YES")
+        yes += itertools.islice(drawn, 96)
+        passed = made = 0
+        for d in yes:
+            p, m = self.accepted(d, rooted_triples(d.n))
+            passed, made = passed + p, made + m
+        assert (passed, made) == (0, 112_806 + 96 * 960)
+
+    def test_no_malformed_offer_passes_on_a_small_yes_digraph(self):
+        passed = made = 0
+        for d in labeled_strongly_connected(3):
+            if recognize_dtw1(d).verdict == "YES":
+                p, m = self.accepted(d, any_triples(3))
+                passed, made = passed + p, made + m
+        assert (passed, made) == (0, 17 * 7 ** 3 * 3 ** 3)

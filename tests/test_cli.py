@@ -152,13 +152,28 @@ class TestVerifyCert:
 
     def test_tampered_witness_fails(self, runner, b3_file, tmp_path):
         text = self.cert(runner, b3_file)
-        tampered = text.replace("branchset 0: {a}", "branchset 0: {b}")
+        tampered = text.replace("rootset 0 root=a {a}", "rootset 0 root=b {b}")
         assert tampered != text
         cert = tmp_path / "tampered.cert"
         cert.write_text(tampered)
         res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
         assert res.exit_code == 1
         assert "result=invalid" in res.output
+        assert "violation=rooted sets must be pairwise disjoint" in res.output
+
+    def test_older_no_certificate_exit_two(self, runner, b3_file, tmp_path):
+        """A NO certificate in the older form, a minor's script and branch
+        sets, is refused as malformed, and the message names that form and
+        the first record in it."""
+        lines = self.cert(runner, b3_file, "structured").splitlines()
+        at = lines.index("rootset 0 root=a {a}")
+        lines[at:at + 3] = ["branchset 0: {a}", "branchset 1: {b}", "branchset 2: {c}"]
+        cert = tmp_path / "old.cert"
+        cert.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["verify-cert", b3_file, str(cert)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert f"line {at + 1}: unexpected `branchset` record: a NO certificate in the older form" in res.output
 
     def test_forged_bicycle_length_is_invalid(self, runner, b3_file, tmp_path):
         """A bicycle longer than the digraph is refused before it is built,
@@ -578,8 +593,8 @@ def test_yes_launch_never_enumerates_cycles(tmp_path):
     ids=["b3", "a4"],
 )
 def test_no_launch_never_enumerates_cycles(edges, tmp_path):
-    """A NO certificate is the minor witness alone, so a NO launch
-    enumerates no cycles either."""
+    """A NO certificate is three rooted sets, so a NO launch enumerates no
+    cycles either."""
     assert launch_enumerations(edges, 1, tmp_path) == "0\n1\n"
 
 

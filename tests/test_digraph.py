@@ -30,8 +30,7 @@ from dtwone.digraph import (
     strong_components_minus_each,
     tight_separations,
 )
-from dtwone.check import _ReplayState, replay_script
-from dtwone.dtw1 import shore_contraction_script
+from dtwone.dtw1 import _ReplayState, replay_script, shore_contraction_script
 from dtwone.suite import labeled_strongly_connected
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from dtwone.cycles import cycle_hypergraph
 from dtwone.decomp import dtd_to_dbd, dbd_to_hbd
-from dtwone.check import Dtw1Certificate, MinorWitness
+from dtwone.check import Dtw1Certificate, RootedSets
 from dtwone.dtw1 import recognize_dtw1
 from dtwone.formats import (
     FORMAT_VERSION,
@@ -253,28 +253,58 @@ class TestCertificates:
         back = parse_certificate(read_document("\n".join(lines) + "\n"),
                                  {n: i for i, n in enumerate(names)})
         assert back == cert
-        assert back.witness.kind == "bicycle" and back.witness.length == 3
-        assert lines[-1] == "haven_order=3"
+        assert back.rooted_sets.kind == "bicycle" and back.rooted_sets.length == 3
+        assert lines[-4:] == ["rootset 0 root=a {a}", "rootset 1 root=b {b}",
+                              "rootset 2 root=c {c}", "haven_order=3"]
         assert not [line for line in lines if line.startswith("haven ")]
 
-    def test_script_steps_round_trip(self):
-        # serialization is exercised independently of witness soundness
-        witness = MinorWitness(
+    def test_rooted_sets_round_trip(self):
+        # serialization is exercised independently of the sets' soundness
+        rooted = RootedSets(
             kind="bicycle",
             length=3,
-            script=(("del", 4, 0), ("contract", 0, 3)),
-            branch_sets={0: frozenset({0, 3}), 1: frozenset({1}), 2: frozenset({2})},
+            sets={0: frozenset({0, 3}), 1: frozenset({1}), 2: frozenset({2, 4})},
+            roots={0: 3, 1: 1, 2: 4},
         )
-        cert = Dtw1Certificate("NO", None, witness)
+        cert = Dtw1Certificate("NO", None, rooted)
         names = tuple("abcde")
         lines = format_certificate(cert, names, [FORMAT_VERSION])
+        assert lines[4:7] == ["rootset 0 root=d {a,d}", "rootset 1 root=b {b}",
+                              "rootset 2 root=e {c,e}"]
         back = parse_certificate(read_document("\n".join(lines) + "\n"),
                                  {n: i for i, n in enumerate(names)})
-        assert back.witness.script == witness.script
-        assert back.witness.branch_sets == witness.branch_sets
+        assert back.rooted_sets == rooted
+
+    @pytest.mark.parametrize("record", ["del a b", "contract b a", "branchset 0: {a}"])
+    def test_the_older_no_form_is_refused(self, record):
+        """A NO certificate that still gives a minor's script and branch
+        sets is refused, and the message names the older form."""
+        text = doc("verdict=NO", "pattern=bicycle", "length=3", record,
+                   "rootset 0 root=a {a}", "haven_order=3")
+        with pytest.raises(ParseError) as err:
+            parse_certificate(read_document(text), {"a": 0, "b": 1})
+        head = record.split()[0]
+        assert str(err.value) == (
+            f"line 5: unexpected `{head}` record: a NO certificate in the older "
+            "form, a minor's script and branch sets, is not read; it now gives "
+            "three rooted sets"
+        )
+
+    @pytest.mark.parametrize("record, message", [
+        ("rootset 0 {a}", "line 4: expected `rootset <p> root=<v> <set>`"),
+        ("rootset 0 root=a", "line 4: expected `rootset <p> root=<v> <set>`"),
+        ("rootset \u00b3 root=a {a}", "line 4: expected `rootset <p> root=<v> <set>`"),
+        ("rootset 0 root=z {a}", "line 4: unknown vertex 'z'"),
+        ("rootset 0 root=a {a,z}", "line 4: unknown vertex 'z'"),
+    ], ids=["no-root", "no-set", "superscript", "unknown-root", "unknown-member"])
+    def test_a_malformed_rootset_names_its_line(self, record, message):
+        text = doc("verdict=NO", "pattern=a4", record, "haven_order=3")
+        with pytest.raises(ParseError) as err:
+            parse_certificate(read_document(text), {"a": 0, "b": 1})
+        assert str(err.value) == message
 
     def test_bicycle_requires_length(self):
-        text = doc("verdict=NO", "pattern=bicycle", "branchset 0: {0}",
+        text = doc("verdict=NO", "pattern=bicycle", "rootset 0 root=0 {0}",
                    "haven_order=3")
         with pytest.raises(ParseError, match="length"):
             parse_certificate(read_document(text), {"0": 0})
@@ -284,7 +314,7 @@ class TestCertificates:
         """`length=³` used to reach `int()` and fail without a line number,
         and `length=３` (fullwidth) read as 3."""
         text = doc("verdict=NO", "pattern=bicycle", f"length={digit}",
-                   "branchset 0: {0}", "haven_order=3")
+                   "rootset 0 root=0 {0}", "haven_order=3")
         with pytest.raises(ParseError, match="line 4: a bicycle pattern needs") as err:
             parse_certificate(read_document(text), {"0": 0})
         assert err.value.line == 4
@@ -322,8 +352,8 @@ class TestCertificates:
         with pytest.raises(ParseError):
             parse_certificate(read_document(doc("verdict=MAYBE")), {})
 
-    def test_duplicate_branchset_rejected(self):
-        text = doc("verdict=NO", "pattern=a4", "branchset 0: {0}",
-                   "branchset 0: {1}", "haven_order=3")
-        with pytest.raises(ParseError, match="repeats"):
+    def test_duplicate_rootset_rejected(self):
+        text = doc("verdict=NO", "pattern=a4", "rootset 0 root=0 {0}",
+                   "rootset 0 root=1 {1}", "haven_order=3")
+        with pytest.raises(ParseError, match="line 5: rooted set 0 repeats"):
             parse_certificate(read_document(text), {"0": 0, "1": 1})

@@ -22,7 +22,7 @@ from dtwone.digraph import (
     is_strongly_connected,
     strong_components,
 )
-from dtwone.dtw1 import minor_haven, recognize_dtw1
+from dtwone.dtw1 import recognize_dtw1
 from dtwone.errors import InstanceTooLarge
 from dtwone.games import (
     CopStrategy,
@@ -525,7 +525,8 @@ class TestHavens:
         where the new entry is still a component of d - X, the only kind of
         entry the derived haven can hold, it alone gives `verify_haven`'s
         verdict."""
-        hav = minor_haven(d, recognize_dtw1(d).witness)
+        rooted = recognize_dtw1(d).rooted_sets
+        hav = haven_from_minor(d, rooted.sets, rooted.roots)
         assert verify_haven(d, hav) and reference_verify_haven(d, hav)
         assert haven_is_monotone(d, hav)
         tried = rejected = 0

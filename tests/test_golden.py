@@ -7,9 +7,9 @@ code and stdout on 200 seeded random strongly connected digraphs on 7-12
 vertices, most of which take shrinking steps in the NO loop.  A third
 digest covers both corpora's exit codes and stdout with no `haven ` line in
 them: NO certificates hold no haven table, so it pins verdicts, YES
-decompositions, witness scripts and branch sets.  The order-3 haven each
-witness implies is derived by `minor_haven`, and a fourth digest pins
-those havens, written as `haven ` lines.  A fifth covers the exit codes of
+decompositions and NO rooted sets.  The order-3 haven each NO
+certificate's rooted sets give is derived by `games.haven_from_minor`, and
+a fourth digest pins those havens, written as `haven ` lines.  A fifth covers the exit codes of
 both corpora alone, so that a change to how a NO witness is found can show
 it keeps every verdict.  The last covers exit code and stdout of every
 other command (`verify-cert`, `cycles`, `game`, `validate-dtd`,
@@ -34,7 +34,8 @@ from dtwone.check import DirectedTreeDecomposition
 from dtwone.cli import main
 from dtwone.cycles import cycle_hypergraph
 from dtwone.digraph import Digraph, bicycle, bidirect
-from dtwone.dtw1 import minor_haven, recognize_dtw1
+from dtwone.check import verify_certificate
+from dtwone.dtw1 import recognize_dtw1
 from dtwone.formats import (
     FORMAT_VERSION,
     format_certificate,
@@ -45,7 +46,7 @@ from dtwone.formats import (
     read_document,
     vertex_names,
 )
-from dtwone.games import verify_haven
+from dtwone.games import haven_from_minor, verify_haven
 from dtwone.hypergraph import dual
 from dtwone.suite import (
     labeled_strongly_connected,
@@ -54,16 +55,16 @@ from dtwone.suite import (
 )
 from test_formats import hypergraph_lines
 
-GOLDEN_SHA256 = "7f80bf9bed6ad22e62fadc5934f2eda06542d0ef1ed129a708fa5893dde3568c"
-RANDOM_SHA256 = "72a4dc5415847161a90483691aafa8e2749fbb5ccb12e425f453cd64b9133d1a"
-HAVEN_FREE_SHA256 = "d3c132f2219261a864aaec508be2dbf6dae8fd3bf771bf5d40d5cef87056ea98"
+GOLDEN_SHA256 = "33ce5f5d4a5c66cf4be0f06702c52c88bf70e1d101038c641d35d407620cf6d2"
+RANDOM_SHA256 = "b6f7dcc8e667624f20e9bcd2bd24cf7165599c365cded097dcda8a8f30c571f9"
+HAVEN_FREE_SHA256 = "4676cb4a188d256c1ac40a862dcc6af0b661087c6b7b3e61dc5625090a5efe0d"
 # The derived havens of the NO certificates of both corpora, in output
 # order, written as the `haven ` lines certificates used to carry.
 HAVEN_TABLES_SHA256 = "3ddcdbeb7770b6d9e0494bea9d508c6348d4134d3de10ebc518e4860a298ce8a"
 # The exit code of every input of both corpora, in order: 0 for YES, 1 for NO.
 VERDICTS_SHA256 = "74e1ecafa7dfde5c5c4d2cb7421e6604f545f25817f62e2cbb160221e98085e2"
 COMMANDS_SHA256 = "b514bbfb5c4edbc424824256de492ca1f2558872aa9acec1c65aff88246c3212"
-TREES_SHA256 = "f56a34aabe4c3593f5e40ed3048a7b9589ea03817a40e350043fff63ea240b6d"
+TREES_SHA256 = "33d6d6dfd950356564b08f58442032dd3857170a301380e07c2b93506151542a"
 
 
 def _corpus():
@@ -134,8 +135,8 @@ def test_verdicts_match_the_golden_digest(answers):
 
 
 def test_answers_without_havens_match_the_golden_digest(answers):
-    """Verdicts, YES decompositions, witness scripts and branch sets of both
-    corpora, byte for byte: the certificates hold no `haven ` line."""
+    """Verdicts, YES decompositions and NO rooted sets of both corpora, byte
+    for byte: the certificates hold no `haven ` line."""
     digest = hashlib.sha256()
     for corpus in ("golden", "random"):
         for code, _, stdout in answers[corpus]:
@@ -147,12 +148,14 @@ def test_answers_without_havens_match_the_golden_digest(answers):
 
 
 def test_derived_havens_match_the_old_tables(answers):
-    """Each NO certificate is read back and its haven derived from the
-    witness.  Written as the old `haven <cop set>: <component>` lines, the
-    havens of both corpora match the pinned digest, and each passes both
+    """Each NO certificate is read back and its haven derived from its
+    rooted sets.  Written as the old `haven <cop set>: <component>` lines,
+    the havens of both corpora match the pinned digest, and each passes both
     haven verifiers.  The digest pins the derived havens: since the NO loop
     took its one-rule form they are no longer the tables the certificates
-    used to carry."""
+    used to carry.  It was recorded when NO certificates carried the whole
+    minor, whose replay gave the roots, so it also shows that the three
+    rooted sets prove the same haven."""
     from test_games import reference_verify_haven
 
     digest = hashlib.sha256()
@@ -164,7 +167,7 @@ def test_derived_havens_match_the_old_tables(answers):
             d, names = parse_digraph(edge_text(d))
             cert = parse_certificate(read_document(stdout),
                                      {name: i for i, name in enumerate(names)})
-            hav = minor_haven(d, cert.witness)
+            hav = haven_from_minor(d, cert.rooted_sets.sets, cert.rooted_sets.roots)
             assert verify_haven(d, hav) and reference_verify_haven(d, hav)
             for x in sorted(hav.assignment, key=lambda s: (len(s), sorted(s))):
                 digest.update(f"haven {format_set(x, names)}:"
@@ -172,6 +175,22 @@ def test_derived_havens_match_the_old_tables(answers):
                 lines += 1
     assert lines == 13387
     assert digest.hexdigest() == HAVEN_TABLES_SHA256
+
+
+def test_every_no_answer_verifies(answers):
+    """Each NO certificate of both corpora, read back, passes
+    `verify_certificate`."""
+    checked = 0
+    for corpus, inputs in (("golden", _corpus()), ("random", random_corpus())):
+        for d, (code, _, stdout) in zip(inputs, answers[corpus], strict=True):
+            if code == 1:
+                d, names = parse_digraph(edge_text(d))
+                cert = parse_certificate(read_document(stdout),
+                                         {name: i for i, name in enumerate(names)})
+                report = verify_certificate(d, cert)
+                assert report.valid, (edge_text(d), report.violations)
+                checked += 1
+    assert checked == 594
 
 
 def command_corpus():

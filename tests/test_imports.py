@@ -71,6 +71,16 @@ def test_the_checker_uses_only_plain_walks():
     )
 
 
+def test_the_checker_replays_nothing():
+    # A NO certificate is three rooted sets: the checker reads them and
+    # sweeps, and the replay state, its scripts and the minor witness stay
+    # with the recogniser in `dtw1`.
+    check = Path(dtwone.__file__).parent / "check.py"
+    assert names_used(check).isdisjoint(
+        {"_ReplayState", "replay_script", "merge_into", "MinorWitness"}
+    )
+
+
 def test_the_conversions_take_what_came_before():
     # `strategy_from_dbd` walks the edge sets that `validate_dbd` accepted,
     # and `dtd_to_leaf_dtd` reads every subtree's least vertex off one pass.
