@@ -296,7 +296,7 @@ def is_directed_separation(d, shore_a, shore_b):
     )
 
 
-def cut_vertex_shores(out, inn, v, comps):
+def cut_vertex_shores(out, inn, v, comps, bit, whole):
     """The strong components of d - v, each with its X-shore and orientation.
 
     The X-shore X of a component K is K alone when no other component has an
@@ -311,62 +311,95 @@ def cut_vertex_shores(out, inn, v, comps):
     - K is not entered and an edge leaves it: only (X+v, Y+v) is valid;
       x_first is True.
 
-    Each entry is (K, X, x_first).  d is given as two mappings from each
-    vertex to its out-neighbours and its in-neighbours: a `Digraph`'s `_out`
-    and `_in`, or the adjacency of a piece the recogniser edits in place.
-    `comps` is the list of strong components of d - v in any reverse
-    topological order of the condensation (no edge runs from an earlier
-    component to a later one), such as `strong_components` gives.  Entries
-    come in that order; the list is empty when d - v has at most one
-    component, that is when v is no cut vertex.  The condensation's edges
-    come from the out-lists and in-lists of every component but the
-    largest: an edge of the largest component's leaves it into another
-    component, whose in-lists show it.  So the work is the degrees of d - v
-    outside its largest component, one pass over the component list, and
-    the set unions that build the X-shores.
+    Each entry is (K, X, x_first), X a vertex mask in the layout of
+    `vertex_bits`: `bit[u]` is u's bit and `whole` the mask of d's vertices.
+    d is given as two mappings from each vertex to its out-neighbours and
+    its in-neighbours: a `Digraph`'s `_out` and `_in`, or the adjacency of
+    a piece the recogniser edits in place.  `comps` is the list of strong
+    components of d - v in any reverse topological order of the
+    condensation (no edge runs from an earlier component to a later one),
+    such as `strong_components` gives.  Entries come in that order; the
+    list is empty when d - v has at most one component, that is when v is
+    no cut vertex.  The condensation's edges come from the out-lists and
+    in-lists of every component but the largest: an edge of the largest
+    component's leaves it into another component, whose in-lists show it.
+    The largest component's mask is whole less v and the other
+    components.  So the work is the degrees and the sizes of d - v outside
+    its largest component, one pass over the component list, and the mask
+    unions that build the X-shores, each O(n / 64) words.
     """
     if len(comps) <= 1:
         return []
     big = max(range(len(comps)), key=lambda ci: len(comps[ci]))
     comp_of = {u: ci for ci, comp in enumerate(comps) if ci != big for u in comp}
     succ = [set() for _ in comps]
+    masks = [0] * len(comps)
     for ci, comp in enumerate(comps):
         if ci == big:
             continue
+        masks[ci] = sum(map(bit.__getitem__, comp))
         heads = succ[ci]
         heads.update(comp_of.get(b, big) for a in comp for b in out[a] if b != v)
         heads.discard(ci)
         if any(b != v and b not in comp_of for a in comp for b in inn[a]):
             succ[big].add(ci)
+    masks[big] = whole & ~bit[v] & ~sum(masks)
     entered = set().union(*succ)
     # Reverse topological order: every successor of a component comes before
     # it and is entered, so its shore is already everything it reaches.
     shores = []
     for ci, comp in enumerate(comps):
+        x = masks[ci]
         if ci in entered:
-            shores.append((comp, comp.union(*(shores[cj][1] for cj in succ[ci])), False))
+            for cj in succ[ci]:
+                x |= shores[cj][1]
+            shores.append((comp, x, False))
         else:
-            shores.append((comp, comp, True if succ[ci] else None))
+            shores.append((comp, x, True if succ[ci] else None))
     return shores
+
+
+def vertex_bits(n):
+    """The mask layout of the recogniser's vertex sets on n vertices: a list
+    whose x-th element, 1 << 2(n - 1 - x), is vertex x's bit.  A set is the
+    sum of its vertices' bits, so vertex 0 is the top bit and the least
+    vertex of a set is its top bit; the zero bit above each vertex's bit is
+    room for the sorted-order key of `dtw1._sorted_order_key`."""
+    return [1 << 2 * (n - 1 - x) for x in range(n)]
+
+
+def mask_vertices(n, mask):
+    """The vertices of a mask in the layout of `vertex_bits` on n vertices,
+    largest first: one lowest set bit at a time, whose bit length is
+    2(n - 1 - x) + 1 for vertex x."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(n - 1 - (low.bit_length() >> 1))
+        mask ^= low
+    return out
 
 
 def orient_cut_separation(p, q, v, x, x_first):
     """The shores p = Y+v and q = X+v of a `cut_vertex_shores` entry in their
     valid orientation, edges crossing from the first to the second, with the
-    pair of vertices whose comparison chose it.
+    bits of the two vertices whose comparison chose it.  p, q, the cut
+    vertex v and the X-shore x are masks in the layout of `vertex_bits`, so
+    the least vertex of a shore is its top bit.
 
     x_first decides when it is not None, and the pair is then empty.  When
     it is None both orientations are valid, and the shore whose sorted tuple
     is smaller goes first.  The shores meet in v alone, so their sorted
     tuples differ at the first element, or at the second when both start
-    with v; the pair is the two elements compared there.
+    with v; the pair is the two elements compared there, and the smaller
+    vertex is the longer mask.
     """
     if x_first is None:
-        least_p, least_q = min(p), min(q)
+        least_p, least_q = p.bit_length(), q.bit_length()
         if least_p == least_q:
-            least_p, least_q = min(p - {v}), min(x)
-        first, second = (p, q) if least_p < least_q else (q, p)
-        return first, second, (least_p, least_q)
+            least_p, least_q = (p ^ v).bit_length(), x.bit_length()
+        first, second = (p, q) if least_p > least_q else (q, p)
+        return first, second, (1 << least_p - 1, 1 << least_q - 1)
     if x_first:
         return q, p, ()
     return p, q, ()
@@ -389,19 +422,27 @@ def tight_separations(d):
     orientation is asserted to be a directed separation.  Both shores must
     have >= 2 vertices, which here just excludes the Y = empty case.  The
     recogniser does not call this: its s-decomposition keeps the entries
-    of each piece and carries them from piece to piece.
+    of each piece and carries them from piece to piece.  The shores are
+    built as masks (`vertex_bits`), as the s-decomposition builds them, and
+    read back as sets.
     """
+    bit = vertex_bits(d.n)
+    ones = sum(bit)
     found = {}
     for v in range(d.n):
-        for _, x, x_first in cut_vertex_shores(d._out, d._in, v, strong_components(d, (v,))):
-            p = d.vertex_set - x
-            if len(p) < 2:
+        comps = strong_components(d, (v,))
+        for _, x, x_first in cut_vertex_shores(d._out, d._in, v, comps, bit, ones):
+            p = ones & ~x
+            if p.bit_count() < 2:
                 continue
-            q = x | {v}
+            q = x | bit[v]
             key = frozenset((p, q))
             if key in found:
                 continue
-            first, second, _ = orient_cut_separation(p, q, v, x, x_first)
+            first, second = (
+                frozenset(mask_vertices(d.n, shore))
+                for shore in orient_cut_separation(p, q, bit[v], x, x_first)[:2]
+            )
             assert is_directed_separation(d, first, second), (
                 "constructed shores admit no valid orientation"
             )

@@ -66,9 +66,11 @@ from .digraph import (
     dense_digraph,
     is_strongly_2_connected,
     is_strongly_connected,
+    mask_vertices,
     merge_into,
     orient_cut_separation,
     strong_components_minus_each,
+    vertex_bits,
 )
 from .games import verify_haven  # noqa: F401  (bench/tracer.py wraps this binding)
 from .hypergraph import JoinTreeWitness, hypertree_witness
@@ -525,7 +527,8 @@ def _attachments(sdec: SDecomposition, p) -> list:
 
 def _lifts_onto_a(attachment, first, v) -> bool:
     """True if a separation (first, second) at v of the attachment's piece,
-    given as label sets, lifts the attachment's far shore onto its A-shore.
+    given as masks with v its cut vertex's bit, lifts the attachment's far
+    shore onto its A-shore.
 
     A far shore re-enters on the side its cut vertex lies on; one at v,
     which lies on both, goes to the side matching its role in its own
@@ -533,35 +536,73 @@ def _lifts_onto_a(attachment, first, v) -> bool:
     v alone, so a cut in first lies in second only when it is v.
     """
     cut, _, far_is_a, _ = attachment
-    return cut in first and (far_is_a or cut != v)
+    return bool(first & cut) and (far_is_a or cut != v)
 
 
-def _lifted_a_shore(attachments, first, v) -> frozenset:
-    """The A-shore of a separation (first, second) at v of a collapsed
-    piece, expanded back to the whole digraph: first and the far shores
-    `_lifts_onto_a` sends there.  A far shore meets the territory only in
-    its cut, so the lifted B-shore is the rest of V and v."""
-    return frozenset(first).union(*(a[1] for a in attachments if _lifts_onto_a(a, first, v)))
+def _lifted_a_shore(attachments, first, v) -> int:
+    """The A-shore of a separation (first, second) at the vertex whose bit is
+    v of a collapsed piece, expanded back to the whole digraph, as a mask:
+    first and the far shores `_lifts_onto_a` sends there.  A far shore
+    meets the territory only in its cut, so the lifted B-shore is the rest
+    of V and v."""
+    shore = first
+    for attachment in attachments:
+        if _lifts_onto_a(attachment, first, v):
+            shore |= attachment[1]
+    return shore
+
+
+def _sorted_order_key(ones, s) -> int:
+    """An int key of the vertex mask s whose order is the order of sorted
+    tuples, with ones the mask of all n vertices (`vertex_bits`): for
+    masks s and t, key(s) < key(t) exactly when tuple(sorted(S)) <
+    tuple(sorted(T)) for their vertex sets S and T, prefixes included.
+
+    Read the key as n base-4 digits, one per vertex from vertex 0 down, each
+    vertex's bit the low bit of its digit.  low = s & -s is the bit of
+    max(S), so ones & ~(low - 1) holds every vertex up to max(S): the key
+    has digit 1 at each vertex of S, digit 2 at each vertex before max(S)
+    that S skips, and digit 0 at every vertex after max(S); the empty set's
+    key is 0.  Take the first digit i where key(s) and key(t) differ.  A 0
+    digit is followed only by 0s, so every earlier digit is 1 or 2 and the
+    same in both: S and T agree on every vertex before i, and neither has
+    ended there.  So the tuples agree up to the element that comes next.
+
+    - 1 against 2: S holds i, while T skips i and goes on past it, so the
+      next element is i in S and larger in T: S sorts first, as its key
+      does.
+    - 1 or 2 against 0: T has ended before i, while S goes on to i or
+      beyond, so T is a proper prefix of S and sorts first, as its key
+      does.
+
+    With the roles swapped the same holds, so the two orders agree.  The
+    key is O(n / 64) words, compared word by word, and its vertex set is
+    key & ones.
+    """
+    low = s & -s
+    return s | (ones & ~(low - 1) & ~s) << 1
 
 
 class _Entry(NamedTuple):
     """One `cut_vertex_shores` entry of a piece at a vertex v, with its key.
 
-    The X-shore is x's trace on the piece's territory: x may still hold
-    vertices an ancestor piece dropped.  key is the entry's separation,
-    oriented by `orient_cut_separation`, as its A-shore lifted to d by
-    `_lifted_a_shore` and sorted; it is None when the other shore is v
-    alone, which makes no candidate.  The lifted B-shore is not built: the
-    shores cover V and meet in v alone, so it is the rest of V and v, and
-    with the A-shore fixed it sorts as v does.  So the heap, which breaks
-    ties by v next (`_Piece`), orders the candidates as their pairs of
-    sorted shores would.  pivots is the pair of vertices whose comparison
+    The X-shore x is a vertex mask (`vertex_bits`), and its trace on the
+    piece's territory is the entry's shore: x may still hold vertices an
+    ancestor piece dropped.  key is the entry's separation, oriented by
+    `orient_cut_separation`, as the `_sorted_order_key` of its A-shore
+    lifted to d by `_lifted_a_shore`: an int, ordered as the sorted lifted
+    A-shores are.  It is None when the other shore is v alone, which makes
+    no candidate.  The lifted B-shore is not built: the shores cover V and
+    meet in v alone, so it is the rest of V and v, and with the A-shore
+    fixed it sorts as v does.  So the heap, which breaks ties by v next
+    (`_Piece`), orders the candidates as their pairs of sorted shores
+    would.  pivots is the pair of bits of the vertices whose comparison
     chose the orientation when x_first is None, and () otherwise.
     """
 
-    x: frozenset
+    x: int
     x_first: Optional[bool]
-    key: Optional[tuple]
+    key: Optional[int]
     pivots: tuple
 
 
@@ -569,25 +610,32 @@ class _Entry(NamedTuple):
 class _Piece:
     """A live piece of the s-decomposition, which each split edits in place.
 
-    `out[v]` and `inn[v]`, for each territory vertex v, are the adjacency
-    of the collapsed piece, every far shore contracted onto its cut vertex,
-    in d's own vertex names.  `entries[v]` lists v's `_Entry`s, one per
-    strong component of the collapsed piece minus v, in a reverse
-    topological order of the condensation; a list is replaced, never
-    edited, so a copy of the mapping keeps what the piece held.  `heap`
-    holds (key, v, stamp, i) for every candidate `entries[v][i]`; an item is
-    live while `stamps[v]` is stamp, and a dead one is popped when it
-    reaches the top.  `pivoted[u]` holds every vertex that was given an
-    entry with u among its pivots, and may hold vertices that no longer
-    have one.  `attachments` are its far shores, as `_attachments` reads
-    them off the tree being built.  A split builds a piece only when its
-    territory has three or more vertices: a two-vertex piece is final.
+    Vertex sets are masks: `bit[x]` is vertex x's bit (`vertex_bits`) and
+    `ones` the mask of all of d's vertices, both shared by every piece, and
+    `territory` and the far shores of `attachments` are masks.  `out[v]`
+    and `inn[v]`, for each territory vertex v, are the adjacency of the
+    collapsed piece, every far shore contracted onto its cut vertex, in d's
+    own vertex names, so `out`'s keys are the territory's vertices.
+    `entries[v]` lists v's `_Entry`s, one per strong component of the
+    collapsed piece minus v, in a reverse topological order of the
+    condensation; a list is replaced, never edited, so a copy of the
+    mapping keeps what the piece held.  `heap` holds (key, v, stamp, i) for
+    every candidate `entries[v][i]`; an item is live while `stamps[v]` is
+    stamp, and a dead one is popped when it reaches the top.
+    `pivoted[bit[u]]` holds every vertex that was given an entry with u
+    among its pivots, and may hold vertices that no longer have one.
+    `attachments` are its far shores, (cut vertex's bit, far shore, far is
+    an A-shore, tree-edge index): what `_attachments` reads off the tree
+    being built, in masks.  A split builds a piece only when its territory has three
+    or more vertices: a two-vertex piece is final.
     """
 
-    territory: frozenset
+    territory: int
     out: dict
     inn: dict
     attachments: list
+    bit: list
+    ones: int
     entries: dict = field(default_factory=dict)
     heap: list = field(default_factory=list)
     stamps: dict = field(default_factory=dict)
@@ -600,6 +648,8 @@ class _Piece:
             {v: set(heads) for v, heads in self.out.items()},
             {v: set(tails) for v, tails in self.inn.items()},
             self.attachments,
+            self.bit,
+            self.ones,
             dict(self.entries),
             self.heap.copy(),
             dict(self.stamps),
@@ -608,12 +658,14 @@ class _Piece:
 
 
 def _entry(piece: _Piece, v, x, x_first) -> _Entry:
-    """v's entry in the piece for the X-shore x, a set of territory vertices."""
-    p = piece.territory - x
-    if len(p) < 2:
+    """v's entry in the piece for the X-shore x, a mask of territory vertices."""
+    p = piece.territory & ~x
+    if p.bit_count() < 2:
         return _Entry(x, x_first, None, ())
-    first, _, pivots = orient_cut_separation(p, x | {v}, v, x, x_first)
-    return _Entry(x, x_first, tuple(sorted(_lifted_a_shore(piece.attachments, first, v))), pivots)
+    bit_v = piece.bit[v]
+    first, _, pivots = orient_cut_separation(p, x | bit_v, bit_v, x, x_first)
+    key = _sorted_order_key(piece.ones, _lifted_a_shore(piece.attachments, first, bit_v))
+    return _Entry(x, x_first, key, pivots)
 
 
 def _fresh_entries(piece: _Piece, v, comps) -> list:
@@ -621,7 +673,9 @@ def _fresh_entries(piece: _Piece, v, comps) -> list:
     collapsed piece minus v, in a reverse topological order."""
     return [
         _entry(piece, v, x, x_first)
-        for _, x, x_first in cut_vertex_shores(piece.out, piece.inn, v, comps)
+        for _, x, x_first in cut_vertex_shores(
+            piece.out, piece.inn, v, comps, piece.bit, piece.territory
+        )
     ]
 
 
@@ -651,38 +705,39 @@ def _least_entry(piece: _Piece):
 
 
 def _split_off(piece: _Piece, territory, cut, attachments, minus, where) -> _Piece:
-    """Edit `piece` into its child that keeps `territory` after a split at
-    `cut`, and return it, its entries carried over, re-keyed or recomputed
-    (see `s_decomposition`).  Beyond one set difference of territories
-    and a scan of the `where` column of each dropped vertex, the work is
-    the degrees and entries of the dropped vertices and the entries it
-    gives anew, not a walk over the piece.
+    """Edit `piece` into its child that keeps `territory`, a mask, after a
+    split at `cut`, and return it, its entries carried over, re-keyed or
+    recomputed (see `s_decomposition`).  Beyond one mask difference of
+    territories and a scan of the `where` column of each dropped vertex,
+    the work is the degrees and entries of the dropped vertices and the
+    entries it gives anew, not a walk over the piece.
 
     The recomputed vertices are the cut and every v at which some dropped
     u lies in another root component of d - v than the cut does: the
     positions where the columns where[u] and where[cut] differ.  The
     re-keyed ones are read off `pivoted` at the dropped vertices.
     """
-    dropped = piece.territory - territory
+    dropped = piece.territory & ~territory
     home = where[cut]
     fresh = {cut}
     rekeyed = set()
-    for u in dropped:
+    for u in mask_vertices(len(piece.bit), dropped):
         merge_into(piece.out, piece.inn, cut, u)
         fresh.update(itertools.compress(itertools.count(), map(operator.ne, where[u], home)))
-        rekeyed |= piece.pivoted.pop(u, set())
+        rekeyed |= piece.pivoted.pop(piece.bit[u], set())
         del piece.entries[u], piece.stamps[u]
     piece.territory = territory
     piece.attachments = attachments
-    for v in fresh & territory:
-        comps = [part for k in minus[v] if (part := k & territory)]
+    kept = piece.out.keys()  # the territory's vertices, now that D is merged
+    for v in fresh & kept:
+        comps = [part for k in minus[v] if (part := k & kept)]
         _set_entries(piece, v, _fresh_entries(piece, v, comps))
-    for v in (rekeyed & territory) - fresh:
+    for v in (rekeyed & kept) - fresh:
         entries = piece.entries[v]
-        if not all(dropped.isdisjoint(entry.pivots) for entry in entries):
+        if any(dropped & u for entry in entries for u in entry.pivots):
             _set_entries(piece, v, [
-                entry if dropped.isdisjoint(entry.pivots)
-                else _entry(piece, v, entry.x & territory, entry.x_first)
+                _entry(piece, v, entry.x & territory, entry.x_first)
+                if any(dropped & u for u in entry.pivots) else entry
                 for entry in entries
             ])
     return piece
@@ -851,11 +906,16 @@ def s_decomposition(d: Digraph) -> SDecomposition:
 
     A piece's candidates are its entries (see `_Piece`): every X-shore of a
     strong component of the collapsed piece minus a vertex, keyed by its
-    lifted A-shore (see `_Entry`).  The split lifts the winner's A-shore
-    once more and asserts that it is the key; the B-shore, the far shore
-    its A child keeps at the cut, is the rest of V and the cut.  The root
-    piece, which is searched only when d fails the test above, computes its
-    entries from the strong components of d - v for every v, which
+    lifted A-shore (see `_Entry`).  Every vertex set the search builds is a
+    mask in the layout of `vertex_bits`, and every key an int whose order
+    is the order of sorted tuples (`_sorted_order_key`), so neither the
+    heap, nor the key check, nor an orientation builds a sorted tuple; the
+    territories are read back as sets once, for `_laminar` and the result.
+    The split lifts the winner's A-shore once more and asserts that it is
+    the key; the B-shore, the far shore its A child keeps at the cut, is
+    the rest of V and the cut.  The root piece, which is searched only when
+    d fails the test above, computes its entries from the strong
+    components of d - v for every v, which
     `strong_components_minus_each` reads off the test's two dominator trees:
     one Tarjan pass of d - 0, one pass for each strong articulation point
     over the vertices it dominates, and none for any other vertex, whose d -
@@ -926,16 +986,20 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             if k is not big:
                 for u in k:
                     where[u][v] = i
+    bit = vertex_bits(d.n)
+    ones = sum(bit)
     root = _Piece(
-        d.vertex_set,
+        ones,
         {v: set(d.out_neighbours(v)) for v in range(d.n)},
         {v: set(d.in_neighbours(v)) for v in range(d.n)},
         [],
+        bit,
+        ones,
     )
     for v in range(d.n):
         _set_entries(root, v, _fresh_entries(root, v, minus[v]))
 
-    pieces = [root.territory]  # the territory of each piece, by index
+    pieces = [root.territory]  # the territory mask of each piece, by index
     collapsed = {}  # the collapsed piece of each finished piece of 3+ vertices
     tree_edges = []  # (piece index on A side, piece index on B side, cut vertex)
     work = [(0, root)]
@@ -950,10 +1014,13 @@ def s_decomposition(d: Digraph) -> SDecomposition:
             )
             continue
         v, (x, x_first, key, _) = best
-        x = x & piece.territory
-        first, second, _ = orient_cut_separation(piece.territory - x, x | {v}, v, x, x_first)
-        shore_a = _lifted_a_shore(piece.attachments, first, v)
-        assert tuple(sorted(shore_a)) == key, (
+        bit_v = bit[v]
+        x &= piece.territory
+        first, second, _ = orient_cut_separation(
+            piece.territory & ~x, x | bit_v, bit_v, x, x_first
+        )
+        shore_a = _lifted_a_shore(piece.attachments, first, bit_v)
+        assert _sorted_order_key(ones, shore_a) == key, (
             f"an entry's key must be its lifted separation: {_edge_list(d)}"
         )
         pieces[pi] = first
@@ -961,26 +1028,29 @@ def s_decomposition(d: Digraph) -> SDecomposition:
         pieces.append(second)
         e = len(tree_edges)
         tree_edges.append((pi, new_index, v))
-        kept, moved = [(v, (d.vertex_set - shore_a) | {v}, False, e)], [(v, shore_a, True, e)]
+        kept, moved = [(bit_v, ones & ~shore_a | bit_v, False, e)], [(bit_v, shore_a, True, e)]
         for attachment in piece.attachments:
-            if _lifts_onto_a(attachment, first, v):
+            if _lifts_onto_a(attachment, first, bit_v):
                 kept.append(attachment)
             else:
                 moved.append(attachment)
                 f = attachment[3]
                 ai, bi, c = tree_edges[f]
                 tree_edges[f] = (new_index, bi, c) if ai == pi else (ai, new_index, c)
-        built = [(i, at) for (i, at) in ((pi, kept), (new_index, moved)) if len(pieces[i]) > 2]
+        built = [
+            (i, at) for (i, at) in ((pi, kept), (new_index, moved)) if pieces[i].bit_count() > 2
+        ]
         for i, attachments in built:
             source = piece if i == built[-1][0] else piece.copy()
             work.append((i, _split_off(source, pieces[i], v, attachments, minus, where)))
 
-    assert _laminar(d, pieces, tree_edges), f"family must be pairwise laminar: {_edge_list(d)}"
-    order = sorted(range(len(pieces)), key=lambda i: tuple(sorted(pieces[i])))
+    territories = [frozenset(mask_vertices(d.n, t)) for t in pieces]
+    assert _laminar(d, territories, tree_edges), f"family must be pairwise laminar: {_edge_list(d)}"
+    order = sorted(range(len(pieces)), key=lambda i: _sorted_order_key(ones, pieces[i]))
     rank = {old: new for new, old in enumerate(order)}
     ranked = [(rank[ai], rank[bi], c) for (ai, bi, c) in tree_edges]
     return SDecomposition(
-        territories=tuple(pieces[i] for i in order),
+        territories=tuple(territories[i] for i in order),
         tree_edges=tuple(sorted(ranked, key=lambda e: sorted(e[:2]))),
         collapsed=tuple(collapsed.get(i) for i in order),
     )

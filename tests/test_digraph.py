@@ -24,11 +24,13 @@ from dtwone.digraph import (
     is_directed_separation,
     is_strongly_2_connected,
     is_strongly_connected,
+    mask_vertices,
     round_trips,
     strong_component_of,
     strong_components,
     strong_components_minus_each,
     tight_separations,
+    vertex_bits,
 )
 from dtwone.dtw1 import _ReplayState, replay_script, shore_contraction_script
 from dtwone.suite import labeled_strongly_connected
@@ -205,13 +207,13 @@ class TestReachability:
         # d - 0 is the path 1 -> 2 -> 3; only the source keeps its component.
         # {3} and {2} are entered, so their shores go second; {1} is not
         # entered and has an edge leaving it, so its shore goes first.
-        assert cut_vertex_shores(d._out, d._in, 0, strong_components(d, (0,))) == [
+        assert set_shores(d._out, d._in, 0, strong_components(d, (0,)), d.n) == [
             ({3}, {3}, False),
             ({2}, {2, 3}, False),
             ({1}, {1}, True),
         ]
         for d in (bicycle(3), Digraph(1, ())):
-            assert cut_vertex_shores(d._out, d._in, 0, strong_components(d, (0,))) == []
+            assert set_shores(d._out, d._in, 0, strong_components(d, (0,)), d.n) == []
 
     def test_induced_subgraph_mapping(self):
         d = digraph_from_edges(4, [(0, 2), (2, 3), (3, 0)])
@@ -752,6 +754,16 @@ def other_reverse_topological_order(d, removed):
     ]
 
 
+def set_shores(heads, tails, v, comps, n):
+    """`cut_vertex_shores` of a digraph on n vertices, each X-shore mask read
+    back as a set of vertices."""
+    bit = vertex_bits(n)
+    return [
+        (k, frozenset(mask_vertices(n, x)), x_first)
+        for (k, x, x_first) in cut_vertex_shores(heads, tails, v, comps, bit, sum(bit))
+    ]
+
+
 def edge_scan_cut_vertex_shores(d, v, comps=None):
     """`cut_vertex_shores` as it was when it scanned every edge of d for
     the condensation of d - v."""
@@ -877,9 +889,9 @@ class TestSeparationReference:
             for v in range(d.n):
                 assert sorted(minus[v], key=min) == sorted(strong_components(d, (v,)), key=min)
                 assert sorted(
-                    cut_vertex_shores(d._out, d._in, v, minus[v]), key=lambda t: min(t[0])
+                    set_shores(d._out, d._in, v, minus[v], d.n), key=lambda t: min(t[0])
                 ) == sorted(
-                    cut_vertex_shores(d._out, d._in, v, strong_components(d, (v,))),
+                    set_shores(d._out, d._in, v, strong_components(d, (v,)), d.n),
                     key=lambda t: min(t[0]),
                 ), (sorted(d.edges), v)
                 reordered += minus[v] != strong_components(d, (v,))
@@ -894,9 +906,9 @@ class TestSeparationReference:
             for v in range(d.n):
                 orders = (strong_components(d, (v,)), other_reverse_topological_order(d, {v}))
                 for comps in orders:
-                    got = cut_vertex_shores(d._out, d._in, v, comps)
+                    got = set_shores(d._out, d._in, v, comps, d.n)
                     assert got == edge_scan_cut_vertex_shores(d, v, comps), (sorted(d.edges), v)
-                    assert cut_vertex_shores(heads, tails, v, comps) == got, (sorted(d.edges), v)
+                    assert set_shores(heads, tails, v, comps, d.n) == got, (sorted(d.edges), v)
                     entries += len(got)
                     entered += sum(x_first is False for (_, _, x_first) in got)
         # 23,198 entries, 12,754 of them entered by another component.

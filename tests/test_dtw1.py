@@ -20,14 +20,15 @@ from dtwone.digraph import (
     a4_digraph,
     bicycle,
     bidirect,
-    cut_vertex_shores,
     dense_digraph,
     digraph_from_edges,
     directed_cycle_digraph,
     is_strongly_2_connected,
     is_strongly_connected,
+    mask_vertices,
     strong_components,
     tight_separations,
+    vertex_bits,
 )
 from dtwone import check, cycles, digraph, dtw1, games, suite
 from dtwone.check import Dtw1Certificate, RootedSets, validate_dtd, verify_certificate
@@ -64,6 +65,7 @@ from test_digraph import (
     random_tree_edges,
     reference_tight_separations,
     separation_corpus,
+    set_shores,
     tree_plus_triangle,
 )
 from test_golden import random_corpus
@@ -1061,16 +1063,17 @@ class TestSDecomposition:
         # A-shore, also one at the separation's vertex that its own split
         # made a B-shore: the 4-cycle with a chord.
         ([(0, 1), (1, 2), (2, 3), (3, 0), (3, 1)],
-         lambda cut, far_is_a, first, v: cut in first),
+         lambda cut, far_is_a, first, v: bool(first & cut)),
         # A far shore at the separation's vertex lifted onto the side of the
         # other role than its own split gave it: the bidirected K_{1,3}.
         ([(0, 1), (1, 0), (0, 2), (2, 0), (0, 3), (3, 0)],
-         lambda cut, far_is_a, first, v: cut in first and (not far_is_a or cut != v)),
+         lambda cut, far_is_a, first, v: bool(first & cut) and (not far_is_a or cut != v)),
     ], ids=["every-cut-in-first", "role-flipped-at-the-cut"])
     def test_a_far_shore_lifted_onto_the_wrong_side_names_the_digraph(
         self, monkeypatch, edges, rule
     ):
         # Keys and lifts agree, so only the end check of the family sees it.
+        # cut and v are vertex bits and first a mask (`vertex_bits`).
         def wrong_side(attachment, first, v):
             cut, _, far_is_a, _ = attachment
             return rule(cut, far_is_a, first, v)
@@ -1096,9 +1099,9 @@ class TestSDecomposition:
             n = rng.randint(4, 12)
             corpus.append(suite.random_strongly_connected(rng, n, rng.choice([0.2, 0.3])))
         rules = [
-            (lambda cut, far_is_a, first, v: cut in first, 180),
-            (lambda cut, far_is_a, first, v: cut in first and cut != v, 35),
-            (lambda cut, far_is_a, first, v: cut in first and (not far_is_a or cut != v), 191),
+            (lambda cut, far_is_a, first, v: bool(first & cut), 180),
+            (lambda cut, far_is_a, first, v: bool(first & cut) and cut != v, 35),
+            (lambda cut, far_is_a, first, v: bool(first & cut) and (not far_is_a or cut != v), 191),
         ]
         for rule, recorded in rules:
             monkeypatch.setattr(
@@ -1117,15 +1120,20 @@ class TestSDecomposition:
             assert caught == recorded
 
     def test_a_key_that_is_not_its_lift_names_the_digraph(self, monkeypatch):
-        # Every candidate keyed by its A-shore reversed: the least key is
-        # not the winner's lifted A-shore.
+        # Every candidate keyed by its A-shore mirrored, each vertex u read
+        # as n - 1 - u: the least key is not the winner's lifted A-shore.
         original = dtw1._entry
 
-        def swapped(*args):
-            entry = original(*args)
-            return entry if entry.key is None else entry._replace(key=entry.key[::-1])
+        def mirrored(piece, *args):
+            entry = original(piece, *args)
+            if entry.key is None:
+                return entry
+            n = len(piece.bit)
+            lifted = mask_vertices(n, entry.key & piece.ones)
+            shore = mask_of(piece.bit, (n - 1 - u for u in lifted))
+            return entry._replace(key=dtw1._sorted_order_key(piece.ones, shore))
 
-        monkeypatch.setattr(dtw1, "_entry", swapped)
+        monkeypatch.setattr(dtw1, "_entry", mirrored)
         d = bidirect(4, [(0, 1), (1, 2), (2, 3)])
         with pytest.raises(AssertionError, match="key must be its lifted separation") as err:
             s_decomposition(d)
@@ -1436,9 +1444,14 @@ def reference_s_decomposition(d):
             for local in reference_tight_separations(collapsed):
                 lifted = reference_lift_separation(d, piece.attachments, local, labels)
                 v = lifted.cut_vertex
-                with_edges = [(*attachment, None) for attachment in piece.attachments]
-                first = {labels[i] for i in local.shoreA}
-                assert dtw1._lifted_a_shore(with_edges, first, v) == lifted.shoreA
+                bit = vertex_bits(d.n)
+                with_edges = [
+                    (bit[cut], mask_of(bit, far), far_is_a, None)
+                    for (cut, far, far_is_a) in piece.attachments
+                ]
+                first = mask_of(bit, (labels[i] for i in local.shoreA))
+                lifted_a = dtw1._lifted_a_shore(with_edges, first, bit[v])
+                assert mask_set(d.n, lifted_a) == lifted.shoreA
                 assert lifted.shoreB == (frozenset(range(d.n)) - lifted.shoreA) | {v}
                 key = lifted.sort_key()
                 if best is None or key < best[0]:
@@ -1546,22 +1559,58 @@ def carry_over_corpus():
         yield random_strongly_connected(rng, rng.randint(4, 10), rng.choice([0.5, 0.7]))
 
 
+def mask_of(bit, vertices):
+    """The mask of a set of vertices, bit[u] each vertex's bit (`vertex_bits`)."""
+    return sum(map(bit.__getitem__, vertices))
+
+
+def mask_set(n, mask):
+    """The vertices of a mask on n vertices, as a set."""
+    return frozenset(mask_vertices(n, mask))
+
+
+def set_entry(piece, entry):
+    """A piece's `_Entry` read back in vertex sets: its X-shore a set, its
+    key the sorted A-shore it stands for (the key's vertex bits), checked
+    to be that shore's `_sorted_order_key`, and its pivots the vertices
+    whose bits they are."""
+    n = len(piece.bit)
+    x, x_first, key, pivots = entry
+    shore = None if key is None else key & piece.ones
+    assert shore is None or key == dtw1._sorted_order_key(piece.ones, shore)
+    return dtw1._Entry(
+        mask_set(n, x),
+        x_first,
+        None if key is None else tuple(sorted(mask_vertices(n, shore))),
+        tuple(mask_vertices(n, u)[0] for u in pivots),
+    )
+
+
 def record_searches(monkeypatch):
     """A list that gets (piece, least entry) for every searched piece, the
     piece a snapshot of its territory, attachments (as `without_edges`
     triples) and entries taken when it was searched: a split edits the
-    piece in place afterwards."""
+    piece in place afterwards.  The snapshot and the least entry are read
+    back in vertex sets (`set_entry`)."""
     searched = []
     least_entry = dtw1._least_entry
 
     def recording(piece):
+        n = len(piece.bit)
         snapshot = types.SimpleNamespace(
-            territory=piece.territory,
-            attachments=without_edges(piece.attachments),
-            entries=dict(piece.entries),
+            territory=mask_set(n, piece.territory),
+            attachments=[
+                (mask_vertices(n, cut)[0], mask_set(n, far), far_is_a)
+                for (cut, far, far_is_a) in without_edges(piece.attachments)
+            ],
+            entries={
+                v: [set_entry(piece, entry) for entry in entries]
+                for v, entries in piece.entries.items()
+            },
         )
-        searched.append((snapshot, least_entry(piece)))
-        return searched[-1][1]
+        best = least_entry(piece)
+        searched.append((snapshot, best and (best[0], set_entry(piece, best[1]))))
+        return best
 
     monkeypatch.setattr(dtw1, "_least_entry", recording)
     return searched
@@ -1588,14 +1637,14 @@ def count_paths(monkeypatch):
         return fresh_entries(piece, v, comps)
 
     def splitting(parent, territory, cut, *args):
-        assert len(territory) >= 3, "a two-vertex piece is never built"
+        assert territory.bit_count() >= 3, "a two-vertex piece is never built"
         counts["both children"] += last[0] == (parent.territory, cut)
         last[0] = (parent.territory, cut)
         before = dict(parent.entries)
         inside.append(set())
         child = split_off(parent, territory, cut, *args)
         fresh = inside.pop()
-        assert set(child.entries) == set(territory)
+        assert set(child.entries) == mask_set(len(child.bit), territory)
         for v, entries in child.entries.items():
             if v in fresh:
                 counts["recomputed vertices"] += 1
@@ -1628,8 +1677,8 @@ def reference_entries(d, territory, attachments):
     out = {}
     for i, v in enumerate(labels):
         triples = []
-        for _, x, x_first in cut_vertex_shores(
-            collapsed._out, collapsed._in, i, strong_components(collapsed, (i,))
+        for _, x, x_first in set_shores(
+            collapsed._out, collapsed._in, i, strong_components(collapsed, (i,)), collapsed.n
         ):
             x = frozenset(labels[j] for j in x)
             p, q = frozenset(labels) - x, x | {v}
@@ -1654,6 +1703,41 @@ def canonical(entries):
     """(X-shore, x_first, key) triples in an order that does not depend on
     how their sets were built."""
     return sorted((tuple(sorted(x)), repr(x_first), key or ()) for (x, x_first, key) in entries)
+
+
+def keyed(n, vertices):
+    """`_sorted_order_key` of a set of vertices on n vertices."""
+    bit = vertex_bits(n)
+    return dtw1._sorted_order_key(sum(bit), mask_of(bit, vertices))
+
+
+class TestSortedOrderKey:
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_keys_order_vertex_sets_as_sorted_tuples(self, data):
+        # t is drawn apart from s, or as s with one or two vertices toggled,
+        # which gives prefixes and sets that part late.
+        n = data.draw(st.integers(1, 100), label="n")
+        vertices = st.integers(0, n - 1)
+        s = data.draw(st.sets(vertices), label="s")
+        t = data.draw(
+            st.one_of(st.sets(vertices), st.sets(vertices, max_size=2).map(s.symmetric_difference)),
+            label="t",
+        )
+        assert (keyed(n, s) < keyed(n, t)) == (tuple(sorted(s)) < tuple(sorted(t)))
+        assert (keyed(n, s) == keyed(n, t)) == (s == t)
+
+    @pytest.mark.parametrize("n", [3, 32, 33, 64, 65])
+    def test_prefixes_the_empty_set_and_word_boundaries(self, n):
+        # Masks of two bits a vertex cross one 64-bit word at n = 33 and two
+        # at n = 65.
+        assert keyed(n, ()) == 0
+        assert keyed(n, {0, 1}) < keyed(n, {0, 1, 2}) < keyed(n, {0, 2})
+        last = n - 1
+        sets = [set(), {0}, {0, 1}, {0, 1, 2}, {0, 2}, {1}, {1, 2}, {last}, {0, last},
+                {last - 1, last}, set(range(n)), set(range(n - 1)), set(range(1, n))]
+        for s, t in itertools.product(sets, repeat=2):
+            assert (keyed(n, s) < keyed(n, t)) == (tuple(sorted(s)) < tuple(sorted(t))), (s, t)
 
 
 class TestSDecompositionCache:
@@ -1796,7 +1880,8 @@ class TestSDecompositionCache:
         def counted(attachments, first, v):
             shore = lift(attachments, first, v)
             if not keying:
-                lifted.append(TightSeparation(shore, (frozenset(range(40)) - shore) | {v}))
+                shore_a, cut = mask_set(40, shore), mask_vertices(40, v)[0]
+                lifted.append(TightSeparation(shore_a, (frozenset(range(40)) - shore_a) | {cut}))
             return shore
 
         def keyed(*args):
@@ -1844,6 +1929,20 @@ class TestSDecompositionCache:
                 ), (sorted(d.edges), sorted(piece.territory))
                 chosen += len(lifts) >= 2
         assert chosen >= 3_000, chosen
+
+    @pytest.mark.parametrize("shape", [bidirected_path, bidirected_star])
+    def test_search_memory_on_192_vertices(self, shape):
+        # The `tracemalloc` peak of `s_decomposition` on the bidirected path
+        # and star of 192 vertices.  Recorded: 5.2 and 4.7 MiB; frozenset
+        # shores keyed by sorted tuples gave 25.4 and 30.5 MiB.
+        d = shape(192)
+        tracemalloc.start()
+        try:
+            s_decomposition(d)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20, peak
 
 
 class TestCarriedEntries:

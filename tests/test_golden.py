@@ -52,6 +52,7 @@ from dtwone.suite import (
     labeled_strongly_connected,
     random_hypergraph,
     random_strongly_connected,
+    shape_families,
 )
 from test_formats import hypergraph_lines
 
@@ -64,6 +65,9 @@ HAVEN_TABLES_SHA256 = "3ddcdbeb7770b6d9e0494bea9d508c6348d4134d3de10ebc518e4860a
 # The exit code of every input of both corpora, in order: 0 for YES, 1 for NO.
 VERDICTS_SHA256 = "74e1ecafa7dfde5c5c4d2cb7421e6604f545f25817f62e2cbb160221e98085e2"
 COMMANDS_SHA256 = "b514bbfb5c4edbc424824256de492ca1f2558872aa9acec1c65aff88246c3212"
+# The certificates of `suite.shape_families(n)` at n = 33 and 65, each
+# preceded by its family label and n.
+SHAPES_SHA256 = "06331d2a0bd4a257a940db969260ee23ab6b89de371a84774726d27aa24d1c0c"
 TREES_SHA256 = "33d6d6dfd950356564b08f58442032dd3857170a301380e07c2b93506151542a"
 
 
@@ -296,3 +300,22 @@ def test_tree_certificates_match_the_golden_digest():
             digest.update(f"{line}\n".encode())
     assert verdicts == ["YES", "YES", "NO", "NO"] * 12
     assert digest.hexdigest() == TREES_SHA256
+
+
+def test_shape_certificates_match_the_golden_digest():
+    """Certificates of `suite.shape_families(n)` at n = 33 and 65, the first
+    sizes whose s-decomposition's vertex masks, two bits a vertex, cross
+    one and two 64-bit words: paths, stars, caterpillars and spiders, each
+    alone and plus a triangle, `bicycle_with_chord` and
+    `tournament_with_back_path`."""
+    digest = hashlib.sha256()
+    verdicts = []
+    for n in (33, 65):
+        for label, d, verdict in shape_families(n):
+            cert = recognize_dtw1(d)
+            verdicts.append(cert.verdict == verdict)
+            digest.update(f"{label} {n}\n".encode())
+            for line in format_certificate(cert, vertex_names(d), []):
+                digest.update(f"{line}\n".encode())
+    assert all(verdicts) and len(verdicts) == 20
+    assert digest.hexdigest() == SHAPES_SHA256
