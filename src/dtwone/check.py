@@ -27,7 +27,9 @@ from .digraph import Digraph, round_trips
 
 @dataclass(frozen=True)
 class Report:
-    """Outcome of a validation: width is only reported for valid inputs."""
+    """Outcome of a validation.  width is the width of a valid
+    decomposition, and None on every invalid report and on a valid NO
+    certificate or minor witness, which has no width."""
 
     valid: bool
     width: int | None
@@ -356,7 +358,9 @@ def minor_haven_is_monotone(d: Digraph, branch_sets: dict, roots: dict) -> bool:
 def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
     """Check a recogniser certificate end to end, in O(n + m) either way.
 
-    YES certificates are validated as width-one decompositions.  A NO
+    YES certificates are validated as width-one decompositions, and a
+    valid one reports its width; a NO report, and every invalid one,
+    carries None.  The recogniser runs this check on its own answer.  A NO
     certificate is three rooted sets, and its check replays nothing and
     builds no pattern.  The pattern must be well formed: a bicycle of
     length three or more, or A4, with no more vertices than d.  It names
@@ -394,22 +398,22 @@ def verify_certificate(d: Digraph, cert: Dtw1Certificate) -> Report:
     """
     if cert.verdict == "YES":
         if cert.decomposition is None:
-            return Report(False, 0, ("a YES certificate needs a decomposition",))
+            return Report(False, None, ("a YES certificate needs a decomposition",))
         report = validate_dtd(d, cert.decomposition)
         if report.valid and report.width > 1:
-            return Report(False, report.width, ("decomposition is wider than one",))
+            return Report(False, None, ("decomposition is wider than one",))
         return report
     if cert.verdict != "NO":
-        return Report(False, 0, (f"unknown verdict {cert.verdict!r}",))
+        return Report(False, None, (f"unknown verdict {cert.verdict!r}",))
     rooted = cert.rooted_sets
     if rooted is None:
-        return Report(False, 0, ("a NO certificate needs three rooted sets",))
+        return Report(False, None, ("a NO certificate needs three rooted sets",))
     problem = _pattern_problem(d, rooted) or _rooted_set_problem(d, rooted)
     if problem:
-        return Report(False, 0, (problem,))
+        return Report(False, None, (problem,))
     if not minor_haven_is_monotone(d, rooted.sets, rooted.roots):
-        return Report(False, 0, ("haven verification failed",))
-    return Report(True, 0, ())
+        return Report(False, None, ("haven verification failed",))
+    return Report(True, None, ())
 
 
 def _pattern_problem(d: Digraph, claim):

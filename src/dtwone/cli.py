@@ -104,7 +104,7 @@ def _emit(lines):
 def _report_lines(lines, verdict_key, verdict, report):
     lines.append(f"{verdict_key}={verdict}")
     lines.append(f"result={'valid' if report.valid else 'invalid'}")
-    if report.valid and report.width is not None:
+    if report.width is not None:
         lines.append(f"width={report.width}")
     for violation in report.violations:
         lines.append(f"violation={violation}")
@@ -162,12 +162,7 @@ def cmd_verify_cert(digraph_file, certificate_file, output_format):
     cert = _guarded(parse_certificate, (kv, records), name_to_id)
     report = _guarded(verify_certificate, d, cert)
     lines = header_lines("verify-cert", digest=digest)
-    lines.append(f"verdict={cert.verdict}")
-    lines.append(f"result={'valid' if report.valid else 'invalid'}")
-    if cert.verdict == "YES" and report.valid and report.width is not None:
-        lines.append(f"width={report.width}")
-    for violation in report.violations:
-        lines.append(f"violation={violation}")
+    _report_lines(lines, "verdict", cert.verdict, report)
     _note(output_format, lines, "certificate is sound" if report.valid
                                 else "certificate FAILED verification")
     _emit(lines)
@@ -333,3 +328,7 @@ def cmd_suite(seed, cap, output_format):
     lines.append(f"suite={'pass' if all_pass else 'fail'}")
     _emit(lines)
     sys.exit(0 if all_pass else 1)
+
+
+if __name__ == "__main__":
+    main()

@@ -30,10 +30,11 @@ by `dense_digraph` only after a round that contracted a far shore.  Every
 step is recorded by the replay state, which keeps a root for each class,
 so the embedding can be replayed (`verify_witness`, the oracle of the
 tests and of `dtwone suite`); no cycle of the digraph is enumerated.  The
-NO certificate is three rooted sets read off that state, the branch sets
-of the pattern's vertices 0, 1 and 2 with their roots: the order-3 haven
-they give is what `check.verify_certificate` checks, and it is never
-built.  The certificate types and their checker are in `check`.
+NO certificate is three rooted sets read straight off that state, the
+classes of the pattern's vertices 0, 1 and 2 with their roots: the
+order-3 haven they give is what `check.verify_certificate` checks, and it
+is never built.  The recogniser runs that check once on either answer.
+The certificate types and their checker are in `check`.
 """
 
 from __future__ import annotations
@@ -189,27 +190,20 @@ def replay_script(d: Digraph, script) -> _ReplayState:
     return state
 
 
-def replay_script(d: Digraph, script) -> _ReplayState:
-    """Replay a witness script from scratch; ValueError on any illegal step."""
-    state = _ReplayState(d)
-    state.apply(script)
-    return state
-
-
 def verify_witness(d: Digraph, witness: MinorWitness) -> Report:
     """Replay a minor witness against its digraph and check every claim:
     the oracle that the tests and `dtwone suite` hold the recogniser's
     minor to.  A certificate carries only three rooted sets of it."""
     problem = _pattern_problem(d, witness)
     if problem:
-        return Report(False, 0, (problem,))
+        return Report(False, None, (problem,))
     pattern = bicycle(witness.length) if witness.kind == "bicycle" else a4_digraph()
     if set(witness.branch_sets) != set(range(pattern.n)):
-        return Report(False, 0, ("branch sets must cover the pattern's vertices",))
+        return Report(False, None, ("branch sets must cover the pattern's vertices",))
     try:
         state = replay_script(d, witness.script)
     except ValueError as err:
-        return Report(False, 0, (str(err),))
+        return Report(False, None, (str(err),))
     violations = []
     reps = {}
     for p in range(pattern.n):
@@ -235,7 +229,7 @@ def verify_witness(d: Digraph, witness: MinorWitness) -> Report:
         image = frozenset((reps[a], reps[b]) for (a, b) in pattern.edges)
         if image != state.edges:
             violations.append("replayed digraph is not the claimed pattern")
-    return Report(not violations, 0, tuple(violations))
+    return Report(not violations, None, tuple(violations))
 
 
 def shore_contraction_script(state: _ReplayState, shore, cut: int) -> list:
@@ -345,12 +339,17 @@ def extract_minor_witness(d: Digraph) -> MinorWitness:
     sdec = s_decomposition(d)
     if all(len(t) == 2 for t in sdec.territories):
         raise ValueError("a digraph of directed treewidth one has no such minor")
-    return _minor_witness(d, sdec)[0]
+    state, kind, length, reps = _minor_witness(d, sdec)
+    branch = {p: frozenset(state.members[r]) for p, r in enumerate(reps)}
+    return MinorWitness(kind, length, tuple(state.steps), branch)
 
 
 def _minor_witness(d: Digraph, sdec: SDecomposition):
-    """The witness for d, given its s-decomposition, which has a piece of
-    three or more vertices, and the replay state that recorded its script.
+    """(replay state, kind, length, representatives) for d, given its
+    s-decomposition, which has a piece of three or more vertices: the state
+    has recorded the script that shrinks d to a `Bicycle(length)` or A4, and
+    the p-th representative stands for the pattern's vertex p, so its class
+    `state.members[r]` is p's branch set and `state.root[r]` that set's root.
 
     The loop holds a strongly connected NO digraph, with the state's
     representative for each of its vertices, and an s-decomposition of it.
@@ -374,23 +373,7 @@ def _minor_witness(d: Digraph, sdec: SDecomposition):
             f"a step must leave the digraph it was tried on: {_edge_list(state.base)}"
         )
     kind, length, embedding = found
-    branch = {p: frozenset(state.members[labels[v]]) for p, v in enumerate(embedding)}
-    witness = MinorWitness(
-        kind=kind,
-        length=length,
-        script=tuple(state.steps),
-        branch_sets=branch,
-    )
-    return witness, state
-
-
-def _rooted_sets(witness: MinorWitness, state: _ReplayState) -> RootedSets:
-    """The rooted sets of a witness: the branch sets of its pattern's
-    vertices 0, 1 and 2, each with the root of its class in the state that
-    replayed the witness's script."""
-    sets = {p: witness.branch_sets[p] for p in range(3)}
-    roots = {p: state.root[state.rep(min(members))] for p, members in sets.items()}
-    return RootedSets(witness.kind, witness.length, sets, roots)
+    return state, kind, length, tuple(labels[v] for v in embedding)
 
 
 def _collapse(state: _ReplayState, sdec: SDecomposition, whole: Digraph, labels: tuple):
@@ -1060,13 +1043,13 @@ def s_decomposition(d: Digraph) -> SDecomposition:
 # certificates
 
 
-def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomposition:
+def width1_dtd_from_sdec(sdec: SDecomposition) -> DirectedTreeDecomposition:
     """Read the width-one decomposition off an all-digon split tree.
 
     The root is the least leaf node, which has the least territory of all
     leaves; walking away from it, nodes in index order, each node's bag keeps
     the territory vertices not yet placed, and each tree arc is guarded by
-    the cut vertex of its tree edge.
+    the cut vertex of its tree edge.  `recognize_dtw1` checks the result.
     """
     assert all(len(t) == 2 for t in sdec.territories), (
         "every piece must have exactly two vertices"
@@ -1085,33 +1068,33 @@ def width1_dtd_from_sdec(d: Digraph, sdec: SDecomposition) -> DirectedTreeDecomp
         bags[t] = sdec.territories[t] - placed
         placed |= sdec.territories[t]
     guards = {arc: cut[arc] for arc in arcs}
-    dec = DirectedTreeDecomposition(
+    return DirectedTreeDecomposition(
         nodes=tuple(order),
         arcs=tuple(arcs),
         bags=bags,
         guards=guards,
     )
-    report = validate_dtd(d, dec)
-    assert report.valid, f"constructed decomposition failed validation: {report.violations}"
-    assert report.width <= 1, "constructed decomposition must have width one"
-    return dec
 
 
 def recognize_dtw1(d: Digraph) -> Dtw1Certificate:
     """Decide directed treewidth one, emitting a checkable certificate: a
-    width-one decomposition for YES, three rooted sets of a butterfly minor
-    for NO, read off the replay state that recorded the minor and checked
-    by `verify_certificate`.  A digraph `s_decomposition` refuses raises
+    width-one decomposition for YES, and for NO three rooted sets of a
+    butterfly minor, the classes of the pattern's vertices 0, 1 and 2 and
+    their roots, read off the replay state that recorded the minor.  Either
+    answer is checked once, by `verify_certificate`, and a failed check
+    names d by `_edge_list`.  A digraph `s_decomposition` refuses raises
     its ValueError."""
     sdec = s_decomposition(d)
     if all(len(t) == 2 for t in sdec.territories):
-        dec = width1_dtd_from_sdec(d, sdec)
-        return Dtw1Certificate("YES", dec, None)
-
-    cert = Dtw1Certificate("NO", None, _rooted_sets(*_minor_witness(d, sdec)))
+        cert = Dtw1Certificate("YES", width1_dtd_from_sdec(sdec), None)
+    else:
+        state, kind, length, reps = _minor_witness(d, sdec)
+        sets = {p: frozenset(state.members[r]) for p, r in enumerate(reps[:3])}
+        roots = {p: state.root[r] for p, r in enumerate(reps[:3])}
+        cert = Dtw1Certificate("NO", None, RootedSets(kind, length, sets, roots))
     check = verify_certificate(d, cert)
     assert check.valid, (
-        f"constructed rooted sets failed their check: {check.violations}: {_edge_list(d)}"
+        f"constructed certificate failed its check: {check.violations}: {_edge_list(d)}"
     )
     return cert
 

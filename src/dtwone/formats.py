@@ -373,10 +373,14 @@ def parse_certificate(document, name_to_id) -> Dtw1Certificate:
     """Rebuild a certificate from the `(kv, records)` pair that
     `read_document` returned for its serialized form.  A NO certificate in
     the older form, a minor's script and branch sets, or one that still
-    carries its haven table, is refused."""
+    carries its haven table, is refused, and so is a YES certificate that
+    carries a NO certificate's keys."""
     kv, records = document
     verdict = kv.get("verdict")
     if verdict == "YES":
+        for key in ("pattern", "length", "haven_order"):
+            if key in kv:
+                raise ParseError(kv.line[key], f"unexpected `{key}=` on a YES certificate")
         return Dtw1Certificate("YES", parse_dtd(records, name_to_id), None)
     if verdict != "NO":
         raise ParseError(None, "certificate must declare verdict=YES or verdict=NO")

@@ -1,7 +1,8 @@
 """Tests for the certificate checker on its own: what importing it loads,
 malformed NO certificates, which get a report rather than an exception,
 the NO haven's sweeps against the walks they replaced, and the soundness
-net: no rooted sets pass on a digraph of directed treewidth one."""
+net: no rooted sets pass on a digraph of directed treewidth one, and no
+issued certificate passes with the wrong verdict one edge away."""
 
 from __future__ import annotations
 
@@ -34,7 +35,7 @@ from dtwone.digraph import (
     digraph_from_edges,
     strong_component_of,
 )
-from dtwone.dtw1 import recognize_dtw1
+from dtwone.dtw1 import hypertree_route, recognize_dtw1
 from dtwone.suite import (
     TREE_SHAPES,
     bicycle_with_chord,
@@ -415,7 +416,8 @@ class TestSoundnessNet:
     root in it.  The YES digraphs on 3 vertices are also offered every
     choice of three non-empty sets and three roots however they meet, so
     that a check that left out disjointness or where the roots lie fails
-    here too."""
+    here too.  And each certificate issued on that corpus passes on a
+    digraph one edge away only where its verdict is right there."""
 
     @staticmethod
     def accepted(d, offers):
@@ -440,6 +442,33 @@ class TestSoundnessNet:
             p, m = self.accepted(d, rooted_triples(d.n))
             passed, made = passed + p, made + m
         assert (passed, made) == (0, 112_806 + 96 * 960)
+
+    def test_certificates_one_edge_away_keep_their_verdict(self):
+        """Every certificate the recogniser issues on the labelled corpus
+        on 2-4 vertices is offered to each strongly connected digraph one
+        edge away, added or deleted.  Whenever the checker accepts one, its
+        verdict is the one `hypertree_route` gives that digraph: a YES
+        decomposition that still holds, or rooted sets whose haven still
+        stands, prove the right answer there too."""
+        corpus = {d.edges: d for n in (2, 3, 4) for d in labeled_strongly_connected(n)}
+        verdict = {e: "YES" if hypertree_route(d).is_hypertree else "NO"
+                   for e, d in corpus.items()}
+        offers = accepted = 0
+        wrong = []
+        for edges, d in corpus.items():
+            cert = recognize_dtw1(d)
+            assert cert.verdict == verdict[edges]
+            for pair in itertools.permutations(range(d.n), 2):
+                near = corpus.get(edges ^ {pair})
+                if near is None:
+                    continue
+                offers += 1
+                if verify_certificate(near, cert).valid:
+                    accepted += 1
+                    if cert.verdict != verdict[near.edges]:
+                        wrong.append((sorted(edges), pair))
+        assert wrong == []
+        assert (offers, accepted) == (14_940, 9_387)
 
     def test_no_malformed_offer_passes_on_a_small_yes_digraph(self):
         passed = made = 0

@@ -214,6 +214,18 @@ class TestVerifyCert:
         assert res.exit_code == 2
         assert f"line {len(lines) + 1}:" in res.output and "derived" in res.output
 
+    @pytest.mark.parametrize("key", ["pattern=a4", "length=3", "haven_order=3"])
+    def test_no_key_on_a_yes_certificate_exit_two(self, runner, digon_file, tmp_path, key):
+        """A YES certificate that carries a key of a NO certificate is
+        refused as malformed, and the message names that key's line."""
+        lines = self.cert(runner, digon_file, "structured").splitlines() + [key]
+        cert = tmp_path / "mixed.cert"
+        cert.write_text("\n".join(lines) + "\n")
+        res = runner.invoke(main, ["verify-cert", digon_file, str(cert)])
+        assert res.exit_code == 2 and res.stdout == ""
+        name = key.split("=")[0]
+        assert f"line {len(lines)}: unexpected `{name}=` on a YES certificate" in res.output
+
     def test_wrong_digraph_exit_two(self, runner, digon_file, b3_file, tmp_path):
         cert = tmp_path / "b3.cert"
         cert.write_text(self.cert(runner, b3_file))
@@ -596,6 +608,23 @@ def test_no_launch_never_enumerates_cycles(edges, tmp_path):
     """A NO certificate is three rooted sets, so a NO launch enumerates no
     cycles either."""
     assert launch_enumerations(edges, 1, tmp_path) == "0\n1\n"
+
+
+@pytest.mark.parametrize("edges, code, verdict", [(B3, 1, "NO"), (DIGON, 0, "YES")],
+                         ids=["triangle", "digon"])
+def test_module_run_exits_with_the_verdict(tmp_path, edges, code, verdict):
+    """`python -m dtwone.cli recognize` runs the command: the bidirected
+    triangle exits 1 with its NO certificate, and a digon exits 0."""
+    graph = tmp_path / "d.txt"
+    graph.write_text(edges)
+    out = subprocess.run(
+        [sys.executable, "-m", "dtwone.cli", "recognize", str(graph)],
+        env=source_env(), capture_output=True, text=True,
+    )
+    assert out.returncode == code, out.stderr
+    assert f"verdict={verdict}" in out.stdout.splitlines()
+    if verdict == "NO":
+        assert "rootset 0 root=a {a}" in out.stdout and "haven_order=3" in out.stdout
 
 
 BLOCK_NETWORKX = 'import sys; sys.modules["networkx"] = None; from dtwone.cli import main; main()'

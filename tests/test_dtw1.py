@@ -2228,6 +2228,15 @@ def test_certificates_verify_and_agree_with_the_hypertree_route(d):
     assert (cert.verdict == "YES") == hypertree_route(d).is_hypertree, sorted(d.edges)
 
 
+def rooted_sets_of(witness, state):
+    """The rooted sets of a witness: the branch sets of its pattern's
+    vertices 0, 1 and 2, each with the root of its class in the state that
+    replayed the witness's script."""
+    sets = {p: witness.branch_sets[p] for p in range(3)}
+    roots = {p: state.root[state.rep(min(members))] for p, members in sets.items()}
+    return RootedSets(witness.kind, witness.length, sets, roots)
+
+
 class TestVerifyCertificate:
     def test_widened_bag_is_rejected(self):
         d = directed_cycle_digraph(3)
@@ -2289,7 +2298,7 @@ class TestVerifyCertificate:
         rejected = 0
         for bad in witnesses:
             if verify_witness(d, bad).valid:
-                rooted = dtw1._rooted_sets(bad, replay_script(d, bad.script))
+                rooted = rooted_sets_of(bad, replay_script(d, bad.script))
                 assert verify_certificate(d, Dtw1Certificate("NO", None, rooted)).valid
             else:
                 rejected += 1
@@ -2304,7 +2313,7 @@ class TestVerifyCertificate:
         branch = {0: frozenset({0, 3}), 1: frozenset({1}), 2: frozenset({2})}
         witness = MinorWitness("bicycle", 3, (("contract", 3, 0),), branch)
         assert verify_witness(d, witness).valid
-        rooted = dtw1._rooted_sets(witness, replay_script(d, witness.script))
+        rooted = rooted_sets_of(witness, replay_script(d, witness.script))
         assert rooted == RootedSets("bicycle", 3, branch, {0: 0, 1: 1, 2: 2})
         assert verify_certificate(d, Dtw1Certificate("NO", None, rooted)).valid
         for root, message in ((1, "rooted set 0 does not hold its root"),

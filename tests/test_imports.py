@@ -109,3 +109,17 @@ def test_the_split_tree_is_checked_by_the_checker_s_boundary_pass():
     assert names_used(dtw1).isdisjoint(
         {"is_directed_separation", "_lifted_shores", "_lift_separation"}
     )
+
+
+def test_each_answer_is_built_once_and_checked_once():
+    # A NO answer's rooted sets are read off the replay state, so the
+    # recogniser builds no minor witness; `recognize_dtw1` checks either
+    # answer with `verify_certificate`, so the YES construction validates
+    # nothing itself; and `verify-cert` prints its report as the other
+    # validating commands do.
+    package = Path(dtwone.__file__).parent
+    for function in ("recognize_dtw1", "_minor_witness"):
+        assert "MinorWitness" not in names_used(package / "dtw1.py", function)
+    assert "verify_certificate" in names_used(package / "dtw1.py", "recognize_dtw1")
+    assert "validate_dtd" not in names_used(package / "dtw1.py", "width1_dtd_from_sdec")
+    assert "_report_lines" in names_used(package / "cli.py", "cmd_verify_cert")
