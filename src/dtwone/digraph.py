@@ -8,9 +8,10 @@ without building d minus the set.  `round_trips` walks forward from a
 source set and back inside what it reached: one source gives the strong
 component holding it.  `cut_vertex_shores` reads the condensation of d
 minus a vertex off an out-adjacency mapping, from components the caller
-already has, and `orient_cut_separation` orients each of its shores;
-`tight_separations` collects them for every vertex, and the recogniser's
-s-decomposition keeps them per piece.
+already has, and `orient_cut_separation` orients each of its shores, a
+two-way one by the least vertex other than the cut; `tight_separations`
+collects them for every vertex, and the recogniser's s-decomposition keeps
+them per piece.
 `immediate_dominators` is Lengauer and Tarjan's algorithm.
 `is_strongly_2_connected` filters by degree, then runs it from one vertex
 in d and in d reversed and adds one Tarjan pass, so no vertex takes a pass
@@ -380,29 +381,24 @@ def mask_vertices(n, mask):
     return out
 
 
-def orient_cut_separation(p, q, v, x, x_first):
+def orient_cut_separation(p, q, v, x_first):
     """The shores p = Y+v and q = X+v of a `cut_vertex_shores` entry in their
-    valid orientation, edges crossing from the first to the second, with the
-    bits of the two vertices whose comparison chose it.  p, q, the cut
-    vertex v and the X-shore x are masks in the layout of `vertex_bits`, so
-    the least vertex of a shore is its top bit.
+    valid orientation, edges crossing from the first to the second.  p, q
+    and the cut vertex v are masks in the layout of `vertex_bits`, so the
+    least vertex of a set is its top bit.
 
-    x_first decides when it is not None, and the pair is then empty.  When
-    it is None both orientations are valid, and the shore whose sorted tuple
-    is smaller goes first.  The shores meet in v alone, so their sorted
-    tuples differ at the first element, or at the second when both start
-    with v; the pair is the two elements compared there, and the smaller
-    vertex is the longer mask.
+    x_first decides when it is not None.  When it is None both orientations
+    are valid, and the shore whose sorted tuple is smaller goes first: the
+    one holding t0, the least vertex of p and q other than v, which lies in
+    exactly one of them since they meet in v alone.  If t0 < v, t0 starts
+    its shore's tuple and the other starts with v or a larger vertex;
+    otherwise both start with v and t0 comes next in its shore, before any
+    vertex of the other.  So the shore whose mask without v is longer goes
+    first.
     """
     if x_first is None:
-        least_p, least_q = p.bit_length(), q.bit_length()
-        if least_p == least_q:
-            least_p, least_q = (p ^ v).bit_length(), x.bit_length()
-        first, second = (p, q) if least_p > least_q else (q, p)
-        return first, second, (1 << least_p - 1, 1 << least_q - 1)
-    if x_first:
-        return q, p, ()
-    return p, q, ()
+        x_first = (q ^ v).bit_length() > (p ^ v).bit_length()
+    return (q, p) if x_first else (p, q)
 
 
 def tight_separations(d):
@@ -441,7 +437,7 @@ def tight_separations(d):
                 continue
             first, second = (
                 frozenset(mask_vertices(d.n, shore))
-                for shore in orient_cut_separation(p, q, bit[v], x, x_first)[:2]
+                for shore in orient_cut_separation(p, q, bit[v], x_first)
             )
             assert is_directed_separation(d, first, second), (
                 "constructed shores admit no valid orientation"

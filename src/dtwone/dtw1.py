@@ -42,7 +42,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import operator
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
@@ -572,21 +571,19 @@ class _Entry(NamedTuple):
     The X-shore x is a vertex mask (`vertex_bits`), and its trace on the
     piece's territory is the entry's shore: x may still hold vertices an
     ancestor piece dropped.  key is the entry's separation, oriented by
-    `orient_cut_separation`, as the `_sorted_order_key` of its A-shore
-    lifted to d by `_lifted_a_shore`: an int, ordered as the sorted lifted
-    A-shores are.  It is None when the other shore is v alone, which makes
-    no candidate.  The lifted B-shore is not built: the shores cover V and
-    meet in v alone, so it is the rest of V and v, and with the A-shore
-    fixed it sorts as v does.  So the heap, which breaks ties by v next
-    (`_Piece`), orders the candidates as their pairs of sorted shores
-    would.  pivots is the pair of bits of the vertices whose comparison
-    chose the orientation when x_first is None, and () otherwise.
+    `orient_cut_separation` on the piece's shores, as the
+    `_sorted_order_key` of its A-shore lifted to d by `_lifted_a_shore`: an
+    int, ordered as the sorted lifted A-shores are.  It is None when the
+    other shore is v alone, which makes no candidate.  The lifted B-shore
+    is not built: the shores cover V and meet in v alone, so it is the rest
+    of V and v, and with the A-shore fixed it sorts as v does.  So the
+    heap, which breaks ties by v next (`_Piece`), orders the candidates as
+    their pairs of sorted shores would.
     """
 
     x: int
     x_first: Optional[bool]
     key: Optional[int]
-    pivots: tuple
 
 
 @dataclass
@@ -605,8 +602,6 @@ class _Piece:
     mapping keeps what the piece held.  `heap` holds (key, v, stamp, i) for
     every candidate `entries[v][i]`; an item is live while `stamps[v]` is
     stamp, and a dead one is popped when it reaches the top.
-    `pivoted[bit[u]]` holds every vertex that was given an entry with u
-    among its pivots, and may hold vertices that no longer have one.
     `attachments` are its far shores, (cut vertex's bit, far shore, far is
     an A-shore, tree-edge index): what `_attachments` reads off the tree
     being built, in masks.  A split builds a piece only when its territory has three
@@ -622,7 +617,6 @@ class _Piece:
     entries: dict = field(default_factory=dict)
     heap: list = field(default_factory=list)
     stamps: dict = field(default_factory=dict)
-    pivoted: defaultdict = field(default_factory=lambda: defaultdict(set))
 
     def copy(self) -> _Piece:
         """A piece that a split can edit without touching this one."""
@@ -636,7 +630,6 @@ class _Piece:
             dict(self.entries),
             self.heap.copy(),
             dict(self.stamps),
-            defaultdict(set, {u: set(vs) for u, vs in self.pivoted.items()}),
         )
 
 
@@ -644,11 +637,11 @@ def _entry(piece: _Piece, v, x, x_first) -> _Entry:
     """v's entry in the piece for the X-shore x, a mask of territory vertices."""
     p = piece.territory & ~x
     if p.bit_count() < 2:
-        return _Entry(x, x_first, None, ())
+        return _Entry(x, x_first, None)
     bit_v = piece.bit[v]
-    first, _, pivots = orient_cut_separation(p, x | bit_v, bit_v, x, x_first)
+    first, _ = orient_cut_separation(p, x | bit_v, bit_v, x_first)
     key = _sorted_order_key(piece.ones, _lifted_a_shore(piece.attachments, first, bit_v))
-    return _Entry(x, x_first, key, pivots)
+    return _Entry(x, x_first, key)
 
 
 def _fresh_entries(piece: _Piece, v, comps) -> list:
@@ -668,8 +661,6 @@ def _set_entries(piece: _Piece, v, entries) -> None:
     piece.entries[v] = entries
     stamp = piece.stamps[v] = piece.stamps.get(v, 0) + 1
     for i, entry in enumerate(entries):
-        for u in entry.pivots:
-            piece.pivoted[u].add(v)
         if entry.key is not None:
             heapq.heappush(piece.heap, (entry.key, v, stamp, i))
 
@@ -692,22 +683,25 @@ def _split_off(piece: _Piece, territory, cut, attachments, minus, where) -> _Pie
     split at `cut`, and return it, its entries carried over, re-keyed or
     recomputed (see `s_decomposition`).  Beyond one mask difference of
     territories and a scan of the `where` column of each dropped vertex,
-    the work is the degrees and entries of the dropped vertices and the
-    entries it gives anew, not a walk over the piece.
+    the work is the degrees and entries of the dropped vertices, the
+    entries it gives anew and, when the split drops min T, one look at the
+    entries of each kept vertex.
 
     The recomputed vertices are the cut and every v at which some dropped
     u lies in another root component of d - v than the cut does: the
-    positions where the columns where[u] and where[cut] differ.  The
-    re-keyed ones are read off `pivoted` at the dropped vertices.
+    positions where the columns where[u] and where[cut] differ.  A two-way
+    entry (x_first None) at v is re-keyed when the split drops t0, the
+    least vertex of T other than v ("Keys" in `s_decomposition`): min T at
+    every v but min T itself, where it is the second-least vertex of T.
     """
-    dropped = piece.territory & ~territory
+    old = piece.territory
+    dropped = old & ~territory
+    least = len(piece.bit) - 1 - (old.bit_length() >> 1)  # min T, the top bit of T
     home = where[cut]
     fresh = {cut}
-    rekeyed = set()
     for u in mask_vertices(len(piece.bit), dropped):
         merge_into(piece.out, piece.inn, cut, u)
         fresh.update(itertools.compress(itertools.count(), map(operator.ne, where[u], home)))
-        rekeyed |= piece.pivoted.pop(piece.bit[u], set())
         del piece.entries[u], piece.stamps[u]
     piece.territory = territory
     piece.attachments = attachments
@@ -715,12 +709,16 @@ def _split_off(piece: _Piece, territory, cut, attachments, minus, where) -> _Pie
     for v in fresh & kept:
         comps = [part for k in minus[v] if (part := k & kept)]
         _set_entries(piece, v, _fresh_entries(piece, v, comps))
-    for v in (rekeyed & kept) - fresh:
+    rekeyed = set()
+    if dropped.bit_length() == old.bit_length():
+        rekeyed = kept
+    elif dropped.bit_length() == (old ^ piece.bit[least]).bit_length():
+        rekeyed = {least}
+    for v in rekeyed - fresh:
         entries = piece.entries[v]
-        if any(dropped & u for entry in entries for u in entry.pivots):
+        if any(entry.x_first is None for entry in entries):
             _set_entries(piece, v, [
-                _entry(piece, v, entry.x & territory, entry.x_first)
-                if any(dropped & u for u in entry.pivots) else entry
+                _entry(piece, v, entry.x & territory, None) if entry.x_first is None else entry
                 for entry in entries
             ])
     return piece
@@ -847,11 +845,14 @@ def s_decomposition(d: Digraph) -> SDecomposition:
     alone), so the root is never a finished piece.
 
     Pieces are taken from a worklist: each is searched once, and split in two
-    along its lexicographically least lifted separation if it has one.  The
-    order of the splits does not matter.  A piece's least candidate depends
-    only on its territory and its attachments, and a split of another piece
-    changes neither: a tree edge it rewires keeps its cut, its end at this
-    piece and the union of the territories beyond it.  So every order makes
+    along its least candidate if it has one: the separation whose lifted
+    A-shore sorts first, oriented inside its piece, where a two-way one
+    puts first the shore with the piece's least vertex other than its cut
+    (`orient_cut_separation`).  The order of the splits does not matter.
+    A piece's least candidate depends only on its territory and its
+    attachments, and a split of another piece changes neither: a tree edge
+    it rewires keeps its cut, its end at this piece and the union of the
+    territories beyond it.  So every order makes
     the same splits as the greedy one that always splits the least
     candidate of all pieces, and numbering the nodes by sorted territory
     gives the same result.  The result keeps only each node's territory and
@@ -929,18 +930,19 @@ def s_decomposition(d: Digraph) -> SDecomposition:
       same too: if c's component lies in X, the other shore keeps every
       vertex, and otherwise it keeps c and v.  A carried list is left where
       it is, with its heap items: the split edits only the adjacency of D
-      and c, moving every edge of D onto c, and drops the entries, heap
-      stamps and pivot index of D.  The copy a two-child split takes of
-      the piece shares the lists, which are never edited.
-    - Keys.  A carried entry's lift in the child is its lift in the parent.
-      c is not on the separator, so in the parent D, the far shores
-      attached in D and every far shore at c go to c's side.  In the child
-      the B side's part of them is the new far shore at c, and goes to c's
-      side too; every other far shore keeps its cut vertex and its side.
-      So the key carries over, unless x_first is None and a pivot lies in
-      D, the one case where the orientation may flip; such an entry is
-      re-keyed.  The piece's pivot index names the vertices that may hold
-      one, so no other vertex's entries are read.
+      and c, moving every edge of D onto c, and drops the entries and heap
+      stamps of D.  The copy a two-child split takes of the piece shares
+      the lists, which are never edited.
+    - Keys.  A carried entry that keeps its orientation lifts in the child
+      as in the parent.  c is not on the separator, so in the parent D,
+      the far shores attached in D and every far shore at c go to c's
+      side.  In the child the B side's part of them is the new far shore
+      at c, and goes to c's side too; every other far shore keeps its cut
+      vertex and its side.  Only a two-way entry (x_first None) can flip:
+      its first shore holds t0, the least vertex of T other than v
+      (`orient_cut_separation`), and if D misses t0, t0 is the least
+      vertex of T' other than v, in the same shore's trace.  So only the
+      two-way entries oriented by a vertex of D are re-keyed (`_split_off`).
     - Recomputed.  c, and every v with a component of Q - v inside D, take
       their entries afresh: `cut_vertex_shores` on the child's collapsed
       piece, read off its edited adjacency, with the root's components
@@ -996,12 +998,10 @@ def s_decomposition(d: Digraph) -> SDecomposition:
                 f"a finished piece must be strongly 2-connected: {_edge_list(d)}"
             )
             continue
-        v, (x, x_first, key, _) = best
+        v, (x, x_first, key) = best
         bit_v = bit[v]
         x &= piece.territory
-        first, second, _ = orient_cut_separation(
-            piece.territory & ~x, x | bit_v, bit_v, x, x_first
-        )
+        first, second = orient_cut_separation(piece.territory & ~x, x | bit_v, bit_v, x_first)
         shore_a = _lifted_a_shore(piece.attachments, first, bit_v)
         assert _sorted_order_key(ones, shore_a) == key, (
             f"an entry's key must be its lifted separation: {_edge_list(d)}"

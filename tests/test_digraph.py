@@ -25,6 +25,7 @@ from dtwone.digraph import (
     is_strongly_2_connected,
     is_strongly_connected,
     mask_vertices,
+    orient_cut_separation,
     round_trips,
     strong_component_of,
     strong_components,
@@ -543,6 +544,26 @@ class TestTightSeparations:
         assert reference_separations_cross(seps[1], seps[2])
         flipped = TightSeparation(seps[2].shoreB, seps[2].shoreA)
         assert not reference_separations_cross(seps[1], flipped)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_orientation_of_the_shores_of_one_cut(self, data):
+        # v and a split of the other vertices into X and Y, both non-empty;
+        # masks of two bits a vertex cross one 64-bit word at n = 33 and two
+        # at n = 65.
+        n = data.draw(st.one_of(st.sampled_from([33, 65]), st.integers(3, 100)), label="n")
+        v = data.draw(st.integers(0, n - 1), label="v")
+        others = [u for u in range(n) if u != v]
+        x = data.draw(st.sets(st.sampled_from(others), min_size=1, max_size=n - 2), label="X")
+        bit = vertex_bits(n)
+        ones = sum(bit)
+        x_mask = sum(map(bit.__getitem__, x))
+        p, q = ones & ~x_mask, x_mask | bit[v]
+        first, second = orient_cut_separation(p, q, bit[v], None)
+        assert {first, second} == {p, q}
+        assert tuple(sorted(mask_vertices(n, first))) < tuple(sorted(mask_vertices(n, second)))
+        assert orient_cut_separation(p, q, bit[v], True) == (q, p)
+        assert orient_cut_separation(p, q, bit[v], False) == (p, q)
 
     def test_crossing_detected_on_bidirected_cycle(self):
         # On the bidirected 4-cycle 0-1-2-3, the separation at cut 0

@@ -123,3 +123,11 @@ def test_each_answer_is_built_once_and_checked_once():
     assert "verify_certificate" in names_used(package / "dtw1.py", "recognize_dtw1")
     assert "validate_dtd" not in names_used(package / "dtw1.py", "width1_dtd_from_sdec")
     assert "_report_lines" in names_used(package / "cli.py", "cmd_verify_cert")
+
+
+def test_a_two_way_separation_is_oriented_without_pivots():
+    # `orient_cut_separation` orients a separation valid both ways by the
+    # piece's least vertex other than the cut, and a split re-keys by where
+    # that vertex went, so no entry or piece keeps the vertices compared.
+    dtw1 = Path(dtwone.__file__).parent / "dtw1.py"
+    assert names_used(dtw1).isdisjoint({"pivots", "pivoted"})

@@ -164,7 +164,7 @@ class TestThreeWayCheck:
         """`verify_certificate`'s haven check is held to the full
         `verify_haven` on every NO instance of a corpus."""
         monkeypatch.setattr(suite, "verify_certificate",
-                            lambda d, cert: Report(False, 0, ("haven verification failed",)))
+                            lambda d, cert: Report(False, None, ("haven verification failed",)))
         tally = suite._Tally()
         suite._three_way_check(bicycle(4), tally, 100, None)
         assert len(tally.failures) == 1
